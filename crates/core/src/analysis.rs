@@ -15,7 +15,7 @@
 //!   (`Ũ_j = Σ_i Z_i U_ij`), the cache-friendly scheme whose speedups
 //!   Figs 2–5 of the paper measure.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ use sparkscore_data::io::{
 };
 use sparkscore_data::{DatasetPaths, GenotypeBlock, GwasDataset};
 use sparkscore_dfs::DfsError;
-use sparkscore_rdd::{Broadcast, BroadcastTileCache, Dataset, Engine};
+use sparkscore_rdd::{plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine};
 use sparkscore_stats::linalg::perturb_rows_blocked;
 use sparkscore_stats::pvalue::StoppingRule;
 use sparkscore_stats::qc::{check_snp_packed, QcThresholds};
@@ -175,10 +175,36 @@ pub struct SparkScoreContext {
     /// per-SNP table.
     max_snp: usize,
     /// Memo of broadcast multiplier tiles keyed `(seed, start, width)`,
-    /// shared across every grid run on this context so repeated
-    /// same-seed queries ship each tile once.
-    mc_tile_cache: BroadcastTileCache<(u64, u64, u64)>,
+    /// each stored with the generator state that follows it, shared
+    /// across every grid run on this context: a repeated same-seed query
+    /// neither draws nor ships a tile it finds here.
+    mc_tile_cache: BroadcastTileCache<(u64, u64, u64), StdRng>,
+    /// What every grid run over this cohort needs and no query changes;
+    /// filled by the first run (see [`SparkScoreContext::grid_invariants`]).
+    grid_invariants: OnceLock<GridInvariants>,
     options: AnalysisOptions,
+}
+
+/// Cohort-wide inputs of the resampling grid's driver-side reduction,
+/// dense by SNP id.
+struct GridInvariants {
+    /// SNP weights `ω_j`.
+    weights: Vec<f64>,
+    /// Observed per-SNP scores `U_j = Σ_i U_ij`.
+    scores: Vec<f64>,
+}
+
+/// Draw an `n × k` multiplier tile replicate-by-replicate — the
+/// sequential oracles' exact order — transposed into the patient-major
+/// layout `perturb_rows_blocked` reads.
+fn draw_tile(rng: &mut StdRng, n: usize, k: usize) -> Vec<f64> {
+    let mut tile = vec![0.0f64; n * k];
+    for kk in 0..k {
+        for (i, zi) in mc_weights(rng, n).into_iter().enumerate() {
+            tile[i * k + kk] = zi;
+        }
+    }
+    tile
 }
 
 impl SparkScoreContext {
@@ -322,6 +348,7 @@ impl SparkScoreContext {
             sets: sets_sorted,
             max_snp,
             mc_tile_cache,
+            grid_invariants: OnceLock::new(),
             options,
         }
     }
@@ -576,20 +603,44 @@ impl SparkScoreContext {
         }
     }
 
-    /// Dense per-SNP weight table on the driver (index = SNP id).
-    fn dense_weights(&self) -> Vec<f64> {
-        match &self.weights_bc {
-            Some(table) => table.value().clone(),
-            None => {
-                let mut dense = vec![0.0f64; self.max_snp];
-                for (snp, w) in self.weights_rdd.collect() {
-                    if (snp as usize) < self.max_snp {
-                        dense[snp as usize] = w;
+    /// The grid's cohort invariants, computed on first use from `u` (two
+    /// engine jobs: a weights collect and one scan of `U`) and shared by
+    /// every later run on this context — any set filter, seed or budget.
+    /// Lazy so that building a context, or registering it as a service
+    /// cohort, stays free of engine work. Concurrent first callers block
+    /// on the one fill. `u` must be this context's own
+    /// [`SparkScoreContext::u_dataset`]; every such handle carries the
+    /// same rows, so which one fills the memo does not matter.
+    fn grid_invariants(&self, u: &Dataset<(u64, Vec<f64>)>) -> &GridInvariants {
+        self.grid_invariants.get_or_init(|| {
+            let weights = match &self.weights_bc {
+                Some(table) => table.value().clone(),
+                None => {
+                    let mut dense = vec![0.0f64; self.max_snp];
+                    for (snp, w) in self.weights_rdd.collect() {
+                        if (snp as usize) < self.max_snp {
+                            dense[snp as usize] = w;
+                        }
                     }
+                    dense
                 }
-                dense
+            };
+            // Per-SNP sums scattered into a dense table by id; sets are
+            // combined from it on the driver with the same statistic
+            // functions (and summation order) as the oracle.
+            let arith_cost = self.num_patients() as f64 * JVM_UNITS_ARITH_PER_PATIENT;
+            let mut scores = vec![0.0f64; self.max_snp];
+            for (snp, s) in u
+                .map_with_cost(arith_cost, |(snp, c)| {
+                    let s: f64 = c.iter().sum();
+                    (snp, s)
+                })
+                .collect()
+            {
+                scores[snp as usize] = s;
             }
-        }
+            GridInvariants { weights, scores }
+        })
     }
 
     /// `(hits, misses)` of the broadcast multiplier-tile cache.
@@ -602,23 +653,34 @@ impl SparkScoreContext {
     ///
     /// The `B × n` multiplier matrix is split into replicate tiles; each
     /// tile's `n × k` block is broadcast (memoized per `(seed, start,
-    /// width)`) against the caller-held — typically cached — `U` dataset,
-    /// and one engine task per `(tile × partition)` grid cell runs the
-    /// blocked perturbation kernel over its partition's SNP rows. Cells
+    /// width)`, so a repeated query draws and ships nothing) against the
+    /// caller-held — typically cached — `U` dataset, and one engine task
+    /// per partition filters its SNP rows once and runs the blocked
+    /// perturbation kernel over them for every tile of the job. Cells
     /// return per-SNP perturbed scores; the driver scatters them by SNP id
     /// (a pure scatter — no cross-partition summation, so no floating-point
-    /// reassociation) and reduces per set sequentially, which keeps the
-    /// fixed-B path **bitwise identical** to the single-task
-    /// `monte_carlo_blocked` oracle.
+    /// reassociation) and reduces per set sequentially, tile by tile,
+    /// which keeps the fixed-B path **bitwise identical** to the
+    /// single-task `monte_carlo_blocked` oracle.
     ///
-    /// With a [`StoppingRule`], tile rounds double as sequential looks:
-    /// after each round every undecided set is tested, decided sets freeze
-    /// their counts, and their member rows drop out of later grid cells
+    /// With a [`StoppingRule`], tiles double as sequential looks: after
+    /// each tile every undecided set is tested, decided sets freeze their
+    /// counts, and their member rows drop out of later grid cells
     /// (reported as `replicates_saved`). Multiplier tiles are always drawn
     /// in full so the stream stays aligned with the fixed-B oracle —
     /// adaptivity truncates per-set replicate streams, never re-randomizes
     /// them; the single-machine `monte_carlo_adaptive` is the exact
     /// semantic oracle.
+    ///
+    /// A job carries every tile no look can separate ([`plan_tiles`]): a
+    /// fixed-B run has no looks, and below the rule's `min_replicates` a
+    /// look decides nothing, so those tiles cannot influence which rows
+    /// or tiles run next. Past the floor an adaptive run launches one tile
+    /// per job.
+    ///
+    /// The weight table and the per-SNP observed scores are cohort
+    /// invariants, computed by the first run on this context and reused
+    /// by all later ones; only that first run pays their two jobs.
     pub fn monte_carlo_grid(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
@@ -637,28 +699,13 @@ impl SparkScoreContext {
 
         let n = self.num_patients();
         let max_snp = self.max_snp;
-        let weights = self.dense_weights();
-
-        // Observed pass over the shared U handle: per-SNP scores scattered
-        // into a dense table, then combined per set on the driver with the
-        // same statistic functions (and summation order) as the oracle.
-        let arith_cost = n as f64 * JVM_UNITS_ARITH_PER_PATIENT;
-        let mut scores = vec![0.0f64; max_snp];
-        for (snp, s) in u
-            .map_with_cost(arith_cost, |(snp, c)| {
-                let s: f64 = c.iter().sum();
-                (snp, s)
-            })
-            .collect()
-        {
-            scores[snp as usize] = s;
-        }
+        let GridInvariants { weights, scores } = self.grid_invariants(u);
         let combine = self.options.combine;
         let stat = |scores: &[f64], set: &SnpSet| match combine {
-            CombineMethod::Skat => skat_statistic(scores, &weights, set),
-            CombineMethod::Burden => burden_statistic(scores, &weights, set),
+            CombineMethod::Skat => skat_statistic(scores, weights, set),
+            CombineMethod::Burden => burden_statistic(scores, weights, set),
         };
-        let observed: Vec<f64> = sets.iter().map(|s| stat(&scores, s)).collect();
+        let observed: Vec<f64> = sets.iter().map(|s| stat(scores, s)).collect();
 
         // Rows the budget would spend work on: members of a selected set.
         let mut set_of_snp = vec![usize::MAX; max_snp];
@@ -670,46 +717,59 @@ impl SparkScoreContext {
         let scope_rows = set_of_snp.iter().filter(|&&s| s != usize::MAX).count();
 
         let b = opts.num_replicates;
+        // The replicate count from which a look may decide a set.
+        let barrier = opts.stopping.as_ref().map_or(b, |rule| rule.min_replicates);
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let mut counts = vec![0usize; sets.len()];
         let mut used = vec![0usize; sets.len()];
         let mut decided = vec![false; sets.len()];
         let mut replicates_run = 0u64;
         let mut perturbed = vec![0.0f64; max_snp];
+        // Per-SNP activity plane: 0 out of scope, 1 active, 2 member of a
+        // decided set (skipped, counted as saved work). Rebuilt only
+        // after a look that decided a set.
+        let mut activity: Option<Broadcast<Vec<u8>>> = None;
         let mut tiles = 0usize;
         let mut done = 0usize;
         while done < b && decided.iter().any(|d| !d) {
-            let k = opts.tile.min(b - done);
-            // Draw the tile replicate-by-replicate — the oracle's exact
-            // order — transposed into the patient-major kernel layout.
-            let mut z_tile = vec![0.0f64; n * k];
-            for kk in 0..k {
-                for (i, zi) in mc_weights(&mut rng, n).into_iter().enumerate() {
-                    z_tile[i * k + kk] = zi;
-                }
-            }
-            let z = self
-                .mc_tile_cache
-                .get_or_broadcast((opts.seed, done as u64, k as u64), z_tile);
+            let round = plan_tiles(done, b, opts.tile, barrier);
+            // A cached tile comes with the generator state after it, so
+            // the stream continues correctly whether the next tile hits
+            // or has to be drawn.
+            let operands: Vec<(usize, Broadcast<Vec<f64>>)> = round
+                .iter()
+                .map(|t| {
+                    let key = (opts.seed, t.start as u64, t.width as u64);
+                    let (z, resume) = self.mc_tile_cache.get_or_draw(key, || {
+                        let mut rng = rng.clone();
+                        (draw_tile(&mut rng, n, t.width), rng)
+                    });
+                    rng = resume;
+                    (t.width, z)
+                })
+                .collect();
 
-            // Per-SNP activity plane: 0 out of scope, 1 active, 2 member
-            // of a decided set (skipped, counted as saved work).
-            let mut activity = vec![0u8; max_snp];
-            for (s, set) in sets.iter().enumerate() {
-                let mark = if decided[s] { 2u8 } else { 1u8 };
-                for &j in &set.members {
-                    activity[j] = mark;
-                }
-            }
-            let activity = self.engine.broadcast(activity);
+            let act = activity
+                .get_or_insert_with(|| {
+                    let mut plane = vec![0u8; max_snp];
+                    for (s, set) in sets.iter().enumerate() {
+                        let mark = if decided[s] { 2u8 } else { 1u8 };
+                        for &j in &set.members {
+                            plane[j] = mark;
+                        }
+                    }
+                    self.engine.broadcast(plane)
+                })
+                .clone();
 
-            // One grid row: a task per U partition perturbing its active
-            // rows under this tile's multipliers.
-            let cells: Vec<(Vec<u64>, Vec<f64>)> = u.grid_cells(move |ctx, _part, rows| {
+            // One grid job: a task per U partition filters its active
+            // rows once and perturbs them under each tile of the round.
+            let round_width: usize = round.iter().map(|t| t.width).sum();
+            let cells: Vec<(Vec<u64>, Vec<Vec<f64>>)> = u.grid_cells(move |ctx, _part, rows| {
                 let mut ids: Vec<u64> = Vec::new();
                 let mut urows: Vec<&[f64]> = Vec::new();
                 let mut skipped = 0u64;
-                let act = activity.value();
+                let act = act.value();
                 for (snp, c) in rows {
                     match act.get(*snp as usize).copied().unwrap_or(0) {
                         1 => {
@@ -720,53 +780,62 @@ impl SparkScoreContext {
                         _ => {}
                     }
                 }
-                let mut out = vec![0.0f64; urows.len() * k];
-                ctx.time_span("kernel:perturb", || {
-                    perturb_rows_blocked(&urows, n, z.value(), k, &mut out);
-                });
-                ctx.add_work(ids.len() * k, n as f64 * JVM_UNITS_ARITH_PER_PATIENT);
-                ctx.add_kernel_rows((ids.len() * n * k) as u64);
-                ctx.add_replicates_run((ids.len() * k) as u64);
-                ctx.add_replicates_saved(skipped * k as u64);
-                (ids, out)
+                let outs = operands
+                    .iter()
+                    .map(|(k, z)| {
+                        let mut out = vec![0.0f64; urows.len() * k];
+                        ctx.time_span("kernel:perturb", || {
+                            perturb_rows_blocked(&urows, n, z.value(), *k, &mut out);
+                        });
+                        out
+                    })
+                    .collect();
+                let row_replicates = ids.len() * round_width;
+                ctx.add_work(row_replicates, n as f64 * JVM_UNITS_ARITH_PER_PATIENT);
+                ctx.add_kernel_rows((row_replicates * n) as u64);
+                ctx.add_replicates_run(row_replicates as u64);
+                ctx.add_replicates_saved(skipped * round_width as u64);
+                (ids, outs)
             });
 
-            replicates_run += cells
-                .iter()
-                .map(|(ids, _)| (ids.len() * k) as u64)
-                .sum::<u64>();
-            for kk in 0..k {
-                // Scatter this replicate's perturbed scores by SNP id —
-                // stale slots belong to decided or out-of-scope rows and
-                // are never read below.
-                for (ids, out) in &cells {
-                    for (r, &snp) in ids.iter().enumerate() {
-                        perturbed[snp as usize] = out[r * k + kk];
+            let active_rows: usize = cells.iter().map(|(ids, _)| ids.len()).sum();
+            replicates_run += (active_rows * round_width) as u64;
+            for (t, tile) in round.iter().enumerate() {
+                let k = tile.width;
+                for kk in 0..k {
+                    // Scatter this replicate's perturbed scores by SNP id —
+                    // stale slots belong to decided or out-of-scope rows and
+                    // are never read below.
+                    for (ids, outs) in &cells {
+                        for (r, &snp) in ids.iter().enumerate() {
+                            perturbed[snp as usize] = outs[t][r * k + kk];
+                        }
                     }
-                }
-                for (s, set) in sets.iter().enumerate() {
-                    if decided[s] {
-                        continue;
-                    }
-                    if stat(&perturbed, set) >= observed[s] {
-                        counts[s] += 1;
-                    }
-                }
-            }
-            done += k;
-            tiles += 1;
-            if let Some(rule) = &opts.stopping {
-                for s in 0..sets.len() {
-                    if !decided[s] {
-                        used[s] = done;
-                        if rule.decided(counts[s], done) {
-                            decided[s] = true;
+                    for (s, set) in sets.iter().enumerate() {
+                        if decided[s] {
+                            continue;
+                        }
+                        if stat(&perturbed, set) >= observed[s] {
+                            counts[s] += 1;
                         }
                     }
                 }
-            } else {
-                for slot in used.iter_mut() {
-                    *slot = done;
+                done += k;
+                tiles += 1;
+                if let Some(rule) = &opts.stopping {
+                    for s in 0..sets.len() {
+                        if !decided[s] {
+                            used[s] = done;
+                            if rule.decided(counts[s], done) {
+                                decided[s] = true;
+                                activity = None;
+                            }
+                        }
+                    }
+                } else {
+                    for slot in used.iter_mut() {
+                        *slot = done;
+                    }
                 }
             }
         }
@@ -1066,6 +1135,199 @@ mod tests {
         assert_eq!(a.counts_ge, b.counts_ge);
         assert_eq!(m1, m0, "a same-seed replay must not re-broadcast");
         assert_eq!(h1, h0 + 2);
+    }
+
+    /// Fixed-B options at an explicit tile width.
+    fn fixed_opts(b: usize, seed: u64, tile: usize) -> McGridOptions {
+        McGridOptions {
+            tile,
+            ..McGridOptions::fixed(b, seed)
+        }
+    }
+
+    #[test]
+    fn tile_cache_hits_misses_and_evictions_keep_the_stream_aligned() {
+        // A two-tile cache under a schedule that makes hits, misses and
+        // FIFO evictions interleave: every run must equal the same run on
+        // a fresh context (which draws every tile), so a tile drawn after
+        // a hit — or after an eviction — continues the stream exactly.
+        let mut ctx = small_context();
+        ctx.mc_tile_cache = BroadcastTileCache::new(Arc::clone(ctx.engine()), 2);
+        let u = ctx.u_dataset();
+        u.cache();
+        // (seed, B) at tile 8, and the cache's cumulative (hits, misses)
+        // after the run. Cache contents in FIFO order, a/b = seed 5/6:
+        let schedule = [
+            (5, 8, (0, 1)),   // a0 drawn                         -> [a0]
+            (6, 8, (0, 2)),   // b0 drawn                         -> [a0 b0]
+            (5, 16, (1, 3)),  // a0 hit, a1 drawn (evicts a0)     -> [b0 a1]
+            (5, 44, (2, 8)),  // a0 drawn, a1 hit, a2..a5 drawn   -> [a4 a5]
+            (5, 44, (2, 14)), // FIFO evicts each tile before use -> [a4 a5]
+            (5, 16, (2, 16)), // a0, a1 drawn                     -> [a0 a1]
+            (5, 44, (4, 20)), // a0, a1 hit, a2..a5 drawn         -> [a4 a5]
+        ];
+        for (step, &(seed, b, stats)) in schedule.iter().enumerate() {
+            let opts = fixed_opts(b, seed, 8);
+            let run = ctx.monte_carlo_grid(&u, &opts);
+            assert_eq!(ctx.mc_tile_cache_stats(), stats, "step {step}");
+            let fresh = small_context().monte_carlo_distributed(&opts);
+            assert_eq!(run.observed, fresh.observed, "step {step}");
+            assert_eq!(run.counts_ge, fresh.counts_ge, "step {step}");
+            assert_eq!(run.tiles, b.div_ceil(8), "step {step}");
+        }
+        u.unpersist();
+    }
+
+    #[test]
+    fn fused_rounds_match_the_oracles_across_bad_seams() {
+        let ctx = small_context();
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let (rows, weights, sets) = dense_oracle_inputs(&ds, ctx.num_patients());
+        let u = ctx.u_dataset();
+        u.cache();
+        // Fill the cohort invariants so every run below launches tile
+        // jobs only.
+        ctx.monte_carlo_grid(&u, &McGridOptions::fixed(1, 1));
+
+        // Fixed B: not a multiple of the tile, and (at tile 4) more tiles
+        // than one job may carry.
+        let cap = sparkscore_rdd::MAX_FUSED_TILES;
+        for (b, tile, jobs) in [
+            (150usize, 4usize, 2u64),
+            (45, MC_TILE, 1),
+            (50, 7, 1),
+            (4 * cap, 4, 1),
+        ] {
+            assert!(b.div_ceil(tile) <= jobs as usize * cap);
+            let run = ctx.monte_carlo_grid(&u, &fixed_opts(b, 9, tile));
+            let oracle = monte_carlo_blocked(ctx.model(), &rows, &weights, &sets, b, 9, tile);
+            let observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
+            assert_eq!(observed, oracle.observed, "b={b} tile={tile}");
+            assert_eq!(run.counts_ge, oracle.counts_ge, "b={b} tile={tile}");
+            assert_eq!(run.tiles, b.div_ceil(tile));
+            assert_eq!(run.metrics.jobs, jobs, "b={b} tile={tile}");
+        }
+
+        // Adaptive: a floor that is no multiple of the tile (looks at 32,
+        // 64, 96 are vacuous, the one at 128 is not), and a floor further
+        // out than one job may carry (32 tiles to 128, three more to 140).
+        for (b, tile, floor, fused_jobs, fused_tiles) in [
+            (300usize, 32usize, 100usize, 1u64, 4usize),
+            (190, 4, 140, 2, 35),
+        ] {
+            let rule = StoppingRule::new(floor, 0.2, 0.05);
+            let opts = McGridOptions {
+                tile,
+                ..McGridOptions::adaptive(b, 3, rule)
+            };
+            let run = ctx.monte_carlo_grid(&u, &opts);
+            let oracle =
+                monte_carlo_adaptive(ctx.model(), &rows, &weights, &sets, b, 3, tile, &rule);
+            assert_eq!(run.counts_ge, oracle.counts_ge, "floor={floor}");
+            assert_eq!(run.replicates_used, oracle.replicates_used, "floor={floor}");
+            assert_eq!(run.replicates_run, oracle.replicates_run, "floor={floor}");
+            assert_eq!(
+                run.replicates_saved, oracle.replicates_saved,
+                "floor={floor}"
+            );
+            assert!(
+                run.replicates_used.iter().any(|&t| t < b)
+                    && run.replicates_used.iter().any(|&t| t > fused_tiles * tile),
+                "the rule must stop some sets early and carry some past the floor: {:?}",
+                run.replicates_used
+            );
+            // One job per fused round below the floor, one per tile after.
+            assert_eq!(
+                run.metrics.jobs,
+                fused_jobs + (run.tiles - fused_tiles) as u64,
+                "floor={floor}"
+            );
+        }
+        u.unpersist();
+    }
+
+    #[test]
+    fn later_grid_runs_launch_only_their_tile_rounds() {
+        let ctx = small_context();
+        let u = ctx.u_dataset();
+        u.cache();
+        let opts = McGridOptions::fixed(70, 4);
+        let first = ctx.monte_carlo_grid(&u, &opts);
+        assert_eq!(
+            first.metrics.jobs, 3,
+            "weights collect + observed pass + one fused round"
+        );
+        // Any later run — other seed, one set — reads the memo: no weights
+        // collect, no observed pass, just its rounds.
+        let target = first.observed[2].set;
+        let second = ctx.monte_carlo_grid(
+            &u,
+            &McGridOptions {
+                set_filter: Some(vec![target]),
+                ..McGridOptions::fixed(70, 8)
+            },
+        );
+        u.unpersist();
+        assert_eq!(second.tiles, 3);
+        assert_eq!(second.metrics.jobs, 1);
+        assert_eq!(second.observed[0], first.observed[2]);
+        let observed = ctx.observed().scores;
+        for (grid, obs) in first.observed.iter().zip(&observed) {
+            assert_eq!(grid.set, obs.set);
+            assert!(
+                (grid.score - obs.score).abs() <= 1e-9 * (1.0 + obs.score.abs()),
+                "set {}: grid {} vs observed {}",
+                grid.set,
+                grid.score,
+                obs.score
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_first_queries_share_one_invariant_fill() {
+        let opts: Vec<McGridOptions> = [0u64, 5]
+            .iter()
+            .map(|&set| McGridOptions {
+                set_filter: Some(vec![set]),
+                ..McGridOptions::fixed(40, 11)
+            })
+            .collect();
+        let expected: Vec<McGridRun> = opts
+            .iter()
+            .map(|o| small_context().monte_carlo_distributed(o))
+            .collect();
+
+        let ctx = small_context();
+        let u = ctx.u_dataset();
+        u.cache();
+        // Both threads reach the unfilled memo together; the fill itself
+        // runs engine jobs while the other thread waits on it.
+        let gate = std::sync::Barrier::new(2);
+        let runs: Vec<McGridRun> = std::thread::scope(|scope| {
+            let handles: Vec<_> = opts
+                .iter()
+                .map(|o| {
+                    let (ctx, u, gate) = (&ctx, &u, &gate);
+                    scope.spawn(move || {
+                        gate.wait();
+                        ctx.monte_carlo_grid(u, o)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("query thread"))
+                .collect()
+        });
+        u.unpersist();
+        for (run, want) in runs.iter().zip(&expected) {
+            assert_eq!(run.observed, want.observed);
+            assert_eq!(run.counts_ge, want.counts_ge);
+        }
+        // The weights were collected and U scanned for scores once, not
+        // once per thread: 2 fill jobs + 1 round per query.
+        assert_eq!(ctx.engine().metrics_snapshot().jobs, 4);
     }
 
     #[test]

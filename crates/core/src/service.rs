@@ -64,11 +64,27 @@ impl std::fmt::Display for QueryError {
 
 type ResultSlot = Arc<Mutex<Option<QueryResult>>>;
 
+/// Result slots by job id. A slot nobody `wait_result`-s would live
+/// forever, so once the map outgrows `sweep_at` a submission drops every
+/// slot whose job record the [`JobService`] has already pruned from its
+/// terminal history — `wait` returns `None` for those, so the slot is
+/// unreachable. Sweeping at twice the survivors keeps the cost O(1) per
+/// submission and the map within twice the job service's retained
+/// records (queued + running + `terminal_history`), or
+/// [`MIN_RESULT_SWEEP`] if that is larger.
+struct ResultSlots {
+    slots: BTreeMap<u64, ResultSlot>,
+    sweep_at: usize,
+}
+
+/// Smallest slot count that triggers a sweep.
+const MIN_RESULT_SWEEP: usize = 64;
+
 /// Multi-tenant analysis service: see the module docs.
 pub struct AnalysisService {
     service: Arc<JobService>,
     cohorts: Mutex<BTreeMap<String, Arc<Cohort>>>,
-    results: Mutex<BTreeMap<u64, ResultSlot>>,
+    results: Mutex<ResultSlots>,
 }
 
 impl AnalysisService {
@@ -77,7 +93,10 @@ impl AnalysisService {
         AnalysisService {
             service,
             cohorts: Mutex::new(BTreeMap::new()),
-            results: Mutex::new(BTreeMap::new()),
+            results: Mutex::new(ResultSlots {
+                slots: BTreeMap::new(),
+                sweep_at: MIN_RESULT_SWEEP,
+            }),
         }
     }
 
@@ -128,7 +147,14 @@ impl AnalysisService {
             .service
             .submit(tenant, move |_engine| payload(job_slot))
             .map_err(QueryError::Rejected)?;
-        self.results.lock().insert(job, slot);
+        let mut results = self.results.lock();
+        results.slots.insert(job, slot);
+        if results.slots.len() > results.sweep_at {
+            results
+                .slots
+                .retain(|&id, _| self.service.job_state(id).is_some());
+            results.sweep_at = (2 * results.slots.len()).max(MIN_RESULT_SWEEP);
+        }
         Ok(job)
     }
 
@@ -225,7 +251,7 @@ impl AnalysisService {
     /// façade.
     pub fn wait_result(&self, job: u64) -> Option<QueryResult> {
         self.service.wait(job)?;
-        let slot = self.results.lock().remove(&job)?;
+        let slot = self.results.lock().slots.remove(&job)?;
         let result = slot.lock().take();
         result
     }
@@ -325,6 +351,45 @@ mod tests {
         );
         let err = svc.job_service().job_error(job).unwrap();
         assert!(err.contains("set 999999"), "{err}");
+    }
+
+    #[test]
+    fn unawaited_result_slots_are_bounded_by_the_terminal_history() {
+        let engine = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(2)
+            .build();
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let ctx =
+            SparkScoreContext::from_memory(Arc::clone(&engine), &ds, 4, AnalysisOptions::default());
+        let history = 8;
+        let service = JobService::builder(engine)
+            .workers(1)
+            .terminal_history(history)
+            .tenant("a", TenantConfig::default())
+            .build();
+        let svc = AnalysisService::new(service);
+        svc.register_cohort("main", ctx);
+
+        // Fire-and-forget clients: far more queries than the job service
+        // remembers, none of them waited for.
+        let batch = 16;
+        for round in 0..20 {
+            for i in 0..batch {
+                svc.submit_mc_query("a", "main", (round + i) % 10, 4, 1)
+                    .unwrap();
+            }
+            svc.job_service().drain();
+            let slots = svc.results.lock().slots.len();
+            let bound = MIN_RESULT_SWEEP.max(2 * (batch as usize + history)) + 1;
+            assert!(slots <= bound, "round {round}: {slots} slots > {bound}");
+        }
+        // A swept map still serves a job that is waited for.
+        let job = svc.submit_mc_query("a", "main", 3, 4, 1).unwrap();
+        let r = svc.wait_result(job).expect("waited job keeps its slot");
+        assert_eq!(r.resample.map(|(_, used)| used), Some(4));
+        assert!(!svc.results.lock().slots.contains_key(&job));
+        svc.job_service()
+            .shutdown(sparkscore_rdd::ShutdownMode::Drain);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::events::{
 };
 use crate::ledger::{MemCategory, MemReading, MemoryLedger};
 use crate::meta::MetaRegistry;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, Registry};
 use crate::pool::{ExecutorPool, PoolDiagnostics, TaskSlots};
 use crate::shuffle::{hash_key, ShuffleManager};
 use crate::{OpId, ShuffleId};
@@ -181,6 +181,7 @@ impl EngineBuilder {
             ledger,
             meta: MetaRegistry::new(),
             metrics: Metrics::new(),
+            registry: Arc::new(Registry::new()),
             vclock: VirtualClock::new(),
             vsched: Mutex::new(vsched),
             fault_plan: RwLock::new(self.fault_plan),
@@ -210,6 +211,7 @@ pub struct Engine {
     ledger: Arc<MemoryLedger>,
     pub(crate) meta: MetaRegistry,
     pub(crate) metrics: Metrics,
+    registry: Arc<Registry>,
     vclock: VirtualClock,
     vsched: Mutex<VirtualScheduler>,
     fault_plan: RwLock<Arc<FaultPlan>>,
@@ -290,6 +292,14 @@ impl Engine {
 
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
+    }
+
+    /// The engine's named-metric registry: driver-side subsystems that
+    /// emit no events (e.g. [`crate::BroadcastTileCache`]) count here.
+    /// Hand the same registry to a [`crate::RegistryListener`], the job
+    /// service and the ops endpoint to scrape everything in one place.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
     /// Number of live operator metadata entries (leak diagnostics).

@@ -1,14 +1,23 @@
 //! Distributed-GEMM planning for multiplier resampling.
 //!
 //! Algorithm 3's resampling pass is a `B×n` by `n×m` matrix multiply.
-//! The grid layout splits the replicate axis into tiles
-//! ([`plan_tiles`]) and runs one engine task per (replicate-tile ×
-//! `U`-partition) cell via [`crate::Dataset::grid_cells`]; the driver
-//! broadcasts each tile's `n×k` multiplier block as the shared operand.
-//! [`BroadcastTileCache`] memoizes those broadcasts so repeated analyses
-//! over the same seed (the multi-tenant service replaying gene queries
-//! against one cohort) ship each tile to the executors once instead of
-//! once per query.
+//! The grid layout splits the replicate axis into tiles and runs one
+//! engine task per (round of tiles × `U`-partition) cell via
+//! [`crate::Dataset::grid_cells`], each tile's `n×k` multiplier block
+//! broadcast as the shared operand.
+//!
+//! Two pieces live here, neither of which knows what a multiplier is:
+//!
+//! * [`plan_tiles`] decides how many tiles one job may carry. A driver
+//!   that inspects results between tiles (a sequential *look*) must end
+//!   the job at the first tile whose look can change what runs next;
+//!   tiles before that barrier — and every tile of a run with no looks —
+//!   fuse into one job, up to [`MAX_FUSED_TILES`].
+//! * [`BroadcastTileCache`] memoizes tile broadcasts together with the
+//!   caller's *resume token*: whatever the caller needs to continue its
+//!   generator after the tile. A repeated analysis over the same key (the
+//!   multi-tenant service replaying gene queries against one cohort)
+//!   therefore neither re-draws nor re-ships a tile.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -17,65 +26,90 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::engine::{Broadcast, Engine};
+use crate::metrics::Counter;
+
+/// Most tiles [`plan_tiles`] puts in one job. A job keeps every tile's
+/// broadcast alive and every cell returns `rows × replicates` outputs, so
+/// the cap bounds both for an arbitrarily large replicate budget: at the
+/// default 32-replicate tile, 1024 replicates — `8 KiB × patients` of
+/// live tiles and `8 KiB × rows` of cell output per job.
+pub const MAX_FUSED_TILES: usize = 32;
 
 /// One tile of the replicate axis of the resampling GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicateTile {
-    /// Tile ordinal (0-based, in replicate order).
-    pub index: usize,
     /// First replicate covered by the tile.
     pub start: usize,
     /// Replicates in the tile (`<= tile` for the last one).
     pub width: usize,
 }
 
-/// Split `total` replicates into tiles of at most `tile` replicates.
-/// Tiles partition `0..total` contiguously and in order, matching the
-/// tile loop of the single-task blocked oracle — the grid's replicate
-/// stream is the oracle's stream cut at the same boundaries.
-pub fn plan_tiles(total: usize, tile: usize) -> Vec<ReplicateTile> {
+/// The tiles of the next job: contiguous tiles of at most `tile`
+/// replicates covering `done..`, ending with the first tile that reaches
+/// `barrier` or `total`, or after [`MAX_FUSED_TILES`].
+///
+/// `barrier` is the replicate count from which a look after a tile may
+/// change what runs next (a stopping rule's floor); a run with no looks
+/// passes `total`. Tile boundaries depend only on `tile`, so successive
+/// calls cut `0..total` exactly where the single-task blocked oracle's
+/// tile loop does, however the tiles are grouped into jobs.
+pub fn plan_tiles(done: usize, total: usize, tile: usize, barrier: usize) -> Vec<ReplicateTile> {
     assert!(tile > 0, "tile width must be positive");
-    let mut tiles = Vec::with_capacity(total.div_ceil(tile));
-    let mut start = 0;
-    while start < total {
+    let mut tiles = Vec::new();
+    let mut start = done;
+    while start < total && tiles.len() < MAX_FUSED_TILES {
         let width = tile.min(total - start);
-        tiles.push(ReplicateTile {
-            index: tiles.len(),
-            start,
-            width,
-        });
+        tiles.push(ReplicateTile { start, width });
         start += width;
+        if start >= barrier {
+            break;
+        }
     }
     tiles
 }
 
-struct CacheInner<K> {
-    map: HashMap<K, Broadcast<Vec<f64>>>,
+struct CacheInner<K, R> {
+    map: HashMap<K, (Broadcast<Vec<f64>>, R)>,
     /// Insertion order for FIFO eviction at capacity.
     order: VecDeque<K>,
     hits: u64,
     misses: u64,
 }
 
-/// A bounded memo of broadcast multiplier tiles, keyed by whatever
+/// A bounded memo of broadcast operand tiles, keyed by whatever
 /// identifies a tile's content (typically `(seed, start, width)`).
 ///
-/// The cache never *generates* tiles — callers hand it the drawn values —
-/// because multiplier tiles come from one sequential RNG stream: skipping
-/// a draw on a hit would desynchronize every later tile. What it saves is
-/// the re-broadcast: the virtual network charge and the per-node copy of
-/// shipping an identical `n×k` block again for the next query over the
-/// same seed.
-pub struct BroadcastTileCache<K: Eq + Hash + Clone> {
+/// Tiles usually come off one sequential generator, so a consumer cannot
+/// simply skip producing a tile it finds cached: every later tile would
+/// start from the wrong generator state. The cache therefore stores, with
+/// each broadcast, the caller's resume token `R` — the generator state
+/// *after* the tile. A hit hands both back and the caller adopts the
+/// token instead of drawing; a later miss (first use, or the entry was
+/// evicted) draws from exactly the state the skipped tiles would have
+/// left. The cache never looks inside `R`.
+///
+/// Hits and misses are also counted engine-wide in
+/// [`Engine::registry`] as `sparkscore_gemm_tile_{hits,misses}_total`.
+pub struct BroadcastTileCache<K: Eq + Hash + Clone, R: Clone> {
     engine: Arc<Engine>,
     capacity: usize,
-    inner: Mutex<CacheInner<K>>,
+    inner: Mutex<CacheInner<K, R>>,
+    hits_total: Arc<Counter>,
+    misses_total: Arc<Counter>,
 }
 
-impl<K: Eq + Hash + Clone> BroadcastTileCache<K> {
+impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
     /// Cache holding at most `capacity` broadcast tiles (FIFO eviction).
     pub fn new(engine: Arc<Engine>, capacity: usize) -> Self {
         assert!(capacity > 0, "tile cache capacity must be positive");
+        let hits_total = engine.registry().counter(
+            "sparkscore_gemm_tile_hits_total",
+            "Operand tiles served from the broadcast tile cache (no draw, no broadcast)",
+        );
+        let misses_total = engine.registry().counter(
+            "sparkscore_gemm_tile_misses_total",
+            "Operand tiles drawn and broadcast on a tile cache miss",
+        );
         BroadcastTileCache {
             engine,
             capacity,
@@ -85,32 +119,41 @@ impl<K: Eq + Hash + Clone> BroadcastTileCache<K> {
                 hits: 0,
                 misses: 0,
             }),
+            hits_total,
+            misses_total,
         }
     }
 
-    /// The broadcast for `key`, reusing a cached handle when one exists.
-    /// On a miss, `tile` is broadcast (charging virtual network time) and
-    /// retained; the caller must guarantee that equal keys always carry
-    /// equal tile contents.
-    pub fn get_or_broadcast(&self, key: K, tile: Vec<f64>) -> Broadcast<Vec<f64>> {
+    /// The broadcast and resume token for `key`. On a hit `draw` is never
+    /// called. On a miss `draw` produces the tile and the token that
+    /// follows it; the tile is broadcast (charging virtual network time)
+    /// and both are retained. The caller must guarantee that equal keys
+    /// always yield equal tiles and tokens.
+    pub fn get_or_draw(
+        &self,
+        key: K,
+        draw: impl FnOnce() -> (Vec<f64>, R),
+    ) -> (Broadcast<Vec<f64>>, R) {
         {
             let mut inner = self.inner.lock();
-            if let Some(b) = inner.map.get(&key) {
-                let b = b.clone();
+            if let Some(entry) = inner.map.get(&key) {
+                let entry = entry.clone();
                 inner.hits += 1;
-                return b;
+                self.hits_total.inc();
+                return entry;
             }
         }
-        // Broadcast outside the lock: it charges virtual time and may
-        // contend with tasks reading the clock.
-        let b = self.engine.broadcast(tile);
+        // Draw and broadcast outside the lock: the draw is the expensive
+        // part, and the broadcast charges virtual time and may contend
+        // with tasks reading the clock.
+        let (tile, resume) = draw();
+        let entry = (self.engine.broadcast(tile), resume);
         let mut inner = self.inner.lock();
         inner.misses += 1;
-        if let Some(prev) = inner.map.insert(key.clone(), b.clone()) {
-            // Raced with another query broadcasting the same tile; keep
-            // ours, drop theirs — both carry identical contents.
-            drop(prev);
-        } else {
+        self.misses_total.inc();
+        // A racing query may have inserted the same key meanwhile; both
+        // entries carry identical contents, so keep ours in its slot.
+        if inner.map.insert(key.clone(), entry.clone()).is_none() {
             inner.order.push_back(key);
             if inner.order.len() > self.capacity {
                 if let Some(old) = inner.order.pop_front() {
@@ -118,10 +161,10 @@ impl<K: Eq + Hash + Clone> BroadcastTileCache<K> {
                 }
             }
         }
-        b
+        entry
     }
 
-    /// `(hits, misses)` since construction.
+    /// `(hits, misses)` of this cache since construction.
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.hits, inner.misses)
@@ -143,47 +186,67 @@ mod tests {
     use super::*;
     use sparkscore_cluster::ClusterSpec;
 
-    #[test]
-    fn tiles_partition_the_replicate_axis() {
-        let tiles = plan_tiles(101, 32);
-        assert_eq!(tiles.len(), 4);
-        assert_eq!(
-            tiles[0],
-            ReplicateTile {
-                index: 0,
-                start: 0,
-                width: 32
-            }
-        );
-        assert_eq!(
-            tiles[3],
-            ReplicateTile {
-                index: 3,
-                start: 96,
-                width: 5
-            }
-        );
-        let covered: usize = tiles.iter().map(|t| t.width).sum();
-        assert_eq!(covered, 101);
-        for w in tiles.windows(2) {
-            assert_eq!(w[0].start + w[0].width, w[1].start);
-        }
-        assert!(plan_tiles(0, 8).is_empty());
+    fn widths(tiles: &[ReplicateTile]) -> Vec<(usize, usize)> {
+        tiles.iter().map(|t| (t.start, t.width)).collect()
     }
 
     #[test]
-    fn tile_cache_hits_on_repeat_and_evicts_fifo() {
+    fn a_run_without_looks_fuses_every_tile_up_to_the_cap() {
+        assert_eq!(
+            widths(&plan_tiles(0, 101, 32, 101)),
+            [(0, 32), (32, 32), (64, 32), (96, 5)]
+        );
+        assert!(plan_tiles(0, 0, 8, 0).is_empty());
+        assert!(plan_tiles(40, 40, 8, 40).is_empty());
+        // Past the cap the run continues in the next job, on the same
+        // tile boundaries.
+        let total = 4 * (MAX_FUSED_TILES + 1) + 3;
+        let first = plan_tiles(0, total, 4, total);
+        assert_eq!(first.len(), MAX_FUSED_TILES);
+        let done = 4 * MAX_FUSED_TILES;
+        assert_eq!(
+            widths(&plan_tiles(done, total, 4, total)),
+            [(done, 4), (done + 4, 3)]
+        );
+    }
+
+    #[test]
+    fn a_job_ends_at_the_first_tile_reaching_the_barrier() {
+        // Looks after 32, 64 and 96 replicates cannot decide below a
+        // floor of 100; the look after 128 can, so the job stops there.
+        assert_eq!(
+            widths(&plan_tiles(0, 400, 32, 100)),
+            [(0, 32), (32, 32), (64, 32), (96, 32)]
+        );
+        // At or past the barrier every tile is its own job.
+        assert_eq!(widths(&plan_tiles(128, 400, 32, 100)), [(128, 32)]);
+        assert_eq!(widths(&plan_tiles(384, 400, 32, 100)), [(384, 16)]);
+        // A barrier on a tile boundary ends the job with that tile.
+        assert_eq!(widths(&plan_tiles(0, 400, 32, 64)), [(0, 32), (32, 32)]);
+    }
+
+    #[test]
+    fn tile_cache_hits_skip_the_draw_and_evict_fifo() {
         let engine = Engine::builder(ClusterSpec::test_small(2)).build();
-        let cache: BroadcastTileCache<(u64, u64)> = BroadcastTileCache::new(engine, 2);
-        let a = cache.get_or_broadcast((7, 0), vec![1.0, 2.0]);
-        let a2 = cache.get_or_broadcast((7, 0), vec![1.0, 2.0]);
+        let cache: BroadcastTileCache<(u64, u64), u32> =
+            BroadcastTileCache::new(Arc::clone(&engine), 2);
+        let (a, after_a) = cache.get_or_draw((7, 0), || (vec![1.0, 2.0], 10));
+        let (a2, after_a2) = cache.get_or_draw((7, 0), || unreachable!("a hit draws nothing"));
         assert_eq!(a.value(), a2.value());
+        assert_eq!((after_a, after_a2), (10, 10));
         assert_eq!(cache.stats(), (1, 1));
-        cache.get_or_broadcast((7, 1), vec![3.0]);
+        cache.get_or_draw((7, 1), || (vec![3.0], 11));
         // Third insert evicts (7, 0) — the oldest — so it misses again.
-        cache.get_or_broadcast((7, 2), vec![4.0]);
+        cache.get_or_draw((7, 2), || (vec![4.0], 12));
         assert_eq!(cache.len(), 2);
-        cache.get_or_broadcast((7, 0), vec![1.0, 2.0]);
+        let (_, resume) = cache.get_or_draw((7, 0), || (vec![1.0, 2.0], 10));
+        assert_eq!(resume, 10);
         assert_eq!(cache.stats(), (1, 4));
+        let text = engine.registry().render_prometheus();
+        assert!(text.contains("sparkscore_gemm_tile_hits_total 1"), "{text}");
+        assert!(
+            text.contains("sparkscore_gemm_tile_misses_total 4"),
+            "{text}"
+        );
     }
 }

@@ -65,7 +65,7 @@ pub use events::{
     MemoryEventListener, RegistryListener, SpanContext, StageKind, StageSummaryListener,
     TaskMetrics,
 };
-pub use gemm::{plan_tiles, BroadcastTileCache, ReplicateTile};
+pub use gemm::{plan_tiles, BroadcastTileCache, ReplicateTile, MAX_FUSED_TILES};
 pub use ledger::{MemCategory, MemReading, MemoryLedger};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use ops::shuffled::Aggregator;

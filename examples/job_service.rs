@@ -20,7 +20,10 @@
 //! All tenants share the cohort's single cached `U` contributions
 //! dataset: the first query materializes it, every later query — any
 //! tenant, any gene — hits the block cache, and the final metrics line
-//! shows the cross-job hit count.
+//! shows the cross-job hit count. One query in three is a Monte-Carlo
+//! query at a shared seed, so the multiplier tiles are drawn and
+//! broadcast once and every later MC query — any tenant, any gene —
+//! finds them in the tile cache (`sparkscore_gemm_tile_*` in `metrics`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,8 +33,7 @@ use sparkscore_core::{AnalysisOptions, AnalysisService, SparkScoreContext};
 use sparkscore_data::{GwasDataset, SyntheticConfig};
 use sparkscore_obs::OpsServer;
 use sparkscore_rdd::{
-    Engine, EventListener, FlightRecorder, JobService, Registry, RegistryListener, ShutdownMode,
-    TenantConfig,
+    Engine, EventListener, FlightRecorder, JobService, RegistryListener, ShutdownMode, TenantConfig,
 };
 
 fn main() {
@@ -40,15 +42,19 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
 
-    let registry = Arc::new(Registry::new());
     let recorder = Arc::new(FlightRecorder::with_capacity(256, 16));
     let engine = Engine::builder(ClusterSpec::test_small(4))
-        .listener(
-            Arc::new(RegistryListener::with_registry(Arc::clone(&registry)))
-                as Arc<dyn EventListener>,
-        )
         .listener(Arc::clone(&recorder) as Arc<dyn EventListener>)
         .build();
+    // One registry for everything scraped under `metrics`: the engine's
+    // own (driver-side counters such as the tile cache), fed by the event
+    // bus and the job service as well.
+    let registry = Arc::clone(engine.registry());
+    engine
+        .events()
+        .register(Arc::new(RegistryListener::with_registry(Arc::clone(
+            &registry,
+        ))));
 
     // Three tenants with different shares: "genomics-lab" gets twice the
     // throughput of the others when everyone is backlogged.
@@ -67,7 +73,7 @@ fn main() {
         .build();
 
     let server = OpsServer::builder()
-        .registry(registry)
+        .registry(Arc::clone(&registry))
         .recorder(recorder)
         .service(Arc::clone(&service))
         .memory(Arc::clone(engine.memory_ledger()))
@@ -106,7 +112,13 @@ fn main() {
             .filter_map(|i| {
                 let tenant = tenants[(submitted as usize + i) % tenants.len()];
                 let set = (submitted + i as u64) % 12;
-                analysis.submit_set_query(tenant, "ukb-synthetic", set).ok()
+                if i % 3 == 2 {
+                    analysis
+                        .submit_mc_query(tenant, "ukb-synthetic", set, 256, 7)
+                        .ok()
+                } else {
+                    analysis.submit_set_query(tenant, "ukb-synthetic", set).ok()
+                }
             })
             .collect();
         submitted += 6;
@@ -119,9 +131,18 @@ fn main() {
 
     service.shutdown(ShutdownMode::Drain);
     let m = engine.metrics_snapshot();
+    let tiles = |kind: &str| {
+        registry
+            .counter(&format!("sparkscore_gemm_tile_{kind}_total"), "")
+            .get()
+    };
     println!(
-        "\nanswered {answered} of {submitted} queries; cache hits {} misses {} (shared U reuse)",
-        m.cache_hits, m.cache_misses
+        "\nanswered {answered} of {submitted} queries; cache hits {} misses {} (shared U reuse); \
+         multiplier tiles drawn {} reused {}",
+        m.cache_hits,
+        m.cache_misses,
+        tiles("misses"),
+        tiles("hits")
     );
     server.stop();
 }

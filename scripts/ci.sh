@@ -19,6 +19,17 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
+echo "== benchmark smoke: six workloads, both passes, output checks =="
+# The end-to-end benchmark is its own package (outside the workspace), so
+# nothing above builds or runs it. `--quick` runs every workload untraced and
+# traced and exits non-zero on a failed operation or output check; its own
+# tests cover the span arithmetic and `compare`. Built where the benchmark
+# driver builds (.bench_build/, git-ignored; spans land inside it too).
+CARGO_TARGET_DIR="$PWD/.bench_build" \
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
+CARGO_TARGET_DIR="$PWD/.bench_build" \
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== trace smoke: quickstart event log -> trace report/dot =="
 events_dir="$(mktemp -d)"
 trap 'rm -rf "$events_dir"' EXIT
@@ -109,6 +120,8 @@ done
 svc_metrics="$(svc_scrape metrics)"
 grep -q '^sparkscore_service_submitted_total ' <<< "$svc_metrics" \
     || { echo "service smoke: metrics scrape missing service counters" >&2; kill "$svc_pid"; exit 1; }
+grep -q '^sparkscore_gemm_tile_hits_total ' <<< "$svc_metrics" \
+    || { echo "service smoke: metrics scrape missing tile-cache counters" >&2; kill "$svc_pid"; exit 1; }
 svc_dump="$events_dir/job_service_trace.jsonl"
 svc_scrape trace > "$svc_dump"
 [ -s "$svc_dump" ] || { echo "service smoke: empty trace dump" >&2; kill "$svc_pid"; exit 1; }
