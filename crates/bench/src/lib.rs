@@ -226,11 +226,7 @@ pub fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
             chain.join(" -> "),
         );
         if let Some(b) = worst.bottleneck() {
-            let kind = match b.kind {
-                Some(sparkscore_rdd::StageKind::ShuffleMap) => "ShuffleMap",
-                Some(sparkscore_rdd::StageKind::Result) => "Result",
-                None => "?",
-            };
+            let kind = b.kind.map_or("?", sparkscore_rdd::StageKind::as_str);
             let _ = writeln!(
                 out,
                 "bottleneck: stage {} ({kind}, {} tasks, makespan {})",

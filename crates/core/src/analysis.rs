@@ -25,7 +25,7 @@ use sparkscore_data::io::{
 };
 use sparkscore_data::{DatasetPaths, GenotypeBlock, GwasDataset};
 use sparkscore_dfs::DfsError;
-use sparkscore_rdd::{plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine};
+use sparkscore_rdd::{plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine, TaskCounter};
 use sparkscore_stats::linalg::perturb_rows_blocked;
 use sparkscore_stats::pvalue::StoppingRule;
 use sparkscore_stats::qc::{check_snp_packed, QcThresholds};
@@ -36,6 +36,27 @@ use sparkscore_stats::skat::{burden_statistic, skat_statistic, SnpSet};
 
 use crate::model::{Model, Phenotype};
 use crate::result::{McGridRun, ObservedResult, ResamplingRun, SetScore, SnpQc, SnpResult};
+
+// The task counters this crate's kernels report through `TaskCtx::count`.
+// Each is defined here and nowhere else: the engine carries name → value,
+// and every listener, exposition and trace report picks the name up from
+// the event stream (`sparkscore_<name>_total`, `trace report`).
+
+/// SNP × patient cells pushed through the score, QC and perturbation
+/// kernels — attributes task time to numeric kernels vs engine.
+pub const KERNEL_ROWS: TaskCounter = TaskCounter::new("kernel_rows");
+/// Kernel rows served by packed-direct bit kernels — scored straight from
+/// the 2-bit words, no byte unpack (a subset of [`KERNEL_ROWS`]).
+pub const PACKED_KERNEL_ROWS: TaskCounter = TaskCounter::new("packed_kernel_rows");
+/// Kernel calls served from a pre-existing thread-local scratch buffer
+/// (no allocator traffic).
+pub const SCRATCH_REUSES: TaskCounter = TaskCounter::new("scratch_reuses");
+/// Resampling row-replicate units computed (one SNP row perturbed for one
+/// replicate in the distributed GEMM).
+pub const REPLICATES_RUN: TaskCounter = TaskCounter::new("replicates_run");
+/// Row-replicate units skipped inside an executed tile because the owning
+/// gene set's stopping rule had already decided.
+pub const REPLICATES_SAVED: TaskCounter = TaskCounter::new("replicates_saved");
 
 /// Per-record cost hints (in engine work units of 25 virtual ns each)
 /// modeling the reference platform — the paper's JVM/Spark 1.x stack —
@@ -397,11 +418,11 @@ impl SparkScoreContext {
                             out.push((block.snp_id(c), contrib));
                         }
                     });
-                    ctx.add_kernel_rows((block.num_snps() * n) as u64);
-                    ctx.add_packed_kernel_rows(packed_rows);
+                    ctx.count(&KERNEL_ROWS, (block.num_snps() * n) as u64);
+                    ctx.count(&PACKED_KERNEL_ROWS, packed_rows);
                 }
             });
-            ctx.add_scratch_reuses(scratch::take_reuses());
+            ctx.count(&SCRATCH_REUSES, scratch::take_reuses());
             out
         })
     }
@@ -426,8 +447,8 @@ impl SparkScoreContext {
                             });
                         }
                         let rows = (block.num_snps() * n) as u64;
-                        ctx.add_kernel_rows(rows);
-                        ctx.add_packed_kernel_rows(rows);
+                        ctx.count(&KERNEL_ROWS, rows);
+                        ctx.count(&PACKED_KERNEL_ROWS, rows);
                     }
                 });
                 out
@@ -792,9 +813,9 @@ impl SparkScoreContext {
                     .collect();
                 let row_replicates = ids.len() * round_width;
                 ctx.add_work(row_replicates, n as f64 * JVM_UNITS_ARITH_PER_PATIENT);
-                ctx.add_kernel_rows((row_replicates * n) as u64);
-                ctx.add_replicates_run(row_replicates as u64);
-                ctx.add_replicates_saved(skipped * round_width as u64);
+                ctx.count(&KERNEL_ROWS, (row_replicates * n) as u64);
+                ctx.count(&REPLICATES_RUN, row_replicates as u64);
+                ctx.count(&REPLICATES_SAVED, skipped * round_width as u64);
                 (ids, outs)
             });
 
@@ -1336,12 +1357,16 @@ mod tests {
             context_with_listener(|ds| Phenotype::Survival(ds.phenotypes.clone()));
         let rule = StoppingRule::new(20, 0.2, 0.05);
         let run = ctx.monte_carlo_distributed(&McGridOptions::adaptive(200, 3, rule));
-        let (task_run, task_saved) = listener
-            .summaries()
-            .iter()
-            .fold((0u64, 0u64), |(r, s), sum| {
-                (r + sum.replicates_run, s + sum.replicates_saved)
-            });
+        let (task_run, task_saved) =
+            listener
+                .summaries()
+                .iter()
+                .fold((0u64, 0u64), |(r, s), sum| {
+                    (
+                        r + sum.counter(REPLICATES_RUN.name()),
+                        s + sum.counter(REPLICATES_SAVED.name()),
+                    )
+                });
         assert_eq!(
             task_run, run.replicates_run,
             "driver total must equal the task-level sum"
@@ -1412,7 +1437,10 @@ mod tests {
             .summaries()
             .iter()
             .fold((0, 0), |(total, packed), s| {
-                (total + s.kernel_rows, packed + s.packed_kernel_rows)
+                (
+                    total + s.counter(KERNEL_ROWS.name()),
+                    packed + s.counter(PACKED_KERNEL_ROWS.name()),
+                )
             })
     }
 

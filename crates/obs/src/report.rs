@@ -11,11 +11,7 @@ use crate::analyze::{cache_roi, critical_paths, stage_skew, CacheRoi, CriticalPa
 use crate::trace::ExecutionTrace;
 
 fn kind_str(kind: Option<StageKind>) -> &'static str {
-    match kind {
-        Some(StageKind::Result) => "Result",
-        Some(StageKind::ShuffleMap) => "ShuffleMap",
-        None => "?",
-    }
+    kind.map_or("?", StageKind::as_str)
 }
 
 fn render_path(out: &mut String, path: &CriticalPath, in_flight: bool) {
@@ -158,27 +154,23 @@ pub fn report(trace: &ExecutionTrace) -> String {
     out.push('\n');
 
     out.push_str("\n== kernels ==\n");
+    let counters: Vec<String> = trace
+        .counter_totals()
+        .iter()
+        .map(|(name, n)| format!("{name}={n}"))
+        .collect();
+    if counters.is_empty() {
+        out.push_str("task counters: none reported\n");
+    } else {
+        out.push_str(&format!("task counters: {}\n", counters.join(" ")));
+    }
     let (kernel_wall, total_wall) = trace.kernel_wall_split_ns();
-    let kernel_rows = trace.total_kernel_rows();
-    let packed_rows = trace.total_packed_kernel_rows();
     out.push_str(&format!(
-        "kernel rows={} (packed={} unpacked={}) scratch reuses={} kernel-task wall={} ({} of {} total wall)\n",
-        kernel_rows,
-        packed_rows,
-        kernel_rows.saturating_sub(packed_rows),
-        trace.total_scratch_reuses(),
+        "kernel-task wall={} ({} of {} total wall)\n",
         fmt_ns(kernel_wall),
         percent(kernel_wall, total_wall),
         fmt_ns(total_wall),
     ));
-    let rep_run = trace.total_replicates_run();
-    let rep_saved = trace.total_replicates_saved();
-    if rep_run > 0 || rep_saved > 0 {
-        out.push_str(&format!(
-            "resampling row-replicates run={rep_run} saved={rep_saved} ({} of potential skipped)\n",
-            percent(rep_saved, rep_run + rep_saved),
-        ));
-    }
 
     out.push_str("\n== spans ==\n");
     let spans = trace.span_totals();
@@ -286,11 +278,7 @@ pub fn report_json(trace: &ExecutionTrace) -> serde_json::Value {
 
     let (kernel_wall, total_wall) = trace.kernel_wall_split_ns();
     let kernels = json!({
-        "kernel_rows": trace.total_kernel_rows(),
-        "packed_kernel_rows": trace.total_packed_kernel_rows(),
-        "scratch_reuses": trace.total_scratch_reuses(),
-        "replicates_run": trace.total_replicates_run(),
-        "replicates_saved": trace.total_replicates_saved(),
+        "counters": trace.counter_totals().to_json(),
         "kernel_task_wall_ns": kernel_wall,
         "total_task_wall_ns": total_wall,
     });
@@ -428,11 +416,7 @@ mod tests {
         assert!(a.contains("map-reruns=1 faults=1"), "{a}");
         assert!(a.contains("== kernels =="), "{a}");
         assert!(
-            a.contains("kernel rows=2000 (packed=1200 unpacked=800) scratch reuses=4"),
-            "{a}"
-        );
-        assert!(
-            a.contains("resampling row-replicates run=100 saved=20"),
+            a.contains("task counters: cells=2000 fast_cells=1200 skipped=20\n"),
             "{a}"
         );
         assert!(a.contains("== spans =="), "{a}");
@@ -484,13 +468,10 @@ mod tests {
             "two-stage chain"
         );
         assert_eq!(at(&v, &["cache", "hits"]).as_u64(), Some(7));
-        assert_eq!(at(&v, &["kernels", "kernel_rows"]).as_u64(), Some(2_000));
         assert_eq!(
-            at(&v, &["kernels", "packed_kernel_rows"]).as_u64(),
-            Some(1_200)
+            at(&v, &["kernels", "counters"]).to_string(),
+            r#"{"cells":2000,"fast_cells":1200,"skipped":20}"#
         );
-        assert_eq!(at(&v, &["kernels", "replicates_run"]).as_u64(), Some(100));
-        assert_eq!(at(&v, &["kernels", "replicates_saved"]).as_u64(), Some(20));
         let spans = at(&v, &["spans"]).as_array().expect("spans array");
         assert!(!spans.is_empty());
         assert_eq!(

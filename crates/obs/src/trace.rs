@@ -9,7 +9,7 @@
 //! [`crate::dot`].
 
 use sparkscore_rdd::events::parse_event_log;
-use sparkscore_rdd::{EngineEvent, FaultDetail, StageKind, TaskMetrics};
+use sparkscore_rdd::{EngineEvent, FaultDetail, StageKind, TaskCounters, TaskMetrics};
 
 /// One sub-task interval (kernel call, shuffle fetch/write, cache
 /// recompute) reported by a traced task.
@@ -52,7 +52,7 @@ pub struct TraceStage {
     pub local_reads: usize,
     /// Completed tasks, in the order the engine reported them.
     pub tasks: Vec<TaskMetrics>,
-    /// The stage's span id (0 on pre-span logs / untraced engines).
+    /// The stage's span id (0 on an untraced engine).
     pub span: u64,
     /// Parent (job) span id.
     pub parent_span: u64,
@@ -96,30 +96,9 @@ impl TraceStage {
         self.tasks.iter().map(|t| t.cache_misses).sum()
     }
 
-    /// SNP × patient cells pushed through the score kernels.
-    pub fn kernel_rows(&self) -> u64 {
-        self.tasks.iter().map(|t| t.kernel_rows).sum()
-    }
-
-    /// Kernel rows served by packed-direct bit kernels (no byte unpack) —
-    /// a subset of [`TraceStage::kernel_rows`].
-    pub fn packed_kernel_rows(&self) -> u64 {
-        self.tasks.iter().map(|t| t.packed_kernel_rows).sum()
-    }
-
-    /// Kernel calls served from reused thread-local scratch.
-    pub fn scratch_reuses(&self) -> u64 {
-        self.tasks.iter().map(|t| t.scratch_reuses).sum()
-    }
-
-    /// Resampling row-replicate units computed by the distributed GEMM.
-    pub fn replicates_run(&self) -> u64 {
-        self.tasks.iter().map(|t| t.replicates_run).sum()
-    }
-
-    /// Row-replicate units adaptive early stopping skipped in-task.
-    pub fn replicates_saved(&self) -> u64 {
-        self.tasks.iter().map(|t| t.replicates_saved).sum()
+    /// The stage total of one named task counter (0 if never reported).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.tasks.iter().map(|t| t.counters.get(name)).sum()
     }
 
     /// Measured host wall time summed over this stage's tasks.
@@ -144,7 +123,7 @@ pub struct TraceJob {
     pub virtual_advance_ns: u64,
     /// Stage ids in submission (= dependency) order.
     pub stages: Vec<u64>,
-    /// The job's root span id (0 on pre-span logs / untraced engines).
+    /// The job's root span id (0 on an untraced engine).
     pub span: u64,
     /// Monotonic engine clock at start / end (end `None` while running).
     pub mono_start_ns: u64,
@@ -309,9 +288,8 @@ impl ExecutionTrace {
                 s.local_reads = *local_reads;
                 s.completed = true;
             }
-            EngineEvent::TaskStart { .. } => {}
             EngineEvent::TaskEnd { stage, metrics } => {
-                self.stage_mut(*stage).tasks.push(*metrics);
+                self.stage_mut(*stage).tasks.push(metrics.clone());
             }
             EngineEvent::Span {
                 span,
@@ -405,41 +383,30 @@ impl ExecutionTrace {
         self.stages.iter().map(TraceStage::input_bytes).sum()
     }
 
-    pub fn total_kernel_rows(&self) -> u64 {
-        self.stages.iter().map(TraceStage::kernel_rows).sum()
+    /// The run total of one named task counter (0 if never reported).
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.stages.iter().map(|s| s.counter(name)).sum()
     }
 
-    /// Kernel rows served by packed-direct bit kernels across all stages —
-    /// a subset of [`ExecutionTrace::total_kernel_rows`].
-    pub fn total_packed_kernel_rows(&self) -> u64 {
-        self.stages.iter().map(TraceStage::packed_kernel_rows).sum()
+    /// Every task counter the trace carries, summed over the run, in name
+    /// order. The analyzer does not know what any name means.
+    pub fn counter_totals(&self) -> TaskCounters {
+        let mut totals = TaskCounters::default();
+        for t in self.stages.iter().flat_map(|s| &s.tasks) {
+            totals.merge(&t.counters);
+        }
+        totals
     }
 
-    pub fn total_scratch_reuses(&self) -> u64 {
-        self.stages.iter().map(TraceStage::scratch_reuses).sum()
-    }
-
-    /// Resampling row-replicate units computed across all stages.
-    pub fn total_replicates_run(&self) -> u64 {
-        self.stages.iter().map(TraceStage::replicates_run).sum()
-    }
-
-    /// Row-replicate units adaptive early stopping skipped in-task.
-    pub fn total_replicates_saved(&self) -> u64 {
-        self.stages.iter().map(TraceStage::replicates_saved).sum()
-    }
-
-    /// Host wall time of tasks that reported kernel work vs all tasks —
+    /// Host wall time of tasks that reported any counter vs all tasks —
     /// the kernel-vs-engine attribution `trace report` prints.
     pub fn kernel_wall_split_ns(&self) -> (u64, u64) {
         let mut kernel = 0;
         let mut total = 0;
-        for s in &self.stages {
-            for t in &s.tasks {
-                total += t.wall_ns;
-                if t.kernel_rows > 0 {
-                    kernel += t.wall_ns;
-                }
+        for t in self.stages.iter().flat_map(|s| &s.tasks) {
+            total += t.wall_ns;
+            if !t.counters.is_empty() {
+                kernel += t.wall_ns;
             }
         }
         (kernel, total)
@@ -533,21 +500,16 @@ mod tests {
             EngineEvent::TaskEnd {
                 stage: 0,
                 metrics: TaskMetrics {
-                    kernel_rows: 1_200,
-                    packed_kernel_rows: 1_200,
-                    scratch_reuses: 3,
-                    replicates_run: 64,
-                    replicates_saved: 16,
+                    counters: [("cells", 1_200), ("fast_cells", 1_200), ("skipped", 16)]
+                        .into_iter()
+                        .collect(),
                     ..task(0, 4_000, 0, 2)
                 },
             },
             EngineEvent::TaskEnd {
                 stage: 0,
                 metrics: TaskMetrics {
-                    kernel_rows: 800,
-                    scratch_reuses: 1,
-                    replicates_run: 36,
-                    replicates_saved: 4,
+                    counters: [("cells", 800), ("skipped", 4)].into_iter().collect(),
                     ..task(1, 9_000, 0, 2)
                 },
             },
@@ -754,16 +716,17 @@ mod tests {
         assert_eq!(s0.critical_task().unwrap().partition, 1);
         assert_eq!(s0.total_task_ns(), 13_000);
         assert_eq!(s0.cache_misses(), 4);
-        assert_eq!(s0.kernel_rows(), 2_000);
-        assert_eq!(s0.packed_kernel_rows(), 1_200);
-        assert_eq!(s0.scratch_reuses(), 4);
-        assert_eq!(trace.total_kernel_rows(), 2_000);
-        assert_eq!(trace.total_packed_kernel_rows(), 1_200);
-        assert_eq!(s0.replicates_run(), 100);
-        assert_eq!(s0.replicates_saved(), 20);
-        assert_eq!(trace.total_replicates_run(), 100);
-        assert_eq!(trace.total_replicates_saved(), 20);
-        // Only stage 0's tasks reported kernel work: 2000 + 4500 wall ns.
+        assert_eq!(s0.counter("cells"), 2_000);
+        assert_eq!(s0.counter("fast_cells"), 1_200);
+        assert_eq!(s0.counter("skipped"), 20);
+        assert_eq!(trace.stage(1).unwrap().counter("cells"), 0);
+        assert_eq!(trace.counter_total("cells"), 2_000);
+        assert_eq!(trace.counter_total("never_reported"), 0);
+        assert_eq!(
+            trace.counter_totals().iter().collect::<Vec<_>>(),
+            [("cells", 2_000), ("fast_cells", 1_200), ("skipped", 20)]
+        );
+        // Only stage 0's tasks reported counters: 2000 + 4500 wall ns.
         assert_eq!(trace.kernel_wall_split_ns().0, 6_500);
         // The internal stage belongs to no job.
         assert_eq!(trace.stage(3).unwrap().job, None);

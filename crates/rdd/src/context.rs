@@ -5,13 +5,15 @@
 //! and DFS access) and accumulates the task's *work counters* — weighted
 //! records, input bytes, shuffle bytes, and locality preferences — which
 //! the engine later converts into a [`sparkscore_cluster::VirtualTask`]
-//! for virtual-time scheduling. Counters use `Cell`s: a context belongs to
-//! exactly one thread for its lifetime.
+//! for virtual-time scheduling, plus whatever named counters the
+//! application reports through [`TaskCtx::count`]. Counters use `Cell`s: a
+//! context belongs to exactly one thread for its lifetime.
 
 use std::cell::{Cell, RefCell};
 
 use sparkscore_cluster::{CostModel, NodeId, VirtualTask};
 
+use crate::counters::{TaskCounter, TaskCounters};
 use crate::engine::Engine;
 use crate::events::SpanContext;
 
@@ -39,11 +41,7 @@ pub struct TaskCtx<'a> {
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
     recomputed: Cell<u64>,
-    kernel_rows: Cell<u64>,
-    packed_kernel_rows: Cell<u64>,
-    scratch_reuses: Cell<u64>,
-    replicates_run: Cell<u64>,
-    replicates_saved: Cell<u64>,
+    counters: RefCell<TaskCounters>,
     preferred: RefCell<Vec<NodeId>>,
     spans: RefCell<Vec<SpanRecord>>,
 }
@@ -68,11 +66,7 @@ impl<'a> TaskCtx<'a> {
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
             recomputed: Cell::new(0),
-            kernel_rows: Cell::new(0),
-            packed_kernel_rows: Cell::new(0),
-            scratch_reuses: Cell::new(0),
-            replicates_run: Cell::new(0),
-            replicates_saved: Cell::new(0),
+            counters: RefCell::default(),
             preferred: RefCell::new(Vec::new()),
             spans: RefCell::new(Vec::new()),
         }
@@ -171,42 +165,20 @@ impl<'a> TaskCtx<'a> {
         self.recomputed.set(self.recomputed.get() + 1);
     }
 
-    /// Record `n` kernel rows processed (SNP × patient cells for the score
-    /// kernels) — lets trace reports attribute kernel vs engine time.
+    /// Add `n` to an application-defined counter. The total travels on
+    /// the task's [`crate::TaskMetrics`] to every listener. Like
+    /// [`TaskCtx::time_span`], this is a single branch on an untraced
+    /// task: with no listener nobody could read the value.
     #[inline]
-    pub fn add_kernel_rows(&self, n: u64) {
-        self.kernel_rows.set(self.kernel_rows.get() + n);
+    pub fn count(&self, counter: &TaskCounter, n: u64) {
+        if self.traced() {
+            self.counters.borrow_mut().add(counter.name(), n);
+        }
     }
 
-    /// Record `n` kernel rows served by packed-direct bit kernels (no
-    /// byte unpack) — a subset of [`TaskCtx::add_kernel_rows`]'s total,
-    /// so trace reports can split packed vs unpacked work.
-    #[inline]
-    pub fn add_packed_kernel_rows(&self, n: u64) {
-        self.packed_kernel_rows
-            .set(self.packed_kernel_rows.get() + n);
-    }
-
-    /// Record `n` thread-local scratch-buffer reuses (kernel calls served
-    /// without touching the allocator).
-    #[inline]
-    pub fn add_scratch_reuses(&self, n: u64) {
-        self.scratch_reuses.set(self.scratch_reuses.get() + n);
-    }
-
-    /// Record `n` resampling row-replicate units computed (one SNP row
-    /// perturbed for one replicate in the distributed GEMM).
-    #[inline]
-    pub fn add_replicates_run(&self, n: u64) {
-        self.replicates_run.set(self.replicates_run.get() + n);
-    }
-
-    /// Record `n` resampling row-replicate units *skipped* inside an
-    /// executed tile because the owning gene set's sequential stopping
-    /// rule had already decided — the observable early-stop saving.
-    #[inline]
-    pub fn add_replicates_saved(&self, n: u64) {
-        self.replicates_saved.set(self.replicates_saved.get() + n);
+    /// Drain the reported counters (stage batch emission).
+    pub(crate) fn take_counters(&self) -> TaskCounters {
+        self.counters.take()
     }
 
     /// Declare that running on `node` would make this task's reads local
@@ -250,26 +222,6 @@ impl<'a> TaskCtx<'a> {
 
     pub fn recomputed(&self) -> u64 {
         self.recomputed.get()
-    }
-
-    pub fn kernel_rows(&self) -> u64 {
-        self.kernel_rows.get()
-    }
-
-    pub fn packed_kernel_rows(&self) -> u64 {
-        self.packed_kernel_rows.get()
-    }
-
-    pub fn scratch_reuses(&self) -> u64 {
-        self.scratch_reuses.get()
-    }
-
-    pub fn replicates_run(&self) -> u64 {
-        self.replicates_run.get()
-    }
-
-    pub fn replicates_saved(&self) -> u64 {
-        self.replicates_saved.get()
     }
 
     /// Measured host execution time so far, nanoseconds.

@@ -232,9 +232,8 @@ impl<T: Data> Dataset<T> {
 
     /// Like [`Dataset::map_partitions`], but `f` also receives the task
     /// context — for kernel operators that charge their own cost model and
-    /// report kernel counters ([`crate::TaskCtx::add_kernel_rows`],
-    /// [`crate::TaskCtx::add_scratch_reuses`]). No default work is
-    /// charged; the closure is responsible for `ctx.add_work`.
+    /// report their own counters ([`crate::TaskCtx::count`]). No default
+    /// work is charged; the closure is responsible for `ctx.add_work`.
     pub fn map_partitions_ctx<U: Data>(
         &self,
         f: impl Fn(&crate::TaskCtx<'_>, usize, &[T]) -> Vec<U> + Send + Sync + 'static,

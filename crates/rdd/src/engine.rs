@@ -37,7 +37,7 @@ use crate::ledger::{MemCategory, MemReading, MemoryLedger};
 use crate::meta::MetaRegistry;
 use crate::metrics::{Metrics, MetricsSnapshot, Registry};
 use crate::pool::{ExecutorPool, PoolDiagnostics, TaskSlots};
-use crate::shuffle::{hash_key, ShuffleManager};
+use crate::shuffle::{hash_key, Bucket, ShuffleManager};
 use crate::{OpId, ShuffleId};
 
 /// Configures and builds an [`Engine`].
@@ -518,11 +518,7 @@ impl Engine {
                     cache_hits: ctx.cache_hits(),
                     cache_misses: ctx.cache_misses(),
                     recomputed_partitions: ctx.recomputed(),
-                    kernel_rows: ctx.kernel_rows(),
-                    packed_kernel_rows: ctx.packed_kernel_rows(),
-                    scratch_reuses: ctx.scratch_reuses(),
-                    replicates_run: ctx.replicates_run(),
-                    replicates_saved: ctx.replicates_saved(),
+                    counters: ctx.take_counters(),
                     span: task_span,
                     mono_start_ns: mono_start,
                     mono_end_ns: self.mono_ns(),
@@ -578,10 +574,9 @@ impl Engine {
             // One flush per stage: TaskEnd per task in partition order
             // (outcome.tasks is index-aligned with vtasks), followed by
             // any sub-task spans, closed by StageCompleted — O(1) bus
-            // lock acquisitions instead of O(tasks). No separate TaskStart
-            // marker: the batch is emitted at stage end anyway and
-            // `TaskMetrics` carries both start stamps, so a start event
-            // would double the per-task event volume for zero information.
+            // lock acquisitions instead of O(tasks). There is no task-start
+            // event: the batch is emitted at stage end anyway and
+            // `TaskMetrics` carries both start stamps.
             let mut batch = Vec::with_capacity(n + 1);
             for (i, (m, spans)) in partial.into_iter().enumerate() {
                 let mut m = m.expect("observed stage recorded metrics for every task");
@@ -646,23 +641,31 @@ impl Engine {
             job,
             StageKind::ShuffleMap,
             parent_span,
-            |part, ctx| runner(part, ctx),
+            |part, ctx| drop(runner(part, ctx)),
         );
     }
 
     /// Re-run one lost map task inline on the current task's thread —
-    /// lineage recovery when a reducer finds its bucket missing. The
+    /// lineage recovery when a reducer finds its bucket missing. Returns
+    /// the buckets the re-run stored, one per reduce partition. The
     /// recovery work is charged to the calling task's counters.
-    pub(crate) fn rerun_map_task_inline(&self, sid: ShuffleId, map_part: usize, ctx: &TaskCtx<'_>) {
-        if let Some(runner) = self.shuffle.map_task_runner(sid) {
-            Metrics::bump(&self.metrics.shuffle_map_reruns);
-            Metrics::bump(&self.metrics.shuffle_map_tasks);
-            self.events.emit_with(|| EngineEvent::ShuffleMapRerun {
-                shuffle: sid.0,
-                map_part,
-            });
-            runner(map_part, ctx);
-        }
+    pub(crate) fn rerun_map_task_inline(
+        &self,
+        sid: ShuffleId,
+        map_part: usize,
+        ctx: &TaskCtx<'_>,
+    ) -> Vec<Bucket> {
+        let runner = self
+            .shuffle
+            .map_task_runner(sid)
+            .expect("a running reducer's op guard keeps its shuffle registered");
+        Metrics::bump(&self.metrics.shuffle_map_reruns);
+        Metrics::bump(&self.metrics.shuffle_map_tasks);
+        self.events.emit_with(|| EngineEvent::ShuffleMapRerun {
+            shuffle: sid.0,
+            map_part,
+        });
+        runner(map_part, ctx)
     }
 
     /// Run a job on `target`: plan and materialize the shuffles its lineage

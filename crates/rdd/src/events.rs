@@ -1,5 +1,5 @@
 //! Engine observability: typed events, a listener bus, and built-in
-//! listeners (JSONL event log, per-stage summaries, console progress).
+//! listeners (JSONL event log, per-stage summaries, a live registry).
 //!
 //! This is the crate's analogue of Spark's `SparkListener` machinery. The
 //! engine emits an [`EngineEvent`] at every interesting execution boundary
@@ -21,11 +21,10 @@
 //! * [`StageSummaryListener`] — aggregates per-stage task-time spread
 //!   (min/p50/max, for straggler detection), shuffle and cache totals, and
 //!   renders a per-job report table with [`StageSummaryListener::report`].
-//! * [`ConsoleProgressListener`] — opt-in lightweight progress lines on
-//!   stderr as jobs and stages complete.
 //! * [`MemoryEventListener`] — records events in memory, for tests and for
 //!   programs that inspect the stream after a run.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,7 +32,9 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use serde_json::Value;
 
+use crate::counters::TaskCounters;
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::wire::{field, raise, wire_enum, wire_struct, Field};
 
 /// What a stage computes: the job's result partitions, or shuffle map
 /// outputs feeding a downstream stage.
@@ -44,18 +45,10 @@ pub enum StageKind {
 }
 
 impl StageKind {
-    fn as_str(self) -> &'static str {
+    pub fn as_str(self) -> &'static str {
         match self {
             StageKind::Result => "Result",
             StageKind::ShuffleMap => "ShuffleMap",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, serde_json::Error> {
-        match s {
-            "Result" => Ok(StageKind::Result),
-            "ShuffleMap" => Ok(StageKind::ShuffleMap),
-            other => Err(raise(format!("unknown stage kind {other:?}"))),
         }
     }
 }
@@ -98,59 +91,76 @@ impl SpanContext {
     }
 }
 
-/// Everything measured about one completed task.
-///
-/// `wall_ns` is the task's measured host-thread time; the `virtual_*`
-/// fields are its placement on the simulated cluster: which node/executor
-/// ran it and over which virtual interval (the paper's y-axis quantity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TaskMetrics {
-    pub partition: usize,
-    /// Measured host execution time.
-    pub wall_ns: u64,
-    /// Modeled compute cost fed to the virtual scheduler.
-    pub virtual_compute_ns: u64,
-    /// Virtual start time on the assigned executor slot.
-    pub virtual_start_ns: u64,
-    /// Virtual finish time (start + compute + modeled I/O).
-    pub virtual_finish_ns: u64,
-    /// Virtual node the task was placed on.
-    pub node: u64,
-    /// Executor index on that node.
-    pub executor: u32,
-    /// Whether the task's input was read from a local replica.
-    pub input_local: bool,
-    pub input_bytes: u64,
-    pub shuffle_read_bytes: u64,
-    pub shuffle_write_bytes: u64,
-    /// Cached blocks this task read.
-    pub cache_hits: u64,
-    /// Cache lookups that missed and forced computation.
-    pub cache_misses: u64,
-    /// Misses on blocks that were previously resident — lineage recovery
-    /// recomputed data that had been cached and lost.
-    pub recomputed_partitions: u64,
-    /// Kernel rows processed (SNP × patient cells pushed through the
-    /// score kernels) — attributes task time to numeric kernels vs engine.
-    pub kernel_rows: u64,
-    /// Kernel rows served by packed-direct bit kernels — scored straight
-    /// from the 2-bit words, no byte unpack (subset of `kernel_rows`).
-    pub packed_kernel_rows: u64,
-    /// Kernel calls served from a pre-existing thread-local scratch
-    /// buffer (no allocator traffic).
-    pub scratch_reuses: u64,
-    /// Resampling row-replicate units computed by this task (one SNP row
-    /// perturbed for one replicate in the distributed GEMM).
-    pub replicates_run: u64,
-    /// Resampling row-replicate units skipped inside this task's tile
-    /// because the owning gene set's stopping rule had already decided.
-    pub replicates_saved: u64,
-    /// Causal identity: the task's span id and its parent stage span.
-    pub span: SpanContext,
-    /// Monotonic engine time when the task body started (0 if untraced).
-    pub mono_start_ns: u64,
-    /// Monotonic engine time when the task body finished (0 if untraced).
-    pub mono_end_ns: u64,
+impl Field for StageKind {
+    fn put(&self, key: &str, obj: &mut Vec<(String, Value)>) {
+        obj.push((key.to_string(), Value::from(self.as_str())));
+    }
+    fn get(obj: &Value, key: &str) -> Result<Self, serde_json::Error> {
+        match String::get(obj, key)?.as_str() {
+            "Result" => Ok(StageKind::Result),
+            "ShuffleMap" => Ok(StageKind::ShuffleMap),
+            other => Err(raise(format!("unknown stage kind {other:?}"))),
+        }
+    }
+}
+
+/// A span context is two flat keys: `"span"` and `"parent_span"`.
+impl Field for SpanContext {
+    fn put(&self, key: &str, obj: &mut Vec<(String, Value)>) {
+        self.span.put(key, obj);
+        self.parent.put(&format!("parent_{key}"), obj);
+    }
+    fn get(obj: &Value, key: &str) -> Result<Self, serde_json::Error> {
+        Ok(SpanContext {
+            span: u64::get(obj, key)?,
+            parent: u64::get(obj, &format!("parent_{key}"))?,
+        })
+    }
+}
+
+wire_struct! {
+    /// Everything measured about one completed task.
+    ///
+    /// `wall_ns` is the task's measured host-thread time; the `virtual_*`
+    /// fields are its placement on the simulated cluster: which
+    /// node/executor ran it and over which virtual interval (the paper's
+    /// y-axis quantity).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct TaskMetrics {
+        pub partition: usize,
+        /// Measured host execution time.
+        pub wall_ns: u64,
+        /// Modeled compute cost fed to the virtual scheduler.
+        pub virtual_compute_ns: u64,
+        /// Virtual start time on the assigned executor slot.
+        pub virtual_start_ns: u64,
+        /// Virtual finish time (start + compute + modeled I/O).
+        pub virtual_finish_ns: u64,
+        /// Virtual node the task was placed on.
+        pub node: u64,
+        /// Executor index on that node.
+        pub executor: u32,
+        /// Whether the task's input was read from a local replica.
+        pub input_local: bool,
+        pub input_bytes: u64,
+        pub shuffle_read_bytes: u64,
+        pub shuffle_write_bytes: u64,
+        /// Cached blocks this task read.
+        pub cache_hits: u64,
+        /// Cache lookups that missed and forced computation.
+        pub cache_misses: u64,
+        /// Misses on blocks that were previously resident — lineage
+        /// recovery recomputed data that had been cached and lost.
+        pub recomputed_partitions: u64,
+        /// What the task body reported through [`crate::TaskCtx::count`].
+        pub counters: TaskCounters,
+        /// Causal identity: the task's span id and its parent stage span.
+        pub span: SpanContext,
+        /// Monotonic engine time when the task body started (0 if untraced).
+        pub mono_start_ns: u64,
+        /// Monotonic engine time when the task body finished (0 if untraced).
+        pub mono_end_ns: u64,
+    }
 }
 
 impl TaskMetrics {
@@ -160,571 +170,138 @@ impl TaskMetrics {
     }
 }
 
-/// The effect of one injected [`sparkscore_cluster::FaultEvent`]. Drop
-/// faults identify the victim so the event stream can be correlated with
-/// the recomputation that follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDetail {
-    KillNode { node: u64 },
-    DropCachedBlock { op: u64, partition: usize },
-    DropShuffleOutput { shuffle: u64, map_part: usize },
-}
-
-/// One engine execution event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineEvent {
-    JobStart {
-        job: u64,
-        /// Virtual clock when the job was submitted.
-        virtual_now_ns: u64,
-        /// The job's root span (zero when the engine is untraced).
-        span: SpanContext,
-        /// Monotonic engine time at submission.
-        mono_ns: u64,
-    },
-    JobEnd {
-        job: u64,
-        virtual_now_ns: u64,
-        /// How much virtual time this job added to the clock.
-        virtual_advance_ns: u64,
-        span: SpanContext,
-        mono_ns: u64,
-    },
-    StageSubmitted {
-        /// `None` for stages run outside a job (engine-internal work).
-        job: Option<u64>,
-        stage: u64,
-        kind: StageKind,
-        num_tasks: usize,
-        /// The stage's span, parented to the owning job's span.
-        span: SpanContext,
-        mono_ns: u64,
-    },
-    StageCompleted {
-        job: Option<u64>,
-        stage: u64,
-        kind: StageKind,
-        /// Virtual makespan of the stage's task batch.
-        makespan_ns: u64,
-        /// Tasks whose input was read from a local replica.
-        local_reads: usize,
-        span: SpanContext,
-        mono_ns: u64,
-    },
-    /// Retained for parsing older logs; the engine no longer emits it.
-    /// Stage batches flush at stage end, so a start marker next to its
-    /// `TaskEnd` carried no information `TaskMetrics` doesn't already
-    /// (both start stamps), at twice the per-task event volume.
-    TaskStart {
-        stage: u64,
-        partition: usize,
-    },
-    TaskEnd {
-        stage: u64,
-        metrics: TaskMetrics,
-    },
-    /// A completed sub-task interval: a kernel call, a shuffle fetch or
-    /// write, a cache recompute — parented to the task span it ran under.
-    Span {
-        span: SpanContext,
-        label: String,
-        /// Monotonic engine time at interval start.
-        start_ns: u64,
-        /// Monotonic engine time at interval end.
-        end_ns: u64,
-    },
-    /// A block was admitted to the cache with this exact byte footprint.
-    CacheAdmitted {
-        op: u64,
-        partition: usize,
-        bytes: u64,
-    },
-    /// A block was offered to the cache but not stored (larger than the
-    /// whole budget); the bytes that failed to become resident.
-    CacheRejected {
-        op: u64,
-        partition: usize,
-        bytes: u64,
-    },
-    /// A cached block left the cache: LRU pressure (`pressure: true`) or a
-    /// fault/unpersist path (`pressure: false`). `bytes` is the block's
-    /// exact resident footprint (0 in logs written before the memory
-    /// plane).
-    CacheEvicted {
-        op: u64,
-        partition: usize,
-        pressure: bool,
-        bytes: u64,
-    },
-    /// One map task's output landed in the shuffle store: the total bucket
-    /// bytes now resident for `(shuffle, map_part)`.
-    ShuffleBytesStored {
-        shuffle: u64,
-        map_part: usize,
-        bytes: u64,
-    },
-    /// Per-category resident bytes sampled at a stage boundary — the
-    /// memory plane's periodic pulse, one sample per non-empty stage.
-    MemoryWatermark {
-        stage: u64,
-        block_cache_bytes: u64,
-        shuffle_store_bytes: u64,
-        dfs_blocks_bytes: u64,
-        scratch_bytes: u64,
-        /// The cache's configured byte budget (headroom denominator).
-        cache_budget_bytes: u64,
-        mono_ns: u64,
-    },
-    /// A lost shuffle map output was recomputed inline by a reducer.
-    ShuffleMapRerun {
-        shuffle: u64,
-        map_part: usize,
-    },
-    /// A fault plan fired and had an effect.
-    FaultInjected {
-        fault: FaultDetail,
-    },
-}
-
-fn raise(msg: impl Into<String>) -> serde_json::Error {
-    serde_json::Error::Raise(serde::Error::new(msg))
-}
-
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, serde_json::Error> {
-    v.get(key)
-        .ok_or_else(|| raise(format!("missing field {key:?}")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, serde_json::Error> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| raise(format!("field {key:?} is not a u64")))
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, serde_json::Error> {
-    usize::try_from(get_u64(v, key)?).map_err(|_| raise(format!("field {key:?} out of range")))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, serde_json::Error> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| raise(format!("field {key:?} is not a bool")))
-}
-
-fn get_u64_or(v: &Value, key: &str, default: u64) -> Result<u64, serde_json::Error> {
-    Ok(get_opt_u64(v, key)?.unwrap_or(default))
-}
-
-fn get_opt_u64(v: &Value, key: &str) -> Result<Option<u64>, serde_json::Error> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Null) => Ok(None),
-        Some(inner) => inner
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| raise(format!("field {key:?} is not a u64 or null"))),
+wire_enum! {
+    tag = "kind";
+    /// The effect of one injected [`sparkscore_cluster::FaultEvent`]. Drop
+    /// faults identify the victim so the event stream can be correlated
+    /// with the recomputation that follows.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FaultDetail {
+        KillNode { node: u64 },
+        DropCachedBlock { op: u64, partition: usize },
+        DropShuffleOutput { shuffle: u64, map_part: usize },
     }
 }
 
-fn opt_u64_value(v: Option<u64>) -> Value {
-    match v {
-        Some(n) => Value::from(n),
-        None => Value::Null,
+/// A fault rides in its event as a nested object.
+impl Field for FaultDetail {
+    fn put(&self, key: &str, obj: &mut Vec<(String, Value)>) {
+        obj.push((key.to_string(), self.to_json()));
+    }
+    fn get(obj: &Value, key: &str) -> Result<Self, serde_json::Error> {
+        FaultDetail::from_json(field(obj, key)?)
     }
 }
 
-/// Parse a span context from the `"span"`/`"parent_span"` keys. Both are
-/// absent in event logs written before span tracing; they default to the
-/// untraced context.
-fn span_from_json(v: &Value) -> Result<SpanContext, serde_json::Error> {
-    Ok(SpanContext {
-        span: get_u64_or(v, "span", 0)?,
-        parent: get_u64_or(v, "parent_span", 0)?,
-    })
-}
-
-impl TaskMetrics {
-    fn to_json(self) -> Value {
-        serde_json::json!({
-            "partition": self.partition as u64,
-            "wall_ns": self.wall_ns,
-            "virtual_compute_ns": self.virtual_compute_ns,
-            "virtual_start_ns": self.virtual_start_ns,
-            "virtual_finish_ns": self.virtual_finish_ns,
-            "node": self.node,
-            "executor": self.executor as u64,
-            "input_local": self.input_local,
-            "input_bytes": self.input_bytes,
-            "shuffle_read_bytes": self.shuffle_read_bytes,
-            "shuffle_write_bytes": self.shuffle_write_bytes,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "recomputed_partitions": self.recomputed_partitions,
-            "kernel_rows": self.kernel_rows,
-            "packed_kernel_rows": self.packed_kernel_rows,
-            "scratch_reuses": self.scratch_reuses,
-            "replicates_run": self.replicates_run,
-            "replicates_saved": self.replicates_saved,
-            "span": self.span.span,
-            "parent_span": self.span.parent,
-            "mono_start_ns": self.mono_start_ns,
-            "mono_end_ns": self.mono_end_ns,
-        })
-    }
-
-    fn from_json(v: &Value) -> Result<Self, serde_json::Error> {
-        Ok(TaskMetrics {
-            partition: get_usize(v, "partition")?,
-            wall_ns: get_u64(v, "wall_ns")?,
-            virtual_compute_ns: get_u64(v, "virtual_compute_ns")?,
-            virtual_start_ns: get_u64(v, "virtual_start_ns")?,
-            virtual_finish_ns: get_u64(v, "virtual_finish_ns")?,
-            node: get_u64(v, "node")?,
-            executor: u32::try_from(get_u64(v, "executor")?)
-                .map_err(|_| raise("executor out of range"))?,
-            input_local: get_bool(v, "input_local")?,
-            input_bytes: get_u64(v, "input_bytes")?,
-            shuffle_read_bytes: get_u64(v, "shuffle_read_bytes")?,
-            shuffle_write_bytes: get_u64(v, "shuffle_write_bytes")?,
-            cache_hits: get_u64(v, "cache_hits")?,
-            cache_misses: get_u64(v, "cache_misses")?,
-            recomputed_partitions: get_u64(v, "recomputed_partitions")?,
-            // Absent in event logs written before kernel accounting.
-            kernel_rows: get_u64_or(v, "kernel_rows", 0)?,
-            packed_kernel_rows: get_u64_or(v, "packed_kernel_rows", 0)?,
-            scratch_reuses: get_u64_or(v, "scratch_reuses", 0)?,
-            // Absent in event logs written before distributed resampling.
-            replicates_run: get_u64_or(v, "replicates_run", 0)?,
-            replicates_saved: get_u64_or(v, "replicates_saved", 0)?,
-            // Absent in event logs written before span tracing.
-            span: span_from_json(v)?,
-            mono_start_ns: get_u64_or(v, "mono_start_ns", 0)?,
-            mono_end_ns: get_u64_or(v, "mono_end_ns", 0)?,
-        })
-    }
-}
-
-impl FaultDetail {
-    fn to_json(self) -> Value {
-        match self {
-            FaultDetail::KillNode { node } => {
-                serde_json::json!({"kind": "KillNode", "node": node})
-            }
-            FaultDetail::DropCachedBlock { op, partition } => {
-                serde_json::json!({"kind": "DropCachedBlock", "op": op, "partition": partition as u64})
-            }
-            FaultDetail::DropShuffleOutput { shuffle, map_part } => {
-                serde_json::json!({"kind": "DropShuffleOutput", "shuffle": shuffle, "map_part": map_part as u64})
-            }
-        }
-    }
-
-    fn from_json(v: &Value) -> Result<Self, serde_json::Error> {
-        let kind = field(v, "kind")?
-            .as_str()
-            .ok_or_else(|| raise("fault kind is not a string"))?;
-        match kind {
-            "KillNode" => Ok(FaultDetail::KillNode {
-                node: get_u64(v, "node")?,
-            }),
-            "DropCachedBlock" => Ok(FaultDetail::DropCachedBlock {
-                op: get_u64(v, "op")?,
-                partition: get_usize(v, "partition")?,
-            }),
-            "DropShuffleOutput" => Ok(FaultDetail::DropShuffleOutput {
-                shuffle: get_u64(v, "shuffle")?,
-                map_part: get_usize(v, "map_part")?,
-            }),
-            other => Err(raise(format!("unknown fault kind {other:?}"))),
-        }
-    }
-}
-
-impl EngineEvent {
-    /// Short event name — the `"Event"` discriminator in the JSON form,
-    /// mirroring Spark's event-log convention.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineEvent::JobStart { .. } => "JobStart",
-            EngineEvent::JobEnd { .. } => "JobEnd",
-            EngineEvent::StageSubmitted { .. } => "StageSubmitted",
-            EngineEvent::StageCompleted { .. } => "StageCompleted",
-            EngineEvent::TaskStart { .. } => "TaskStart",
-            EngineEvent::TaskEnd { .. } => "TaskEnd",
-            EngineEvent::Span { .. } => "Span",
-            EngineEvent::CacheAdmitted { .. } => "CacheAdmitted",
-            EngineEvent::CacheRejected { .. } => "CacheRejected",
-            EngineEvent::CacheEvicted { .. } => "CacheEvicted",
-            EngineEvent::ShuffleBytesStored { .. } => "ShuffleBytesStored",
-            EngineEvent::MemoryWatermark { .. } => "MemoryWatermark",
-            EngineEvent::ShuffleMapRerun { .. } => "ShuffleMapRerun",
-            EngineEvent::FaultInjected { .. } => "FaultInjected",
-        }
-    }
-
-    /// Serialize to a JSON object with an `"Event"` discriminator.
-    pub fn to_json(&self) -> Value {
-        match self {
-            EngineEvent::JobStart {
-                job,
-                virtual_now_ns,
-                span,
-                mono_ns,
-            } => serde_json::json!({
-                "Event": "JobStart",
-                "job": *job,
-                "virtual_now_ns": *virtual_now_ns,
-                "span": span.span,
-                "parent_span": span.parent,
-                "mono_ns": *mono_ns,
-            }),
-            EngineEvent::JobEnd {
-                job,
-                virtual_now_ns,
-                virtual_advance_ns,
-                span,
-                mono_ns,
-            } => serde_json::json!({
-                "Event": "JobEnd",
-                "job": *job,
-                "virtual_now_ns": *virtual_now_ns,
-                "virtual_advance_ns": *virtual_advance_ns,
-                "span": span.span,
-                "parent_span": span.parent,
-                "mono_ns": *mono_ns,
-            }),
-            EngineEvent::StageSubmitted {
-                job,
-                stage,
-                kind,
-                num_tasks,
-                span,
-                mono_ns,
-            } => serde_json::json!({
-                "Event": "StageSubmitted",
-                "job": opt_u64_value(*job),
-                "stage": *stage,
-                "kind": kind.as_str(),
-                "num_tasks": *num_tasks as u64,
-                "span": span.span,
-                "parent_span": span.parent,
-                "mono_ns": *mono_ns,
-            }),
-            EngineEvent::StageCompleted {
-                job,
-                stage,
-                kind,
-                makespan_ns,
-                local_reads,
-                span,
-                mono_ns,
-            } => serde_json::json!({
-                "Event": "StageCompleted",
-                "job": opt_u64_value(*job),
-                "stage": *stage,
-                "kind": kind.as_str(),
-                "makespan_ns": *makespan_ns,
-                "local_reads": *local_reads as u64,
-                "span": span.span,
-                "parent_span": span.parent,
-                "mono_ns": *mono_ns,
-            }),
-            EngineEvent::TaskStart { stage, partition } => serde_json::json!({
-                "Event": "TaskStart",
-                "stage": *stage,
-                "partition": *partition as u64,
-            }),
-            EngineEvent::TaskEnd { stage, metrics } => serde_json::json!({
-                "Event": "TaskEnd",
-                "stage": *stage,
-                "metrics": metrics.to_json(),
-            }),
-            EngineEvent::Span {
-                span,
-                label,
-                start_ns,
-                end_ns,
-            } => serde_json::json!({
-                "Event": "Span",
-                "span": span.span,
-                "parent_span": span.parent,
-                "label": label.as_str(),
-                "start_ns": *start_ns,
-                "end_ns": *end_ns,
-            }),
-            EngineEvent::CacheAdmitted {
-                op,
-                partition,
-                bytes,
-            } => serde_json::json!({
-                "Event": "CacheAdmitted",
-                "op": *op,
-                "partition": *partition as u64,
-                "bytes": *bytes,
-            }),
-            EngineEvent::CacheRejected {
-                op,
-                partition,
-                bytes,
-            } => serde_json::json!({
-                "Event": "CacheRejected",
-                "op": *op,
-                "partition": *partition as u64,
-                "bytes": *bytes,
-            }),
-            EngineEvent::CacheEvicted {
-                op,
-                partition,
-                pressure,
-                bytes,
-            } => serde_json::json!({
-                "Event": "CacheEvicted",
-                "op": *op,
-                "partition": *partition as u64,
-                "pressure": *pressure,
-                "bytes": *bytes,
-            }),
-            EngineEvent::ShuffleBytesStored {
-                shuffle,
-                map_part,
-                bytes,
-            } => serde_json::json!({
-                "Event": "ShuffleBytesStored",
-                "shuffle": *shuffle,
-                "map_part": *map_part as u64,
-                "bytes": *bytes,
-            }),
-            EngineEvent::MemoryWatermark {
-                stage,
-                block_cache_bytes,
-                shuffle_store_bytes,
-                dfs_blocks_bytes,
-                scratch_bytes,
-                cache_budget_bytes,
-                mono_ns,
-            } => serde_json::json!({
-                "Event": "MemoryWatermark",
-                "stage": *stage,
-                "block_cache_bytes": *block_cache_bytes,
-                "shuffle_store_bytes": *shuffle_store_bytes,
-                "dfs_blocks_bytes": *dfs_blocks_bytes,
-                "scratch_bytes": *scratch_bytes,
-                "cache_budget_bytes": *cache_budget_bytes,
-                "mono_ns": *mono_ns,
-            }),
-            EngineEvent::ShuffleMapRerun { shuffle, map_part } => serde_json::json!({
-                "Event": "ShuffleMapRerun",
-                "shuffle": *shuffle,
-                "map_part": *map_part as u64,
-            }),
-            EngineEvent::FaultInjected { fault } => serde_json::json!({
-                "Event": "FaultInjected",
-                "fault": fault.to_json(),
-            }),
-        }
-    }
-
-    /// Parse the JSON form back into a typed event.
-    pub fn from_json(v: &Value) -> Result<Self, serde_json::Error> {
-        let name = field(v, "Event")?
-            .as_str()
-            .ok_or_else(|| raise("\"Event\" is not a string"))?;
-        match name {
-            "JobStart" => Ok(EngineEvent::JobStart {
-                job: get_u64(v, "job")?,
-                virtual_now_ns: get_u64(v, "virtual_now_ns")?,
-                span: span_from_json(v)?,
-                mono_ns: get_u64_or(v, "mono_ns", 0)?,
-            }),
-            "JobEnd" => Ok(EngineEvent::JobEnd {
-                job: get_u64(v, "job")?,
-                virtual_now_ns: get_u64(v, "virtual_now_ns")?,
-                virtual_advance_ns: get_u64(v, "virtual_advance_ns")?,
-                span: span_from_json(v)?,
-                mono_ns: get_u64_or(v, "mono_ns", 0)?,
-            }),
-            "StageSubmitted" => Ok(EngineEvent::StageSubmitted {
-                job: get_opt_u64(v, "job")?,
-                stage: get_u64(v, "stage")?,
-                kind: StageKind::parse(
-                    field(v, "kind")?
-                        .as_str()
-                        .ok_or_else(|| raise("kind is not a string"))?,
-                )?,
-                num_tasks: get_usize(v, "num_tasks")?,
-                span: span_from_json(v)?,
-                mono_ns: get_u64_or(v, "mono_ns", 0)?,
-            }),
-            "StageCompleted" => Ok(EngineEvent::StageCompleted {
-                job: get_opt_u64(v, "job")?,
-                stage: get_u64(v, "stage")?,
-                kind: StageKind::parse(
-                    field(v, "kind")?
-                        .as_str()
-                        .ok_or_else(|| raise("kind is not a string"))?,
-                )?,
-                makespan_ns: get_u64(v, "makespan_ns")?,
-                local_reads: get_usize(v, "local_reads")?,
-                span: span_from_json(v)?,
-                mono_ns: get_u64_or(v, "mono_ns", 0)?,
-            }),
-            "TaskStart" => Ok(EngineEvent::TaskStart {
-                stage: get_u64(v, "stage")?,
-                partition: get_usize(v, "partition")?,
-            }),
-            "TaskEnd" => Ok(EngineEvent::TaskEnd {
-                stage: get_u64(v, "stage")?,
-                metrics: TaskMetrics::from_json(field(v, "metrics")?)?,
-            }),
-            "Span" => Ok(EngineEvent::Span {
-                span: span_from_json(v)?,
-                label: field(v, "label")?
-                    .as_str()
-                    .ok_or_else(|| raise("label is not a string"))?
-                    .to_string(),
-                start_ns: get_u64(v, "start_ns")?,
-                end_ns: get_u64(v, "end_ns")?,
-            }),
-            "CacheAdmitted" => Ok(EngineEvent::CacheAdmitted {
-                op: get_u64(v, "op")?,
-                partition: get_usize(v, "partition")?,
-                bytes: get_u64(v, "bytes")?,
-            }),
-            "CacheRejected" => Ok(EngineEvent::CacheRejected {
-                op: get_u64(v, "op")?,
-                partition: get_usize(v, "partition")?,
-                bytes: get_u64(v, "bytes")?,
-            }),
-            "CacheEvicted" => Ok(EngineEvent::CacheEvicted {
-                op: get_u64(v, "op")?,
-                partition: get_usize(v, "partition")?,
-                pressure: get_bool(v, "pressure")?,
-                // Absent in event logs written before the memory plane.
-                bytes: get_u64_or(v, "bytes", 0)?,
-            }),
-            "ShuffleBytesStored" => Ok(EngineEvent::ShuffleBytesStored {
-                shuffle: get_u64(v, "shuffle")?,
-                map_part: get_usize(v, "map_part")?,
-                bytes: get_u64(v, "bytes")?,
-            }),
-            "MemoryWatermark" => Ok(EngineEvent::MemoryWatermark {
-                stage: get_u64(v, "stage")?,
-                block_cache_bytes: get_u64(v, "block_cache_bytes")?,
-                shuffle_store_bytes: get_u64(v, "shuffle_store_bytes")?,
-                dfs_blocks_bytes: get_u64(v, "dfs_blocks_bytes")?,
-                scratch_bytes: get_u64(v, "scratch_bytes")?,
-                cache_budget_bytes: get_u64(v, "cache_budget_bytes")?,
-                mono_ns: get_u64(v, "mono_ns")?,
-            }),
-            "ShuffleMapRerun" => Ok(EngineEvent::ShuffleMapRerun {
-                shuffle: get_u64(v, "shuffle")?,
-                map_part: get_usize(v, "map_part")?,
-            }),
-            "FaultInjected" => Ok(EngineEvent::FaultInjected {
-                fault: FaultDetail::from_json(field(v, "fault")?)?,
-            }),
-            other => Err(raise(format!("unknown event {other:?}"))),
-        }
+// To add an event, add a variant here: its fields are its wire format. The
+// `"Event"` discriminator mirrors Spark's event-log convention.
+wire_enum! {
+    tag = "Event";
+    /// One engine execution event.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EngineEvent {
+        JobStart {
+            job: u64,
+            /// Virtual clock when the job was submitted.
+            virtual_now_ns: u64,
+            /// The job's root span (zero when the engine is untraced).
+            span: SpanContext,
+            /// Monotonic engine time at submission.
+            mono_ns: u64,
+        },
+        JobEnd {
+            job: u64,
+            virtual_now_ns: u64,
+            /// How much virtual time this job added to the clock.
+            virtual_advance_ns: u64,
+            span: SpanContext,
+            mono_ns: u64,
+        },
+        StageSubmitted {
+            /// `None` for stages run outside a job (engine-internal work).
+            job: Option<u64>,
+            stage: u64,
+            kind: StageKind,
+            num_tasks: usize,
+            /// The stage's span, parented to the owning job's span.
+            span: SpanContext,
+            mono_ns: u64,
+        },
+        StageCompleted {
+            job: Option<u64>,
+            stage: u64,
+            kind: StageKind,
+            /// Virtual makespan of the stage's task batch.
+            makespan_ns: u64,
+            /// Tasks whose input was read from a local replica.
+            local_reads: usize,
+            span: SpanContext,
+            mono_ns: u64,
+        },
+        TaskEnd {
+            stage: u64,
+            metrics: TaskMetrics,
+        },
+        /// A completed sub-task interval: a kernel call, a shuffle fetch or
+        /// write, a cache recompute — parented to the task span it ran under.
+        Span {
+            span: SpanContext,
+            label: String,
+            /// Monotonic engine time at interval start.
+            start_ns: u64,
+            /// Monotonic engine time at interval end.
+            end_ns: u64,
+        },
+        /// A block was admitted to the cache with this exact byte footprint.
+        CacheAdmitted {
+            op: u64,
+            partition: usize,
+            bytes: u64,
+        },
+        /// A block was offered to the cache but not stored (larger than the
+        /// whole budget); the bytes that failed to become resident.
+        CacheRejected {
+            op: u64,
+            partition: usize,
+            bytes: u64,
+        },
+        /// A cached block left the cache: LRU pressure (`pressure: true`) or
+        /// a fault/unpersist path (`pressure: false`). `bytes` is the block's
+        /// exact resident footprint.
+        CacheEvicted {
+            op: u64,
+            partition: usize,
+            pressure: bool,
+            bytes: u64,
+        },
+        /// One map task's output landed in the shuffle store: the total
+        /// bucket bytes now resident for `(shuffle, map_part)`.
+        ShuffleBytesStored {
+            shuffle: u64,
+            map_part: usize,
+            bytes: u64,
+        },
+        /// Per-category resident bytes sampled at a stage boundary — the
+        /// memory plane's periodic pulse, one sample per non-empty stage.
+        MemoryWatermark {
+            stage: u64,
+            block_cache_bytes: u64,
+            shuffle_store_bytes: u64,
+            dfs_blocks_bytes: u64,
+            scratch_bytes: u64,
+            /// The cache's configured byte budget (headroom denominator).
+            cache_budget_bytes: u64,
+            mono_ns: u64,
+        },
+        /// A lost shuffle map output was recomputed inline by a reducer.
+        ShuffleMapRerun {
+            shuffle: u64,
+            map_part: usize,
+        },
+        /// A fault plan fired and had an effect.
+        FaultInjected {
+            fault: FaultDetail,
+        },
     }
 }
 
@@ -939,11 +516,8 @@ pub struct StageSummary {
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub recomputed_partitions: u64,
-    pub kernel_rows: u64,
-    pub packed_kernel_rows: u64,
-    pub scratch_reuses: u64,
-    pub replicates_run: u64,
-    pub replicates_saved: u64,
+    /// The tasks' named counters, summed by name.
+    pub counters: TaskCounters,
     pub makespan_ns: u64,
     pub local_reads: usize,
 }
@@ -957,6 +531,11 @@ impl StageSummary {
     /// (min, p50, max) of per-task host wall runtimes.
     pub fn wall_spread_ns(&self) -> (u64, u64, u64) {
         spread(&self.task_wall_ns)
+    }
+
+    /// The stage total of one named task counter (0 if never reported).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name)
     }
 
     /// Fraction of cache lookups that hit, if any lookups happened.
@@ -1033,11 +612,7 @@ impl StageSummaryListener {
                 s.cache_hits += metrics.cache_hits;
                 s.cache_misses += metrics.cache_misses;
                 s.recomputed_partitions += metrics.recomputed_partitions;
-                s.kernel_rows += metrics.kernel_rows;
-                s.packed_kernel_rows += metrics.packed_kernel_rows;
-                s.scratch_reuses += metrics.scratch_reuses;
-                s.replicates_run += metrics.replicates_run;
-                s.replicates_saved += metrics.replicates_saved;
+                s.counters.merge(&metrics.counters);
             }),
             EngineEvent::StageCompleted {
                 stage,
@@ -1129,50 +704,6 @@ impl EventListener for StageSummaryListener {
     }
 }
 
-/// Opt-in progress lines on stderr as jobs and stages complete.
-#[derive(Default)]
-pub struct ConsoleProgressListener;
-
-impl ConsoleProgressListener {
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl EventListener for ConsoleProgressListener {
-    fn on_event(&self, event: &EngineEvent) {
-        match event {
-            EngineEvent::JobStart { job, .. } => eprintln!("[engine] job {job} started"),
-            EngineEvent::JobEnd {
-                job,
-                virtual_advance_ns,
-                ..
-            } => eprintln!(
-                "[engine] job {job} finished (+{} virtual)",
-                fmt_ns(*virtual_advance_ns)
-            ),
-            EngineEvent::StageCompleted {
-                job,
-                stage,
-                kind,
-                makespan_ns,
-                ..
-            } => {
-                let job = job.map_or_else(|| "-".to_string(), |j| j.to_string());
-                eprintln!(
-                    "[engine] job {job} stage {stage} ({}) done in {} virtual",
-                    kind.as_str(),
-                    fmt_ns(*makespan_ns)
-                );
-            }
-            EngineEvent::FaultInjected { fault } => {
-                eprintln!("[engine] fault injected: {fault:?}");
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Records every event in memory. `snapshot` clones the stream; `take`
 /// drains it.
 #[derive(Default)]
@@ -1218,7 +749,8 @@ impl EventListener for MemoryEventListener {
 /// [`RegistryListener::render_prometheus`]) without replaying event logs.
 ///
 /// Every update is a handful of relaxed atomic increments; the registry
-/// lock is only taken at construction and rendering time.
+/// lock is only taken at construction, at rendering time, and the first
+/// time a task-counter name is seen.
 pub struct RegistryListener {
     registry: Arc<Registry>,
     jobs_started: Arc<Counter>,
@@ -1238,11 +770,9 @@ pub struct RegistryListener {
     cache_evicted_bytes: Arc<Counter>,
     shuffle_stored_bytes: Arc<Counter>,
     recomputed_partitions: Arc<Counter>,
-    kernel_rows: Arc<Counter>,
-    packed_kernel_rows: Arc<Counter>,
-    scratch_reuses: Arc<Counter>,
-    replicates_run: Arc<Counter>,
-    replicates_saved: Arc<Counter>,
+    /// `sparkscore_<name>_total` per task-counter name, created on first
+    /// sight (the engine does not know the names in advance).
+    task_counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     shuffle_map_reruns: Arc<Counter>,
     faults_injected: Arc<Counter>,
     running_jobs: Arc<Gauge>,
@@ -1307,26 +837,7 @@ impl RegistryListener {
                 "sparkscore_recomputed_partitions_total",
                 "Previously-cached partitions recomputed from lineage",
             ),
-            kernel_rows: c(
-                "sparkscore_kernel_rows_total",
-                "SNP x patient cells processed by the score kernels",
-            ),
-            packed_kernel_rows: c(
-                "sparkscore_packed_kernel_rows_total",
-                "Kernel rows served by packed-direct bit kernels (no byte unpack)",
-            ),
-            scratch_reuses: c(
-                "sparkscore_scratch_reuses_total",
-                "Kernel calls served from a reused thread-local scratch buffer",
-            ),
-            replicates_run: c(
-                "sparkscore_replicates_run_total",
-                "Resampling row-replicate units computed by the distributed GEMM",
-            ),
-            replicates_saved: c(
-                "sparkscore_replicates_saved_total",
-                "Resampling row-replicate units skipped by adaptive early stopping",
-            ),
+            task_counters: Mutex::default(),
             shuffle_map_reruns: c(
                 "sparkscore_shuffle_map_reruns_total",
                 "Lost shuffle map outputs re-run from lineage",
@@ -1381,7 +892,6 @@ impl EventListener for RegistryListener {
                 self.virtual_clock_ns.set(*virtual_now_ns as i64);
             }
             EngineEvent::StageSubmitted { .. }
-            | EngineEvent::TaskStart { .. }
             | EngineEvent::Span { .. }
             // The live per-category gauges come from the profiler's ledger
             // refresh; the watermark event is for logs and the recorder.
@@ -1399,11 +909,19 @@ impl EventListener for RegistryListener {
                 self.cache_misses.add(metrics.cache_misses);
                 self.recomputed_partitions
                     .add(metrics.recomputed_partitions);
-                self.kernel_rows.add(metrics.kernel_rows);
-                self.packed_kernel_rows.add(metrics.packed_kernel_rows);
-                self.scratch_reuses.add(metrics.scratch_reuses);
-                self.replicates_run.add(metrics.replicates_run);
-                self.replicates_saved.add(metrics.replicates_saved);
+                if !metrics.counters.is_empty() {
+                    let mut known = self.task_counters.lock();
+                    for (name, n) in metrics.counters.iter() {
+                        if !known.contains_key(name) {
+                            let series = self.registry.counter(
+                                &format!("sparkscore_{name}_total"),
+                                &format!("Task counter {name}, summed over completed tasks"),
+                            );
+                            known.insert(name.to_string(), series);
+                        }
+                        known[name].add(n);
+                    }
+                }
                 self.task_virtual_ns.observe(metrics.virtual_runtime_ns());
                 self.task_wall_ns.observe(metrics.wall_ns);
             }
@@ -1446,10 +964,6 @@ mod tests {
                 span: SpanContext { span: 2, parent: 1 },
                 mono_ns: 20,
             },
-            EngineEvent::TaskStart {
-                stage: 1,
-                partition: 2,
-            },
             EngineEvent::TaskEnd {
                 stage: 1,
                 metrics: TaskMetrics {
@@ -1467,11 +981,7 @@ mod tests {
                     cache_hits: 1,
                     cache_misses: 1,
                     recomputed_partitions: 1,
-                    kernel_rows: 640,
-                    packed_kernel_rows: 320,
-                    scratch_reuses: 5,
-                    replicates_run: 96,
-                    replicates_saved: 32,
+                    counters: [("cells", 640), ("reuses", 5)].into_iter().collect(),
                     span: SpanContext { span: 3, parent: 2 },
                     mono_start_ns: 30,
                     mono_end_ns: 1_030,
@@ -1560,51 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_span_event_logs_still_parse() {
-        // Logs written before span tracing carry no span/mono fields; they
-        // must parse with the untraced defaults.
-        let legacy = concat!(
-            "{\"Event\":\"JobStart\",\"job\":3,\"virtual_now_ns\":7}\n",
-            "{\"Event\":\"StageSubmitted\",\"job\":3,\"stage\":0,\"kind\":\"Result\",\"num_tasks\":1}\n",
-            "{\"Event\":\"StageCompleted\",\"job\":3,\"stage\":0,\"kind\":\"Result\",",
-            "\"makespan_ns\":5,\"local_reads\":0}\n",
-            "{\"Event\":\"JobEnd\",\"job\":3,\"virtual_now_ns\":12,\"virtual_advance_ns\":5}\n",
-        );
-        let events = parse_event_log(legacy).unwrap();
-        assert_eq!(events.len(), 4);
-        let EngineEvent::JobStart {
-            job, span, mono_ns, ..
-        } = &events[0]
-        else {
-            panic!("expected JobStart");
-        };
-        assert_eq!(*job, 3);
-        assert_eq!(*span, SpanContext::NONE);
-        assert_eq!(*mono_ns, 0);
-        let EngineEvent::StageSubmitted { span, .. } = &events[1] else {
-            panic!("expected StageSubmitted");
-        };
-        assert!(span.is_none());
-    }
-
-    #[test]
-    fn pre_memory_plane_evictions_still_parse() {
-        // Logs written before the memory plane carry no "bytes" field on
-        // CacheEvicted; it must default to zero.
-        let legacy = "{\"Event\":\"CacheEvicted\",\"op\":7,\"partition\":3,\"pressure\":true}\n";
-        let events = parse_event_log(legacy).unwrap();
-        assert_eq!(
-            events,
-            vec![EngineEvent::CacheEvicted {
-                op: 7,
-                partition: 3,
-                pressure: true,
-                bytes: 0,
-            }]
-        );
-    }
-
-    #[test]
     fn span_context_links_parent_chain() {
         let job = SpanContext::root(10);
         let stage = job.child(11);
@@ -1658,21 +1123,19 @@ mod tests {
         let bus = EventBus::new();
         assert!(!bus.is_active());
         let mut built = false;
+        let rerun = || EngineEvent::ShuffleMapRerun {
+            shuffle: 0,
+            map_part: 0,
+        };
         bus.emit_with(|| {
             built = true;
-            EngineEvent::TaskStart {
-                stage: 0,
-                partition: 0,
-            }
+            rerun()
         });
         assert!(!built, "inactive bus must not construct events");
         let mem = Arc::new(MemoryEventListener::new());
         bus.register(Arc::clone(&mem) as Arc<dyn EventListener>);
         assert!(bus.is_active());
-        bus.emit_with(|| EngineEvent::TaskStart {
-            stage: 0,
-            partition: 0,
-        });
+        bus.emit_with(rerun);
         assert_eq!(mem.len(), 1);
         bus.clear();
         assert!(!bus.is_active());
@@ -1693,6 +1156,7 @@ mod tests {
         assert_eq!(s1.task_virtual_ns, vec![9_999]);
         assert_eq!(s1.shuffle_write_bytes, 2048);
         assert_eq!(s1.cache_hit_rate(), Some(0.5));
+        assert_eq!((s1.counter("cells"), s1.counter("reuses")), (640, 5));
         assert_eq!(s1.makespan_ns, 10_099);
         let report = listener.report();
         assert!(report.contains("ShuffleMap"), "{report}");
@@ -1831,6 +1295,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("sparkscore_cache_hits_total 1"), "{text}");
+        assert!(text.contains("sparkscore_cells_total 640"), "{text}");
         assert!(
             text.contains("sparkscore_cache_evictions_pressure_total 1"),
             "{text}"

@@ -41,6 +41,7 @@
 
 pub mod cache;
 pub mod context;
+pub mod counters;
 pub mod dataset;
 pub mod engine;
 pub mod estimate;
@@ -55,15 +56,16 @@ pub mod profiler;
 pub mod recorder;
 pub mod service;
 pub mod shuffle;
+mod wire;
 
 pub use context::TaskCtx;
+pub use counters::{TaskCounter, TaskCounters};
 pub use dataset::Dataset;
 pub use engine::{Broadcast, Engine, EngineBuilder};
 pub use estimate::EstimateSize;
 pub use events::{
-    ConsoleProgressListener, EngineEvent, EventBus, EventListener, EventLogListener, FaultDetail,
-    MemoryEventListener, RegistryListener, SpanContext, StageKind, StageSummaryListener,
-    TaskMetrics,
+    EngineEvent, EventBus, EventListener, EventLogListener, FaultDetail, MemoryEventListener,
+    RegistryListener, SpanContext, StageKind, StageSummaryListener, TaskMetrics,
 };
 pub use gemm::{plan_tiles, BroadcastTileCache, ReplicateTile, MAX_FUSED_TILES};
 pub use ledger::{MemCategory, MemReading, MemoryLedger};

@@ -259,14 +259,22 @@ impl Histogram {
 
 /// Prometheus metric-name grammar: `[a-zA-Z_:][a-zA-Z0-9_:]*`. Enforced
 /// at registration so a bad name fails at the call site instead of
-/// producing an exposition scrapers silently drop.
-fn valid_metric_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    let Some(first) = chars.next() else {
+/// producing an exposition scrapers silently drop. `const` so a
+/// [`crate::TaskCounter`] checks its name at compile time.
+pub(crate) const fn valid_metric_name(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    if bytes.is_empty() || bytes[0].is_ascii_digit() {
         return false;
-    };
-    (first.is_ascii_alphabetic() || first == '_' || first == ':')
-        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    }
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if !(b.is_ascii_alphanumeric() || b == b'_' || b == b':') {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 /// Escape a HELP string per the Prometheus text format — backslash and

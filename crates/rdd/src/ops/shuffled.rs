@@ -113,7 +113,9 @@ pub(crate) fn register_shuffle_map<K, V, C>(
                     }
                 })
                 .collect();
-            let stored = engine.shuffle.put_map_output(sid, map_part, buckets, node);
+            let stored = engine
+                .shuffle
+                .put_map_output(sid, map_part, buckets.clone(), node);
             engine
                 .events()
                 .emit_with(|| crate::events::EngineEvent::ShuffleBytesStored {
@@ -121,7 +123,8 @@ pub(crate) fn register_shuffle_map<K, V, C>(
                     map_part,
                     bytes: stored,
                 });
-        });
+            buckets
+        })
     });
     engine.shuffle.register(
         sid,
@@ -157,13 +160,12 @@ where
             .enumerate()
             .map(|(map_part, bucket)| {
                 // Recovery stays per-bucket: only re-run maps whose output is
-                // actually gone, then re-fetch just that bucket.
+                // actually gone, and take the bucket from the re-run itself —
+                // the stored copy may be dropped again before we could read it.
                 let bucket = bucket.unwrap_or_else(|| {
-                    engine.rerun_map_task_inline(sid, map_part, ctx);
                     engine
-                        .shuffle
-                        .get_bucket(sid, map_part, reduce_part)
-                        .expect("re-run map task must restore its shuffle output")
+                        .rerun_map_task_inline(sid, map_part, ctx)
+                        .swap_remove(reduce_part)
                 });
                 ctx.add_shuffle_read(bucket.bytes);
                 Metrics::add(&engine.metrics.shuffle_bytes_read, bucket.bytes);

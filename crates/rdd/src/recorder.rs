@@ -290,9 +290,7 @@ impl FlightRecorder {
                 st.current_job = Some(*job);
                 self.ring_for(st, *job).ring.push(event.clone());
             }
-            EngineEvent::TaskStart { stage, .. }
-            | EngineEvent::TaskEnd { stage, .. }
-            | EngineEvent::MemoryWatermark { stage, .. } => {
+            EngineEvent::TaskEnd { stage, .. } | EngineEvent::MemoryWatermark { stage, .. } => {
                 match st.stage_job.get(stage).copied() {
                     Some(job) => {
                         st.current_job = Some(job);

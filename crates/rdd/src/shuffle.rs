@@ -98,9 +98,15 @@ impl Clone for Bucket {
 pub struct ShuffleStage {
     pub num_map_parts: usize,
     pub num_reduce_parts: usize,
-    /// Runs map task `map_part`, storing its output in the manager.
-    pub run_map_task: Arc<dyn Fn(usize, &TaskCtx<'_>) + Send + Sync>,
+    /// Runs map task `map_part`, stores its output in the manager, and
+    /// returns the buckets it stored (one per reduce partition).
+    pub run_map_task: MapTaskRunner,
 }
+
+/// A shuffle's type-erased map task. It returns what it stored so inline
+/// recovery can hand a reducer its bucket without re-reading the store,
+/// where a concurrent fault may already have dropped the output again.
+pub type MapTaskRunner = Arc<dyn Fn(usize, &TaskCtx<'_>) -> Vec<Bucket> + Send + Sync>;
 
 /// One-call snapshot of a shuffle stage for the scheduler: its shape, the
 /// map-task runner, and which map outputs are currently missing. Replaces
@@ -112,7 +118,7 @@ pub struct ShuffleStageInfo {
     pub num_reduce_parts: usize,
     /// Map partitions whose output is currently absent, ascending.
     pub missing_map_parts: Vec<usize>,
-    pub run_map_task: Arc<dyn Fn(usize, &TaskCtx<'_>) + Send + Sync>,
+    pub run_map_task: MapTaskRunner,
 }
 
 type OutputShard = Mutex<HashMap<(ShuffleId, usize), MapOutput>>;
@@ -200,10 +206,7 @@ impl ShuffleManager {
             .map(|s| (s.num_map_parts, s.num_reduce_parts))
     }
 
-    pub fn map_task_runner(
-        &self,
-        sid: ShuffleId,
-    ) -> Option<Arc<dyn Fn(usize, &TaskCtx<'_>) + Send + Sync>> {
+    pub fn map_task_runner(&self, sid: ShuffleId) -> Option<MapTaskRunner> {
         self.stages
             .read()
             .get(&sid)
@@ -263,12 +266,6 @@ impl ShuffleManager {
         }
     }
 
-    pub fn has_map_output(&self, sid: ShuffleId, map_part: usize) -> bool {
-        self.shards[shard_index(sid, map_part)]
-            .lock()
-            .contains_key(&(sid, map_part))
-    }
-
     /// Store one map task's buckets (one per reduce partition). Returns
     /// the bucket bytes now resident for `(sid, map_part)`, so the caller
     /// can emit a byte-accurate event.
@@ -289,20 +286,6 @@ impl ShuffleManager {
         }
         self.credit(bytes);
         bytes
-    }
-
-    /// Fetch one bucket; `None` if the map output is missing (lost or not
-    /// yet produced) — the caller must re-run the map task.
-    pub fn get_bucket(
-        &self,
-        sid: ShuffleId,
-        map_part: usize,
-        reduce_part: usize,
-    ) -> Option<Bucket> {
-        self.shards[shard_index(sid, map_part)]
-            .lock()
-            .get(&(sid, map_part))
-            .map(|o| o.buckets[reduce_part].clone())
     }
 
     /// Batch fetch for a reducer: the `reduce_part` bucket of every map
@@ -427,7 +410,7 @@ mod tests {
         ShuffleStage {
             num_map_parts: maps,
             num_reduce_parts: reduces,
-            run_map_task: Arc::new(|_, _| {}),
+            run_map_task: Arc::new(|_, _| Vec::new()),
         }
     }
 
@@ -467,10 +450,10 @@ mod tests {
         assert_eq!(m.missing_map_parts(sid), vec![0, 1, 2]);
         m.put_map_output(sid, 1, vec![bucket(vec![1]), bucket(vec![2])], NodeId(0));
         assert_eq!(m.missing_map_parts(sid), vec![0, 2]);
-        assert!(m.has_map_output(sid, 1));
-        let b = m.get_bucket(sid, 1, 0).unwrap();
+        let fetched = m.get_buckets(sid, 0, 3);
+        let b = fetched[1].clone().unwrap();
         assert_eq!(&**b.data.downcast::<Vec<u32>>().unwrap(), &vec![1]);
-        assert!(m.get_bucket(sid, 0, 0).is_none());
+        assert!(fetched[0].is_none() && fetched[2].is_none());
     }
 
     #[test]

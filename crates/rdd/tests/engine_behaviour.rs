@@ -364,6 +364,23 @@ fn lost_shuffle_output_is_rerun_inline() {
     );
 }
 
+/// Drop-vs-fetch stress: every completing task drops a shuffle output
+/// while the other pool threads' reducers are fetching, so a recovered
+/// output is routinely dropped again the moment it is stored. The inline
+/// re-run must hand the reducer its bucket, not make it re-read the store.
+#[test]
+fn concurrent_shuffle_drops_never_strand_a_reducer() {
+    let e = engine(2);
+    let pairs: Vec<(u64, u64)> = (0..240).map(|x| (x % 13, 1)).collect();
+    let counted = e.parallelize(pairs, 8).reduce_by_key(8, |a, b| a + b);
+    let want = counted.collect_as_map();
+    e.set_fault_plan(FaultPlan::none().with_shuffle_loss_every(1));
+    for i in 0..1_000 {
+        assert_eq!(counted.collect_as_map(), want, "iteration {i}");
+    }
+    assert!(e.metrics_snapshot().shuffle_map_reruns > 0);
+}
+
 #[test]
 fn periodic_cache_loss_still_correct() {
     let e = engine(2);

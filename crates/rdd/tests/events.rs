@@ -6,7 +6,8 @@ use std::sync::Arc;
 use sparkscore_cluster::{ClusterSpec, FaultPlan};
 use sparkscore_rdd::events::parse_event_log;
 use sparkscore_rdd::{
-    Engine, EngineEvent, EventListener, FaultDetail, MemoryEventListener, StageSummaryListener,
+    Engine, EngineEvent, EventListener, FaultDetail, MemoryEventListener, RegistryListener,
+    StageSummaryListener, TaskCounter,
 };
 
 fn observed_engine() -> (Arc<Engine>, Arc<MemoryEventListener>) {
@@ -79,14 +80,6 @@ fn task_end_count_matches_task_counter_delta() {
         .filter(|e| matches!(e, EngineEvent::TaskEnd { .. }))
         .count() as u64;
     assert_eq!(task_ends, delta.tasks, "one TaskEnd per counted task");
-    // TaskStart is a legacy variant: the engine emits exactly one TaskEnd
-    // per task and no start markers.
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, EngineEvent::TaskStart { .. })),
-        "engine must not emit TaskStart"
-    );
     // Stage task counts are consistent with submissions.
     for e in &events {
         if let EngineEvent::StageSubmitted {
@@ -278,9 +271,11 @@ fn grid_cells_threads_replicate_counters_into_stage_summaries() {
         .listener(Arc::clone(&summary) as Arc<dyn EventListener>)
         .build();
     let data = engine.parallelize((0u64..40).collect::<Vec<_>>(), 4);
+    const REPLICATES_RUN: TaskCounter = TaskCounter::new("replicates_run");
+    const REPLICATES_SAVED: TaskCounter = TaskCounter::new("replicates_saved");
     let cells = data.grid_cells(|ctx, part, rows| {
-        ctx.add_replicates_run(rows.len() as u64 * 3);
-        ctx.add_replicates_saved(rows.len() as u64);
+        ctx.count(&REPLICATES_RUN, rows.len() as u64 * 3);
+        ctx.count(&REPLICATES_SAVED, rows.len() as u64);
         (part, rows.iter().sum::<u64>())
     });
     // Cells arrive in partition order.
@@ -290,8 +285,74 @@ fn grid_cells_threads_replicate_counters_into_stage_summaries() {
     );
     assert_eq!(cells.iter().map(|c| c.1).sum::<u64>(), (0u64..40).sum());
     let stages = summary.summaries();
-    assert_eq!(stages.iter().map(|s| s.replicates_run).sum::<u64>(), 120);
-    assert_eq!(stages.iter().map(|s| s.replicates_saved).sum::<u64>(), 40);
+    let total = |name| stages.iter().map(|s| s.counter(name)).sum::<u64>();
+    assert_eq!(total("replicates_run"), 120);
+    assert_eq!(total("replicates_saved"), 40);
+}
+
+/// Adding a task counter is a one-site change: this test defines one under
+/// a name nothing else in the workspace mentions, reports it from ordinary
+/// tasks, and reads it back from every consumer the engine crate ships.
+/// (The trace analyzer's half is `one_site_counter_reaches_the_trace` in
+/// `tests/tests/trace_analyzer.rs`.)
+#[test]
+fn a_counter_defined_in_one_place_reaches_every_listener() {
+    const ZEBRA_STRIPES: TaskCounter = TaskCounter::new("zebra_stripes");
+    let engine = Engine::builder(ClusterSpec::test_small(2))
+        .host_threads(2)
+        .build();
+    let data = engine.parallelize((0u64..40).collect::<Vec<_>>(), 4);
+    let run = || {
+        data.grid_cells(|ctx, _, rows| {
+            // Two reports per task: they must add up, not overwrite.
+            ctx.count(&ZEBRA_STRIPES, rows.len() as u64);
+            ctx.count(&ZEBRA_STRIPES, 1);
+        });
+    };
+    // With no listener there is nobody to read a counter, so this run's
+    // reports are dropped; listeners attached later see only later tasks.
+    run();
+    let summary = Arc::new(StageSummaryListener::new());
+    let registry = Arc::new(RegistryListener::new());
+    let mem = Arc::new(MemoryEventListener::new());
+    for l in [
+        Arc::clone(&summary) as Arc<dyn EventListener>,
+        Arc::clone(&registry) as Arc<dyn EventListener>,
+        Arc::clone(&mem) as Arc<dyn EventListener>,
+    ] {
+        engine.events().register(l);
+    }
+    run();
+
+    let stages = summary.summaries();
+    let summed: u64 = stages.iter().map(|s| s.counter("zebra_stripes")).sum();
+    assert_eq!(summed, 44);
+    let text = registry.render_prometheus();
+    assert!(
+        text.contains(
+            "# TYPE sparkscore_zebra_stripes_total counter\nsparkscore_zebra_stripes_total 44\n"
+        ),
+        "{text}"
+    );
+
+    // Through the JSONL text layer: each task's line carries its share.
+    let log: String = mem
+        .snapshot()
+        .iter()
+        .map(|e| format!("{}\n", e.to_json()))
+        .collect();
+    let per_task = "\"counters\":{\"zebra_stripes\":11}";
+    assert_eq!(log.matches(per_task).count(), 4);
+    let reparsed = parse_event_log(&log).unwrap();
+    assert_eq!(reparsed, mem.snapshot());
+    let from_log: u64 = reparsed
+        .iter()
+        .map(|e| match e {
+            EngineEvent::TaskEnd { metrics, .. } => metrics.counters.get("zebra_stripes"),
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(from_log, 44);
 }
 
 /// One instance of every `EngineEvent` variant (and every `FaultDetail`
@@ -348,10 +409,6 @@ fn every_event_variant() -> Vec<EngineEvent> {
             span: SpanContext::NONE,
             mono_ns: 0,
         },
-        EngineEvent::TaskStart {
-            stage: 9,
-            partition: 0,
-        },
         EngineEvent::Span {
             span: SpanContext {
                 span: u64::MAX,
@@ -378,11 +435,7 @@ fn every_event_variant() -> Vec<EngineEvent> {
                 cache_hits: 7,
                 cache_misses: 8,
                 recomputed_partitions: 9,
-                kernel_rows: 10,
-                packed_kernel_rows: 6,
-                scratch_reuses: 11,
-                replicates_run: 12,
-                replicates_saved: 13,
+                counters: [("rows", 10), ("big", u64::MAX)].into_iter().collect(),
                 span: SpanContext { span: 3, parent: 2 },
                 mono_start_ns: 19,
                 mono_end_ns: 20,
@@ -462,7 +515,6 @@ fn every_event_variant_round_trips_through_jsonl() {
         "JobEnd",
         "StageSubmitted",
         "StageCompleted",
-        "TaskStart",
         "Span",
         "TaskEnd",
         "CacheEvicted",
@@ -492,9 +544,75 @@ fn every_event_variant_round_trips_through_jsonl() {
     assert_eq!(parse_event_log(&text).unwrap(), events);
 }
 
+/// The wire format, pinned: one line per event variant (and per fault
+/// kind), compared as text, so keys and key order cannot drift. Logs are
+/// read by tools outside this workspace; a codec change that alters a
+/// line here is a format change and must say so.
+#[test]
+fn wire_format_is_pinned_key_for_key() {
+    let golden = [
+        r#"{"Event":"JobStart","job":1,"virtual_now_ns":2,"span":3,"parent_span":0,"mono_ns":4}"#,
+        r#"{"Event":"JobEnd","job":1,"virtual_now_ns":5,"virtual_advance_ns":3,"span":3,"parent_span":0,"mono_ns":6}"#,
+        r#"{"Event":"StageSubmitted","job":1,"stage":7,"kind":"ShuffleMap","num_tasks":8,"span":9,"parent_span":3,"mono_ns":10}"#,
+        r#"{"Event":"StageSubmitted","job":null,"stage":7,"kind":"Result","num_tasks":0,"span":0,"parent_span":0,"mono_ns":0}"#,
+        r#"{"Event":"StageCompleted","job":1,"stage":7,"kind":"Result","makespan_ns":11,"local_reads":12,"span":9,"parent_span":3,"mono_ns":13}"#,
+        concat!(
+            r#"{"Event":"TaskEnd","stage":7,"metrics":{"partition":14,"wall_ns":15,"#,
+            r#""virtual_compute_ns":16,"virtual_start_ns":17,"virtual_finish_ns":18,"#,
+            r#""node":19,"executor":20,"input_local":true,"input_bytes":21,"#,
+            r#""shuffle_read_bytes":22,"shuffle_write_bytes":23,"cache_hits":24,"#,
+            r#""cache_misses":25,"recomputed_partitions":26,"#,
+            r#""counters":{"alpha":60,"beta":61},"#,
+            r#""span":27,"parent_span":9,"mono_start_ns":28,"mono_end_ns":29}}"#,
+        ),
+        r#"{"Event":"Span","span":30,"parent_span":27,"label":"kernel:perturb","start_ns":31,"end_ns":32}"#,
+        r#"{"Event":"CacheAdmitted","op":33,"partition":34,"bytes":35}"#,
+        r#"{"Event":"CacheRejected","op":36,"partition":37,"bytes":38}"#,
+        r#"{"Event":"CacheEvicted","op":39,"partition":40,"pressure":false,"bytes":41}"#,
+        r#"{"Event":"ShuffleBytesStored","shuffle":42,"map_part":43,"bytes":44}"#,
+        r#"{"Event":"MemoryWatermark","stage":45,"block_cache_bytes":46,"shuffle_store_bytes":47,"dfs_blocks_bytes":48,"scratch_bytes":49,"cache_budget_bytes":50,"mono_ns":51}"#,
+        r#"{"Event":"ShuffleMapRerun","shuffle":52,"map_part":53}"#,
+        r#"{"Event":"FaultInjected","fault":{"kind":"KillNode","node":54}}"#,
+        r#"{"Event":"FaultInjected","fault":{"kind":"DropCachedBlock","op":55,"partition":56}}"#,
+        r#"{"Event":"FaultInjected","fault":{"kind":"DropShuffleOutput","shuffle":57,"map_part":58}}"#,
+    ];
+    let events = parse_event_log(&golden.join("\n")).expect("every golden line parses");
+    for (event, line) in events.iter().zip(golden) {
+        assert_eq!(event.to_json().to_string(), line, "{}", event.name());
+    }
+    // Same completeness guard as the round-trip test: a new variant must
+    // get a golden line.
+    let pinned: std::collections::BTreeSet<&str> = events.iter().map(|e| e.name()).collect();
+    let all: std::collections::BTreeSet<&str> =
+        every_event_variant().iter().map(|e| e.name()).collect();
+    assert_eq!(pinned, all, "every variant has a golden line");
+    // The text means what it says: every value sits in the field its key
+    // names, and an empty counter list is still written, as `{}`.
+    let EngineEvent::TaskEnd { stage: 7, metrics } = &events[5] else {
+        panic!("line 5 is the TaskEnd: {:?}", events[5]);
+    };
+    assert_eq!(
+        (metrics.wall_ns, metrics.executor, metrics.span.parent),
+        (15, 20, 9)
+    );
+    assert_eq!(
+        metrics.counters.iter().collect::<Vec<_>>(),
+        [("alpha", 60), ("beta", 61)]
+    );
+    let empty = EngineEvent::TaskEnd {
+        stage: 0,
+        metrics: Default::default(),
+    };
+    assert!(empty
+        .to_json()
+        .to_string()
+        .contains(r#""recomputed_partitions":0,"counters":{},"span":0"#));
+}
+
 #[test]
 fn parse_event_log_rejects_malformed_lines() {
-    let good = r#"{"Event":"JobStart","job":1,"virtual_now_ns":0}"#;
+    let good =
+        r#"{"Event":"JobStart","job":1,"virtual_now_ns":0,"span":0,"parent_span":0,"mono_ns":0}"#;
     // A good line does parse on its own (control).
     assert_eq!(parse_event_log(good).unwrap().len(), 1);
     // Blank and whitespace-only lines are skipped.
@@ -503,19 +621,49 @@ fn parse_event_log_rejects_malformed_lines() {
         1
     );
 
+    // Every case below is the good line (or a good TaskEnd) with exactly
+    // one thing wrong, so the named defect is what fails the parse.
+    let tail = r#""span":0,"parent_span":0,"mono_ns":0}"#;
+    let task_end = |counters: &str| {
+        EngineEvent::TaskEnd {
+            stage: 0,
+            metrics: Default::default(),
+        }
+        .to_json()
+        .to_string()
+        .replace("\"counters\":{}", &format!("\"counters\":{counters}"))
+    };
+    // The splice itself is sound: a well-formed map parses, and a repeated
+    // name whose sum overflows saturates instead of panicking.
+    for ok in [r#"{"ok_name":7}"#, r#"{"n":18446744073709551615,"n":1}"#] {
+        assert_eq!(parse_event_log(&task_end(ok)).unwrap().len(), 1, "{ok}");
+    }
     let bad_lines = [
-        "not json at all",
-        "{\"Event\":\"JobStart\",\"job\":1,",          // truncated JSON
-        "{\"job\":1}",                                 // missing discriminator
-        "{\"Event\":\"NoSuchEvent\",\"job\":1}",       // unknown event
-        "{\"Event\":42}",                              // discriminator not a string
-        "{\"Event\":\"JobStart\",\"job\":\"one\",\"virtual_now_ns\":0}", // wrong field type
-        "{\"Event\":\"JobStart\",\"virtual_now_ns\":0}", // missing field
-        "{\"Event\":\"JobStart\",\"job\":-1,\"virtual_now_ns\":0}", // negative u64
-        "{\"Event\":\"StageSubmitted\",\"job\":null,\"stage\":0,\"kind\":\"Sideways\",\"num_tasks\":1}", // bad kind
-        "{\"Event\":\"FaultInjected\",\"fault\":{\"kind\":\"Gremlin\"}}", // bad fault kind
+        "not json at all".to_string(),
+        "{\"Event\":\"JobStart\",\"job\":1,".to_string(), // truncated JSON
+        format!("{{\"job\":1,\"virtual_now_ns\":0,{tail}"), // missing discriminator
+        format!("{{\"Event\":\"NoSuchEvent\",\"job\":1,\"virtual_now_ns\":0,{tail}"), // unknown event
+        format!("{{\"Event\":42,\"job\":1,\"virtual_now_ns\":0,{tail}"), // discriminator not a string
+        format!("{{\"Event\":\"JobStart\",\"job\":\"one\",\"virtual_now_ns\":0,{tail}"), // wrong field type
+        format!("{{\"Event\":\"JobStart\",\"virtual_now_ns\":0,{tail}"), // missing field
+        format!("{{\"Event\":\"JobStart\",\"job\":-1,\"virtual_now_ns\":0,{tail}"), // negative u64
+        r#"{"Event":"JobStart","job":1,"virtual_now_ns":0}"#.to_string(), // no span/mono: no legacy defaults
+        r#"{"Event":"CacheEvicted","op":7,"partition":3,"pressure":true}"#.to_string(), // no bytes
+        r#"{"Event":"TaskStart","stage":1,"partition":2}"#.to_string(), // removed variant
+        format!("{{\"Event\":\"StageSubmitted\",\"job\":null,\"stage\":0,\"kind\":\"Sideways\",\"num_tasks\":1,{tail}"), // bad kind
+        format!("{{\"Event\":\"StageSubmitted\",\"stage\":0,\"kind\":\"Result\",\"num_tasks\":1,{tail}"), // optional job absent, not null
+        "{\"Event\":\"FaultInjected\",\"fault\":{\"kind\":\"Gremlin\",\"node\":1}}".to_string(), // bad fault kind
+        task_end(r#"{"bad name":1}"#),  // counter name outside the grammar
+        task_end(r#"{"9lives":1}"#),    // leading digit
+        task_end(r#"{"rows":-1}"#),     // negative counter value
+        task_end(r#"{"rows":"many"}"#), // non-integer counter value
+        task_end(r#"{"rows":1.5}"#),    // fractional counter value
+        task_end("[1,2]"),              // "counters" not an object
+        task_end("7"),
+        task_end("null"),
+        task_end("{}").replace("\"counters\":{},", ""), // "counters" absent
     ];
-    for bad in bad_lines {
+    for bad in &bad_lines {
         // A malformed line poisons the parse even when surrounded by
         // valid events — truncated or corrupt logs fail loudly.
         let log = format!("{good}\n{bad}\n{good}\n");

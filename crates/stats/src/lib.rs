@@ -48,9 +48,7 @@ pub mod bitkern;
 pub mod covariates;
 pub mod dist;
 pub mod exact;
-pub mod ld;
 pub mod linalg;
-pub mod power;
 pub mod pvalue;
 pub mod qc;
 pub mod resample;

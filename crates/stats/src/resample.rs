@@ -115,6 +115,9 @@ pub fn monte_carlo<M: ScoreModel>(
 /// `tile` replicates instead of once per replicate. The multiplier RNG
 /// stream, per-replicate perturbed scores, SKAT statistics, and
 /// exceedance counts are all bitwise identical to the per-iteration path.
+///
+/// This is [`monte_carlo_adaptive`] with no stopping rule: one loop
+/// serves both.
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_blocked<M: ScoreModel>(
     model: &M,
@@ -125,51 +128,19 @@ pub fn monte_carlo_blocked<M: ScoreModel>(
     seed: u64,
     tile: usize,
 ) -> ResamplingResult {
-    assert!(tile > 0, "tile width must be positive");
-    let n = model.num_patients();
-    let m = genotype_rows.len();
-    // The "cached U RDD" as one flat row-major m × n matrix, built through
-    // the allocation-free kernel (one write slice per SNP, no temporaries).
-    let mut contribs = vec![0.0f64; m * n];
-    for (g, row) in genotype_rows.iter().zip(contribs.chunks_exact_mut(n)) {
-        model.contributions_into(g, row);
-    }
-    let scores: Vec<f64> = contribs.chunks_exact(n).map(|c| c.iter().sum()).collect();
-    let observed = skat_all(&scores, weights, sets);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0usize; sets.len()];
-    let mut z_tile = vec![0.0f64; n * tile];
-    let mut tile_out = vec![0.0f64; m * tile];
-    let mut perturbed = vec![0.0f64; m];
-    let mut done = 0;
-    while done < num_replicates {
-        let k = tile.min(num_replicates - done);
-        // Draw the tile's multipliers replicate-by-replicate — the same
-        // draw order as the per-iteration path — transposed into the
-        // patient-major layout the kernel wants.
-        for kk in 0..k {
-            for (i, zi) in mc_weights(&mut rng, n).into_iter().enumerate() {
-                z_tile[i * k + kk] = zi;
-            }
-        }
-        perturb_scores_blocked(&contribs, m, n, &z_tile[..n * k], k, &mut tile_out[..m * k]);
-        for kk in 0..k {
-            for (j, p) in perturbed.iter_mut().enumerate() {
-                *p = tile_out[j * k + kk];
-            }
-            let replicate = skat_all(&perturbed, weights, sets);
-            for (s, (&rep, &obs)) in replicate.iter().zip(&observed).enumerate() {
-                if rep >= obs {
-                    counts[s] += 1;
-                }
-            }
-        }
-        done += k;
-    }
+    let run = tiled_oracle(
+        model,
+        genotype_rows,
+        weights,
+        sets,
+        num_replicates,
+        seed,
+        tile,
+        None,
+    );
     ResamplingResult {
-        observed,
-        counts_ge: counts,
+        observed: run.observed,
+        counts_ge: run.counts_ge,
         num_replicates,
     }
 }
@@ -233,9 +204,37 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
     tile: usize,
     rule: &StoppingRule,
 ) -> AdaptiveResult {
+    tiled_oracle(
+        model,
+        genotype_rows,
+        weights,
+        sets,
+        max_replicates,
+        seed,
+        tile,
+        Some(rule),
+    )
+}
+
+/// The one sequential tiled loop behind [`monte_carlo_blocked`] (`rule:
+/// None` — no set is ever decided, every tile runs) and
+/// [`monte_carlo_adaptive`].
+#[allow(clippy::too_many_arguments)]
+fn tiled_oracle<M: ScoreModel>(
+    model: &M,
+    genotype_rows: &[Vec<u8>],
+    weights: &[f64],
+    sets: &[SnpSet],
+    max_replicates: usize,
+    seed: u64,
+    tile: usize,
+    rule: Option<&StoppingRule>,
+) -> AdaptiveResult {
     assert!(tile > 0, "tile width must be positive");
     let n = model.num_patients();
     let m = genotype_rows.len();
+    // The "cached U RDD" as one flat row-major m × n matrix, built through
+    // the allocation-free kernel (one write slice per SNP, no temporaries).
     let mut contribs = vec![0.0f64; m * n];
     for (g, row) in genotype_rows.iter().zip(contribs.chunks_exact_mut(n)) {
         model.contributions_into(g, row);
@@ -243,15 +242,16 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
     let scores: Vec<f64> = contribs.chunks_exact(n).map(|c| c.iter().sum()).collect();
     let observed = skat_all(&scores, weights, sets);
 
-    // SNPs that belong to at least one set: the work the fixed-B budget
-    // would spend, in row-replicate units.
-    let mut in_scope = vec![false; m];
-    for set in sets {
+    // The set each SNP's work is charged to (`usize::MAX`: in no set) —
+    // the same table the distributed grid keeps. In-scope rows are the
+    // work the fixed-B budget would spend, in row-replicate units.
+    let mut set_of_snp = vec![usize::MAX; m];
+    for (s, set) in sets.iter().enumerate() {
         for &j in &set.members {
-            in_scope[j] = true;
+            set_of_snp[j] = s;
         }
     }
-    let scope_rows = in_scope.iter().filter(|&&b| b).count();
+    let scope_rows = set_of_snp.iter().filter(|&&s| s != usize::MAX).count();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut counts = vec![0usize; sets.len()];
@@ -264,22 +264,20 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
     let mut done = 0;
     while done < max_replicates && decided.iter().any(|d| !d) {
         let k = tile.min(max_replicates - done);
-        // Draw the full tile even for rows that have dropped out — the
-        // stream must stay aligned with the fixed-B oracle's.
+        // Draw the tile's multipliers replicate-by-replicate — the same
+        // draw order as the per-iteration path — transposed into the
+        // patient-major layout the kernel wants. The full tile is drawn
+        // even for rows that have dropped out: the stream must stay
+        // aligned with the fixed-B run's.
         for kk in 0..k {
             for (i, zi) in mc_weights(&mut rng, n).into_iter().enumerate() {
                 z_tile[i * k + kk] = zi;
             }
         }
         perturb_scores_blocked(&contribs, m, n, &z_tile[..n * k], k, &mut tile_out[..m * k]);
-        let active_rows = (0..m)
-            .filter(|&j| {
-                in_scope[j]
-                    && sets
-                        .iter()
-                        .enumerate()
-                        .any(|(s, set)| !decided[s] && set.members.contains(&j))
-            })
+        let active_rows = set_of_snp
+            .iter()
+            .filter(|&&s| s != usize::MAX && !decided[s])
             .count();
         replicates_run += (active_rows * k) as u64;
         for kk in 0..k {
@@ -287,10 +285,7 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
                 *p = tile_out[j * k + kk];
             }
             for (s, set) in sets.iter().enumerate() {
-                if decided[s] {
-                    continue;
-                }
-                if skat_statistic(&perturbed, weights, set) >= observed[s] {
+                if !decided[s] && skat_statistic(&perturbed, weights, set) >= observed[s] {
                     counts[s] += 1;
                 }
             }
@@ -299,9 +294,7 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
         for s in 0..sets.len() {
             if !decided[s] {
                 used[s] = done;
-                if rule.decided(counts[s], done) {
-                    decided[s] = true;
-                }
+                decided[s] = rule.is_some_and(|rule| rule.decided(counts[s], done));
             }
         }
     }

@@ -6,8 +6,8 @@
 //! threads persist across tasks, so a `thread_local!` buffer is allocated
 //! on a worker's first kernel call and reused by every subsequent task
 //! scheduled onto that thread. The reuse counter lets tasks report how
-//! often they ran without touching the allocator (the engine surfaces it
-//! as `TaskMetrics::scratch_reuses`).
+//! often they ran without touching the allocator (the analysis crate
+//! reports it as its `scratch_reuses` task counter).
 //!
 //! The helpers are not reentrant per element type: a kernel may hold at
 //! most one `f64` and one `u8` scratch slice at a time (nesting

@@ -11,7 +11,8 @@
 //! Set `SPARKSCORE_EVENTS_DIR=<dir>` to also write a JSONL event log
 //! (`<dir>/eqtl_quantitative.jsonl`). The Gaussian score model is affine
 //! in dosage, so every kernel row is served by the packed-direct bit
-//! kernels — `trace report` shows the split in its `== kernels ==` line.
+//! kernels — in `trace report`'s `== kernels ==` section
+//! `packed_kernel_rows` equals `kernel_rows`.
 
 use std::sync::Arc;
 

@@ -163,3 +163,48 @@ fn multiplier_run_shows_strictly_higher_cache_roi_than_permutation() {
         "{diff}"
     );
 }
+
+/// The trace analyzer's half of the one-site-counter contract (the engine
+/// listeners' half is `a_counter_defined_in_one_place_reaches_every_listener`
+/// in `crates/rdd/tests/events.rs`): a counter nothing in the workspace
+/// knows about is summed by `ExecutionTrace` and listed by both report
+/// renderers, in name order, next to the analysis crate's own counters.
+#[test]
+fn one_site_counter_reaches_the_trace() {
+    use sparkscore_rdd::TaskCounter;
+
+    const ZEBRA_STRIPES: TaskCounter = TaskCounter::new("zebra_stripes");
+    let text = logged_run("one_site_counter", None, |ctx| {
+        ctx.u_dataset().grid_cells(|task, _, rows| {
+            task.count(&ZEBRA_STRIPES, rows.len() as u64);
+        });
+    });
+    let trace = ExecutionTrace::parse(&text).expect("parse own log");
+    // One stripe per SNP row of U: at most the cohort's 120 SNPs.
+    let stripes = trace.counter_total("zebra_stripes");
+    assert!(stripes > 0 && stripes <= 120, "{stripes}");
+    let by_stage: u64 = trace
+        .stages
+        .iter()
+        .map(|s| s.counter("zebra_stripes"))
+        .sum();
+    assert_eq!(by_stage, stripes);
+    // The application's own counters ride the same path.
+    let kernel_rows = trace.counter_total("kernel_rows");
+    assert_eq!(kernel_rows, stripes * 50, "50 patients per SNP row");
+
+    let rendered = report(&trace);
+    let listed = format!("kernel_rows={kernel_rows} packed_kernel_rows=0 scratch_reuses=");
+    assert!(rendered.contains(&listed), "{rendered}");
+    assert!(
+        rendered.contains(&format!(" zebra_stripes={stripes}\n")),
+        "{rendered}"
+    );
+    let json = sparkscore_obs::report_json(&trace).to_string();
+    assert!(
+        json.contains(&format!(
+            "\"zebra_stripes\":{stripes}}},\"kernel_task_wall_ns\""
+        )),
+        "{json}"
+    );
+}
