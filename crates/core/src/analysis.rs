@@ -26,6 +26,7 @@ use sparkscore_data::io::{
 use sparkscore_data::{DatasetPaths, GenotypeBlock, GwasDataset};
 use sparkscore_dfs::DfsError;
 use sparkscore_rdd::{plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine, TaskCounter};
+use sparkscore_stats::dist::sample_standard_normal;
 use sparkscore_stats::linalg::perturb_rows_blocked;
 use sparkscore_stats::pvalue::StoppingRule;
 use sparkscore_stats::qc::{check_snp_packed, QcThresholds};
@@ -216,16 +217,44 @@ struct GridInvariants {
 }
 
 /// Draw an `n × k` multiplier tile replicate-by-replicate — the
-/// sequential oracles' exact order — transposed into the patient-major
-/// layout `perturb_rows_blocked` reads.
+/// sequential oracles' exact order, one `mc_weights` column after another —
+/// straight into the patient-major layout `perturb_rows_blocked` reads.
 fn draw_tile(rng: &mut StdRng, n: usize, k: usize) -> Vec<f64> {
     let mut tile = vec![0.0f64; n * k];
     for kk in 0..k {
-        for (i, zi) in mc_weights(rng, n).into_iter().enumerate() {
-            tile[i * k + kk] = zi;
+        for i in 0..n {
+            tile[i * k + kk] = sample_standard_normal(rng);
         }
     }
     tile
+}
+
+/// Per-SNP inner sums over a `U` dataset, read in place (a task borrows
+/// the partition it scans; no row is copied) at the modeled cost of one
+/// multiply-add per patient per row: the observed `U_j = Σ_i U_ij`
+/// without multipliers, one Monte Carlo replicate `Ũ_j = Σ_i Z_i U_ij`
+/// (Algorithm 3 step 4(I)a) with them.
+fn inner_sums(
+    u: &Dataset<(u64, Vec<f64>)>,
+    num_patients: usize,
+    mc_multipliers: Option<Broadcast<Vec<f64>>>,
+) -> Dataset<(u64, f64)> {
+    let arith_cost = num_patients as f64 * JVM_UNITS_ARITH_PER_PATIENT;
+    u.map_partitions_ctx(move |ctx, _, rows| {
+        ctx.add_work(rows.len(), arith_cost);
+        let sums: Vec<f64> = match &mc_multipliers {
+            None => rows.iter().map(|(_, c)| c.iter().sum()).collect(),
+            // The grid's kernel at tile width 1: its chain per row is the
+            // replicate's fold, four rows advancing together.
+            Some(z) => {
+                let urows: Vec<&[f64]> = rows.iter().map(|(_, c)| c.as_slice()).collect();
+                let mut sums = vec![0.0f64; urows.len()];
+                perturb_rows_blocked(&urows, num_patients, z.value(), 1, &mut sums);
+                sums
+            }
+        };
+        rows.iter().map(|(snp, _)| *snp).zip(sums).collect()
+    })
 }
 
 impl SparkScoreContext {
@@ -465,19 +494,7 @@ impl SparkScoreContext {
         u: &Dataset<(u64, Vec<f64>)>,
         mc_multipliers: Option<Broadcast<Vec<f64>>>,
     ) -> Vec<SetScore> {
-        let arith_cost = self.num_patients() as f64 * JVM_UNITS_ARITH_PER_PATIENT;
-        let inner = match mc_multipliers {
-            // Observed pass: U_j = Σ_i U_ij.
-            None => u.map_with_cost(arith_cost, |(snp, c)| {
-                let s: f64 = c.iter().sum();
-                (snp, s)
-            }),
-            // MC replicate: Ũ_j = Σ_i Z_i U_ij (Algorithm 3 step 4(I)a).
-            Some(z) => u.map_with_cost(arith_cost, move |(snp, c)| {
-                let s: f64 = c.iter().zip(z.value()).map(|(u, zi)| u * zi).sum();
-                (snp, s)
-            }),
-        };
+        let inner = inner_sums(u, self.num_patients(), mc_multipliers);
         let lookup = self.snp_to_set.clone();
         let combine = self.options.combine;
         // SKAT sums ω²U² per set; burden sums ωU per set and squares the
@@ -534,7 +551,8 @@ impl SparkScoreContext {
 
     /// Algorithm 1 steps 8–12 over a caller-held `U` dataset (see
     /// [`SparkScoreContext::u_dataset`]): per-set scores, optionally
-    /// under Monte Carlo multipliers (Algorithm 3's replicate pass).
+    /// under Monte Carlo multipliers (Algorithm 3's replicate pass; one
+    /// multiplier per patient).
     pub fn set_scores(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
@@ -649,15 +667,8 @@ impl SparkScoreContext {
             // Per-SNP sums scattered into a dense table by id; sets are
             // combined from it on the driver with the same statistic
             // functions (and summation order) as the oracle.
-            let arith_cost = self.num_patients() as f64 * JVM_UNITS_ARITH_PER_PATIENT;
             let mut scores = vec![0.0f64; self.max_snp];
-            for (snp, s) in u
-                .map_with_cost(arith_cost, |(snp, c)| {
-                    let s: f64 = c.iter().sum();
-                    (snp, s)
-                })
-                .collect()
-            {
+            for (snp, s) in inner_sums(u, self.num_patients(), None).collect() {
                 scores[snp as usize] = s;
             }
             GridInvariants { weights, scores }
@@ -1156,6 +1167,25 @@ mod tests {
         assert_eq!(a.counts_ge, b.counts_ge);
         assert_eq!(m1, m0, "a same-seed replay must not re-broadcast");
         assert_eq!(h1, h0 + 2);
+    }
+
+    #[test]
+    fn draw_tile_is_the_transposed_mc_weights_stream() {
+        // Replicate kk of the tile is the kk-th `mc_weights` column drawn
+        // from the same generator, and the two generators stay in step.
+        for (n, k) in [(1usize, 1usize), (37, 7), (64, MC_TILE)] {
+            let mut tile_rng = StdRng::seed_from_u64(21);
+            sample_standard_normal(&mut tile_rng); // start mid-stream
+            let mut column_rng = tile_rng.clone();
+            let tile = draw_tile(&mut tile_rng, n, k);
+            assert_eq!(tile.len(), n * k);
+            for kk in 0..k {
+                for (i, zi) in mc_weights(&mut column_rng, n).into_iter().enumerate() {
+                    assert_eq!(tile[i * k + kk].to_bits(), zi.to_bits(), "i={i} kk={kk}");
+                }
+            }
+            assert_eq!(format!("{tile_rng:?}"), format!("{column_rng:?}"));
+        }
     }
 
     /// Fixed-B options at an explicit tile width.

@@ -1,6 +1,11 @@
 //! Narrow (pipelined) operators: each output partition depends on exactly
 //! one parent partition, so no shuffle is needed and lineage recovery
 //! recomputes a single upstream chain.
+//!
+//! The by-value operators (`map`, `filter`, `flat_map`) move records out of
+//! a parent partition this task holds the only reference to — an uncached
+//! parent's, which [`materialize`] built for this call alone — and clone
+//! record by record only when the block cache holds it too.
 
 use std::sync::Arc;
 
@@ -56,7 +61,10 @@ impl<T: Data, U: Data> Op<U> for MapOp<T, U> {
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<U> {
         let input = materialize(&self.parent, part, ctx);
         ctx.add_work(input.len(), self.cost_units);
-        input.iter().cloned().map(|t| (self.f)(t)).collect()
+        match Arc::try_unwrap(input) {
+            Ok(owned) => owned.into_iter().map(|t| (self.f)(t)).collect(),
+            Err(shared) => shared.iter().cloned().map(|t| (self.f)(t)).collect(),
+        }
     }
 
     fn name(&self) -> &str {
@@ -100,7 +108,10 @@ impl<T: Data> Op<T> for FilterOp<T> {
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<T> {
         let input = materialize(&self.parent, part, ctx);
         ctx.add_work(input.len(), 0.5);
-        input.iter().filter(|t| (self.pred)(t)).cloned().collect()
+        match Arc::try_unwrap(input) {
+            Ok(owned) => owned.into_iter().filter(|t| (self.pred)(t)).collect(),
+            Err(shared) => shared.iter().filter(|t| (self.pred)(t)).cloned().collect(),
+        }
     }
 
     fn name(&self) -> &str {
@@ -144,7 +155,10 @@ impl<T: Data, U: Data> Op<U> for FlatMapOp<T, U> {
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<U> {
         let input = materialize(&self.parent, part, ctx);
         ctx.add_work(input.len(), 1.0);
-        input.iter().cloned().flat_map(|t| (self.f)(t)).collect()
+        match Arc::try_unwrap(input) {
+            Ok(owned) => owned.into_iter().flat_map(|t| (self.f)(t)).collect(),
+            Err(shared) => shared.iter().cloned().flat_map(|t| (self.f)(t)).collect(),
+        }
     }
 
     fn name(&self) -> &str {

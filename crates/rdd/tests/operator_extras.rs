@@ -3,11 +3,12 @@
 //! property tests pinning pipelines to their sequential `Vec` oracles.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use sparkscore_cluster::ClusterSpec;
-use sparkscore_rdd::{Dataset, Engine};
+use sparkscore_rdd::{Dataset, Engine, EstimateSize};
 
 fn engine() -> Arc<Engine> {
     Engine::builder(ClusterSpec::test_small(2))
@@ -198,6 +199,72 @@ fn map_with_cost_changes_virtual_time_not_results() {
         costly_time > cheap_time * 2,
         "declared cost must dominate virtual time: {costly_time} vs {cheap_time}"
     );
+}
+
+/// A record that counts how often it is cloned.
+struct Counted {
+    value: u64,
+    clones: Arc<AtomicUsize>,
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::Relaxed);
+        Counted {
+            value: self.value,
+            clones: Arc::clone(&self.clones),
+        }
+    }
+}
+
+impl EstimateSize for Counted {
+    fn estimate_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
+}
+
+#[test]
+fn by_value_operators_move_a_partition_only_they_hold() {
+    let e = engine();
+    let clones = Arc::new(AtomicUsize::new(0));
+    // Records are born inside the lineage (no source copy to clone from)
+    // and read back by reference, so every clone counted is an operator's.
+    let born = {
+        let clones = Arc::clone(&clones);
+        numbers(&e, 1000, 4).map_partitions(move |_, xs| {
+            xs.iter()
+                .map(|&value| Counted {
+                    value,
+                    clones: Arc::clone(&clones),
+                })
+                .collect()
+        })
+    };
+    let chain = born
+        .map(|c| c)
+        .filter(|c| c.value % 3 != 0)
+        .flat_map(|c| vec![c]);
+    let values = || -> Vec<u64> {
+        chain
+            .run_partitions(|p| p.iter().map(|c| c.value).collect::<Vec<_>>())
+            .concat()
+    };
+    let want: Vec<u64> = (0..1000).filter(|v| v % 3 != 0).collect();
+
+    assert_eq!(values(), want);
+    assert_eq!(
+        clones.load(Ordering::Relaxed),
+        0,
+        "uncached chain: every operator owns its input"
+    );
+
+    // Cached parent: the block cache shares each partition with the task,
+    // so `map` — the one operator reading it — clones, on the miss pass
+    // and on the hit pass alike; the operators after it still move.
+    born.cache();
+    assert_eq!(values(), want, "miss pass");
+    assert_eq!(values(), want, "hit pass");
+    assert_eq!(clones.load(Ordering::Relaxed), 2 * 1000);
 }
 
 proptest! {

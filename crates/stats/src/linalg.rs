@@ -213,10 +213,22 @@ pub fn residualize(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Ok(y.iter().zip(&fitted).map(|(a, b)| a - b).collect())
 }
 
-/// How many patients each pass of the blocked multiplier kernel streams
-/// before revisiting the accumulators (`I_TILE × K × 8` bytes of `Z` stay
-/// cache-resident: 256 × 32 doubles = 64 KiB at the default tile).
-const PERTURB_I_TILE: usize = 256;
+/// Doubles of `Z` one patient tile of the multiplier kernel covers: the
+/// tile is `PERTURB_Z_TILE / k` patients long, so the `Z` block every row
+/// block re-reads is 32 KiB whatever the replicate width and stays in a
+/// 48 KiB L1d beside the `U` segments in flight — 128 patients at the
+/// default `k = 32`. Sized by `Z` bytes rather than as a fixed patient
+/// count because at `k = 1` (the paper-faithful replicate pass) a short
+/// fixed tile walks the whole of `U` in 1 KiB pieces per tile, which ran
+/// slower than one sequential pass per row; `4096 / 1` patients is a whole
+/// cohort, so that shape streams each row once.
+const PERTURB_Z_TILE: usize = 4096;
+
+/// Rows of `U` a full register tile advances together. `4 × 8` doubles is
+/// eight 256-bit accumulators, leaving AVX2's other eight registers for the
+/// `Z` operands and the broadcast `U` value; narrower replicate strips keep
+/// all four rows, so even `k = 1` has four independent add chains in flight.
+const PERTURB_MR: usize = 4;
 
 /// Blocked Monte Carlo multiplier kernel — the GEMM-shaped core of
 /// Algorithm 3. Computes `out[j·k + kk] = Σ_i U[j·n + i] · Z[i·k + kk]`:
@@ -230,12 +242,14 @@ const PERTURB_I_TILE: usize = 256;
 /// * `out` — replicate-major `num_snps × k` output.
 ///
 /// Bitwise contract: for each `(j, kk)` the accumulation is a single chain
-/// of `acc += u·z` in patient order — exactly the fold the per-iteration
-/// path's `iter().map(|(u, z)| u * z).sum()` performs — so results are
-/// bit-identical to running the replicates one at a time. Patient-tiling
-/// only reorders *which* chain is advanced next, never the order within a
-/// chain; the vectorizable parallelism comes from the `k` independent
-/// chains in the inner loop.
+/// of `acc += u·z` from `0.0` in patient order, a multiply rounded and then
+/// an add rounded — the fold the per-iteration path's
+/// `iter().map(|(u, z)| u * z).sum()` performs (which starts from `-0.0`,
+/// so the two differ in the sign of a zero whose every product was `-0.0`
+/// and in nothing else) — so results are bit-identical to running the
+/// replicates one at a time. Register and
+/// patient tiling only choose *which* chains advance together, never the
+/// order within a chain, and no multiply-add is ever fused.
 pub fn perturb_scores_blocked(
     contribs: &[f64],
     num_snps: usize,
@@ -256,6 +270,12 @@ pub fn perturb_scores_blocked(
 /// bitwise contract: each `(j, kk)` accumulator is one `acc += u·z` chain
 /// in patient order, so a grid of these cells reproduces the single-task
 /// kernel bit for bit.
+///
+/// One register-blocked body (`perturb_rows_body`) compiled twice: for
+/// the build's baseline target, and on x86-64 once more with AVX2 enabled,
+/// taken when the running CPU reports it. Both execute the same IEEE
+/// operations in the same order per chain, so which one runs is invisible
+/// in the result.
 pub fn perturb_rows_blocked(
     rows: &[&[f64]],
     num_patients: usize,
@@ -263,25 +283,132 @@ pub fn perturb_rows_blocked(
     k: usize,
     out: &mut [f64],
 ) {
+    assert!(k > 0, "replicate tile width must be positive");
     assert_eq!(z_tile.len(), num_patients * k, "Z tile dimensions");
     assert_eq!(out.len(), rows.len() * k, "output dimensions");
     for row in rows {
         assert_eq!(row.len(), num_patients, "U row length");
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `perturb_rows_avx2` requires only that the running CPU
+        // supports AVX2, which the detection on the line above just
+        // reported (a cached atomic load after the first call).
+        return unsafe { perturb_rows_avx2(rows, num_patients, z_tile, k, out) };
+    }
+    perturb_rows_body(rows, num_patients, z_tile, k, out);
+}
+
+/// [`perturb_rows_body`] compiled with 256-bit vectors. AVX2 only: with
+/// `fma` enabled as well nothing in the source would fuse (Rust contracts
+/// no `a * b + c`), but leaving it off makes a fused multiply-add — one
+/// rounding where the contract has two — impossible to emit.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn perturb_rows_avx2(
+    rows: &[&[f64]],
+    num_patients: usize,
+    z_tile: &[f64],
+    k: usize,
+    out: &mut [f64],
+) {
+    perturb_rows_body(rows, num_patients, z_tile, k, out);
+}
+
+/// The kernel proper; the caller has checked every dimension. Patient tiles
+/// outermost (so the tile's `Z` block is read from L1 by every row block),
+/// then blocks of [`PERTURB_MR`] rows, then single leftover rows.
+#[inline(always)]
+fn perturb_rows_body(
+    rows: &[&[f64]],
+    num_patients: usize,
+    z_tile: &[f64],
+    k: usize,
+    out: &mut [f64],
+) {
     out.fill(0.0);
-    let mut i0 = 0;
-    while i0 < num_patients {
-        let i1 = (i0 + PERTURB_I_TILE).min(num_patients);
-        for (u_row, acc) in rows.iter().zip(out.chunks_exact_mut(k)) {
-            for i in i0..i1 {
-                let ui = u_row[i];
-                let z_row = &z_tile[i * k..][..k];
-                for (a, &zk) in acc.iter_mut().zip(z_row) {
-                    *a += ui * zk;
-                }
+    let (blocks, leftover) = rows.split_at(rows.len() - rows.len() % PERTURB_MR);
+    let (out_blocks, out_leftover) = out.split_at_mut(blocks.len() * k);
+    let patient_tile = (PERTURB_Z_TILE / k).max(1);
+    for i0 in (0..num_patients).step_by(patient_tile) {
+        let patients = i0..(i0 + patient_tile).min(num_patients);
+        let z = &z_tile[patients.start * k..patients.end * k];
+        for (block, acc) in blocks
+            .chunks_exact(PERTURB_MR)
+            .zip(out_blocks.chunks_exact_mut(PERTURB_MR * k))
+        {
+            let u: [&[f64]; PERTURB_MR] = std::array::from_fn(|r| &block[r][patients.clone()]);
+            let c0 = perturb_strips::<PERTURB_MR, 8>(u, z, k, 0, acc);
+            let c0 = perturb_strips::<PERTURB_MR, 4>(u, z, k, c0, acc);
+            let c0 = perturb_strips::<PERTURB_MR, 2>(u, z, k, c0, acc);
+            perturb_strips::<PERTURB_MR, 1>(u, z, k, c0, acc);
+        }
+        // A leftover row has no neighbour to share `Z` loads with, so it
+        // takes strips four times as wide: the same eight accumulators.
+        for (row, acc) in leftover.iter().zip(out_leftover.chunks_exact_mut(k)) {
+            let u = [&row[patients.clone()]];
+            let c0 = perturb_strips::<1, 32>(u, z, k, 0, acc);
+            let c0 = perturb_strips::<1, 16>(u, z, k, c0, acc);
+            let c0 = perturb_strips::<1, 8>(u, z, k, c0, acc);
+            let c0 = perturb_strips::<1, 4>(u, z, k, c0, acc);
+            let c0 = perturb_strips::<1, 2>(u, z, k, c0, acc);
+            perturb_strips::<1, 1>(u, z, k, c0, acc);
+        }
+    }
+}
+
+/// Run `MR × NR` register tiles over replicate columns `c0..` while a full
+/// `NR`-wide strip still fits in `k`; returns the first column not covered.
+#[inline(always)]
+fn perturb_strips<const MR: usize, const NR: usize>(
+    u: [&[f64]; MR],
+    z: &[f64],
+    k: usize,
+    mut c0: usize,
+    out: &mut [f64],
+) -> usize {
+    while k - c0 >= NR {
+        perturb_tile::<MR, NR>(u, z, k, c0, out);
+        c0 += NR;
+    }
+    c0
+}
+
+/// The register tile: `MR` rows × `NR` replicates of accumulators held in
+/// local fixed-size arrays — registers, once the constant-bound loops are
+/// unrolled — loaded from `out` before the patient tile, advanced one
+/// patient at a time, stored back after it. `u` holds the rows' segments
+/// for this patient tile, `z` the tile's `u[r].len() × k` block of
+/// multipliers, `out` the rows' `k`-wide outputs.
+#[inline(always)]
+fn perturb_tile<const MR: usize, const NR: usize>(
+    u: [&[f64]; MR],
+    z: &[f64],
+    k: usize,
+    c0: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [[0.0f64; NR]; MR];
+    for (a, o) in acc.iter_mut().zip(out.chunks_exact(k)) {
+        a.copy_from_slice(&o[c0..c0 + NR]);
+    }
+    for (i, z_row) in z.chunks_exact(k).enumerate() {
+        let z_row: &[f64; NR] = z_row[c0..c0 + NR]
+            .try_into()
+            .expect("slice of NR multipliers");
+        for (a, u_row) in acc.iter_mut().zip(&u) {
+            let ui = u_row[i];
+            for (a, &zk) in a.iter_mut().zip(z_row) {
+                *a += ui * zk;
             }
         }
-        i0 = i1;
+    }
+    for (a, o) in acc.iter().zip(out.chunks_exact_mut(k)) {
+        o[c0..c0 + NR].copy_from_slice(a);
     }
 }
 
@@ -399,7 +526,111 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// The contract's fold written out — one `acc += u·z` chain per
+    /// `(j, kk)` from `0.0` in patient order — for inputs with signed
+    /// zeros, where `perturb_naive`'s `Iterator::sum` (which starts from
+    /// `-0.0`) answers `-0.0` for a chain whose every product is `-0.0`.
+    fn perturb_fold(rows: &[&[f64]], n: usize, z: &[f64], k: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(rows.len() * k);
+        for row in rows {
+            for kk in 0..k {
+                out.push((0..n).fold(0.0, |acc, i| acc + row[i] * z[i * k + kk]));
+            }
+        }
+        out
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: IEEE 754 leaves
+    /// the sign and payload a NaN result carries to the implementation, and
+    /// the compiler may commute the operands that decide them.
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (at, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: slot {at} is {g:e} ({:#018x}), want {w:e} ({:#018x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn perturb_chains_start_from_positive_zero() {
+        // Every product is -0.0: the fold from 0.0 answers +0.0 at every
+        // strip width and row remainder (`Iterator::sum` would say -0.0).
+        for (m, k) in [(1usize, 1usize), (4, 1), (5, 7), (6, 40)] {
+            let n = 3;
+            let u = vec![-0.0f64; m * n];
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+            let mut out = vec![f64::NAN; m * k];
+            perturb_rows_blocked(&rows, n, &vec![1.0; n * k], k, &mut out);
+            assert_same_bits(&out, &vec![0.0; m * k], "all products -0.0");
+        }
+    }
+
+    #[test]
+    fn perturb_plain_and_dispatched_agree_at_the_benchmark_shape() {
+        // One grid cell of the benchmark's `grid_*` workloads.
+        let (m, n, k) = (256usize, 4000usize, 32usize);
+        let u: Vec<f64> = (0..m * n).map(|v| (v as f64 * 0.37).sin()).collect();
+        let z: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.71).cos()).collect();
+        let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+        let mut dispatched = vec![f64::NAN; m * k];
+        perturb_rows_blocked(&rows, n, &z, k, &mut dispatched);
+        let mut plain = vec![f64::NAN; m * k];
+        perturb_rows_body(&rows, n, &z, k, &mut plain);
+        assert_same_bits(&dispatched, &plain, "dispatched vs plain");
+        assert!(plain.iter().all(|v| v.is_finite()));
+    }
+
     proptest! {
+        /// Both compilations of the kernel reproduce the fold bit for bit:
+        /// every row remainder (0..=9 rows), patient-tile seams (the tile
+        /// is `4096 / k` patients) and every strip decomposition of `k`,
+        /// over values that include signed zeros, infinities, NaN and
+        /// subnormals at a per-case density from none to one in four.
+        #[test]
+        fn prop_perturb_reproduces_the_fold_bit_for_bit(
+            m in 0usize..=9,
+            n in 1usize..=600,
+            k in 1usize..=40,
+            density in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            const SPECIALS: [f64; 8] = [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                f64::MIN_POSITIVE / 4.0,
+                -f64::MIN_POSITIVE / 4.0,
+                5e-324,
+            ];
+            let specials_per_1000 = [0u32, 1, 20, 250][density];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut value = |_| {
+                if rng.gen_range(0u32..1000) < specials_per_1000 {
+                    SPECIALS[rng.gen_range(0..SPECIALS.len())]
+                } else {
+                    rng.gen_range(-2.0f64..2.0)
+                }
+            };
+            let u: Vec<f64> = (0..m * n).map(&mut value).collect();
+            let z: Vec<f64> = (0..n * k).map(&mut value).collect();
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+            let want = perturb_fold(&rows, n, &z, k);
+
+            let mut out = vec![f64::NAN; m * k];
+            perturb_rows_blocked(&rows, n, &z, k, &mut out);
+            assert_same_bits(&out, &want, "dispatched");
+            let mut out = vec![f64::NAN; m * k];
+            perturb_rows_body(&rows, n, &z, k, &mut out);
+            assert_same_bits(&out, &want, "plain");
+        }
+
         /// Residuals are orthogonal to every design column.
         #[test]
         fn prop_residual_orthogonality(

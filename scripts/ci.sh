@@ -13,6 +13,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== cargo test --release: the bitwise identities on the code that ships =="
+# `cargo test` builds without optimisation, where the perturbation kernel's
+# register tiles are scalar loops; only an optimised build runs the vector
+# instructions the benchmark and the binaries run.
+cargo test --release -q -p sparkscore-stats -p sparkscore-core
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
