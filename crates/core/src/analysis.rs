@@ -6,7 +6,9 @@
 //! * [`SparkScoreContext::observed`] — **Algorithm 1**: the observed SKAT
 //!   statistics `S_k⁰`, computed as the RDD pipeline
 //!   `textFile → parse → filter(union of SNP-sets) → U → U² →
-//!   join(weights) → ω²U² → reduce_by_key(set)`;
+//!   join(weights) → ω²U² → reduce_by_key(set)` (a DFS-backed context
+//!   runs the first three steps as one operator, block bytes to packed
+//!   genotypes, at the modeled cost of the three);
 //! * [`SparkScoreContext::permutation`] — **Algorithm 2**: B phenotype
 //!   shufflings, each re-running the full pipeline (no caching — the
 //!   replicate's `U` depends on the shuffled phenotypes);
@@ -20,10 +22,9 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparkscore_data::io::{
-    parse_genotype_line, parse_phenotypes_text, parse_set_line, parse_weight_line,
-};
+use sparkscore_data::io::{parse_phenotypes_text, parse_set_line, parse_weight_line};
 use sparkscore_data::{DatasetPaths, GenotypeBlock, GwasDataset};
+use sparkscore_dfs::text::block_lines;
 use sparkscore_dfs::DfsError;
 use sparkscore_rdd::{plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine, TaskCounter};
 use sparkscore_stats::dist::sample_standard_normal;
@@ -229,6 +230,37 @@ fn draw_tile(rng: &mut StdRng, n: usize, k: usize) -> Vec<f64> {
     tile
 }
 
+/// `c.iter().sum()` of every row, four rows at a time. One row's sum is a
+/// chain of dependent additions that waits out the adder's latency at
+/// every step; four rows' chains interleaved keep it busy. Each chain
+/// still folds its own row left to right from the value `Iterator::sum`
+/// starts from, so every sum has the bits the per-row call gives. Rows of
+/// unequal length within a quad, and the last `rows % 4`, are summed one
+/// by one.
+fn row_sums(rows: &[(u64, Vec<f64>)]) -> Vec<f64> {
+    let per_row = |(_, c): &(u64, Vec<f64>)| c.iter().sum::<f64>();
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let mut sums = Vec::with_capacity(rows.len());
+    let mut quads = rows.chunks_exact(4);
+    for quad in quads.by_ref() {
+        let [a, b, c, d] = [&quad[0].1, &quad[1].1, &quad[2].1, &quad[3].1];
+        if [b.len(), c.len(), d.len()] == [a.len(); 3] {
+            let mut s = [zero; 4];
+            for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+                s[0] += a;
+                s[1] += b;
+                s[2] += c;
+                s[3] += d;
+            }
+            sums.extend_from_slice(&s);
+        } else {
+            sums.extend(quad.iter().map(per_row));
+        }
+    }
+    sums.extend(quads.remainder().iter().map(per_row));
+    sums
+}
+
 /// Per-SNP inner sums over a `U` dataset, read in place (a task borrows
 /// the partition it scans; no row is copied) at the modeled cost of one
 /// multiply-add per patient per row: the observed `U_j = Σ_i U_ij`
@@ -243,7 +275,7 @@ fn inner_sums(
     u.map_partitions_ctx(move |ctx, _, rows| {
         ctx.add_work(rows.len(), arith_cost);
         let sums: Vec<f64> = match &mc_multipliers {
-            None => rows.iter().map(|(_, c)| c.iter().sum()).collect(),
+            None => row_sums(rows),
             // The grid's kernel at tile width 1: its chain per row is the
             // replicate's fold, four rows advancing together.
             Some(z) => {
@@ -255,6 +287,18 @@ fn inner_sums(
         };
         rows.iter().map(|(snp, _)| *snp).zip(sums).collect()
     })
+}
+
+/// Sorted union of all SNP-sets (Algorithm 1 step 4): the genotype matrix
+/// keeps a SNP exactly when a binary search finds its id here.
+fn set_union(sets: &[SnpSet]) -> Vec<u64> {
+    let mut union: Vec<u64> = sets
+        .iter()
+        .flat_map(|s| s.members.iter().map(|&m| m as u64))
+        .collect();
+    union.sort_unstable();
+    union.dedup();
+    union
 }
 
 impl SparkScoreContext {
@@ -272,17 +316,36 @@ impl SparkScoreContext {
             .lines()
             .map(parse_set_line)
             .collect();
-        let n = phenotypes.len() as f64;
-        let weights_rdd = engine
-            .text_file(&paths.weights)?
-            .map_with_cost(JVM_UNITS_PARSE_WEIGHT_LINE, |l| parse_weight_line(&l));
-        let gm = engine
-            .text_file(&paths.genotypes)?
-            .map_with_cost(n * JVM_UNITS_PARSE_PER_PATIENT, |l| parse_genotype_line(&l));
-        Ok(Self::from_parts(
+        // Both text inputs go from a block's bytes to their records in one
+        // operator, charging what the operator chain each stands for
+        // charged: `textFile` 1 unit a line, then the modeled parse.
+        let weights_rdd = engine.text_file_with(&paths.weights, |ctx, block| {
+            let weights: Vec<(u64, f64)> = block_lines(block).map(parse_weight_line).collect();
+            ctx.add_work(weights.len(), 1.0 + JVM_UNITS_PARSE_WEIGHT_LINE);
+            weights
+        })?;
+        let num_patients = phenotypes.len();
+        let union = engine.broadcast(set_union(&sets));
+        let fgm = engine.text_file_with(&paths.genotypes, move |ctx, block| {
+            ctx.time_span("kernel:ingest", || {
+                let union = union.value();
+                let (packed, lines) = GenotypeBlock::from_text(num_patients, block, |snp| {
+                    union.binary_search(&snp).is_ok()
+                });
+                // `textFile`, `map(parse)`, `filter`, `mapPartitions(pack)`:
+                // four terms, so the modeled cost of a pass is the sum it
+                // was when they were four operators.
+                ctx.add_work(lines, 1.0);
+                ctx.add_work(lines, num_patients as f64 * JVM_UNITS_PARSE_PER_PATIENT);
+                ctx.add_work(lines, 0.5);
+                ctx.add_work(packed.num_snps(), 1.0);
+                vec![packed]
+            })
+        })?;
+        Ok(Self::assemble(
             engine,
             Phenotype::Survival(phenotypes),
-            gm,
+            fgm,
             weights_rdd,
             &sets,
             options,
@@ -330,6 +393,24 @@ impl SparkScoreContext {
         sets: &[SnpSet],
         options: AnalysisOptions,
     ) -> Self {
+        let union = engine.broadcast(set_union(sets));
+        let num_patients = phenotype.num_patients();
+        let fgm = gm
+            .filter(move |(snp, _)| union.value().binary_search(snp).is_ok())
+            .map_partitions(move |_, rows| vec![GenotypeBlock::from_rows(num_patients, rows)]);
+        Self::assemble(engine, phenotype, fgm, weights_rdd, sets, options)
+    }
+
+    /// What every constructor shares once the filtered, packed genotype
+    /// matrix exists: fit the model, index the sets, place the weights.
+    fn assemble(
+        engine: Arc<Engine>,
+        phenotype: Phenotype,
+        fgm: Dataset<GenotypeBlock>,
+        weights_rdd: Dataset<(u64, f64)>,
+        sets: &[SnpSet],
+        options: AnalysisOptions,
+    ) -> Self {
         assert!(!sets.is_empty(), "need at least one SNP-set");
         assert!(options.reduce_partitions > 0);
         // The kernels' thread-local scratch is the one byte-holding
@@ -343,17 +424,13 @@ impl SparkScoreContext {
         );
         let model = Model::fit(&phenotype);
 
-        // Union of all SNP-sets (Algorithm 1 step 4) for the matrix filter.
-        let mut union: Vec<u64> = sets
-            .iter()
-            .flat_map(|s| s.members.iter().map(|&m| m as u64))
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        let max_snp = union.last().map_or(0, |&m| m as usize + 1);
-
         // Dense snp → set lookup (SNPs outside every set are filtered away
         // before this is consulted).
+        let max_snp = sets
+            .iter()
+            .flat_map(|s| &s.members)
+            .max()
+            .map_or(0, |&m| m + 1);
         let mut snp_to_set = vec![u64::MAX; max_snp];
         for set in sets {
             for &m in &set.members {
@@ -361,11 +438,6 @@ impl SparkScoreContext {
             }
         }
 
-        let union_bc = engine.broadcast(union);
-        let num_patients = phenotype.num_patients();
-        let fgm = gm
-            .filter(move |(snp, _)| union_bc.value().binary_search(snp).is_ok())
-            .map_partitions(move |_, rows| vec![GenotypeBlock::from_rows(num_patients, rows)]);
         let snp_to_set = engine.broadcast(snp_to_set);
         let mut set_ids: Vec<u64> = sets.iter().map(|s| s.id).collect();
         set_ids.sort_unstable();
@@ -1186,6 +1258,82 @@ mod tests {
             }
             assert_eq!(format!("{tile_rng:?}"), format!("{column_rng:?}"));
         }
+    }
+
+    #[test]
+    fn row_sums_have_the_bits_of_the_per_row_sum() {
+        // Every row count around the quad width; rows of one length, of
+        // ragged lengths, empty; and the values a reordered or re-seeded
+        // chain would get wrong: all `-0.0` (a fold from `+0.0` gives
+        // `+0.0`), NaN, both infinities, cancellation.
+        let value = |r: usize, i: usize| match (r + 2 * i) % 11 {
+            0 => 1e300,
+            1 => -1e300,
+            2 => 1e-300,
+            k => (k as f64 - 5.5) * 0.1f64.powi((r % 3) as i32),
+        };
+        let special: [Vec<f64>; 5] = [
+            vec![-0.0; 6],
+            vec![1.0, f64::NAN, 2.0, 3.0, 4.0, 5.0],
+            vec![1.0, f64::INFINITY, 2.0, 3.0, 4.0, 5.0],
+            vec![1.0, f64::INFINITY, 2.0, f64::NEG_INFINITY, 4.0, 5.0],
+            vec![],
+        ];
+        for count in 0..=9usize {
+            for ragged in [false, true] {
+                let mut rows: Vec<(u64, Vec<f64>)> = (0..count)
+                    .map(|r| {
+                        let len = if ragged { 6 + (r * r) % 3 } else { 6 };
+                        (r as u64, (0..len).map(|i| value(r, i)).collect())
+                    })
+                    .collect();
+                for at in 0..=count {
+                    for row in &special {
+                        if at < count {
+                            rows[at].1 = row.clone();
+                        }
+                        let want: Vec<u64> = rows
+                            .iter()
+                            .map(|(_, c)| c.iter().sum::<f64>().to_bits())
+                            .collect();
+                        let got: Vec<u64> = row_sums(&rows).iter().map(|s| s.to_bits()).collect();
+                        assert_eq!(got, want, "count={count} ragged={ragged} at={at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_dfs_and_from_memory_pack_the_same_columns() {
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let engine = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(2)
+            .dfs_block_size(4096)
+            .build();
+        let (paths, metas) =
+            sparkscore_data::write_dataset_to_dfs(engine.dfs(), "/cohort", &ds).unwrap();
+        assert!(metas[0].num_blocks() > 2, "genotypes must span blocks");
+        let dfs = SparkScoreContext::from_dfs(engine, &paths, AnalysisOptions::default()).unwrap();
+        let memory = small_context();
+        // Partition boundaries differ (file blocks against an even split);
+        // the columns and their order may not.
+        let columns = |ctx: &SparkScoreContext| -> Vec<(u64, Vec<u8>)> {
+            ctx.fgm
+                .collect()
+                .iter()
+                .flat_map(|block| {
+                    (0..block.num_snps())
+                        .map(|c| (block.snp_id(c), block.column(c).to_vec()))
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        let from_text = columns(&dfs);
+        assert_eq!(from_text.len(), 200);
+        assert_eq!(from_text, columns(&memory));
+        // One block per partition, as `from_rows` leaves it.
+        assert!(dfs.fgm.run_partitions(|p| p.len()).iter().all(|&n| n == 1));
     }
 
     /// Fixed-B options at an explicit tile width.

@@ -10,6 +10,8 @@
 //! * weights — `"<snp_id> <weight>"`;
 //! * SNP-sets — `"<set_id> <snp_id>,<snp_id>,…"`.
 
+use std::io::Write;
+
 use sparkscore_dfs::{Dfs, DfsError, FileMeta};
 use sparkscore_stats::score::Survival;
 use sparkscore_stats::skat::SnpSet;
@@ -137,13 +139,20 @@ pub fn parse_set_line(line: &str) -> SnpSet {
 
 // ---------- whole-file serialization ----------
 
+/// Every row as [`format_genotype_line`] writes it, newline-terminated —
+/// written as bytes into one buffer sized up front (an id is at most 20
+/// digits, then two bytes per patient and the newline).
 pub fn genotypes_to_text(rows: &[SnpRow]) -> String {
-    let mut out = String::new();
+    let width = rows.first().map_or(0, |row| 2 * row.dosages.len() + 21);
+    let mut out = Vec::with_capacity(rows.len() * width);
     for row in rows {
-        out.push_str(&format_genotype_line(row));
-        out.push('\n');
+        write!(out, "{}", row.id).expect("writing to a Vec cannot fail");
+        for &d in &row.dosages {
+            out.extend_from_slice(&[b' ', b'0' + d]);
+        }
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("dosage digits are ASCII")
 }
 
 pub fn phenotypes_to_text(phenotypes: &[Survival]) -> String {
@@ -217,6 +226,20 @@ mod tests {
         let (id, dosages) = parse_genotype_line(&line);
         assert_eq!(id, 42);
         assert_eq!(dosages, row.dosages);
+    }
+
+    #[test]
+    fn genotype_file_is_its_lines_joined() {
+        let ds = GwasDataset::generate(&SyntheticConfig::small(5));
+        let mut rows = ds.genotypes.clone();
+        rows[1].id = u64::MAX;
+        rows[2].dosages[0] = 3;
+        let joined: String = rows
+            .iter()
+            .map(|row| format_genotype_line(row) + "\n")
+            .collect();
+        assert_eq!(genotypes_to_text(&rows), joined);
+        assert_eq!(genotypes_to_text(&[]), "");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! evicts other partitions. The packed block's `EstimateSize` is exact, so
 //! the cache budget reflects real bytes.
 
+use sparkscore_dfs::text::block_lines;
 use sparkscore_rdd::EstimateSize;
 use sparkscore_stats::score::MISSING_DOSAGE;
+
+use crate::io::parse_genotype_line;
 
 /// One partition of SNPs, 2-bit-packed column-major.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,15 +44,119 @@ impl GenotypeBlock {
         }
     }
 
+    /// An empty block with room reserved for `rows` columns. Both packing
+    /// constructors size their vectors here and nowhere else, so blocks
+    /// holding equal rows have equal capacities — what [`EstimateSize`]
+    /// charges the block cache.
+    fn with_room(num_patients: usize, rows: usize) -> Self {
+        let mut block = GenotypeBlock::new(num_patients);
+        block.ids.reserve(rows);
+        block.data.reserve(rows * block.stride);
+        block
+    }
+
     /// Pack a slice of `(snp_id, byte dosages)` rows.
     pub fn from_rows(num_patients: usize, rows: &[(u64, Vec<u8>)]) -> Self {
-        let mut block = GenotypeBlock::new(num_patients);
-        block.ids.reserve(rows.len());
-        block.data.reserve(rows.len() * block.stride);
+        let mut block = GenotypeBlock::with_room(num_patients, rows.len());
         for (id, dosages) in rows {
             block.push_row(*id, dosages);
         }
         block
+    }
+
+    /// Pack the genotype lines of one text block, keeping the SNPs whose
+    /// id `keep` accepts, and count the lines the block held. The result
+    /// is what parsing every line with [`parse_genotype_line`], filtering
+    /// on the id and packing the survivors with
+    /// [`GenotypeBlock::from_rows`] yields — equal field for field and in
+    /// estimated size, panicking where that would — without materializing
+    /// a line or a byte row.
+    ///
+    /// A line written the way `format_genotype_line` writes it is packed
+    /// straight from its bytes (`push_canonical_line`). Every other line —
+    /// and every line that arm turns down — takes `parse_genotype_line`
+    /// and [`GenotypeBlock::push_row`], which stay the definition of the
+    /// format.
+    pub fn from_text(
+        num_patients: usize,
+        block: &[u8],
+        keep: impl Fn(u64) -> bool,
+    ) -> (Self, usize) {
+        // Packed as it is read, into vectors that grow; the kept count
+        // that sizes the result is only known at the end.
+        let mut packed = GenotypeBlock::new(num_patients);
+        let mut lines = 0;
+        let mut pos = 0;
+        while pos < block.len() {
+            lines += 1;
+            pos += match packed.push_canonical_line(&block[pos..], &keep) {
+                Some(consumed) => consumed,
+                None => {
+                    // Find where the line really ends: the fast arm's
+                    // guess may have landed on a later line's newline.
+                    let rest = &block[pos..];
+                    let end = rest
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(rest.len(), |i| i + 1);
+                    let line = block_lines(&rest[..end])
+                        .next()
+                        .expect("a non-empty slice holds a line");
+                    let (id, dosages) = parse_genotype_line(line);
+                    if keep(id) {
+                        packed.push_row(id, &dosages);
+                    }
+                    end
+                }
+            };
+        }
+        let mut out = GenotypeBlock::with_room(num_patients, packed.ids.len());
+        out.ids.extend_from_slice(&packed.ids);
+        out.data.extend_from_slice(&packed.data);
+        (out, lines)
+    }
+
+    /// The fast arm of [`GenotypeBlock::from_text`]: take the line at the
+    /// head of `text` if it is *canonical* — 1 to 19 ASCII digits, then
+    /// exactly `num_patients` × (one space, one of `0 1 2`), then a
+    /// newline or the end of the block — and return the bytes consumed.
+    /// Anything else returns `None` with the block as it was.
+    ///
+    /// The line's end is predicted from the digit count and
+    /// `num_patients`, not searched for. A newline at the predicted offset
+    /// proves nothing by itself (a short line followed by another can put
+    /// one there), but then some separator before it is a newline and not
+    /// a space, which [`scan_dosages`] reports. A line `keep` turns away
+    /// is scanned all the same: a malformed line is an error whether or
+    /// not its SNP is wanted.
+    fn push_canonical_line(&mut self, text: &[u8], keep: impl Fn(u64) -> bool) -> Option<usize> {
+        // 19 digits cannot overflow a u64; a twentieth fails the
+        // separator check below.
+        let digits = text
+            .iter()
+            .take(19)
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let end = digits + 2 * self.num_patients;
+        let ends_here = end == text.len() || text.get(end) == Some(&b'\n');
+        if digits == 0 || self.num_patients == 0 || !ends_here {
+            return None;
+        }
+        let id = text[..digits]
+            .iter()
+            .fold(0u64, |id, &b| id * 10 + u64::from(b - b'0'));
+        let body = &text[digits..end];
+        if keep(id) {
+            let start = self.data.len();
+            if !scan_dosages(body, |byte| self.data.push(byte)) {
+                self.data.truncate(start);
+                return None;
+            }
+            self.ids.push(id);
+        } else if !scan_dosages(body, |_| {}) {
+            return None;
+        }
+        Some((end + 1).min(text.len()))
     }
 
     /// Append one SNP column. Accepts dosages 0/1/2 and the
@@ -163,9 +270,8 @@ impl GenotypeBlock {
     }
 
     /// Visit every `(snp_id, unpacked dosages)` row through one
-    /// caller-provided buffer of length `num_patients` — the
-    /// allocation-free replacement for [`GenotypeBlock::rows`] on export
-    /// and round-trip paths.
+    /// caller-provided buffer of length `num_patients` — no allocation
+    /// per row, for export and round-trip paths.
     pub fn for_each_row(&self, buf: &mut [u8], mut f: impl FnMut(u64, &[u8])) {
         assert_eq!(buf.len(), self.num_patients, "row buffer length mismatch");
         for c in 0..self.num_snps() {
@@ -173,19 +279,44 @@ impl GenotypeBlock {
             f(self.ids[c], buf);
         }
     }
+}
 
-    /// Iterate `(snp_id, unpacked dosages)` rows — the allocating
-    /// interop view (one `Vec` per row; export paths use
-    /// [`GenotypeBlock::for_each_row`], kernels use
-    /// [`GenotypeBlock::unpack_into`] or read [`GenotypeBlock::column`]
-    /// directly).
-    pub fn rows(&self) -> impl Iterator<Item = (u64, Vec<u8>)> + '_ {
-        (0..self.num_snps()).map(|c| {
-            let mut out = vec![0u8; self.num_patients];
-            self.unpack_into(c, &mut out);
-            (self.ids[c], out)
-        })
+/// Check that `body` is a run of (one space, one of `0 1 2`) pairs and
+/// hand `emit` the bytes [`GenotypeBlock::push_row`] would pack from those
+/// dosages, in order. Returns whether the run was well formed; when it was
+/// not, what `emit` received is to be discarded.
+///
+/// Eight text bytes — four pairs — are one little-endian word (whatever
+/// the host's byte order, `from_le_bytes` puts the first text byte lowest).
+/// XOR with the pattern `" 0 0 0 0"` leaves 0 in every separator lane and
+/// the dosage in every digit lane; any other bit, or a digit lane holding
+/// 3, is a violation, OR-ed into one flag that is tested once. With the
+/// lanes clean the four dosages sit at bits 8, 24, 40 and 56, and three
+/// shifts gather them into one byte, first patient lowest.
+fn scan_dosages(body: &[u8], mut emit: impl FnMut(u8)) -> bool {
+    const SPACE_ZERO: u64 = 0x3020_3020_3020_3020;
+    const DOSAGE_BITS: u64 = 0x0300_0300_0300_0300;
+    const DOSAGE_LOW_BIT: u64 = 0x0100_0100_0100_0100;
+    let mut bad = 0u64;
+    let mut words = body.chunks_exact(8);
+    for word in words.by_ref() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of eight")) ^ SPACE_ZERO;
+        bad |= (x & !DOSAGE_BITS) | (x & (x >> 1) & DOSAGE_LOW_BIT);
+        let d = x >> 8;
+        emit((d | d >> 14 | d >> 28 | d >> 42) as u8);
     }
+    // The last `num_patients % 4` pairs share one byte.
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut byte = 0u8;
+        for (i, pair) in rest.chunks_exact(2).enumerate() {
+            let d = pair[1] ^ b'0';
+            bad |= u64::from(pair[0] ^ b' ') | u64::from(d > 2);
+            byte |= (d & 0b11) << (2 * i);
+        }
+        emit(byte);
+    }
+    bad == 0
 }
 
 impl EstimateSize for GenotypeBlock {
@@ -207,10 +338,6 @@ mod tests {
         let block = GenotypeBlock::from_rows(n, rows);
         assert_eq!(block.num_snps(), rows.len());
         assert_eq!(block.num_patients(), n);
-        let back: Vec<(u64, Vec<u8>)> = block.rows().collect();
-        assert_eq!(back, rows);
-        // The non-allocating visitor sees the same rows through one
-        // reused buffer.
         let mut buf = vec![0u8; n];
         let mut visited = Vec::new();
         block.for_each_row(&mut buf, |id, dosages| visited.push((id, dosages.to_vec())));
@@ -277,6 +404,140 @@ mod tests {
         GenotypeBlock::from_rows(3, &[(0, vec![0, 1])]);
     }
 
+    /// The path `from_text` stands for: every line parsed to a byte row,
+    /// rows filtered on the id, survivors packed.
+    fn two_step(n: usize, block: &[u8], keep: impl Fn(u64) -> bool) -> (GenotypeBlock, usize) {
+        let rows: Vec<(u64, Vec<u8>)> = block_lines(block).map(parse_genotype_line).collect();
+        let lines = rows.len();
+        let kept: Vec<(u64, Vec<u8>)> = rows.into_iter().filter(|(id, _)| keep(*id)).collect();
+        (GenotypeBlock::from_rows(n, &kept), lines)
+    }
+
+    fn assert_from_text_matches(n: usize, block: &[u8], keep: impl Fn(u64) -> bool) {
+        let (want, want_lines) = two_step(n, block, &keep);
+        let (got, lines) = GenotypeBlock::from_text(n, block, &keep);
+        let shown = String::from_utf8_lossy(block);
+        assert_eq!(lines, want_lines, "lines of {shown:?}");
+        assert_eq!(got.snp_ids(), want.snp_ids(), "ids of {shown:?}");
+        assert_eq!(got.stride(), want.stride());
+        for c in 0..want.num_snps() {
+            assert_eq!(got.column(c), want.column(c), "column {c} of {shown:?}");
+        }
+        assert_eq!(got.estimate_bytes(), want.estimate_bytes(), "{shown:?}");
+        assert_eq!(got, want);
+    }
+
+    /// Both paths must refuse `block`, whichever lines `keep` wants.
+    fn assert_both_panic(n: usize, block: &[u8]) {
+        for keep_all in [true, false] {
+            let refused =
+                |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+            let shown = String::from_utf8_lossy(block);
+            let reference = refused(&|| drop(two_step(n, block, |_| keep_all)));
+            let fused = refused(&|| drop(GenotypeBlock::from_text(n, block, |_| keep_all)));
+            assert!(reference, "the two-step path accepts {shown:?}");
+            assert!(fused, "from_text accepts {shown:?} (keep = {keep_all})");
+        }
+    }
+
+    /// `"<id> d d … d"` with dosage `i` being `(id + i) % 3`.
+    fn canonical_line(id: u64, n: usize) -> String {
+        let mut line = id.to_string();
+        for i in 0..n {
+            line.push(' ');
+            line.push(char::from(b'0' + (((id % 3) as usize + i) % 3) as u8));
+        }
+        line
+    }
+
+    #[test]
+    fn from_text_edge_blocks() {
+        for n in [1usize, 3, 4, 5, 64, 65] {
+            assert_from_text_matches(n, b"", |_| true);
+            let a = canonical_line(7, n);
+            let b = canonical_line(u64::MAX, n);
+            // With and without the final newline; a 20-digit id that fits.
+            assert_from_text_matches(n, format!("{a}\n{b}\n").as_bytes(), |_| true);
+            assert_from_text_matches(n, format!("{a}\n{b}").as_bytes(), |_| true);
+            // Nothing wanted: an empty block, every line still counted.
+            assert_from_text_matches(n, format!("{a}\n{b}\n").as_bytes(), |_| false);
+            assert_from_text_matches(n, format!("{a}\n{b}\n").as_bytes(), |id| id == 7);
+        }
+    }
+
+    #[test]
+    fn from_text_does_not_glue_a_short_line_to_its_neighbour() {
+        // A line two dosages short, then a line of one dosage: the second
+        // line's newline sits exactly where the first, were it whole, would
+        // end. Nobody wants either SNP, so neither path packs (or measures)
+        // them — and both must see two lines.
+        for n in [4usize, 6, 9] {
+            let short = canonical_line(7, n - 2);
+            let block = format!("{short}\n1 2\n");
+            assert_eq!(block.len(), 1 + 2 * n + 1);
+            assert_from_text_matches(n, block.as_bytes(), |_| false);
+            assert_eq!(
+                GenotypeBlock::from_text(n, block.as_bytes(), |_| false).1,
+                2
+            );
+        }
+    }
+
+    #[test]
+    fn from_text_refuses_what_the_line_parser_refuses() {
+        // 4: whole words only; 6: a word and a two-dosage tail; 9: two
+        // words and a one-dosage tail.
+        for n in [4usize, 6, 9] {
+            let good = canonical_line(7, n);
+            let with = |at: usize, byte: &str| {
+                let mut line = good.clone();
+                line.replace_range(at..at + 1, byte);
+                format!(
+                    "{}\n{line}\n{}\n",
+                    canonical_line(3, n),
+                    canonical_line(8, n)
+                )
+            };
+            for dosage in [1, n - 1] {
+                let at = 2 + 2 * dosage;
+                assert_both_panic(n, with(at, "3").as_bytes());
+                assert_both_panic(n, with(at, "12").as_bytes());
+                assert_both_panic(n, with(at, "é").as_bytes());
+                // A digit where the separator belongs: a token like "001".
+                assert_both_panic(n, with(at - 1, "0").as_bytes());
+            }
+            // A stray byte that is not UTF-8 at all.
+            let mut raw = with(2, "0").into_bytes();
+            raw[2 * n + 4] = 0xFF;
+            assert_both_panic(n, &raw);
+            // No id, a non-numeric id, an id past u64.
+            assert_both_panic(n, format!("{good}\n\n{good}\n").as_bytes());
+            assert_both_panic(n, format!("x{good}\n").as_bytes());
+            assert_both_panic(n, format!("9999999999999999999{good}\n").as_bytes());
+            // One dosage short, with a line of just "1" behind it whose
+            // newline lands where the short line, were it whole, would
+            // end: only the separator test tells them apart.
+            let short = canonical_line(7, n - 1);
+            assert_both_panic(n, format!("{short}\n1\n").as_bytes());
+        }
+        // A wrong dosage count is the packer's to refuse, and only for a
+        // SNP somebody wants.
+        for (n, have) in [(5usize, 4usize), (5, 6)] {
+            let block = format!("{}\n", canonical_line(7, have));
+            for fused in [false, true] {
+                let r = std::panic::catch_unwind(|| {
+                    if fused {
+                        GenotypeBlock::from_text(n, block.as_bytes(), |_| true)
+                    } else {
+                        two_step(n, block.as_bytes(), |_| true)
+                    }
+                });
+                assert!(r.is_err(), "n={n} have={have} fused={fused}");
+            }
+            assert_from_text_matches(n, block.as_bytes(), |_| false);
+        }
+    }
+
     proptest! {
         /// Pack/unpack round-trips all dosage values including the missing
         /// code, at arbitrary cohort sizes and row counts.
@@ -292,8 +553,6 @@ mod tests {
                 .map(|(id, mut d)| { d.resize(n, MISSING_DOSAGE); (id, d) })
                 .collect();
             let block = GenotypeBlock::from_rows(n, &rows);
-            let back: Vec<(u64, Vec<u8>)> = block.rows().collect();
-            prop_assert_eq!(&back, &rows);
             let mut buf = vec![0u8; n];
             let mut visited = Vec::new();
             block.for_each_row(&mut buf, |id, d| visited.push((id, d.to_vec())));
@@ -309,6 +568,50 @@ mod tests {
                 block.for_each_row(&mut short, |_, _| {});
             }));
             prop_assert!(r.is_err());
+        }
+
+        /// `from_text` is the two-step path, field for field, whatever the
+        /// cohort size, the filter, and the way each line is dressed.
+        #[test]
+        fn prop_from_text_equals_parse_filter_pack(
+            n_pick in 0usize..7,
+            lines in proptest::collection::vec(
+                (any::<u64>(), 0u8..6, any::<bool>(), any::<u64>()),
+                0..12,
+            ),
+            final_newline in any::<bool>(),
+        ) {
+            let n = [1usize, 3, 4, 5, 64, 65, 1000][n_pick];
+            let mut text = String::new();
+            let mut wanted = Vec::new();
+            for (k, &(id, dress, keep, mut state)) in lines.iter().enumerate() {
+                // Small ids as well as ones that fill all twenty digits.
+                let id = if state % 2 == 0 { id % 5000 } else { id };
+                if keep {
+                    wanted.push(id);
+                }
+                let tokens: Vec<String> = (0..n)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((state >> 33) % 3).to_string()
+                    })
+                    .collect();
+                let line = match dress {
+                    0 => format!("{id} {}", tokens.join(" ")),
+                    1 => format!("{id}\t{}", tokens.join("\t")),
+                    2 => format!("{id}  {}", tokens.join("  ")),
+                    3 => format!("{id} {} ", tokens.join(" ")),
+                    4 => format!("{id} {}\r", tokens.join(" ")),
+                    _ => format!("+{id} {}", tokens.join(" ")),
+                };
+                text.push_str(&line);
+                if final_newline || k + 1 < lines.len() {
+                    text.push('\n');
+                }
+            }
+            assert_from_text_matches(n, text.as_bytes(), |id| wanted.contains(&id));
         }
     }
 }

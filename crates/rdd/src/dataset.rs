@@ -20,7 +20,7 @@ use crate::ops::narrow::{
     CoalesceOp, FilterOp, FlatMapOp, MapOp, MapPartitionsCtxOp, MapPartitionsOp, SampleOp, UnionOp,
 };
 use crate::ops::shuffled::{Aggregator, CoGroupOp, ShuffledOp};
-use crate::ops::source::{ParallelizeOp, TextFileOp};
+use crate::ops::source::{owned_lines, ParallelizeOp, TextFileOp};
 use crate::ops::{materialize, Data, Op};
 use crate::{OpId, ShuffleId};
 
@@ -75,11 +75,25 @@ impl Engine {
     /// Open a DFS text file as a dataset of lines, one partition per block
     /// with HDFS locality hints (Spark's `sc.textFile`).
     pub fn text_file(self: &Arc<Self>, path: &str) -> Result<Dataset<String>, DfsError> {
+        self.text_file_with(path, owned_lines)
+    }
+
+    /// Open a DFS text file as a dataset of whatever `parse` makes of each
+    /// block's bytes — same partitioning, locality hints and input
+    /// accounting as [`Engine::text_file`], which is this with a parser
+    /// that copies out the lines. A format that can go from text to its
+    /// records directly supplies its own (Spark's custom `InputFormat`),
+    /// and charges the work it models through the task context.
+    pub fn text_file_with<T: Data>(
+        self: &Arc<Self>,
+        path: &str,
+        parse: impl Fn(&crate::TaskCtx<'_>, &[u8]) -> Vec<T> + Send + Sync + 'static,
+    ) -> Result<Dataset<T>, DfsError> {
         let meta = self.dfs().stat(path)?;
         let (id, guard) = register_op(self, "textFile", meta.num_blocks(), vec![], vec![]);
         Ok(Dataset {
             engine: Arc::clone(self),
-            op: Arc::new(TextFileOp::new(id, guard, meta)),
+            op: Arc::new(TextFileOp::new(id, guard, meta, Arc::new(parse))),
         })
     }
 
@@ -100,13 +114,12 @@ impl Engine {
         let mut parents: Vec<Arc<dyn Op<String>>> = Vec::with_capacity(paths.len());
         let mut deps = Vec::with_capacity(paths.len());
         for path in &paths {
-            let meta = self.dfs().stat(path)?;
-            let (id, guard) = register_op(self, "textFile", meta.num_blocks(), vec![], vec![]);
+            let part = self.text_file(path)?;
             deps.push(DepMeta {
-                parent: id,
+                parent: part.id(),
                 shuffle: None,
             });
-            parents.push(Arc::new(TextFileOp::new(id, guard, meta)));
+            parents.push(part.op);
         }
         let total: usize = parents.iter().map(|p| p.num_partitions()).sum();
         let (id, guard) = register_op(self, "textFileDir", total, deps, vec![]);

@@ -12,7 +12,8 @@
 //!   `map_partitions`, `union`, `key_by`, and keyed `reduce_by_key`,
 //!   `group_by_key`, `combine_by_key`, `join`, `co_group`, `partition_by`)
 //!   and eager actions (`collect`, `count`, `reduce`, `fold`, `take`).
-//! * [`Engine`] — builds datasets (`parallelize`, `text_file`), runs jobs
+//! * [`Engine`] — builds datasets (`parallelize`, `text_file`, and
+//!   `text_file_with` for a caller's own block parser), runs jobs
 //!   (stage planning at shuffle boundaries, cache-aware lineage pruning),
 //!   broadcasts read-only values, applies fault plans, and accounts
 //!   deterministic **virtual time** on the configured cluster shape.

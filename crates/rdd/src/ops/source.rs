@@ -61,18 +61,30 @@ impl<T: Data> Op<T> for ParallelizeOp<T> {
     }
 }
 
-/// A DFS text file, one partition per block (`sc.textFile`).
-pub struct TextFileOp {
+/// A DFS text file, one partition per block (`sc.textFile`), with a
+/// caller-supplied parser deciding what records a block's bytes become —
+/// the role a custom `InputFormat` plays in Spark. Locality hints, input
+/// accounting and the block read are this operator's; `parse` runs once
+/// per task on the replica's bytes in place and charges, through the task
+/// context, whatever work it models.
+pub struct TextFileOp<T: Data> {
     id: OpId,
     meta: FileMeta,
+    parse: Arc<dyn Fn(&TaskCtx<'_>, &[u8]) -> Vec<T> + Send + Sync>,
     _guard: OpGuard,
 }
 
-impl TextFileOp {
-    pub(crate) fn new(id: OpId, guard: OpGuard, meta: FileMeta) -> Self {
+impl<T: Data> TextFileOp<T> {
+    pub(crate) fn new(
+        id: OpId,
+        guard: OpGuard,
+        meta: FileMeta,
+        parse: Arc<dyn Fn(&TaskCtx<'_>, &[u8]) -> Vec<T> + Send + Sync>,
+    ) -> Self {
         TextFileOp {
             id,
             meta,
+            parse,
             _guard: guard,
         }
     }
@@ -82,7 +94,14 @@ impl TextFileOp {
     }
 }
 
-impl Op<String> for TextFileOp {
+/// The block parser of a plain `text_file`: one owned `String` per line.
+pub(crate) fn owned_lines(ctx: &TaskCtx<'_>, block: &[u8]) -> Vec<String> {
+    let lines: Vec<String> = block_lines(block).map(str::to_owned).collect();
+    ctx.add_work(lines.len(), 1.0);
+    lines
+}
+
+impl<T: Data> Op<T> for TextFileOp<T> {
     fn id(&self) -> OpId {
         self.id
     }
@@ -91,7 +110,7 @@ impl Op<String> for TextFileOp {
         self.meta.blocks.len()
     }
 
-    fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<String> {
+    fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<T> {
         let engine = ctx.engine();
         let (block_id, bytes) = self.meta.blocks[part];
         ctx.add_preferred_all(&engine.dfs().block_locations(block_id));
@@ -102,9 +121,7 @@ impl Op<String> for TextFileOp {
                 // Unrecoverable: lineage cannot rebuild source data whose
                 // every replica is gone — Spark fails the job here too.
                 panic!("input block lost beyond recovery for {}: {e}", self.meta.path));
-        let lines: Vec<String> = block_lines(&data).map(str::to_owned).collect();
-        ctx.add_work(lines.len(), 1.0);
-        lines
+        (self.parse)(ctx, &data)
     }
 
     fn name(&self) -> &str {

@@ -318,6 +318,40 @@ fn text_file_missing_path_errors() {
 }
 
 #[test]
+fn text_file_with_hands_each_block_to_the_parser_once() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    let e = Engine::builder(ClusterSpec::test_small(3))
+        .host_threads(4)
+        .dfs_block_size(64)
+        .build();
+    let content: String = (0..100).map(|i| format!("{i}\n")).collect();
+    let meta = e.dfs().write_text("/nums.txt", &content).unwrap();
+    assert!(meta.num_blocks() > 1, "the file must span blocks");
+
+    let bytes = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&bytes);
+    let ds = e
+        .text_file_with("/nums.txt", move |ctx, block| {
+            seen.fetch_add(block.len() as u64, Ordering::Relaxed);
+            // One record per block: its partition and its text.
+            vec![(ctx.partition(), String::from_utf8(block.to_vec()).unwrap())]
+        })
+        .unwrap();
+    assert_eq!(ds.num_partitions(), meta.num_blocks());
+    assert!(ds.lineage().contains("textFile"), "{}", ds.lineage());
+
+    // Every block arrives once, under its own partition index, and in
+    // file order the blocks are the file.
+    let (partitions, blocks): (Vec<usize>, Vec<String>) = ds.collect().into_iter().unzip();
+    assert_eq!(partitions, (0..meta.num_blocks()).collect::<Vec<_>>());
+    assert_eq!(blocks.concat(), content);
+    assert_eq!(bytes.load(Ordering::Relaxed), meta.total_bytes);
+    // Input accounting is the operator's, not the parser's.
+    assert_eq!(e.metrics_snapshot().input_bytes, meta.total_bytes);
+}
+
+#[test]
 fn broadcast_value_visible_in_tasks() {
     let e = engine(2);
     let factor = e.broadcast(vec![10u64]);

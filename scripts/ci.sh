@@ -16,8 +16,9 @@ cargo test -q
 echo "== cargo test --release: the bitwise identities on the code that ships =="
 # `cargo test` builds without optimisation, where the perturbation kernel's
 # register tiles are scalar loops; only an optimised build runs the vector
-# instructions the benchmark and the binaries run.
-cargo test --release -q -p sparkscore-stats -p sparkscore-core
+# instructions the benchmark and the binaries run. The same goes for the
+# genotype packer's word arithmetic in sparkscore-data.
+cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -44,6 +45,19 @@ CARGO_TARGET_DIR="$PWD/.bench_build" \
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
 CARGO_TARGET_DIR="$PWD/.bench_build" \
     cargo test --offline --manifest-path benchmark/Cargo.toml
+
+echo "== paper shapes: experiments A, B, C --quick print only shape[PASS] =="
+# `shape_check` only prints; this is where a broken Fig 2-7 shape fails the
+# gate. A harness that prints no shape line at all fails too.
+for experiment in experiment_a experiment_b experiment_c; do
+    output="$(cargo run --release -q -p sparkscore-bench --bin "$experiment" -- --quick)"
+    shapes="$(grep '^shape\[' <<< "$output" || true)"
+    [ -n "$shapes" ] || { echo "$experiment printed no shape check" >&2; exit 1; }
+    if grep -v '^shape\[PASS\]' <<< "$shapes"; then
+        echo "$experiment failed a shape check (see lines above)" >&2
+        exit 1
+    fi
+done
 
 echo "== trace smoke: quickstart event log -> trace report/dot =="
 events_dir="$(mktemp -d)"

@@ -4,12 +4,19 @@
 
 use std::sync::Arc;
 
-use sparkscore_cluster::ClusterSpec;
-use sparkscore_core::{AnalysisOptions, SparkScoreContext};
-use sparkscore_data::{write_dataset_to_dfs, GwasDataset, SyntheticConfig, WeightScheme};
+use sparkscore_cluster::{ClusterSpec, CostModel};
+use sparkscore_core::{AnalysisOptions, Phenotype, ResamplingRun, SparkScoreContext};
+use sparkscore_data::io::{
+    parse_genotype_line, parse_phenotypes_text, parse_set_line, parse_weight_line,
+    phenotypes_to_text,
+};
+use sparkscore_data::{
+    write_dataset_to_dfs, DatasetPaths, GwasDataset, SyntheticConfig, WeightScheme,
+};
 use sparkscore_rdd::Engine;
 use sparkscore_stats::resample;
 use sparkscore_stats::score::CoxScore;
+use sparkscore_stats::skat::SnpSet;
 
 fn engine(nodes: u32) -> Arc<Engine> {
     Engine::builder(ClusterSpec::test_small(nodes))
@@ -162,4 +169,127 @@ fn results_insensitive_to_cluster_shape_and_partitioning() {
             assert!((a.score - b.score).abs() <= 1e-9 * (1.0 + b.score.abs()));
         }
     }
+}
+
+/// The operator chain `from_dfs` stood for before it read blocks straight
+/// into packed genotypes — a `String` per line, a byte row per SNP, filter
+/// and pack inside `from_parts` — at the modeled costs it charged.
+fn operator_chain_context(engine: &Arc<Engine>, paths: &DatasetPaths) -> SparkScoreContext {
+    let phenotypes =
+        parse_phenotypes_text(&engine.dfs().read_to_string(&paths.phenotypes).unwrap());
+    let sets: Vec<SnpSet> = engine
+        .dfs()
+        .read_to_string(&paths.sets)
+        .unwrap()
+        .lines()
+        .map(parse_set_line)
+        .collect();
+    let weights = engine
+        .text_file(&paths.weights)
+        .unwrap()
+        .map_with_cost(40.0, |l| parse_weight_line(&l));
+    let gm = engine
+        .text_file(&paths.genotypes)
+        .unwrap()
+        .map_with_cost(phenotypes.len() as f64 * 400.0, |l| parse_genotype_line(&l));
+    SparkScoreContext::from_parts(
+        Arc::clone(engine),
+        Phenotype::Survival(phenotypes),
+        gm,
+        weights,
+        &sets,
+        AnalysisOptions::default(),
+    )
+}
+
+fn assert_same_run(a: &ResamplingRun, b: &ResamplingRun) {
+    assert_eq!(a.observed, b.observed);
+    assert_eq!(a.counts_ge, b.counts_ge);
+    assert_eq!(a.num_replicates, b.num_replicates);
+}
+
+#[test]
+fn from_dfs_is_the_operator_chain_in_results_and_in_modeled_cost() {
+    let ds = dataset(43);
+    // One engine per side: identical clusters, identical files, and
+    // virtual durations that are a pure function of counted work (no
+    // measured host time), so the clocks compare to the nanosecond.
+    let side = |fused: bool| {
+        let e = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(1)
+            .dfs_block_size(1024)
+            .cost_model(CostModel {
+                cpu_slowdown: 0.0,
+                ..CostModel::default()
+            })
+            .build();
+        let (paths, metas) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
+        assert!(metas[0].num_blocks() > 2 && metas[2].num_blocks() > 1);
+        let ctx = if fused {
+            SparkScoreContext::from_dfs(Arc::clone(&e), &paths, AnalysisOptions::default()).unwrap()
+        } else {
+            operator_chain_context(&e, &paths)
+        };
+        (e, ctx)
+    };
+    let (fused_engine, fused) = side(true);
+    let (chain_engine, chain) = side(false);
+
+    // One observed pass: same scores to the bit, same virtual seconds,
+    // same input and task accounting.
+    let (a, b) = (fused.observed(), chain.observed());
+    assert_eq!(a.scores, b.scores);
+    assert!(a.virtual_secs > 0.0);
+    assert_eq!(a.virtual_secs.to_bits(), b.virtual_secs.to_bits());
+    assert_eq!(
+        fused_engine.virtual_time_secs().to_bits(),
+        chain_engine.virtual_time_secs().to_bits()
+    );
+    let (ma, mb) = (
+        fused_engine.metrics_snapshot(),
+        chain_engine.metrics_snapshot(),
+    );
+    assert!(ma.input_bytes > 0 && ma.input_local_reads > 0);
+    assert_eq!(
+        (ma.input_bytes, ma.input_local_reads, ma.tasks, ma.stages),
+        (mb.input_bytes, mb.input_local_reads, mb.tasks, mb.stages)
+    );
+
+    // Algorithms 2 and 3 re-run that pass per replicate; they agree too.
+    assert_same_run(&fused.permutation(6, 5), &chain.permutation(6, 5));
+    assert_same_run(
+        &fused.monte_carlo(6, 5, true),
+        &chain.monte_carlo(6, 5, true),
+    );
+    assert_eq!(
+        fused_engine.virtual_time_secs().to_bits(),
+        chain_engine.virtual_time_secs().to_bits()
+    );
+}
+
+#[test]
+fn from_dfs_and_from_memory_agree_bit_for_bit_on_one_partition() {
+    // Per-set sums are folded in partition order, so the two loaders can
+    // only be compared exactly where they partition alike: every file in
+    // one block against one in-memory partition. (Several blocks against
+    // the operator chain are pinned above; several blocks against memory,
+    // to a tolerance, in `dfs_and_memory_paths_agree`.) The text format
+    // rounds survival times, so memory gets the times the file holds.
+    let mut ds = dataset(47);
+    ds.phenotypes = parse_phenotypes_text(&phenotypes_to_text(&ds.phenotypes));
+    ds.weights = sparkscore_data::io::weights_to_text(&ds.weights)
+        .lines()
+        .map(|l| parse_weight_line(l).1)
+        .collect();
+    let e = Engine::builder(ClusterSpec::test_small(3))
+        .host_threads(4)
+        .build();
+    let (paths, metas) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
+    assert!(metas.iter().all(|m| m.num_blocks() == 1));
+    let dfs = SparkScoreContext::from_dfs(e, &paths, AnalysisOptions::default()).unwrap();
+    let mem = SparkScoreContext::from_memory(engine(3), &ds, 1, AnalysisOptions::default());
+
+    assert_eq!(dfs.observed().scores, mem.observed().scores);
+    assert_same_run(&dfs.permutation(8, 3), &mem.permutation(8, 3));
+    assert_same_run(&dfs.monte_carlo(8, 3, true), &mem.monte_carlo(8, 3, true));
 }

@@ -208,3 +208,71 @@ fn one_site_counter_reaches_the_trace() {
         "{json}"
     );
 }
+
+/// The ingest operator is visible: a traced observed pass over a DFS-backed
+/// context records one `kernel:ingest` span per genotype block, each inside
+/// the task that read the block, and `trace report` lists the label beside
+/// the scoring kernel's.
+#[test]
+fn ingest_span_sits_under_every_genotype_input_task() {
+    use sparkscore_data::write_dataset_to_dfs;
+
+    let path = log_path("ingest_span");
+    let log = Arc::new(EventLogListener::to_file(&path).expect("temp dir writable"));
+    let engine = Engine::builder(ClusterSpec::test_small(3))
+        .host_threads(4)
+        .dfs_block_size(2048)
+        .listener(Arc::clone(&log) as Arc<dyn EventListener>)
+        .build();
+    let (paths, metas) = write_dataset_to_dfs(engine.dfs(), "/gwas", &dataset()).unwrap();
+    let genotype_blocks = metas[0].num_blocks();
+    assert!(genotype_blocks > 2, "genotypes must span blocks");
+    let ctx = SparkScoreContext::from_dfs(engine, &paths, AnalysisOptions::default()).unwrap();
+    ctx.observed();
+    log.flush().expect("flush event log");
+    let text = std::fs::read_to_string(&path).expect("log written");
+    let trace = ExecutionTrace::parse(&text).expect("parse own log");
+
+    let ingest: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.label == "kernel:ingest")
+        .collect();
+    assert_eq!(ingest.len(), genotype_blocks);
+    let tasks: Vec<_> = trace.stages.iter().flat_map(|s| &s.tasks).collect();
+    let mut parents = Vec::new();
+    for span in &ingest {
+        let task = tasks
+            .iter()
+            .find(|t| t.span.span == span.parent)
+            .expect("an ingest span's parent is a task");
+        assert!(task.input_bytes > 0, "that task read a block");
+        assert!(
+            task.mono_start_ns <= span.start_ns && span.end_ns <= task.mono_end_ns,
+            "the span lies inside its task"
+        );
+        parents.push(span.parent);
+        // The scoring kernel ran in the same task, after the block was
+        // packed.
+        let scored = trace
+            .spans
+            .iter()
+            .find(|s| s.parent == span.parent && s.label == "kernel:contributions")
+            .expect("the ingest task also scores");
+        assert!(span.end_ns <= scored.start_ns);
+    }
+    parents.sort_unstable();
+    parents.dedup();
+    assert_eq!(parents.len(), genotype_blocks, "one span per input task");
+
+    let rendered = report(&trace);
+    let spans_section = rendered.split("== spans ==").nth(1).expect("spans section");
+    assert!(
+        spans_section.contains(&format!(
+            "{:<24} count={genotype_blocks:<6}",
+            "kernel:ingest"
+        )),
+        "{rendered}"
+    );
+    assert!(spans_section.contains("kernel:contributions"), "{rendered}");
+}
