@@ -1,13 +1,13 @@
 //! Experiment A — scalability of Monte Carlo vs permutation resampling.
 //!
 //! Regenerates: **Table II** (inputs), **Figure 2** (runtime vs iteration
-//! count for both methods on 6 nodes), and **Table III** (means and
-//! standard deviations over repeated runs).
+//! count for both methods on 6 nodes), and **Table III** (its means; the
+//! paper's standard deviations over repeated runs have no analogue, since
+//! virtual time is deterministic).
 //!
 //! Paper workload: 1000 patients × 100 000 SNPs × 1000 SNP-sets on
 //! 6 × m3.2xlarge. `--scale N` divides SNPs/sets by N (default 100);
-//! `--paper-scale` runs the full size; `--runs 5` reproduces Table III's
-//! averaging.
+//! `--paper-scale` runs the full size.
 
 use sparkscore_bench::{
     context_on, measure_mc, measure_perm, observe, paper, paper_engine, print_table, secs,
@@ -70,14 +70,14 @@ fn main() {
         .iter()
         .map(|&b| {
             eprintln!("[mc] B = {b} ...");
-            measure_mc(&ctx, b, opts.runs, true)
+            measure_mc(&ctx, b, true)
         })
         .collect();
     let perm: Vec<Measurement> = perm_iters
         .iter()
         .map(|&b| {
             eprintln!("[perm] B = {b} ...");
-            measure_perm(&ctx, b, opts.runs)
+            measure_perm(&ctx, b)
         })
         .collect();
 
@@ -86,10 +86,7 @@ fn main() {
         mc_iters.iter().chain(&perm_iters).copied().collect();
     let mut rows = Vec::new();
     for &b in &all_iters {
-        let fmt = |m: Option<&Measurement>| match m {
-            Some(m) => format!("{} ± {}", secs(m.virtual_secs), secs(m.virtual_std)),
-            None => "N/A".into(),
-        };
+        let fmt = |m: Option<&Measurement>| m.map_or("N/A".into(), |m| secs(m.virtual_secs));
         let paper_fmt = |v: Option<f64>| v.map_or("N/A".into(), secs);
         rows.push(vec![
             b.to_string(),
@@ -175,7 +172,6 @@ fn main() {
     // Pay-as-you-go economics (the paper's cloud motivation; its
     // permutation arm was cut short by "funding limitations").
     let spec = sparkscore_cluster::ClusterSpec::m3_2xlarge(nodes);
-    println!("\n### Pay-as-you-go cost at 2016 EMR rates (6 × m3.2xlarge)\n");
     let mut cost_rows = Vec::new();
     if let Some(m) = mc.last() {
         let c = sparkscore_cluster::estimate_cost(&spec, m.virtual_secs);
@@ -202,7 +198,11 @@ fn main() {
         let c = sparkscore_cluster::estimate_cost(&spec, secs);
         cost_rows.push(vec![label.to_string(), format!("${:.2}", c.total_usd())]);
     }
-    print_table("cost", &["run", "estimated cost"], &cost_rows);
+    print_table(
+        "Pay-as-you-go cost at 2016 EMR rates (6 × m3.2xlarge)",
+        &["run", "estimated cost"],
+        &cost_rows,
+    );
 
     // Machine-readable dump for EXPERIMENTS.md tooling.
     let dump = |ms: &[Measurement]| {
@@ -211,7 +211,6 @@ fn main() {
                 serde_json::json!({
                     "iterations": m.iterations,
                     "virtual_secs": m.virtual_secs,
-                    "virtual_std": m.virtual_std,
                     "wall_secs": m.wall_secs,
                 })
             })
@@ -220,7 +219,6 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "A",
         "scale": opts.scale,
-        "runs": opts.runs,
         "mc": dump(&mc),
         "permutation": dump(&perm),
     });

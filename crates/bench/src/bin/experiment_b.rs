@@ -2,7 +2,7 @@
 //!
 //! Regenerates: **Table IV** (inputs), **Figure 4** (10K SNPs, cached vs
 //! uncached, iterations 10…10 000), **Figure 5** (1M SNPs, iterations
-//! 10…1000), and **Table V** (means and standard deviations, 10K SNPs).
+//! 10…1000), and **Table V** (its means, 10K SNPs).
 //!
 //! Paper workload: 1000 patients on 18 × m3.2xlarge; `--scale N` divides
 //! SNPs/sets (default 100 → 100 and 10 000 SNPs for the two inputs).
@@ -17,7 +17,6 @@ use sparkscore_data::SyntheticConfig;
 fn run_series(
     ctx: &SparkScoreContext,
     iters: &[usize],
-    runs: usize,
     cache: bool,
     label: &str,
 ) -> Vec<Measurement> {
@@ -25,7 +24,7 @@ fn run_series(
         .iter()
         .map(|&b| {
             eprintln!("[{label}] B = {b} ...");
-            measure_mc(ctx, b, runs, cache)
+            measure_mc(ctx, b, cache)
         })
         .collect()
 }
@@ -38,9 +37,7 @@ fn figure(title: &str, cached: &[Measurement], nocache: &[Measurement], with_pap
         let fmt = |ms: &[Measurement]| {
             ms.iter()
                 .find(|m| m.iterations == b)
-                .map_or("N/A".to_string(), |m| {
-                    format!("{} ± {}", secs(m.virtual_secs), secs(m.virtual_std))
-                })
+                .map_or("N/A".to_string(), |m| secs(m.virtual_secs))
         };
         let mut row = vec![b.to_string(), fmt(cached), fmt(nocache)];
         if with_paper {
@@ -161,8 +158,8 @@ fn main() {
     } else {
         vec![0, 10, 100, 200]
     };
-    let cached = run_series(&ctx_small, &cached_iters, opts.runs, true, "10k cached");
-    let nocache = run_series(&ctx_small, &nocache_iters, opts.runs, false, "10k nocache");
+    let cached = run_series(&ctx_small, &cached_iters, true, "10k cached");
+    let nocache = run_series(&ctx_small, &nocache_iters, false, "10k nocache");
     figure(
         "Figure 4 / Table V — 10K SNPs, MC with and without caching (virtual seconds)",
         &cached,
@@ -185,8 +182,8 @@ fn main() {
     } else {
         vec![0, 10, 100]
     };
-    let cached_l = run_series(&ctx_large, &cached_iters_l, opts.runs, true, "1m cached");
-    let nocache_l = run_series(&ctx_large, &nocache_iters_l, opts.runs, false, "1m nocache");
+    let cached_l = run_series(&ctx_large, &cached_iters_l, true, "1m cached");
+    let nocache_l = run_series(&ctx_large, &nocache_iters_l, false, "1m nocache");
     figure(
         "Figure 5 — 1M SNPs, MC with and without caching (virtual seconds)",
         &cached_l,
@@ -201,7 +198,6 @@ fn main() {
                 serde_json::json!({
                     "iterations": m.iterations,
                     "virtual_secs": m.virtual_secs,
-                    "virtual_std": m.virtual_std,
                     "wall_secs": m.wall_secs,
                 })
             })
@@ -210,7 +206,6 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "B",
         "scale": opts.scale,
-        "runs": opts.runs,
         "fig4_cached": dump(&cached),
         "fig4_nocache": dump(&nocache),
         "fig5_cached": dump(&cached_l),

@@ -55,7 +55,7 @@ fn main() {
             .iter()
             .map(|&b| {
                 eprintln!("[scaling] {nodes} nodes, B = {b} ...");
-                measure_mc(&ctx, b, opts.runs, true)
+                measure_mc(&ctx, b, true)
             })
             .collect();
         obs.finish();
@@ -152,7 +152,7 @@ fn main() {
             .iter()
             .map(|&b| {
                 eprintln!("[containers] {} containers, B = {b} ...", shape.containers);
-                measure_mc(&ctx, b, opts.runs, true)
+                measure_mc(&ctx, b, true)
             })
             .collect();
         obs.finish();
@@ -210,7 +210,6 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "C",
         "scale": opts.scale,
-        "runs": opts.runs,
         "fig6_nodes": dump(&fig6),
         "fig7_containers": dump(&fig7),
     });

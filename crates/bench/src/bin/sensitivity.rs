@@ -7,12 +7,93 @@
 //! permutation throughout.
 //!
 //! `--scale N` divides the SNP counts (and the matching set counts) by N.
+//!
+//! Also prints two design ablations at a fixed miniature size (100
+//! patients, 6 nodes), whatever the flags:
+//!
+//! * weights delivery — the paper's shuffle **join** (Algorithm 1 step 9)
+//!   vs a broadcast weight table (two shuffle stages fewer per iteration);
+//! * DFS **block size** — input-partition granularity vs per-task overhead
+//!   for the observed pass.
 
 use sparkscore_bench::{
-    context_on, measure_mc, measure_perm, observe, paper_engine, print_table, secs, shape_check,
-    HarnessOptions, Measurement,
+    context_on, context_with, measure_mc, measure_perm, observe, paper_engine, print_table, secs,
+    shape_check, HarnessOptions, Measurement,
 };
+use sparkscore_cluster::ClusterSpec;
+use sparkscore_core::{AnalysisOptions, SparkScoreContext, WeightsStrategy};
 use sparkscore_data::SyntheticConfig;
+use sparkscore_rdd::Engine;
+
+/// An ablation context: `snps` SNPs × 100 patients in `snps / 20` sets, read
+/// from DFS text in `block_kib` KiB blocks on 6 nodes.
+fn ablation_context(
+    snps: usize,
+    seed: u64,
+    block_kib: usize,
+    weights_strategy: WeightsStrategy,
+) -> SparkScoreContext {
+    let cfg = SyntheticConfig {
+        patients: 100,
+        snps,
+        snp_sets: snps / 20,
+        ..SyntheticConfig::small(seed)
+    };
+    let engine = Engine::builder(ClusterSpec::m3_2xlarge(6))
+        .dfs_block_size(block_kib * 1024)
+        .build();
+    let options = AnalysisOptions {
+        weights_strategy,
+        ..AnalysisOptions::default()
+    };
+    context_with(engine, &cfg, options)
+}
+
+fn ablations() {
+    let mc20 = |strategy| {
+        ablation_context(400, 21, 32, strategy)
+            .monte_carlo(20, 0, true)
+            .virtual_secs
+    };
+    let (join, broadcast) = (
+        mc20(WeightsStrategy::Join),
+        mc20(WeightsStrategy::Broadcast),
+    );
+    let block_kib = [16usize, 64, 512];
+    let observed = block_kib.map(|kib| {
+        ablation_context(800, 23, kib, WeightsStrategy::Join)
+            .observed()
+            .virtual_secs
+    });
+    let mut rows = vec![
+        vec!["weights by join (paper), MC@20".to_string(), secs(join)],
+        vec!["weights by broadcast, MC@20".to_string(), secs(broadcast)],
+    ];
+    for (kib, v) in block_kib.iter().zip(&observed) {
+        rows.push(vec![
+            format!("{kib} KiB DFS blocks, observed pass"),
+            secs(*v),
+        ]);
+    }
+    print_table(
+        "Ablations — weights delivery and DFS block size (virtual seconds)",
+        &["configuration", "virtual seconds"],
+        &rows,
+    );
+    shape_check(
+        &format!(
+            "broadcast weights cheaper than the paper's join ({:+.0}%)",
+            (broadcast / join - 1.0) * 100.0
+        ),
+        broadcast < join,
+    );
+    // ~170 KB of genotype text: 512 KiB leaves one input partition, 16 KiB
+    // spreads eleven over the 48 slots.
+    shape_check(
+        "observed pass speeds up as smaller blocks spread the input over more slots",
+        observed.windows(2).all(|w| w[0] < w[1]),
+    );
+}
 
 fn main() {
     let opts = HarnessOptions::from_args();
@@ -43,10 +124,10 @@ fn main() {
         let engine = paper_engine(nodes, &cfg);
         let obs = observe(&engine, &format!("sensitivity_{iters}x{snps}"));
         let ctx = context_on(engine, &cfg);
-        mc_points.push((label.clone(), measure_mc(&ctx, iters, opts.runs, true)));
+        mc_points.push((label.clone(), measure_mc(&ctx, iters, true)));
         // Permutation at high iteration counts is the expensive half; the
         // paper ran it anyway — so do we (scaled).
-        perm_points.push((label, measure_perm(&ctx, iters, opts.runs)));
+        perm_points.push((label, measure_perm(&ctx, iters)));
         obs.finish();
     }
 
@@ -107,4 +188,6 @@ fn main() {
         }).collect::<Vec<_>>(),
     });
     println!("\nJSON: {json}");
+
+    ablations();
 }

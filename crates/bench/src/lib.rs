@@ -9,7 +9,6 @@
 //! host wall time is reported for transparency.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use sparkscore_cluster::{ClusterSpec, ContainerRequest};
 use sparkscore_core::{AnalysisOptions, ResamplingRun, SparkScoreContext};
@@ -22,8 +21,6 @@ pub struct HarnessOptions {
     /// Divide the paper's SNP/set counts by this factor (default keeps the
     /// runs laptop-sized; `--paper-scale` sets it to 1).
     pub scale: usize,
-    /// Repetitions per configuration (Tables III/V use 5).
-    pub runs: usize,
     /// Skip the most expensive configurations.
     pub quick: bool,
 }
@@ -32,14 +29,13 @@ impl Default for HarnessOptions {
     fn default() -> Self {
         HarnessOptions {
             scale: 100,
-            runs: 1,
             quick: false,
         }
     }
 }
 
 impl HarnessOptions {
-    /// Parse `--scale N`, `--runs N`, `--paper-scale`, `--quick` from the
+    /// Parse `--scale N`, `--paper-scale`, `--quick` from the
     /// process arguments; anything else is rejected with usage help.
     pub fn from_args() -> Self {
         let mut opts = HarnessOptions::default();
@@ -52,52 +48,46 @@ impl HarnessOptions {
                         .and_then(|v| v.parse().ok())
                         .expect("--scale requires a positive integer");
                 }
-                "--runs" => {
-                    opts.runs = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--runs requires a positive integer");
-                }
                 "--paper-scale" => opts.scale = 1,
                 "--quick" => opts.quick = true,
                 other => {
                     eprintln!("unknown argument {other}");
-                    eprintln!("usage: [--scale N] [--runs N] [--paper-scale] [--quick]");
+                    eprintln!("usage: [--scale N | --paper-scale] [--quick]");
                     std::process::exit(2);
                 }
             }
         }
-        assert!(opts.scale >= 1 && opts.runs >= 1);
+        assert!(opts.scale >= 1);
         opts
     }
 }
 
-/// One measured configuration.
+/// One measured configuration: a single run, since virtual time is a pure
+/// function of the configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
     pub iterations: usize,
-    /// Mean virtual cluster seconds over the runs.
+    /// Virtual cluster seconds.
     pub virtual_secs: f64,
-    /// Standard deviation of virtual seconds over the runs.
-    pub virtual_std: f64,
-    /// Mean host wall seconds.
+    /// Host wall seconds.
     pub wall_secs: f64,
 }
 
-/// Mean and (population) standard deviation.
-pub fn mean_std(values: &[f64]) -> (f64, f64) {
-    assert!(!values.is_empty());
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    (mean, var.sqrt())
+impl Measurement {
+    fn of(iterations: usize, run: &ResamplingRun) -> Self {
+        Measurement {
+            iterations,
+            virtual_secs: run.virtual_secs,
+            wall_secs: run.wall.as_secs_f64(),
+        }
+    }
 }
 
 /// DFS block size giving ~16 input partitions for the workload's genotype
 /// file — the block-count regime the paper's HDFS layout produced (its
 /// 100K-SNP matrix spans ~2 x 128 MiB blocks, the 1M-SNP one ~16), which
 /// bounds map-side parallelism below the slot count just as EMR did.
-fn block_size_for(cfg: &SyntheticConfig, _slots: usize) -> usize {
+fn block_size_for(cfg: &SyntheticConfig) -> usize {
     // ~2 characters per dosage plus the SNP id prefix, per line.
     let text_bytes = cfg.snps * (2 * cfg.patients + 8);
     (text_bytes / 16).clamp(16 * 1024, 128 * 1024 * 1024)
@@ -106,16 +96,15 @@ fn block_size_for(cfg: &SyntheticConfig, _slots: usize) -> usize {
 /// Build an engine shaped like the paper's cluster, with DFS blocks sized
 /// for the workload.
 pub fn paper_engine(nodes: u32, cfg: &SyntheticConfig) -> Arc<Engine> {
-    let slots = nodes as usize * 8;
     Engine::builder(ClusterSpec::m3_2xlarge(nodes))
-        .dfs_block_size(block_size_for(cfg, slots))
+        .dfs_block_size(block_size_for(cfg))
         .build()
 }
 
 /// Engine with an explicit YARN container allocation (experiment C).
 pub fn container_engine(nodes: u32, req: ContainerRequest, cfg: &SyntheticConfig) -> Arc<Engine> {
     Engine::builder(ClusterSpec::m3_2xlarge(nodes))
-        .dfs_block_size(block_size_for(cfg, req.total_slots() as usize))
+        .dfs_block_size(block_size_for(cfg))
         .containers(req)
         .build()
 }
@@ -123,9 +112,8 @@ pub fn container_engine(nodes: u32, req: ContainerRequest, cfg: &SyntheticConfig
 /// Engine whose block-cache budget is constrained to `bytes` — used to
 /// model the memory pressure behind the paper's superlinear Fig 6 scaling.
 pub fn pressured_engine(nodes: u32, cache_budget: u64, cfg: &SyntheticConfig) -> Arc<Engine> {
-    let slots = nodes as usize * 8;
     Engine::builder(ClusterSpec::m3_2xlarge(nodes))
-        .dfs_block_size(block_size_for(cfg, slots))
+        .dfs_block_size(block_size_for(cfg))
         .cache_budget_bytes(cache_budget)
         .build()
 }
@@ -256,13 +244,22 @@ pub fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
 /// recomputation really pays the HDFS-read-and-parse cost that drives the
 /// paper's caching results.
 pub fn context_on(engine: Arc<Engine>, cfg: &SyntheticConfig) -> SparkScoreContext {
-    let dataset = GwasDataset::generate(cfg);
-    let (paths, _) = sparkscore_data::write_dataset_to_dfs(engine.dfs(), "/bench", &dataset)
-        .expect("fresh engine has an empty DFS");
     let options = AnalysisOptions {
         reduce_partitions: (engine.layout().total_slots() / 2).clamp(4, 64),
         ..AnalysisOptions::default()
     };
+    context_with(engine, cfg, options)
+}
+
+/// [`context_on`] with the analysis options spelled out (the ablations).
+pub fn context_with(
+    engine: Arc<Engine>,
+    cfg: &SyntheticConfig,
+    options: AnalysisOptions,
+) -> SparkScoreContext {
+    let dataset = GwasDataset::generate(cfg);
+    let (paths, _) = sparkscore_data::write_dataset_to_dfs(engine.dfs(), "/bench", &dataset)
+        .expect("fresh engine has an empty DFS");
     SparkScoreContext::from_dfs(engine, &paths, options).expect("inputs just written")
 }
 
@@ -273,53 +270,13 @@ pub fn u_rdd_bytes(cfg: &SyntheticConfig) -> u64 {
 }
 
 /// Run Monte Carlo resampling and convert to a measurement series entry.
-pub fn measure_mc(
-    ctx: &SparkScoreContext,
-    iterations: usize,
-    runs: usize,
-    cache: bool,
-) -> Measurement {
-    let mut virtuals = Vec::with_capacity(runs);
-    let mut walls = Vec::with_capacity(runs);
-    for r in 0..runs {
-        let run = ctx.monte_carlo(iterations, 1000 + r as u64, cache);
-        virtuals.push(run.virtual_secs);
-        walls.push(run.wall.as_secs_f64());
-    }
-    let (virtual_secs, virtual_std) = mean_std(&virtuals);
-    let (wall_secs, _) = mean_std(&walls);
-    Measurement {
-        iterations,
-        virtual_secs,
-        virtual_std,
-        wall_secs,
-    }
+pub fn measure_mc(ctx: &SparkScoreContext, iterations: usize, cache: bool) -> Measurement {
+    Measurement::of(iterations, &ctx.monte_carlo(iterations, 1000, cache))
 }
 
 /// Run permutation resampling and convert to a measurement.
-pub fn measure_perm(ctx: &SparkScoreContext, iterations: usize, runs: usize) -> Measurement {
-    let mut virtuals = Vec::with_capacity(runs);
-    let mut walls = Vec::with_capacity(runs);
-    for r in 0..runs {
-        let run = ctx.permutation(iterations, 2000 + r as u64);
-        virtuals.push(run.virtual_secs);
-        walls.push(run.wall.as_secs_f64());
-    }
-    let (virtual_secs, virtual_std) = mean_std(&virtuals);
-    let (wall_secs, _) = mean_std(&walls);
-    Measurement {
-        iterations,
-        virtual_secs,
-        virtual_std,
-        wall_secs,
-    }
-}
-
-/// Convert a resampling run's virtual seconds into a `Duration` (for
-/// Criterion's `iter_custom`, so benches report *virtual cluster time*,
-/// the paper's y-axis).
-pub fn virtual_duration(run: &ResamplingRun) -> Duration {
-    Duration::from_secs_f64(run.virtual_secs.max(1e-9))
+pub fn measure_perm(ctx: &SparkScoreContext, iterations: usize) -> Measurement {
+    Measurement::of(iterations, &ctx.permutation(iterations, 2000))
 }
 
 // ---------- table printing ----------
@@ -387,15 +344,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_std_basics() {
-        let (m, s) = mean_std(&[2.0, 4.0]);
-        assert_eq!(m, 3.0);
-        assert_eq!(s, 1.0);
-        let (m1, s1) = mean_std(&[5.0]);
-        assert_eq!((m1, s1), (5.0, 0.0));
-    }
-
-    #[test]
     fn paper_lookup() {
         assert_eq!(
             paper::lookup(&paper::TABLE_III_ITERS, &paper::TABLE_III_MC, 1000),
@@ -428,8 +376,8 @@ mod tests {
         cfg.snps = 60;
         cfg.snp_sets = 4;
         let ctx = context_on(paper_engine(2, &cfg), &cfg);
-        let mc = measure_mc(&ctx, 3, 2, true);
-        let perm = measure_perm(&ctx, 3, 1);
+        let mc = measure_mc(&ctx, 3, true);
+        let perm = measure_perm(&ctx, 3);
         assert!(mc.virtual_secs > 0.0);
         assert!(perm.virtual_secs > mc.virtual_secs * 0.5);
         assert_eq!(mc.iterations, 3);

@@ -11,7 +11,7 @@
 //!   (executor) requests onto nodes and yields the executor/slot layout
 //!   (`--num-executors/--executor-memory/--executor-cores` in the paper's
 //!   auto-tuning experiment, Tables VII/VIII).
-//! * [`cost`] — the calibrated cost model translating work done by a task
+//! * [`cost`] — the fixed rates translating work counted by a task
 //!   (records processed, bytes read/shuffled) into virtual nanoseconds.
 //! * [`vtime`] — a deterministic list scheduler that assigns task costs to
 //!   the cluster's virtual slots and computes job makespans; this is what
@@ -33,7 +33,6 @@ pub mod resource;
 pub mod topology;
 pub mod vtime;
 
-pub use cost::CostModel;
 pub use fault::{FaultEvent, FaultPlan};
 pub use instance::{InstanceType, M3_2XLARGE};
 pub use pricing::{estimate_cost, on_demand_hourly_usd, CostEstimate};

@@ -2,10 +2,10 @@
 //!
 //! The reproduction cannot rent 6–36 EC2 nodes, so cluster-scaling results
 //! (paper Figs 6 and 7) come from a deterministic simulation: every task's
-//! cost (from [`crate::cost::CostModel`]) is list-scheduled onto the virtual
-//! slots of the configured [`crate::resource::ExecutorLayout`], with
-//! locality-aware input-read costs, and the job's *virtual duration* is the
-//! resulting makespan. A [`VirtualClock`] accumulates makespans across the
+//! cost (its counted work at the rates in [`crate::cost`]) is list-scheduled
+//! onto the virtual slots of the configured
+//! [`crate::resource::ExecutorLayout`], with locality-aware input-read
+//! costs, and the job's *virtual duration* is the resulting makespan. A [`VirtualClock`] accumulates makespans across the
 //! jobs of an analysis (e.g. one observed pass + B resampling iterations).
 //!
 //! List scheduling (greedy earliest-finish-time) is the same policy family
@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cost::CostModel;
+use crate::cost::{transfer_ns, REMOTE_FETCH_LATENCY_NS, TASK_OVERHEAD_NS};
 use crate::instance::InstanceType;
 use crate::resource::ExecutorLayout;
 use crate::topology::NodeId;
@@ -25,7 +25,8 @@ use crate::topology::NodeId;
 /// task has really executed (costs are known, results are already computed).
 #[derive(Debug, Clone)]
 pub struct VirtualTask {
-    /// Pure compute cost in virtual ns (work counters × cost model).
+    /// Pure compute cost in virtual ns ([`crate::cost::compute_ns`] of the
+    /// task's counted work units).
     pub compute_ns: u64,
     /// Bytes of input read from the DFS or a cached block.
     pub input_bytes: u64,
@@ -77,12 +78,11 @@ pub struct VirtualScheduler {
     slots: Vec<(u32, NodeId, u64)>,
     disk_bw: u64,
     net_bw: u64,
-    model: CostModel,
     num_nodes: usize,
 }
 
 impl VirtualScheduler {
-    pub fn new(layout: &ExecutorLayout, instance: &InstanceType, model: CostModel) -> Self {
+    pub fn new(layout: &ExecutorLayout, instance: &InstanceType) -> Self {
         let mut slots = Vec::with_capacity(layout.total_slots());
         for exec in layout.executors() {
             for _ in 0..exec.cores {
@@ -90,23 +90,11 @@ impl VirtualScheduler {
             }
         }
         assert!(!slots.is_empty(), "layout provides no task slots");
-        let disk_bw = if model.disk_bandwidth_override > 0 {
-            model.disk_bandwidth_override
-        } else {
-            instance.disk_bandwidth
-        };
-        let net_bw = if model.network_bandwidth_override > 0 {
-            model.network_bandwidth_override
-        } else {
-            instance.network_bandwidth
-        };
-        let num_nodes = layout.nodes().len().max(1);
         VirtualScheduler {
             slots,
-            disk_bw,
-            net_bw,
-            model,
-            num_nodes,
+            disk_bw: instance.disk_bandwidth,
+            net_bw: instance.network_bandwidth,
+            num_nodes: layout.nodes().len().max(1),
         }
     }
 
@@ -120,10 +108,9 @@ impl VirtualScheduler {
         let input_ns = if task.input_bytes == 0 {
             0
         } else if local {
-            CostModel::transfer_ns(task.input_bytes, self.disk_bw)
+            transfer_ns(task.input_bytes, self.disk_bw)
         } else {
-            self.model.remote_fetch_latency_ns
-                + CostModel::transfer_ns(task.input_bytes, self.net_bw)
+            REMOTE_FETCH_LATENCY_NS + transfer_ns(task.input_bytes, self.net_bw)
         };
         // Shuffle reads: approximately (n-1)/n of the bytes cross the
         // network on an n-node cluster.
@@ -132,11 +119,10 @@ impl VirtualScheduler {
         } else {
             let remote = task.shuffle_bytes * (self.num_nodes as u64 - 1) / self.num_nodes as u64;
             let local_bytes = task.shuffle_bytes - remote;
-            CostModel::transfer_ns(remote, self.net_bw)
-                + CostModel::transfer_ns(local_bytes, self.disk_bw)
+            transfer_ns(remote, self.net_bw) + transfer_ns(local_bytes, self.disk_bw)
         };
         (
-            self.model.task_overhead_ns + task.compute_ns + input_ns + shuffle_ns,
+            TASK_OVERHEAD_NS + task.compute_ns + input_ns + shuffle_ns,
             local && task.input_bytes > 0,
         )
     }
@@ -263,7 +249,7 @@ mod tests {
     fn sched(nodes: u32) -> VirtualScheduler {
         let cluster = Arc::new(Cluster::provision(ClusterSpec::test_small(nodes)));
         let layout = ResourceManager::new(Arc::clone(&cluster)).one_executor_per_node();
-        VirtualScheduler::new(&layout, &TEST_SMALL, CostModel::default())
+        VirtualScheduler::new(&layout, &TEST_SMALL)
     }
 
     fn flat_tasks(n: usize, compute_ns: u64) -> Vec<VirtualTask> {
@@ -281,17 +267,14 @@ mod tests {
     fn single_task_duration_includes_overhead() {
         let mut s = sched(1);
         let out = s.schedule(&flat_tasks(1, 1_000_000));
-        assert_eq!(
-            out.makespan_ns,
-            1_000_000 + CostModel::default().task_overhead_ns
-        );
+        assert_eq!(out.makespan_ns, 1_000_000 + TASK_OVERHEAD_NS);
     }
 
     #[test]
     fn perfect_parallelism_within_slots() {
         let mut s = sched(2); // 4 slots
         let out = s.schedule(&flat_tasks(4, 10_000_000));
-        let one = 10_000_000 + CostModel::default().task_overhead_ns;
+        let one = 10_000_000 + TASK_OVERHEAD_NS;
         assert_eq!(
             out.makespan_ns, one,
             "4 equal tasks on 4 slots take 1 task-time"
@@ -302,7 +285,7 @@ mod tests {
     fn oversubscription_serializes_waves() {
         let mut s = sched(1); // 2 slots
         let out = s.schedule(&flat_tasks(4, 10_000_000));
-        let one = 10_000_000 + CostModel::default().task_overhead_ns;
+        let one = 10_000_000 + TASK_OVERHEAD_NS;
         assert_eq!(out.makespan_ns, 2 * one, "4 tasks on 2 slots = 2 waves");
     }
 

@@ -11,7 +11,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use sparkscore_cluster::{CostModel, NodeId, VirtualTask};
+use sparkscore_cluster::{cost, NodeId, VirtualTask};
 
 use crate::counters::{TaskCounter, TaskCounters};
 use crate::engine::Engine;
@@ -229,20 +229,10 @@ impl<'a> TaskCtx<'a> {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Convert the task's measurements into a schedulable virtual task.
-    ///
-    /// The compute cost is the task's **measured host execution time**
-    /// scaled by [`CostModel::cpu_slowdown`] (modelling the JVM/Spark
-    /// record pipeline the paper ran on), plus any explicitly counted
-    /// record work. Measuring — rather than counting records — captures
-    /// the real asymmetry between, say, parsing a genotype line (~µs) and
-    /// one multiply-add (~ns), which is exactly the asymmetry behind the
-    /// paper's cached-Monte-Carlo speedups.
-    pub fn to_virtual_task(&self, model: &CostModel) -> VirtualTask {
-        let measured_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Convert the task's counted work into a schedulable virtual task.
+    pub fn to_virtual_task(&self) -> VirtualTask {
         VirtualTask {
-            compute_ns: model.task_compute_ns(measured_ns)
-                + model.compute_ns(self.work_units.get()),
+            compute_ns: cost::compute_ns(self.work_units.get()),
             input_bytes: self.input_bytes.get(),
             preferred_nodes: self.preferred.borrow().clone(),
             shuffle_bytes: self.shuffle_read_bytes.get(),
@@ -282,7 +272,7 @@ mod tests {
         ctx.add_preferred(NodeId(1));
         ctx.add_preferred(NodeId(1));
         ctx.add_preferred_all(&[NodeId(0), NodeId(1)]);
-        let vt = ctx.to_virtual_task(&CostModel::default());
+        let vt = ctx.to_virtual_task();
         assert_eq!(vt.preferred_nodes, vec![NodeId(1), NodeId(0)]);
     }
 
@@ -292,28 +282,29 @@ mod tests {
         let ctx = TaskCtx::new(&e, 0);
         ctx.add_work(1000, 1.0);
         ctx.add_input_bytes(77);
-        let model = CostModel {
-            ns_per_record_unit: 10.0,
-            ..CostModel::default()
-        };
-        let vt = ctx.to_virtual_task(&model);
-        // Counter-based floor plus the (tiny) measured execution time.
-        assert!(vt.compute_ns >= 10_000, "compute {}", vt.compute_ns);
+        let vt = ctx.to_virtual_task();
+        assert_eq!(vt.compute_ns, cost::compute_ns(1000.0));
         assert_eq!(vt.input_bytes, 77);
         assert_eq!(vt.shuffle_bytes, 0);
     }
 
     #[test]
-    fn measured_time_contributes_to_compute_cost() {
-        let e = engine();
-        let ctx = TaskCtx::new(&e, 0);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let vt = ctx.to_virtual_task(&CostModel::default());
-        // 5 ms measured × default slowdown (4×) ≥ 20 ms virtual.
-        assert!(
-            vt.compute_ns >= 20_000_000,
-            "measured time must be scaled in: {}",
-            vt.compute_ns
-        );
+    fn a_slower_task_costs_the_same_virtual_time() {
+        let run = |per_task: std::time::Duration| {
+            let e = engine();
+            let out = e
+                .parallelize((0..64u64).collect(), 4)
+                .map_partitions(move |_, part| {
+                    std::thread::sleep(per_task);
+                    part.iter().map(|x| x + 1).collect()
+                })
+                .collect();
+            (out, e.virtual_time_secs())
+        };
+        let (fast_out, fast) = run(std::time::Duration::ZERO);
+        let (slow_out, slow) = run(std::time::Duration::from_millis(5));
+        assert_eq!(fast_out, slow_out);
+        assert!(fast > 0.0);
+        assert_eq!(fast.to_bits(), slow.to_bits(), "{fast} vs {slow}");
     }
 }

@@ -22,8 +22,8 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 use sparkscore_cluster::{
-    Cluster, ClusterSpec, ContainerRequest, CostModel, ExecutorLayout, FaultEvent, FaultPlan,
-    NodeId, ResourceManager, VirtualClock, VirtualScheduler, VirtualTask,
+    cost, Cluster, ClusterSpec, ContainerRequest, ExecutorLayout, FaultEvent, FaultPlan, NodeId,
+    ResourceManager, VirtualClock, VirtualScheduler, VirtualTask,
 };
 use sparkscore_dfs::Dfs;
 
@@ -46,7 +46,6 @@ pub struct EngineBuilder {
     dfs_block_size: usize,
     dfs_replication: Option<usize>,
     containers: Option<ContainerRequest>,
-    cost_model: CostModel,
     /// Fraction of granted executor memory usable as block-cache storage
     /// (Spark's `spark.memory.fraction × storageFraction` ≈ 0.3; we default
     /// to 0.5 of the executor grant).
@@ -64,7 +63,6 @@ impl EngineBuilder {
             dfs_block_size: sparkscore_dfs::DEFAULT_BLOCK_SIZE,
             dfs_replication: None,
             containers: None,
-            cost_model: CostModel::default(),
             cache_fraction: 0.5,
             cache_budget_override: None,
             host_threads: None,
@@ -89,11 +87,6 @@ impl EngineBuilder {
     /// node (the paper's auto-tuning experiment).
     pub fn containers(mut self, req: ContainerRequest) -> Self {
         self.containers = Some(req);
-        self
-    }
-
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
         self
     }
 
@@ -148,8 +141,7 @@ impl EngineBuilder {
         let cache_budget = self
             .cache_budget_override
             .unwrap_or_else(|| (layout.total_memory_bytes() as f64 * self.cache_fraction) as u64);
-        let vsched =
-            VirtualScheduler::new(&layout, &cluster.spec().instance, self.cost_model.clone());
+        let vsched = VirtualScheduler::new(&layout, &cluster.spec().instance);
         let host_threads = self
             .host_threads
             .unwrap_or_else(|| {
@@ -175,7 +167,6 @@ impl EngineBuilder {
             cluster,
             dfs,
             layout,
-            cost_model: self.cost_model,
             cache: CacheManager::with_ledger(cache_budget, Arc::clone(&ledger)),
             shuffle: ShuffleManager::with_ledger(Arc::clone(&ledger)),
             ledger,
@@ -205,7 +196,6 @@ pub struct Engine {
     cluster: Arc<Cluster>,
     dfs: Arc<Dfs>,
     layout: ExecutorLayout,
-    cost_model: CostModel,
     pub(crate) cache: CacheManager,
     pub(crate) shuffle: ShuffleManager,
     ledger: Arc<MemoryLedger>,
@@ -245,10 +235,6 @@ impl Engine {
 
     pub fn layout(&self) -> &ExecutorLayout {
         &self.layout
-    }
-
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
     }
 
     pub fn cache_budget_bytes(&self) -> u64 {
@@ -394,13 +380,9 @@ impl Engine {
     pub fn broadcast<T: EstimateSize + Send + Sync>(&self, value: T) -> Broadcast<T> {
         let bytes = value.estimate_bytes() as u64;
         let nodes = self.cluster.num_alive().max(1) as u64;
-        let net_bw = if self.cost_model.network_bandwidth_override > 0 {
-            self.cost_model.network_bandwidth_override
-        } else {
-            self.cluster.spec().instance.network_bandwidth
-        };
+        let net_bw = self.cluster.spec().instance.network_bandwidth;
         self.vclock
-            .advance(CostModel::transfer_ns(bytes * (nodes - 1), net_bw));
+            .advance(cost::transfer_ns(bytes * (nodes - 1), net_bw));
         Metrics::bump(&self.metrics.broadcasts);
         Metrics::add(&self.metrics.broadcast_bytes, bytes);
         Broadcast {
@@ -506,7 +488,7 @@ impl Engine {
                 let mono_start = if observed { self.mono_ns() } else { 0 };
                 let ctx = TaskCtx::with_span(self, parts[i], task_span);
                 let r = f(parts[i], &ctx);
-                let vt = ctx.to_virtual_task(&self.cost_model);
+                let vt = ctx.to_virtual_task();
                 // Virtual placement is only known once the whole batch is
                 // list-scheduled below; record the measured half now.
                 let m = observed.then(|| TaskMetrics {
@@ -568,7 +550,7 @@ impl Engine {
             std::panic::resume_unwind(payload);
         }
         let outcome = self.vsched.lock().schedule(&vtasks);
-        self.vclock.advance(self.cost_model.stage_overhead_ns);
+        self.vclock.advance(cost::STAGE_OVERHEAD_NS);
         Metrics::add(&self.metrics.input_local_reads, outcome.local_reads as u64);
         if observed {
             // One flush per stage: TaskEnd per task in partition order

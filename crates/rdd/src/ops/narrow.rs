@@ -17,7 +17,7 @@ use crate::OpId;
 /// `map`: apply `f` to every record.
 ///
 /// `cost_units` is the modeled per-record cost of `f` in work units (one
-/// unit = [`sparkscore_cluster::CostModel::ns_per_record_unit`] virtual
+/// unit = [`sparkscore_cluster::cost::NS_PER_RECORD_UNIT`] virtual
 /// ns). The engine cannot see inside the closure, so pipelines whose
 /// per-record cost on the reference platform (the paper's JVM/Spark
 /// stack) differs wildly from the native Rust cost — text tokenization

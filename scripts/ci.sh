@@ -26,12 +26,20 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-echo "== engine stays generic: no application counter names in the engine or analyzer =="
+echo "== one definition site: application counters in crates/core, task cost in cluster::cost =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started
 # hand-threading a counter again.
 if grep -rnE 'kernel_rows|scratch_reuses|replicates_(run|saved)' crates/rdd/src crates/obs/src; then
     echo "engine/analyzer source names an application counter (see matches above)" >&2
+    exit 1
+fi
+# Virtual time has one definition, counted work at the fixed rates of
+# crates/cluster/src/cost.rs. A multiplier on measured task time, or a sampling
+# harness around a quantity that cannot vary, is a second one coming back.
+# (One-letter brackets so that a grep for these names does not find this line.)
+if grep -rnE 'cpu_[s]lowdown|task_[c]ompute_ns|[c]riterion::' crates tests; then
+    echo "measured host time or a criterion harness is back on the virtual axis (see matches above)" >&2
     exit 1
 fi
 
@@ -46,10 +54,10 @@ CARGO_TARGET_DIR="$PWD/.bench_build" \
 CARGO_TARGET_DIR="$PWD/.bench_build" \
     cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "== paper shapes: experiments A, B, C --quick print only shape[PASS] =="
+echo "== paper shapes: experiments A, B, C and sensitivity --quick print only shape[PASS] =="
 # `shape_check` only prints; this is where a broken Fig 2-7 shape fails the
 # gate. A harness that prints no shape line at all fails too.
-for experiment in experiment_a experiment_b experiment_c; do
+for experiment in experiment_a experiment_b experiment_c sensitivity; do
     output="$(cargo run --release -q -p sparkscore-bench --bin "$experiment" -- --quick)"
     shapes="$(grep '^shape\[' <<< "$output" || true)"
     [ -n "$shapes" ] || { echo "$experiment printed no shape check" >&2; exit 1; }
@@ -58,6 +66,22 @@ for experiment in experiment_a experiment_b experiment_c; do
         exit 1
     fi
 done
+
+echo "== paper axis is reproducible: experiment_a --quick twice, identical but for host wall time =="
+# Two runs must print the same tables, JSON and per-stage summary once the
+# host-wall fields are cut out: "wall_secs" in the JSON: line and the last
+# column of the summary's rows.
+virtual_only() {
+    cargo run --release -q -p sparkscore-bench --bin experiment_a -- --quick \
+        | sed -E -e 's/"wall_secs":[0-9.e+-]+//g' \
+                 -e '/^\| [0-9]+ \| [0-9]+ \| [A-Za-z]+ \|/s/ [^|]+ \|$//'
+}
+first_run="$(virtual_only)"
+second_run="$(virtual_only)"
+if ! diff <(echo "$first_run") <(echo "$second_run"); then
+    echo "experiment_a printed different virtual-time output on two runs (see diff above)" >&2
+    exit 1
+fi
 
 echo "== trace smoke: quickstart event log -> trace report/dot =="
 events_dir="$(mktemp -d)"

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use sparkscore_cluster::{ClusterSpec, CostModel};
+use sparkscore_cluster::ClusterSpec;
 use sparkscore_core::{AnalysisOptions, Phenotype, ResamplingRun, SparkScoreContext};
 use sparkscore_data::io::{
     parse_genotype_line, parse_phenotypes_text, parse_set_line, parse_weight_line,
@@ -212,16 +212,12 @@ fn assert_same_run(a: &ResamplingRun, b: &ResamplingRun) {
 fn from_dfs_is_the_operator_chain_in_results_and_in_modeled_cost() {
     let ds = dataset(43);
     // One engine per side: identical clusters, identical files, and
-    // virtual durations that are a pure function of counted work (no
-    // measured host time), so the clocks compare to the nanosecond.
+    // virtual durations are a pure function of counted work, so the clocks
+    // compare to the nanosecond.
     let side = |fused: bool| {
         let e = Engine::builder(ClusterSpec::test_small(3))
             .host_threads(1)
             .dfs_block_size(1024)
-            .cost_model(CostModel {
-                cpu_slowdown: 0.0,
-                ..CostModel::default()
-            })
             .build();
         let (paths, metas) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
         assert!(metas[0].num_blocks() > 2 && metas[2].num_blocks() > 1);
@@ -265,6 +261,34 @@ fn from_dfs_is_the_operator_chain_in_results_and_in_modeled_cost() {
         fused_engine.virtual_time_secs().to_bits(),
         chain_engine.virtual_time_secs().to_bits()
     );
+}
+
+#[test]
+fn virtual_time_repeats_to_the_bit_across_runs_and_host_threads() {
+    let ds = dataset(43);
+    // Bit patterns of every virtual duration the analysis reports, then of
+    // the engine's clock.
+    let run = |host_threads: usize| {
+        let e = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(host_threads)
+            .dfs_block_size(1024)
+            .build();
+        let (paths, _) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
+        let ctx = SparkScoreContext::from_dfs(Arc::clone(&e), &paths, AnalysisOptions::default())
+            .unwrap();
+        [
+            ctx.observed().virtual_secs,
+            ctx.monte_carlo(5, 7, true).virtual_secs,
+            ctx.permutation(3, 7).virtual_secs,
+            e.virtual_time_secs(),
+        ]
+        .map(f64::to_bits)
+    };
+    let first = run(1);
+    assert!(first.iter().all(|&bits| f64::from_bits(bits) > 0.0));
+    for host_threads in [1, 2, 2] {
+        assert_eq!(run(host_threads), first, "host_threads = {host_threads}");
+    }
 }
 
 #[test]

@@ -3,10 +3,8 @@
 //!
 //! The determinism protocol: one worker thread, the service started
 //! paused, the whole schedule submitted up front, then resumed — so the
-//! dispatch order is the pure stride schedule — and a cost model with
-//! `cpu_slowdown = 0`, so virtual task durations are a pure function of
-//! counted work units rather than measured host time. With both pinned,
-//! the engine's event stream (virtual clock, job/stage/task ids, cache
+//! dispatch order is the pure stride schedule. With that pinned, the
+//! engine's event stream (virtual clock, job/stage/task ids, cache
 //! traffic) is a pure function of the seed. The only wall-clock numbers
 //! left in the trace report — kernel wall splits and span totals — are
 //! canonicalized to zero before byte comparison; everything else must
@@ -17,7 +15,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparkscore_cluster::{ClusterSpec, CostModel, FaultPlan, NodeId};
+use sparkscore_cluster::{ClusterSpec, FaultPlan, NodeId};
 use sparkscore_core::{AnalysisOptions, AnalysisService, QueryError, SparkScoreContext};
 use sparkscore_data::{GwasDataset, SyntheticConfig};
 use sparkscore_obs::{cache_roi, report_json, ExecutionTrace};
@@ -61,12 +59,6 @@ fn run_service_schedule(seed: u64, log_name: &str) -> (Vec<u64>, String, String)
         // scratch buffers it reuses, so parallel hosts leak scheduling
         // jitter into the scratch-reuse counters.
         .host_threads(1)
-        // Virtual durations from counted work only: measured host time
-        // would leak wall-clock jitter into the trace report.
-        .cost_model(CostModel {
-            cpu_slowdown: 0.0,
-            ..CostModel::default()
-        })
         .listener(Arc::clone(&log) as Arc<dyn EventListener>)
         .build();
     let mut builder = JobService::builder(Arc::clone(&engine))
