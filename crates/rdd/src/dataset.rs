@@ -19,7 +19,7 @@ use crate::meta::{DepMeta, OpMeta};
 use crate::ops::narrow::{
     CoalesceOp, FilterOp, FlatMapOp, MapOp, MapPartitionsCtxOp, MapPartitionsOp, SampleOp, UnionOp,
 };
-use crate::ops::shuffled::{Aggregator, CoGroupOp, ShuffledOp};
+use crate::ops::shuffled::{emit_groups, emit_pairs, Aggregator, CoGroupOp, Emit, ShuffledOp};
 use crate::ops::source::{owned_lines, ParallelizeOp, TextFileOp};
 use crate::ops::{materialize, Data, Op};
 use crate::{OpId, ShuffleId};
@@ -638,24 +638,46 @@ where
         other: &Dataset<(K, W)>,
         num_reduce_parts: usize,
     ) -> Dataset<(K, (Vec<V>, Vec<W>))> {
-        let sid_left = self.engine.new_shuffle_id();
-        let sid_right = self.engine.new_shuffle_id();
+        self.co_grouped(other, num_reduce_parts, "coGroup", emit_groups)
+    }
+
+    /// Inner join on key (the paper's Algorithm 1, step 9: joining the
+    /// per-SNP inner sums with the SNP weights): per key, every left value
+    /// with every right value, left-major, straight off the co-group's
+    /// reduce side.
+    pub fn join<W: Data>(
+        &self,
+        other: &Dataset<(K, W)>,
+        num_reduce_parts: usize,
+    ) -> Dataset<(K, (V, W))> {
+        self.co_grouped(other, num_reduce_parts, "join", emit_pairs)
+    }
+
+    /// A two-shuffle, one-reduce operator over `self` and `other`.
+    fn co_grouped<W: Data, Out: Data>(
+        &self,
+        other: &Dataset<(K, W)>,
+        num_reduce_parts: usize,
+        name: &'static str,
+        emit: Emit<K, V, W, Out>,
+    ) -> Dataset<Out> {
+        let sids = (self.engine.new_shuffle_id(), self.engine.new_shuffle_id());
         let deps = vec![
             DepMeta {
                 parent: self.op.id(),
-                shuffle: Some(sid_left),
+                shuffle: Some(sids.0),
             },
             DepMeta {
                 parent: other.op.id(),
-                shuffle: Some(sid_right),
+                shuffle: Some(sids.1),
             },
         ];
         let (id, guard) = register_op(
             &self.engine,
-            "coGroup",
+            name,
             num_reduce_parts,
             deps,
-            vec![sid_left, sid_right],
+            vec![sids.0, sids.1],
         );
         Dataset {
             engine: Arc::clone(&self.engine),
@@ -663,32 +685,14 @@ where
                 &self.engine,
                 id,
                 guard,
-                sid_left,
-                sid_right,
+                name,
+                sids,
                 Arc::clone(&self.op),
                 Arc::clone(&other.op),
                 num_reduce_parts,
+                emit,
             )),
         }
-    }
-
-    /// Inner join on key (the paper's Algorithm 1, step 9: joining the
-    /// per-SNP inner sums with the SNP weights).
-    pub fn join<W: Data>(
-        &self,
-        other: &Dataset<(K, W)>,
-        num_reduce_parts: usize,
-    ) -> Dataset<(K, (V, W))> {
-        self.co_group(other, num_reduce_parts)
-            .flat_map(|(k, (vs, ws))| {
-                let mut out = Vec::with_capacity(vs.len() * ws.len());
-                for v in &vs {
-                    for w in &ws {
-                        out.push((k.clone(), (v.clone(), w.clone())));
-                    }
-                }
-                out
-            })
     }
 
     /// Collect to a driver-side map. Later duplicates of a key win, as in

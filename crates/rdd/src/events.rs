@@ -29,7 +29,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde_json::Value;
 
 use crate::counters::TaskCounters;
@@ -333,11 +333,14 @@ pub trait EventListener: Send + Sync {
 ///
 /// The hot path is the *inactive* bus: one relaxed atomic load and no
 /// event construction. Listener registration is expected to happen at
-/// setup time; dispatch takes a read lock only when at least one listener
-/// exists.
+/// setup time. When a listener exists, dispatch holds the listener lock
+/// across the whole listener loop, so concurrent emitters (map tasks on
+/// several pool threads) are serialized and every listener sees one and
+/// the same event order. A listener must therefore never emit from inside
+/// its callbacks — none of the built-ins does — or it would deadlock.
 #[derive(Default)]
 pub struct EventBus {
-    listeners: RwLock<Vec<Arc<dyn EventListener>>>,
+    listeners: Mutex<Vec<Arc<dyn EventListener>>>,
     active: AtomicBool,
 }
 
@@ -348,18 +351,18 @@ impl EventBus {
 
     /// Attach a listener; it receives every event emitted from now on.
     pub fn register(&self, listener: Arc<dyn EventListener>) {
-        self.listeners.write().push(listener);
+        self.listeners.lock().push(listener);
         self.active.store(true, Ordering::Release);
     }
 
     /// Drop all listeners (the bus goes back to the free fast path).
     pub fn clear(&self) {
-        self.listeners.write().clear();
+        self.listeners.lock().clear();
         self.active.store(false, Ordering::Release);
     }
 
     pub fn num_listeners(&self) -> usize {
-        self.listeners.read().len()
+        self.listeners.lock().len()
     }
 
     /// Whether any listener is attached.
@@ -373,26 +376,27 @@ impl EventBus {
         if !self.is_active() {
             return;
         }
-        for l in self.listeners.read().iter() {
+        for l in self.listeners.lock().iter() {
             l.on_event(event);
         }
     }
 
     /// Build the event only if someone is listening — the engine's
     /// emission sites use this so an unobserved engine never pays for
-    /// event construction.
+    /// event construction. The event is built before the dispatch lock is
+    /// taken.
     #[inline]
     pub fn emit_with(&self, make: impl FnOnce() -> EngineEvent) {
         if !self.is_active() {
             return;
         }
         let event = make();
-        for l in self.listeners.read().iter() {
+        for l in self.listeners.lock().iter() {
             l.on_event(&event);
         }
     }
 
-    /// Dispatch a batch of events in one pass: the listener list is read
+    /// Dispatch a batch of events in one pass: the listener list is locked
     /// once and each listener sees the whole batch through
     /// [`EventListener::on_events`], so emission is O(1) lock
     /// acquisitions per batch rather than O(events).
@@ -400,14 +404,14 @@ impl EventBus {
         if events.is_empty() || !self.is_active() {
             return;
         }
-        for l in self.listeners.read().iter() {
+        for l in self.listeners.lock().iter() {
             l.on_events(events);
         }
     }
 
     /// Ask every listener to flush buffered output.
     pub fn flush_all(&self) {
-        for l in self.listeners.read().iter() {
+        for l in self.listeners.lock().iter() {
             l.on_flush();
         }
     }

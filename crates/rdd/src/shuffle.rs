@@ -31,8 +31,9 @@ use crate::ShuffleId;
 /// one global lock.
 pub const SHUFFLE_SHARDS: usize = 16;
 
-/// Deterministic hash map used for combine/co-group tables so that output
-/// ordering is a pure function of the input.
+/// Deterministic hash map: iteration order is a pure function of the keys
+/// and the order they were inserted in. The shuffle operators' tables
+/// iterate in this order (see `ops::shuffled`).
 pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Deterministic 64-bit hash of a key.
@@ -62,7 +63,13 @@ impl HashPartitioner {
 
     #[inline]
     pub fn partition<K: Hash + ?Sized>(&self, key: &K) -> usize {
-        (hash_key(key) % self.parts as u64) as usize
+        self.partition_of_hash(hash_key(key))
+    }
+
+    /// The partition of a key whose [`hash_key`] is already known.
+    #[inline]
+    pub fn partition_of_hash(&self, hash: u64) -> usize {
+        (hash % self.parts as u64) as usize
     }
 }
 

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use sparkscore_cluster::{ClusterSpec, FaultPlan};
 use sparkscore_rdd::events::parse_event_log;
 use sparkscore_rdd::{
-    Engine, EngineEvent, EventListener, FaultDetail, MemoryEventListener, RegistryListener,
-    StageSummaryListener, TaskCounter,
+    Engine, EngineEvent, EventBus, EventListener, FaultDetail, MemoryEventListener,
+    RegistryListener, StageSummaryListener, TaskCounter,
 };
 
 fn observed_engine() -> (Arc<Engine>, Arc<MemoryEventListener>) {
@@ -833,4 +833,39 @@ fn unobserved_engine_emits_nothing_and_stays_correct() {
         .snapshot()
         .iter()
         .any(|e| matches!(e, EngineEvent::JobStart { .. })));
+}
+
+/// Concurrent emitters are serialized across the whole listener loop, so
+/// two listeners on one bus record the same event order whatever the
+/// thread interleaving — map tasks on several pool threads emit
+/// `ShuffleBytesStored` exactly like this.
+#[test]
+fn concurrent_emitters_give_every_listener_the_same_order() {
+    let bus = EventBus::new();
+    let (a, b) = (
+        Arc::new(MemoryEventListener::new()),
+        Arc::new(MemoryEventListener::new()),
+    );
+    bus.register(Arc::clone(&a) as Arc<dyn EventListener>);
+    bus.register(Arc::clone(&b) as Arc<dyn EventListener>);
+    // All four emitters start together, so their emissions overlap.
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for shuffle in 0..4u64 {
+            let (bus, start) = (&bus, &start);
+            s.spawn(move || {
+                start.wait();
+                for map_part in 0..2_000 {
+                    bus.emit_with(|| EngineEvent::ShuffleBytesStored {
+                        shuffle,
+                        map_part,
+                        bytes: 8,
+                    });
+                }
+            });
+        }
+    });
+    let (a, b) = (a.snapshot(), b.snapshot());
+    assert_eq!(a.len(), 8_000);
+    assert!(a == b, "two listeners recorded different event orders");
 }

@@ -17,8 +17,20 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # `cargo test` builds without optimisation, where the perturbation kernel's
 # register tiles are scalar loops; only an optimised build runs the vector
 # instructions the benchmark and the binaries run. The same goes for the
-# genotype packer's word arithmetic in sparkscore-data.
-cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data
+# genotype packer's word arithmetic in sparkscore-data, and for the shuffle
+# operators' order contract in sparkscore-rdd.
+cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
+
+echo "== events test binary 50x: event order under concurrent emitters =="
+# One run of a race-prone test proves little; a loop over the whole binary
+# catches an ordering race that fails a few runs in a hundred.
+events_bin="$(cargo test -q -p sparkscore-rdd --test events --no-run --message-format=json \
+    | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
+[ -x "$events_bin" ] || { echo "events test binary not found" >&2; exit 1; }
+for run in $(seq 1 50); do
+    "$events_bin" -q > /dev/null 2>&1 \
+        || { echo "events test binary failed on run $run of 50" >&2; exit 1; }
+done
 
 echo "== cargo fmt --check =="
 cargo fmt --check

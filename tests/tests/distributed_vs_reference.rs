@@ -291,6 +291,74 @@ fn virtual_time_repeats_to_the_bit_across_runs_and_host_threads() {
     }
 }
 
+/// FNV-1a over 64-bit words: a digest of result bits that does not itself
+/// depend on the standard library's hasher.
+fn fold_bits(digest: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(digest, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn paper_path_results_work_and_shuffle_bytes_are_pinned() {
+    // Algorithms 1, 2 and 3 as the paper runs them, over DFS text: every
+    // score and count bit, every virtual duration, and each run's jobs,
+    // stages, tasks and shuffle bytes. The constants were recorded before
+    // the shuffle operators were rewritten to hash each record once, and
+    // the rewrite had to reproduce them. Per-set float sums follow the
+    // reduce side's emission order, which follows the std `HashMap` and
+    // SipHash, so a toolchain that changes either moves these values too.
+    let ds = dataset(53);
+    let e = Engine::builder(ClusterSpec::test_small(3))
+        .host_threads(2)
+        .dfs_block_size(1024)
+        .build();
+    let (paths, _) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
+    let ctx =
+        SparkScoreContext::from_dfs(Arc::clone(&e), &paths, AnalysisOptions::default()).unwrap();
+    let observed = ctx.observed();
+    let mc = ctx.monte_carlo(8, 17, true);
+    let perm = ctx.permutation(4, 17);
+
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for s in observed
+        .scores
+        .iter()
+        .chain(&mc.observed)
+        .chain(&perm.observed)
+    {
+        digest = fold_bits(fold_bits(digest, s.set), s.score.to_bits());
+    }
+    for &count in mc.counts_ge.iter().chain(&perm.counts_ge) {
+        digest = fold_bits(digest, count as u64);
+    }
+    let virtual_bits =
+        [observed.virtual_secs, mc.virtual_secs, perm.virtual_secs].map(f64::to_bits);
+    let shape =
+        |m: &sparkscore_rdd::MetricsSnapshot| (m.jobs, m.stages, m.tasks, m.shuffle_bytes_written);
+    let shapes = [
+        shape(&observed.metrics),
+        shape(&mc.metrics),
+        shape(&perm.metrics),
+    ];
+    assert_eq!(
+        (digest, virtual_bits, shapes),
+        (
+            4_962_758_761_151_270_732,
+            [
+                4_588_819_578_156_460_056,
+                4_601_968_695_852_815_579,
+                4_599_083_343_118_321_934
+            ],
+            [
+                (1, 4, 28, 14_128),
+                (9, 36, 252, 127_152),
+                (5, 20, 140, 70_640)
+            ]
+        )
+    );
+}
+
 #[test]
 fn from_dfs_and_from_memory_agree_bit_for_bit_on_one_partition() {
     // Per-set sums are folded in partition order, so the two loaders can
