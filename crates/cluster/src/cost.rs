@@ -21,11 +21,14 @@
 //! function of (seed, cluster shape, inputs): it is the same to the bit
 //! across runs, at any `host_threads`, and however slow a task really was.
 //! With several concurrent drivers on one engine (`AnalysisService`),
-//! stages from different jobs reach the shared [`crate::VirtualScheduler`]
-//! in arrival order, which the host's thread scheduling decides; each
-//! stage's cost is still fixed, but how stages pack onto the slot backlogs
-//! is not, so the *global* clock delta attributed to one query is not
-//! pinned from run to run.
+//! their jobs' windows overlap, and the clock credits each interval of the
+//! scheduler's horizon once ([`crate::VirtualScheduler::close_job`]), not
+//! once per job whose window spans it. What still varies is packing:
+//! stages from different jobs reach the shared scheduler in arrival order,
+//! which the host's thread scheduling decides; each stage's cost is still
+//! fixed, but how stages pack onto the slot backlogs is not, so the
+//! *global* clock delta attributed to one query is not pinned from run to
+//! run.
 
 /// Cost of one weighted record of operator work, in ns. The JVM-based
 /// Spark pipeline in the paper spends on the order of tens of ns per simple

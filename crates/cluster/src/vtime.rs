@@ -79,6 +79,10 @@ pub struct VirtualScheduler {
     disk_bw: u64,
     net_bw: u64,
     num_nodes: usize,
+    /// Jobs opened and not yet closed.
+    open_jobs: usize,
+    /// Horizon up to which job windows have been credited to the clock.
+    credited_ns: u64,
 }
 
 impl VirtualScheduler {
@@ -95,6 +99,8 @@ impl VirtualScheduler {
             disk_bw: instance.disk_bandwidth,
             net_bw: instance.network_bandwidth,
             num_nodes: layout.nodes().len().max(1),
+            open_jobs: 0,
+            credited_ns: 0,
         }
     }
 
@@ -197,16 +203,35 @@ impl VirtualScheduler {
         self.slots.iter().map(|s| s.2).max().unwrap_or(0)
     }
 
-    /// Synchronize every slot to the horizon. Called between *jobs*: a
+    /// Open a job's window: synchronize every slot to the horizon. A
     /// driver submits jobs sequentially, so a new job's tasks cannot start
     /// before the previous job's last task finished — without this, small
     /// jobs would hide inside the backlog of earlier wide stages and read
     /// as free.
-    pub fn barrier(&mut self) {
+    pub fn open_job(&mut self) {
         let horizon = self.horizon_ns();
         for slot in &mut self.slots {
             slot.2 = horizon;
         }
+        if self.open_jobs == 0 {
+            self.credited_ns = horizon;
+        }
+        self.open_jobs += 1;
+    }
+
+    /// Close a job's window and return the virtual time it adds to the
+    /// clock: how far the horizon has moved past the last credit (or past
+    /// the job's opening, if no other job was open then). Each horizon
+    /// interval inside some job's window is credited exactly once, to the
+    /// first job that closes after it. With one driver that is each job's
+    /// own makespan; when concurrent drivers' windows overlap, the clock
+    /// advances by their union, not by the sum of their windows.
+    pub fn close_job(&mut self) -> u64 {
+        self.open_jobs -= 1;
+        let horizon = self.horizon_ns();
+        let credit = horizon.saturating_sub(self.credited_ns);
+        self.credited_ns = self.credited_ns.max(horizon);
+        credit
     }
 }
 
@@ -384,12 +409,31 @@ mod tests {
         let horizon = s.horizon_ns();
         // Without a barrier a tiny follow-up task would hide in the idle
         // slot and not move the horizon; with it, it must.
-        s.barrier();
+        s.open_job();
         s.schedule(&[VirtualTask::compute_only(1_000_000)]);
         assert!(
             s.horizon_ns() > horizon,
             "post-barrier work must extend the horizon"
         );
+    }
+
+    #[test]
+    fn overlapping_job_windows_credit_their_union_once() {
+        let mut s = sched(1);
+        let stage = flat_tasks(2, 10_000_000);
+        s.open_job(); // A
+        s.schedule(&stage);
+        s.open_job(); // B opens while A is running ...
+        s.schedule(&stage);
+        let b = s.close_job(); // ... and closes first
+        s.schedule(&stage);
+        let a = s.close_job();
+        assert_eq!(a + b, s.horizon_ns(), "every interval credited once");
+        // A lone job later is credited its own window only.
+        let before = s.horizon_ns();
+        s.open_job();
+        s.schedule(&stage);
+        assert_eq!(s.close_job(), s.horizon_ns() - before);
     }
 
     #[test]

@@ -598,20 +598,21 @@ impl Engine {
         results
     }
 
-    /// Materialize a shuffle's missing map outputs as one parallel stage.
-    /// One `stage_info` snapshot replaces the previous three separate
-    /// shuffle-manager lock round-trips (shape, runner, missing parts).
+    /// Materialize a shuffle's missing map outputs as one parallel stage,
+    /// and say whether a stage ran. One `stage_info` snapshot replaces the
+    /// previous three separate shuffle-manager lock round-trips (shape,
+    /// runner, missing parts).
     pub(crate) fn ensure_shuffle(
         &self,
         sid: ShuffleId,
         job: Option<u64>,
         parent_span: SpanContext,
-    ) {
+    ) -> bool {
         let Some(info) = self.shuffle.stage_info(sid) else {
-            return;
+            return false;
         };
         if info.missing_map_parts.is_empty() {
-            return;
+            return false;
         }
         Metrics::add(
             &self.metrics.shuffle_map_tasks,
@@ -625,6 +626,7 @@ impl Engine {
             parent_span,
             |part, ctx| drop(runner(part, ctx)),
         );
+        true
     }
 
     /// Re-run one lost map task inline on the current task's thread —
@@ -652,7 +654,10 @@ impl Engine {
 
     /// Run a job on `target`: plan and materialize the shuffles its lineage
     /// needs, then execute the result stage. Returns per-partition results
-    /// in order. Virtual time advances by the job's marginal makespan.
+    /// in order. The virtual clock advances by the scheduler horizon the
+    /// job's window adds that no other job has credited
+    /// ([`VirtualScheduler::close_job`]): with one driver, the job's
+    /// marginal makespan.
     pub(crate) fn run_job<R, F>(&self, target: OpId, num_partitions: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -660,7 +665,6 @@ impl Engine {
     {
         Metrics::bump(&self.metrics.jobs);
         let job = self.next_job.fetch_add(1, Ordering::Relaxed);
-        let vclock_before = self.vclock.now_ns();
         // The job span roots the causal chain job → stage → task → kernel.
         // Allocated only when someone is listening, so an unobserved
         // engine's job path stays id-allocation free.
@@ -671,29 +675,24 @@ impl Engine {
         };
         self.events.emit_with(|| EngineEvent::JobStart {
             job,
-            virtual_now_ns: vclock_before,
+            virtual_now_ns: self.vclock.now_ns(),
             span: job_span,
             mono_ns: self.mono_ns(),
         });
-        let horizon_before = {
-            let mut sched = self.vsched.lock();
-            // Jobs are sequential on the driver: no task of this job can
-            // start before the previous job's horizon.
-            sched.barrier();
-            sched.horizon_ns()
-        };
+        self.vsched.lock().open_job();
+        let window = JobWindow(&self.vsched);
+        let mut stages = u64::from(num_partitions > 0);
         for sid in self.meta.plan_shuffles(target, &self.cache) {
-            self.ensure_shuffle(sid, Some(job), job_span);
+            stages += u64::from(self.ensure_shuffle(sid, Some(job), job_span));
         }
         let parts: Vec<usize> = (0..num_partitions).collect();
         let out = self.run_stage_tagged(&parts, Some(job), StageKind::Result, job_span, f);
-        let horizon_after = self.vsched.lock().horizon_ns();
-        self.vclock
-            .advance(horizon_after.saturating_sub(horizon_before));
+        let credit = window.close();
+        self.vclock.advance(credit);
         self.events.emit_with(|| EngineEvent::JobEnd {
             job,
             virtual_now_ns: self.vclock.now_ns(),
-            virtual_advance_ns: self.vclock.now_ns().saturating_sub(vclock_before),
+            virtual_advance_ns: credit + stages * cost::STAGE_OVERHEAD_NS,
             span: job_span,
             mono_ns: self.mono_ns(),
         });
@@ -775,6 +774,26 @@ impl Engine {
                 }
             }
         }
+    }
+}
+
+/// A running job's window on the virtual scheduler, opened by
+/// [`VirtualScheduler::open_job`]. It is closed on unwind too, so a job
+/// that fails on a task panic leaves no window open.
+struct JobWindow<'a>(&'a Mutex<VirtualScheduler>);
+
+impl JobWindow<'_> {
+    /// Close the window; returns the virtual time it adds to the clock.
+    fn close(self) -> u64 {
+        let credit = self.0.lock().close_job();
+        std::mem::forget(self);
+        credit
+    }
+}
+
+impl Drop for JobWindow<'_> {
+    fn drop(&mut self) {
+        self.0.lock().close_job();
     }
 }
 
@@ -895,6 +914,44 @@ mod tests {
         e.run_job(id, 4, |_, ctx| ctx.add_work(10_000, 1.0));
         assert!(e.virtual_time_ns() > before);
         assert_eq!(e.metrics_snapshot().jobs, 1);
+    }
+
+    #[test]
+    fn overlapping_jobs_advance_the_clock_by_the_horizon_once() {
+        let e = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(2)
+            .build();
+        let id = e.new_op_id();
+        e.meta.register(crate::meta::OpMeta {
+            id,
+            name: "overlap".into(),
+            deps: vec![],
+            num_partitions: 2,
+        });
+        let (clock_before, horizon_before) = (e.virtual_time_ns(), e.vsched.lock().horizon_ns());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..20 {
+                        e.run_job(id, 2, |_, ctx| {
+                            // Long enough that the two drivers' jobs overlap.
+                            let t = std::time::Instant::now();
+                            while t.elapsed() < std::time::Duration::from_micros(50) {}
+                            ctx.add_work(10_000, 1.0)
+                        });
+                    }
+                });
+            }
+        });
+        let horizon_delta = e.vsched.lock().horizon_ns() - horizon_before;
+        let stages = 40 * cost::STAGE_OVERHEAD_NS;
+        assert_eq!(
+            e.virtual_time_ns() - clock_before,
+            horizon_delta + stages,
+            "each horizon interval is credited once, however the jobs overlap"
+        );
     }
 
     #[test]

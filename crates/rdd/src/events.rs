@@ -212,7 +212,14 @@ wire_enum! {
         JobEnd {
             job: u64,
             virtual_now_ns: u64,
-            /// How much virtual time this job added to the clock.
+            /// Virtual time this job added to the clock: its stage overheads
+            /// plus the scheduler horizon its window credited
+            /// (`VirtualScheduler::close_job`). With one driver that is the
+            /// job's marginal makespan plus overheads, and its critical path
+            /// fits inside it. When jobs overlap, each horizon interval is
+            /// credited to the first job to close after it: the advances
+            /// still sum to the clock (less broadcasts), but one job's
+            /// advance can be shorter than its own critical path.
             virtual_advance_ns: u64,
             span: SpanContext,
             mono_ns: u64,

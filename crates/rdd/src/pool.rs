@@ -1,39 +1,28 @@
-//! Persistent work-stealing executor pool and lock-free task result slots.
+//! Persistent work-stealing executor pool and lock-free task result slots
+//! (DESIGN.md §3c).
 //!
-//! The seed engine paid a `std::thread::scope` spawn/join for **every
-//! stage**. Resampling inference (the paper's Algorithms 2 and 3) runs
-//! thousands of small stages per experiment — B permutation or multiplier
-//! iterations, each a full job over the cached `U` RDD — so per-stage
-//! thread churn dominated exactly the regime the paper cares about. This
-//! module replaces it with:
-//!
-//! * [`ExecutorPool`] — `host_threads - 1` worker threads built once at
-//!   [`crate::Engine`] construction and reused across all stages and jobs.
-//!   Each stage's task indices are split into per-participant ranges
-//!   claimed in chunks from the front by their owner and stolen in halves
-//!   from the back by idle participants (lazy-splitting work stealing over
-//!   an index range, one CAS per claim). Idle workers park on a condvar;
-//!   the driver thread participates in every stage, so a one-task stage
-//!   runs **inline on the driver with no pool interaction at all**.
-//! * [`TaskSlots`] — write-once result cells indexed by task. Every task
-//!   index is claimed by exactly one participant, so slot writes are
-//!   disjoint and need no lock; the pool's completion protocol provides
-//!   the happens-before edge for the driver's final read.
-//!
-//! Shutdown is tied to engine drop: the pool sets a shutdown flag, wakes
-//! every worker, and joins them, so no detached threads outlive the
-//! engine.
+//! [`ExecutorPool`] keeps `host_threads - 1` workers for the engine's
+//! lifetime (joined on drop) and serves one published stage at a time:
+//! each participant claims chunks from the front of its own index range
+//! and steals halves from the back of the others'. The stage slot is only
+//! ever `try_lock`ed. A driver that finds it taken — a second service
+//! worker, or a task launching a nested job — runs its whole stage itself,
+//! in index order, instead of queueing behind the holder; so does a
+//! one-task stage, and any stage on a pool with no workers. [`TaskSlots`]
+//! holds one write-once result per task index.
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 thread_local! {
     /// This thread's participant index in the pool it belongs to
     /// (`usize::MAX` when the thread is not a pool participant). Workers
-    /// set it once at startup; the driver sets it on every stage entry.
+    /// set it once at startup; a driver is participant 0 while it holds
+    /// the stage slot, `usize::MAX` while it runs a stage without it, and
+    /// gets its previous index back when the stage ends.
     static PARTICIPANT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
@@ -64,14 +53,6 @@ impl ParticipantState {
             _ => ParticipantState::Parked,
         }
     }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ParticipantState::Parked => "parked",
-            ParticipantState::Running => "running",
-            ParticipantState::Stealing => "stealing",
-        }
-    }
 }
 
 /// One participant's instant in a [`PoolSnapshot`].
@@ -88,12 +69,11 @@ pub struct ParticipantSnapshot {
 /// [`PoolDiagnostics::snapshot`].
 #[derive(Debug, Clone)]
 pub struct PoolSnapshot {
-    /// Participant 0 is the driver; the rest are pool workers.
+    /// Participant 0 is the driver holding the stage slot; the rest are
+    /// pool workers. Drivers running without the slot do not appear.
     pub participants: Vec<ParticipantSnapshot>,
     /// Whether a multi-task stage is currently published.
     pub stage_active: bool,
-    /// Tasks completed so far in the active stage (0 when idle).
-    pub stage_tasks_completed: usize,
 }
 
 /// Write-once, lock-free result slots, one per task index.
@@ -102,7 +82,7 @@ pub struct PoolSnapshot {
 ///
 /// * [`TaskSlots::write`] must be called **at most once per index**, and
 ///   never concurrently for the same index. The pool guarantees this: an
-///   index is handed to exactly one participant by a successful CAS claim.
+///   index is run by one thread, claimed by one CAS or looped over inline.
 /// * [`TaskSlots::into_vec`] must only be called after every index has
 ///   been written **and** those writes happen-before the call (the pool's
 ///   completion counter and state mutex provide the edge).
@@ -174,11 +154,6 @@ fn unpack(v: u64) -> (usize, usize) {
 impl TaskRange {
     fn new(lo: usize, hi: usize) -> Self {
         TaskRange(AtomicU64::new(pack(lo, hi)))
-    }
-
-    /// Unclaimed `(lo, hi)` right now — advisory, for diagnostics.
-    fn remaining(&self) -> (usize, usize) {
-        unpack(self.0.load(Ordering::Acquire))
     }
 
     /// Owner side: claim a chunk from the front. Chunk size grows with the
@@ -310,7 +285,6 @@ impl PoolDiagnostics {
     pub fn snapshot(&self) -> PoolSnapshot {
         let n = self.shared.participant_state.len();
         let mut depths = vec![0usize; n];
-        let mut completed = 0usize;
         let st = self.shared.lock();
         let stage_active = match st.job {
             // SAFETY: `job` is only Some while the publishing `run` frame
@@ -318,9 +292,8 @@ impl PoolDiagnostics {
             // it — holding the lock keeps the pointer valid for the read.
             Some(h) => {
                 let job = unsafe { &*h.0 };
-                completed = job.completed.load(Ordering::Acquire);
                 for (d, range) in depths.iter_mut().zip(job.ranges.iter()) {
-                    let (lo, hi) = range.remaining();
+                    let (lo, hi) = unpack(range.0.load(Ordering::Acquire));
                     *d = hi.saturating_sub(lo);
                 }
                 true
@@ -340,7 +313,6 @@ impl PoolDiagnostics {
         PoolSnapshot {
             participants,
             stage_active,
-            stage_tasks_completed: completed,
         }
     }
 }
@@ -348,9 +320,9 @@ impl PoolDiagnostics {
 /// The persistent executor pool. See the module docs for the protocol.
 pub(crate) struct ExecutorPool {
     shared: Arc<PoolShared>,
-    /// Serializes stage submissions: one stage owns the claim state at a
-    /// time. Concurrent driver threads queue here (jobs are sequential on
-    /// the driver anyway — the virtual scheduler erects a barrier per job).
+    /// The stage slot. Its holder is participant 0, the one driver the
+    /// workers serve; a driver that finds it taken runs its own stage, so
+    /// no driver sleeps here and a job launched from a task cannot deadlock.
     submit: Mutex<()>,
     workers: Vec<JoinHandle<()>>,
     /// Total participants per stage: the workers plus the driver.
@@ -417,34 +389,44 @@ impl ExecutorPool {
     /// `i in 0..n`, and return once all have completed. `run_task` must
     /// not unwind (wrap task bodies in `catch_unwind`).
     ///
-    /// One-task stages — the resampling hot path — run inline on the
-    /// caller with no locks, wakeups, or atomics.
+    /// A caller holding the stage slot publishes a stage of two or more
+    /// tasks and runs its share as participant 0. Every other stage runs
+    /// inline on the caller, in index order — as no participant when
+    /// another stage holds the slot, so the profiler does not see it.
     pub fn run(&self, n: usize, run_task: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
         }
-        // The driver is participant 0 on every path, including inline
-        // single-task stages, so span attribution and profiler state work
-        // without pool interaction.
-        PARTICIPANT.with(|p| p.set(0));
-        let driver_state = &self.shared.participant_state[0];
-        if n == 1 {
-            driver_state.store(STATE_RUNNING, Ordering::Relaxed);
-            run_task(0);
-            driver_state.store(STATE_PARKED, Ordering::Relaxed);
-            return;
-        }
-        if self.participants == 1 {
-            driver_state.store(STATE_RUNNING, Ordering::Relaxed);
+        let outer = PARTICIPANT.with(Cell::get);
+        let slot = match self.submit.try_lock() {
+            Ok(guard) => Some(guard),
+            // The slot guards no data, so a poisoned one is a free one.
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let me = if slot.is_some() { 0 } else { usize::MAX };
+        PARTICIPANT.with(|p| p.set(me));
+        if slot.is_some() && n > 1 && self.participants > 1 {
+            self.run_published(n, run_task);
+        } else {
+            let state = self.shared.participant_state.get(me);
+            if let Some(s) = state {
+                s.store(STATE_RUNNING, Ordering::Relaxed);
+            }
             for i in 0..n {
                 run_task(i);
             }
-            driver_state.store(STATE_PARKED, Ordering::Relaxed);
-            return;
+            if let Some(s) = state {
+                s.store(STATE_PARKED, Ordering::Relaxed);
+            }
         }
+        PARTICIPANT.with(|p| p.set(outer));
+    }
 
+    /// Publish a stage to the workers and run it as participant 0. The
+    /// caller holds the stage slot.
+    fn run_published(&self, n: usize, run_task: &(dyn Fn(usize) + Sync)) {
         assert!(n as u64 <= HI_MASK, "stage exceeds the packed-range limit");
-        let _stage_owner = self.submit.lock().unwrap_or_else(|e| e.into_inner());
         // SAFETY(lifetime erasure): the reference is only used between
         // publish and retire below, both inside this call, so the borrow
         // it came from is live for every use.
@@ -476,31 +458,20 @@ impl ExecutorPool {
 
         // Wait for completion, retire the job, then drain stragglers that
         // still hold the pointer before the job leaves this stack frame.
-        let mut st = self.shared.lock();
-        while job.completed.load(Ordering::Acquire) < n {
-            st = self
-                .shared
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        let done = &self.shared.done_cv;
+        let mut st = done
+            .wait_while(self.shared.lock(), |_| {
+                job.completed.load(Ordering::Acquire) < n
+            })
+            .unwrap_or_else(|e| e.into_inner());
         st.job = None;
-        while st.in_flight > 0 {
-            st = self
-                .shared
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        drop(done.wait_while(st, |st| st.in_flight > 0));
     }
 }
 
 impl Drop for ExecutorPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.lock();
-            st.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -521,34 +492,16 @@ fn split_ranges(n: usize, participants: usize) -> Box<[TaskRange]> {
 /// Publishes the participant's running/stealing/parked transitions for
 /// the profiler as it goes (relaxed stores, once per claim, not per task).
 fn execute_stage(job: &StageJob, me: usize, shared: &PoolShared) {
-    let run = job.run;
+    let parts = job.ranges.len();
     let mut ran = 0usize;
     let state = &shared.participant_state[me];
-    loop {
-        while let Some((lo, hi)) = job.ranges[me].claim_front() {
-            state.store(STATE_RUNNING, Ordering::Relaxed);
-            for i in lo..hi {
-                run(i);
-            }
-            ran += hi - lo;
-        }
+    while let Some((lo, hi)) = job.ranges[me].claim_front().or_else(|| {
         state.store(STATE_STEALING, Ordering::Relaxed);
-        let mut stole = false;
-        for off in 1..job.ranges.len() {
-            let victim = (me + off) % job.ranges.len();
-            if let Some((lo, hi)) = job.ranges[victim].steal_back() {
-                state.store(STATE_RUNNING, Ordering::Relaxed);
-                for i in lo..hi {
-                    run(i);
-                }
-                ran += hi - lo;
-                stole = true;
-                break;
-            }
-        }
-        if !stole {
-            break;
-        }
+        (1..parts).find_map(|off| job.ranges[(me + off) % parts].steal_back())
+    }) {
+        state.store(STATE_RUNNING, Ordering::Relaxed);
+        (lo..hi).for_each(job.run);
+        ran += hi - lo;
     }
     state.store(STATE_PARKED, Ordering::Relaxed);
     if ran > 0 {
@@ -580,10 +533,7 @@ fn worker_loop(shared: &PoolShared, me: usize) {
         // SAFETY: in_flight was incremented under the state lock while the
         // job was published, so the driver cannot free it until we exit.
         execute_stage(unsafe { &*handle.0 }, me, shared);
-        {
-            let mut st = shared.lock();
-            st.in_flight -= 1;
-        }
+        shared.lock().in_flight -= 1;
         shared.done_cv.notify_all();
     }
 }
@@ -612,18 +562,68 @@ mod tests {
         assert!(seen.into_iter().all(|s| s), "every index claimed");
     }
 
+    /// Run an `n`-task stage and check that every index ran exactly once.
+    fn run_counted(pool: &ExecutorPool, n: usize) {
+        let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        pool.run(n, &|i| {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+        });
+        for (i, c) in counts.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "task {i} of {n}");
+        }
+    }
+
     #[test]
     fn pool_runs_every_task_exactly_once() {
         let pool = ExecutorPool::new(4);
-        for &n in &[0usize, 1, 2, 3, 17, 256, 1000] {
-            let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            pool.run(n, &|i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "task {i} of {n}");
-            }
+        for n in [0, 1, 2, 3, 17, 256, 1000] {
+            run_counted(&pool, n);
         }
+    }
+
+    #[test]
+    fn concurrent_drivers_run_every_index_exactly_once() {
+        for threads in [2, 3] {
+            let pool = ExecutorPool::new(threads);
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for driver in 0..4 {
+                    let (pool, start) = (&pool, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for call in 0..200 {
+                            run_counted(pool, 2 + (driver * 17 + call) % 63);
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn nested_stage_runs_inline_and_hands_back_the_participant_index() {
+        let pool = ExecutorPool::new(2);
+        // Both tasks meet here, so the driver and the worker run one each.
+        let meet = std::sync::Barrier::new(2);
+        let seen = Mutex::new(Vec::new());
+        pool.run(2, &|_| {
+            meet.wait();
+            let me = PARTICIPANT.with(Cell::get);
+            let inner = Mutex::new(Vec::new());
+            pool.run(3, &|_| {
+                inner.lock().unwrap().push(PARTICIPANT.with(Cell::get))
+            });
+            assert_eq!(*inner.lock().unwrap(), [usize::MAX; 3], "the slot is taken");
+            seen.lock().unwrap().push((me, PARTICIPANT.with(Cell::get)));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, [(0, 0), (1, 1)]);
+        assert_eq!(
+            PARTICIPANT.with(Cell::get),
+            usize::MAX,
+            "the caller's index is restored"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Behavior of the persistent executor pool through the public engine
 //! API: thread reuse across thousands of tiny stages, clean shutdown on
-//! engine drop, panic propagation, and the event-stream invariants under
-//! per-stage batched emission.
+//! engine drop, panic propagation, the event-stream invariants under
+//! per-stage batched emission, and several drivers sharing one pool.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sparkscore_cluster::ClusterSpec;
 use sparkscore_rdd::{Engine, EngineEvent, EventListener, MemoryEventListener, PoolDiagnostics};
@@ -132,4 +132,56 @@ fn batched_emission_keeps_stage_event_invariants() {
     }
     assert!(open.is_none(), "every stage closed");
     assert_eq!(stages_seen, 2, "shuffle map stage + result stage");
+}
+
+#[test]
+fn a_job_launched_from_inside_a_task_runs_instead_of_deadlocking() {
+    // The outer stage holds the pool's stage slot while its tasks run, so
+    // each inner job finds it taken and runs on the task's own thread.
+    let engine = engine_with_threads(2);
+    let inner = Arc::clone(&engine);
+    let counts = engine
+        .parallelize((0..4u64).collect::<Vec<_>>(), 4)
+        .map(move |x| (x, inner.parallelize(vec![1u32; 8], 4).count()))
+        .collect();
+    assert_eq!(counts, (0..4u64).map(|x| (x, 8)).collect::<Vec<_>>());
+}
+
+/// Job `j` of driver `d`: a narrow `map` then `collect`, or a
+/// `reduce_by_key` through a shuffle, on 2 to 16 partitions.
+fn mixed_job(engine: &Arc<Engine>, d: u64, j: u64) -> Vec<(u64, u64)> {
+    let parts = 2 + ((d * 7 + j) % 15) as usize;
+    let data: Vec<u64> = (0..200).map(|i| i * (d + 1) + j).collect();
+    let data = engine.parallelize(data, parts);
+    if j.is_multiple_of(2) {
+        data.map(|x| (x, x * 3)).collect()
+    } else {
+        data.map(|x| (x % 10, x))
+            .reduce_by_key(parts, |a, b| a + b)
+            .collect()
+    }
+}
+
+#[test]
+fn four_drivers_on_one_engine_get_the_single_driver_answers() {
+    let reference = engine_with_threads(1);
+    let expected: Vec<Vec<Vec<(u64, u64)>>> = (0..4)
+        .map(|d| (0..100).map(|j| mixed_job(&reference, d, j)).collect())
+        .collect();
+    for threads in [2, 4] {
+        let engine = engine_with_threads(threads);
+        let start = Barrier::new(expected.len());
+        std::thread::scope(|s| {
+            for (d, answers) in expected.iter().enumerate() {
+                let (engine, start) = (&engine, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (j, want) in answers.iter().enumerate() {
+                        let got = mixed_job(engine, d as u64, j as u64);
+                        assert_eq!(&got, want, "driver {d}, job {j}, {threads} host threads");
+                    }
+                });
+            }
+        });
+    }
 }

@@ -21,16 +21,21 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== events test binary 50x: event order under concurrent emitters =="
+echo "== events and pool test binaries 50x: concurrent emitters, concurrent drivers =="
 # One run of a race-prone test proves little; a loop over the whole binary
 # catches an ordering race that fails a few runs in a hundred.
-events_bin="$(cargo test -q -p sparkscore-rdd --test events --no-run --message-format=json \
-    | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
-[ -x "$events_bin" ] || { echo "events test binary not found" >&2; exit 1; }
-for run in $(seq 1 50); do
-    "$events_bin" -q > /dev/null 2>&1 \
-        || { echo "events test binary failed on run $run of 50" >&2; exit 1; }
-done
+loop_test_binary() {
+    local name="$1" bin
+    bin="$(cargo test -q -p sparkscore-rdd --test "$name" --no-run --message-format=json \
+        | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
+    [ -x "$bin" ] || { echo "$name test binary not found" >&2; exit 1; }
+    for run in $(seq 1 50); do
+        "$bin" -q > /dev/null 2>&1 \
+            || { echo "$name test binary failed on run $run of 50" >&2; exit 1; }
+    done
+}
+loop_test_binary events
+loop_test_binary pool
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -24,6 +24,7 @@ use sparkscore_rdd::{
     Engine, EngineEvent, EventListener, EventLogListener, JobService, JobState, RejectReason,
     ShutdownMode, TenantConfig,
 };
+use sparkscore_stats::pvalue::StoppingRule;
 
 const PARTITIONS: usize = 4;
 const TENANTS: usize = 8;
@@ -292,6 +293,63 @@ fn admission_control_rejects_with_exact_reasons_at_the_service_api() {
     );
     assert_eq!(stats.completed, 3);
     service.shutdown(ShutdownMode::Drain);
+}
+
+/// One query's answer: `(set, score bits, resample)`.
+type Answer = (u64, u64, Option<(usize, usize)>);
+
+/// Answers to a fixed mix of observed, fixed-B and adaptive MC queries
+/// from a service with `workers` workers on a two-thread pool.
+fn service_answers(workers: usize) -> Vec<Answer> {
+    let engine = Engine::builder(ClusterSpec::test_small(3))
+        .host_threads(2)
+        .build();
+    let quota = TenantConfig {
+        max_queued: 64,
+        max_running: workers,
+        weight: 1,
+    };
+    let service = JobService::builder(Arc::clone(&engine))
+        .workers(workers)
+        .tenant("t", quota)
+        .build();
+    let analysis = AnalysisService::new(Arc::clone(&service));
+    let ctx = SparkScoreContext::from_memory(
+        Arc::clone(&engine),
+        &cohort_dataset(),
+        PARTITIONS,
+        AnalysisOptions::default(),
+    );
+    analysis.register_cohort("c", ctx);
+    let rule = StoppingRule::new(32, 0.05, 0.05);
+    let jobs: Vec<u64> = (0..24u64)
+        .map(|q| {
+            let (set, seed) = (q % 10, 7 + q % 2);
+            match q % 3 {
+                0 => analysis.submit_set_query("t", "c", set),
+                1 => analysis.submit_mc_query("t", "c", set, 256, seed),
+                _ => analysis.submit_adaptive_mc_query("t", "c", set, 512, seed, rule),
+            }
+            .expect("within quota")
+        })
+        .collect();
+    let answers = jobs
+        .iter()
+        .map(|&job| {
+            let r = analysis.wait_result(job).expect("query answered");
+            (r.set, r.score.to_bits(), r.resample)
+        })
+        .collect();
+    service.shutdown(ShutdownMode::Drain);
+    answers
+}
+
+/// Two workers drive the pool at once — the one that finds the stage
+/// slot taken runs its stage on its own thread — and must return, bit for
+/// bit, what one worker returns for the same queries.
+#[test]
+fn two_workers_answer_bit_equal_to_one_worker() {
+    assert_eq!(service_answers(2), service_answers(1));
 }
 
 /// Fault-injection satellite: a node dies mid-schedule under concurrent

@@ -88,7 +88,7 @@ fn critical_path_matches_shuffle_structure_and_roi_matches_task_sums() {
         );
         assert!(
             p.path_ns <= p.virtual_advance_ns,
-            "path cannot exceed the job's observed virtual advance"
+            "with one driver, the path cannot exceed the job's virtual advance"
         );
     }
     assert!(
