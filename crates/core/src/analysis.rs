@@ -20,13 +20,16 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sparkscore_data::io::{parse_phenotypes_text, parse_set_line, parse_weight_line};
 use sparkscore_data::{DatasetPaths, GenotypeBlock, GwasDataset};
 use sparkscore_dfs::text::block_lines;
 use sparkscore_dfs::DfsError;
-use sparkscore_rdd::{plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine, TaskCounter};
+use sparkscore_rdd::{
+    plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine, ReplicateTile, TaskCounter,
+};
 use sparkscore_stats::dist::sample_standard_normal;
 use sparkscore_stats::linalg::perturb_rows_blocked;
 use sparkscore_stats::pvalue::StoppingRule;
@@ -217,17 +220,97 @@ struct GridInvariants {
     scores: Vec<f64>,
 }
 
-/// Draw an `n × k` multiplier tile replicate-by-replicate — the
-/// sequential oracles' exact order, one `mc_weights` column after another —
-/// straight into the patient-major layout `perturb_rows_blocked` reads.
-fn draw_tile(rng: &mut StdRng, n: usize, k: usize) -> Vec<f64> {
-    let mut tile = vec![0.0f64; n * k];
-    for kk in 0..k {
-        for i in 0..n {
-            tile[i * k + kk] = sample_standard_normal(rng);
+/// Patient ranges each missing multiplier tile is cut into for the pooled
+/// draw: enough chunks to balance a round over the host threads, few
+/// enough that recording their start states stays a small part of the
+/// serial pre-step.
+const DRAW_RANGES: usize = 8;
+
+/// One tile of a grid round, as the multiplier draw sees it.
+enum RoundTile<'a> {
+    /// Found in the tile cache: nothing to draw; the stream resumes from
+    /// the tile's token.
+    Cached(&'a StdRng),
+    /// Missing: an `n × width` tile to draw.
+    Missing(usize),
+}
+
+/// Draw a grid round's missing multiplier tiles on the executor pool,
+/// each with the bits of the serial replicate-by-replicate draw — the
+/// sequential oracles' order, one `mc_weights` column after another —
+/// in the patient-major layout `perturb_rows_blocked` reads.
+///
+/// Every multiplier consumes exactly two generator words
+/// (`sample_standard_normal` is one `gen_range` and one `gen`, with no
+/// rejection loop in the vendored `rand`), so in a tile that starts at
+/// state `s`, patient `i` of replicate column `c` starts `2·(n·c + i)`
+/// words after `s`. One serial pass steps `rng` across the round — a
+/// cached tile hands over its token, a missing one is stepped through —
+/// recording the state at the start of every (column, patient range) and
+/// the token after every missing tile. One pool run then draws each
+/// (missing tile, patient range) chunk into its own contiguous rows.
+///
+/// Returns `(tile, token)` per missing tile, in round order, and leaves
+/// `rng` after the round's last tile.
+fn draw_round(
+    engine: &Engine,
+    rng: &mut StdRng,
+    n: usize,
+    round: &[RoundTile<'_>],
+) -> Vec<(Vec<f64>, StdRng)> {
+    let ranges: Vec<(usize, usize)> = (0..DRAW_RANGES)
+        .map(|r| (r * n / DRAW_RANGES, (r + 1) * n / DRAW_RANGES))
+        .collect();
+    let (mut widths, mut tokens) = (Vec::new(), Vec::new());
+    // Per (missing tile, patient range): the state each column starts at.
+    let mut starts: Vec<Vec<StdRng>> = Vec::new();
+    for tile in round {
+        match *tile {
+            RoundTile::Cached(token) => *rng = token.clone(),
+            RoundTile::Missing(k) => {
+                let first = starts.len();
+                starts.resize_with(first + DRAW_RANGES, || Vec::with_capacity(k));
+                for _ in 0..k {
+                    for (r, &(lo, hi)) in ranges.iter().enumerate() {
+                        starts[first + r].push(rng.clone());
+                        for _ in 0..2 * (hi - lo) {
+                            rng.next_u64();
+                        }
+                    }
+                }
+                widths.push(k);
+                tokens.push(rng.clone());
+            }
         }
     }
-    tile
+
+    let mut tiles: Vec<Vec<f64>> = widths.iter().map(|&k| vec![0.0f64; n * k]).collect();
+    // Chunk (tile, range) owns rows `lo..hi` of its tile and the states
+    // its columns start at; each lock is taken once, by one index.
+    let mut rows: Vec<&mut [f64]> = Vec::with_capacity(starts.len());
+    for (tile, &k) in tiles.iter_mut().zip(&widths) {
+        let mut rest = tile.as_mut_slice();
+        for &(lo, hi) in &ranges {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * k);
+            rows.push(chunk);
+            rest = tail;
+        }
+    }
+    let chunks: Vec<Mutex<(&mut [f64], Vec<StdRng>)>> =
+        rows.into_iter().zip(starts).map(Mutex::new).collect();
+    engine.for_each_on_pool(chunks.len(), |c| {
+        let mut chunk = chunks[c].lock();
+        let (rows, columns) = &mut *chunk;
+        // A row's `k` columns come from `k` generators stepped side by
+        // side, so each tile row is written once, contiguously.
+        for row in rows.chunks_exact_mut(columns.len()) {
+            for (z, column) in row.iter_mut().zip(columns.iter_mut()) {
+                *z = sample_standard_normal(column);
+            }
+        }
+    });
+    drop(chunks);
+    tiles.into_iter().zip(tokens).collect()
 }
 
 /// `c.iter().sum()` of every row, four rows at a time. One row's sum is a
@@ -837,18 +920,35 @@ impl SparkScoreContext {
         let mut done = 0usize;
         while done < b && decided.iter().any(|d| !d) {
             let round = plan_tiles(done, b, opts.tile, barrier);
-            // A cached tile comes with the generator state after it, so
-            // the stream continues correctly whether the next tile hits
-            // or has to be drawn.
+            // Look the whole round up, draw its misses in one pooled pass,
+            // then insert them. A cached tile comes with the generator
+            // state after it, so the stream continues correctly whether
+            // the next tile hits or has to be drawn.
+            let key = |t: &ReplicateTile| (opts.seed, t.start as u64, t.width as u64);
+            let cached: Vec<_> = round
+                .iter()
+                .map(|t| self.mc_tile_cache.get(&key(t)))
+                .collect();
+            let plan: Vec<RoundTile<'_>> = round
+                .iter()
+                .zip(&cached)
+                .map(|(t, hit)| match hit {
+                    Some((_, token)) => RoundTile::Cached(token),
+                    None => RoundTile::Missing(t.width),
+                })
+                .collect();
+            let mut drawn = draw_round(&self.engine, &mut rng, n, &plan).into_iter();
             let operands: Vec<(usize, Broadcast<Vec<f64>>)> = round
                 .iter()
-                .map(|t| {
-                    let key = (opts.seed, t.start as u64, t.width as u64);
-                    let (z, resume) = self.mc_tile_cache.get_or_draw(key, || {
-                        let mut rng = rng.clone();
-                        (draw_tile(&mut rng, n, t.width), rng)
-                    });
-                    rng = resume;
+                .zip(cached)
+                .map(|(t, hit)| {
+                    let z = match hit {
+                        Some((z, _)) => z,
+                        None => {
+                            let (tile, token) = drawn.next().expect("a tile per miss");
+                            self.mc_tile_cache.insert(key(t), tile, token)
+                        }
+                    };
                     (t.width, z)
                 })
                 .collect();
@@ -1241,6 +1341,85 @@ mod tests {
         assert_eq!(h1, h0 + 2);
     }
 
+    /// The serial oracle of [`draw_round`]: an `n × k` multiplier tile
+    /// drawn replicate-by-replicate, one `mc_weights` column after
+    /// another, straight into the patient-major layout.
+    fn draw_tile(rng: &mut StdRng, n: usize, k: usize) -> Vec<f64> {
+        let mut tile = vec![0.0f64; n * k];
+        for kk in 0..k {
+            for i in 0..n {
+                tile[i * k + kk] = sample_standard_normal(rng);
+            }
+        }
+        tile
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|z| z.to_bits()).collect()
+    }
+
+    #[test]
+    fn pooled_round_draw_is_the_serial_draw_bit_for_bit() {
+        // Fewer patients than ranges, a count no range count divides, and
+        // a grid-sized cohort; a short last tile; one, two and four host
+        // threads.
+        let widths = [32usize, 32, 5];
+        for threads in [1usize, 2, 4] {
+            let engine = Engine::builder(ClusterSpec::test_small(2))
+                .host_threads(threads)
+                .build();
+            for n in [1usize, 3, 7, 4000] {
+                let mut serial = StdRng::seed_from_u64(21);
+                sample_standard_normal(&mut serial); // start mid-stream
+                let mut pooled = serial.clone();
+                let plan: Vec<RoundTile<'_>> =
+                    widths.iter().map(|&k| RoundTile::Missing(k)).collect();
+                let drawn = draw_round(&engine, &mut pooled, n, &plan);
+                assert_eq!(drawn.len(), widths.len());
+                for (t, (&k, (tile, token))) in widths.iter().zip(&drawn).enumerate() {
+                    let want = draw_tile(&mut serial, n, k);
+                    assert_eq!(bits(tile), bits(&want), "threads={threads} n={n} tile={t}");
+                    assert_eq!(
+                        token.clone().next_u64(),
+                        serial.clone().next_u64(),
+                        "threads={threads} n={n} token after tile {t}"
+                    );
+                }
+                assert_eq!(
+                    pooled.next_u64(),
+                    serial.next_u64(),
+                    "threads={threads} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_round_draw_resumes_from_a_cached_tiles_token() {
+        // Miss, hit, miss: the hit draws nothing and the last tile starts
+        // from the hit's token.
+        let engine = Engine::builder(ClusterSpec::test_small(2))
+            .host_threads(2)
+            .build();
+        let n = 37;
+        let mut serial = StdRng::seed_from_u64(4);
+        let first = draw_tile(&mut serial, n, 8);
+        draw_tile(&mut serial, n, 8);
+        let after_middle = serial.clone();
+        let last = draw_tile(&mut serial, n, 3);
+        let mut pooled = StdRng::seed_from_u64(4);
+        let plan = [
+            RoundTile::Missing(8),
+            RoundTile::Cached(&after_middle),
+            RoundTile::Missing(3),
+        ];
+        let drawn = draw_round(&engine, &mut pooled, n, &plan);
+        assert_eq!(drawn.len(), 2);
+        assert_eq!(bits(&drawn[0].0), bits(&first));
+        assert_eq!(bits(&drawn[1].0), bits(&last));
+        assert_eq!(pooled.next_u64(), serial.next_u64());
+    }
+
     #[test]
     fn draw_tile_is_the_transposed_mc_weights_stream() {
         // Replicate kk of the tile is the kk-th `mc_weights` column drawn
@@ -1355,15 +1534,18 @@ mod tests {
         let u = ctx.u_dataset();
         u.cache();
         // (seed, B) at tile 8, and the cache's cumulative (hits, misses)
-        // after the run. Cache contents in FIFO order, a/b = seed 5/6:
+        // after the run. A round looks all of its tiles up before it
+        // inserts the ones it drew. Cache contents in FIFO order, a/b =
+        // seed 5/6:
         let schedule = [
-            (5, 8, (0, 1)),   // a0 drawn                         -> [a0]
-            (6, 8, (0, 2)),   // b0 drawn                         -> [a0 b0]
-            (5, 16, (1, 3)),  // a0 hit, a1 drawn (evicts a0)     -> [b0 a1]
-            (5, 44, (2, 8)),  // a0 drawn, a1 hit, a2..a5 drawn   -> [a4 a5]
-            (5, 44, (2, 14)), // FIFO evicts each tile before use -> [a4 a5]
-            (5, 16, (2, 16)), // a0, a1 drawn                     -> [a0 a1]
-            (5, 44, (4, 20)), // a0, a1 hit, a2..a5 drawn         -> [a4 a5]
+            (5, 8, (0, 1)),   // a0 drawn                          -> [a0]
+            (6, 8, (0, 2)),   // b0 drawn                          -> [a0 b0]
+            (5, 16, (1, 3)),  // a0 hit, a1 drawn (evicts a0)      -> [b0 a1]
+            (5, 24, (2, 5)),  // a0 drawn, a1 hit, a2 drawn        -> [a0 a2]
+            (5, 44, (4, 9)),  // a0 hit, a1 drawn, a2 hit, a3..a5  -> [a4 a5]
+            (5, 44, (6, 13)), // a0..a3 drawn, a4 a5 hit           -> [a2 a3]
+            (5, 16, (6, 15)), // a0, a1 drawn                      -> [a0 a1]
+            (5, 44, (8, 19)), // a0, a1 hit, a2..a5 drawn          -> [a4 a5]
         ];
         for (step, &(seed, b, stats)) in schedule.iter().enumerate() {
             let opts = fixed_opts(b, seed, 8);

@@ -391,6 +391,33 @@ impl Engine {
         }
     }
 
+    /// Run driver-side work `f(i)` for every `i in 0..n` on the executor
+    /// pool's host threads and return once every index has run.
+    ///
+    /// This is host parallelism for work the driver would otherwise do
+    /// alone (drawing operand tiles, for one): it launches no job, emits
+    /// no event and charges no virtual time, like the serial loop it
+    /// stands in for. It follows a stage's slot rule (DESIGN.md §3c): when
+    /// another stage holds the pool's slot, when `n < 2`, or at
+    /// `host_threads(1)`, every index runs inline on the caller, in index
+    /// order. Which thread runs an index is otherwise unspecified, so `f`
+    /// must give the same effect wherever it runs. A panic in `f(i)` is
+    /// caught, every other index still runs, and then one of the caught
+    /// panics is re-raised on the caller; the pool keeps its workers.
+    pub fn for_each_on_pool(&self, n: usize, f: impl Fn(usize) + Sync) {
+        let panicked = Mutex::new(None);
+        self.pool.run(n, &|i| {
+            // The pool waits for every index to complete, so `f` must not
+            // unwind into it.
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
+                panicked.lock().get_or_insert(payload);
+            }
+        });
+        if let Some(payload) = panicked.into_inner() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+
     /// Run one stage: execute `f` for every partition index in `parts` on
     /// the host pool, then list-schedule the measured costs onto the
     /// virtual cluster. Returns results in `parts` order.

@@ -17,7 +17,9 @@
 //!   caller's *resume token*: whatever the caller needs to continue its
 //!   generator after the tile. A repeated analysis over the same key (the
 //!   multi-tenant service replaying gene queries against one cohort)
-//!   therefore neither re-draws nor re-ships a tile.
+//!   therefore neither re-draws nor re-ships a tile. Lookup and insertion
+//!   are separate calls, so a caller can look up a whole round of tiles,
+//!   draw its misses together, and insert them.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -26,7 +28,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::engine::{Broadcast, Engine};
-use crate::metrics::Counter;
+use crate::metrics::{Counter, Gauge};
 
 /// Most tiles [`plan_tiles`] puts in one job. A job keeps every tile's
 /// broadcast alive and every cell returns `rows × replicates` outputs, so
@@ -74,6 +76,13 @@ struct CacheInner<K, R> {
     order: VecDeque<K>,
     hits: u64,
     misses: u64,
+    /// Tile payload bytes retained in `map`.
+    bytes: i64,
+}
+
+/// Payload bytes of one retained tile, as the byte gauge counts them.
+fn tile_bytes(tile: &Broadcast<Vec<f64>>) -> i64 {
+    std::mem::size_of_val(tile.value().as_slice()) as i64
 }
 
 /// A bounded memo of broadcast operand tiles, keyed by whatever
@@ -89,13 +98,19 @@ struct CacheInner<K, R> {
 /// left. The cache never looks inside `R`.
 ///
 /// Hits and misses are also counted engine-wide in
-/// [`Engine::registry`] as `sparkscore_gemm_tile_{hits,misses}_total`.
+/// [`Engine::registry`] as `sparkscore_gemm_tile_{hits,misses}_total`,
+/// and the tile bytes every cache on the engine retains as the
+/// `sparkscore_gemm_tile_cache_bytes` gauge. The gauge stays out of the
+/// engine's memory ledger: the ledger accounts executor-side residency
+/// (cache blocks, shuffle outputs, DFS blocks), and these tiles live on
+/// the driver.
 pub struct BroadcastTileCache<K: Eq + Hash + Clone, R: Clone> {
     engine: Arc<Engine>,
     capacity: usize,
     inner: Mutex<CacheInner<K, R>>,
     hits_total: Arc<Counter>,
     misses_total: Arc<Counter>,
+    bytes_gauge: Arc<Gauge>,
 }
 
 impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
@@ -110,6 +125,10 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
             "sparkscore_gemm_tile_misses_total",
             "Operand tiles drawn and broadcast on a tile cache miss",
         );
+        let bytes_gauge = engine.registry().gauge(
+            "sparkscore_gemm_tile_cache_bytes",
+            "Operand tile bytes retained by broadcast tile caches (driver side, not in the memory ledger)",
+        );
         BroadcastTileCache {
             engine,
             capacity,
@@ -118,50 +137,58 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
                 order: VecDeque::new(),
                 hits: 0,
                 misses: 0,
+                bytes: 0,
             }),
             hits_total,
             misses_total,
+            bytes_gauge,
         }
     }
 
-    /// The broadcast and resume token for `key`. On a hit `draw` is never
-    /// called. On a miss `draw` produces the tile and the token that
-    /// follows it; the tile is broadcast (charging virtual network time)
-    /// and both are retained. The caller must guarantee that equal keys
-    /// always yield equal tiles and tokens.
-    pub fn get_or_draw(
-        &self,
-        key: K,
-        draw: impl FnOnce() -> (Vec<f64>, R),
-    ) -> (Broadcast<Vec<f64>>, R) {
-        {
-            let mut inner = self.inner.lock();
-            if let Some(entry) = inner.map.get(&key) {
-                let entry = entry.clone();
-                inner.hits += 1;
-                self.hits_total.inc();
-                return entry;
-            }
-        }
-        // Draw and broadcast outside the lock: the draw is the expensive
-        // part, and the broadcast charges virtual time and may contend
-        // with tasks reading the clock.
-        let (tile, resume) = draw();
-        let entry = (self.engine.broadcast(tile), resume);
+    /// The broadcast and resume token cached under `key`, counted as a
+    /// hit; `None` if absent. A miss is counted when the caller
+    /// [`insert`](Self::insert)s the tile it then draws.
+    pub fn get(&self, key: &K) -> Option<(Broadcast<Vec<f64>>, R)> {
+        let mut inner = self.inner.lock();
+        let entry = inner.map.get(key).cloned()?;
+        inner.hits += 1;
+        self.hits_total.inc();
+        Some(entry)
+    }
+
+    /// Broadcast a tile drawn after a [`get`](Self::get) miss (charging
+    /// virtual network time), retain it with `resume`, the token that
+    /// follows it, and return the broadcast. Counted as a miss. The
+    /// oldest entry is evicted past capacity. The caller must guarantee
+    /// that equal keys always yield equal tiles and tokens.
+    pub fn insert(&self, key: K, tile: Vec<f64>, resume: R) -> Broadcast<Vec<f64>> {
+        // Broadcast outside the lock: it charges virtual time and may
+        // contend with tasks reading the clock.
+        let tile = self.engine.broadcast(tile);
+        let mut delta = tile_bytes(&tile);
         let mut inner = self.inner.lock();
         inner.misses += 1;
         self.misses_total.inc();
         // A racing query may have inserted the same key meanwhile; both
         // entries carry identical contents, so keep ours in its slot.
-        if inner.map.insert(key.clone(), entry.clone()).is_none() {
-            inner.order.push_back(key);
-            if inner.order.len() > self.capacity {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.map.remove(&old);
+        match inner.map.insert(key.clone(), (tile.clone(), resume)) {
+            Some((old, _)) => delta -= tile_bytes(&old),
+            None => {
+                inner.order.push_back(key);
+                if inner.order.len() > self.capacity {
+                    if let Some((old, _)) = inner
+                        .order
+                        .pop_front()
+                        .and_then(|old| inner.map.remove(&old))
+                    {
+                        delta -= tile_bytes(&old);
+                    }
                 }
             }
         }
-        entry
+        inner.bytes += delta;
+        self.bytes_gauge.add(delta);
+        tile
     }
 
     /// `(hits, misses)` of this cache since construction.
@@ -178,6 +205,12 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
     /// Whether the cache holds no tiles.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<K: Eq + Hash + Clone, R: Clone> Drop for BroadcastTileCache<K, R> {
+    fn drop(&mut self) {
+        self.bytes_gauge.add(-self.inner.get_mut().bytes);
     }
 }
 
@@ -230,23 +263,60 @@ mod tests {
         let engine = Engine::builder(ClusterSpec::test_small(2)).build();
         let cache: BroadcastTileCache<(u64, u64), u32> =
             BroadcastTileCache::new(Arc::clone(&engine), 2);
-        let (a, after_a) = cache.get_or_draw((7, 0), || (vec![1.0, 2.0], 10));
-        let (a2, after_a2) = cache.get_or_draw((7, 0), || unreachable!("a hit draws nothing"));
+        assert!(cache.get(&(7, 0)).is_none());
+        let a = cache.insert((7, 0), vec![1.0, 2.0], 10);
+        let (a2, after_a2) = cache.get(&(7, 0)).expect("a hit");
         assert_eq!(a.value(), a2.value());
-        assert_eq!((after_a, after_a2), (10, 10));
+        assert_eq!(after_a2, 10);
         assert_eq!(cache.stats(), (1, 1));
-        cache.get_or_draw((7, 1), || (vec![3.0], 11));
+        cache.insert((7, 1), vec![3.0], 11);
         // Third insert evicts (7, 0) — the oldest — so it misses again.
-        cache.get_or_draw((7, 2), || (vec![4.0], 12));
+        cache.insert((7, 2), vec![4.0], 12);
         assert_eq!(cache.len(), 2);
-        let (_, resume) = cache.get_or_draw((7, 0), || (vec![1.0, 2.0], 10));
-        assert_eq!(resume, 10);
-        assert_eq!(cache.stats(), (1, 4));
+        assert!(cache.get(&(7, 0)).is_none());
+        cache.insert((7, 0), vec![1.0, 2.0], 10);
+        assert_eq!(cache.get(&(7, 0)).map(|(_, resume)| resume), Some(10));
+        assert_eq!(cache.stats(), (2, 4));
         let text = engine.registry().render_prometheus();
-        assert!(text.contains("sparkscore_gemm_tile_hits_total 1"), "{text}");
+        assert!(text.contains("sparkscore_gemm_tile_hits_total 2"), "{text}");
         assert!(
             text.contains("sparkscore_gemm_tile_misses_total 4"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn tile_cache_bytes_gauge_follows_inserts_evictions_and_drop() {
+        let engine = Engine::builder(ClusterSpec::test_small(2)).build();
+        let gauge = engine
+            .registry()
+            .gauge("sparkscore_gemm_tile_cache_bytes", "");
+        let ledger_before = engine.memory_snapshot();
+        let cache: BroadcastTileCache<u64, ()> = BroadcastTileCache::new(Arc::clone(&engine), 2);
+        cache.insert(0, vec![0.0; 4], ());
+        cache.insert(1, vec![0.0; 2], ());
+        assert_eq!(gauge.get(), 6 * 8);
+        // Evicts key 0's four values.
+        cache.insert(2, vec![0.0; 1], ());
+        assert_eq!(gauge.get(), 3 * 8);
+        // A racing re-insert of a retained key replaces it in place.
+        cache.insert(2, vec![0.0; 1], ());
+        assert_eq!(gauge.get(), 3 * 8);
+        // A second cache on the engine adds to the same gauge.
+        let other: BroadcastTileCache<u64, ()> = BroadcastTileCache::new(Arc::clone(&engine), 1);
+        other.insert(0, vec![0.0; 5], ());
+        assert_eq!(gauge.get(), 8 * 8);
+        // Retained tiles are driver memory, not ledger categories.
+        let ledger_bytes = |r: &[crate::ledger::MemReading]| {
+            r.iter().map(|m| (m.used, m.peak)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            ledger_bytes(&engine.memory_snapshot()),
+            ledger_bytes(&ledger_before)
+        );
+        drop(cache);
+        assert_eq!(gauge.get(), 5 * 8);
+        drop(other);
+        assert_eq!(gauge.get(), 0);
     }
 }

@@ -1,8 +1,10 @@
 //! Behavior of the persistent executor pool through the public engine
 //! API: thread reuse across thousands of tiny stages, clean shutdown on
-//! engine drop, panic propagation, the event-stream invariants under
-//! per-stage batched emission, and several drivers sharing one pool.
+//! engine drop, panic propagation (from stages and from driver work run
+//! on the pool), the event-stream invariants under per-stage batched
+//! emission, and several drivers sharing one pool.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 
 use sparkscore_cluster::ClusterSpec;
@@ -89,6 +91,58 @@ fn task_panic_propagates_and_pool_survives() {
         32
     );
     assert_eq!(diag.threads_spawned(), 3, "no respawn after a panic");
+}
+
+#[test]
+fn driver_work_on_the_pool_is_no_job_and_re_raises_a_panic_after_every_index() {
+    for threads in [1, 2, 4] {
+        let mem = Arc::new(MemoryEventListener::new());
+        let engine = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(threads)
+            .listener(Arc::clone(&mem) as Arc<dyn EventListener>)
+            .build();
+        let diag = engine.pool_diagnostics();
+        let ran: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        engine.for_each_on_pool(ran.len(), |i| {
+            ran[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(ran.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        // No job, no stage, no task, no event, no virtual time.
+        let m = engine.metrics_snapshot();
+        assert_eq!((m.jobs, m.stages, m.tasks), (0, 0, 0));
+        assert!(mem.snapshot().is_empty(), "{threads} host threads");
+        assert_eq!(engine.virtual_time_ns(), 0);
+
+        let ran: Vec<AtomicU32> = (0..16).map(|_| AtomicU32::new(0)).collect();
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.for_each_on_pool(ran.len(), |i| {
+                ran[i].fetch_add(1, Ordering::Relaxed);
+                assert!(i != 5, "injected driver-work failure");
+            });
+        }));
+        let payload = boom.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected driver-work failure")
+        );
+        assert!(
+            ran.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+            "every other index still ran, once"
+        );
+        // The pool kept its workers and serves the next job.
+        assert_eq!(diag.threads_alive(), threads - 1);
+        assert_eq!(
+            engine
+                .parallelize((0..32u64).collect::<Vec<_>>(), 8)
+                .count(),
+            32
+        );
+        assert_eq!(
+            diag.threads_spawned(),
+            threads - 1,
+            "no respawn after a panic"
+        );
+    }
 }
 
 #[test]

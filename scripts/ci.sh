@@ -21,12 +21,12 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== events and pool test binaries 50x: concurrent emitters, concurrent drivers =="
+echo "== events, pool and concurrent_grid test binaries 50x: concurrent emitters, concurrent drivers =="
 # One run of a race-prone test proves little; a loop over the whole binary
 # catches an ordering race that fails a few runs in a hundred.
 loop_test_binary() {
-    local name="$1" bin
-    bin="$(cargo test -q -p sparkscore-rdd --test "$name" --no-run --message-format=json \
+    local package="$1" name="$2" bin
+    bin="$(cargo test -q -p "$package" --test "$name" --no-run --message-format=json \
         | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
     [ -x "$bin" ] || { echo "$name test binary not found" >&2; exit 1; }
     for run in $(seq 1 50); do
@@ -34,8 +34,9 @@ loop_test_binary() {
             || { echo "$name test binary failed on run $run of 50" >&2; exit 1; }
     done
 }
-loop_test_binary events
-loop_test_binary pool
+loop_test_binary sparkscore-rdd events
+loop_test_binary sparkscore-rdd pool
+loop_test_binary integration-tests concurrent_grid
 
 echo "== cargo fmt --check =="
 cargo fmt --check
