@@ -120,7 +120,7 @@ pub fn pressured_engine(nodes: u32, cache_budget: u64, cfg: &SyntheticConfig) ->
 
 /// Directory where experiment event logs land: `$SPARKSCORE_EVENTS_DIR`
 /// when set (CI points this at a scratch dir), else `target/events`.
-pub fn events_dir() -> std::path::PathBuf {
+fn events_dir() -> std::path::PathBuf {
     std::env::var_os("SPARKSCORE_EVENTS_DIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("target/events"))
@@ -198,7 +198,7 @@ impl Observability {
 /// Compact critical-path + cache-ROI digest for a finished run: the
 /// slowest job's stage chain and bottleneck, plus the run-wide cache
 /// economics. (The full per-job breakdown is `trace report <log>`.)
-pub fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
+fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(out, "\n== trace digest ==");

@@ -92,18 +92,6 @@ impl ExecutorLayout {
         self.executors.iter().map(|e| e.memory_bytes).sum()
     }
 
-    /// Executors restricted to nodes that are still alive.
-    pub fn alive(&self, cluster: &Cluster) -> ExecutorLayout {
-        ExecutorLayout {
-            executors: self
-                .executors
-                .iter()
-                .filter(|e| cluster.node(e.node).is_alive())
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Nodes that host at least one executor, deduplicated, in node order.
     pub fn nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.executors.iter().map(|e| e.node).collect();
@@ -116,7 +104,7 @@ impl ExecutorLayout {
 /// Why an allocation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResourceError {
-    /// A single container is larger than any node (cores or memory).
+    /// A single container needs more memory than any node can grant.
     ContainerTooLarge {
         memory_mib: u64,
         cores: u32,
@@ -153,47 +141,31 @@ impl fmt::Display for ResourceError {
 
 impl std::error::Error for ResourceError {}
 
+/// Fraction of node memory YARN hands out to containers (the rest is
+/// reserved for the OS/daemons). EMR defaults leave roughly 75–90%; we use
+/// 90%.
+const USABLE_MEMORY_FRACTION: f64 = 0.9;
+
 /// Packs container requests onto cluster nodes (first-fit round-robin, the
 /// effective behaviour of YARN's default capacity scheduler for uniform
 /// containers on a homogeneous cluster).
+///
+/// Containers are packed by memory only, as YARN's default
+/// `DefaultResourceCalculator` does — which is how the paper fits 42
+/// containers × 6 cores onto 36 × 8-vCPU nodes (Table VIII).
 #[derive(Debug)]
 pub struct ResourceManager {
     cluster: Arc<Cluster>,
-    /// Fraction of node memory YARN hands out to containers (the rest is
-    /// reserved for the OS/daemons). EMR defaults leave roughly 75–90%;
-    /// we use 90%.
-    usable_memory_fraction: f64,
-    /// Whether cores are a hard packing constraint. YARN's default
-    /// `DefaultResourceCalculator` packs by memory only — which is how the
-    /// paper fits 42 containers × 6 cores onto 36 × 8-vCPU nodes
-    /// (Table VIII). Enable to model `DominantResourceCalculator`.
-    enforce_cores: bool,
 }
 
 impl ResourceManager {
     pub fn new(cluster: Arc<Cluster>) -> Self {
-        ResourceManager {
-            cluster,
-            usable_memory_fraction: 0.9,
-            enforce_cores: false,
-        }
-    }
-
-    pub fn with_usable_memory_fraction(mut self, frac: f64) -> Self {
-        assert!(frac > 0.0 && frac <= 1.0, "fraction must be in (0, 1]");
-        self.usable_memory_fraction = frac;
-        self
-    }
-
-    /// Treat cores as a hard constraint (YARN `DominantResourceCalculator`).
-    pub fn with_core_enforcement(mut self) -> Self {
-        self.enforce_cores = true;
-        self
+        ResourceManager { cluster }
     }
 
     fn node_usable_memory(&self) -> u64 {
         let per_node = self.cluster.spec().instance.memory_bytes() as f64;
-        (per_node * self.usable_memory_fraction) as u64
+        (per_node * USABLE_MEMORY_FRACTION) as u64
     }
 
     /// Allocate `req`, spreading containers round-robin over alive nodes.
@@ -204,7 +176,7 @@ impl ResourceManager {
         let inst = &self.cluster.spec().instance;
         let node_mem = self.node_usable_memory();
         let req_mem = req.memory_mib * 1024 * 1024;
-        if req_mem > node_mem || (self.enforce_cores && req.cores > inst.vcpus) {
+        if req_mem > node_mem {
             return Err(ResourceError::ContainerTooLarge {
                 memory_mib: req.memory_mib,
                 cores: req.cores,
@@ -215,8 +187,6 @@ impl ResourceManager {
 
         let alive = self.cluster.alive_nodes();
         let mut free_mem: Vec<u64> = vec![node_mem; alive.len()];
-        let mut free_cores: Vec<u32> = vec![inst.vcpus; alive.len()];
-        let enforce_cores = self.enforce_cores;
         let mut executors = Vec::with_capacity(req.containers as usize);
         let mut cursor = 0usize;
         let mut granted = 0u32;
@@ -227,9 +197,8 @@ impl ResourceManager {
             for _ in 0..alive.len() {
                 let i = cursor % alive.len();
                 cursor += 1;
-                if free_mem[i] >= req_mem && (!enforce_cores || free_cores[i] >= req.cores) {
+                if free_mem[i] >= req_mem {
                     free_mem[i] -= req_mem;
-                    free_cores[i] = free_cores[i].saturating_sub(req.cores);
                     executors.push(Executor {
                         id: granted,
                         node: alive[i],
@@ -290,6 +259,11 @@ mod tests {
         assert_eq!(layout.num_executors(), 6);
         assert_eq!(layout.total_slots(), 48);
         assert_eq!(layout.nodes().len(), 6);
+        // Each executor gets 0.9 of its node's memory.
+        let node_memory = ClusterSpec::m3_2xlarge(6).instance.memory_bytes();
+        for executor in layout.executors() {
+            assert_eq!(executor.memory_bytes, (node_memory as f64 * 0.9) as u64);
+        }
     }
 
     #[test]
@@ -332,24 +306,17 @@ mod tests {
     }
 
     #[test]
-    fn oversized_container_rejected_by_cores_when_enforced() {
-        let rm = ResourceManager::new(Arc::new(Cluster::provision(ClusterSpec::m3_2xlarge(2))))
-            .with_core_enforcement();
-        let err = rm.allocate(ContainerRequest::new(1, 1024, 16)).unwrap_err();
-        assert!(matches!(err, ResourceError::ContainerTooLarge { .. }));
-    }
-
-    #[test]
     fn exhaustion_reports_partial_grant() {
-        let rm = ResourceManager::new(Arc::new(Cluster::provision(ClusterSpec::m3_2xlarge(1))))
-            .with_core_enforcement();
-        // 8 vcpus per node -> at most 2 containers of 4 cores.
-        let err = rm.allocate(ContainerRequest::new(3, 1024, 4)).unwrap_err();
+        // 27 GiB usable per node -> two 10 GiB containers on each of 2 nodes.
+        let rm = rm(2);
+        let err = rm
+            .allocate(ContainerRequest::new(5, 10 * 1024, 1))
+            .unwrap_err();
         assert_eq!(
             err,
             ResourceError::ClusterExhausted {
-                granted: 2,
-                requested: 3
+                granted: 4,
+                requested: 5
             }
         );
     }
@@ -391,16 +358,6 @@ mod tests {
         let layout = rm.one_executor_per_node();
         assert_eq!(layout.num_executors(), 2);
         assert!(!layout.nodes().contains(&NodeId(1)));
-    }
-
-    #[test]
-    fn alive_filters_executors_after_kill() {
-        let cluster = Arc::new(Cluster::provision(ClusterSpec::m3_2xlarge(3)));
-        let rm = ResourceManager::new(Arc::clone(&cluster));
-        let layout = rm.one_executor_per_node();
-        cluster.kill_node(NodeId(0));
-        let alive = layout.alive(&cluster);
-        assert_eq!(alive.num_executors(), 2);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Total vCPUs across the cluster.
-    pub fn total_vcpus(&self) -> u32 {
-        self.nodes * self.instance.vcpus
-    }
-
     /// Total memory in bytes across the cluster.
     pub fn total_memory_bytes(&self) -> u64 {
         self.nodes as u64 * self.instance.memory_bytes()
@@ -129,10 +124,6 @@ impl Cluster {
         &self.nodes[id.index()]
     }
 
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
-    }
-
     /// IDs of all currently-alive nodes.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
         self.nodes
@@ -145,9 +136,8 @@ impl Cluster {
     /// Cached shared snapshot of the alive-node set. Hot placement paths
     /// call this once per block/bucket; rebuilding a `Vec` each time (as
     /// [`Cluster::alive_nodes`] does) was measurable allocator churn. The
-    /// cache is invalidated by [`Cluster::kill_node`] /
-    /// [`Cluster::revive_node`] bumping the liveness epoch *after* the flag
-    /// write, so a cached snapshot is always at least as new as its epoch.
+    /// cache is invalidated by [`Cluster::kill_node`] bumping the liveness
+    /// epoch *after* the flag write, so a cached snapshot is always at least as new as its epoch.
     pub fn alive_snapshot(&self) -> Arc<Vec<NodeId>> {
         let epoch = self.liveness_epoch.load(Ordering::Acquire);
         let mut cache = self.alive_cache.lock();
@@ -169,12 +159,6 @@ impl Cluster {
         }
         was_alive
     }
-
-    /// Bring a node back (models replacement hardware re-joining).
-    pub fn revive_node(&self, id: NodeId) {
-        self.nodes[id.index()].alive.store(true, Ordering::Release);
-        self.liveness_epoch.fetch_add(1, Ordering::AcqRel);
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +174,7 @@ mod tests {
     fn provision_creates_dense_ids() {
         let c = cluster(4);
         assert_eq!(c.num_nodes(), 4);
-        for (i, n) in c.nodes().enumerate() {
+        for (i, n) in c.nodes.iter().enumerate() {
             assert_eq!(n.id, NodeId(i as u32));
             assert!(n.is_alive());
             assert_eq!(n.instance, TEST_SMALL);
@@ -210,8 +194,6 @@ mod tests {
         assert!(!c.kill_node(NodeId(1)), "second kill is a no-op");
         assert_eq!(c.num_alive(), 2);
         assert_eq!(c.alive_nodes(), vec![NodeId(0), NodeId(2)]);
-        c.revive_node(NodeId(1));
-        assert_eq!(c.num_alive(), 3);
     }
 
     #[test]
@@ -224,14 +206,11 @@ mod tests {
         c.kill_node(NodeId(1));
         let s3 = c.alive_snapshot();
         assert_eq!(*s3, vec![NodeId(0), NodeId(2)]);
-        c.revive_node(NodeId(1));
-        assert_eq!(*c.alive_snapshot(), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn spec_totals() {
         let spec = ClusterSpec::m3_2xlarge(6);
-        assert_eq!(spec.total_vcpus(), 48);
         assert_eq!(spec.total_memory_bytes(), 6 * 30 * 1024 * 1024 * 1024);
     }
 

@@ -39,17 +39,6 @@ pub struct VirtualTask {
     pub shuffle_bytes: u64,
 }
 
-impl VirtualTask {
-    pub fn compute_only(compute_ns: u64) -> Self {
-        VirtualTask {
-            compute_ns,
-            input_bytes: 0,
-            preferred_nodes: Vec::new(),
-            shuffle_bytes: 0,
-        }
-    }
-}
-
 /// Where and when a task ran in virtual time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledTask {
@@ -102,11 +91,6 @@ impl VirtualScheduler {
             open_jobs: 0,
             credited_ns: 0,
         }
-    }
-
-    /// Number of concurrent task slots.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
     }
 
     fn task_duration(&self, task: &VirtualTask, node: NodeId) -> (u64, bool) {
@@ -175,10 +159,11 @@ impl VirtualScheduler {
         }
     }
 
-    /// Like [`Self::remove_node`], but refuses (returning `false`) instead
-    /// of panicking when the node holds the only remaining slots — the
-    /// engine keeps limping on the last node rather than aborting, matching
-    /// a Spark driver that never schedules onto the lost executor again.
+    /// Remove the slots of a node that died mid-job; pending backlogs on
+    /// other slots are kept. Refuses (returning `false`) when the node holds
+    /// the only remaining slots — the engine keeps limping on the last node
+    /// rather than aborting, matching a Spark driver that never schedules
+    /// onto the lost executor again.
     pub fn remove_node_checked(&mut self, node: NodeId) -> bool {
         let remaining = self.slots.iter().filter(|&&(_, n, _)| n != node).count();
         if remaining == 0 {
@@ -186,16 +171,6 @@ impl VirtualScheduler {
         }
         self.slots.retain(|&(_, n, _)| n != node);
         true
-    }
-
-    /// Remove the slots of a node that died mid-job. Pending backlogs on
-    /// other slots are kept. Panics if this would leave zero slots.
-    pub fn remove_node(&mut self, node: NodeId) {
-        self.slots.retain(|&(_, n, _)| n != node);
-        assert!(
-            !self.slots.is_empty(),
-            "removing {node} left the virtual scheduler with no slots"
-        );
     }
 
     /// Current virtual time at which all slots are free (job end).
@@ -257,10 +232,6 @@ impl VirtualClock {
     pub fn now_secs(&self) -> f64 {
         self.now_ns() as f64 / 1e9
     }
-
-    pub fn reset(&self) {
-        self.ns.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -277,15 +248,22 @@ mod tests {
         VirtualScheduler::new(&layout, &TEST_SMALL)
     }
 
+    fn compute_only(compute_ns: u64) -> VirtualTask {
+        VirtualTask {
+            compute_ns,
+            input_bytes: 0,
+            preferred_nodes: Vec::new(),
+            shuffle_bytes: 0,
+        }
+    }
+
     fn flat_tasks(n: usize, compute_ns: u64) -> Vec<VirtualTask> {
-        (0..n)
-            .map(|_| VirtualTask::compute_only(compute_ns))
-            .collect()
+        (0..n).map(|_| compute_only(compute_ns)).collect()
     }
 
     #[test]
     fn slots_match_layout() {
-        assert_eq!(sched(3).num_slots(), 6); // 3 nodes × 2 cores
+        assert_eq!(sched(3).slots.len(), 6); // 3 nodes × 2 cores
     }
 
     #[test]
@@ -375,17 +353,13 @@ mod tests {
     #[test]
     fn remove_node_drops_slots() {
         let mut s = sched(2);
-        s.remove_node(NodeId(0));
-        assert_eq!(s.num_slots(), 2);
+        assert!(s.remove_node_checked(NodeId(0)));
+        assert_eq!(s.slots.len(), 2);
         let out = s.schedule(&flat_tasks(2, 1_000_000));
         assert!(out.tasks.iter().all(|t| t.node == NodeId(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "no slots")]
-    fn removing_last_node_panics() {
-        let mut s = sched(1);
-        s.remove_node(NodeId(0));
+        // The last node's slots stay.
+        assert!(!s.remove_node_checked(NodeId(1)));
+        assert_eq!(s.slots.len(), 2);
     }
 
     #[test]
@@ -395,22 +369,20 @@ mod tests {
         clock.advance(500_000_000);
         assert_eq!(clock.now_ns(), 2_000_000_000);
         assert!((clock.now_secs() - 2.0).abs() < 1e-12);
-        clock.reset();
-        assert_eq!(clock.now_ns(), 0);
     }
 
     #[test]
     fn barrier_prevents_backfill_into_prior_jobs() {
         let mut s = sched(1); // 2 slots
                               // A lopsided stage: one long task, one short → slot 2 idles.
-        let long = VirtualTask::compute_only(100_000_000);
-        let short = VirtualTask::compute_only(1_000_000);
+        let long = compute_only(100_000_000);
+        let short = compute_only(1_000_000);
         s.schedule(&[long, short]);
         let horizon = s.horizon_ns();
         // Without a barrier a tiny follow-up task would hide in the idle
         // slot and not move the horizon; with it, it must.
         s.open_job();
-        s.schedule(&[VirtualTask::compute_only(1_000_000)]);
+        s.schedule(&[compute_only(1_000_000)]);
         assert!(
             s.horizon_ns() > horizon,
             "post-barrier work must extend the horizon"

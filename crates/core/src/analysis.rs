@@ -566,14 +566,6 @@ impl SparkScoreContext {
         self.phenotype.num_patients()
     }
 
-    pub fn num_sets(&self) -> usize {
-        self.set_ids.len()
-    }
-
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
     /// The `U` RDD (Algorithm 1 step 7): per-SNP per-patient contributions
     /// under `model_bc`. Models with an affine per-dosage contribution
     /// (Gaussian, Binomial) score each 2-bit column directly through the
@@ -1267,7 +1259,7 @@ mod tests {
                 set_filter: None,
             };
             let run = ctx.monte_carlo_grid(&u, &opts);
-            let oracle = monte_carlo_blocked(ctx.model(), &rows, &weights, &sets, b, 9, tile);
+            let oracle = monte_carlo_blocked(&ctx.model, &rows, &weights, &sets, b, 9, tile);
             let grid_observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
             assert_eq!(grid_observed, oracle.observed, "tile={tile}");
             assert_eq!(run.counts_ge, oracle.counts_ge, "tile={tile}");
@@ -1295,7 +1287,7 @@ mod tests {
         u.cache();
         let run = ctx.monte_carlo_grid(&u, &opts);
         u.unpersist();
-        let oracle = monte_carlo_adaptive(ctx.model(), &rows, &weights, &sets, 200, 3, 16, &rule);
+        let oracle = monte_carlo_adaptive(&ctx.model, &rows, &weights, &sets, 200, 3, 16, &rule);
         let grid_observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
         assert_eq!(grid_observed, oracle.observed);
         assert_eq!(run.counts_ge, oracle.counts_ge);
@@ -1581,7 +1573,7 @@ mod tests {
         ] {
             assert!(b.div_ceil(tile) <= jobs as usize * cap);
             let run = ctx.monte_carlo_grid(&u, &fixed_opts(b, 9, tile));
-            let oracle = monte_carlo_blocked(ctx.model(), &rows, &weights, &sets, b, 9, tile);
+            let oracle = monte_carlo_blocked(&ctx.model, &rows, &weights, &sets, b, 9, tile);
             let observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
             assert_eq!(observed, oracle.observed, "b={b} tile={tile}");
             assert_eq!(run.counts_ge, oracle.counts_ge, "b={b} tile={tile}");
@@ -1603,7 +1595,7 @@ mod tests {
             };
             let run = ctx.monte_carlo_grid(&u, &opts);
             let oracle =
-                monte_carlo_adaptive(ctx.model(), &rows, &weights, &sets, b, 3, tile, &rule);
+                monte_carlo_adaptive(&ctx.model, &rows, &weights, &sets, b, 3, tile, &rule);
             assert_eq!(run.counts_ge, oracle.counts_ge, "floor={floor}");
             assert_eq!(run.replicates_used, oracle.replicates_used, "floor={floor}");
             assert_eq!(run.replicates_run, oracle.replicates_run, "floor={floor}");

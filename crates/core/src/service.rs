@@ -123,11 +123,6 @@ impl AnalysisService {
         }
     }
 
-    /// Registered cohort names, sorted.
-    pub fn cohorts(&self) -> Vec<String> {
-        self.cohorts.lock().keys().cloned().collect()
-    }
-
     fn cohort(&self, name: &str) -> Result<Arc<Cohort>, QueryError> {
         self.cohorts
             .lock()

@@ -52,15 +52,15 @@ pub fn format_genotype_line(row: &SnpRow) -> String {
     s
 }
 
-pub fn format_phenotype_line(patient: usize, ph: &Survival) -> String {
+fn format_phenotype_line(patient: usize, ph: &Survival) -> String {
     format!("{patient} {:.6} {}", ph.time, u8::from(ph.event))
 }
 
-pub fn format_weight_line(snp: u64, weight: f64) -> String {
+fn format_weight_line(snp: u64, weight: f64) -> String {
     format!("{snp} {weight:.10}")
 }
 
-pub fn format_set_line(set: &SnpSet) -> String {
+fn format_set_line(set: &SnpSet) -> String {
     let members: Vec<String> = set.members.iter().map(|m| m.to_string()).collect();
     format!("{} {}", set.id, members.join(","))
 }
@@ -93,7 +93,7 @@ pub fn parse_genotype_line(line: &str) -> (u64, Vec<u8>) {
 }
 
 /// Parse `"<patient_id> <time> <0|1>"`.
-pub fn parse_phenotype_line(line: &str) -> (usize, Survival) {
+fn parse_phenotype_line(line: &str) -> (usize, Survival) {
     let mut it = line.split_ascii_whitespace();
     let (Some(pid), Some(time), Some(event), None) = (it.next(), it.next(), it.next(), it.next())
     else {
@@ -142,7 +142,7 @@ pub fn parse_set_line(line: &str) -> SnpSet {
 /// Every row as [`format_genotype_line`] writes it, newline-terminated —
 /// written as bytes into one buffer sized up front (an id is at most 20
 /// digits, then two bytes per patient and the newline).
-pub fn genotypes_to_text(rows: &[SnpRow]) -> String {
+fn genotypes_to_text(rows: &[SnpRow]) -> String {
     let width = rows.first().map_or(0, |row| 2 * row.dosages.len() + 21);
     let mut out = Vec::with_capacity(rows.len() * width);
     for row in rows {
@@ -173,7 +173,7 @@ pub fn weights_to_text(weights: &[f64]) -> String {
     out
 }
 
-pub fn sets_to_text(sets: &[SnpSet]) -> String {
+fn sets_to_text(sets: &[SnpSet]) -> String {
     let mut out = String::new();
     for s in sets {
         out.push_str(&format_set_line(s));

@@ -162,7 +162,7 @@ impl GenotypeBlock {
     /// Append one SNP column. Accepts dosages 0/1/2 and the
     /// [`MISSING_DOSAGE`] code; panics on anything larger (those values
     /// were previously accepted silently and scored as huge dosages).
-    pub fn push_row(&mut self, id: u64, dosages: &[u8]) {
+    fn push_row(&mut self, id: u64, dosages: &[u8]) {
         assert_eq!(
             dosages.len(),
             self.num_patients,
@@ -208,23 +208,6 @@ impl GenotypeBlock {
         self.ids[col]
     }
 
-    #[inline]
-    pub fn snp_ids(&self) -> &[u64] {
-        &self.ids
-    }
-
-    /// Packed payload size in bytes (excluding ids and header).
-    #[inline]
-    pub fn packed_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Bytes per SNP column: `ceil(num_patients / 4)`.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// The raw packed bytes of SNP column `col` — the bit-kernel facing
     /// view: `sparkscore_stats::bitkern` computes counts and affine
     /// score contributions on these words without unpacking.
@@ -235,8 +218,8 @@ impl GenotypeBlock {
 
     /// Dosage of patient `i` at SNP column `col` (0/1/2 or
     /// [`MISSING_DOSAGE`]).
-    #[inline]
-    pub fn dosage(&self, col: usize, i: usize) -> u8 {
+    #[cfg(test)]
+    fn dosage(&self, col: usize, i: usize) -> u8 {
         assert!(i < self.num_patients, "patient index out of range");
         let byte = self.data[col * self.stride + i / 4];
         (byte >> (2 * (i % 4))) & 0b11
@@ -343,7 +326,7 @@ mod tests {
         block.for_each_row(&mut buf, |id, dosages| visited.push((id, dosages.to_vec())));
         assert_eq!(visited, rows);
         for (c, (_, dosages)) in rows.iter().enumerate() {
-            assert_eq!(block.column(c).len(), block.stride());
+            assert_eq!(block.column(c).len(), block.stride);
             for (i, &d) in dosages.iter().enumerate() {
                 assert_eq!(block.dosage(c, i), d, "col {c} patient {i}");
                 assert_eq!((block.column(c)[i / 4] >> (2 * (i % 4))) & 0b11, d);
@@ -372,7 +355,7 @@ mod tests {
     fn packs_four_dosages_per_byte() {
         let block = GenotypeBlock::from_rows(9, &[(1, vec![0, 1, 2, 3, 0, 1, 2, 3, 2])]);
         // 9 patients → 3 bytes per column.
-        assert_eq!(block.packed_bytes(), 3);
+        assert_eq!(block.data.len(), 3);
         assert_eq!(block.dosage(0, 3), MISSING_DOSAGE);
         assert_eq!(block.dosage(0, 8), 2);
     }
@@ -418,8 +401,8 @@ mod tests {
         let (got, lines) = GenotypeBlock::from_text(n, block, &keep);
         let shown = String::from_utf8_lossy(block);
         assert_eq!(lines, want_lines, "lines of {shown:?}");
-        assert_eq!(got.snp_ids(), want.snp_ids(), "ids of {shown:?}");
-        assert_eq!(got.stride(), want.stride());
+        assert_eq!(got.ids, want.ids, "ids of {shown:?}");
+        assert_eq!(got.stride, want.stride);
         for c in 0..want.num_snps() {
             assert_eq!(got.column(c), want.column(c), "column {c} of {shown:?}");
         }

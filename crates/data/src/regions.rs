@@ -39,8 +39,10 @@ impl GeneRegion {
         }
     }
 
-    #[inline]
-    pub fn contains(&self, chromosome: u8, position: u64) -> bool {
+    /// Containment by definition: the oracle the binary-search
+    /// construction below is tested against.
+    #[cfg(test)]
+    fn contains(&self, chromosome: u8, position: u64) -> bool {
         self.chromosome == chromosome && (self.start..=self.end).contains(&position)
     }
 }
@@ -67,17 +69,6 @@ pub fn snp_sets_from_genes(loci: &[SnpLocus], genes: &[GeneRegion]) -> Vec<SnpSe
             let mut members: Vec<usize> = sorted[lo..hi].iter().map(|l| l.index).collect();
             members.sort_unstable();
             Some(SnpSet::new(gene.id, members))
-        })
-        .collect()
-}
-
-/// Evenly spaced loci along one chromosome — handy for tests/examples.
-pub fn evenly_spaced_loci(chromosome: u8, count: usize, spacing: u64) -> Vec<SnpLocus> {
-    (0..count)
-        .map(|i| SnpLocus {
-            index: i,
-            chromosome,
-            position: (i as u64 + 1) * spacing,
         })
         .collect()
 }
@@ -150,14 +141,6 @@ mod tests {
         let genes = vec![GeneRegion::new(7, "g", 1, 100, 250)];
         let sets = snp_sets_from_genes(&loci, &genes);
         assert_eq!(sets[0].members, vec![2, 9], "indices sorted in output");
-    }
-
-    #[test]
-    fn evenly_spaced_helper() {
-        let loci = evenly_spaced_loci(4, 3, 1000);
-        assert_eq!(loci.len(), 3);
-        assert_eq!(loci[2].position, 3000);
-        assert!(loci.iter().all(|l| l.chromosome == 4));
     }
 
     #[test]

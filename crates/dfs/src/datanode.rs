@@ -27,10 +27,6 @@ impl Datanode {
         self.blocks.read().get(&id).cloned()
     }
 
-    pub fn contains(&self, id: BlockId) -> bool {
-        self.blocks.read().contains_key(&id)
-    }
-
     /// Drop every replica; returns how many were dropped.
     pub fn clear(&self) -> usize {
         let mut guard = self.blocks.write();
@@ -60,7 +56,6 @@ mod tests {
     fn store_fetch_contains() {
         let dn = Datanode::new();
         dn.store(BlockId(1), bytes("abc"));
-        assert!(dn.contains(BlockId(1)));
         assert_eq!(&*dn.fetch(BlockId(1)).unwrap(), b"abc");
         assert!(dn.fetch(BlockId(2)).is_none());
     }

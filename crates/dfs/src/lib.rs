@@ -104,23 +104,8 @@ impl Dfs {
         })
     }
 
-    /// Defaults suitable for tests and examples: 8 MiB blocks, replication
-    /// min(3, nodes).
-    pub fn with_defaults(cluster: Arc<Cluster>) -> Self {
-        let repl = cluster.num_nodes().min(3);
-        Dfs::new(cluster, DEFAULT_BLOCK_SIZE, repl).expect("defaults are valid")
-    }
-
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
-    }
-
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    pub fn replication(&self) -> usize {
-        self.replication
     }
 
     /// Write `contents` as an immutable line-oriented text file.

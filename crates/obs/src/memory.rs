@@ -172,7 +172,7 @@ impl MemoryTimeline {
 
     /// Smallest cache headroom (budget − cache residency) seen in any
     /// watermark sample; `None` without samples.
-    pub fn min_cache_headroom_bytes(&self) -> Option<u64> {
+    fn min_cache_headroom_bytes(&self) -> Option<u64> {
         self.watermarks
             .iter()
             .map(MemWatermark::cache_headroom_bytes)
@@ -180,7 +180,7 @@ impl MemoryTimeline {
     }
 
     /// Largest all-category total seen in any watermark sample.
-    pub fn peak_total_bytes(&self) -> u64 {
+    fn peak_total_bytes(&self) -> u64 {
         self.watermarks
             .iter()
             .map(MemWatermark::total_bytes)
@@ -338,17 +338,6 @@ impl MemoryTimeline {
             "watermarks": watermarks,
         })
     }
-
-    /// One-line summary for example programs and logs.
-    pub fn digest(&self) -> String {
-        format!(
-            "peak memory: cache {} ({} churned), shuffle {} stored, watermark total {}",
-            fmt_bytes(self.peak_cache_bytes),
-            fmt_bytes(self.churn_bytes),
-            fmt_bytes(self.shuffle_stored_bytes),
-            fmt_bytes(self.peak_total_bytes()),
-        )
-    }
 }
 
 /// One-line peak-memory digest of a live ledger snapshot
@@ -493,8 +482,6 @@ mod tests {
             .collect();
         let tl = MemoryTimeline::parse(&text).unwrap();
         assert_eq!(tl.watermarks.len(), 2);
-        let digest = tl.digest();
-        assert!(digest.starts_with("peak memory: cache"), "{digest}");
         assert!(MemoryTimeline::parse("not json\n").is_err());
     }
 

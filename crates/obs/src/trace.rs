@@ -24,7 +24,7 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
-    pub fn duration_ns(&self) -> u64 {
+    fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -62,12 +62,6 @@ pub struct TraceStage {
 }
 
 impl TraceStage {
-    /// Sum of per-task virtual runtimes — the stage's total work, as
-    /// opposed to its (parallel) makespan.
-    pub fn total_task_ns(&self) -> u64 {
-        self.tasks.iter().map(TaskMetrics::virtual_runtime_ns).sum()
-    }
-
     /// The slowest task by virtual runtime, if any completed.
     pub fn critical_task(&self) -> Option<&TaskMetrics> {
         self.tasks.iter().max_by_key(|t| {
@@ -99,11 +93,6 @@ impl TraceStage {
     /// The stage total of one named task counter (0 if never reported).
     pub fn counter(&self, name: &str) -> u64 {
         self.tasks.iter().map(|t| t.counters.get(name)).sum()
-    }
-
-    /// Measured host wall time summed over this stage's tasks.
-    pub fn total_wall_ns(&self) -> u64 {
-        self.tasks.iter().map(|t| t.wall_ns).sum()
     }
 }
 
@@ -714,7 +703,8 @@ mod tests {
         let s0 = trace.stage(0).unwrap();
         assert_eq!(s0.kind, Some(StageKind::ShuffleMap));
         assert_eq!(s0.critical_task().unwrap().partition, 1);
-        assert_eq!(s0.total_task_ns(), 13_000);
+        let total_task_ns: u64 = s0.tasks.iter().map(TaskMetrics::virtual_runtime_ns).sum();
+        assert_eq!(total_task_ns, 13_000);
         assert_eq!(s0.cache_misses(), 4);
         assert_eq!(s0.counter("cells"), 2_000);
         assert_eq!(s0.counter("fast_cells"), 1_200);

@@ -82,15 +82,9 @@ impl<'a> TaskCtx<'a> {
         self.partition
     }
 
-    /// The task's span context (`NONE` when the engine is untraced).
-    #[inline]
-    pub fn span(&self) -> SpanContext {
-        self.span
-    }
-
     /// Whether this task is being traced — sub-task spans are recorded.
     #[inline]
-    pub fn traced(&self) -> bool {
+    fn traced(&self) -> bool {
         !self.span.is_none()
     }
 
@@ -196,10 +190,6 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    pub fn work_units(&self) -> f64 {
-        self.work_units.get()
-    }
-
     pub fn input_bytes(&self) -> u64 {
         self.input_bytes.get()
     }
@@ -257,7 +247,7 @@ mod tests {
         assert_eq!(ctx.partition(), 3);
         ctx.add_work(100, 1.0);
         ctx.add_work(50, 2.0);
-        assert_eq!(ctx.work_units(), 200.0);
+        assert_eq!(ctx.work_units.get(), 200.0);
         ctx.add_input_bytes(1024);
         ctx.add_shuffle_read(10);
         ctx.add_shuffle_read(5);

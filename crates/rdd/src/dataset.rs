@@ -16,10 +16,8 @@ use sparkscore_dfs::DfsError;
 
 use crate::engine::{Engine, OpGuard};
 use crate::meta::{DepMeta, OpMeta};
-use crate::ops::narrow::{
-    CoalesceOp, FilterOp, FlatMapOp, MapOp, MapPartitionsCtxOp, MapPartitionsOp, SampleOp, UnionOp,
-};
-use crate::ops::shuffled::{emit_groups, emit_pairs, Aggregator, CoGroupOp, Emit, ShuffledOp};
+use crate::ops::narrow::{FilterOp, FlatMapOp, MapOp, MapPartitionsCtxOp, MapPartitionsOp};
+use crate::ops::shuffled::{Aggregator, JoinOp, ShuffledOp};
 use crate::ops::source::{owned_lines, ParallelizeOp, TextFileOp};
 use crate::ops::{materialize, Data, Op};
 use crate::{OpId, ShuffleId};
@@ -94,38 +92,6 @@ impl Engine {
         Ok(Dataset {
             engine: Arc::clone(self),
             op: Arc::new(TextFileOp::new(id, guard, meta, Arc::new(parse))),
-        })
-    }
-
-    /// Open a directory of Hadoop-style `part-NNNNN` files (as produced by
-    /// [`Dataset::save_as_text_file`]) as one dataset, parts in order.
-    pub fn text_file_dir(self: &Arc<Self>, dir: &str) -> Result<Dataset<String>, DfsError> {
-        let prefix = format!("{}/part-", dir.trim_end_matches('/'));
-        let mut paths: Vec<String> = self
-            .dfs()
-            .list_files()
-            .into_iter()
-            .filter(|p| p.starts_with(&prefix))
-            .collect();
-        paths.sort();
-        if paths.is_empty() {
-            return Err(DfsError::FileNotFound(format!("{dir}/part-*")));
-        }
-        let mut parents: Vec<Arc<dyn Op<String>>> = Vec::with_capacity(paths.len());
-        let mut deps = Vec::with_capacity(paths.len());
-        for path in &paths {
-            let part = self.text_file(path)?;
-            deps.push(DepMeta {
-                parent: part.id(),
-                shuffle: None,
-            });
-            parents.push(part.op);
-        }
-        let total: usize = parents.iter().map(|p| p.num_partitions()).sum();
-        let (id, guard) = register_op(self, "textFileDir", total, deps, vec![]);
-        Ok(Dataset {
-            engine: Arc::clone(self),
-            op: Arc::new(UnionOp::new(id, guard, parents)),
         })
     }
 }
@@ -269,91 +235,9 @@ impl<T: Data> Dataset<T> {
         }
     }
 
-    /// Concatenate with `other` (partitions are appended, not merged).
-    pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
-        let deps = vec![
-            DepMeta {
-                parent: self.op.id(),
-                shuffle: None,
-            },
-            DepMeta {
-                parent: other.op.id(),
-                shuffle: None,
-            },
-        ];
-        let parts = self.num_partitions() + other.num_partitions();
-        let (id, guard) = register_op(&self.engine, "union", parts, deps, vec![]);
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(UnionOp::new(
-                id,
-                guard,
-                vec![Arc::clone(&self.op), Arc::clone(&other.op)],
-            )),
-        }
-    }
-
     /// Pair every record with a key derived from it.
     pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Dataset<(K, T)> {
         self.map(move |t| (f(&t), t))
-    }
-
-    /// Bernoulli sample: keep each record with probability `fraction`,
-    /// deterministically in `seed`.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Dataset<T> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "sample",
-            self.num_partitions(),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(SampleOp::new(
-                id,
-                guard,
-                Arc::clone(&self.op),
-                fraction,
-                seed,
-            )),
-        }
-    }
-
-    /// Merge adjacent partitions down to at most `n`, without a shuffle.
-    pub fn coalesce(&self, n: usize) -> Dataset<T> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "coalesce",
-            n.min(self.num_partitions().max(1)),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(CoalesceOp::new(id, guard, Arc::clone(&self.op), n)),
-        }
-    }
-
-    /// Pair every record with its global index in partition order.
-    ///
-    /// Like Spark's `zipWithIndex`, this runs a job to learn partition
-    /// lengths before building the result dataset.
-    pub fn zip_with_index(&self) -> Dataset<(T, u64)> {
-        let lengths = self.run_partitions(|p| p.len() as u64);
-        let mut offsets = Vec::with_capacity(lengths.len());
-        let mut acc = 0u64;
-        for len in lengths {
-            offsets.push(acc);
-            acc += len;
-        }
-        self.map_partitions(move |part, records| {
-            records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (r.clone(), offsets[part] + i as u64))
-                .collect()
-        })
     }
 
     // ---- caching ----
@@ -470,67 +354,6 @@ impl<T: Data> Dataset<T> {
     pub fn first(&self) -> Option<T> {
         self.take(1).into_iter().next()
     }
-
-    /// The `n` smallest records under `cmp` (Spark's `takeOrdered`):
-    /// per-partition selection, then a driver-side merge — never
-    /// materializes more than `n × partitions` records on the driver.
-    pub fn take_ordered(
-        &self,
-        n: usize,
-        cmp: impl Fn(&T, &T) -> std::cmp::Ordering + Send + Sync,
-    ) -> Vec<T> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let cmp = &cmp;
-        let mut merged: Vec<T> = self
-            .run_partitions(move |p| {
-                let mut local: Vec<T> = p.iter().cloned().collect();
-                local.sort_by(cmp);
-                local.truncate(n);
-                local
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        merged.sort_by(cmp);
-        merged.truncate(n);
-        merged
-    }
-}
-
-impl Dataset<String> {
-    /// Persist as Hadoop-style `part-NNNNN` text files under `dir` on the
-    /// DFS (Spark's `saveAsTextFile`). One file per partition; records
-    /// become lines. Re-reading with [`Engine::text_file_dir`] yields a
-    /// dataset with **no lineage back to this one** — the classic way to
-    /// truncate a long lineage by materializing it durably.
-    pub fn save_as_text_file(&self, dir: &str) -> Result<(), DfsError> {
-        let parts = self.run_partitions(|records| {
-            let mut text = String::new();
-            for r in records.iter() {
-                text.push_str(r);
-                text.push('\n');
-            }
-            text
-        });
-        let dir = dir.trim_end_matches('/');
-        for (i, text) in parts.into_iter().enumerate() {
-            self.engine
-                .dfs()
-                .write_text(&format!("{dir}/part-{i:05}"), &text)?;
-        }
-        Ok(())
-    }
-}
-
-impl<T: Data + Hash + Eq> Dataset<T> {
-    /// Unique records (order not specified), via a shuffle.
-    pub fn distinct(&self, num_reduce_parts: usize) -> Dataset<T> {
-        self.map(|t| (t, ()))
-            .reduce_by_key(num_reduce_parts, |a, _| a)
-            .keys()
-    }
 }
 
 impl<K, V> Dataset<(K, V)>
@@ -538,35 +361,6 @@ where
     K: Data + Hash + Eq,
     V: Data,
 {
-    /// Per-key record counts, gathered to the driver.
-    pub fn count_by_key(&self, num_reduce_parts: usize) -> HashMap<K, u64> {
-        self.map(|(k, _)| (k, 1u64))
-            .reduce_by_key(num_reduce_parts, |a, b| a + b)
-            .collect_as_map()
-    }
-
-    /// Aggregate values per key from a zero value: `seq` folds a value
-    /// into the accumulator, `comb` merges accumulators across partitions.
-    pub fn aggregate_by_key<C: Data>(
-        &self,
-        zero: C,
-        num_reduce_parts: usize,
-        seq: impl Fn(&mut C, V) + Send + Sync + 'static,
-        comb: impl Fn(&mut C, C) + Send + Sync + 'static,
-    ) -> Dataset<(K, C)> {
-        let seq = Arc::new(seq);
-        let seq2 = Arc::clone(&seq);
-        let agg = Aggregator {
-            create: Arc::new(move |v| {
-                let mut c = zero.clone();
-                seq2(&mut c, v);
-                c
-            }),
-            merge_value: Arc::new(move |c: &mut C, v| seq(c, v)),
-            merge_combiners: Arc::new(comb),
-        };
-        self.combine_by_key(agg, num_reduce_parts)
-    }
     /// General combine-by-key over `num_reduce_parts` output partitions.
     pub fn combine_by_key<C: Data>(
         &self,
@@ -602,28 +396,6 @@ where
         self.combine_by_key(Aggregator::reducing(f), num_reduce_parts)
     }
 
-    /// Collect all values per key.
-    pub fn group_by_key(&self, num_reduce_parts: usize) -> Dataset<(K, Vec<V>)> {
-        self.combine_by_key(Aggregator::grouping(), num_reduce_parts)
-    }
-
-    /// Re-partition by key hash, keeping individual pairs.
-    pub fn partition_by(&self, num_reduce_parts: usize) -> Dataset<(K, V)> {
-        self.group_by_key(num_reduce_parts).flat_map(|(k, vs)| {
-            vs.into_iter()
-                .map(|v| (k.clone(), v))
-                .collect::<Vec<(K, V)>>()
-        })
-    }
-
-    /// Transform values, keeping keys (and key partitioning semantics).
-    pub fn map_values<U: Data>(
-        &self,
-        f: impl Fn(V) -> U + Send + Sync + 'static,
-    ) -> Dataset<(K, U)> {
-        self.map(move |(k, v)| (k, f(v)))
-    }
-
     pub fn keys(&self) -> Dataset<K> {
         self.map(|(k, _)| k)
     }
@@ -632,35 +404,15 @@ where
         self.map(|(_, v)| v)
     }
 
-    /// Group both datasets by key in one pass (two shuffles, one reduce).
-    pub fn co_group<W: Data>(
-        &self,
-        other: &Dataset<(K, W)>,
-        num_reduce_parts: usize,
-    ) -> Dataset<(K, (Vec<V>, Vec<W>))> {
-        self.co_grouped(other, num_reduce_parts, "coGroup", emit_groups)
-    }
-
     /// Inner join on key (the paper's Algorithm 1, step 9: joining the
     /// per-SNP inner sums with the SNP weights): per key, every left value
-    /// with every right value, left-major, straight off the co-group's
-    /// reduce side.
+    /// with every right value, left-major, straight off a co-group's reduce
+    /// side (two shuffles, one reduce).
     pub fn join<W: Data>(
         &self,
         other: &Dataset<(K, W)>,
         num_reduce_parts: usize,
     ) -> Dataset<(K, (V, W))> {
-        self.co_grouped(other, num_reduce_parts, "join", emit_pairs)
-    }
-
-    /// A two-shuffle, one-reduce operator over `self` and `other`.
-    fn co_grouped<W: Data, Out: Data>(
-        &self,
-        other: &Dataset<(K, W)>,
-        num_reduce_parts: usize,
-        name: &'static str,
-        emit: Emit<K, V, W, Out>,
-    ) -> Dataset<Out> {
         let sids = (self.engine.new_shuffle_id(), self.engine.new_shuffle_id());
         let deps = vec![
             DepMeta {
@@ -674,23 +426,21 @@ where
         ];
         let (id, guard) = register_op(
             &self.engine,
-            name,
+            "join",
             num_reduce_parts,
             deps,
             vec![sids.0, sids.1],
         );
         Dataset {
             engine: Arc::clone(&self.engine),
-            op: Arc::new(CoGroupOp::new(
+            op: Arc::new(JoinOp::new(
                 &self.engine,
                 id,
                 guard,
-                name,
                 sids,
                 Arc::clone(&self.op),
                 Arc::clone(&other.op),
                 num_reduce_parts,
-                emit,
             )),
         }
     }

@@ -40,16 +40,18 @@ use crate::pool::{ExecutorPool, PoolDiagnostics, TaskSlots};
 use crate::shuffle::{hash_key, Bucket, ShuffleManager};
 use crate::{OpId, ShuffleId};
 
+/// Fraction of granted executor memory usable as block-cache storage
+/// (Spark's `spark.memory.fraction × storageFraction` ≈ 0.3; we use 0.5 of
+/// the executor grant) unless [`EngineBuilder::cache_budget_bytes`] says
+/// otherwise.
+const CACHE_FRACTION: f64 = 0.5;
+
 /// Configures and builds an [`Engine`].
 pub struct EngineBuilder {
     spec: ClusterSpec,
     dfs_block_size: usize,
     dfs_replication: Option<usize>,
     containers: Option<ContainerRequest>,
-    /// Fraction of granted executor memory usable as block-cache storage
-    /// (Spark's `spark.memory.fraction × storageFraction` ≈ 0.3; we default
-    /// to 0.5 of the executor grant).
-    cache_fraction: f64,
     cache_budget_override: Option<u64>,
     host_threads: Option<usize>,
     fault_plan: Arc<FaultPlan>,
@@ -63,7 +65,6 @@ impl EngineBuilder {
             dfs_block_size: sparkscore_dfs::DEFAULT_BLOCK_SIZE,
             dfs_replication: None,
             containers: None,
-            cache_fraction: 0.5,
             cache_budget_override: None,
             host_threads: None,
             fault_plan: Arc::new(FaultPlan::none()),
@@ -90,16 +91,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Override the block-cache budget in bytes (default: `cache_fraction`
-    /// of total executor memory).
+    /// Override the block-cache budget in bytes (default: half of total
+    /// executor memory).
     pub fn cache_budget_bytes(mut self, bytes: u64) -> Self {
         self.cache_budget_override = Some(bytes);
-        self
-    }
-
-    pub fn cache_fraction(mut self, frac: f64) -> Self {
-        assert!(frac > 0.0 && frac <= 1.0, "fraction must be in (0, 1]");
-        self.cache_fraction = frac;
         self
     }
 
@@ -140,7 +135,7 @@ impl EngineBuilder {
         };
         let cache_budget = self
             .cache_budget_override
-            .unwrap_or_else(|| (layout.total_memory_bytes() as f64 * self.cache_fraction) as u64);
+            .unwrap_or_else(|| (layout.total_memory_bytes() as f64 * CACHE_FRACTION) as u64);
         let vsched = VirtualScheduler::new(&layout, &cluster.spec().instance);
         let host_threads = self
             .host_threads
@@ -306,10 +301,6 @@ impl Engine {
     /// Virtual time in seconds (the unit the paper's figures use).
     pub fn virtual_time_secs(&self) -> f64 {
         self.vclock.now_secs()
-    }
-
-    pub fn reset_virtual_clock(&self) {
-        self.vclock.reset();
     }
 
     /// Replace the active fault plan.
@@ -901,6 +892,11 @@ mod tests {
         assert_eq!(e.cluster().num_nodes(), 3);
         assert_eq!(e.layout().num_executors(), 3);
         assert!(e.cache_budget_bytes() > 0);
+        assert_eq!(
+            e.cache_budget_bytes(),
+            (e.layout().total_memory_bytes() as f64 * 0.5) as u64,
+            "the default cache budget is half the executors' memory"
+        );
         assert_eq!(e.virtual_time_ns(), 0);
     }
 

@@ -368,10 +368,6 @@ impl EventBus {
         self.active.store(false, Ordering::Release);
     }
 
-    pub fn num_listeners(&self) -> usize {
-        self.listeners.lock().len()
-    }
-
     /// Whether any listener is attached.
     #[inline]
     pub fn is_active(&self) -> bool {
@@ -535,13 +531,8 @@ pub struct StageSummary {
 
 impl StageSummary {
     /// (min, p50, max) of per-task virtual runtimes — the straggler view.
-    pub fn virtual_spread_ns(&self) -> (u64, u64, u64) {
+    fn virtual_spread_ns(&self) -> (u64, u64, u64) {
         spread(&self.task_virtual_ns)
-    }
-
-    /// (min, p50, max) of per-task host wall runtimes.
-    pub fn wall_spread_ns(&self) -> (u64, u64, u64) {
-        spread(&self.task_wall_ns)
     }
 
     /// The stage total of one named task counter (0 if never reported).
@@ -550,7 +541,7 @@ impl StageSummary {
     }
 
     /// Fraction of cache lookups that hit, if any lookups happened.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
+    fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }

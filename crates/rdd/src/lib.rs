@@ -2,16 +2,17 @@
 //! reproduction.
 //!
 //! The paper implements its algorithms on Apache Spark and leans on four of
-//! Spark's properties: lazy partitioned datasets with rich operators,
+//! Spark's properties: lazy partitioned datasets with keyed operators,
 //! explicit in-memory **caching** (the Monte Carlo method's `U` RDD),
 //! **lineage-based fault tolerance**, and cluster task scheduling with data
 //! locality. This crate provides all four over the simulated cluster and
 //! DFS substrates:
 //!
-//! * [`Dataset`] — lazy transformations (`map`, `filter`, `flat_map`,
-//!   `map_partitions`, `union`, `key_by`, and keyed `reduce_by_key`,
-//!   `group_by_key`, `combine_by_key`, `join`, `co_group`, `partition_by`)
-//!   and eager actions (`collect`, `count`, `reduce`, `fold`, `take`).
+//! * [`Dataset`] — the operators the paper's algorithms, the resampling
+//!   grid and the service use: lazy transformations (`map`, `filter`,
+//!   `flat_map`, `map_partitions`, `key_by`, and keyed `reduce_by_key`,
+//!   `combine_by_key`, `join`), `cache`, and eager actions (`collect`,
+//!   `count`, `reduce`, `fold`, `take`, `grid_cells`).
 //! * [`Engine`] — builds datasets (`parallelize`, `text_file`, and
 //!   `text_file_with` for a caller's own block parser), runs jobs
 //!   (stage planning at shuffle boundaries, cache-aware lineage pruning),

@@ -252,7 +252,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum(&self) -> u64 {
+    fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 }

@@ -1,4 +1,4 @@
-//! Wide (shuffle) operators: combine-by-key, co-group and join.
+//! Wide (shuffle) operators: combine-by-key and join.
 //!
 //! A wide operator's map side runs over the parent's partitions,
 //! hash-partitions (and map-side combines) records into one bucket per
@@ -51,17 +51,6 @@ impl<V, C> Clone for Aggregator<V, C> {
             create: Arc::clone(&self.create),
             merge_value: Arc::clone(&self.merge_value),
             merge_combiners: Arc::clone(&self.merge_combiners),
-        }
-    }
-}
-
-impl<V: Data> Aggregator<V, Vec<V>> {
-    /// Collect all values per key (`group_by_key`).
-    pub fn grouping() -> Self {
-        Aggregator {
-            create: Arc::new(|v| vec![v]),
-            merge_value: Arc::new(|c, v| c.push(v)),
-            merge_combiners: Arc::new(|c, mut other| c.append(&mut other)),
         }
     }
 }
@@ -412,7 +401,7 @@ impl<K, V> Groups<K, V> {
 
 /// One side's values per key number: key `g`'s values are the runs
 /// `runs[start[g]..start[g + 1]]`, in map-partition then record order.
-pub(crate) struct Runs<'a, V> {
+struct Runs<'a, V> {
     start: Vec<usize>,
     runs: Vec<&'a [V]>,
 }
@@ -449,15 +438,6 @@ impl<'a, V> Runs<'a, V> {
     }
 }
 
-/// One co-group reduce partition: every key of either side numbered in
-/// order of first appearance (its `KeyTable` iterates in the order of the
-/// contract above), and each side's values per key number.
-pub(crate) struct CoGrouped<'a, K, V, W> {
-    keys: KeyTable<&'a K, usize>,
-    left: Runs<'a, V>,
-    right: Runs<'a, W>,
-}
-
 /// Number the keys of `buckets` into `keys`, returning each bucket key's
 /// number with its values, in fetch order.
 fn number_keys<'a, K: Eq, V>(
@@ -472,73 +452,6 @@ fn number_keys<'a, K: Eq, V>(
         }
     }
     numbered
-}
-
-/// How a co-group reduce partition becomes output records.
-pub(crate) type Emit<K, V, W, Out> = for<'a> fn(&TaskCtx<'_>, &CoGrouped<'a, K, V, W>) -> Vec<Out>;
-
-/// `co_group`'s output: each key with both sides' values.
-pub(crate) fn emit_groups<K: Data, V: Data, W: Data>(
-    _ctx: &TaskCtx<'_>,
-    g: &CoGrouped<'_, K, V, W>,
-) -> Vec<(K, (Vec<V>, Vec<W>))> {
-    g.keys
-        .iter()
-        .map(|(k, &n)| {
-            (
-                K::clone(k.key),
-                (
-                    g.left.values(n).cloned().collect(),
-                    g.right.values(n).cloned().collect(),
-                ),
-            )
-        })
-        .collect()
-}
-
-/// `join`'s output: for each key, every left value paired with every right
-/// value, left-major — what a `flat_map` over [`emit_groups`] emits — at
-/// one work unit per key, what such a `flat_map` charges.
-pub(crate) fn emit_pairs<K: Data, V: Data, W: Data>(
-    ctx: &TaskCtx<'_>,
-    g: &CoGrouped<'_, K, V, W>,
-) -> Vec<(K, (V, W))> {
-    ctx.add_work(g.keys.len(), 1.0);
-    let pairs = g
-        .keys
-        .values()
-        .map(|&n| g.left.len(n) * g.right.len(n))
-        .sum();
-    let mut out = Vec::with_capacity(pairs);
-    for (k, &n) in &g.keys {
-        for v in g.left.values(n) {
-            for w in g.right.values(n) {
-                out.push((K::clone(k.key), (v.clone(), w.clone())));
-            }
-        }
-    }
-    out
-}
-
-/// Reduce side of a two-parent co-group (`co_group`, `join`): one shuffle
-/// per parent, on one partitioner so a key's values meet in one reduce
-/// partition; `emit` turns the grouped partition into records.
-pub struct CoGroupOp<K, V, W, Out>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    W: Data,
-{
-    id: OpId,
-    name: &'static str,
-    sid_left: ShuffleId,
-    sid_right: ShuffleId,
-    maps_left: usize,
-    maps_right: usize,
-    num_reduce_parts: usize,
-    emit: Emit<K, V, W, Out>,
-    _guard: OpGuard,
-    _marker: PhantomData<fn() -> (K, V, W)>,
 }
 
 /// A co-group side's map task groups records per key: the first value
@@ -564,51 +477,64 @@ fn register_group_map<K: Data + Hash + Eq, V: Data>(
     );
 }
 
-impl<K, V, W, Out> CoGroupOp<K, V, W, Out>
+/// Reduce side of `join`: one shuffle per parent, on one partitioner so a
+/// key's values meet in one reduce partition, co-grouped there and emitted
+/// as every left value paired with every right value, left-major.
+pub struct JoinOp<K, V, W>
 where
     K: Data + Hash + Eq,
     V: Data,
     W: Data,
 {
-    /// Create the co-group reduce op, registering one map stage per parent.
-    #[allow(clippy::too_many_arguments)]
+    id: OpId,
+    sid_left: ShuffleId,
+    sid_right: ShuffleId,
+    maps_left: usize,
+    maps_right: usize,
+    num_reduce_parts: usize,
+    _guard: OpGuard,
+    _marker: PhantomData<fn() -> (K, V, W)>,
+}
+
+impl<K, V, W> JoinOp<K, V, W>
+where
+    K: Data + Hash + Eq,
+    V: Data,
+    W: Data,
+{
+    /// Create the join reduce op, registering one map stage per parent.
     pub(crate) fn new(
         engine: &Arc<Engine>,
         id: OpId,
         guard: OpGuard,
-        name: &'static str,
         (sid_left, sid_right): (ShuffleId, ShuffleId),
         left: Arc<dyn Op<(K, V)>>,
         right: Arc<dyn Op<(K, W)>>,
         num_reduce_parts: usize,
-        emit: Emit<K, V, W, Out>,
     ) -> Self {
         let partitioner = HashPartitioner::new(num_reduce_parts);
         let maps_left = left.num_partitions();
         let maps_right = right.num_partitions();
         register_group_map(engine, sid_left, left, partitioner);
         register_group_map(engine, sid_right, right, partitioner);
-        CoGroupOp {
+        JoinOp {
             id,
-            name,
             sid_left,
             sid_right,
             maps_left,
             maps_right,
             num_reduce_parts,
-            emit,
             _guard: guard,
             _marker: PhantomData,
         }
     }
 }
 
-impl<K, V, W, Out> Op<Out> for CoGroupOp<K, V, W, Out>
+impl<K, V, W> Op<(K, (V, W))> for JoinOp<K, V, W>
 where
     K: Data + Hash + Eq,
     V: Data,
     W: Data,
-    Out: Data,
 {
     fn id(&self) -> OpId {
         self.id
@@ -618,7 +544,7 @@ where
         self.num_reduce_parts
     }
 
-    fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<Out> {
+    fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<(K, (V, W))> {
         // Fetch and charge the left side, then the right, 1.5 units per
         // fetched key: work is summed in floating point, so this order is
         // part of the task's virtual time to the bit.
@@ -630,20 +556,31 @@ where
         for bucket in &right {
             ctx.add_work(bucket.keys.len(), 1.5);
         }
+        // Every key of either side numbered in order of first appearance
+        // (its `KeyTable` iterates in the order of the contract above), and
+        // each side's values per key number.
         let mut keys = KeyTable::default();
         let left = number_keys(&mut keys, &left);
         let right = number_keys(&mut keys, &right);
-        let num_keys = keys.len();
-        let grouped = CoGrouped {
-            keys,
-            left: Runs::sort(left, num_keys),
-            right: Runs::sort(right, num_keys),
-        };
-        (self.emit)(ctx, &grouped)
+        let left = Runs::sort(left, keys.len());
+        let right = Runs::sort(right, keys.len());
+        // One work unit per key, what a `flat_map` over the co-grouped keys
+        // charges.
+        ctx.add_work(keys.len(), 1.0);
+        let pairs = keys.values().map(|&n| left.len(n) * right.len(n)).sum();
+        let mut out = Vec::with_capacity(pairs);
+        for (k, &n) in &keys {
+            for v in left.values(n) {
+                for w in right.values(n) {
+                    out.push((K::clone(k.key), (v.clone(), w.clone())));
+                }
+            }
+        }
+        out
     }
 
     fn name(&self) -> &str {
-        self.name
+        "join"
     }
 }
 

@@ -88,10 +88,6 @@ impl<T: Data> TextFileOp<T> {
             _guard: guard,
         }
     }
-
-    pub fn path(&self) -> &str {
-        &self.meta.path
-    }
 }
 
 /// The block parser of a plain `text_file`: one owned `String` per line.

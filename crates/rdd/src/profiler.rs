@@ -44,15 +44,6 @@ pub struct ParticipantProfile {
 }
 
 impl ParticipantProfile {
-    /// Estimated wall time in each state (`samples × interval`).
-    pub fn attributed_ns(&self, interval_ns: u64) -> (u64, u64, u64) {
-        (
-            self.running_samples * interval_ns,
-            self.stealing_samples * interval_ns,
-            self.parked_samples * interval_ns,
-        )
-    }
-
     fn busy_fraction(&self) -> f64 {
         let total = self.running_samples + self.stealing_samples + self.parked_samples;
         if total == 0 {
@@ -346,7 +337,7 @@ impl PoolProfiler {
     }
 
     /// Current accumulated profile.
-    pub fn profile(&self) -> PoolProfile {
+    fn profile(&self) -> PoolProfile {
         self.shared.profile.lock().clone()
     }
 

@@ -116,8 +116,6 @@ struct RecorderState {
     /// surrounding events belong to (batches are per-stage, so this is
     /// exact within a batch and a best-effort fallback across them).
     current_job: Option<u64>,
-    /// Jobs evicted to stay within the job bound.
-    evicted_jobs: u64,
 }
 
 /// Live status of one tracked job, for a `jobs` table.
@@ -158,7 +156,6 @@ impl FlightRecorder {
                 stage_job: BTreeMap::new(),
                 global: Ring::new(per_job.max(1)),
                 current_job: None,
-                evicted_jobs: 0,
             }),
             per_job: per_job.max(1),
             max_jobs: max_jobs.max(1),
@@ -179,33 +176,6 @@ impl FlightRecorder {
                 seen: j.ring.seen,
             })
             .collect()
-    }
-
-    /// Status of every tracked job belonging to `tenant`, arrival order.
-    pub fn tenant_jobs(&self, tenant: &str) -> Vec<JobStatus> {
-        self.jobs()
-            .into_iter()
-            .filter(|j| j.tenant.as_deref() == Some(tenant))
-            .collect()
-    }
-
-    /// Dump every retained job of `tenant` as JSONL, arrival order;
-    /// `None` if no tracked job belongs to the tenant.
-    pub fn dump_tenant(&self, tenant: &str) -> Option<String> {
-        let st = self.state.lock();
-        let mut out = String::new();
-        let mut any = false;
-        for j in &st.jobs {
-            if j.tenant.as_deref() != Some(tenant) {
-                continue;
-            }
-            any = true;
-            for e in j.ring.events() {
-                out.push_str(&e.to_json().to_string());
-                out.push('\n');
-            }
-        }
-        any.then_some(out)
     }
 
     /// The retained events of `job`, oldest first; `None` for an unknown
@@ -253,11 +223,6 @@ impl FlightRecorder {
     pub fn backlog_events(&self) -> usize {
         let st = self.state.lock();
         st.jobs.iter().map(|j| j.ring.len()).sum::<usize>() + st.global.len()
-    }
-
-    /// Jobs evicted so far to stay within the job bound.
-    pub fn evicted_jobs(&self) -> u64 {
-        self.state.lock().evicted_jobs
     }
 
     fn apply(&self, st: &mut RecorderState, event: &EngineEvent) {
@@ -334,7 +299,6 @@ impl FlightRecorder {
                 .map_or(0, |(i, _)| i);
             let evicted = st.jobs.remove(victim);
             st.stage_job.retain(|_, &mut j| j != evicted.job);
-            st.evicted_jobs += 1;
         }
         st.jobs.push(JobRing {
             job,
@@ -495,7 +459,6 @@ mod tests {
         rec.on_events(&job_events(2, 2, 1)); // forces eviction of job 0
         let tracked: Vec<u64> = rec.jobs().iter().map(|j| j.job).collect();
         assert_eq!(tracked, vec![1, 2], "finished job 0 evicted");
-        assert_eq!(rec.evicted_jobs(), 1);
         assert!(rec.job_events(0).is_none());
     }
 
@@ -509,12 +472,6 @@ mod tests {
         let jobs = rec.jobs();
         assert_eq!(jobs[0].tenant.as_deref(), Some("alice"));
         assert_eq!(jobs[1].tenant, None);
-        let alice = rec.tenant_jobs("alice");
-        assert_eq!(alice.len(), 1);
-        assert_eq!(alice[0].job, 0);
-        let dump = rec.dump_tenant("alice").expect("alice has a ring");
-        assert_eq!(parse_event_log(&dump).unwrap().len(), 5);
-        assert!(rec.dump_tenant("bob").is_none());
     }
 
     #[test]
@@ -531,9 +488,11 @@ mod tests {
         rec.on_events(&job_events(3, 3, 1));
         set_thread_tenant(None);
         let tracked: Vec<u64> = rec.jobs().iter().map(|j| j.job).collect();
-        assert_eq!(tracked, vec![1, 2, 3], "noisy's oldest evicted");
-        assert_eq!(rec.tenant_jobs("quiet").len(), 1, "quiet survives");
-        assert_eq!(rec.evicted_jobs(), 1);
+        assert_eq!(
+            tracked,
+            vec![1, 2, 3],
+            "noisy's oldest evicted, quiet's survives"
+        );
     }
 
     #[test]

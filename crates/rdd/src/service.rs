@@ -111,7 +111,7 @@ pub enum JobState {
 }
 
 impl JobState {
-    pub fn is_terminal(self) -> bool {
+    fn is_terminal(self) -> bool {
         matches!(
             self,
             JobState::Completed | JobState::Failed | JobState::Cancelled | JobState::TimedOut
@@ -299,7 +299,7 @@ impl AdmissionQueue {
         true
     }
 
-    pub fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -307,16 +307,12 @@ impl AdmissionQueue {
         self.queued_total
     }
 
-    pub fn running_total(&self) -> usize {
+    fn running_total(&self) -> usize {
         self.running_total
     }
 
     pub fn stats(&self) -> QueueStats {
         self.stats
-    }
-
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.keys().cloned().collect()
     }
 
     pub fn tenant_queued(&self, tenant: &str) -> usize {
@@ -327,19 +323,8 @@ impl AdmissionQueue {
         self.tenants.get(tenant).map_or(0, |t| t.running)
     }
 
-    pub fn tenant_stats(&self, tenant: &str) -> Option<QueueStats> {
-        self.tenants.get(tenant).map(|t| t.stats)
-    }
-
-    /// Queued job ids of `tenant`, FIFO order.
-    pub fn tenant_queue(&self, tenant: &str) -> Vec<u64> {
-        self.tenants
-            .get(tenant)
-            .map_or_else(Vec::new, |t| t.queue.iter().copied().collect())
-    }
-
     /// Per-tenant status rows, sorted by tenant name.
-    pub fn tenant_statuses(&self) -> Vec<TenantStatus> {
+    fn tenant_statuses(&self) -> Vec<TenantStatus> {
         self.tenants
             .iter()
             .map(|(name, t)| TenantStatus {
@@ -912,11 +897,6 @@ impl JobService {
         drop(st);
         self.shared.done.notify_all();
         true
-    }
-
-    /// Stop dispatching new jobs (running jobs continue).
-    pub fn pause(&self) {
-        self.shared.state.lock().expect("service lock").paused = true;
     }
 
     /// Resume dispatching.

@@ -1,6 +1,6 @@
 //! Shuffle storage and key hashing.
 //!
-//! Wide transformations (`reduce_by_key`, `group_by_key`, `join`, …) cut
+//! Wide transformations (`reduce_by_key`, `combine_by_key`, `join`) cut
 //! the lineage into stages. Map-side tasks hash-partition their records
 //! into one bucket per reduce partition and register the buckets here —
 //! the analogue of Spark's shuffle files, which outlive the map stage so
@@ -206,7 +206,8 @@ impl ShuffleManager {
         self.debit(freed);
     }
 
-    pub fn stage_shape(&self, sid: ShuffleId) -> Option<(usize, usize)> {
+    #[cfg(test)]
+    fn stage_shape(&self, sid: ShuffleId) -> Option<(usize, usize)> {
         self.stages
             .read()
             .get(&sid)
@@ -266,7 +267,8 @@ impl ShuffleManager {
     }
 
     /// Map partitions whose output is currently absent.
-    pub fn missing_map_parts(&self, sid: ShuffleId) -> Vec<usize> {
+    #[cfg(test)]
+    fn missing_map_parts(&self, sid: ShuffleId) -> Vec<usize> {
         match self.stage_shape(sid) {
             Some((maps, _)) => self.missing_in(sid, maps),
             None => Vec::new(),
@@ -372,7 +374,8 @@ impl ShuffleManager {
 
     /// The old full-scan total, kept as the ground truth the running
     /// counter is cross-checked against in tests.
-    pub fn stored_bytes_scan(&self) -> u64 {
+    #[cfg(test)]
+    fn stored_bytes_scan(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.lock().values().map(MapOutput::bytes).sum::<u64>())

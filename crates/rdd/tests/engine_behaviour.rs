@@ -3,10 +3,12 @@
 //! shuffle correctness, virtual-time scaling.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use sparkscore_cluster::{ClusterSpec, FaultPlan, NodeId};
-use sparkscore_rdd::{Aggregator, Dataset, Engine};
+use sparkscore_rdd::{Aggregator, Dataset, Engine, EstimateSize};
 
 fn engine(nodes: u32) -> Arc<Engine> {
     Engine::builder(ClusterSpec::test_small(nodes))
@@ -89,14 +91,6 @@ fn map_partitions_sees_index_and_whole_partition() {
 }
 
 #[test]
-fn union_concatenates() {
-    let e = engine(2);
-    let a = e.parallelize(vec![1u64, 2], 2);
-    let b = e.parallelize(vec![3u64, 4, 5], 2);
-    assert_eq!(a.union(&b).collect(), vec![1, 2, 3, 4, 5]);
-}
-
-#[test]
 fn key_by_and_values_round_trip() {
     let e = engine(1);
     let ds = numbers(&e, 10, 2);
@@ -122,20 +116,6 @@ fn reduce_by_key_matches_sequential_fold() {
 }
 
 #[test]
-fn group_by_key_collects_all_values() {
-    let e = engine(2);
-    let pairs: Vec<(u32, u32)> = vec![(1, 10), (2, 20), (1, 11), (2, 21), (1, 12)];
-    let ds = e.parallelize(pairs, 3);
-    let grouped = ds.group_by_key(2).collect_as_map();
-    let mut ones = grouped[&1].clone();
-    ones.sort_unstable();
-    assert_eq!(ones, vec![10, 11, 12]);
-    let mut twos = grouped[&2].clone();
-    twos.sort_unstable();
-    assert_eq!(twos, vec![20, 21]);
-}
-
-#[test]
 fn join_matches_nested_loop_oracle() {
     let e = engine(2);
     let left: Vec<(u32, String)> = vec![
@@ -158,41 +138,6 @@ fn join_matches_nested_loop_oracle() {
         }
     }
     want.sort_by(|a, b| (a.0, &a.1 .0, a.1 .1).cmp(&(b.0, &b.1 .0, b.1 .1)));
-    assert_eq!(got, want);
-}
-
-#[test]
-fn co_group_separates_sides() {
-    let e = engine(2);
-    let l = e.parallelize(vec![(1u32, 10u32), (2, 20)], 2);
-    let r = e.parallelize(vec![(1u32, 5.0f64), (3, 7.0)], 2);
-    let cg: HashMap<u32, (Vec<u32>, Vec<f64>)> = cg_map(&l.co_group(&r, 2));
-    assert_eq!(cg[&1], (vec![10], vec![5.0]));
-    assert_eq!(cg[&2], (vec![20], vec![]));
-    assert_eq!(cg[&3], (vec![], vec![7.0]));
-}
-
-#[allow(clippy::type_complexity)]
-fn cg_map<K, V, W>(ds: &Dataset<(K, (Vec<V>, Vec<W>))>) -> HashMap<K, (Vec<V>, Vec<W>)>
-where
-    K: sparkscore_rdd::Data + std::hash::Hash + Eq,
-    V: sparkscore_rdd::Data,
-    W: sparkscore_rdd::Data,
-{
-    ds.collect().into_iter().collect()
-}
-
-#[test]
-fn partition_by_preserves_pairs_and_changes_partitioning() {
-    let e = engine(2);
-    let pairs: Vec<(u64, u64)> = (0..100).map(|x| (x % 10, x)).collect();
-    let ds = e.parallelize(pairs.clone(), 5);
-    let repart = ds.partition_by(3);
-    assert_eq!(repart.num_partitions(), 3);
-    let mut got = repart.collect();
-    got.sort_unstable();
-    let mut want = pairs;
-    want.sort_unstable();
     assert_eq!(got, want);
 }
 
@@ -529,4 +474,158 @@ fn many_iterations_do_not_leak_shuffle_state() {
         e.shuffle_registrations() <= 1,
         "per-iteration shuffles must be cleaned up as datasets drop"
     );
+}
+
+/// The engine the narrow-pipeline, by-value and cost tests below run on.
+fn two_thread_engine() -> Arc<Engine> {
+    Engine::builder(ClusterSpec::test_small(2))
+        .host_threads(2)
+        .build()
+}
+
+#[test]
+fn map_with_cost_changes_virtual_time_not_results() {
+    let cheap_engine = two_thread_engine();
+    let cheap = numbers(&cheap_engine, 1000, 4).map_with_cost(1.0, |x| x + 1);
+    let cheap_result = cheap.collect();
+    let cheap_time = cheap_engine.virtual_time_ns();
+
+    let costly_engine = two_thread_engine();
+    let costly = numbers(&costly_engine, 1000, 4).map_with_cost(10_000.0, |x| x + 1);
+    let costly_result = costly.collect();
+    let costly_time = costly_engine.virtual_time_ns();
+
+    assert_eq!(cheap_result, costly_result, "cost hints never change data");
+    assert!(
+        costly_time > cheap_time * 2,
+        "declared cost must dominate virtual time: {costly_time} vs {cheap_time}"
+    );
+}
+
+/// A record that counts how often it is cloned.
+struct Counted {
+    value: u64,
+    clones: Arc<AtomicUsize>,
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::Relaxed);
+        Counted {
+            value: self.value,
+            clones: Arc::clone(&self.clones),
+        }
+    }
+}
+
+impl EstimateSize for Counted {
+    fn estimate_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
+}
+
+#[test]
+fn by_value_operators_move_a_partition_only_they_hold() {
+    let e = two_thread_engine();
+    let clones = Arc::new(AtomicUsize::new(0));
+    // Records are born inside the lineage (no source copy to clone from)
+    // and read back by reference, so every clone counted is an operator's.
+    let born = {
+        let clones = Arc::clone(&clones);
+        numbers(&e, 1000, 4).map_partitions(move |_, xs| {
+            xs.iter()
+                .map(|&value| Counted {
+                    value,
+                    clones: Arc::clone(&clones),
+                })
+                .collect()
+        })
+    };
+    let chain = born
+        .map(|c| c)
+        .filter(|c| c.value % 3 != 0)
+        .flat_map(|c| vec![c]);
+    let values = || -> Vec<u64> {
+        chain
+            .run_partitions(|p| p.iter().map(|c| c.value).collect::<Vec<_>>())
+            .concat()
+    };
+    let want: Vec<u64> = (0..1000).filter(|v| v % 3 != 0).collect();
+
+    assert_eq!(values(), want);
+    assert_eq!(
+        clones.load(Ordering::Relaxed),
+        0,
+        "uncached chain: every operator owns its input"
+    );
+
+    // Cached parent: the block cache shares each partition with the task,
+    // so `map` — the one operator reading it — clones, on the miss pass
+    // and on the hit pass alike; the operators after it still move.
+    born.cache();
+    assert_eq!(values(), want, "miss pass");
+    assert_eq!(values(), want, "hit pass");
+    assert_eq!(clones.load(Ordering::Relaxed), 2 * 1000);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// map ∘ filter ∘ flat_map pipelines equal their iterator oracles for
+    /// arbitrary data and partitioning.
+    #[test]
+    fn prop_narrow_pipeline_matches_oracle(
+        data in proptest::collection::vec(0u64..1000, 0..200),
+        parts in 1usize..12,
+        mul in 1u64..5,
+        modulus in 1u64..7,
+    ) {
+        let e = two_thread_engine();
+        let got = e.parallelize(data.clone(), parts)
+            .map(move |x| x * mul)
+            .filter(move |x| x % modulus == 0)
+            .flat_map(|x| vec![x, x + 1])
+            .collect();
+        let want: Vec<u64> = data.iter()
+            .map(|&x| x * mul)
+            .filter(|x| x % modulus == 0)
+            .flat_map(|x| vec![x, x + 1])
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// reduce_by_key equals a sequential HashMap fold for arbitrary pairs.
+    #[test]
+    fn prop_reduce_by_key_matches_oracle(
+        pairs in proptest::collection::vec((0u8..16, 0u64..100), 0..150),
+        parts in 1usize..8,
+        reducers in 1usize..6,
+    ) {
+        let e = two_thread_engine();
+        let mut got = e.parallelize(pairs.clone(), parts)
+            .reduce_by_key(reducers, |a, b| a + b)
+            .collect();
+        got.sort_unstable();
+        let mut oracle: HashMap<u8, u64> = HashMap::new();
+        for (k, v) in pairs {
+            *oracle.entry(k).or_insert(0) += v;
+        }
+        let mut want: Vec<(u8, u64)> = oracle.into_iter().collect();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
+    }
+
+    /// Caching never changes what an action returns.
+    #[test]
+    fn prop_cache_transparency(
+        data in proptest::collection::vec(0u64..500, 1..100),
+        parts in 1usize..6,
+    ) {
+        let e = two_thread_engine();
+        let plain = e.parallelize(data.clone(), parts).map(|x| x ^ 0xff);
+        let cached = e.parallelize(data, parts).map(|x| x ^ 0xff).cache();
+        prop_assert_eq!(plain.collect(), cached.collect());
+        // Second read served from cache must also be identical.
+        prop_assert_eq!(plain.collect(), cached.collect());
+    }
 }

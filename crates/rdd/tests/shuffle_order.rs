@@ -115,7 +115,7 @@ fn co_group_side<K: Data + Hash + Eq, V: Data, W: Data>(
         .collect()
 }
 
-/// `join` is `co_group` followed by a left-major nested loop per key.
+/// `join` is a co-group followed by a left-major nested loop per key.
 fn joined<K: Data, V: Data, W: Data>(
     co_grouped: Vec<CoGroupedPart<K, V, W>>,
 ) -> Vec<Vec<(K, (V, W))>> {
@@ -201,18 +201,9 @@ proptest! {
         prop_assert!(got == reduce_side(&outputs, reduces, |c, o| *c += o));
         prop_assert_eq!(bytes, bytes_written(&outputs));
 
-        let (got, bytes) = run(&engine, &left.group_by_key(reduces));
-        let outputs = grouped(&left_parts, reduces);
-        prop_assert!(got == reduce_side(&outputs, reduces, |c, mut o| c.append(&mut o)));
-        prop_assert_eq!(bytes, bytes_written(&outputs));
-
         let (left_out, right_out) = (grouped(&left_parts, reduces), grouped(&right_parts, reduces));
         let co_grouped = co_group_side(&left_out, &right_out, reduces);
         let sides = bytes_written(&left_out) + bytes_written(&right_out);
-
-        let (got, bytes) = run(&engine, &left.co_group(&right, reduces));
-        prop_assert!(got == co_grouped);
-        prop_assert_eq!(bytes, sides);
 
         let (got, bytes) = run(&engine, &left.join(&right, reduces));
         prop_assert!(got == joined(co_grouped));

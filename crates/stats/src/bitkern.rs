@@ -45,14 +45,14 @@ pub struct PackedCounts {
 impl PackedCounts {
     /// Patients with a called genotype.
     #[inline]
-    pub fn non_missing(&self) -> usize {
+    fn non_missing(&self) -> usize {
         self.hom_ref + self.het + self.hom_alt
     }
 
     /// `Σ g_i` over non-missing patients — exact, since dosages are
     /// integers: `het + 2·hom_alt`.
     #[inline]
-    pub fn dosage_sum(&self) -> u64 {
+    fn dosage_sum(&self) -> u64 {
         self.het as u64 + 2 * self.hom_alt as u64
     }
 }
@@ -159,12 +159,6 @@ pub fn count_codes(packed: &[u8], n: usize) -> PackedCounts {
         hom_alt: hom as usize,
         missing: mis as usize,
     }
-}
-
-/// `Σ g_i` over non-missing patients — the burden / allele-count
-/// numerator, via the popcount identity `het + 2·hom_alt`.
-pub fn dosage_sum(packed: &[u8], n: usize) -> u64 {
-    count_codes(packed, n).dosage_sum()
 }
 
 /// Dosage dot-product `Σ_i g_i·x_i` over non-missing patients, computed
@@ -337,7 +331,7 @@ mod tests {
         let mut packed = pack(&g);
         packed[1] |= 0b1111_1100;
         assert_eq!(count_codes(&packed, 5), byte_counts(&g));
-        assert_eq!(dosage_sum(&packed, 5), 1 + 2 + 2);
+        assert_eq!(count_codes(&packed, 5).dosage_sum(), 1 + 2 + 2);
     }
 
     #[test]
@@ -401,7 +395,7 @@ mod tests {
             let g: Vec<u8> = pairs.iter().map(|&(d, _)| d).collect();
             let r: Vec<f64> = pairs.iter().map(|&(_, v)| v).collect();
             let packed = pack(&g);
-            prop_assert_eq!(dosage_sum(&packed, g.len()), byte_counts(&g).dosage_sum());
+            prop_assert_eq!(count_codes(&packed, g.len()).dosage_sum(), byte_counts(&g).dosage_sum());
             let mut out = vec![f64::NAN; g.len()];
             residual_contributions_packed(&r, &packed, &mut out);
             prop_assert_eq!(out, byte_contributions(&r, &g));

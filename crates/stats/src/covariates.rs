@@ -15,7 +15,7 @@
 //! zero. The precomputation (trait residuals, Cholesky factor of the Gram
 //! matrix) happens once per analysis; each SNP costs O(n·p).
 
-use crate::linalg::{Cholesky, LinalgError, Matrix};
+use crate::linalg::{residualize, Cholesky, LinalgError, Matrix};
 use crate::score::ScoreModel;
 
 /// Gaussian efficient score with baseline covariates profiled out.
@@ -35,13 +35,7 @@ impl AdjustedGaussianScore {
         let n = trait_values.len();
         let design = Matrix::design(n, covariates);
         let chol = Cholesky::factor(&design.gram())?;
-        let beta = chol.solve(&design.tr_mul_vec(trait_values));
-        let fitted = design.mul_vec(&beta);
-        let residuals = trait_values
-            .iter()
-            .zip(&fitted)
-            .map(|(y, f)| y - f)
-            .collect();
+        let residuals = residualize(&design, &chol, trait_values);
         Ok(AdjustedGaussianScore {
             design,
             chol,
@@ -52,13 +46,7 @@ impl AdjustedGaussianScore {
     /// Residualize a genotype vector against the design.
     fn genotype_residual(&self, g: &[u8]) -> Vec<f64> {
         let gf: Vec<f64> = g.iter().map(|&x| f64::from(x)).collect();
-        let beta = self.chol.solve(&self.design.tr_mul_vec(&gf));
-        let fitted = self.design.mul_vec(&beta);
-        gf.iter().zip(&fitted).map(|(a, b)| a - b).collect()
-    }
-
-    pub fn trait_residuals(&self) -> &[f64] {
-        &self.residuals
+        residualize(&self.design, &self.chol, &gf)
     }
 }
 
@@ -194,7 +182,7 @@ mod tests {
         let y = vec![3.0, -1.0, 7.5, 2.0, 0.5];
         let cov = vec![vec![1.0, 0.0, 2.0, 1.0, 3.0]];
         let model = AdjustedGaussianScore::new(&y, &cov).unwrap();
-        let s: f64 = model.trait_residuals().iter().sum();
+        let s: f64 = model.residuals.iter().sum();
         assert!(s.abs() < 1e-9);
     }
 }

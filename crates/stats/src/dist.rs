@@ -8,7 +8,7 @@
 
 use rand::Rng;
 
-use crate::special::{erf, erfc, gamma_p, gamma_q};
+use crate::special::{erf, erfc, gamma_q};
 
 // ---------- CDFs / survival functions ----------
 
@@ -20,15 +20,6 @@ pub fn normal_cdf(x: f64) -> f64 {
 /// Standard normal survival function `1 − Φ(x)`, accurate in the tail.
 pub fn normal_sf(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Chi-square CDF with `k` degrees of freedom.
-pub fn chi2_cdf(x: f64, k: f64) -> f64 {
-    assert!(k > 0.0, "degrees of freedom must be positive");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    gamma_p(k / 2.0, x / 2.0)
 }
 
 /// Chi-square survival function (upper tail), the p-value of a score test.
@@ -66,7 +57,7 @@ pub fn sample_bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
 
 /// One Binomial(n, p) draw by summing Bernoullis (exact; n is small here —
 /// genotypes use n = 2).
-pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
+fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
     (0..n).map(|_| u32::from(sample_bernoulli(rng, p))).sum()
 }
 
@@ -110,7 +101,6 @@ mod tests {
         close(chi2_sf(3.841_458_820_694_124, 1.0), 0.05, 1e-10);
         // 95th percentile of chi2_10 is 18.307038053275146.
         close(chi2_sf(18.307_038_053_275_146, 10.0), 0.05, 1e-10);
-        close(chi2_cdf(0.0, 3.0), 0.0, 1e-15);
         close(chi2_sf(-1.0, 3.0), 1.0, 1e-15);
     }
 

@@ -1,6 +1,6 @@
 //! Minimal dense linear algebra, from scratch — just enough to support
 //! covariate adjustment: column-major matrices, Cholesky factorization of
-//! symmetric positive-definite systems, and least squares via the normal
+//! symmetric positive-definite systems, and residualization via the normal
 //! equations. Cohort design matrices here are tall and thin (n patients ×
 //! a handful of covariates), where normal equations are accurate and fast.
 
@@ -14,7 +14,7 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Matrix {
             rows,
@@ -24,7 +24,7 @@ impl Matrix {
     }
 
     /// Build from columns (each of equal length).
-    pub fn from_columns(columns: &[Vec<f64>]) -> Self {
+    fn from_columns(columns: &[Vec<f64>]) -> Self {
         assert!(!columns.is_empty(), "need at least one column");
         let rows = columns[0].len();
         assert!(rows > 0, "columns must be non-empty");
@@ -49,16 +49,6 @@ impl Matrix {
     }
 
     #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.data[c * self.rows + r]
     }
@@ -74,7 +64,7 @@ impl Matrix {
     }
 
     /// `self · v`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "dimension mismatch");
         let mut out = vec![0.0; self.rows];
         for (c, &vc) in v.iter().enumerate() {
@@ -87,7 +77,7 @@ impl Matrix {
     }
 
     /// `selfᵀ · v`.
-    pub fn tr_mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    fn tr_mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.rows, "dimension mismatch");
         (0..self.cols)
             .map(|c| self.column(c).iter().zip(v).map(|(a, b)| a * b).sum())
@@ -174,7 +164,7 @@ impl Cholesky {
 
     /// Solve `A x = b` via forward/backward substitution.
     #[allow(clippy::needless_range_loop)] // textbook triangular-solve form
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    fn solve(&self, b: &[f64]) -> Vec<f64> {
         let p = self.l.rows;
         assert_eq!(b.len(), p, "dimension mismatch");
         // Forward: L y = b.
@@ -199,18 +189,12 @@ impl Cholesky {
     }
 }
 
-/// Ordinary least squares: coefficients β minimizing ‖y − Xβ‖².
-pub fn least_squares(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let chol = Cholesky::factor(&x.gram())?;
-    Ok(chol.solve(&x.tr_mul_vec(y)))
-}
-
 /// Residuals of `y` after projecting out the column space of `x`
-/// (`y − X (XᵀX)⁻¹ Xᵀ y`).
-pub fn residualize(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let beta = least_squares(x, y)?;
+/// (`y − X (XᵀX)⁻¹ Xᵀ y`), given `chol`, the Cholesky factor of `XᵀX`.
+pub fn residualize(x: &Matrix, chol: &Cholesky, y: &[f64]) -> Vec<f64> {
+    let beta = chol.solve(&x.tr_mul_vec(y));
     let fitted = x.mul_vec(&beta);
-    Ok(y.iter().zip(&fitted).map(|(a, b)| a - b).collect())
+    y.iter().zip(&fitted).map(|(a, b)| a - b).collect()
 }
 
 /// Doubles of `Z` one patient tile of the multiplier kernel covers: the
@@ -424,7 +408,7 @@ mod tests {
     #[test]
     fn matrix_basics() {
         let m = Matrix::from_columns(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!((m.rows, m.cols), (2, 2));
         assert_eq!(m.get(0, 1), 3.0);
         assert_eq!(m.mul_vec(&[1.0, 1.0]), vec![4.0, 6.0]);
         assert_eq!(m.tr_mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
@@ -466,7 +450,8 @@ mod tests {
         let xs = vec![0.0, 1.0, 2.0, 3.0, 4.0];
         let y: Vec<f64> = xs.iter().map(|x| 2.0 + 3.0 * x).collect();
         let design = Matrix::design(5, &[xs]);
-        let beta = least_squares(&design, &y).unwrap();
+        let chol = Cholesky::factor(&design.gram()).unwrap();
+        let beta = chol.solve(&design.tr_mul_vec(&y));
         close(beta[0], 2.0, 1e-10);
         close(beta[1], 3.0, 1e-10);
     }
@@ -476,7 +461,8 @@ mod tests {
         let xs = vec![1.0, 2.0, 3.0, 4.0];
         let y = vec![2.0, 4.0, 6.0, 8.0]; // y = 2x: fully explained.
         let design = Matrix::design(4, &[xs]);
-        let r = residualize(&design, &y).unwrap();
+        let chol = Cholesky::factor(&design.gram()).unwrap();
+        let r = residualize(&design, &chol, &y);
         for v in r {
             close(v, 0.0, 1e-10);
         }
@@ -641,8 +627,9 @@ mod tests {
             let y = &seed_y[..n];
             let x = seed_x[..n].to_vec();
             let design = Matrix::design(n, &[x]);
-            if let Ok(r) = residualize(&design, y) {
-                for c in 0..design.cols() {
+            if let Ok(chol) = Cholesky::factor(&design.gram()) {
+                let r = residualize(&design, &chol, y);
+                for c in 0..design.cols {
                     let dot: f64 = design.column(c).iter().zip(&r).map(|(a, b)| a * b).sum();
                     prop_assert!(dot.abs() < 1e-6, "column {c} dot {dot}");
                 }

@@ -46,7 +46,7 @@ impl GenotypeCounts {
     /// Count byte dosages; values above 2 are rejected as
     /// [`InvalidDosage`] (previously a debug-only concern that release
     /// builds scored silently).
-    pub fn from_dosages(g: &[u8]) -> Result<Self, InvalidDosage> {
+    fn from_dosages(g: &[u8]) -> Result<Self, InvalidDosage> {
         let mut c = GenotypeCounts::default();
         for (index, &d) in g.iter().enumerate() {
             match d {
@@ -64,7 +64,7 @@ impl GenotypeCounts {
     /// calls (code `0b11`) are excluded from the counts and returned
     /// separately; packed codes cannot be out of range, so unlike
     /// [`GenotypeCounts::from_dosages`] this is infallible.
-    pub fn from_packed(packed: &[u8], num_patients: usize) -> (Self, usize) {
+    fn from_packed(packed: &[u8], num_patients: usize) -> (Self, usize) {
         let c = bitkern::count_codes(packed, num_patients);
         (
             GenotypeCounts {
@@ -76,26 +76,26 @@ impl GenotypeCounts {
         )
     }
 
-    pub fn total(&self) -> usize {
+    fn total(&self) -> usize {
         self.homozygous_ref + self.heterozygous + self.homozygous_alt
     }
 
     /// Allele frequency of the alternate allele.
-    pub fn alt_allele_frequency(&self) -> f64 {
+    fn alt_allele_frequency(&self) -> f64 {
         let n = self.total();
         assert!(n > 0, "no genotypes");
         (self.heterozygous + 2 * self.homozygous_alt) as f64 / (2 * n) as f64
     }
 
     /// Minor-allele frequency: `min(p, 1 − p)` of the alternate allele.
-    pub fn minor_allele_frequency(&self) -> f64 {
+    fn minor_allele_frequency(&self) -> f64 {
         let p = self.alt_allele_frequency();
         p.min(1.0 - p)
     }
 
     /// Pearson χ²₁ test of Hardy–Weinberg equilibrium. Returns the
     /// p-value; monomorphic SNPs return 1.0 (no departure measurable).
-    pub fn hardy_weinberg_pvalue(&self) -> f64 {
+    fn hardy_weinberg_pvalue(&self) -> f64 {
         let n = self.total() as f64;
         assert!(n > 0.0, "no genotypes");
         let p = self.alt_allele_frequency();

@@ -182,10 +182,6 @@ impl CoxScore {
             rank_end,
         }
     }
-
-    pub fn phenotypes(&self) -> &[Survival] {
-        &self.phenotypes
-    }
 }
 
 impl ScoreModel for CoxScore {
@@ -217,29 +213,6 @@ impl ScoreModel for CoxScore {
             }
         });
     }
-}
-
-/// O(n²)-per-SNP Cox contributions, straight from the definition. Kept as
-/// the property-test oracle for [`CoxScore`].
-pub fn cox_contributions_naive(phenotypes: &[Survival], g: &[u8]) -> Vec<f64> {
-    let n = phenotypes.len();
-    assert_eq!(g.len(), n);
-    (0..n)
-        .map(|i| {
-            if !phenotypes[i].event {
-                return 0.0;
-            }
-            let mut a = 0.0f64;
-            let mut b = 0.0f64;
-            for l in 0..n {
-                if phenotypes[l].time >= phenotypes[i].time {
-                    a += f64::from(g[l]);
-                    b += 1.0;
-                }
-            }
-            f64::from(g[i]) - a / b
-        })
-        .collect()
 }
 
 // ---------------- Gaussian ----------------
@@ -364,6 +337,29 @@ impl ScoreModel for BinomialScore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// O(n²)-per-SNP Cox contributions, straight from the definition. Kept as
+    /// the property-test oracle for [`CoxScore`].
+    fn cox_contributions_naive(phenotypes: &[Survival], g: &[u8]) -> Vec<f64> {
+        let n = phenotypes.len();
+        assert_eq!(g.len(), n);
+        (0..n)
+            .map(|i| {
+                if !phenotypes[i].event {
+                    return 0.0;
+                }
+                let mut a = 0.0f64;
+                let mut b = 0.0f64;
+                for l in 0..n {
+                    if phenotypes[l].time >= phenotypes[i].time {
+                        a += f64::from(g[l]);
+                        b += 1.0;
+                    }
+                }
+                f64::from(g[i]) - a / b
+            })
+            .collect()
+    }
 
     fn close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-10, "{a} vs {b}");

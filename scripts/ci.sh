@@ -7,6 +7,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== orphan scan: every pub fn another file names, or listed with who needs it =="
+# A `pub fn` that no other file names is either dead or used only inside its
+# own file, where privacy would let rustc's dead-code lint guard it. The kept
+# few are listed, one reason a line, in scripts/orphan_allowlist.txt; a stale
+# line fails too.
+./scripts/orphan_scan.sh
+
 echo "== cargo build --release =="
 cargo build --release
 
