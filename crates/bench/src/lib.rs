@@ -13,7 +13,8 @@ use std::sync::Arc;
 use sparkscore_cluster::{ClusterSpec, ContainerRequest};
 use sparkscore_core::{AnalysisOptions, ResamplingRun, SparkScoreContext};
 use sparkscore_data::{GwasDataset, SyntheticConfig};
-use sparkscore_rdd::{Engine, EventListener, EventLogListener, StageSummaryListener};
+use sparkscore_obs::{fmt_ns, stage_table, ExecutionTrace};
+use sparkscore_rdd::{Engine, EventListener, EventLogListener};
 
 /// Common command-line options for the experiment binaries.
 #[derive(Debug, Clone)]
@@ -126,55 +127,53 @@ fn events_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::PathBuf::from("target/events"))
 }
 
-/// Observability attached to one experiment: a JSONL event log on disk
-/// plus an in-memory per-stage summary. Create with [`observe`] *before*
-/// handing the engine to [`context_on`]; call [`Observability::finish`] at
-/// the end to flush the log and print the stage report.
+/// Observability attached to one experiment: a JSONL event log on disk,
+/// read back as an [`ExecutionTrace`] at the end. Create with [`observe`]
+/// *before* handing the engine to [`context_on`]; call
+/// [`Observability::finish`] at the end to flush the log and print the
+/// stage table and trace digest.
 pub struct Observability {
     /// Where the JSONL event log is being written.
     pub log_path: std::path::PathBuf,
     log: Arc<EventLogListener>,
-    summary: Arc<StageSummaryListener>,
 }
 
 /// Attach an event log (`<events_dir>/<name>.jsonl`, see [`events_dir`])
-/// and a stage-summary listener to `engine`.
+/// to `engine`.
 pub fn observe(engine: &Arc<Engine>, name: &str) -> Observability {
     let log_path = events_dir().join(format!("{name}.jsonl"));
     let log =
         Arc::new(EventLogListener::to_file(&log_path).expect("create event log in events dir"));
-    let summary = Arc::new(StageSummaryListener::new());
     engine
         .events()
         .register(Arc::clone(&log) as Arc<dyn EventListener>);
-    engine
-        .events()
-        .register(Arc::clone(&summary) as Arc<dyn EventListener>);
-    Observability {
-        log_path,
-        log,
-        summary,
-    }
+    Observability { log_path, log }
 }
 
 impl Observability {
-    /// Per-stage summary table (see `StageSummaryListener::report`).
-    pub fn report(&self) -> String {
-        self.summary.report()
-    }
-
-    /// Flush the event log and print the stage summary + log location.
-    /// Long runs produce hundreds of stages; the console table keeps the
-    /// head and tail and points at the JSONL log for the full stream.
+    /// Flush the event log, parse it back, and print its per-stage table
+    /// ([`stage_table`]), the log location and the trace digest. Long runs
+    /// produce hundreds of stages; the console table keeps the head and
+    /// tail and points at the JSONL log for the full stream.
     pub fn finish(&self) {
         let _ = self.log.flush();
+        let trace = match std::fs::read_to_string(&self.log_path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| ExecutionTrace::parse(&text).map_err(|e| e.to_string()))
+        {
+            Ok(trace) => trace,
+            Err(e) => {
+                println!("event log {} unreadable: {e}", self.log_path.display());
+                return;
+            }
+        };
         println!("\n== per-stage summary ==");
-        let report = self.summary.report();
-        let lines: Vec<&str> = report.lines().collect();
+        let table = stage_table(&trace);
+        let lines: Vec<&str> = table.lines().collect();
         const HEAD: usize = 22; // 2 header lines + first 20 stages
         const TAIL: usize = 10;
         if lines.len() <= HEAD + TAIL + 1 {
-            print!("{report}");
+            print!("{table}");
         } else {
             for l in &lines[..HEAD] {
                 println!("{l}");
@@ -185,20 +184,14 @@ impl Observability {
             }
         }
         println!("event log: {}", self.log_path.display());
-        match std::fs::read_to_string(&self.log_path) {
-            Ok(text) => match sparkscore_obs::ExecutionTrace::parse(&text) {
-                Ok(trace) => print!("{}", trace_digest(&trace)),
-                Err(e) => println!("trace digest unavailable: {e}"),
-            },
-            Err(e) => println!("trace digest unavailable: {e}"),
-        }
+        print!("{}", trace_digest(&trace));
     }
 }
 
 /// Compact critical-path + cache-ROI digest for a finished run: the
 /// slowest job's stage chain and bottleneck, plus the run-wide cache
 /// economics. (The full per-job breakdown is `trace report <log>`.)
-fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
+fn trace_digest(trace: &ExecutionTrace) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(out, "\n== trace digest ==");
@@ -210,7 +203,7 @@ fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
             "slowest job: {} of {} jobs, critical path {} over stages [{}]",
             worst.job,
             paths.len(),
-            sparkscore_rdd::events::fmt_ns(worst.path_ns),
+            fmt_ns(worst.path_ns),
             chain.join(" -> "),
         );
         if let Some(b) = worst.bottleneck() {
@@ -220,7 +213,7 @@ fn trace_digest(trace: &sparkscore_obs::ExecutionTrace) -> String {
                 "bottleneck: stage {} ({kind}, {} tasks, makespan {})",
                 b.stage,
                 b.num_tasks,
-                sparkscore_rdd::events::fmt_ns(b.makespan_ns),
+                fmt_ns(b.makespan_ns),
             );
         }
     } else {

@@ -1709,16 +1709,9 @@ mod tests {
             context_with_listener(|ds| Phenotype::Survival(ds.phenotypes.clone()));
         let rule = StoppingRule::new(20, 0.2, 0.05);
         let run = ctx.monte_carlo_distributed(&McGridOptions::adaptive(200, 3, rule));
-        let (task_run, task_saved) =
-            listener
-                .summaries()
-                .iter()
-                .fold((0u64, 0u64), |(r, s), sum| {
-                    (
-                        r + sum.counter(REPLICATES_RUN.name()),
-                        s + sum.counter(REPLICATES_SAVED.name()),
-                    )
-                });
+        let trace = trace_of(&listener);
+        let task_run = trace.counter_total(REPLICATES_RUN.name());
+        let task_saved = trace.counter_total(REPLICATES_SAVED.name());
         assert_eq!(
             task_run, run.replicates_run,
             "driver total must equal the task-level sum"
@@ -1746,14 +1739,16 @@ mod tests {
         assert!(lineage.contains("parallelize"));
     }
 
-    use sparkscore_rdd::{EventListener, StageSummaryListener};
+    use sparkscore_obs::ExecutionTrace;
+    use sparkscore_rdd::{EventListener, MemoryEventListener};
 
     /// A context over the small synthetic genotypes with `phenotype`
-    /// swapped in, plus a listener to observe per-stage kernel counters.
+    /// swapped in, plus a listener that captures the event stream, read
+    /// back through [`trace_of`] to observe the tasks' kernel counters.
     fn context_with_listener(
         phenotype_of: impl Fn(&GwasDataset) -> Phenotype,
-    ) -> (SparkScoreContext, Arc<StageSummaryListener>) {
-        let listener = Arc::new(StageSummaryListener::new());
+    ) -> (SparkScoreContext, Arc<MemoryEventListener>) {
+        let listener = Arc::new(MemoryEventListener::new());
         let engine = Engine::builder(ClusterSpec::test_small(2))
             .host_threads(2)
             .listener(Arc::clone(&listener) as Arc<dyn EventListener>)
@@ -1784,16 +1779,16 @@ mod tests {
         (ctx, listener)
     }
 
-    fn kernel_row_totals(listener: &StageSummaryListener) -> (u64, u64) {
-        listener
-            .summaries()
-            .iter()
-            .fold((0, 0), |(total, packed), s| {
-                (
-                    total + s.counter(KERNEL_ROWS.name()),
-                    packed + s.counter(PACKED_KERNEL_ROWS.name()),
-                )
-            })
+    fn trace_of(listener: &MemoryEventListener) -> ExecutionTrace {
+        ExecutionTrace::from_events(&listener.snapshot())
+    }
+
+    fn kernel_row_totals(listener: &MemoryEventListener) -> (u64, u64) {
+        let trace = trace_of(listener);
+        (
+            trace.counter_total(KERNEL_ROWS.name()),
+            trace.counter_total(PACKED_KERNEL_ROWS.name()),
+        )
     }
 
     #[test]

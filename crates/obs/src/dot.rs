@@ -4,10 +4,10 @@
 //!
 //! Render with e.g. `dot -Tsvg trace.dot -o trace.svg`.
 
-use sparkscore_rdd::events::{fmt_bytes, fmt_ns};
 use sparkscore_rdd::StageKind;
 
 use crate::analyze::critical_paths;
+use crate::report::{fmt_bytes, fmt_ns};
 use crate::trace::{ExecutionTrace, TraceStage};
 
 fn stage_label(s: &TraceStage) -> String {

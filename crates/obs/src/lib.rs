@@ -54,5 +54,8 @@ pub use analyze::{cache_roi, critical_paths, stage_skew, CacheRoi, CriticalPath,
 pub use dot::to_dot;
 pub use memory::{live_digest, MemoryTimeline, OpResidency};
 pub use ops::{OpsServer, OpsServerBuilder};
-pub use report::{cache_roi_line, critical_path_report, diff_report, report, report_json};
+pub use report::{
+    cache_roi_line, critical_path_report, diff_report, fmt_bytes, fmt_ns, report, report_json,
+    stage_table,
+};
 pub use trace::{ExecutionTrace, MemWatermark, SpanTotal, TraceJob, TraceSpan, TraceStage};

@@ -22,9 +22,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sparkscore_rdd::events::{fmt_bytes, parse_event_log};
+use sparkscore_rdd::events::parse_event_log;
 use sparkscore_rdd::{EngineEvent, MemReading};
 
+use crate::report::fmt_bytes;
 use crate::trace::MemWatermark;
 
 /// Byte residency of one cached op across the replayed log.

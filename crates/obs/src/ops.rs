@@ -29,10 +29,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sparkscore_rdd::events::fmt_ns;
 use sparkscore_rdd::{FlightRecorder, JobService, MemoryLedger, PoolProfiler, Registry};
 
 use crate::analyze::critical_paths;
+use crate::report::fmt_ns;
 use crate::trace::ExecutionTrace;
 
 const HELP: &str = "commands:\n  metrics        Prometheus text exposition of live gauges/counters\n  jobs           live job table: phase, retained events, critical path so far\n  trace          flight-recorder dump of every retained job (JSONL)\n  trace <job>    flight-recorder dump of one job (JSONL)\n  profile        pool profiler wall-clock attribution\n  memory         live memory ledger: used/peak bytes per category\n  queue          job service status: bounds, depth, flow counters, live jobs\n  tenants        per-tenant quotas, backlog, and flow counters\n  help           this text\n";

@@ -1,14 +1,42 @@
 //! Text rendering: the `trace report` digest, the standalone
-//! critical-path view, and the two-log `trace diff`.
+//! critical-path view, the per-stage table, and the two-log `trace diff`.
 //!
 //! All output is built from deterministic iteration orders and fixed
 //! float formatting, so a fixed input log renders byte-identical text.
 
-use sparkscore_rdd::events::{fmt_bytes, fmt_ns};
-use sparkscore_rdd::StageKind;
+use sparkscore_rdd::{StageKind, TaskMetrics};
 
 use crate::analyze::{cache_roi, critical_paths, stage_skew, CacheRoi, CriticalPath};
 use crate::trace::ExecutionTrace;
+
+/// Human-compact duration from nanoseconds.
+pub fn fmt_ns(ns: u64) -> String {
+    let secs = ns as f64 / 1e9;
+    if secs >= 100.0 {
+        format!("{secs:.0}s")
+    } else if secs >= 1.0 {
+        format!("{secs:.2}s")
+    } else if secs >= 1e-3 {
+        format!("{:.2}ms", secs * 1e3)
+    } else {
+        format!("{:.0}µs", secs * 1e6)
+    }
+}
+
+/// Human-compact byte count.
+pub fn fmt_bytes(bytes: u64) -> String {
+    const KIB: f64 = 1024.0;
+    let b = bytes as f64;
+    if b >= KIB * KIB * KIB {
+        format!("{:.2}GiB", b / (KIB * KIB * KIB))
+    } else if b >= KIB * KIB {
+        format!("{:.1}MiB", b / (KIB * KIB))
+    } else if b >= KIB {
+        format!("{:.1}KiB", b / KIB)
+    } else {
+        format!("{bytes}B")
+    }
+}
 
 fn kind_str(kind: Option<StageKind>) -> &'static str {
     kind.map_or("?", StageKind::as_str)
@@ -56,6 +84,55 @@ fn percent(part: u64, whole: u64) -> String {
     } else {
         format!("{:.1}%", part as f64 / whole as f64 * 100.0)
     }
+}
+
+/// The per-stage table, one row per stage in submission order: task
+/// count, task virtual-time min/p50/max (the straggler view), shuffle
+/// read/write, cache hit rate, virtual makespan, and the summed host wall
+/// time of the stage's tasks. A stage run outside a job shows job `-`; one
+/// that made no cache lookup shows hit rate `-`.
+pub fn stage_table(trace: &ExecutionTrace) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "| job | stage | kind | tasks | task vtime min/p50/max | shuffle R/W | cache hit% | virtual | wall |\n",
+    );
+    out.push_str(
+        "|-----|-------|------|-------|------------------------|-------------|------------|---------|------|\n",
+    );
+    for s in &trace.stages {
+        let mut vtimes: Vec<u64> = s
+            .tasks
+            .iter()
+            .map(TaskMetrics::virtual_runtime_ns)
+            .collect();
+        vtimes.sort_unstable();
+        let (vmin, vp50, vmax) = match (vtimes.first(), vtimes.last()) {
+            (Some(&min), Some(&max)) => (min, vtimes[vtimes.len() / 2], max),
+            _ => (0, 0, 0),
+        };
+        let lookups = s.cache_hits() + s.cache_misses();
+        let hit = if lookups == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.0}%", s.cache_hits() as f64 / lookups as f64 * 100.0)
+        };
+        let job = s.job.map_or_else(|| "-".to_string(), |j| j.to_string());
+        let wall: u64 = s.tasks.iter().map(|t| t.wall_ns).sum();
+        out.push_str(&format!(
+            "| {job} | {stage} | {kind} | {tasks} | {vmin}/{vp50}/{vmax} | {r}/{w} | {hit} | {mk} | {wall} |\n",
+            stage = s.stage,
+            kind = kind_str(s.kind),
+            tasks = s.num_tasks,
+            vmin = fmt_ns(vmin),
+            vp50 = fmt_ns(vp50),
+            vmax = fmt_ns(vmax),
+            r = fmt_bytes(s.shuffle_read_bytes()),
+            w = fmt_bytes(s.shuffle_write_bytes()),
+            mk = fmt_ns(s.makespan_ns),
+            wall = fmt_ns(wall),
+        ));
+    }
+    out
 }
 
 /// The one-line cache accounting the digest and the diff both print.
@@ -403,6 +480,123 @@ mod tests {
 
     fn trace() -> ExecutionTrace {
         ExecutionTrace::from_events(&sample_stream())
+    }
+
+    #[test]
+    fn stage_table_is_pinned() {
+        // Stage 0's two tasks pin p50 as the upper median (`sorted[len/2]`)
+        // and a 0% hit rate; stage 1 hits only, stage 2 half; the internal
+        // stage 3 has no job and no cache lookup, so both show `-`.
+        let table = stage_table(&trace());
+        let expected = [
+            "| job | stage | kind | tasks | task vtime min/p50/max | shuffle R/W | cache hit% | virtual | wall |",
+            "|-----|-------|------|-------|------------------------|-------------|------------|---------|------|",
+            "| 0 | 0 | ShuffleMap | 2 | 4µs/9µs/9µs | 0B/20B | 0% | 10µs | 6µs |",
+            "| 0 | 1 | Result | 2 | 2µs/3µs/3µs | 0B/20B | 100% | 4µs | 2µs |",
+            "| 1 | 2 | Result | 1 | 1µs/1µs/1µs | 0B/10B | 50% | 1µs | 0µs |",
+            "| - | 3 | Result | 1 | 0µs/0µs/0µs | 0B/0B | - | 0µs | 0µs |",
+        ];
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines, expected, "{table}");
+    }
+
+    /// A trace of job-less stages, one per entry, whose tasks have the
+    /// given (virtual runtime ns, cache hits, cache misses).
+    fn stages_trace(stages: &[&[(u64, u64, u64)]]) -> ExecutionTrace {
+        use sparkscore_rdd::events::SpanContext;
+        use sparkscore_rdd::EngineEvent;
+        let mut events = Vec::new();
+        for (stage, tasks) in (0u64..).zip(stages) {
+            events.push(EngineEvent::StageSubmitted {
+                job: None,
+                stage,
+                kind: StageKind::Result,
+                num_tasks: tasks.len(),
+                span: SpanContext::root(stage + 1),
+                mono_ns: 0,
+            });
+            for (partition, &(runtime, hits, misses)) in tasks.iter().enumerate() {
+                events.push(EngineEvent::TaskEnd {
+                    stage,
+                    metrics: TaskMetrics {
+                        partition,
+                        virtual_compute_ns: runtime,
+                        virtual_finish_ns: runtime,
+                        cache_hits: hits,
+                        cache_misses: misses,
+                        ..TaskMetrics::default()
+                    },
+                });
+            }
+        }
+        ExecutionTrace::from_events(&events)
+    }
+
+    /// One column of the stage table, one cell per stage row.
+    fn column(table: &str, index: usize) -> Vec<&str> {
+        table
+            .lines()
+            .skip(2)
+            .map(|row| row.split('|').map(str::trim).nth(index + 1).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn stage_table_spread_picks_min_median_max() {
+        let table = stage_table(&stages_trace(&[
+            &[(5_000, 0, 0), (1_000, 0, 0), (9_000, 0, 0), (3_000, 0, 0)],
+            &[],
+            &[(7_000, 0, 0)],
+        ]));
+        assert_eq!(
+            column(&table, 4),
+            ["1µs/5µs/9µs", "0µs/0µs/0µs", "7µs/7µs/7µs"],
+            "{table}"
+        );
+    }
+
+    #[test]
+    fn stage_table_hit_rate_without_lookups_is_dash() {
+        let table = stage_table(&stages_trace(&[
+            &[(1_000, 0, 0)],
+            &[(1_000, 3, 0)],
+            &[(1_000, 0, 2)],
+            &[(1_000, 1, 0), (1_000, 0, 1)],
+        ]));
+        assert_eq!(column(&table, 6), ["-", "100%", "0%", "50%"], "{table}");
+    }
+
+    #[test]
+    fn formatting_helpers() {
+        assert_eq!(fmt_ns(1_500_000_000), "1.50s");
+        assert_eq!(fmt_ns(2_500_000), "2.50ms");
+        assert_eq!(fmt_bytes(0), "0B");
+        assert_eq!(fmt_bytes(2048), "2.0KiB");
+        assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.0MiB");
+    }
+
+    #[test]
+    fn fmt_ns_boundaries() {
+        assert_eq!(fmt_ns(0), "0µs");
+        assert_eq!(fmt_ns(999), "1µs"); // rounds to the µs
+                                        // Exact unit thresholds.
+        assert_eq!(fmt_ns(1_000_000), "1.00ms");
+        assert_eq!(fmt_ns(999_999), "1000µs"); // just under the ms threshold
+        assert_eq!(fmt_ns(1_000_000_000), "1.00s");
+        assert_eq!(fmt_ns(100_000_000_000), "100s");
+        assert_eq!(fmt_ns(99_999_999_999), "100.00s"); // just under 100 s
+        assert_eq!(fmt_ns(u64::MAX), "18446744074s");
+    }
+
+    #[test]
+    fn fmt_bytes_boundaries() {
+        assert_eq!(fmt_bytes(1023), "1023B");
+        assert_eq!(fmt_bytes(1024), "1.0KiB");
+        assert_eq!(fmt_bytes(1024 * 1024 - 1), "1024.0KiB");
+        assert_eq!(fmt_bytes(1024 * 1024), "1.0MiB");
+        assert_eq!(fmt_bytes(1024 * 1024 * 1024 - 1), "1024.0MiB");
+        assert_eq!(fmt_bytes(1024 * 1024 * 1024), "1.00GiB");
+        assert_eq!(fmt_bytes(u64::MAX), "17179869184.00GiB");
     }
 
     #[test]

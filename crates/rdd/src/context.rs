@@ -7,7 +7,10 @@
 //! the engine later converts into a [`sparkscore_cluster::VirtualTask`]
 //! for virtual-time scheduling, plus whatever named counters the
 //! application reports through [`TaskCtx::count`]. Counters use `Cell`s: a
-//! context belongs to exactly one thread for its lifetime.
+//! context belongs to exactly one thread for its lifetime. The byte and
+//! cache tallies are the only record of those counts: the task's
+//! `TaskMetrics` reads them, and dropping the context adds them into the
+//! engine's counters.
 
 use std::cell::{Cell, RefCell};
 
@@ -226,6 +229,29 @@ impl<'a> TaskCtx<'a> {
             input_bytes: self.input_bytes.get(),
             preferred_nodes: self.preferred.borrow().clone(),
             shuffle_bytes: self.shuffle_read_bytes.get(),
+        }
+    }
+}
+
+/// The task's tallies reach the engine's counters here, once: a task that
+/// panics is dropped while unwinding and keeps what it counted.
+impl Drop for TaskCtx<'_> {
+    fn drop(&mut self) {
+        let metrics = &self.engine.metrics;
+        for (counter, n) in [
+            (&metrics.input_bytes, self.input_bytes.get()),
+            (&metrics.shuffle_bytes_read, self.shuffle_read_bytes.get()),
+            (
+                &metrics.shuffle_bytes_written,
+                self.shuffle_write_bytes.get(),
+            ),
+            (&metrics.cache_hits, self.cache_hits.get()),
+            (&metrics.cache_misses, self.cache_misses.get()),
+            (&metrics.recomputed_partitions, self.recomputed.get()),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
         }
     }
 }

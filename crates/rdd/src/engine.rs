@@ -158,6 +158,7 @@ impl EngineBuilder {
             let dfs = Arc::clone(&dfs);
             ledger.set_source(MemCategory::DfsBlocks, move || dfs.stored_bytes());
         }
+        let registry = Arc::new(Registry::new());
         Arc::new(Engine {
             cluster,
             dfs,
@@ -166,8 +167,8 @@ impl EngineBuilder {
             shuffle: ShuffleManager::with_ledger(Arc::clone(&ledger)),
             ledger,
             meta: MetaRegistry::new(),
-            metrics: Metrics::new(),
-            registry: Arc::new(Registry::new()),
+            metrics: Metrics::register(&registry),
+            registry,
             vclock: VirtualClock::new(),
             vsched: Mutex::new(vsched),
             fault_plan: RwLock::new(self.fault_plan),
@@ -275,10 +276,12 @@ impl Engine {
         self.metrics.snapshot()
     }
 
-    /// The engine's named-metric registry: driver-side subsystems that
-    /// emit no events (e.g. [`crate::BroadcastTileCache`]) count here.
-    /// Hand the same registry to a [`crate::RegistryListener`], the job
-    /// service and the ops endpoint to scrape everything in one place.
+    /// The engine's named-metric registry. The engine's own counters live
+    /// here (the fields of [`MetricsSnapshot`], as `sparkscore_*_total`),
+    /// and so do driver-side subsystems that emit no events (e.g.
+    /// [`crate::BroadcastTileCache`]). Hand the same registry to a
+    /// [`crate::RegistryListener`], the job service and the ops endpoint to
+    /// scrape everything in one place.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -374,8 +377,8 @@ impl Engine {
         let net_bw = self.cluster.spec().instance.network_bandwidth;
         self.vclock
             .advance(cost::transfer_ns(bytes * (nodes - 1), net_bw));
-        Metrics::bump(&self.metrics.broadcasts);
-        Metrics::add(&self.metrics.broadcast_bytes, bytes);
+        self.metrics.broadcasts.inc();
+        self.metrics.broadcast_bytes.add(bytes);
         Broadcast {
             id: self.next_broadcast.fetch_add(1, Ordering::Relaxed),
             value: Arc::new(value),
@@ -439,7 +442,7 @@ impl Engine {
         R: Send,
         F: Fn(usize, &TaskCtx<'_>) -> R + Sync,
     {
-        Metrics::bump(&self.metrics.stages);
+        self.metrics.stages.inc();
         let stage = self.next_stage.fetch_add(1, Ordering::Relaxed);
         let n = parts.len();
         // Snapshot observability once per stage: a listener registered
@@ -528,7 +531,7 @@ impl Engine {
                 if observed {
                     self.pool.note_current_span(0);
                 }
-                Metrics::bump(&self.metrics.tasks);
+                self.metrics.tasks.inc();
                 self.on_task_complete();
                 (r, vt, m, sub_spans)
             }));
@@ -569,7 +572,9 @@ impl Engine {
         }
         let outcome = self.vsched.lock().schedule(&vtasks);
         self.vclock.advance(cost::STAGE_OVERHEAD_NS);
-        Metrics::add(&self.metrics.input_local_reads, outcome.local_reads as u64);
+        self.metrics
+            .input_local_reads
+            .add(outcome.local_reads as u64);
         if observed {
             // One flush per stage: TaskEnd per task in partition order
             // (outcome.tasks is index-aligned with vtasks), followed by
@@ -632,10 +637,9 @@ impl Engine {
         if info.missing_map_parts.is_empty() {
             return false;
         }
-        Metrics::add(
-            &self.metrics.shuffle_map_tasks,
-            info.missing_map_parts.len() as u64,
-        );
+        self.metrics
+            .shuffle_map_tasks
+            .add(info.missing_map_parts.len() as u64);
         let runner = info.run_map_task;
         self.run_stage_tagged(
             &info.missing_map_parts,
@@ -661,8 +665,8 @@ impl Engine {
             .shuffle
             .map_task_runner(sid)
             .expect("a running reducer's op guard keeps its shuffle registered");
-        Metrics::bump(&self.metrics.shuffle_map_reruns);
-        Metrics::bump(&self.metrics.shuffle_map_tasks);
+        self.metrics.shuffle_map_reruns.inc();
+        self.metrics.shuffle_map_tasks.inc();
         self.events.emit_with(|| EngineEvent::ShuffleMapRerun {
             shuffle: sid.0,
             map_part,
@@ -681,7 +685,7 @@ impl Engine {
         R: Send,
         F: Fn(usize, &TaskCtx<'_>) -> R + Sync,
     {
-        Metrics::bump(&self.metrics.jobs);
+        self.metrics.jobs.inc();
         let job = self.next_job.fetch_add(1, Ordering::Relaxed);
         // The job span roots the causal chain job → stage → task → kernel.
         // Allocated only when someone is listening, so an unobserved

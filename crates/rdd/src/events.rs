@@ -1,5 +1,5 @@
 //! Engine observability: typed events, a listener bus, and built-in
-//! listeners (JSONL event log, per-stage summaries, a live registry).
+//! listeners (JSONL event log, in-memory capture, a live registry).
 //!
 //! This is the crate's analogue of Spark's `SparkListener` machinery. The
 //! engine emits an [`EngineEvent`] at every interesting execution boundary
@@ -18,11 +18,15 @@
 //! * [`EventLogListener`] — one JSON object per line to any writer, in the
 //!   spirit of Spark's event log (`spark.eventLog.enabled`). Events
 //!   round-trip through [`EngineEvent::to_json`]/[`EngineEvent::from_json`].
-//! * [`StageSummaryListener`] — aggregates per-stage task-time spread
-//!   (min/p50/max, for straggler detection), shuffle and cache totals, and
-//!   renders a per-job report table with [`StageSummaryListener::report`].
 //! * [`MemoryEventListener`] — records events in memory, for tests and for
 //!   programs that inspect the stream after a run.
+//! * [`RegistryListener`] — feeds a live [`Registry`] with the series only
+//!   the event stream can give (the engine's own counters already live in
+//!   [`crate::Engine::registry`]).
+//!
+//! Per-stage views — task-time spread, shuffle and cache totals, the stage
+//! table — are computed from the stream by `sparkscore_obs::ExecutionTrace`,
+//! the analyzer that reads an event log.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -506,206 +510,6 @@ pub fn parse_event_log(text: &str) -> Result<Vec<EngineEvent>, serde_json::Error
         .collect()
 }
 
-/// Aggregated statistics for one completed stage.
-#[derive(Debug, Clone, Default)]
-pub struct StageSummary {
-    pub job: Option<u64>,
-    pub stage: u64,
-    pub kind: Option<StageKind>,
-    pub num_tasks: usize,
-    /// Per-task virtual runtimes, in completion order.
-    pub task_virtual_ns: Vec<u64>,
-    /// Per-task measured host runtimes, in completion order.
-    pub task_wall_ns: Vec<u64>,
-    pub input_bytes: u64,
-    pub shuffle_read_bytes: u64,
-    pub shuffle_write_bytes: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub recomputed_partitions: u64,
-    /// The tasks' named counters, summed by name.
-    pub counters: TaskCounters,
-    pub makespan_ns: u64,
-    pub local_reads: usize,
-}
-
-impl StageSummary {
-    /// (min, p50, max) of per-task virtual runtimes — the straggler view.
-    fn virtual_spread_ns(&self) -> (u64, u64, u64) {
-        spread(&self.task_virtual_ns)
-    }
-
-    /// The stage total of one named task counter (0 if never reported).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name)
-    }
-
-    /// Fraction of cache lookups that hit, if any lookups happened.
-    fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-}
-
-fn spread(values: &[u64]) -> (u64, u64, u64) {
-    if values.is_empty() {
-        return (0, 0, 0);
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    (
-        sorted[0],
-        sorted[sorted.len() / 2],
-        sorted[sorted.len() - 1],
-    )
-}
-
-/// Collects per-stage task statistics and renders a per-job report table:
-/// task counts, task-time min/p50/max (stragglers), shuffle read/write
-/// volumes, cache hit rates, and virtual-vs-wall time.
-#[derive(Default)]
-pub struct StageSummaryListener {
-    stages: Mutex<Vec<StageSummary>>,
-}
-
-impl StageSummaryListener {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot of all stages seen so far, in submission order.
-    pub fn summaries(&self) -> Vec<StageSummary> {
-        self.stages.lock().clone()
-    }
-
-    fn with_stage(stages: &mut Vec<StageSummary>, stage: u64, f: impl FnOnce(&mut StageSummary)) {
-        match stages.iter_mut().find(|s| s.stage == stage) {
-            Some(s) => f(s),
-            None => {
-                let mut s = StageSummary {
-                    stage,
-                    ..StageSummary::default()
-                };
-                f(&mut s);
-                stages.push(s);
-            }
-        }
-    }
-
-    fn apply(stages: &mut Vec<StageSummary>, event: &EngineEvent) {
-        match event {
-            EngineEvent::StageSubmitted {
-                job,
-                stage,
-                kind,
-                num_tasks,
-                ..
-            } => Self::with_stage(stages, *stage, |s| {
-                s.job = *job;
-                s.kind = Some(*kind);
-                s.num_tasks = *num_tasks;
-            }),
-            EngineEvent::TaskEnd { stage, metrics } => Self::with_stage(stages, *stage, |s| {
-                s.task_virtual_ns.push(metrics.virtual_runtime_ns());
-                s.task_wall_ns.push(metrics.wall_ns);
-                s.input_bytes += metrics.input_bytes;
-                s.shuffle_read_bytes += metrics.shuffle_read_bytes;
-                s.shuffle_write_bytes += metrics.shuffle_write_bytes;
-                s.cache_hits += metrics.cache_hits;
-                s.cache_misses += metrics.cache_misses;
-                s.recomputed_partitions += metrics.recomputed_partitions;
-                s.counters.merge(&metrics.counters);
-            }),
-            EngineEvent::StageCompleted {
-                stage,
-                makespan_ns,
-                local_reads,
-                ..
-            } => Self::with_stage(stages, *stage, |s| {
-                s.makespan_ns = *makespan_ns;
-                s.local_reads = *local_reads;
-            }),
-            _ => {}
-        }
-    }
-
-    /// Render the report table (Markdown-ish, monospace-friendly).
-    pub fn report(&self) -> String {
-        let stages = self.stages.lock();
-        let mut out = String::new();
-        out.push_str(
-            "| job | stage | kind | tasks | task vtime min/p50/max | shuffle R/W | cache hit% | virtual | wall |\n",
-        );
-        out.push_str(
-            "|-----|-------|------|-------|------------------------|-------------|------------|---------|------|\n",
-        );
-        for s in stages.iter() {
-            let (vmin, vp50, vmax) = s.virtual_spread_ns();
-            let wall_total: u64 = s.task_wall_ns.iter().sum();
-            let hit = s
-                .cache_hit_rate()
-                .map_or_else(|| "-".to_string(), |r| format!("{:.0}%", r * 100.0));
-            let job = s.job.map_or_else(|| "-".to_string(), |j| j.to_string());
-            let kind = s.kind.map_or("?", StageKind::as_str);
-            out.push_str(&format!(
-                "| {job} | {stage} | {kind} | {tasks} | {vmin}/{vp50}/{vmax} | {r}/{w} | {hit} | {mk} | {wall} |\n",
-                stage = s.stage,
-                tasks = s.num_tasks,
-                vmin = fmt_ns(vmin),
-                vp50 = fmt_ns(vp50),
-                vmax = fmt_ns(vmax),
-                r = fmt_bytes(s.shuffle_read_bytes),
-                w = fmt_bytes(s.shuffle_write_bytes),
-                mk = fmt_ns(s.makespan_ns),
-                wall = fmt_ns(wall_total),
-            ));
-        }
-        out
-    }
-}
-
-/// Human-compact duration from nanoseconds.
-pub fn fmt_ns(ns: u64) -> String {
-    let secs = ns as f64 / 1e9;
-    if secs >= 100.0 {
-        format!("{secs:.0}s")
-    } else if secs >= 1.0 {
-        format!("{secs:.2}s")
-    } else if secs >= 1e-3 {
-        format!("{:.2}ms", secs * 1e3)
-    } else {
-        format!("{:.0}µs", secs * 1e6)
-    }
-}
-
-/// Human-compact byte count.
-pub fn fmt_bytes(bytes: u64) -> String {
-    const KIB: f64 = 1024.0;
-    let b = bytes as f64;
-    if b >= KIB * KIB * KIB {
-        format!("{:.2}GiB", b / (KIB * KIB * KIB))
-    } else if b >= KIB * KIB {
-        format!("{:.1}MiB", b / (KIB * KIB))
-    } else if b >= KIB {
-        format!("{:.1}KiB", b / KIB)
-    } else {
-        format!("{bytes}B")
-    }
-}
-
-impl EventListener for StageSummaryListener {
-    fn on_event(&self, event: &EngineEvent) {
-        Self::apply(&mut self.stages.lock(), event);
-    }
-
-    fn on_events(&self, events: &[EngineEvent]) {
-        let mut stages = self.stages.lock();
-        for event in events {
-            Self::apply(&mut stages, event);
-        }
-    }
-}
-
 /// Records every event in memory. `snapshot` clones the stream; `take`
 /// drains it.
 #[derive(Default)]
@@ -745,37 +549,29 @@ impl EventListener for MemoryEventListener {
     }
 }
 
-/// Feeds a live [`Registry`] from the event stream: aggregate counters,
-/// in-flight gauges, and task-runtime histograms a long-running engine
-/// can expose (Prometheus text format via
-/// [`RegistryListener::render_prometheus`]) without replaying event logs.
+/// Feeds a live [`Registry`] from the event stream with what only events
+/// can give: completed jobs, the in-flight and clock gauges, the eviction
+/// split, cache and shuffle byte flows, faults, task-runtime histograms and
+/// the tasks' named counters. The engine's own counters (jobs, stages,
+/// tasks, input, shuffle and cache totals) already live in
+/// [`crate::Engine::registry`]: build the listener on that registry with
+/// [`RegistryListener::with_registry`] to scrape both in one place.
 ///
 /// Every update is a handful of relaxed atomic increments; the registry
 /// lock is only taken at construction, at rendering time, and the first
 /// time a task-counter name is seen.
 pub struct RegistryListener {
     registry: Arc<Registry>,
-    jobs_started: Arc<Counter>,
     jobs_completed: Arc<Counter>,
-    stages_completed: Arc<Counter>,
-    tasks_completed: Arc<Counter>,
-    input_bytes: Arc<Counter>,
-    input_local_reads: Arc<Counter>,
-    shuffle_read_bytes: Arc<Counter>,
-    shuffle_write_bytes: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
     cache_evictions_pressure: Arc<Counter>,
     cache_evictions_other: Arc<Counter>,
     cache_admitted_bytes: Arc<Counter>,
     cache_rejected_bytes: Arc<Counter>,
     cache_evicted_bytes: Arc<Counter>,
     shuffle_stored_bytes: Arc<Counter>,
-    recomputed_partitions: Arc<Counter>,
     /// `sparkscore_<name>_total` per task-counter name, created on first
     /// sight (the engine does not know the names in advance).
     task_counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    shuffle_map_reruns: Arc<Counter>,
     faults_injected: Arc<Counter>,
     running_jobs: Arc<Gauge>,
     virtual_clock_ns: Arc<Gauge>,
@@ -789,28 +585,13 @@ impl RegistryListener {
         Self::with_registry(Arc::new(Registry::new()))
     }
 
-    /// Listener over a shared registry (e.g. one scraped by an exporter
-    /// that also carries application metrics).
+    /// Listener over a shared registry (e.g. [`crate::Engine::registry`],
+    /// scraped by an exporter that also carries application metrics).
     pub fn with_registry(registry: Arc<Registry>) -> Self {
         let c = |name: &str, help: &str| registry.counter(name, help);
         let bounds = Histogram::duration_ns_bounds();
         RegistryListener {
-            jobs_started: c("sparkscore_jobs_started_total", "Jobs submitted"),
             jobs_completed: c("sparkscore_jobs_completed_total", "Jobs finished"),
-            stages_completed: c("sparkscore_stages_completed_total", "Stages finished"),
-            tasks_completed: c("sparkscore_tasks_completed_total", "Tasks finished"),
-            input_bytes: c("sparkscore_input_bytes_total", "Input bytes read by tasks"),
-            input_local_reads: c(
-                "sparkscore_input_local_reads_total",
-                "Tasks whose input was read from a local replica",
-            ),
-            shuffle_read_bytes: c("sparkscore_shuffle_read_bytes_total", "Shuffle bytes read"),
-            shuffle_write_bytes: c(
-                "sparkscore_shuffle_write_bytes_total",
-                "Shuffle bytes written",
-            ),
-            cache_hits: c("sparkscore_cache_hits_total", "Block cache hits"),
-            cache_misses: c("sparkscore_cache_misses_total", "Block cache misses"),
             cache_evictions_pressure: c(
                 "sparkscore_cache_evictions_pressure_total",
                 "Cached blocks evicted under LRU pressure",
@@ -835,15 +616,7 @@ impl RegistryListener {
                 "sparkscore_shuffle_stored_bytes_total",
                 "Map-output bytes stored into the shuffle store",
             ),
-            recomputed_partitions: c(
-                "sparkscore_recomputed_partitions_total",
-                "Previously-cached partitions recomputed from lineage",
-            ),
             task_counters: Mutex::default(),
-            shuffle_map_reruns: c(
-                "sparkscore_shuffle_map_reruns_total",
-                "Lost shuffle map outputs re-run from lineage",
-            ),
             faults_injected: c("sparkscore_faults_injected_total", "Fault plan firings"),
             running_jobs: registry.gauge("sparkscore_running_jobs", "Jobs currently in flight"),
             virtual_clock_ns: registry.gauge(
@@ -864,10 +637,6 @@ impl RegistryListener {
         }
     }
 
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     /// Prometheus text exposition of the whole registry.
     pub fn render_prometheus(&self) -> String {
         self.registry.render_prometheus()
@@ -884,7 +653,6 @@ impl EventListener for RegistryListener {
     fn on_event(&self, event: &EngineEvent) {
         match event {
             EngineEvent::JobStart { virtual_now_ns, .. } => {
-                self.jobs_started.inc();
                 self.running_jobs.add(1);
                 self.virtual_clock_ns.set(*virtual_now_ns as i64);
             }
@@ -894,23 +662,13 @@ impl EventListener for RegistryListener {
                 self.virtual_clock_ns.set(*virtual_now_ns as i64);
             }
             EngineEvent::StageSubmitted { .. }
+            | EngineEvent::StageCompleted { .. }
             | EngineEvent::Span { .. }
+            | EngineEvent::ShuffleMapRerun { .. }
             // The live per-category gauges come from the profiler's ledger
             // refresh; the watermark event is for logs and the recorder.
             | EngineEvent::MemoryWatermark { .. } => {}
-            EngineEvent::StageCompleted { .. } => self.stages_completed.inc(),
             EngineEvent::TaskEnd { metrics, .. } => {
-                self.tasks_completed.inc();
-                self.input_bytes.add(metrics.input_bytes);
-                if metrics.input_local {
-                    self.input_local_reads.inc();
-                }
-                self.shuffle_read_bytes.add(metrics.shuffle_read_bytes);
-                self.shuffle_write_bytes.add(metrics.shuffle_write_bytes);
-                self.cache_hits.add(metrics.cache_hits);
-                self.cache_misses.add(metrics.cache_misses);
-                self.recomputed_partitions
-                    .add(metrics.recomputed_partitions);
                 if !metrics.counters.is_empty() {
                     let mut known = self.task_counters.lock();
                     for (name, n) in metrics.counters.iter() {
@@ -940,7 +698,6 @@ impl EventListener for RegistryListener {
                 self.cache_evicted_bytes.add(*bytes);
             }
             EngineEvent::ShuffleBytesStored { bytes, .. } => self.shuffle_stored_bytes.add(*bytes),
-            EngineEvent::ShuffleMapRerun { .. } => self.shuffle_map_reruns.inc(),
             EngineEvent::FaultInjected { .. } => self.faults_injected.inc(),
         }
     }
@@ -1143,84 +900,6 @@ mod tests {
         assert!(!bus.is_active());
     }
 
-    #[test]
-    fn stage_summary_aggregates_and_reports() {
-        let listener = StageSummaryListener::new();
-        for e in sample_events() {
-            listener.on_event(&e);
-        }
-        let stages = listener.summaries();
-        assert_eq!(stages.len(), 2);
-        let s1 = &stages[0];
-        assert_eq!(s1.stage, 1);
-        assert_eq!(s1.job, Some(0));
-        assert_eq!(s1.kind, Some(StageKind::ShuffleMap));
-        assert_eq!(s1.task_virtual_ns, vec![9_999]);
-        assert_eq!(s1.shuffle_write_bytes, 2048);
-        assert_eq!(s1.cache_hit_rate(), Some(0.5));
-        assert_eq!((s1.counter("cells"), s1.counter("reuses")), (640, 5));
-        assert_eq!(s1.makespan_ns, 10_099);
-        let report = listener.report();
-        assert!(report.contains("ShuffleMap"), "{report}");
-        assert!(report.contains("| 0 | 1 |"), "{report}");
-    }
-
-    #[test]
-    fn spread_picks_min_median_max() {
-        assert_eq!(spread(&[5, 1, 9, 3]), (1, 5, 9));
-        assert_eq!(spread(&[]), (0, 0, 0));
-        assert_eq!(spread(&[7]), (7, 7, 7));
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_ns(1_500_000_000), "1.50s");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_bytes(0), "0B");
-        assert_eq!(fmt_bytes(2048), "2.0KiB");
-        assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.0MiB");
-    }
-
-    #[test]
-    fn fmt_ns_boundaries() {
-        assert_eq!(fmt_ns(0), "0µs");
-        assert_eq!(fmt_ns(999), "1µs"); // rounds to the µs
-                                        // Exact unit thresholds.
-        assert_eq!(fmt_ns(1_000_000), "1.00ms");
-        assert_eq!(fmt_ns(999_999), "1000µs"); // just under the ms threshold
-        assert_eq!(fmt_ns(1_000_000_000), "1.00s");
-        assert_eq!(fmt_ns(100_000_000_000), "100s");
-        assert_eq!(fmt_ns(99_999_999_999), "100.00s"); // just under 100 s
-        assert_eq!(fmt_ns(u64::MAX), "18446744074s");
-    }
-
-    #[test]
-    fn fmt_bytes_boundaries() {
-        assert_eq!(fmt_bytes(1023), "1023B");
-        assert_eq!(fmt_bytes(1024), "1.0KiB");
-        assert_eq!(fmt_bytes(1024 * 1024 - 1), "1024.0KiB");
-        assert_eq!(fmt_bytes(1024 * 1024), "1.0MiB");
-        assert_eq!(fmt_bytes(1024 * 1024 * 1024 - 1), "1024.0MiB");
-        assert_eq!(fmt_bytes(1024 * 1024 * 1024), "1.00GiB");
-        assert_eq!(fmt_bytes(u64::MAX), "17179869184.00GiB");
-    }
-
-    #[test]
-    fn cache_hit_rate_with_zero_lookups_is_none() {
-        let s = StageSummary::default();
-        assert_eq!(s.cache_hit_rate(), None);
-        let hits_only = StageSummary {
-            cache_hits: 3,
-            ..StageSummary::default()
-        };
-        assert_eq!(hits_only.cache_hit_rate(), Some(1.0));
-        let misses_only = StageSummary {
-            cache_misses: 2,
-            ..StageSummary::default()
-        };
-        assert_eq!(misses_only.cache_hit_rate(), Some(0.0));
-    }
-
     /// A writer whose output is only visible in the shared buffer after a
     /// flush — the buffered-file shape that loses the tail of a run if
     /// nothing flushes it.
@@ -1289,14 +968,8 @@ mod tests {
             listener.on_event(&e);
         }
         let text = listener.render_prometheus();
-        assert!(text.contains("sparkscore_jobs_started_total 1"), "{text}");
         assert!(text.contains("sparkscore_jobs_completed_total 1"), "{text}");
         assert!(text.contains("sparkscore_running_jobs 0"), "{text}");
-        assert!(
-            text.contains("sparkscore_tasks_completed_total 1"),
-            "{text}"
-        );
-        assert!(text.contains("sparkscore_cache_hits_total 1"), "{text}");
         assert!(text.contains("sparkscore_cells_total 640"), "{text}");
         assert!(
             text.contains("sparkscore_cache_evictions_pressure_total 1"),

@@ -67,7 +67,7 @@ pub use engine::{Broadcast, Engine, EngineBuilder};
 pub use estimate::EstimateSize;
 pub use events::{
     EngineEvent, EventBus, EventListener, EventLogListener, FaultDetail, MemoryEventListener,
-    RegistryListener, SpanContext, StageKind, StageSummaryListener, TaskMetrics,
+    RegistryListener, SpanContext, StageKind, TaskMetrics,
 };
 pub use gemm::{plan_tiles, BroadcastTileCache, ReplicateTile, MAX_FUSED_TILES};
 pub use ledger::{MemCategory, MemReading, MemoryLedger};

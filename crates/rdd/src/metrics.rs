@@ -2,15 +2,17 @@
 //!
 //! Two layers live here:
 //!
-//! * [`Metrics`]/[`MetricsSnapshot`] — the engine's own counters, which
-//!   the tests and benchmark harnesses assert on: cache behaviour (hits
-//!   prove Algorithm 3's reuse of the `U` RDD), recomputation (proves
-//!   lineage recovery actually ran), shuffle volumes, and
-//!   task/stage/job counts.
+//! * [`MetricsSnapshot`] — the engine's own counters, which the tests and
+//!   benchmark harnesses assert on: cache behaviour (hits prove
+//!   Algorithm 3's reuse of the `U` RDD), recomputation (proves lineage
+//!   recovery actually ran), shuffle volumes, and task/stage/job counts.
+//!   Each is one row of the `engine_counters!` table below, which makes
+//!   it a [`Counter`] in [`crate::Engine::registry`] and a snapshot field.
 //! * [`Registry`] — a general named-metric registry (counters, gauges,
-//!   histograms) with Prometheus text exposition, fed from the event bus
-//!   by [`crate::events::RegistryListener`], so a long-running engine can
-//!   expose aggregate health without replaying event logs.
+//!   histograms) with Prometheus text exposition. The engine's counters
+//!   live in its own registry; [`crate::events::RegistryListener`] adds
+//!   the series only the event stream can give, so a long-running engine
+//!   can expose aggregate health without replaying event logs.
 //!
 //! All counters are relaxed atomics — they are statistics, not
 //! synchronization.
@@ -23,142 +25,86 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-/// Live counters owned by the engine.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    pub jobs: AtomicU64,
-    pub stages: AtomicU64,
-    pub tasks: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub cache_evictions: AtomicU64,
-    /// Partitions recomputed after having been cached and lost.
-    pub recomputed_partitions: AtomicU64,
-    /// Map tasks re-run because their shuffle output went missing.
-    pub shuffle_map_reruns: AtomicU64,
-    pub shuffle_map_tasks: AtomicU64,
-    pub shuffle_bytes_written: AtomicU64,
-    pub shuffle_bytes_read: AtomicU64,
-    pub input_bytes: AtomicU64,
-    pub input_local_reads: AtomicU64,
-    pub broadcasts: AtomicU64,
-    pub broadcast_bytes: AtomicU64,
-}
-
-/// A point-in-time copy of [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    pub jobs: u64,
-    pub stages: u64,
-    pub tasks: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub recomputed_partitions: u64,
-    pub shuffle_map_reruns: u64,
-    pub shuffle_map_tasks: u64,
-    pub shuffle_bytes_written: u64,
-    pub shuffle_bytes_read: u64,
-    pub input_bytes: u64,
-    pub input_local_reads: u64,
-    pub broadcasts: u64,
-    pub broadcast_bytes: u64,
-}
-
-impl Metrics {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        Self::add(counter, 1);
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            jobs: g(&self.jobs),
-            stages: g(&self.stages),
-            tasks: g(&self.tasks),
-            cache_hits: g(&self.cache_hits),
-            cache_misses: g(&self.cache_misses),
-            cache_evictions: g(&self.cache_evictions),
-            recomputed_partitions: g(&self.recomputed_partitions),
-            shuffle_map_reruns: g(&self.shuffle_map_reruns),
-            shuffle_map_tasks: g(&self.shuffle_map_tasks),
-            shuffle_bytes_written: g(&self.shuffle_bytes_written),
-            shuffle_bytes_read: g(&self.shuffle_bytes_read),
-            input_bytes: g(&self.input_bytes),
-            input_local_reads: g(&self.input_local_reads),
-            broadcasts: g(&self.broadcasts),
-            broadcast_bytes: g(&self.broadcast_bytes),
+/// Define the engine's counters, one row each: the field, the Prometheus
+/// series it is scraped as, and its HELP text (also the field's doc). The
+/// table generates the live handles (`Metrics`), their snapshot,
+/// [`MetricsSnapshot::delta_since`] and its `Display`. To add an engine
+/// counter, add a row.
+macro_rules! engine_counters {
+    ($( $field:ident: $series:literal, $help:literal; )*) => {
+        /// Live counters owned by the engine, registered in its registry.
+        #[derive(Debug)]
+        pub(crate) struct Metrics {
+            $( #[doc = $help] pub(crate) $field: Arc<Counter>, )*
         }
-    }
-}
 
-impl MetricsSnapshot {
-    /// Difference `self - earlier`, saturating (counters are monotonic, so
-    /// saturation only matters if snapshots are passed in the wrong order).
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            jobs: self.jobs.saturating_sub(earlier.jobs),
-            stages: self.stages.saturating_sub(earlier.stages),
-            tasks: self.tasks.saturating_sub(earlier.tasks),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            recomputed_partitions: self
-                .recomputed_partitions
-                .saturating_sub(earlier.recomputed_partitions),
-            shuffle_map_reruns: self
-                .shuffle_map_reruns
-                .saturating_sub(earlier.shuffle_map_reruns),
-            shuffle_map_tasks: self
-                .shuffle_map_tasks
-                .saturating_sub(earlier.shuffle_map_tasks),
-            shuffle_bytes_written: self
-                .shuffle_bytes_written
-                .saturating_sub(earlier.shuffle_bytes_written),
-            shuffle_bytes_read: self
-                .shuffle_bytes_read
-                .saturating_sub(earlier.shuffle_bytes_read),
-            input_bytes: self.input_bytes.saturating_sub(earlier.input_bytes),
-            input_local_reads: self
-                .input_local_reads
-                .saturating_sub(earlier.input_local_reads),
-            broadcasts: self.broadcasts.saturating_sub(earlier.broadcasts),
-            broadcast_bytes: self.broadcast_bytes.saturating_sub(earlier.broadcast_bytes),
+        /// A point-in-time copy of the engine's counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $( #[doc = $help] pub $field: u64, )*
         }
-    }
+
+        impl Metrics {
+            /// Register every engine counter in `registry`.
+            pub(crate) fn register(registry: &Registry) -> Self {
+                Metrics {
+                    $( $field: registry.counter($series, $help), )*
+                }
+            }
+
+            pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: self.$field.get(), )*
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Difference `self - earlier`, saturating (counters are
+            /// monotonic, so saturation only matters if snapshots are
+            /// passed in the wrong order).
+            pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: self.$field.saturating_sub(earlier.$field), )*
+                }
+            }
+        }
+
+        /// Single-line `field=value` rendering of every counter, for logs.
+        impl std::fmt::Display for MetricsSnapshot {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let fields = [$( (stringify!($field), self.$field) ),*];
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{name}={value}")?;
+                }
+                Ok(())
+            }
+        }
+    };
 }
 
-/// Compact single-line rendering of the counters that matter most when a
-/// snapshot is printed in a log or a benchmark footer.
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "jobs={} stages={} tasks={} cache hit/miss/evict={}/{}/{} recomputed={} \
-             shuffle W/R={}/{}B map-reruns={} broadcasts={}",
-            self.jobs,
-            self.stages,
-            self.tasks,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.recomputed_partitions,
-            self.shuffle_bytes_written,
-            self.shuffle_bytes_read,
-            self.shuffle_map_reruns,
-            self.broadcasts,
-        )
-    }
+// Input bytes, shuffle bytes, cache hits/misses and recomputes are
+// per-task tallies: a `TaskCtx` adds them here once, when it is dropped.
+engine_counters! {
+    jobs: "sparkscore_jobs_started_total", "Jobs submitted";
+    stages: "sparkscore_stages_completed_total", "Stages finished";
+    tasks: "sparkscore_tasks_completed_total", "Tasks finished";
+    cache_hits: "sparkscore_cache_hits_total", "Block cache hits";
+    cache_misses: "sparkscore_cache_misses_total", "Block cache misses";
+    cache_evictions: "sparkscore_cache_evictions_total", "Cached blocks evicted under LRU pressure";
+    recomputed_partitions: "sparkscore_recomputed_partitions_total",
+        "Previously-cached partitions recomputed from lineage";
+    shuffle_map_reruns: "sparkscore_shuffle_map_reruns_total",
+        "Lost shuffle map outputs re-run from lineage";
+    shuffle_map_tasks: "sparkscore_shuffle_map_tasks_total", "Shuffle map tasks run, re-runs included";
+    shuffle_bytes_written: "sparkscore_shuffle_write_bytes_total", "Shuffle bytes written";
+    shuffle_bytes_read: "sparkscore_shuffle_read_bytes_total", "Shuffle bytes read";
+    input_bytes: "sparkscore_input_bytes_total", "Input bytes read by tasks";
+    input_local_reads: "sparkscore_input_local_reads_total",
+        "Tasks whose input was read from a local replica";
+    broadcasts: "sparkscore_broadcasts_total", "Values broadcast to the executors";
+    broadcast_bytes: "sparkscore_broadcast_bytes_total", "Estimated bytes of broadcast values";
 }
 
 // ---------------------------------------------------------------------------
@@ -427,11 +373,15 @@ impl Registry {
 mod tests {
     use super::*;
 
+    fn metrics() -> Metrics {
+        Metrics::register(&Registry::new())
+    }
+
     #[test]
     fn snapshot_reflects_counters() {
-        let m = Metrics::new();
-        Metrics::bump(&m.jobs);
-        Metrics::add(&m.tasks, 5);
+        let m = metrics();
+        m.jobs.inc();
+        m.tasks.add(5);
         let s = m.snapshot();
         assert_eq!(s.jobs, 1);
         assert_eq!(s.tasks, 5);
@@ -440,23 +390,23 @@ mod tests {
 
     #[test]
     fn delta_subtracts() {
-        let m = Metrics::new();
-        Metrics::add(&m.tasks, 3);
+        let m = metrics();
+        m.tasks.add(3);
         let before = m.snapshot();
-        Metrics::add(&m.tasks, 4);
-        Metrics::bump(&m.cache_hits);
+        m.tasks.add(4);
+        m.broadcasts.inc();
         let after = m.snapshot();
         let d = after.delta_since(&before);
         assert_eq!(d.tasks, 4);
-        assert_eq!(d.cache_hits, 1);
+        assert_eq!(d.broadcasts, 1);
         assert_eq!(d.jobs, 0);
     }
 
     #[test]
     fn snapshot_serde_round_trip() {
-        let m = Metrics::new();
-        Metrics::add(&m.tasks, 42);
-        Metrics::add(&m.shuffle_bytes_written, u64::MAX - 7);
+        let m = metrics();
+        m.tasks.add(42);
+        m.broadcast_bytes.add(u64::MAX - 7);
         let s = m.snapshot();
         let text = serde_json::to_string(&s).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
@@ -465,9 +415,9 @@ mod tests {
 
     #[test]
     fn snapshot_display_is_one_line() {
-        let m = Metrics::new();
-        Metrics::bump(&m.jobs);
-        Metrics::add(&m.tasks, 9);
+        let m = metrics();
+        m.jobs.inc();
+        m.tasks.add(9);
         let line = m.snapshot().to_string();
         assert!(line.contains("jobs=1"));
         assert!(line.contains("tasks=9"));
@@ -542,14 +492,13 @@ mod tests {
 
     #[test]
     fn concurrent_bumps_are_not_lost() {
-        use std::sync::Arc;
-        let m = Arc::new(Metrics::new());
+        let m = Arc::new(metrics());
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        Metrics::bump(&m.tasks);
+                        m.tasks.inc();
                     }
                 })
             })

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use crate::context::TaskCtx;
 use crate::estimate::EstimateSize;
-use crate::metrics::Metrics;
 use crate::OpId;
 
 /// Element types that can flow through datasets.
@@ -47,21 +46,18 @@ pub fn materialize<T: Data>(op: &Arc<dyn Op<T>>, part: usize, ctx: &TaskCtx<'_>)
         return Arc::new(op.compute(part, ctx));
     }
     if let Some(block) = engine.cache.get::<T>(id, part) {
-        Metrics::bump(&engine.metrics.cache_hits);
         ctx.note_cache_hit();
         ctx.add_preferred(block.node);
         return block.data;
     }
-    Metrics::bump(&engine.metrics.cache_misses);
     ctx.note_cache_miss();
     if engine.cache.was_ever_present(id, part) {
-        Metrics::bump(&engine.metrics.recomputed_partitions);
         ctx.note_recompute();
     }
     let data = ctx.time_span("cache:recompute", || Arc::new(op.compute(part, ctx)));
     let node = engine.node_for_block(id.0, part as u64);
     let outcome = engine.cache.put(id, part, Arc::clone(&data), node);
-    Metrics::add(&engine.metrics.cache_evictions, outcome.evicted_blocks());
+    engine.metrics.cache_evictions.add(outcome.evicted_blocks());
     for &(victim_op, victim_part, victim_bytes) in &outcome.evicted {
         engine
             .events()

@@ -33,7 +33,6 @@ use std::sync::Arc;
 use crate::context::TaskCtx;
 use crate::engine::{Engine, OpGuard};
 use crate::estimate::EstimateSize;
-use crate::metrics::Metrics;
 use crate::ops::{materialize, Data, Op};
 use crate::shuffle::{hash_key, Bucket, HashPartitioner, ShuffleStage};
 use crate::{OpId, ShuffleId};
@@ -188,7 +187,6 @@ fn register_shuffle_map<K, V, T, B>(
                 .into_iter()
                 .map(|t| {
                     let (data, bytes) = seal(t);
-                    Metrics::add(&engine.metrics.shuffle_bytes_written, bytes);
                     ctx.add_shuffle_write(bytes);
                     Bucket {
                         data: Arc::new(data),
@@ -247,7 +245,6 @@ fn fetch_buckets<B: Send + Sync + 'static>(
                         .swap_remove(reduce_part)
                 });
                 ctx.add_shuffle_read(bucket.bytes);
-                Metrics::add(&engine.metrics.shuffle_bytes_read, bucket.bytes);
                 bucket
                     .data
                     .downcast::<B>()

@@ -6,7 +6,6 @@ use sparkscore_dfs::{text::block_lines, FileMeta};
 
 use crate::context::TaskCtx;
 use crate::engine::OpGuard;
-use crate::metrics::Metrics;
 use crate::ops::{Data, Op};
 use crate::OpId;
 
@@ -111,7 +110,6 @@ impl<T: Data> Op<T> for TextFileOp<T> {
         let (block_id, bytes) = self.meta.blocks[part];
         ctx.add_preferred_all(&engine.dfs().block_locations(block_id));
         ctx.add_input_bytes(bytes);
-        Metrics::add(&engine.metrics.input_bytes, bytes);
         let (data, _served_by) = engine.dfs().read_block(block_id, None).unwrap_or_else(|e|
 
                 // Unrecoverable: lineage cannot rebuild source data whose

@@ -202,9 +202,10 @@ impl ProfilerBuilder {
         self
     }
 
-    /// Registry to refresh live gauges in each sample (e.g. the one behind
-    /// a [`crate::events::RegistryListener`], so `metrics` scrapes see
-    /// both event aggregates and live state).
+    /// Registry to refresh live gauges in each sample (e.g.
+    /// [`crate::Engine::registry`], which also carries the engine's
+    /// counters and a [`crate::events::RegistryListener`]'s series, so
+    /// `metrics` scrapes see counts, event aggregates and live state).
     pub fn registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self

@@ -7,7 +7,7 @@ use sparkscore_cluster::{ClusterSpec, FaultPlan};
 use sparkscore_rdd::events::parse_event_log;
 use sparkscore_rdd::{
     Engine, EngineEvent, EventBus, EventListener, FaultDetail, MemoryEventListener,
-    RegistryListener, StageSummaryListener, TaskCounter,
+    MetricsSnapshot, RegistryListener, TaskCounter,
 };
 
 fn observed_engine() -> (Arc<Engine>, Arc<MemoryEventListener>) {
@@ -239,36 +239,106 @@ fn task_panic_flushes_buffered_event_log_to_disk() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The named task counter `name`, summed over every `TaskEnd` in `events`.
+fn counter_total(events: &[EngineEvent], name: &str) -> u64 {
+    events
+        .iter()
+        .map(|e| match e {
+            EngineEvent::TaskEnd { metrics, .. } => metrics.counters.get(name),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Each task tallies its input, shuffle and cache counts once, and the
+/// engine's counters are those tallies summed: the metrics delta of a run
+/// equals the same fields summed over its `TaskEnd` events, and the
+/// engine's registry scrapes the same totals.
 #[test]
-fn stage_summary_totals_match_engine_metrics() {
-    let summary = Arc::new(StageSummaryListener::new());
-    let engine = Engine::builder(ClusterSpec::test_small(3))
-        .host_threads(4)
-        .listener(Arc::clone(&summary) as Arc<dyn EventListener>)
-        .build();
+fn engine_totals_are_the_sum_of_task_tallies() {
+    let (engine, mem) = observed_engine();
     let before = engine.metrics_snapshot();
-    run_shuffle_job(&engine);
+
+    // DFS text read, then a shuffle.
+    let content: String = (0..300).map(|i| format!("{i}\n")).collect();
+    engine.dfs().write_text("/tally.txt", &content).unwrap();
+    let numbers = engine
+        .text_file("/tally.txt")
+        .unwrap()
+        .map(|l| l.parse::<u64>().unwrap());
+    let summed = numbers
+        .map(|x| (x % 7, x))
+        .reduce_by_key(3, |a, b| a + b)
+        .collect();
+    assert_eq!(summed.iter().map(|(_, v)| v).sum::<u64>(), (0..300).sum());
+
+    // A cached dataset read twice, then one of its blocks lost to a fault
+    // and recomputed from lineage.
+    let cached = engine
+        .parallelize((0u64..400).collect::<Vec<_>>(), 4)
+        .map(|x| x * 3)
+        .cache();
+    assert_eq!(cached.count(), 400);
+    assert_eq!(cached.count(), 400);
+    engine.set_fault_plan(FaultPlan::none().with_cached_block_loss_every(4));
+    assert_eq!(cached.count(), 400); // the fourth task end drops one block
+    engine.set_fault_plan(FaultPlan::none());
+    assert_eq!(cached.count(), 400);
+
+    // Start from the delta so the fields no task tallies compare equal.
     let delta = engine.metrics_snapshot().delta_since(&before);
+    let mut tallied = MetricsSnapshot {
+        tasks: 0,
+        input_bytes: 0,
+        shuffle_bytes_read: 0,
+        shuffle_bytes_written: 0,
+        cache_hits: 0,
+        cache_misses: 0,
+        recomputed_partitions: 0,
+        ..delta
+    };
+    for event in mem.snapshot() {
+        if let EngineEvent::TaskEnd { metrics: m, .. } = event {
+            tallied.tasks += 1;
+            tallied.input_bytes += m.input_bytes;
+            tallied.shuffle_bytes_read += m.shuffle_read_bytes;
+            tallied.shuffle_bytes_written += m.shuffle_write_bytes;
+            tallied.cache_hits += m.cache_hits;
+            tallied.cache_misses += m.cache_misses;
+            tallied.recomputed_partitions += m.recomputed_partitions;
+        }
+    }
+    assert_eq!(tallied, delta);
+    assert_eq!(delta.input_bytes, content.len() as u64);
+    assert!(delta.shuffle_bytes_written > 0 && delta.shuffle_bytes_read > 0);
+    // Four misses fill the cache and two reads hit all four blocks; the
+    // last read hits three and recomputes the lost one.
+    assert_eq!((delta.cache_hits, delta.cache_misses), (4 + 4 + 3, 4 + 1));
+    assert_eq!(delta.recomputed_partitions, 1);
 
-    let stages = summary.summaries();
-    let tasks: usize = stages.iter().map(|s| s.task_virtual_ns.len()).sum();
-    assert_eq!(tasks as u64, delta.tasks);
-    let shuffle_written: u64 = stages.iter().map(|s| s.shuffle_write_bytes).sum();
-    assert_eq!(shuffle_written, delta.shuffle_bytes_written);
-    let shuffle_read: u64 = stages.iter().map(|s| s.shuffle_read_bytes).sum();
-    assert_eq!(shuffle_read, delta.shuffle_bytes_read);
-
-    let report = summary.report();
-    assert!(report.contains("ShuffleMap"), "{report}");
-    assert!(report.contains("Result"), "{report}");
+    // The engine's registry scrapes the same totals (the engine is fresh,
+    // so they are the delta) as `sparkscore_*_total` series.
+    let text = engine.registry().render_prometheus();
+    for (series, total) in [
+        ("tasks_completed", delta.tasks),
+        ("input_bytes", delta.input_bytes),
+        ("shuffle_read_bytes", delta.shuffle_bytes_read),
+        ("shuffle_write_bytes", delta.shuffle_bytes_written),
+        ("cache_hits", delta.cache_hits),
+        ("cache_misses", delta.cache_misses),
+        ("recomputed_partitions", delta.recomputed_partitions),
+    ] {
+        let sample = format!("\nsparkscore_{series}_total {total}\n");
+        assert!(text.contains(&sample), "{sample:?} missing from\n{text}");
+    }
 }
 
 #[test]
 fn grid_cells_threads_replicate_counters_into_stage_summaries() {
-    let summary = Arc::new(StageSummaryListener::new());
+    let mem = Arc::new(MemoryEventListener::new());
     let engine = Engine::builder(ClusterSpec::test_small(2))
         .host_threads(2)
-        .listener(Arc::clone(&summary) as Arc<dyn EventListener>)
+        .listener(Arc::clone(&mem) as Arc<dyn EventListener>)
         .build();
     let data = engine.parallelize((0u64..40).collect::<Vec<_>>(), 4);
     const REPLICATES_RUN: TaskCounter = TaskCounter::new("replicates_run");
@@ -284,10 +354,9 @@ fn grid_cells_threads_replicate_counters_into_stage_summaries() {
         vec![0, 1, 2, 3]
     );
     assert_eq!(cells.iter().map(|c| c.1).sum::<u64>(), (0u64..40).sum());
-    let stages = summary.summaries();
-    let total = |name| stages.iter().map(|s| s.counter(name)).sum::<u64>();
-    assert_eq!(total("replicates_run"), 120);
-    assert_eq!(total("replicates_saved"), 40);
+    let events = mem.snapshot();
+    assert_eq!(counter_total(&events, "replicates_run"), 120);
+    assert_eq!(counter_total(&events, "replicates_saved"), 40);
 }
 
 /// Adding a task counter is a one-site change: this test defines one under
@@ -312,11 +381,9 @@ fn a_counter_defined_in_one_place_reaches_every_listener() {
     // With no listener there is nobody to read a counter, so this run's
     // reports are dropped; listeners attached later see only later tasks.
     run();
-    let summary = Arc::new(StageSummaryListener::new());
     let registry = Arc::new(RegistryListener::new());
     let mem = Arc::new(MemoryEventListener::new());
     for l in [
-        Arc::clone(&summary) as Arc<dyn EventListener>,
         Arc::clone(&registry) as Arc<dyn EventListener>,
         Arc::clone(&mem) as Arc<dyn EventListener>,
     ] {
@@ -324,9 +391,7 @@ fn a_counter_defined_in_one_place_reaches_every_listener() {
     }
     run();
 
-    let stages = summary.summaries();
-    let summed: u64 = stages.iter().map(|s| s.counter("zebra_stripes")).sum();
-    assert_eq!(summed, 44);
+    assert_eq!(counter_total(&mem.snapshot(), "zebra_stripes"), 44);
     let text = registry.render_prometheus();
     assert!(
         text.contains(
@@ -345,14 +410,7 @@ fn a_counter_defined_in_one_place_reaches_every_listener() {
     assert_eq!(log.matches(per_task).count(), 4);
     let reparsed = parse_event_log(&log).unwrap();
     assert_eq!(reparsed, mem.snapshot());
-    let from_log: u64 = reparsed
-        .iter()
-        .map(|e| match e {
-            EngineEvent::TaskEnd { metrics, .. } => metrics.counters.get("zebra_stripes"),
-            _ => 0,
-        })
-        .sum();
-    assert_eq!(from_log, 44);
+    assert_eq!(counter_total(&reparsed, "zebra_stripes"), 44);
 }
 
 /// One instance of every `EngineEvent` variant (and every `FaultDetail`

@@ -103,7 +103,7 @@ fn main() {
             "\nslowest job during recovery: job {} ({} stages, critical path {})",
             worst.job,
             worst.stages.len(),
-            sparkscore_rdd::events::fmt_ns(worst.path_ns),
+            sparkscore_obs::fmt_ns(worst.path_ns),
         );
     }
     println!(

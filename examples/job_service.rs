@@ -47,8 +47,8 @@ fn main() {
         .listener(Arc::clone(&recorder) as Arc<dyn EventListener>)
         .build();
     // One registry for everything scraped under `metrics`: the engine's
-    // own (driver-side counters such as the tile cache), fed by the event
-    // bus and the job service as well.
+    // own (its counters and driver-side ones such as the tile cache), fed
+    // by the event bus and the job service as well.
     let registry = Arc::clone(engine.registry());
     engine
         .events()

@@ -24,9 +24,7 @@ use sparkscore_cluster::ClusterSpec;
 use sparkscore_core::{AnalysisOptions, SparkScoreContext};
 use sparkscore_data::{GwasDataset, SyntheticConfig};
 use sparkscore_obs::OpsServer;
-use sparkscore_rdd::{
-    Engine, EventListener, FlightRecorder, PoolProfiler, Registry, RegistryListener,
-};
+use sparkscore_rdd::{Engine, EventListener, FlightRecorder, PoolProfiler, RegistryListener};
 
 fn main() {
     let secs: u64 = std::env::args()
@@ -34,17 +32,19 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
 
-    // The three live data sources: a shared registry fed by the event bus,
-    // the always-on flight recorder, and the sampling pool profiler.
-    let registry = Arc::new(Registry::new());
+    // The three live data sources: the engine's registry (its own counters,
+    // plus the series a registry listener derives from the event bus), the
+    // always-on flight recorder, and the sampling pool profiler.
     let recorder = Arc::new(FlightRecorder::new());
     let engine = Engine::builder(ClusterSpec::test_small(4))
-        .listener(
-            Arc::new(RegistryListener::with_registry(Arc::clone(&registry)))
-                as Arc<dyn EventListener>,
-        )
         .listener(Arc::clone(&recorder) as Arc<dyn EventListener>)
         .build();
+    let registry = Arc::clone(engine.registry());
+    engine
+        .events()
+        .register(Arc::new(RegistryListener::with_registry(Arc::clone(
+            &registry,
+        ))));
     let profiler = Arc::new(
         PoolProfiler::builder(&engine)
             .interval(Duration::from_millis(5))

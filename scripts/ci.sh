@@ -51,12 +51,22 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-echo "== one definition site: application counters in crates/core, task cost in cluster::cost =="
+echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started
 # hand-threading a counter again.
 if grep -rnE 'kernel_rows|scratch_reuses|replicates_(run|saved)' crates/rdd/src crates/obs/src; then
     echo "engine/analyzer source names an application counter (see matches above)" >&2
+    exit 1
+fi
+# Input bytes, shuffle bytes, cache hits/misses and recomputes are tallied once
+# per task, in its TaskCtx, whose drop adds them to the engine's counters
+# (crates/rdd/src/context.rs). Any other write of them to an engine counter
+# counts them twice.
+tally='input_bytes|shuffle_bytes_read|shuffle_bytes_written|cache_hits|cache_misses|recomputed_partitions'
+if grep -rnE "\bmetrics\.($tally)\b" --exclude=context.rs crates/rdd/src \
+    || grep -rnE "\b($tally)\.(add|inc)\(" crates/rdd/src; then
+    echo "a task-level count is written to the engine counters outside TaskCtx's drop (see matches above)" >&2
     exit 1
 fi
 # Virtual time has one definition, counted work at the fixed rates of
