@@ -1739,6 +1739,39 @@ mod tests {
         assert!(lineage.contains("parallelize"));
     }
 
+    /// The lineage text, to the op id and partition count: from DFS text
+    /// (one ingest operator), and from memory with a cached `U`.
+    #[test]
+    fn pipeline_lineage_is_pinned() {
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let engine = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(2)
+            .dfs_block_size(4096)
+            .build();
+        let (paths, _) =
+            sparkscore_data::write_dataset_to_dfs(engine.dfs(), "/cohort", &ds).unwrap();
+        let dfs = SparkScoreContext::from_dfs(engine, &paths, AnalysisOptions::default()).unwrap();
+        assert_eq!(
+            dfs.pipeline_lineage(),
+            "mapPartitions (op 2, 6 parts)\n  textFile (op 1, 6 parts)\n"
+        );
+        let memory = small_context();
+        let u = memory.u_dataset().cache();
+        u.count();
+        let chain = concat!(
+            "  mapPartitions (op 3, 4 parts)\n",
+            "    filter (op 2, 4 parts)\n",
+            "      parallelize (op 0, 4 parts)\n",
+        );
+        let lineage = memory.pipeline_lineage();
+        assert_eq!(lineage, format!("mapPartitions (op 5, 4 parts)\n{chain}"));
+        let lineage = u.lineage();
+        assert_eq!(
+            lineage,
+            format!("mapPartitions (op 4, 4 parts) [cached 4/4]\n{chain}")
+        );
+    }
+
     use sparkscore_obs::ExecutionTrace;
     use sparkscore_rdd::{EventListener, MemoryEventListener};
 

@@ -8,6 +8,8 @@
 //! trace live in [`crate::analyze`]; rendering in [`crate::report`] and
 //! [`crate::dot`].
 
+use std::collections::HashMap;
+
 use sparkscore_rdd::events::parse_event_log;
 use sparkscore_rdd::{EngineEvent, FaultDetail, StageKind, TaskCounters, TaskMetrics};
 
@@ -175,6 +177,8 @@ pub struct ExecutionTrace {
     pub faults: Vec<FaultDetail>,
     /// Sub-task spans in event order.
     pub spans: Vec<TraceSpan>,
+    /// Position of each stage id in `stages`.
+    stage_index: HashMap<u64, usize>,
 }
 
 impl ExecutionTrace {
@@ -205,14 +209,15 @@ impl ExecutionTrace {
     }
 
     fn stage_mut(&mut self, stage: u64) -> &mut TraceStage {
-        if let Some(i) = self.stages.iter().position(|s| s.stage == stage) {
-            return &mut self.stages[i];
-        }
-        self.stages.push(TraceStage {
-            stage,
-            ..TraceStage::default()
+        let stages = &mut self.stages;
+        let i = *self.stage_index.entry(stage).or_insert_with(|| {
+            stages.push(TraceStage {
+                stage,
+                ..TraceStage::default()
+            });
+            stages.len() - 1
         });
-        self.stages.last_mut().expect("just pushed")
+        &mut self.stages[i]
     }
 
     fn apply(&mut self, event: &EngineEvent) {

@@ -15,17 +15,16 @@ use std::sync::Arc;
 use sparkscore_dfs::DfsError;
 
 use crate::engine::{Engine, OpGuard};
-use crate::meta::{DepMeta, OpMeta};
-use crate::ops::narrow::{FilterOp, FlatMapOp, MapOp, MapPartitionsCtxOp, MapPartitionsOp};
+use crate::ops::narrow::NarrowOp;
 use crate::ops::shuffled::{Aggregator, JoinOp, ShuffledOp};
 use crate::ops::source::{owned_lines, ParallelizeOp, TextFileOp};
-use crate::ops::{materialize, Data, Op};
-use crate::{OpId, ShuffleId};
+use crate::ops::{lineage_string, materialize, Data, Op};
+use crate::OpId;
 
 /// A typed, lazy, partitioned dataset bound to an engine.
 pub struct Dataset<T: Data> {
     engine: Arc<Engine>,
-    op: Arc<dyn Op<T>>,
+    pub(crate) op: Arc<dyn Op<T>>,
 }
 
 impl<T: Data> Clone for Dataset<T> {
@@ -37,24 +36,6 @@ impl<T: Data> Clone for Dataset<T> {
     }
 }
 
-/// Register a new operator's metadata and produce its cleanup guard.
-fn register_op(
-    engine: &Arc<Engine>,
-    name: &str,
-    num_partitions: usize,
-    deps: Vec<DepMeta>,
-    shuffles: Vec<ShuffleId>,
-) -> (OpId, OpGuard) {
-    let id = engine.new_op_id();
-    engine.meta.register(OpMeta {
-        id,
-        name: name.to_string(),
-        deps,
-        num_partitions,
-    });
-    (id, OpGuard::new(engine, id, shuffles))
-}
-
 impl Engine {
     /// Distribute a driver-side collection over `num_partitions` partitions
     /// (Spark's `sc.parallelize`).
@@ -63,10 +44,10 @@ impl Engine {
         data: Vec<T>,
         num_partitions: usize,
     ) -> Dataset<T> {
-        let (id, guard) = register_op(self, "parallelize", num_partitions, vec![], vec![]);
+        let guard = OpGuard::new(self, vec![]);
         Dataset {
             engine: Arc::clone(self),
-            op: Arc::new(ParallelizeOp::new(id, guard, data, num_partitions)),
+            op: Arc::new(ParallelizeOp::new(guard, data, num_partitions)),
         }
     }
 
@@ -88,10 +69,10 @@ impl Engine {
         parse: impl Fn(&crate::TaskCtx<'_>, &[u8]) -> Vec<T> + Send + Sync + 'static,
     ) -> Result<Dataset<T>, DfsError> {
         let meta = self.dfs().stat(path)?;
-        let (id, guard) = register_op(self, "textFile", meta.num_blocks(), vec![], vec![]);
+        let guard = OpGuard::new(self, vec![]);
         Ok(Dataset {
             engine: Arc::clone(self),
-            op: Arc::new(TextFileOp::new(id, guard, meta, Arc::new(parse))),
+            op: Arc::new(TextFileOp::new(guard, meta, Arc::new(parse))),
         })
     }
 }
@@ -109,11 +90,18 @@ impl<T: Data> Dataset<T> {
         self.op.num_partitions()
     }
 
-    fn narrow_dep(&self) -> Vec<DepMeta> {
-        vec![DepMeta {
-            parent: self.op.id(),
-            shuffle: None,
-        }]
+    /// A narrow child named `name`: `f` turns this dataset's partition
+    /// into the child's and charges the work it models.
+    fn narrow<U: Data>(
+        &self,
+        name: &'static str,
+        f: impl Fn(&crate::TaskCtx<'_>, usize, Arc<Vec<T>>) -> Vec<U> + Send + Sync + 'static,
+    ) -> Dataset<U> {
+        let guard = OpGuard::new(&self.engine, vec![]);
+        Dataset {
+            engine: Arc::clone(&self.engine),
+            op: Arc::new(NarrowOp::new(guard, name, Arc::clone(&self.op), f)),
+        }
     }
 
     // ---- transformations (lazy) ----
@@ -124,65 +112,49 @@ impl<T: Data> Dataset<T> {
     }
 
     /// Apply `f` to every record, declaring its modeled per-record cost in
-    /// work units (see [`MapOp`]) for virtual-time accounting. Results are
-    /// identical to [`Dataset::map`]; only the simulated clock differs.
+    /// work units for virtual-time accounting. Results are identical to
+    /// [`Dataset::map`]; only the simulated clock differs.
+    ///
+    /// One unit is [`sparkscore_cluster::cost::NS_PER_RECORD_UNIT`] virtual
+    /// ns. The engine cannot see inside the closure, so pipelines whose
+    /// per-record cost on the reference platform (the paper's JVM/Spark
+    /// stack) differs wildly from the native Rust cost — text tokenization
+    /// above all — declare it here; 1.0 models a trivial record operation.
     pub fn map_with_cost<U: Data>(
         &self,
         cost_units: f64,
         f: impl Fn(T) -> U + Send + Sync + 'static,
     ) -> Dataset<U> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "map",
-            self.num_partitions(),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(MapOp::new(
-                id,
-                guard,
-                Arc::clone(&self.op),
-                Arc::new(f),
-                cost_units,
-            )),
-        }
+        assert!(cost_units >= 0.0, "cost units must be non-negative");
+        self.narrow("map", move |ctx, _, input| {
+            ctx.add_work(input.len(), cost_units);
+            match Arc::try_unwrap(input) {
+                Ok(owned) => owned.into_iter().map(&f).collect(),
+                Err(shared) => shared.iter().cloned().map(&f).collect(),
+            }
+        })
     }
 
     /// Keep records satisfying `pred`.
     pub fn filter(&self, pred: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "filter",
-            self.num_partitions(),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(FilterOp::new(
-                id,
-                guard,
-                Arc::clone(&self.op),
-                Arc::new(pred),
-            )),
-        }
+        self.narrow("filter", move |ctx, _, input| {
+            ctx.add_work(input.len(), 0.5);
+            match Arc::try_unwrap(input) {
+                Ok(owned) => owned.into_iter().filter(|t| pred(t)).collect(),
+                Err(shared) => shared.iter().filter(|t| pred(t)).cloned().collect(),
+            }
+        })
     }
 
     /// Apply `f` and flatten the results.
     pub fn flat_map<U: Data>(&self, f: impl Fn(T) -> Vec<U> + Send + Sync + 'static) -> Dataset<U> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "flatMap",
-            self.num_partitions(),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(FlatMapOp::new(id, guard, Arc::clone(&self.op), Arc::new(f))),
-        }
+        self.narrow("flatMap", move |ctx, _, input| {
+            ctx.add_work(input.len(), 1.0);
+            match Arc::try_unwrap(input) {
+                Ok(owned) => owned.into_iter().flat_map(&f).collect(),
+                Err(shared) => shared.iter().cloned().flat_map(&f).collect(),
+            }
+        })
     }
 
     /// Transform a whole partition at once; `f` receives the partition
@@ -191,22 +163,10 @@ impl<T: Data> Dataset<T> {
         &self,
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "mapPartitions",
-            self.num_partitions(),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(MapPartitionsOp::new(
-                id,
-                guard,
-                Arc::clone(&self.op),
-                Arc::new(f),
-            )),
-        }
+        self.narrow("mapPartitions", move |ctx, part, input| {
+            ctx.add_work(input.len(), 1.0);
+            f(part, &input)
+        })
     }
 
     /// Like [`Dataset::map_partitions`], but `f` also receives the task
@@ -217,22 +177,9 @@ impl<T: Data> Dataset<T> {
         &self,
         f: impl Fn(&crate::TaskCtx<'_>, usize, &[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        let (id, guard) = register_op(
-            &self.engine,
-            "mapPartitions",
-            self.num_partitions(),
-            self.narrow_dep(),
-            vec![],
-        );
-        Dataset {
-            engine: Arc::clone(&self.engine),
-            op: Arc::new(MapPartitionsCtxOp::new(
-                id,
-                guard,
-                Arc::clone(&self.op),
-                Arc::new(f),
-            )),
-        }
+        self.narrow("mapPartitions", move |ctx, part, input| {
+            f(ctx, part, &input)
+        })
     }
 
     /// Pair every record with a key derived from it.
@@ -251,17 +198,7 @@ impl<T: Data> Dataset<T> {
 
     /// Remove this dataset from the cache (Spark's `unpersist`).
     pub fn unpersist(&self) {
-        let op = self.op.id();
-        for (partition, bytes) in self.engine.cache.unmark(op) {
-            self.engine
-                .events()
-                .emit_with(|| crate::events::EngineEvent::CacheEvicted {
-                    op: op.0,
-                    partition,
-                    pressure: false,
-                    bytes,
-                });
-        }
+        self.engine.unpersist(self.op.id());
     }
 
     pub fn is_cached(&self) -> bool {
@@ -270,20 +207,16 @@ impl<T: Data> Dataset<T> {
 
     /// Lineage tree, for debugging (Spark's `toDebugString`).
     pub fn lineage(&self) -> String {
-        self.engine
-            .meta
-            .lineage_string(self.op.id(), &self.engine.cache)
+        lineage_string(&*self.op, &self.engine.cache)
     }
 
     // ---- actions (eager) ----
 
     /// Run a job that applies `f` to each materialized partition.
     pub fn run_partitions<R: Send>(&self, f: impl Fn(Arc<Vec<T>>) -> R + Sync) -> Vec<R> {
-        let op = Arc::clone(&self.op);
+        let op = &self.op;
         self.engine
-            .run_job(op.id(), op.num_partitions(), move |part, ctx| {
-                f(materialize(&op, part, ctx))
-            })
+            .run_job(&**op, |part, ctx| f(materialize(op, part, ctx)))
     }
 
     /// One grid row of a distributed GEMM: run `kernel` once per partition
@@ -299,12 +232,11 @@ impl<T: Data> Dataset<T> {
         &self,
         kernel: impl Fn(&crate::TaskCtx<'_>, usize, &[T]) -> R + Sync,
     ) -> Vec<R> {
-        let op = Arc::clone(&self.op);
-        self.engine
-            .run_job(op.id(), op.num_partitions(), move |part, ctx| {
-                let data = materialize(&op, part, ctx);
-                kernel(ctx, part, &data)
-            })
+        let op = &self.op;
+        self.engine.run_job(&**op, |part, ctx| {
+            let data = materialize(op, part, ctx);
+            kernel(ctx, part, &data)
+        })
     }
 
     /// Gather every record to the driver, in partition order.
@@ -368,16 +300,11 @@ where
         num_reduce_parts: usize,
     ) -> Dataset<(K, C)> {
         let sid = self.engine.new_shuffle_id();
-        let deps = vec![DepMeta {
-            parent: self.op.id(),
-            shuffle: Some(sid),
-        }];
-        let (id, guard) = register_op(&self.engine, "shuffled", num_reduce_parts, deps, vec![sid]);
+        let guard = OpGuard::new(&self.engine, vec![sid]);
         Dataset {
             engine: Arc::clone(&self.engine),
             op: Arc::new(ShuffledOp::new(
                 &self.engine,
-                id,
                 guard,
                 sid,
                 Arc::clone(&self.op),
@@ -414,28 +341,11 @@ where
         num_reduce_parts: usize,
     ) -> Dataset<(K, (V, W))> {
         let sids = (self.engine.new_shuffle_id(), self.engine.new_shuffle_id());
-        let deps = vec![
-            DepMeta {
-                parent: self.op.id(),
-                shuffle: Some(sids.0),
-            },
-            DepMeta {
-                parent: other.op.id(),
-                shuffle: Some(sids.1),
-            },
-        ];
-        let (id, guard) = register_op(
-            &self.engine,
-            "join",
-            num_reduce_parts,
-            deps,
-            vec![sids.0, sids.1],
-        );
+        let guard = OpGuard::new(&self.engine, vec![sids.0, sids.1]);
         Dataset {
             engine: Arc::clone(&self.engine),
             op: Arc::new(JoinOp::new(
                 &self.engine,
-                id,
                 guard,
                 sids,
                 Arc::clone(&self.op),

@@ -1,12 +1,12 @@
 //! The execution engine: the "Spark driver + executors" of this crate.
 //!
 //! An [`Engine`] binds together the simulated cluster, the DFS, the block
-//! cache, the shuffle manager, and the operator metadata registry, and runs
-//! jobs submitted by dataset actions:
+//! cache and the shuffle manager, and runs jobs submitted by dataset
+//! actions:
 //!
-//! 1. [`Engine::run_job`] asks the meta registry for the shuffles the
-//!    target's lineage needs (pruned at fully-cached ops — the mechanism
-//!    behind Algorithm 3's cached `U` RDD),
+//! 1. [`Engine::run_job`] walks the target operator's graph for the
+//!    shuffles its lineage needs (pruned at fully-cached ops — the
+//!    mechanism behind Algorithm 3's cached `U` RDD),
 //! 2. materializes each missing shuffle map stage in dependency order,
 //! 3. runs the result stage.
 //!
@@ -34,8 +34,8 @@ use crate::events::{
     EngineEvent, EventBus, EventListener, FaultDetail, SpanContext, StageKind, TaskMetrics,
 };
 use crate::ledger::{MemCategory, MemReading, MemoryLedger};
-use crate::meta::MetaRegistry;
 use crate::metrics::{Metrics, MetricsSnapshot, Registry};
+use crate::ops::{plan_shuffles, AnyOp};
 use crate::pool::{ExecutorPool, PoolDiagnostics, TaskSlots};
 use crate::shuffle::{hash_key, Bucket, ShuffleManager};
 use crate::{OpId, ShuffleId};
@@ -166,7 +166,6 @@ impl EngineBuilder {
             cache: CacheManager::with_ledger(cache_budget, Arc::clone(&ledger)),
             shuffle: ShuffleManager::with_ledger(Arc::clone(&ledger)),
             ledger,
-            meta: MetaRegistry::new(),
             metrics: Metrics::register(&registry),
             registry,
             vclock: VirtualClock::new(),
@@ -195,7 +194,6 @@ pub struct Engine {
     pub(crate) cache: CacheManager,
     pub(crate) shuffle: ShuffleManager,
     ledger: Arc<MemoryLedger>,
-    pub(crate) meta: MetaRegistry,
     pub(crate) metrics: Metrics,
     registry: Arc<Registry>,
     vclock: VirtualClock,
@@ -284,11 +282,6 @@ impl Engine {
     /// scrape everything in one place.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Number of live operator metadata entries (leak diagnostics).
-    pub fn meta_registry_len(&self) -> usize {
-        self.meta.len()
     }
 
     /// Number of registered shuffle stages (leak diagnostics).
@@ -442,7 +435,6 @@ impl Engine {
         R: Send,
         F: Fn(usize, &TaskCtx<'_>) -> R + Sync,
     {
-        self.metrics.stages.inc();
         let stage = self.next_stage.fetch_add(1, Ordering::Relaxed);
         let n = parts.len();
         // Snapshot observability once per stage: a listener registered
@@ -468,6 +460,7 @@ impl Engine {
             // Empty stages still count in `metrics.stages`, so they must
             // also emit a matching Submitted/Completed pair — otherwise
             // traces and metrics disagree.
+            self.metrics.stages.inc();
             if observed {
                 self.events.emit(&EngineEvent::StageCompleted {
                     job,
@@ -572,6 +565,8 @@ impl Engine {
         }
         let outcome = self.vsched.lock().schedule(&vtasks);
         self.vclock.advance(cost::STAGE_OVERHEAD_NS);
+        // Counted once finished, so a task reads the stages before its own.
+        self.metrics.stages.inc();
         self.metrics
             .input_local_reads
             .add(outcome.local_reads as u64);
@@ -674,13 +669,27 @@ impl Engine {
         runner(map_part, ctx)
     }
 
+    /// Drop `op`'s cache mark and blocks (Spark's `unpersist`). This is the
+    /// third way bytes leave the cache, so each block leaves through the
+    /// same byte-accurate eviction event the other paths emit.
+    pub(crate) fn unpersist(&self, op: OpId) {
+        for (partition, bytes) in self.cache.unmark(op) {
+            self.events.emit_with(|| EngineEvent::CacheEvicted {
+                op: op.0,
+                partition,
+                pressure: false,
+                bytes,
+            });
+        }
+    }
+
     /// Run a job on `target`: plan and materialize the shuffles its lineage
     /// needs, then execute the result stage. Returns per-partition results
     /// in order. The virtual clock advances by the scheduler horizon the
     /// job's window adds that no other job has credited
     /// ([`VirtualScheduler::close_job`]): with one driver, the job's
     /// marginal makespan.
-    pub(crate) fn run_job<R, F>(&self, target: OpId, num_partitions: usize, f: F) -> Vec<R>
+    pub(crate) fn run_job<R, F>(&self, target: &dyn AnyOp, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &TaskCtx<'_>) -> R + Sync,
@@ -703,8 +712,9 @@ impl Engine {
         });
         self.vsched.lock().open_job();
         let window = JobWindow(&self.vsched);
+        let num_partitions = target.num_partitions();
         let mut stages = u64::from(num_partitions > 0);
-        for sid in self.meta.plan_shuffles(target, &self.cache) {
+        for sid in plan_shuffles(target, &self.cache) {
             stages += u64::from(self.ensure_shuffle(sid, Some(job), job_span));
         }
         let parts: Vec<usize> = (0..num_partitions).collect();
@@ -841,9 +851,9 @@ impl<T> Clone for Broadcast<T> {
     }
 }
 
-/// Cleans up an operator's engine-side state when the operator is dropped
-/// (Spark's `ContextCleaner`): meta entry, cache mark + blocks, and any
-/// shuffle stages/outputs it owned.
+/// An operator's id, and the cleanup of its engine-side state when the
+/// operator is dropped (Spark's `ContextCleaner`): cache mark + blocks,
+/// and any shuffle stages/outputs it owned.
 pub struct OpGuard {
     engine: Weak<Engine>,
     op: OpId,
@@ -851,30 +861,24 @@ pub struct OpGuard {
 }
 
 impl OpGuard {
-    pub(crate) fn new(engine: &Arc<Engine>, op: OpId, shuffles: Vec<ShuffleId>) -> Self {
+    /// A fresh operator id on `engine`, owning `shuffles`.
+    pub(crate) fn new(engine: &Arc<Engine>, shuffles: Vec<ShuffleId>) -> Self {
         OpGuard {
             engine: Arc::downgrade(engine),
-            op,
+            op: engine.new_op_id(),
             shuffles,
         }
+    }
+
+    pub(crate) fn id(&self) -> OpId {
+        self.op
     }
 }
 
 impl Drop for OpGuard {
     fn drop(&mut self) {
         if let Some(engine) = self.engine.upgrade() {
-            engine.meta.remove(self.op);
-            let op = self.op;
-            // Unpersist is the third way bytes leave the cache; emit the
-            // same byte-accurate eviction events the other paths do.
-            for (partition, bytes) in engine.cache.unmark(op) {
-                engine.events.emit_with(|| EngineEvent::CacheEvicted {
-                    op: op.0,
-                    partition,
-                    pressure: false,
-                    bytes,
-                });
-            }
+            engine.unpersist(self.op);
             for &sid in &self.shuffles {
                 engine.shuffle.unregister(sid);
             }
@@ -885,6 +889,7 @@ impl Drop for OpGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::source::ParallelizeOp;
 
     fn engine() -> Arc<Engine> {
         Engine::builder(ClusterSpec::test_small(3)).build()
@@ -928,17 +933,21 @@ mod tests {
     }
 
     #[test]
+    fn a_stage_is_counted_once_it_finishes() {
+        let e = engine();
+        let seen = |parts: &[usize]| e.run_stage(parts, |_, _| e.metrics_snapshot().stages);
+        assert_eq!(seen(&[0, 1, 2]), vec![0, 0, 0], "not its own stage");
+        assert_eq!(seen(&[0]), vec![1], "the stage before it");
+        assert!(seen(&[]).is_empty());
+        assert_eq!(e.metrics_snapshot().stages, 3);
+    }
+
+    #[test]
     fn run_job_advances_virtual_clock() {
         let e = engine();
-        let id = e.new_op_id();
-        e.meta.register(crate::meta::OpMeta {
-            id,
-            name: "test".into(),
-            deps: vec![],
-            num_partitions: 4,
-        });
+        let source = ParallelizeOp::new(OpGuard::new(&e, vec![]), vec![0u8; 4], 4);
         let before = e.virtual_time_ns();
-        e.run_job(id, 4, |_, ctx| ctx.add_work(10_000, 1.0));
+        e.run_job(&source, |_, ctx| ctx.add_work(10_000, 1.0));
         assert!(e.virtual_time_ns() > before);
         assert_eq!(e.metrics_snapshot().jobs, 1);
     }
@@ -948,13 +957,7 @@ mod tests {
         let e = Engine::builder(ClusterSpec::test_small(3))
             .host_threads(2)
             .build();
-        let id = e.new_op_id();
-        e.meta.register(crate::meta::OpMeta {
-            id,
-            name: "overlap".into(),
-            deps: vec![],
-            num_partitions: 2,
-        });
+        let source = ParallelizeOp::new(OpGuard::new(&e, vec![]), vec![0u8; 2], 2);
         let (clock_before, horizon_before) = (e.virtual_time_ns(), e.vsched.lock().horizon_ns());
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
@@ -962,7 +965,7 @@ mod tests {
                 s.spawn(|| {
                     start.wait();
                     for _ in 0..20 {
-                        e.run_job(id, 2, |_, ctx| {
+                        e.run_job(&source, |_, ctx| {
                             // Long enough that the two drivers' jobs overlap.
                             let t = std::time::Instant::now();
                             while t.elapsed() < std::time::Duration::from_micros(50) {}
@@ -1017,18 +1020,10 @@ mod tests {
     #[test]
     fn op_guard_cleans_registry_on_drop() {
         let e = engine();
-        let id = e.new_op_id();
-        e.meta.register(crate::meta::OpMeta {
-            id,
-            name: "g".into(),
-            deps: vec![],
-            num_partitions: 1,
-        });
+        let guard = OpGuard::new(&e, vec![]);
+        let id = guard.id();
         e.cache.mark(id);
-        let guard = OpGuard::new(&e, id, vec![]);
-        assert!(e.meta.get(id).is_some());
         drop(guard);
-        assert!(e.meta.get(id).is_none());
         assert!(!e.cache.is_marked(id));
     }
 

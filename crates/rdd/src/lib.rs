@@ -13,11 +13,16 @@
 //!   `flat_map`, `map_partitions`, `key_by`, and keyed `reduce_by_key`,
 //!   `combine_by_key`, `join`), `cache`, and eager actions (`collect`,
 //!   `count`, `reduce`, `fold`, `take`, `grid_cells`).
+//!   Behind them are five operator kinds ([`ops`]): two sources, one
+//!   narrow operator that every narrow transformation is, and the two
+//!   shuffle operators. Each names its own parents, so the operators are
+//!   the lineage graph.
 //! * [`Engine`] — builds datasets (`parallelize`, `text_file`, and
-//!   `text_file_with` for a caller's own block parser), runs jobs
-//!   (stage planning at shuffle boundaries, cache-aware lineage pruning),
-//!   broadcasts read-only values, applies fault plans, and accounts
-//!   deterministic **virtual time** on the configured cluster shape.
+//!   `text_file_with` for a caller's own block parser), runs jobs (a walk
+//!   of the target operator's parents plans the stages at shuffle
+//!   boundaries, pruned at fully cached operators), broadcasts read-only
+//!   values, applies fault plans, and accounts deterministic **virtual
+//!   time** on the configured cluster shape.
 //! * [`Broadcast`] — read-only values shipped once per node.
 //!
 //! # Example
@@ -50,7 +55,6 @@ pub mod estimate;
 pub mod events;
 pub mod gemm;
 pub mod ledger;
-pub mod meta;
 pub mod metrics;
 pub mod ops;
 pub mod pool;

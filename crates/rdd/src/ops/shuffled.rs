@@ -27,13 +27,12 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::context::TaskCtx;
 use crate::engine::{Engine, OpGuard};
 use crate::estimate::EstimateSize;
-use crate::ops::{materialize, Data, Op};
+use crate::ops::{materialize, AnyOp, Data, Op};
 use crate::shuffle::{hash_key, Bucket, HashPartitioner, ShuffleStage};
 use crate::{OpId, ShuffleId};
 
@@ -265,13 +264,11 @@ where
     V: Data,
     C: Data,
 {
-    id: OpId,
+    guard: OpGuard,
     sid: ShuffleId,
-    num_map_parts: usize,
+    parent: Arc<dyn Op<(K, V)>>,
     num_reduce_parts: usize,
     merge_combiners: Arc<dyn Fn(&mut C, C) + Send + Sync>,
-    _guard: OpGuard,
-    _marker: PhantomData<fn() -> (K, V)>,
 }
 
 impl<K, V, C> ShuffledOp<K, V, C>
@@ -283,19 +280,17 @@ where
     /// Create the reduce-side op and register the map stage with `engine`.
     pub(crate) fn new(
         engine: &Arc<Engine>,
-        id: OpId,
         guard: OpGuard,
         sid: ShuffleId,
         parent: Arc<dyn Op<(K, V)>>,
         num_reduce_parts: usize,
         agg: Aggregator<V, C>,
     ) -> Self {
-        let num_map_parts = parent.num_partitions();
         let merge_combiners = Arc::clone(&agg.merge_combiners);
         register_shuffle_map(
             engine,
             sid,
-            parent,
+            Arc::clone(&parent),
             HashPartitioner::new(num_reduce_parts),
             move |table: &mut KeyTable<K, C>, k, v| match table.entry(k) {
                 Entry::Occupied(mut e) => (agg.merge_value)(e.get_mut(), v),
@@ -314,14 +309,35 @@ where
             },
         );
         ShuffledOp {
-            id,
+            guard,
             sid,
-            num_map_parts,
+            parent,
             num_reduce_parts,
             merge_combiners,
-            _guard: guard,
-            _marker: PhantomData,
         }
+    }
+}
+
+impl<K, V, C> AnyOp for ShuffledOp<K, V, C>
+where
+    K: Data + Hash + Eq,
+    V: Data,
+    C: Data,
+{
+    fn id(&self) -> OpId {
+        self.guard.id()
+    }
+
+    fn name(&self) -> &str {
+        "shuffled"
+    }
+
+    fn num_partitions(&self) -> usize {
+        self.num_reduce_parts
+    }
+
+    fn deps(&self) -> Vec<(&dyn AnyOp, Option<ShuffleId>)> {
+        vec![(&*self.parent, Some(self.sid))]
     }
 }
 
@@ -331,17 +347,10 @@ where
     V: Data,
     C: Data,
 {
-    fn id(&self) -> OpId {
-        self.id
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.num_reduce_parts
-    }
-
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<(K, C)> {
         let mut table: KeyTable<K, C> = KeyTable::default();
-        for records in fetch_buckets::<Combined<K, C>>(self.sid, self.num_map_parts, part, ctx) {
+        let maps = self.parent.num_partitions();
+        for records in fetch_buckets::<Combined<K, C>>(self.sid, maps, part, ctx) {
             ctx.add_work(records.len(), 1.5);
             for_each_owned(records, |(k, c)| match table.entry(k) {
                 Entry::Occupied(mut e) => (self.merge_combiners)(e.get_mut(), c),
@@ -351,10 +360,6 @@ where
             });
         }
         table.into_iter().map(|(k, c)| (k.key, c)).collect()
-    }
-
-    fn name(&self) -> &str {
-        "shuffled"
     }
 }
 
@@ -483,14 +488,12 @@ where
     V: Data,
     W: Data,
 {
-    id: OpId,
+    guard: OpGuard,
     sid_left: ShuffleId,
     sid_right: ShuffleId,
-    maps_left: usize,
-    maps_right: usize,
+    left: Arc<dyn Op<(K, V)>>,
+    right: Arc<dyn Op<(K, W)>>,
     num_reduce_parts: usize,
-    _guard: OpGuard,
-    _marker: PhantomData<fn() -> (K, V, W)>,
 }
 
 impl<K, V, W> JoinOp<K, V, W>
@@ -502,7 +505,6 @@ where
     /// Create the join reduce op, registering one map stage per parent.
     pub(crate) fn new(
         engine: &Arc<Engine>,
-        id: OpId,
         guard: OpGuard,
         (sid_left, sid_right): (ShuffleId, ShuffleId),
         left: Arc<dyn Op<(K, V)>>,
@@ -510,20 +512,42 @@ where
         num_reduce_parts: usize,
     ) -> Self {
         let partitioner = HashPartitioner::new(num_reduce_parts);
-        let maps_left = left.num_partitions();
-        let maps_right = right.num_partitions();
-        register_group_map(engine, sid_left, left, partitioner);
-        register_group_map(engine, sid_right, right, partitioner);
+        register_group_map(engine, sid_left, Arc::clone(&left), partitioner);
+        register_group_map(engine, sid_right, Arc::clone(&right), partitioner);
         JoinOp {
-            id,
+            guard,
             sid_left,
             sid_right,
-            maps_left,
-            maps_right,
+            left,
+            right,
             num_reduce_parts,
-            _guard: guard,
-            _marker: PhantomData,
         }
+    }
+}
+
+impl<K, V, W> AnyOp for JoinOp<K, V, W>
+where
+    K: Data + Hash + Eq,
+    V: Data,
+    W: Data,
+{
+    fn id(&self) -> OpId {
+        self.guard.id()
+    }
+
+    fn name(&self) -> &str {
+        "join"
+    }
+
+    fn num_partitions(&self) -> usize {
+        self.num_reduce_parts
+    }
+
+    fn deps(&self) -> Vec<(&dyn AnyOp, Option<ShuffleId>)> {
+        vec![
+            (&*self.left, Some(self.sid_left)),
+            (&*self.right, Some(self.sid_right)),
+        ]
     }
 }
 
@@ -533,23 +557,17 @@ where
     V: Data,
     W: Data,
 {
-    fn id(&self) -> OpId {
-        self.id
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.num_reduce_parts
-    }
-
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<(K, (V, W))> {
         // Fetch and charge the left side, then the right, 1.5 units per
         // fetched key: work is summed in floating point, so this order is
         // part of the task's virtual time to the bit.
-        let left = fetch_buckets::<Groups<K, V>>(self.sid_left, self.maps_left, part, ctx);
+        let left =
+            fetch_buckets::<Groups<K, V>>(self.sid_left, self.left.num_partitions(), part, ctx);
         for bucket in &left {
             ctx.add_work(bucket.keys.len(), 1.5);
         }
-        let right = fetch_buckets::<Groups<K, W>>(self.sid_right, self.maps_right, part, ctx);
+        let right =
+            fetch_buckets::<Groups<K, W>>(self.sid_right, self.right.num_partitions(), part, ctx);
         for bucket in &right {
             ctx.add_work(bucket.keys.len(), 1.5);
         }
@@ -574,10 +592,6 @@ where
             }
         }
         out
-    }
-
-    fn name(&self) -> &str {
-        "join"
     }
 }
 

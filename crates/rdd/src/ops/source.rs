@@ -6,18 +6,17 @@ use sparkscore_dfs::{text::block_lines, FileMeta};
 
 use crate::context::TaskCtx;
 use crate::engine::OpGuard;
-use crate::ops::{Data, Op};
-use crate::OpId;
+use crate::ops::{AnyOp, Data, Op};
+use crate::{OpId, ShuffleId};
 
 /// A driver-side collection split into `n` partitions (`sc.parallelize`).
 pub struct ParallelizeOp<T: Data> {
-    id: OpId,
+    guard: OpGuard,
     partitions: Arc<Vec<Vec<T>>>,
-    _guard: OpGuard,
 }
 
 impl<T: Data> ParallelizeOp<T> {
-    pub(crate) fn new(id: OpId, guard: OpGuard, data: Vec<T>, num_partitions: usize) -> Self {
+    pub(crate) fn new(guard: OpGuard, data: Vec<T>, num_partitions: usize) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
         let n = data.len();
         let mut partitions: Vec<Vec<T>> = (0..num_partitions).map(|_| Vec::new()).collect();
@@ -32,31 +31,36 @@ impl<T: Data> ParallelizeOp<T> {
             }
         }
         ParallelizeOp {
-            id,
+            guard,
             partitions: Arc::new(partitions),
-            _guard: guard,
         }
     }
 }
 
-impl<T: Data> Op<T> for ParallelizeOp<T> {
+impl<T: Data> AnyOp for ParallelizeOp<T> {
     fn id(&self) -> OpId {
-        self.id
+        self.guard.id()
+    }
+
+    fn name(&self) -> &str {
+        "parallelize"
     }
 
     fn num_partitions(&self) -> usize {
         self.partitions.len()
     }
 
+    fn deps(&self) -> Vec<(&dyn AnyOp, Option<ShuffleId>)> {
+        Vec::new()
+    }
+}
+
+impl<T: Data> Op<T> for ParallelizeOp<T> {
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<T> {
         let data = &self.partitions[part];
         // Driver memory → executor: cheap, but not free.
         ctx.add_work(data.len(), 0.2);
         data.clone()
-    }
-
-    fn name(&self) -> &str {
-        "parallelize"
     }
 }
 
@@ -67,25 +71,18 @@ impl<T: Data> Op<T> for ParallelizeOp<T> {
 /// per task on the replica's bytes in place and charges, through the task
 /// context, whatever work it models.
 pub struct TextFileOp<T: Data> {
-    id: OpId,
+    guard: OpGuard,
     meta: FileMeta,
     parse: Arc<dyn Fn(&TaskCtx<'_>, &[u8]) -> Vec<T> + Send + Sync>,
-    _guard: OpGuard,
 }
 
 impl<T: Data> TextFileOp<T> {
     pub(crate) fn new(
-        id: OpId,
         guard: OpGuard,
         meta: FileMeta,
         parse: Arc<dyn Fn(&TaskCtx<'_>, &[u8]) -> Vec<T> + Send + Sync>,
     ) -> Self {
-        TextFileOp {
-            id,
-            meta,
-            parse,
-            _guard: guard,
-        }
+        TextFileOp { guard, meta, parse }
     }
 }
 
@@ -96,15 +93,25 @@ pub(crate) fn owned_lines(ctx: &TaskCtx<'_>, block: &[u8]) -> Vec<String> {
     lines
 }
 
-impl<T: Data> Op<T> for TextFileOp<T> {
+impl<T: Data> AnyOp for TextFileOp<T> {
     fn id(&self) -> OpId {
-        self.id
+        self.guard.id()
+    }
+
+    fn name(&self) -> &str {
+        "textFile"
     }
 
     fn num_partitions(&self) -> usize {
         self.meta.blocks.len()
     }
 
+    fn deps(&self) -> Vec<(&dyn AnyOp, Option<ShuffleId>)> {
+        Vec::new()
+    }
+}
+
+impl<T: Data> Op<T> for TextFileOp<T> {
     fn compute(&self, part: usize, ctx: &TaskCtx<'_>) -> Vec<T> {
         let engine = ctx.engine();
         let (block_id, bytes) = self.meta.blocks[part];
@@ -116,9 +123,5 @@ impl<T: Data> Op<T> for TextFileOp<T> {
                 // every replica is gone — Spark fails the job here too.
                 panic!("input block lost beyond recovery for {}: {e}", self.meta.path));
         (self.parse)(ctx, &data)
-    }
-
-    fn name(&self) -> &str {
-        "textFile"
     }
 }

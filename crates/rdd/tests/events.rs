@@ -735,13 +735,17 @@ fn parse_event_log_rejects_malformed_lines() {
 /// Satellite invariant: across pool-worker puts, pressure evictions, and
 /// unpersists, the memory ledger's `used` equals the cache's own byte
 /// count (itself the sum of resident block sizes) at every quiescent
-/// point — the delta accounting never drifts from the real residency.
+/// point — the delta accounting never drifts from the real residency —
+/// and every dataset's admitted bytes leave through eviction events,
+/// whether it was unpersisted or dropped.
 #[test]
 fn ledger_matches_residency_through_concurrent_churn() {
     use sparkscore_rdd::MemCategory;
+    let mem = Arc::new(MemoryEventListener::new());
     let engine = Engine::builder(ClusterSpec::test_small(3))
         .host_threads(4)
         .cache_budget_bytes(64 * 1024) // small budget: force eviction churn
+        .listener(Arc::clone(&mem) as Arc<dyn EventListener>)
         .build();
     let ledger = Arc::clone(engine.memory_ledger());
     let mut datasets = Vec::new();
@@ -768,12 +772,44 @@ fn ledger_matches_residency_through_concurrent_churn() {
         "per-op residency must sum to the ledger total"
     );
     assert!(ledger.peak(MemCategory::BlockCache) >= ledger.used(MemCategory::BlockCache));
+    let ids: Vec<u64> = datasets.iter().map(|d| d.id().0).collect();
+    let last_resident = engine.cache_resident_bytes(datasets[3].id());
+    assert!(last_resident > 0, "the last round must still hold blocks");
     // Unpersist half explicitly, drop the rest: both paths must settle to 0.
     datasets[0].unpersist();
     datasets[1].unpersist();
     drop(datasets);
     assert_eq!(ledger.used(MemCategory::BlockCache), 0);
     assert_eq!(engine.cache_used_bytes(), 0);
+    // Per dataset, the event log's admissions minus evictions balance; a
+    // dropped dataset's blocks leave as unpersist's do.
+    let events = mem.snapshot();
+    let (mut balance, mut released) = (vec![0i128; ids.len()], vec![0u64; ids.len()]);
+    for e in &events {
+        match *e {
+            EngineEvent::CacheAdmitted { op, bytes, .. } => {
+                balance[ids.iter().position(|&id| id == op).unwrap()] += i128::from(bytes);
+            }
+            EngineEvent::CacheEvicted {
+                op,
+                bytes,
+                pressure,
+                ..
+            } => {
+                let i = ids.iter().position(|&id| id == op).unwrap();
+                balance[i] -= i128::from(bytes);
+                if !pressure {
+                    released[i] += bytes;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(balance, vec![0; ids.len()], "every dataset's bytes balance");
+    assert_eq!(
+        released[3], last_resident,
+        "dropping releases what was resident"
+    );
 }
 
 /// Satellite invariant: replaying the event log's byte deltas

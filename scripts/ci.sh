@@ -51,7 +51,7 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx =="
+echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started
 # hand-threading a counter again.
@@ -67,6 +67,14 @@ tally='input_bytes|shuffle_bytes_read|shuffle_bytes_written|cache_hits|cache_mis
 if grep -rnE "\bmetrics\.($tally)\b" --exclude=context.rs crates/rdd/src \
     || grep -rnE "\b($tally)\.(add|inc)\(" crates/rdd/src; then
     echo "a task-level count is written to the engine counters outside TaskCtx's drop (see matches above)" >&2
+    exit 1
+fi
+# The operators are the lineage graph: each names its own parents
+# (`AnyOp::deps` in crates/rdd/src/ops/mod.rs), which the shuffle planner and
+# `Dataset::lineage` walk. A side table of operator metadata is a second copy
+# of that graph coming back.
+if grep -rnwE 'MetaRegistry|OpMeta|DepMeta|register_op' crates/rdd/src; then
+    echo "crates/rdd/src keeps a second copy of the operator graph (see matches above)" >&2
     exit 1
 fi
 # Virtual time has one definition, counted work at the fixed rates of
