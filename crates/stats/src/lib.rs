@@ -58,7 +58,7 @@ pub mod skat;
 pub mod special;
 
 pub use covariates::AdjustedGaussianScore;
-pub use linalg::{perturb_rows_blocked, perturb_scores_blocked};
+pub use linalg::perturb_rows_blocked;
 pub use pvalue::StoppingRule;
 pub use resample::{
     monte_carlo, monte_carlo_adaptive, monte_carlo_blocked, monte_carlo_per_iteration,

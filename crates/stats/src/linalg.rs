@@ -208,10 +208,12 @@ pub fn residualize(x: &Matrix, chol: &Cholesky, y: &[f64]) -> Vec<f64> {
 /// cohort, so that shape streams each row once.
 const PERTURB_Z_TILE: usize = 4096;
 
-/// Rows of `U` a full register tile advances together. `4 × 8` doubles is
-/// eight 256-bit accumulators, leaving AVX2's other eight registers for the
-/// `Z` operands and the broadcast `U` value; narrower replicate strips keep
-/// all four rows, so even `k = 1` has four independent add chains in flight.
+/// Rows of `U` a full register tile advances together in the plain and
+/// AVX2 arms. `4 × 8` doubles is eight 256-bit accumulators, leaving AVX2's
+/// other eight registers for the `Z` operands and the broadcast `U` value;
+/// narrower replicate strips keep all four rows, so even `k = 1` has four
+/// independent add chains in flight. The AVX-512 arm's tiles are twice as
+/// tall and twice as wide: `8 × 16` is sixteen of its 32 `zmm` registers.
 const PERTURB_MR: usize = 4;
 
 /// Blocked Monte Carlo multiplier kernel — the GEMM-shaped core of
@@ -234,7 +236,7 @@ const PERTURB_MR: usize = 4;
 /// replicates one at a time. Register and
 /// patient tiling only choose *which* chains advance together, never the
 /// order within a chain, and no multiply-add is ever fused.
-pub fn perturb_scores_blocked(
+pub(crate) fn perturb_scores_blocked(
     contribs: &[f64],
     num_snps: usize,
     num_patients: usize,
@@ -255,11 +257,11 @@ pub fn perturb_scores_blocked(
 /// in patient order, so a grid of these cells reproduces the single-task
 /// kernel bit for bit.
 ///
-/// One register-blocked body (`perturb_rows_body`) compiled twice: for
-/// the build's baseline target, and on x86-64 once more with AVX2 enabled,
-/// taken when the running CPU reports it. Both execute the same IEEE
-/// operations in the same order per chain, so which one runs is invisible
-/// in the result.
+/// One register-blocked body (`perturb_rows_body`) compiled three times:
+/// for the build's baseline target, and on x86-64 once with AVX2 and once
+/// with AVX-512 enabled, the widest the running CPU reports taken. All
+/// three execute the same IEEE operations in the same order per chain, so
+/// which one runs is invisible in the result.
 pub fn perturb_rows_blocked(
     rows: &[&[f64]],
     num_patients: usize,
@@ -274,13 +276,42 @@ pub fn perturb_rows_blocked(
         assert_eq!(row.len(), num_patients, "U row length");
     }
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `perturb_rows_avx2` requires only that the running CPU
-        // supports AVX2, which the detection on the line above just
-        // reported (a cached atomic load after the first call).
-        return unsafe { perturb_rows_avx2(rows, num_patients, z_tile, k, out) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `perturb_rows_avx512` requires only that the running
+            // CPU supports AVX-512F, which the detection on the line above
+            // just reported (a cached atomic load after the first call).
+            return unsafe { perturb_rows_avx512(rows, num_patients, z_tile, k, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `perturb_rows_avx2` requires only that the running CPU
+            // supports AVX2, which the detection on the line above just
+            // reported (a cached atomic load after the first call).
+            return unsafe { perturb_rows_avx2(rows, num_patients, z_tile, k, out) };
+        }
     }
-    perturb_rows_body(rows, num_patients, z_tile, k, out);
+    perturb_rows_body::<PERTURB_MR, false>(rows, num_patients, z_tile, k, out);
+}
+
+/// [`perturb_rows_body`] compiled with 512-bit vectors, on `8 × 16` tiles
+/// led by a 16-wide replicate strip. Rust's `avx512f` implies `fma`, so
+/// here only the source keeps multiply and add apart (Rust contracts no
+/// `a * b + c`); `scripts/ci.sh` disassembles the release build and fails
+/// if any `perturb_rows_*` arm holds a fused multiply-add.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn perturb_rows_avx512(
+    rows: &[&[f64]],
+    num_patients: usize,
+    z_tile: &[f64],
+    k: usize,
+    out: &mut [f64],
+) {
+    perturb_rows_body::<8, true>(rows, num_patients, z_tile, k, out);
 }
 
 /// [`perturb_rows_body`] compiled with 256-bit vectors. AVX2 only: with
@@ -300,14 +331,17 @@ unsafe fn perturb_rows_avx2(
     k: usize,
     out: &mut [f64],
 ) {
-    perturb_rows_body(rows, num_patients, z_tile, k, out);
+    perturb_rows_body::<PERTURB_MR, false>(rows, num_patients, z_tile, k, out);
 }
 
 /// The kernel proper; the caller has checked every dimension. Patient tiles
 /// outermost (so the tile's `Z` block is read from L1 by every row block),
-/// then blocks of [`PERTURB_MR`] rows, then single leftover rows.
+/// then blocks of `MR` rows, one block of four if at least four rows are
+/// left, then single leftover rows. `WIDE` leads each block's replicate
+/// strips with a 16-wide one: the cascade is 16 → 8 → 4 → 2 → 1 instead of
+/// 8 → 4 → 2 → 1.
 #[inline(always)]
-fn perturb_rows_body(
+fn perturb_rows_body<const MR: usize, const WIDE: bool>(
     rows: &[&[f64]],
     num_patients: usize,
     z_tile: &[f64],
@@ -315,25 +349,29 @@ fn perturb_rows_body(
     out: &mut [f64],
 ) {
     out.fill(0.0);
-    let (blocks, leftover) = rows.split_at(rows.len() - rows.len() % PERTURB_MR);
-    let (out_blocks, out_leftover) = out.split_at_mut(blocks.len() * k);
+    let (blocks, rest) = rows.split_at(rows.len() - rows.len() % MR);
+    let (quads, singles) = rest.split_at(rest.len() - rest.len() % 4);
+    let (out_blocks, out_rest) = out.split_at_mut(blocks.len() * k);
+    let (out_quads, out_singles) = out_rest.split_at_mut(quads.len() * k);
     let patient_tile = (PERTURB_Z_TILE / k).max(1);
     for i0 in (0..num_patients).step_by(patient_tile) {
         let patients = i0..(i0 + patient_tile).min(num_patients);
         let z = &z_tile[patients.start * k..patients.end * k];
         for (block, acc) in blocks
-            .chunks_exact(PERTURB_MR)
-            .zip(out_blocks.chunks_exact_mut(PERTURB_MR * k))
+            .chunks_exact(MR)
+            .zip(out_blocks.chunks_exact_mut(MR * k))
         {
-            let u: [&[f64]; PERTURB_MR] = std::array::from_fn(|r| &block[r][patients.clone()]);
-            let c0 = perturb_strips::<PERTURB_MR, 8>(u, z, k, 0, acc);
-            let c0 = perturb_strips::<PERTURB_MR, 4>(u, z, k, c0, acc);
-            let c0 = perturb_strips::<PERTURB_MR, 2>(u, z, k, c0, acc);
-            perturb_strips::<PERTURB_MR, 1>(u, z, k, c0, acc);
+            let u: [&[f64]; MR] = std::array::from_fn(|r| &block[r][patients.clone()]);
+            perturb_block::<MR, WIDE>(u, z, k, acc);
+        }
+        for (quad, acc) in quads.chunks_exact(4).zip(out_quads.chunks_exact_mut(4 * k)) {
+            let u: [&[f64]; 4] = std::array::from_fn(|r| &quad[r][patients.clone()]);
+            perturb_block::<4, WIDE>(u, z, k, acc);
         }
         // A leftover row has no neighbour to share `Z` loads with, so it
-        // takes strips four times as wide: the same eight accumulators.
-        for (row, acc) in leftover.iter().zip(out_leftover.chunks_exact_mut(k)) {
+        // takes strips four times as wide as a `4 × 8` tile: the same 32
+        // accumulator doubles.
+        for (row, acc) in singles.iter().zip(out_singles.chunks_exact_mut(k)) {
             let u = [&row[patients.clone()]];
             let c0 = perturb_strips::<1, 32>(u, z, k, 0, acc);
             let c0 = perturb_strips::<1, 16>(u, z, k, c0, acc);
@@ -343,6 +381,26 @@ fn perturb_rows_body(
             perturb_strips::<1, 1>(u, z, k, c0, acc);
         }
     }
+}
+
+/// One block of `MR` rows across all `k` replicates: the strip cascade,
+/// widest first.
+#[inline(always)]
+fn perturb_block<const MR: usize, const WIDE: bool>(
+    u: [&[f64]; MR],
+    z: &[f64],
+    k: usize,
+    acc: &mut [f64],
+) {
+    let c0 = if WIDE {
+        perturb_strips::<MR, 16>(u, z, k, 0, acc)
+    } else {
+        0
+    };
+    let c0 = perturb_strips::<MR, 8>(u, z, k, c0, acc);
+    let c0 = perturb_strips::<MR, 4>(u, z, k, c0, acc);
+    let c0 = perturb_strips::<MR, 2>(u, z, k, c0, acc);
+    perturb_strips::<MR, 1>(u, z, k, c0, acc);
 }
 
 /// Run `MR × NR` register tiles over replicate columns `c0..` while a full
@@ -555,30 +613,69 @@ mod tests {
         }
     }
 
+    /// Every vector compilation of the kernel the running CPU can execute,
+    /// each called directly: `(arm, output)` pairs.
+    fn vector_arms(
+        rows: &[&[f64]],
+        n: usize,
+        z: &[f64],
+        k: usize,
+    ) -> Vec<(&'static str, Vec<f64>)> {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut arms = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            let run = |arm: &dyn Fn(&mut [f64])| {
+                let mut out = vec![f64::NAN; rows.len() * k];
+                arm(&mut out);
+                out
+            };
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU reported AVX2 on the line above.
+                let avx2 = run(&|out| unsafe { perturb_rows_avx2(rows, n, z, k, out) });
+                arms.push(("avx2", avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU reported AVX-512F on the line above.
+                let avx512 = run(&|out| unsafe { perturb_rows_avx512(rows, n, z, k, out) });
+                arms.push(("avx512", avx512));
+            }
+        }
+        arms
+    }
+
     #[test]
     fn perturb_plain_and_dispatched_agree_at_the_benchmark_shape() {
-        // One grid cell of the benchmark's `grid_*` workloads.
-        let (m, n, k) = (256usize, 4000usize, 32usize);
-        let u: Vec<f64> = (0..m * n).map(|v| (v as f64 * 0.37).sin()).collect();
-        let z: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.71).cos()).collect();
-        let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
-        let mut dispatched = vec![f64::NAN; m * k];
-        perturb_rows_blocked(&rows, n, &z, k, &mut dispatched);
-        let mut plain = vec![f64::NAN; m * k];
-        perturb_rows_body(&rows, n, &z, k, &mut plain);
-        assert_same_bits(&dispatched, &plain, "dispatched vs plain");
-        assert!(plain.iter().all(|v| v.is_finite()));
+        // One grid cell of the benchmark's `grid_*` workloads, and the
+        // rows of one `svc_mc` query set (20 over 2000 patients).
+        for (m, n, k) in [(256usize, 4000usize, 32usize), (20, 2000, 32)] {
+            let u: Vec<f64> = (0..m * n).map(|v| (v as f64 * 0.37).sin()).collect();
+            let z: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.71).cos()).collect();
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+            let mut dispatched = vec![f64::NAN; m * k];
+            perturb_rows_blocked(&rows, n, &z, k, &mut dispatched);
+            let mut plain = vec![f64::NAN; m * k];
+            perturb_rows_body::<PERTURB_MR, false>(&rows, n, &z, k, &mut plain);
+            assert_same_bits(&dispatched, &plain, "dispatched vs plain");
+            assert!(plain.iter().all(|v| v.is_finite()));
+            let want = perturb_fold(&rows, n, &z, k);
+            assert_same_bits(&plain, &want, &format!("plain at {m} x {n} x {k}"));
+            for (arm, out) in vector_arms(&rows, n, &z, k) {
+                assert_same_bits(&out, &want, &format!("{arm} at {m} x {n} x {k}"));
+            }
+        }
     }
 
     proptest! {
-        /// Both compilations of the kernel reproduce the fold bit for bit:
-        /// every row remainder (0..=9 rows), patient-tile seams (the tile
-        /// is `4096 / k` patients) and every strip decomposition of `k`,
-        /// over values that include signed zeros, infinities, NaN and
+        /// Every compilation of the kernel reproduces the fold bit for bit:
+        /// every row remainder (0..=17 rows: blocks of eight, a block of
+        /// four, single rows), patient-tile seams (the tile is `4096 / k`
+        /// patients) and every strip decomposition of `k` (up to 16 + 16 +
+        /// 8), over values that include signed zeros, infinities, NaN and
         /// subnormals at a per-case density from none to one in four.
         #[test]
         fn prop_perturb_reproduces_the_fold_bit_for_bit(
-            m in 0usize..=9,
+            m in 0usize..=17,
             n in 1usize..=600,
             k in 1usize..=40,
             density in 0usize..4,
@@ -613,8 +710,11 @@ mod tests {
             perturb_rows_blocked(&rows, n, &z, k, &mut out);
             assert_same_bits(&out, &want, "dispatched");
             let mut out = vec![f64::NAN; m * k];
-            perturb_rows_body(&rows, n, &z, k, &mut out);
+            perturb_rows_body::<PERTURB_MR, false>(&rows, n, &z, k, &mut out);
             assert_same_bits(&out, &want, "plain");
+            for (arm, out) in vector_arms(&rows, n, &z, k) {
+                assert_same_bits(&out, &want, arm);
+            }
         }
 
         /// Residuals are orthogonal to every design column.

@@ -28,6 +28,31 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
+echo "== the resampling kernel stays unfused and 512-bit: disassembly of the release sparkscore-stats tests =="
+# The kernel's contract is a multiply and an add, two roundings (DESIGN.md
+# §3d). Rust's `avx512f` implies `fma`, so inside perturb_rows_avx512 only the
+# source keeps the two apart: a `mul_add` there would change bits on AVX-512
+# hosts alone. And an AVX-512 arm whose tiles fell back to 256-bit vectors
+# passes every test while running no faster than the AVX2 arm.
+command -v objdump > /dev/null \
+    || { echo "objdump not found: this step needs it (binutils) to read the kernel's instructions" >&2; exit 1; }
+stats_bin="$(cargo test --release -q -p sparkscore-stats --lib --no-run --message-format=json \
+    | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
+[ -x "$stats_bin" ] || { echo "sparkscore-stats release test binary not found" >&2; exit 1; }
+kernel_asm="$(objdump -d --no-show-raw-insn -C "$stats_bin" \
+    | awk '/^[0-9a-f]+ <.*perturb_rows_[a-z0-9]+>:$/ { name = $0; next }
+           /^$/ { name = "" }
+           name != "" { print name, $0 }')"
+[ -n "$kernel_asm" ] || { echo "no perturb_rows_* symbol in $stats_bin" >&2; exit 1; }
+if grep -E 'vfn?m(add|sub)' <<< "$kernel_asm"; then
+    echo "a perturb_rows_* arm fuses a multiply-add (see matches above)" >&2
+    exit 1
+fi
+if ! grep -qE 'perturb_rows_avx512>: .*vmulpd.*zmm' <<< "$kernel_asm"; then
+    echo "perturb_rows_avx512 holds no 512-bit vmulpd: its tiles fell back to narrower vectors" >&2
+    exit 1
+fi
+
 echo "== events, pool and concurrent_grid test binaries 50x: concurrent emitters, concurrent drivers =="
 # One run of a race-prone test proves little; a loop over the whole binary
 # catches an ordering race that fails a few runs in a hundred.
