@@ -21,8 +21,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use sparkscore_data::io::{parse_phenotypes_text, parse_set_line, parse_weight_line};
 use sparkscore_data::{DatasetPaths, GenotypeBlock, GwasDataset};
 use sparkscore_dfs::text::block_lines;
@@ -30,7 +29,7 @@ use sparkscore_dfs::DfsError;
 use sparkscore_rdd::{
     plan_tiles, Broadcast, BroadcastTileCache, Dataset, Engine, ReplicateTile, TaskCounter,
 };
-use sparkscore_stats::dist::sample_standard_normal;
+use sparkscore_stats::dist::fill_multipliers;
 use sparkscore_stats::linalg::perturb_rows_blocked;
 use sparkscore_stats::pvalue::StoppingRule;
 use sparkscore_stats::qc::{check_snp_packed, QcThresholds};
@@ -138,7 +137,8 @@ impl Default for AnalysisOptions {
 pub struct McGridOptions {
     /// Replicate budget `B`.
     pub num_replicates: usize,
-    /// Multiplier RNG seed (same stream as the sequential oracles).
+    /// Multiplier seed: replicate `r` multiplies patient `i` by
+    /// `Z[r][i]` under it, on every path.
     pub seed: u64,
     /// Replicate-tile width (one broadcast + one grid job per tile).
     pub tile: usize,
@@ -201,10 +201,9 @@ pub struct SparkScoreContext {
     /// per-SNP table.
     max_snp: usize,
     /// Memo of broadcast multiplier tiles keyed `(seed, start, width)`,
-    /// each stored with the generator state that follows it, shared
-    /// across every grid run on this context: a repeated same-seed query
-    /// neither draws nor ships a tile it finds here.
-    mc_tile_cache: BroadcastTileCache<(u64, u64, u64), StdRng>,
+    /// shared across every grid run on this context: a repeated same-seed
+    /// query neither draws nor ships a tile it finds here.
+    mc_tile_cache: BroadcastTileCache<(u64, u64, u64)>,
     /// What every grid run over this cohort needs and no query changes;
     /// filled by the first run (see [`SparkScoreContext::grid_invariants`]).
     grid_invariants: OnceLock<GridInvariants>,
@@ -221,96 +220,34 @@ struct GridInvariants {
 }
 
 /// Patient ranges each missing multiplier tile is cut into for the pooled
-/// draw: enough chunks to balance a round over the host threads, few
-/// enough that recording their start states stays a small part of the
-/// serial pre-step.
+/// draw: enough chunks to balance a round over the host threads.
 const DRAW_RANGES: usize = 8;
 
-/// One tile of a grid round, as the multiplier draw sees it.
-enum RoundTile<'a> {
-    /// Found in the tile cache: nothing to draw; the stream resumes from
-    /// the tile's token.
-    Cached(&'a StdRng),
-    /// Missing: an `n × width` tile to draw.
-    Missing(usize),
-}
-
-/// Draw a grid round's missing multiplier tiles on the executor pool,
-/// each with the bits of the serial replicate-by-replicate draw — the
-/// sequential oracles' order, one `mc_weights` column after another —
-/// in the patient-major layout `perturb_rows_blocked` reads.
-///
-/// Every multiplier consumes exactly two generator words
-/// (`sample_standard_normal` is one `gen_range` and one `gen`, with no
-/// rejection loop in the vendored `rand`), so in a tile that starts at
-/// state `s`, patient `i` of replicate column `c` starts `2·(n·c + i)`
-/// words after `s`. One serial pass steps `rng` across the round — a
-/// cached tile hands over its token, a missing one is stepped through —
-/// recording the state at the start of every (column, patient range) and
-/// the token after every missing tile. One pool run then draws each
-/// (missing tile, patient range) chunk into its own contiguous rows.
-///
-/// Returns `(tile, token)` per missing tile, in round order, and leaves
-/// `rng` after the round's last tile.
-fn draw_round(
-    engine: &Engine,
-    rng: &mut StdRng,
-    n: usize,
-    round: &[RoundTile<'_>],
-) -> Vec<(Vec<f64>, StdRng)> {
-    let ranges: Vec<(usize, usize)> = (0..DRAW_RANGES)
-        .map(|r| (r * n / DRAW_RANGES, (r + 1) * n / DRAW_RANGES))
-        .collect();
-    let (mut widths, mut tokens) = (Vec::new(), Vec::new());
-    // Per (missing tile, patient range): the state each column starts at.
-    let mut starts: Vec<Vec<StdRng>> = Vec::new();
-    for tile in round {
-        match *tile {
-            RoundTile::Cached(token) => *rng = token.clone(),
-            RoundTile::Missing(k) => {
-                let first = starts.len();
-                starts.resize_with(first + DRAW_RANGES, || Vec::with_capacity(k));
-                for _ in 0..k {
-                    for (r, &(lo, hi)) in ranges.iter().enumerate() {
-                        starts[first + r].push(rng.clone());
-                        for _ in 0..2 * (hi - lo) {
-                            rng.next_u64();
-                        }
-                    }
-                }
-                widths.push(k);
-                tokens.push(rng.clone());
-            }
-        }
-    }
-
-    let mut tiles: Vec<Vec<f64>> = widths.iter().map(|&k| vec![0.0f64; n * k]).collect();
-    // Chunk (tile, range) owns rows `lo..hi` of its tile and the states
-    // its columns start at; each lock is taken once, by one index.
-    let mut rows: Vec<&mut [f64]> = Vec::with_capacity(starts.len());
-    for (tile, &k) in tiles.iter_mut().zip(&widths) {
+/// Draw multiplier tiles on the executor pool: tile `t` is the
+/// `n × t.width` block `Z[t.start + c][i]` in the patient-major layout
+/// `perturb_rows_blocked` reads. Every multiplier is a pure function of
+/// its address, so each (tile, patient range) chunk is drawn by whichever
+/// pool thread claims it, with the bits the sequential oracles draw.
+fn draw_tiles(engine: &Engine, seed: u64, n: usize, tiles: &[ReplicateTile]) -> Vec<Vec<f64>> {
+    let mut drawn: Vec<Vec<f64>> = tiles.iter().map(|t| vec![0.0f64; n * t.width]).collect();
+    // Chunk (tile, range) owns rows `lo..hi` of its tile; each lock is
+    // taken once, by one index.
+    let mut chunks = Vec::with_capacity(tiles.len() * DRAW_RANGES);
+    for (t, tile) in tiles.iter().zip(&mut drawn) {
         let mut rest = tile.as_mut_slice();
-        for &(lo, hi) in &ranges {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * k);
-            rows.push(chunk);
+        for r in 0..DRAW_RANGES {
+            let (lo, hi) = (r * n / DRAW_RANGES, (r + 1) * n / DRAW_RANGES);
+            let (rows, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * t.width);
+            chunks.push(Mutex::new((t, lo, rows)));
             rest = tail;
         }
     }
-    let chunks: Vec<Mutex<(&mut [f64], Vec<StdRng>)>> =
-        rows.into_iter().zip(starts).map(Mutex::new).collect();
     engine.for_each_on_pool(chunks.len(), |c| {
-        let mut chunk = chunks[c].lock();
-        let (rows, columns) = &mut *chunk;
-        // A row's `k` columns come from `k` generators stepped side by
-        // side, so each tile row is written once, contiguously.
-        for row in rows.chunks_exact_mut(columns.len()) {
-            for (z, column) in row.iter_mut().zip(columns.iter_mut()) {
-                *z = sample_standard_normal(column);
-            }
-        }
+        let (t, lo, rows) = &mut *chunks[c].lock();
+        fill_multipliers(seed, t.start as u64, *lo as u64, t.width, rows);
     });
     drop(chunks);
-    tiles.into_iter().zip(tokens).collect()
+    drawn
 }
 
 /// `c.iter().sum()` of every row, four rows at a time. One row's sum is a
@@ -370,6 +307,19 @@ fn inner_sums(
         };
         rows.iter().map(|(snp, _)| *snp).zip(sums).collect()
     })
+}
+
+/// The weights as a dense `snp id → weight` table over `0..max_snp` (one
+/// collect job). A weight whose SNP lies past every set's members has no
+/// row to land in and no score to weigh, so it is dropped.
+fn dense_weights(weights_rdd: &Dataset<(u64, f64)>, max_snp: usize) -> Vec<f64> {
+    let mut dense = vec![0.0f64; max_snp];
+    for (snp, w) in weights_rdd.collect() {
+        if let Some(slot) = dense.get_mut(snp as usize) {
+            *slot = w;
+        }
+    }
+    dense
 }
 
 /// Sorted union of all SNP-sets (Algorithm 1 step 4): the genotype matrix
@@ -532,11 +482,7 @@ impl SparkScoreContext {
         let weights_bc = match options.weights_strategy {
             WeightsStrategy::Join => None,
             WeightsStrategy::Broadcast => {
-                let mut dense = vec![0.0f64; max_snp];
-                for (snp, w) in weights_rdd.collect() {
-                    dense[snp as usize] = w;
-                }
-                Some(engine.broadcast(dense))
+                Some(engine.broadcast(dense_weights(&weights_rdd, max_snp)))
             }
         };
 
@@ -634,9 +580,11 @@ impl SparkScoreContext {
         rows
     }
 
-    /// Algorithm 1 steps 8–12 on a `U` RDD: inner sums (optionally with
-    /// Monte Carlo multipliers), weights join, ω²U², per-set aggregation.
-    fn set_scores_from_u(
+    /// Algorithm 1 steps 8–12 on a `U` RDD (this context's own, or a
+    /// caller-held [`SparkScoreContext::u_dataset`]): inner sums
+    /// (optionally with Monte Carlo multipliers, one per patient), weights
+    /// join, ω²U², per-set aggregation.
+    pub(crate) fn set_scores(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
         mc_multipliers: Option<Broadcast<Vec<f64>>>,
@@ -681,7 +629,7 @@ impl SparkScoreContext {
     }
 
     /// The sorted set ids every result row order follows.
-    pub fn set_ids(&self) -> &[u64] {
+    pub(crate) fn set_ids(&self) -> &[u64] {
         &self.set_ids
     }
 
@@ -694,18 +642,6 @@ impl SparkScoreContext {
     pub fn u_dataset(&self) -> Dataset<(u64, Vec<f64>)> {
         let model_bc = self.engine.broadcast(self.model.clone());
         self.u_rdd(&model_bc)
-    }
-
-    /// Algorithm 1 steps 8–12 over a caller-held `U` dataset (see
-    /// [`SparkScoreContext::u_dataset`]): per-set scores, optionally
-    /// under Monte Carlo multipliers (Algorithm 3's replicate pass; one
-    /// multiplier per patient).
-    pub fn set_scores(
-        &self,
-        u: &Dataset<(u64, Vec<f64>)>,
-        mc_multipliers: Option<Broadcast<Vec<f64>>>,
-    ) -> Vec<SetScore> {
-        self.set_scores_from_u(u, mc_multipliers)
     }
 
     /// Variant-by-variant analysis (the paper's other GWAS mode): marginal
@@ -739,7 +675,7 @@ impl SparkScoreContext {
         let metrics_start = self.engine.metrics_snapshot();
         let model_bc = self.engine.broadcast(self.model.clone());
         let u = self.u_rdd(&model_bc);
-        let scores = self.set_scores_from_u(&u, None);
+        let scores = self.set_scores(&u, None);
         ObservedResult {
             scores,
             wall: wall_start.elapsed(),
@@ -762,14 +698,13 @@ impl SparkScoreContext {
         if use_cache {
             u.cache(); // Algorithm 3 step 2: "Cache RDD U".
         }
-        let observed = self.set_scores_from_u(&u, None);
+        let observed = self.set_scores(&u, None);
 
         let n = self.num_patients();
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut counts = vec![0usize; observed.len()];
-        for _ in 0..num_replicates {
-            let z = self.engine.broadcast(mc_weights(&mut rng, n));
-            let replicate = self.set_scores_from_u(&u, Some(z));
+        for r in 0..num_replicates {
+            let z = self.engine.broadcast(mc_weights(seed, r, n));
+            let replicate = self.set_scores(&u, Some(z));
             for (count, (rep, obs)) in counts.iter_mut().zip(replicate.iter().zip(&observed)) {
                 if rep.score >= obs.score {
                     *count += 1;
@@ -801,15 +736,7 @@ impl SparkScoreContext {
         self.grid_invariants.get_or_init(|| {
             let weights = match &self.weights_bc {
                 Some(table) => table.value().clone(),
-                None => {
-                    let mut dense = vec![0.0f64; self.max_snp];
-                    for (snp, w) in self.weights_rdd.collect() {
-                        if (snp as usize) < self.max_snp {
-                            dense[snp as usize] = w;
-                        }
-                    }
-                    dense
-                }
+                None => dense_weights(&self.weights_rdd, self.max_snp),
             };
             // Per-SNP sums scattered into a dense table by id; sets are
             // combined from it on the driver with the same statistic
@@ -845,11 +772,10 @@ impl SparkScoreContext {
     /// With a [`StoppingRule`], tiles double as sequential looks: after
     /// each tile every undecided set is tested, decided sets freeze their
     /// counts, and their member rows drop out of later grid cells
-    /// (reported as `replicates_saved`). Multiplier tiles are always drawn
-    /// in full so the stream stays aligned with the fixed-B oracle —
-    /// adaptivity truncates per-set replicate streams, never re-randomizes
-    /// them; the single-machine `monte_carlo_adaptive` is the exact
-    /// semantic oracle.
+    /// (reported as `replicates_saved`). Replicate `r`'s multipliers are
+    /// `Z[r][·]` on every path, so adaptivity truncates per-set replicate
+    /// streams, never re-randomizes them; the single-machine
+    /// `monte_carlo_adaptive` is the exact semantic oracle.
     ///
     /// A job carries every tile no look can separate ([`plan_tiles`]): a
     /// fixed-B run has no looks, and below the rule's `min_replicates` a
@@ -898,7 +824,6 @@ impl SparkScoreContext {
         let b = opts.num_replicates;
         // The replicate count from which a look may decide a set.
         let barrier = opts.stopping.as_ref().map_or(b, |rule| rule.min_replicates);
-        let mut rng = StdRng::seed_from_u64(opts.seed);
         let mut counts = vec![0usize; sets.len()];
         let mut used = vec![0usize; sets.len()];
         let mut decided = vec![false; sets.len()];
@@ -913,34 +838,27 @@ impl SparkScoreContext {
         while done < b && decided.iter().any(|d| !d) {
             let round = plan_tiles(done, b, opts.tile, barrier);
             // Look the whole round up, draw its misses in one pooled pass,
-            // then insert them. A cached tile comes with the generator
-            // state after it, so the stream continues correctly whether
-            // the next tile hits or has to be drawn.
+            // then insert them.
             let key = |t: &ReplicateTile| (opts.seed, t.start as u64, t.width as u64);
             let cached: Vec<_> = round
                 .iter()
                 .map(|t| self.mc_tile_cache.get(&key(t)))
                 .collect();
-            let plan: Vec<RoundTile<'_>> = round
+            let missing: Vec<ReplicateTile> = round
                 .iter()
                 .zip(&cached)
-                .map(|(t, hit)| match hit {
-                    Some((_, token)) => RoundTile::Cached(token),
-                    None => RoundTile::Missing(t.width),
-                })
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(t, _)| *t)
                 .collect();
-            let mut drawn = draw_round(&self.engine, &mut rng, n, &plan).into_iter();
+            let mut drawn = draw_tiles(&self.engine, opts.seed, n, &missing).into_iter();
             let operands: Vec<(usize, Broadcast<Vec<f64>>)> = round
                 .iter()
                 .zip(cached)
                 .map(|(t, hit)| {
-                    let z = match hit {
-                        Some((z, _)) => z,
-                        None => {
-                            let (tile, token) = drawn.next().expect("a tile per miss");
-                            self.mc_tile_cache.insert(key(t), tile, token)
-                        }
-                    };
+                    let z = hit.unwrap_or_else(|| {
+                        let tile = drawn.next().expect("a tile per miss");
+                        self.mc_tile_cache.insert(key(t), tile)
+                    });
                     (t.width, z)
                 })
                 .collect();
@@ -1074,17 +992,17 @@ impl SparkScoreContext {
         let metrics_start = self.engine.metrics_snapshot();
 
         let model_bc = self.engine.broadcast(self.model.clone());
-        let observed = self.set_scores_from_u(&self.u_rdd(&model_bc), None);
+        let observed = self.set_scores(&self.u_rdd(&model_bc), None);
 
         let n = self.num_patients();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut counts = vec![0usize; observed.len()];
         for _ in 0..num_replicates {
             let perm = random_permutation(&mut rng, n);
             let shuffled = self.engine.broadcast(self.model.permuted(&perm));
             // "Recalculate step 6 to 12 of Algorithm 1" — a fresh U RDD
             // whose lineage re-reads and re-scores the genotype matrix.
-            let replicate = self.set_scores_from_u(&self.u_rdd(&shuffled), None);
+            let replicate = self.set_scores(&self.u_rdd(&shuffled), None);
             for (count, (rep, obs)) in counts.iter_mut().zip(replicate.iter().zip(&observed)) {
                 if rep.score >= obs.score {
                     *count += 1;
@@ -1215,6 +1133,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_weight_past_every_set_builds_under_both_strategies() {
+        // The cohort's highest SNP belongs to no set, so its weight has no
+        // slot in the dense table either strategy builds.
+        let mut ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let top = ds.genotypes.iter().map(|r| r.id).max().unwrap() as usize;
+        for set in &mut ds.sets {
+            set.members.retain(|&m| m != top);
+        }
+        assert!(ds.sets.iter().all(|s| !s.members.is_empty()));
+        let observed = |weights_strategy| {
+            let engine = Engine::builder(ClusterSpec::test_small(2))
+                .host_threads(2)
+                .build();
+            let options = AnalysisOptions {
+                weights_strategy,
+                ..AnalysisOptions::default()
+            };
+            SparkScoreContext::from_memory(engine, &ds, 4, options)
+                .observed()
+                .scores
+        };
+        let join = observed(WeightsStrategy::Join);
+        let broadcast = observed(WeightsStrategy::Broadcast);
+        assert_eq!(join.len(), 10);
+        // The join reorders each set's terms before the per-set sum, so
+        // the two agree to rounding (as in the test above), not bit for bit.
+        for (a, b) in join.iter().zip(&broadcast) {
+            assert_eq!(a.set, b.set);
+            assert!((a.score - b.score).abs() <= 1e-9 * (1.0 + b.score.abs()));
+        }
+    }
+
     use sparkscore_stats::resample::{monte_carlo_adaptive, monte_carlo_blocked};
 
     /// Dense oracle inputs indexed by SNP id: genotype rows, weights, and
@@ -1333,101 +1284,44 @@ mod tests {
         assert_eq!(h1, h0 + 2);
     }
 
-    /// The serial oracle of [`draw_round`]: an `n × k` multiplier tile
-    /// drawn replicate-by-replicate, one `mc_weights` column after
-    /// another, straight into the patient-major layout.
-    fn draw_tile(rng: &mut StdRng, n: usize, k: usize) -> Vec<f64> {
-        let mut tile = vec![0.0f64; n * k];
-        for kk in 0..k {
-            for i in 0..n {
-                tile[i * k + kk] = sample_standard_normal(rng);
-            }
-        }
-        tile
-    }
-
-    fn bits(values: &[f64]) -> Vec<u64> {
-        values.iter().map(|z| z.to_bits()).collect()
-    }
-
     #[test]
-    fn pooled_round_draw_is_the_serial_draw_bit_for_bit() {
-        // Fewer patients than ranges, a count no range count divides, and
-        // a grid-sized cohort; a short last tile; one, two and four host
-        // threads.
-        let widths = [32usize, 32, 5];
+    fn pooled_tile_draw_has_each_addressed_multipliers_bits() {
+        // Fewer patients than ranges, counts whose ranges start at odd
+        // patients, and a grid-sized cohort; tiles that start mid-run,
+        // with a short last one; one, two and four host threads.
+        let tiles = [(64usize, 32usize), (96, 32), (128, 5)]
+            .map(|(start, width)| ReplicateTile { start, width });
+        let odd_start = |n: usize| (1..DRAW_RANGES).any(|r| (r * n / DRAW_RANGES) % 2 == 1);
+        assert!(
+            odd_start(3) && odd_start(7),
+            "some patient range must start at an odd patient"
+        );
         for threads in [1usize, 2, 4] {
             let engine = Engine::builder(ClusterSpec::test_small(2))
                 .host_threads(threads)
                 .build();
             for n in [1usize, 3, 7, 4000] {
-                let mut serial = StdRng::seed_from_u64(21);
-                sample_standard_normal(&mut serial); // start mid-stream
-                let mut pooled = serial.clone();
-                let plan: Vec<RoundTile<'_>> =
-                    widths.iter().map(|&k| RoundTile::Missing(k)).collect();
-                let drawn = draw_round(&engine, &mut pooled, n, &plan);
-                assert_eq!(drawn.len(), widths.len());
-                for (t, (&k, (tile, token))) in widths.iter().zip(&drawn).enumerate() {
-                    let want = draw_tile(&mut serial, n, k);
-                    assert_eq!(bits(tile), bits(&want), "threads={threads} n={n} tile={t}");
-                    assert_eq!(
-                        token.clone().next_u64(),
-                        serial.clone().next_u64(),
-                        "threads={threads} n={n} token after tile {t}"
-                    );
-                }
-                assert_eq!(
-                    pooled.next_u64(),
-                    serial.next_u64(),
-                    "threads={threads} n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_round_draw_resumes_from_a_cached_tiles_token() {
-        // Miss, hit, miss: the hit draws nothing and the last tile starts
-        // from the hit's token.
-        let engine = Engine::builder(ClusterSpec::test_small(2))
-            .host_threads(2)
-            .build();
-        let n = 37;
-        let mut serial = StdRng::seed_from_u64(4);
-        let first = draw_tile(&mut serial, n, 8);
-        draw_tile(&mut serial, n, 8);
-        let after_middle = serial.clone();
-        let last = draw_tile(&mut serial, n, 3);
-        let mut pooled = StdRng::seed_from_u64(4);
-        let plan = [
-            RoundTile::Missing(8),
-            RoundTile::Cached(&after_middle),
-            RoundTile::Missing(3),
-        ];
-        let drawn = draw_round(&engine, &mut pooled, n, &plan);
-        assert_eq!(drawn.len(), 2);
-        assert_eq!(bits(&drawn[0].0), bits(&first));
-        assert_eq!(bits(&drawn[1].0), bits(&last));
-        assert_eq!(pooled.next_u64(), serial.next_u64());
-    }
-
-    #[test]
-    fn draw_tile_is_the_transposed_mc_weights_stream() {
-        // Replicate kk of the tile is the kk-th `mc_weights` column drawn
-        // from the same generator, and the two generators stay in step.
-        for (n, k) in [(1usize, 1usize), (37, 7), (64, MC_TILE)] {
-            let mut tile_rng = StdRng::seed_from_u64(21);
-            sample_standard_normal(&mut tile_rng); // start mid-stream
-            let mut column_rng = tile_rng.clone();
-            let tile = draw_tile(&mut tile_rng, n, k);
-            assert_eq!(tile.len(), n * k);
-            for kk in 0..k {
-                for (i, zi) in mc_weights(&mut column_rng, n).into_iter().enumerate() {
-                    assert_eq!(tile[i * k + kk].to_bits(), zi.to_bits(), "i={i} kk={kk}");
+                let drawn = draw_tiles(&engine, 21, n, &tiles);
+                assert_eq!(drawn.len(), tiles.len());
+                for (t, tile) in tiles.iter().zip(&drawn) {
+                    assert_eq!(tile.len(), n * t.width);
+                    for (i, row) in tile.chunks_exact(t.width).enumerate() {
+                        for (c, z) in row.iter().enumerate() {
+                            let want = sparkscore_stats::dist::multiplier(
+                                21,
+                                (t.start + c) as u64,
+                                i as u64,
+                            );
+                            assert_eq!(
+                                z.to_bits(),
+                                want.to_bits(),
+                                "threads={threads} n={n} tile at {} i={i} c={c}",
+                                t.start
+                            );
+                        }
+                    }
                 }
             }
-            assert_eq!(format!("{tile_rng:?}"), format!("{column_rng:?}"));
         }
     }
 

@@ -13,13 +13,12 @@
 //!   the job at the first tile whose look can change what runs next;
 //!   tiles before that barrier — and every tile of a run with no looks —
 //!   fuse into one job, up to [`MAX_FUSED_TILES`].
-//! * [`BroadcastTileCache`] memoizes tile broadcasts together with the
-//!   caller's *resume token*: whatever the caller needs to continue its
-//!   generator after the tile. A repeated analysis over the same key (the
-//!   multi-tenant service replaying gene queries against one cohort)
-//!   therefore neither re-draws nor re-ships a tile. Lookup and insertion
-//!   are separate calls, so a caller can look up a whole round of tiles,
-//!   draw its misses together, and insert them.
+//! * [`BroadcastTileCache`] memoizes tile broadcasts by key. A repeated
+//!   analysis over the same key (the multi-tenant service replaying gene
+//!   queries against one cohort) therefore neither re-draws nor re-ships
+//!   a tile. Lookup and insertion are separate calls, so a caller can look
+//!   up a whole round of tiles, draw its misses together, and insert
+//!   them.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -70,8 +69,8 @@ pub fn plan_tiles(done: usize, total: usize, tile: usize, barrier: usize) -> Vec
     tiles
 }
 
-struct CacheInner<K, R> {
-    map: HashMap<K, (Broadcast<Vec<f64>>, R)>,
+struct CacheInner<K> {
+    map: HashMap<K, Broadcast<Vec<f64>>>,
     /// Insertion order for FIFO eviction at capacity.
     order: VecDeque<K>,
     hits: u64,
@@ -88,15 +87,6 @@ fn tile_bytes(tile: &Broadcast<Vec<f64>>) -> i64 {
 /// A bounded memo of broadcast operand tiles, keyed by whatever
 /// identifies a tile's content (typically `(seed, start, width)`).
 ///
-/// Tiles usually come off one sequential generator, so a consumer cannot
-/// simply skip producing a tile it finds cached: every later tile would
-/// start from the wrong generator state. The cache therefore stores, with
-/// each broadcast, the caller's resume token `R` — the generator state
-/// *after* the tile. A hit hands both back and the caller adopts the
-/// token instead of drawing; a later miss (first use, or the entry was
-/// evicted) draws from exactly the state the skipped tiles would have
-/// left. The cache never looks inside `R`.
-///
 /// Hits and misses are also counted engine-wide in
 /// [`Engine::registry`] as `sparkscore_gemm_tile_{hits,misses}_total`,
 /// and the tile bytes every cache on the engine retains as the
@@ -104,16 +94,16 @@ fn tile_bytes(tile: &Broadcast<Vec<f64>>) -> i64 {
 /// engine's memory ledger: the ledger accounts executor-side residency
 /// (cache blocks, shuffle outputs, DFS blocks), and these tiles live on
 /// the driver.
-pub struct BroadcastTileCache<K: Eq + Hash + Clone, R: Clone> {
+pub struct BroadcastTileCache<K: Eq + Hash + Clone> {
     engine: Arc<Engine>,
     capacity: usize,
-    inner: Mutex<CacheInner<K, R>>,
+    inner: Mutex<CacheInner<K>>,
     hits_total: Arc<Counter>,
     misses_total: Arc<Counter>,
     bytes_gauge: Arc<Gauge>,
 }
 
-impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
+impl<K: Eq + Hash + Clone> BroadcastTileCache<K> {
     /// Cache holding at most `capacity` broadcast tiles (FIFO eviction).
     pub fn new(engine: Arc<Engine>, capacity: usize) -> Self {
         assert!(capacity > 0, "tile cache capacity must be positive");
@@ -145,10 +135,10 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
         }
     }
 
-    /// The broadcast and resume token cached under `key`, counted as a
-    /// hit; `None` if absent. A miss is counted when the caller
+    /// The broadcast cached under `key`, counted as a hit; `None` if
+    /// absent. A miss is counted when the caller
     /// [`insert`](Self::insert)s the tile it then draws.
-    pub fn get(&self, key: &K) -> Option<(Broadcast<Vec<f64>>, R)> {
+    pub fn get(&self, key: &K) -> Option<Broadcast<Vec<f64>>> {
         let mut inner = self.inner.lock();
         let entry = inner.map.get(key).cloned()?;
         inner.hits += 1;
@@ -157,11 +147,10 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
     }
 
     /// Broadcast a tile drawn after a [`get`](Self::get) miss (charging
-    /// virtual network time), retain it with `resume`, the token that
-    /// follows it, and return the broadcast. Counted as a miss. The
-    /// oldest entry is evicted past capacity. The caller must guarantee
-    /// that equal keys always yield equal tiles and tokens.
-    pub fn insert(&self, key: K, tile: Vec<f64>, resume: R) -> Broadcast<Vec<f64>> {
+    /// virtual network time), retain it, and return the broadcast.
+    /// Counted as a miss. The oldest entry is evicted past capacity. The
+    /// caller must guarantee that equal keys always yield equal tiles.
+    pub fn insert(&self, key: K, tile: Vec<f64>) -> Broadcast<Vec<f64>> {
         // Broadcast outside the lock: it charges virtual time and may
         // contend with tasks reading the clock.
         let tile = self.engine.broadcast(tile);
@@ -171,12 +160,12 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
         self.misses_total.inc();
         // A racing query may have inserted the same key meanwhile; both
         // entries carry identical contents, so keep ours in its slot.
-        match inner.map.insert(key.clone(), (tile.clone(), resume)) {
-            Some((old, _)) => delta -= tile_bytes(&old),
+        match inner.map.insert(key.clone(), tile.clone()) {
+            Some(old) => delta -= tile_bytes(&old),
             None => {
                 inner.order.push_back(key);
                 if inner.order.len() > self.capacity {
-                    if let Some((old, _)) = inner
+                    if let Some(old) = inner
                         .order
                         .pop_front()
                         .and_then(|old| inner.map.remove(&old))
@@ -198,17 +187,13 @@ impl<K: Eq + Hash + Clone, R: Clone> BroadcastTileCache<K, R> {
     }
 
     /// Broadcast tiles currently retained.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.inner.lock().map.len()
-    }
-
-    /// Whether the cache holds no tiles.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
-impl<K: Eq + Hash + Clone, R: Clone> Drop for BroadcastTileCache<K, R> {
+impl<K: Eq + Hash + Clone> Drop for BroadcastTileCache<K> {
     fn drop(&mut self) {
         self.bytes_gauge.add(-self.inner.get_mut().bytes);
     }
@@ -261,21 +246,22 @@ mod tests {
     #[test]
     fn tile_cache_hits_skip_the_draw_and_evict_fifo() {
         let engine = Engine::builder(ClusterSpec::test_small(2)).build();
-        let cache: BroadcastTileCache<(u64, u64), u32> =
-            BroadcastTileCache::new(Arc::clone(&engine), 2);
+        let cache: BroadcastTileCache<(u64, u64)> = BroadcastTileCache::new(Arc::clone(&engine), 2);
         assert!(cache.get(&(7, 0)).is_none());
-        let a = cache.insert((7, 0), vec![1.0, 2.0], 10);
-        let (a2, after_a2) = cache.get(&(7, 0)).expect("a hit");
+        let a = cache.insert((7, 0), vec![1.0, 2.0]);
+        let a2 = cache.get(&(7, 0)).expect("a hit");
         assert_eq!(a.value(), a2.value());
-        assert_eq!(after_a2, 10);
         assert_eq!(cache.stats(), (1, 1));
-        cache.insert((7, 1), vec![3.0], 11);
+        cache.insert((7, 1), vec![3.0]);
         // Third insert evicts (7, 0) — the oldest — so it misses again.
-        cache.insert((7, 2), vec![4.0], 12);
+        cache.insert((7, 2), vec![4.0]);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&(7, 0)).is_none());
-        cache.insert((7, 0), vec![1.0, 2.0], 10);
-        assert_eq!(cache.get(&(7, 0)).map(|(_, resume)| resume), Some(10));
+        cache.insert((7, 0), vec![1.0, 2.0]);
+        assert_eq!(
+            cache.get(&(7, 0)).map(|z| z.value().clone()),
+            Some(vec![1.0, 2.0])
+        );
         assert_eq!(cache.stats(), (2, 4));
         let text = engine.registry().render_prometheus();
         assert!(text.contains("sparkscore_gemm_tile_hits_total 2"), "{text}");
@@ -292,19 +278,19 @@ mod tests {
             .registry()
             .gauge("sparkscore_gemm_tile_cache_bytes", "");
         let ledger_before = engine.memory_snapshot();
-        let cache: BroadcastTileCache<u64, ()> = BroadcastTileCache::new(Arc::clone(&engine), 2);
-        cache.insert(0, vec![0.0; 4], ());
-        cache.insert(1, vec![0.0; 2], ());
+        let cache: BroadcastTileCache<u64> = BroadcastTileCache::new(Arc::clone(&engine), 2);
+        cache.insert(0, vec![0.0; 4]);
+        cache.insert(1, vec![0.0; 2]);
         assert_eq!(gauge.get(), 6 * 8);
         // Evicts key 0's four values.
-        cache.insert(2, vec![0.0; 1], ());
+        cache.insert(2, vec![0.0; 1]);
         assert_eq!(gauge.get(), 3 * 8);
         // A racing re-insert of a retained key replaces it in place.
-        cache.insert(2, vec![0.0; 1], ());
+        cache.insert(2, vec![0.0; 1]);
         assert_eq!(gauge.get(), 3 * 8);
         // A second cache on the engine adds to the same gauge.
-        let other: BroadcastTileCache<u64, ()> = BroadcastTileCache::new(Arc::clone(&engine), 1);
-        other.insert(0, vec![0.0; 5], ());
+        let other: BroadcastTileCache<u64> = BroadcastTileCache::new(Arc::clone(&engine), 1);
+        other.insert(0, vec![0.0; 5]);
         assert_eq!(gauge.get(), 8 * 8);
         // Retained tiles are driver memory, not ledger categories.
         let ledger_bytes = |r: &[crate::ledger::MemReading]| {

@@ -124,7 +124,7 @@ fn for_each_slot(mut mask: u64, base: usize, mut f: impl FnMut(usize)) {
 /// Count genotype classes of a packed column of `n` patients in one
 /// popcount pass over the words — the packed-direct substrate for
 /// `GenotypeCounts`/MAF/HWE QC.
-pub fn count_codes(packed: &[u8], n: usize) -> PackedCounts {
+pub(crate) fn count_codes(packed: &[u8], n: usize) -> PackedCounts {
     assert_eq!(packed.len(), n.div_ceil(4), "packed column length mismatch");
     let (body, last) = split_tail(packed, n);
     // u64×4 unroll: four independent accumulator lanes per class.
@@ -197,7 +197,7 @@ pub fn dot_dosage(packed: &[u8], x: &[f64]) -> f64 {
 /// and a sparse fixup pass over the missing mask zeroes those patients'
 /// contributions (a missing call carries no information), so fully typed
 /// columns pay nothing for the branch.
-pub fn residual_contributions_packed(residuals: &[f64], packed: &[u8], out: &mut [f64]) {
+pub(crate) fn residual_contributions_packed(residuals: &[f64], packed: &[u8], out: &mut [f64]) {
     let n = residuals.len();
     assert_eq!(out.len(), n, "output vector length mismatch");
     assert_eq!(packed.len(), n.div_ceil(4), "packed column length mismatch");

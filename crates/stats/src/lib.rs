@@ -61,8 +61,8 @@ pub use covariates::AdjustedGaussianScore;
 pub use linalg::perturb_rows_blocked;
 pub use pvalue::StoppingRule;
 pub use resample::{
-    monte_carlo, monte_carlo_adaptive, monte_carlo_blocked, monte_carlo_per_iteration,
-    observed_scores, observed_skat, permutation, AdaptiveResult, ResamplingResult, MC_TILE,
+    monte_carlo, monte_carlo_adaptive, monte_carlo_blocked, observed_skat, permutation,
+    AdaptiveResult, ResamplingResult, MC_TILE,
 };
 pub use score::{BinomialScore, CoxScore, GaussianScore, ScoreModel, Survival, MISSING_DOSAGE};
 pub use skat::{burden_statistic, skat_all, skat_statistic, SnpSet};

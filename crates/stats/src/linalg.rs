@@ -85,7 +85,7 @@ impl Matrix {
     }
 
     /// Gram matrix `selfᵀ · self` (symmetric, cols × cols).
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let p = self.cols;
         let mut g = Matrix::zeros(p, p);
         for i in 0..p {
@@ -191,7 +191,7 @@ impl Cholesky {
 
 /// Residuals of `y` after projecting out the column space of `x`
 /// (`y − X (XᵀX)⁻¹ Xᵀ y`), given `chol`, the Cholesky factor of `XᵀX`.
-pub fn residualize(x: &Matrix, chol: &Cholesky, y: &[f64]) -> Vec<f64> {
+pub(crate) fn residualize(x: &Matrix, chol: &Cholesky, y: &[f64]) -> Vec<f64> {
     let beta = chol.solve(&x.tr_mul_vec(y));
     let fitted = x.mul_vec(&beta);
     y.iter().zip(&fitted).map(|(a, b)| a - b).collect()

@@ -110,7 +110,7 @@ impl StoppingRule {
     /// Half-width of the normal-approximation CI around the add-one
     /// p-value after `num_replicates` replicates with `count_ge`
     /// exceedances: `z · sqrt(p̂(1−p̂)/t)`.
-    pub fn ci_half_width(&self, count_ge: usize, num_replicates: usize) -> f64 {
+    pub(crate) fn ci_half_width(&self, count_ge: usize, num_replicates: usize) -> f64 {
         let p = empirical_pvalue(count_ge, num_replicates);
         self.z * (p * (1.0 - p) / num_replicates as f64).sqrt()
     }

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::dist::sample_standard_normal;
+use crate::dist::fill_multipliers;
 use crate::linalg::perturb_scores_blocked;
 use crate::pvalue::{empirical_pvalue, StoppingRule};
 use crate::score::ScoreModel;
@@ -56,15 +56,18 @@ pub fn random_permutation<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<usize> 
     perm
 }
 
-/// Draw `n` Monte Carlo multipliers `Z_i ~ N(0, 1)`.
-pub fn mc_weights<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
-    (0..n).map(|_| sample_standard_normal(rng)).collect()
+/// Replicate `r`'s `n` Monte Carlo multipliers `Z[r][i] ~ N(0, 1)`
+/// under `seed` ([`crate::dist::multiplier`]'s bits, patient by patient).
+pub fn mc_weights(seed: u64, r: usize, n: usize) -> Vec<f64> {
+    let mut z = vec![0.0f64; n];
+    fill_multipliers(seed, r as u64, 0, 1, &mut z);
+    z
 }
 
 /// Observed per-SNP scores `U_j` (Algorithm 1's marginal pass). One
 /// contribution buffer is reused across SNPs via the allocation-free
 /// kernel path.
-pub fn observed_scores<M: ScoreModel>(model: &M, genotype_rows: &[Vec<u8>]) -> Vec<f64> {
+fn observed_scores<M: ScoreModel>(model: &M, genotype_rows: &[Vec<u8>]) -> Vec<f64> {
     let mut buf = vec![0.0f64; model.num_patients()];
     genotype_rows
         .iter()
@@ -89,7 +92,7 @@ pub fn observed_skat<M: ScoreModel>(
 /// Algorithm 3 (Monte Carlo): perturb the observed contributions with
 /// standard-normal multipliers for `B` replicates. Runs the blocked
 /// kernel at the default tile width [`MC_TILE`]; results are bitwise
-/// identical to [`monte_carlo_per_iteration`] for any tile width.
+/// identical to the one-pass-per-replicate reference for any tile width.
 pub fn monte_carlo<M: ScoreModel>(
     model: &M,
     genotype_rows: &[Vec<u8>],
@@ -112,9 +115,9 @@ pub fn monte_carlo<M: ScoreModel>(
 /// Blocked Algorithm 3: replicates are processed in tiles of `tile`
 /// multiplier vectors against the flat contribution matrix
 /// ([`perturb_scores_blocked`]), so `U` is streamed from memory once per
-/// `tile` replicates instead of once per replicate. The multiplier RNG
-/// stream, per-replicate perturbed scores, SKAT statistics, and
-/// exceedance counts are all bitwise identical to the per-iteration path.
+/// `tile` replicates instead of once per replicate. The multipliers,
+/// per-replicate perturbed scores, SKAT statistics, and exceedance counts
+/// are all bitwise identical to the per-iteration path.
 ///
 /// This is [`monte_carlo_adaptive`] with no stopping rule: one loop
 /// serves both.
@@ -186,10 +189,10 @@ impl AdaptiveResult {
 /// decided sets freeze their count and replicate tally and drop out of
 /// the per-replicate SKAT pass.
 ///
-/// The multiplier stream is drawn in full every round regardless of which
-/// sets remain active, so replicates `1..=replicates_used[s]` of set `s`
-/// are **bitwise identical** to the same replicates of the fixed-B oracle
-/// — adaptivity only truncates, never re-randomizes. A rule that cannot
+/// Replicate `r` multiplies by `Z[r][·]` whichever sets remain active, so
+/// replicates `1..=replicates_used[s]` of set `s` are **bitwise
+/// identical** to the same replicates of the fixed-B oracle — adaptivity
+/// only truncates, never re-randomizes. A rule that cannot
 /// fire (e.g. `min_replicates > max_replicates`) therefore reproduces
 /// [`monte_carlo_blocked`] exactly. This single-machine path is the
 /// semantic oracle for the distributed grid's adaptive mode.
@@ -253,7 +256,6 @@ fn tiled_oracle<M: ScoreModel>(
     }
     let scope_rows = set_of_snp.iter().filter(|&&s| s != usize::MAX).count();
 
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut counts = vec![0usize; sets.len()];
     let mut used = vec![0usize; sets.len()];
     let mut decided = vec![false; sets.len()];
@@ -264,16 +266,9 @@ fn tiled_oracle<M: ScoreModel>(
     let mut done = 0;
     while done < max_replicates && decided.iter().any(|d| !d) {
         let k = tile.min(max_replicates - done);
-        // Draw the tile's multipliers replicate-by-replicate — the same
-        // draw order as the per-iteration path — transposed into the
-        // patient-major layout the kernel wants. The full tile is drawn
-        // even for rows that have dropped out: the stream must stay
-        // aligned with the fixed-B run's.
-        for kk in 0..k {
-            for (i, zi) in mc_weights(&mut rng, n).into_iter().enumerate() {
-                z_tile[i * k + kk] = zi;
-            }
-        }
+        // The tile's multipliers in the patient-major layout the kernel
+        // reads.
+        fill_multipliers(seed, done as u64, 0, k, &mut z_tile[..n * k]);
         perturb_scores_blocked(&contribs, m, n, &z_tile[..n * k], k, &mut tile_out[..m * k]);
         let active_rows = set_of_snp
             .iter()
@@ -306,47 +301,6 @@ fn tiled_oracle<M: ScoreModel>(
         max_replicates,
         replicates_run,
         replicates_saved: potential.saturating_sub(replicates_run),
-    }
-}
-
-/// The pre-blocking Algorithm 3 reference: one full pass over the cached
-/// contributions per replicate. Kept as the oracle the blocked kernel is
-/// tested (and benchmarked) against.
-pub fn monte_carlo_per_iteration<M: ScoreModel>(
-    model: &M,
-    genotype_rows: &[Vec<u8>],
-    weights: &[f64],
-    sets: &[SnpSet],
-    num_replicates: usize,
-    seed: u64,
-) -> ResamplingResult {
-    let n = model.num_patients();
-    let contribs: Vec<Vec<f64>> = genotype_rows
-        .iter()
-        .map(|g| model.contributions(g))
-        .collect();
-    let scores: Vec<f64> = contribs.iter().map(|c| c.iter().sum()).collect();
-    let observed = skat_all(&scores, weights, sets);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0usize; sets.len()];
-    let mut perturbed = vec![0.0f64; genotype_rows.len()];
-    for _ in 0..num_replicates {
-        let z = mc_weights(&mut rng, n);
-        for (j, c) in contribs.iter().enumerate() {
-            perturbed[j] = c.iter().zip(&z).map(|(u, zi)| u * zi).sum();
-        }
-        let replicate = skat_all(&perturbed, weights, sets);
-        for (k, (&rep, &obs)) in replicate.iter().zip(&observed).enumerate() {
-            if rep >= obs {
-                counts[k] += 1;
-            }
-        }
-    }
-    ResamplingResult {
-        observed,
-        counts_ge: counts,
-        num_replicates,
     }
 }
 
@@ -390,7 +344,48 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::sample_standard_normal;
     use crate::score::{CoxScore, GaussianScore, Survival};
+
+    /// The pre-blocking Algorithm 3 reference: one full pass over the cached
+    /// contributions per replicate. Kept as the oracle the blocked kernel is
+    /// tested against.
+    fn monte_carlo_per_iteration<M: ScoreModel>(
+        model: &M,
+        genotype_rows: &[Vec<u8>],
+        weights: &[f64],
+        sets: &[SnpSet],
+        num_replicates: usize,
+        seed: u64,
+    ) -> ResamplingResult {
+        let n = model.num_patients();
+        let contribs: Vec<Vec<f64>> = genotype_rows
+            .iter()
+            .map(|g| model.contributions(g))
+            .collect();
+        let scores: Vec<f64> = contribs.iter().map(|c| c.iter().sum()).collect();
+        let observed = skat_all(&scores, weights, sets);
+
+        let mut counts = vec![0usize; sets.len()];
+        let mut perturbed = vec![0.0f64; genotype_rows.len()];
+        for r in 0..num_replicates {
+            let z = mc_weights(seed, r, n);
+            for (j, c) in contribs.iter().enumerate() {
+                perturbed[j] = c.iter().zip(&z).map(|(u, zi)| u * zi).sum();
+            }
+            let replicate = skat_all(&perturbed, weights, sets);
+            for (k, (&rep, &obs)) in replicate.iter().zip(&observed).enumerate() {
+                if rep >= obs {
+                    counts[k] += 1;
+                }
+            }
+        }
+        ResamplingResult {
+            observed,
+            counts_ge: counts,
+            num_replicates,
+        }
+    }
 
     fn tiny_cohort() -> (CoxScore, Vec<Vec<u8>>, Vec<f64>, Vec<SnpSet>) {
         let ph = vec![
@@ -714,8 +709,7 @@ mod tests {
 
     #[test]
     fn mc_weights_have_unit_scale() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let z = mc_weights(&mut rng, 50_000);
+        let z = mc_weights(9, 0, 50_000);
         let var = z.iter().map(|x| x * x).sum::<f64>() / z.len() as f64;
         assert!((var - 1.0).abs() < 0.03, "MC weights variance {var}");
     }

@@ -23,7 +23,7 @@ pub const MISSING_DOSAGE: u8 = 3;
 /// silently and scored as if they were huge dosages; every unpacked
 /// kernel path now routes through this assertion.
 #[inline]
-pub fn debug_assert_dosages(g: &[u8]) {
+pub(crate) fn debug_assert_dosages(g: &[u8]) {
     debug_assert!(
         g.iter().all(|&d| d < MISSING_DOSAGE),
         "dosage out of range: kernels accept 0/1/2; code {MISSING_DOSAGE} marks a missing \

@@ -61,7 +61,7 @@ fn note_reuse() {
 }
 
 /// Run `f` over a zero-filled thread-local `f64` slice of length `len`.
-pub fn with_f64<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+pub(crate) fn with_f64<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     F64_BUF.with(|buf| {
         let mut buf = buf.borrow_mut();
         if buf.0.len() >= len {

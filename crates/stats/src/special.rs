@@ -43,7 +43,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Uses the series expansion for `x < a + 1` and the continued fraction for
 /// the complement otherwise.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
     if x == 0.0 {
@@ -57,7 +57,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_q requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_q requires x >= 0, got {x}");
     if x == 0.0 {
@@ -118,7 +118,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 
 /// Error function, via the incomplete gamma identity
 /// `erf(x) = P(1/2, x²)` for `x ≥ 0`.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     if x < 0.0 {
         -erf(-x)
     } else if x == 0.0 {
@@ -129,7 +129,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Complementary error function `1 − erf(x)`, accurate in the far tail.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         2.0 - erfc(-x)
     } else if x == 0.0 {

@@ -74,10 +74,9 @@ fn main() {
     let model = CoxScore::new(&dataset.phenotypes);
     let rows = dataset.genotype_rows();
     let contribs: Vec<Vec<f64>> = rows.iter().map(|g| model.contributions(g)).collect();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
     let replicates: Vec<Vec<f64>> = (0..199)
-        .map(|_| {
-            let z = mc_weights(&mut rng, dataset.phenotypes.len());
+        .map(|r| {
+            let z = mc_weights(11, r, dataset.phenotypes.len());
             let scores: Vec<f64> = contribs
                 .iter()
                 .map(|c| c.iter().zip(&z).map(|(u, zi)| u * zi).sum())

@@ -122,9 +122,19 @@ CARGO_TARGET_DIR="$PWD/.bench_build" \
 CARGO_TARGET_DIR="$PWD/.bench_build" \
     cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "== paper shapes: experiments A, B, C and sensitivity --quick print only shape[PASS] =="
+echo "== paper axis: experiments A, B, C and sensitivity --quick print only shape[PASS] and match results/quick/ =="
 # `shape_check` only prints; this is where a broken Fig 2-7 shape fails the
 # gate. A harness that prints no shape line at all fails too.
+# Each output, with its host-wall fields cut ("wall_secs" in the JSON: line
+# and the last column of the per-stage summary's rows), must equal its
+# checked-in file under results/quick/, so a change that moves a virtual
+# second, a job, a stage, a task or a shuffle byte on the paper axis shows
+# as a diff in its own commit. A deliberate move re-records the file:
+#   cargo run --release -q -p sparkscore-bench --bin NAME -- --quick | <the sed below> > results/quick/NAME.txt
+virtual_only() {
+    sed -E -e 's/"wall_secs":[0-9.e+-]+//g' \
+        -e '/^\| [0-9]+ \| [0-9]+ \| [A-Za-z]+ \|/s/ [^|]+ \|$//'
+}
 for experiment in experiment_a experiment_b experiment_c sensitivity; do
     output="$(cargo run --release -q -p sparkscore-bench --bin "$experiment" -- --quick)"
     shapes="$(grep '^shape\[' <<< "$output" || true)"
@@ -133,23 +143,11 @@ for experiment in experiment_a experiment_b experiment_c sensitivity; do
         echo "$experiment failed a shape check (see lines above)" >&2
         exit 1
     fi
+    if ! diff "results/quick/$experiment.txt" <(virtual_only <<< "$output"); then
+        echo "$experiment --quick moved the paper axis from results/quick/$experiment.txt (see diff above)" >&2
+        exit 1
+    fi
 done
-
-echo "== paper axis is reproducible: experiment_a --quick twice, identical but for host wall time =="
-# Two runs must print the same tables, JSON and per-stage summary once the
-# host-wall fields are cut out: "wall_secs" in the JSON: line and the last
-# column of the summary's rows.
-virtual_only() {
-    cargo run --release -q -p sparkscore-bench --bin experiment_a -- --quick \
-        | sed -E -e 's/"wall_secs":[0-9.e+-]+//g' \
-                 -e '/^\| [0-9]+ \| [0-9]+ \| [A-Za-z]+ \|/s/ [^|]+ \|$//'
-}
-first_run="$(virtual_only)"
-second_run="$(virtual_only)"
-if ! diff <(echo "$first_run") <(echo "$second_run"); then
-    echo "experiment_a printed different virtual-time output on two runs (see diff above)" >&2
-    exit 1
-fi
 
 echo "== trace smoke: quickstart event log -> trace report/dot =="
 events_dir="$(mktemp -d)"

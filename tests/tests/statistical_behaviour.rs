@@ -199,11 +199,10 @@ fn westfall_young_adjustment_controls_the_family() {
     let observed: Vec<f64> = sparkscore_stats::observed_skat(&model, &rows, &ds.weights, &ds.sets);
 
     // Build replicate matrix with the same MC scheme.
-    let mut rng = StdRng::seed_from_u64(1);
     let contribs: Vec<Vec<f64>> = rows.iter().map(|g| model.contributions(g)).collect();
     let replicates: Vec<Vec<f64>> = (0..200)
-        .map(|_| {
-            let z = sparkscore_stats::resample::mc_weights(&mut rng, ds.phenotypes.len());
+        .map(|r| {
+            let z = sparkscore_stats::resample::mc_weights(1, r, ds.phenotypes.len());
             let scores: Vec<f64> = contribs
                 .iter()
                 .map(|c| c.iter().zip(&z).map(|(u, zi)| u * zi).sum())
