@@ -75,7 +75,7 @@ impl FaultPlan {
     }
 
     /// Whether this plan can ever fire.
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.kill_node.is_some()
             || self.drop_cached_every.is_some()
             || self.drop_shuffle_every.is_some()

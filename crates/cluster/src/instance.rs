@@ -29,7 +29,7 @@ pub struct InstanceType {
 impl InstanceType {
     /// Memory in bytes.
     #[inline]
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.memory_mib * 1024 * 1024
     }
 }

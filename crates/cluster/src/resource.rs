@@ -74,7 +74,7 @@ pub struct ExecutorLayout {
 }
 
 impl ExecutorLayout {
-    pub fn executors(&self) -> &[Executor] {
+    pub(crate) fn executors(&self) -> &[Executor] {
         &self.executors
     }
 
@@ -93,7 +93,7 @@ impl ExecutorLayout {
     }
 
     /// Nodes that host at least one executor, deduplicated, in node order.
-    pub fn nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.executors.iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         nodes.dedup();

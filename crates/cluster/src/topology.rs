@@ -71,7 +71,8 @@ impl ClusterSpec {
     }
 
     /// Total memory in bytes across the cluster.
-    pub fn total_memory_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn total_memory_bytes(&self) -> u64 {
         self.nodes as u64 * self.instance.memory_bytes()
     }
 }

@@ -508,7 +508,7 @@ impl SparkScoreContext {
         &self.engine
     }
 
-    pub fn num_patients(&self) -> usize {
+    fn num_patients(&self) -> usize {
         self.phenotype.num_patients()
     }
 

@@ -31,7 +31,7 @@ pub enum Phenotype {
 }
 
 impl Phenotype {
-    pub fn num_patients(&self) -> usize {
+    pub(crate) fn num_patients(&self) -> usize {
         match self {
             Phenotype::Survival(v) => v.len(),
             Phenotype::Quantitative(v) => v.len(),
@@ -53,7 +53,7 @@ pub enum Model {
 impl Model {
     /// Build the appropriate model for a phenotype. Panics on collinear
     /// covariates — a configuration error, not a runtime condition.
-    pub fn fit(phenotype: &Phenotype) -> Model {
+    pub(crate) fn fit(phenotype: &Phenotype) -> Model {
         match phenotype {
             Phenotype::Survival(v) => Model::Cox(CoxScore::new(v)),
             Phenotype::Quantitative(v) => Model::Gaussian(GaussianScore::new(v)),
@@ -74,7 +74,7 @@ impl Model {
     /// breaks the phenotype–covariate linkage and is not a valid null —
     /// this limitation of permutation resampling is exactly why the paper
     /// recommends Lin's Monte Carlo method when covariates are present.
-    pub fn permuted(&self, perm: &[usize]) -> Model {
+    pub(crate) fn permuted(&self, perm: &[usize]) -> Model {
         match self {
             Model::Cox(m) => Model::Cox(m.permuted(perm)),
             Model::Gaussian(m) => Model::Gaussian(m.permuted(perm)),

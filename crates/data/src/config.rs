@@ -17,7 +17,7 @@ impl WeightScheme {
     }
 
     /// Weight for a SNP with minor-allele frequency `maf`.
-    pub fn weight(&self, maf: f64) -> f64 {
+    pub(crate) fn weight(&self, maf: f64) -> f64 {
         match *self {
             WeightScheme::Uniform => 1.0,
             WeightScheme::BetaMaf { a, b } => {
@@ -116,7 +116,7 @@ impl SyntheticConfig {
         self.snps as f64 / self.snp_sets as f64
     }
 
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.patients > 0, "need at least one patient");
         assert!(self.snps > 0, "need at least one SNP");
         assert!(

@@ -35,7 +35,7 @@ pub struct GenotypeBlock {
 
 impl GenotypeBlock {
     /// An empty block for a cohort of `num_patients`.
-    pub fn new(num_patients: usize) -> Self {
+    fn new(num_patients: usize) -> Self {
         GenotypeBlock {
             num_patients,
             stride: num_patients.div_ceil(4),
@@ -194,12 +194,13 @@ impl GenotypeBlock {
     }
 
     #[inline]
-    pub fn num_patients(&self) -> usize {
+    pub(crate) fn num_patients(&self) -> usize {
         self.num_patients
     }
 
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
@@ -255,7 +256,7 @@ impl GenotypeBlock {
     /// Visit every `(snp_id, unpacked dosages)` row through one
     /// caller-provided buffer of length `num_patients` — no allocation
     /// per row, for export and round-trip paths.
-    pub fn for_each_row(&self, buf: &mut [u8], mut f: impl FnMut(u64, &[u8])) {
+    pub(crate) fn for_each_row(&self, buf: &mut [u8], mut f: impl FnMut(u64, &[u8])) {
         assert_eq!(buf.len(), self.num_patients, "row buffer length mismatch");
         for c in 0..self.num_snps() {
             self.unpack_into(c, buf);

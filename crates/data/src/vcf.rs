@@ -220,7 +220,7 @@ pub fn write_vcf(samples: &[String], rows: &[SnpRow], loci: &[SnpLocus]) -> Stri
 }
 
 /// Serialize a packed [`GenotypeBlock`] straight to VCF text. Rows are
-/// unpacked through one reused buffer ([`GenotypeBlock::for_each_row`] —
+/// unpacked through one reused buffer (`GenotypeBlock::for_each_row` —
 /// no per-row allocation); missing calls become `./.`.
 pub fn write_vcf_block(samples: &[String], block: &GenotypeBlock, loci: &[SnpLocus]) -> String {
     assert_eq!(block.num_snps(), loci.len(), "rows and loci must align");

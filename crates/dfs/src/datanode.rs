@@ -8,38 +8,39 @@ use parking_lot::RwLock;
 use crate::block::BlockId;
 
 /// Per-node replica store. All replicas on the node vanish together when
-/// the node dies ([`Datanode::clear`]).
+/// the node dies (`Datanode::clear`).
 #[derive(Debug, Default)]
 pub struct Datanode {
     blocks: RwLock<HashMap<BlockId, Arc<[u8]>>>,
 }
 
 impl Datanode {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn store(&self, id: BlockId, data: Arc<[u8]>) {
+    pub(crate) fn store(&self, id: BlockId, data: Arc<[u8]>) {
         self.blocks.write().insert(id, data);
     }
 
-    pub fn fetch(&self, id: BlockId) -> Option<Arc<[u8]>> {
+    pub(crate) fn fetch(&self, id: BlockId) -> Option<Arc<[u8]>> {
         self.blocks.read().get(&id).cloned()
     }
 
     /// Drop every replica; returns how many were dropped.
-    pub fn clear(&self) -> usize {
+    pub(crate) fn clear(&self) -> usize {
         let mut guard = self.blocks.write();
         let n = guard.len();
         guard.clear();
         n
     }
 
-    pub fn stored_bytes(&self) -> u64 {
+    pub(crate) fn stored_bytes(&self) -> u64 {
         self.blocks.read().values().map(|b| b.len() as u64).sum()
     }
 
-    pub fn num_blocks(&self) -> usize {
+    #[cfg(test)]
+    fn num_blocks(&self) -> usize {
         self.blocks.read().len()
     }
 }

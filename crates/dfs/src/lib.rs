@@ -104,7 +104,8 @@ impl Dfs {
         })
     }
 
-    pub fn cluster(&self) -> &Arc<Cluster> {
+    #[cfg(test)]
+    fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
     }
 

@@ -44,7 +44,7 @@ pub struct Namenode {
 }
 
 impl Namenode {
-    pub fn new(policy: PlacementPolicy) -> Self {
+    pub(crate) fn new(policy: PlacementPolicy) -> Self {
         Namenode {
             files: RwLock::new(BTreeMap::new()),
             replicas: RwLock::new(BTreeMap::new()),
@@ -56,7 +56,7 @@ impl Namenode {
 
     /// Allocate a fresh block id and pick `replication` distinct nodes from
     /// `candidates` for its replicas.
-    pub fn allocate_block(
+    pub(crate) fn allocate_block(
         &self,
         candidates: &[NodeId],
         replication: usize,
@@ -75,7 +75,7 @@ impl Namenode {
     }
 
     /// Register a finished file.
-    pub fn register_file(&self, path: &str, blocks: Vec<(BlockId, u64)>) -> FileMeta {
+    pub(crate) fn register_file(&self, path: &str, blocks: Vec<(BlockId, u64)>) -> FileMeta {
         let meta = FileMeta {
             path: path.to_string(),
             total_bytes: blocks.iter().map(|&(_, n)| n).sum(),
@@ -85,16 +85,16 @@ impl Namenode {
         meta
     }
 
-    pub fn lookup(&self, path: &str) -> Option<FileMeta> {
+    pub(crate) fn lookup(&self, path: &str) -> Option<FileMeta> {
         self.files.read().get(path).cloned()
     }
 
-    pub fn list_files(&self) -> Vec<String> {
+    pub(crate) fn list_files(&self) -> Vec<String> {
         self.files.read().keys().cloned().collect()
     }
 
     /// All replica locations recorded for a block (no liveness filtering).
-    pub fn replicas(&self, block: BlockId) -> Vec<NodeId> {
+    pub(crate) fn replicas(&self, block: BlockId) -> Vec<NodeId> {
         self.replicas
             .read()
             .get(&block)

@@ -212,7 +212,7 @@ pub struct CacheRoi {
 
 impl CacheRoi {
     /// Fraction of lookups that hit, if any happened.
-    pub fn hit_rate(&self) -> Option<f64> {
+    pub(crate) fn hit_rate(&self) -> Option<f64> {
         let total = self.hits + self.misses;
         (total > 0).then(|| self.hits as f64 / total as f64)
     }

@@ -39,9 +39,9 @@
 //!
 //! All analyses also accept **partial traces** — flight-recorder dumps of
 //! an engine that is still running (jobs without `JobEnd`, stages without
-//! `StageCompleted`). [`ExecutionTrace::is_partial`] flags them, reports
+//! `StageCompleted`). `ExecutionTrace::is_partial` flags them, reports
 //! mark in-flight jobs, and [`ops::OpsServer`] serves such dumps (plus
-//! live metrics and pool profiles) over a line-based TCP endpoint.
+//! live metrics and the memory ledger) over a line-based TCP endpoint.
 
 pub mod analyze;
 pub mod dot;

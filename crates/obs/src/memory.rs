@@ -67,7 +67,7 @@ pub struct MemoryTimeline {
 
 impl MemoryTimeline {
     /// Replay a typed event stream into a timeline.
-    pub fn from_events(events: &[EngineEvent]) -> Self {
+    fn from_events(events: &[EngineEvent]) -> Self {
         let mut tl = MemoryTimeline::default();
         let mut per_op: BTreeMap<u64, OpResidency> = BTreeMap::new();
         // Live per-block residency and the set of blocks evicted at least

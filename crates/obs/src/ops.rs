@@ -10,7 +10,6 @@
 //! $ echo metrics | nc 127.0.0.1 <port>     # Prometheus text exposition
 //! $ echo jobs    | nc 127.0.0.1 <port>     # live job table + path-so-far
 //! $ echo "trace 3" | nc 127.0.0.1 <port>   # flight-recorder JSONL dump
-//! $ echo profile | nc 127.0.0.1 <port>     # pool wall-clock attribution
 //! $ echo memory  | nc 127.0.0.1 <port>     # memory ledger per category
 //! ```
 //!
@@ -29,19 +28,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sparkscore_rdd::{FlightRecorder, JobService, MemoryLedger, PoolProfiler, Registry};
+use sparkscore_rdd::{FlightRecorder, JobService, MemoryLedger, Registry};
 
 use crate::analyze::critical_paths;
 use crate::report::fmt_ns;
 use crate::trace::ExecutionTrace;
 
-const HELP: &str = "commands:\n  metrics        Prometheus text exposition of live gauges/counters\n  jobs           live job table: phase, retained events, critical path so far\n  trace          flight-recorder dump of every retained job (JSONL)\n  trace <job>    flight-recorder dump of one job (JSONL)\n  profile        pool profiler wall-clock attribution\n  memory         live memory ledger: used/peak bytes per category\n  queue          job service status: bounds, depth, flow counters, live jobs\n  tenants        per-tenant quotas, backlog, and flow counters\n  help           this text\n";
+const HELP: &str = "commands:\n  metrics        Prometheus text exposition of live gauges/counters\n  jobs           live job table: phase, retained events, critical path so far\n  trace          flight-recorder dump of every retained job (JSONL)\n  trace <job>    flight-recorder dump of one job (JSONL)\n  memory         live memory ledger: used/peak bytes per category\n  queue          job service status: bounds, depth, flow counters, live jobs\n  tenants        per-tenant quotas, backlog, and flow counters\n  help           this text\n";
 
 /// The optional data sources a server exposes. Shared by every connection.
 struct Sources {
     registry: Option<Arc<Registry>>,
     recorder: Option<Arc<FlightRecorder>>,
-    profiler: Option<Arc<PoolProfiler>>,
     memory: Option<Arc<MemoryLedger>>,
     service: Option<Arc<JobService>>,
 }
@@ -72,12 +70,6 @@ impl OpsServerBuilder {
         self
     }
 
-    /// Serve this profiler's attribution under `profile`.
-    pub fn profiler(mut self, profiler: Arc<PoolProfiler>) -> Self {
-        self.sources.profiler = Some(profiler);
-        self
-    }
-
     /// Serve this ledger's per-category residency under `memory`
     /// (e.g. `Engine::memory_ledger`).
     pub fn memory(mut self, ledger: Arc<MemoryLedger>) -> Self {
@@ -91,9 +83,19 @@ impl OpsServerBuilder {
         self
     }
 
-    /// Bind and start the accept thread.
+    /// Bind and start the accept thread. With both a registry and a
+    /// recorder attached, the registry gains the recorder's backlog as a
+    /// gauge read at scrape time.
     pub fn start(self) -> io::Result<OpsServer> {
         let listener = TcpListener::bind(&self.addr)?;
+        if let (Some(registry), Some(recorder)) = (&self.sources.registry, &self.sources.recorder) {
+            let recorder = Arc::clone(recorder);
+            registry.gauge_fn(
+                "sparkscore_recorder_backlog_events",
+                "Events retained by the flight recorder",
+                move || recorder.backlog_events() as i64,
+            );
+        }
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let sources = Arc::new(self.sources);
@@ -126,7 +128,6 @@ impl OpsServer {
             sources: Sources {
                 registry: None,
                 recorder: None,
-                profiler: None,
                 memory: None,
                 service: None,
             },
@@ -199,10 +200,6 @@ fn respond(line: &str, sources: &Sources) -> String {
                 .dump_job(job)
                 .unwrap_or_else(|| format!("err: job {job} not retained\n")),
         },
-        ["profile"] => sources
-            .profiler
-            .as_ref()
-            .map_or_else(|| "err: no profiler attached\n".to_string(), |p| p.report()),
         ["memory"] => sources.memory.as_ref().map_or_else(
             || "err: no memory ledger attached\n".to_string(),
             |l| memory_table(l),
@@ -393,6 +390,83 @@ mod tests {
         server.stop();
     }
 
+    /// The value of `name`'s sample in a Prometheus exposition.
+    fn sample(text: &str, name: &str) -> i64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} sample in {text}"))
+    }
+
+    /// An engine on two host threads with a flight recorder, and an ops
+    /// server on its registry and recorder.
+    fn live_engine() -> (Arc<sparkscore_rdd::Engine>, OpsServer) {
+        let recorder = Arc::new(FlightRecorder::new());
+        let engine =
+            sparkscore_rdd::Engine::builder(sparkscore_cluster::ClusterSpec::test_small(2))
+                .host_threads(2)
+                .listener(Arc::clone(&recorder) as Arc<dyn EventListener>)
+                .build();
+        let server = OpsServer::builder()
+            .registry(Arc::clone(engine.registry()))
+            .recorder(recorder)
+            .start()
+            .expect("start ops server");
+        (engine, server)
+    }
+
+    #[test]
+    fn a_fresh_engine_renders_every_live_series() {
+        let (engine, server) = live_engine();
+        let text = send(server.local_addr(), "metrics");
+        for name in [
+            "sparkscore_cache_used_bytes",
+            "sparkscore_cache_pressure_pct",
+            "sparkscore_shuffle_stored_bytes",
+            "sparkscore_shuffle_shard_occupancy_max",
+            "sparkscore_shuffle_shards_occupied",
+            "sparkscore_pool_participants_running",
+            "sparkscore_pool_participants_stealing",
+            "sparkscore_pool_queue_depth",
+            "sparkscore_recorder_backlog_events",
+        ] {
+            assert_eq!(sample(&text, name), 0, "{name} before any job");
+        }
+        let budget = sample(&text, "sparkscore_cache_budget_bytes");
+        assert_eq!(budget, engine.cache_budget_bytes() as i64);
+        assert_eq!(sample(&text, "sparkscore_pool_participants_parked"), 2);
+        for c in sparkscore_rdd::MemCategory::ALL {
+            sample(&text, &format!("sparkscore_mem_{}_used_bytes", c.name()));
+            sample(&text, &format!("sparkscore_mem_{}_peak_bytes", c.name()));
+        }
+        server.stop();
+    }
+
+    #[test]
+    fn live_gauges_are_read_at_scrape_time() {
+        let (engine, server) = live_engine();
+        let cached = engine
+            .parallelize((0u64..10_000).collect::<Vec<_>>(), 4)
+            .map(|x| x + 1)
+            .cache();
+        assert_eq!(cached.count(), 10_000);
+        let text = send(server.local_addr(), "metrics");
+        let used = sample(&text, "sparkscore_cache_used_bytes");
+        assert!(used > 0, "cached blocks must show up in the gauge");
+        assert_eq!(used, engine.cache_used_bytes() as i64);
+        assert_eq!(
+            sample(&text, "sparkscore_mem_block_cache_used_bytes"),
+            used,
+            "ledger gauge mirrors the cache gauge"
+        );
+        sample(&text, "sparkscore_mem_shuffle_store_peak_bytes");
+        sample(&text, "sparkscore_pool_participants_parked");
+        assert!(
+            sample(&text, "sparkscore_recorder_backlog_events") > 0,
+            "recorder saw the job's events"
+        );
+        server.stop();
+    }
+
     #[test]
     fn trace_dump_is_parseable_by_the_analyzer() {
         let server = OpsServer::builder()
@@ -534,7 +608,7 @@ mod tests {
         let addr = server.local_addr();
         assert_eq!(send(addr, "metrics"), "err: no registry attached\n");
         assert_eq!(send(addr, "jobs"), "err: no recorder attached\n");
-        assert_eq!(send(addr, "profile"), "err: no profiler attached\n");
+        assert!(send(addr, "profile").starts_with("err: unknown command"));
         assert_eq!(send(addr, "memory"), "err: no memory ledger attached\n");
         assert_eq!(send(addr, "queue"), "err: no job service attached\n");
         assert_eq!(send(addr, "tenants"), "err: no job service attached\n");

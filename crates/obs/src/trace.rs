@@ -65,30 +65,30 @@ pub struct TraceStage {
 
 impl TraceStage {
     /// The slowest task by virtual runtime, if any completed.
-    pub fn critical_task(&self) -> Option<&TaskMetrics> {
+    pub(crate) fn critical_task(&self) -> Option<&TaskMetrics> {
         self.tasks.iter().max_by_key(|t| {
             // Deterministic tie-break on partition index.
             (t.virtual_runtime_ns(), std::cmp::Reverse(t.partition))
         })
     }
 
-    pub fn shuffle_read_bytes(&self) -> u64 {
+    pub(crate) fn shuffle_read_bytes(&self) -> u64 {
         self.tasks.iter().map(|t| t.shuffle_read_bytes).sum()
     }
 
-    pub fn shuffle_write_bytes(&self) -> u64 {
+    pub(crate) fn shuffle_write_bytes(&self) -> u64 {
         self.tasks.iter().map(|t| t.shuffle_write_bytes).sum()
     }
 
-    pub fn input_bytes(&self) -> u64 {
+    fn input_bytes(&self) -> u64 {
         self.tasks.iter().map(|t| t.input_bytes).sum()
     }
 
-    pub fn cache_hits(&self) -> u64 {
+    pub(crate) fn cache_hits(&self) -> u64 {
         self.tasks.iter().map(|t| t.cache_hits).sum()
     }
 
-    pub fn cache_misses(&self) -> u64 {
+    pub(crate) fn cache_misses(&self) -> u64 {
         self.tasks.iter().map(|t| t.cache_misses).sum()
     }
 
@@ -135,7 +135,7 @@ pub struct MemWatermark {
 
 impl MemWatermark {
     /// Total bytes resident across all ledger categories at this sample.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.block_cache_bytes
             + self.shuffle_store_bytes
             + self.dfs_blocks_bytes
@@ -143,7 +143,7 @@ impl MemWatermark {
     }
 
     /// Cache budget minus cache residency (how much room was left).
-    pub fn cache_headroom_bytes(&self) -> u64 {
+    pub(crate) fn cache_headroom_bytes(&self) -> u64 {
         self.cache_budget_bytes
             .saturating_sub(self.block_cache_bytes)
     }
@@ -340,12 +340,12 @@ impl ExecutionTrace {
         }
     }
 
-    pub fn stage(&self, stage: u64) -> Option<&TraceStage> {
+    pub(crate) fn stage(&self, stage: u64) -> Option<&TraceStage> {
         self.stages.iter().find(|s| s.stage == stage)
     }
 
     /// A job's stages in submission (= dependency) order.
-    pub fn job_stages(&self, job: u64) -> Vec<&TraceStage> {
+    pub(crate) fn job_stages(&self, job: u64) -> Vec<&TraceStage> {
         self.jobs
             .iter()
             .find(|j| j.job == job)
@@ -353,27 +353,27 @@ impl ExecutionTrace {
             .unwrap_or_default()
     }
 
-    pub fn total_tasks(&self) -> usize {
+    pub(crate) fn total_tasks(&self) -> usize {
         self.stages.iter().map(|s| s.tasks.len()).sum()
     }
 
     /// Total virtual time across all completed jobs.
-    pub fn total_virtual_ns(&self) -> u64 {
+    pub(crate) fn total_virtual_ns(&self) -> u64 {
         self.jobs.iter().map(|j| j.virtual_advance_ns).sum()
     }
 
-    pub fn total_shuffle_read_bytes(&self) -> u64 {
+    pub(crate) fn total_shuffle_read_bytes(&self) -> u64 {
         self.stages.iter().map(TraceStage::shuffle_read_bytes).sum()
     }
 
-    pub fn total_shuffle_write_bytes(&self) -> u64 {
+    pub(crate) fn total_shuffle_write_bytes(&self) -> u64 {
         self.stages
             .iter()
             .map(TraceStage::shuffle_write_bytes)
             .sum()
     }
 
-    pub fn total_input_bytes(&self) -> u64 {
+    pub(crate) fn total_input_bytes(&self) -> u64 {
         self.stages.iter().map(TraceStage::input_bytes).sum()
     }
 
@@ -384,7 +384,7 @@ impl ExecutionTrace {
 
     /// Every task counter the trace carries, summed over the run, in name
     /// order. The analyzer does not know what any name means.
-    pub fn counter_totals(&self) -> TaskCounters {
+    pub(crate) fn counter_totals(&self) -> TaskCounters {
         let mut totals = TaskCounters::default();
         for t in self.stages.iter().flat_map(|s| &s.tasks) {
             totals.merge(&t.counters);
@@ -394,7 +394,7 @@ impl ExecutionTrace {
 
     /// Host wall time of tasks that reported any counter vs all tasks —
     /// the kernel-vs-engine attribution `trace report` prints.
-    pub fn kernel_wall_split_ns(&self) -> (u64, u64) {
+    pub(crate) fn kernel_wall_split_ns(&self) -> (u64, u64) {
         let mut kernel = 0;
         let mut total = 0;
         for t in self.stages.iter().flat_map(|s| &s.tasks) {
@@ -408,7 +408,7 @@ impl ExecutionTrace {
 
     /// Aggregate sub-task spans by label: count and total wall time,
     /// largest total first (label tie-break) — deterministic.
-    pub fn span_totals(&self) -> Vec<SpanTotal> {
+    pub(crate) fn span_totals(&self) -> Vec<SpanTotal> {
         let mut by_label: std::collections::BTreeMap<&str, (usize, u64)> = Default::default();
         for s in &self.spans {
             let e = by_label.entry(&s.label).or_default();
@@ -433,7 +433,7 @@ impl ExecutionTrace {
 
     /// Jobs with no `JobEnd` yet — still running when the trace was
     /// captured (e.g. a flight-recorder dump).
-    pub fn open_jobs(&self) -> Vec<u64> {
+    pub(crate) fn open_jobs(&self) -> Vec<u64> {
         self.jobs
             .iter()
             .filter(|j| j.virtual_end_ns.is_none())
@@ -443,7 +443,7 @@ impl ExecutionTrace {
 
     /// Whether this trace was captured mid-run: a job is open or a
     /// submitted stage has not completed.
-    pub fn is_partial(&self) -> bool {
+    pub(crate) fn is_partial(&self) -> bool {
         !self.open_jobs().is_empty() || self.stages.iter().any(|s| !s.completed)
     }
 }

@@ -8,7 +8,7 @@
 //! iterations (the paper's Figs 4 and 5 measure the win).
 //!
 //! Blocks are type-erased (`Arc<dyn Any>`); typed access is recovered by
-//! downcasting in [`CacheManager::get`]. Each block carries the virtual
+//! downcasting in `CacheManager::get`. Each block carries the virtual
 //! node it lives on, so node deaths drop the right blocks and the task
 //! scheduler can prefer cache-local placement.
 
@@ -62,7 +62,7 @@ pub struct PutOutcome {
 
 impl PutOutcome {
     /// Number of blocks evicted by this put.
-    pub fn evicted_blocks(&self) -> u64 {
+    pub(crate) fn evicted_blocks(&self) -> u64 {
         self.evicted.len() as u64
     }
 }
@@ -79,12 +79,13 @@ pub struct CacheManager {
 
 impl CacheManager {
     /// Cache over a private ledger (tests, standalone use).
-    pub fn new(budget_bytes: u64) -> Self {
+    #[cfg(test)]
+    fn new(budget_bytes: u64) -> Self {
         Self::with_ledger(budget_bytes, Arc::new(MemoryLedger::new()))
     }
 
     /// Cache mirroring its residency into a shared engine ledger.
-    pub fn with_ledger(budget_bytes: u64, ledger: Arc<MemoryLedger>) -> Self {
+    pub(crate) fn with_ledger(budget_bytes: u64, ledger: Arc<MemoryLedger>) -> Self {
         CacheManager {
             inner: Mutex::new(CacheInner::default()),
             budget_bytes,
@@ -92,22 +93,22 @@ impl CacheManager {
         }
     }
 
-    pub fn budget_bytes(&self) -> u64 {
+    pub(crate) fn budget_bytes(&self) -> u64 {
         self.budget_bytes
     }
 
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.inner.lock().used_bytes
     }
 
     /// Mark an op's partitions for caching (idempotent).
-    pub fn mark(&self, op: OpId) {
+    pub(crate) fn mark(&self, op: OpId) {
         self.inner.lock().marked.insert(op);
     }
 
     /// Stop caching an op and drop its blocks (Spark `unpersist`).
     /// Returns each dropped block's partition and exact bytes.
-    pub fn unmark(&self, op: OpId) -> Vec<(usize, u64)> {
+    pub(crate) fn unmark(&self, op: OpId) -> Vec<(usize, u64)> {
         let mut g = self.inner.lock();
         g.marked.remove(&op);
         let keys: Vec<_> = g
@@ -127,14 +128,18 @@ impl CacheManager {
         dropped
     }
 
-    pub fn is_marked(&self, op: OpId) -> bool {
+    pub(crate) fn is_marked(&self, op: OpId) -> bool {
         self.inner.lock().marked.contains(&op)
     }
 
     /// Fetch a block, bumping its recency. `None` on miss or type mismatch
     /// (a mismatch would be an engine bug; we treat it as a miss so lineage
     /// recomputes correct data rather than panicking in a task).
-    pub fn get<T: Send + Sync + 'static>(&self, op: OpId, part: usize) -> Option<CachedBlock<T>> {
+    pub(crate) fn get<T: Send + Sync + 'static>(
+        &self,
+        op: OpId,
+        part: usize,
+    ) -> Option<CachedBlock<T>> {
         let mut g = self.inner.lock();
         g.clock += 1;
         let clock = g.clock;
@@ -145,13 +150,13 @@ impl CacheManager {
     }
 
     /// Whether this exact block was ever stored (for recompute accounting).
-    pub fn was_ever_present(&self, op: OpId, part: usize) -> bool {
+    pub(crate) fn was_ever_present(&self, op: OpId, part: usize) -> bool {
         self.inner.lock().ever_present.contains(&(op, part))
     }
 
     /// Store a block on `node`. Oversized blocks (bigger than the whole
     /// budget) are not stored, like Spark's MEMORY_ONLY behaviour.
-    pub fn put<T: EstimateSize + Send + Sync + 'static>(
+    pub(crate) fn put<T: EstimateSize + Send + Sync + 'static>(
         &self,
         op: OpId,
         part: usize,
@@ -212,7 +217,7 @@ impl CacheManager {
 
     /// Drop all blocks living on a dead node. Returns each lost block's
     /// identity and exact bytes.
-    pub fn drop_node(&self, node: NodeId) -> Vec<(OpId, usize, u64)> {
+    pub(crate) fn drop_node(&self, node: NodeId) -> Vec<(OpId, usize, u64)> {
         let mut g = self.inner.lock();
         let keys: Vec<_> = g
             .entries
@@ -234,7 +239,7 @@ impl CacheManager {
     /// Drop the single least-recently-used block (fault injection).
     /// Returns the dropped block's identity and bytes, if any block was
     /// resident.
-    pub fn drop_lru_one(&self) -> Option<(OpId, usize, u64)> {
+    pub(crate) fn drop_lru_one(&self) -> Option<(OpId, usize, u64)> {
         let mut g = self.inner.lock();
         let victim = g
             .entries
@@ -251,7 +256,7 @@ impl CacheManager {
     }
 
     /// How many partitions of `op` are currently resident.
-    pub fn resident_partitions(&self, op: OpId) -> usize {
+    pub(crate) fn resident_partitions(&self, op: OpId) -> usize {
         self.inner
             .lock()
             .entries
@@ -262,7 +267,7 @@ impl CacheManager {
 
     /// Exact bytes currently resident for `op`, summed over its cached
     /// partitions.
-    pub fn resident_bytes(&self, op: OpId) -> u64 {
+    pub(crate) fn resident_bytes(&self, op: OpId) -> u64 {
         self.inner
             .lock()
             .entries

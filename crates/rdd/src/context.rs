@@ -50,7 +50,8 @@ pub struct TaskCtx<'a> {
 }
 
 impl<'a> TaskCtx<'a> {
-    pub fn new(engine: &'a Engine, partition: usize) -> Self {
+    #[cfg(test)]
+    fn new(engine: &'a Engine, partition: usize) -> Self {
         Self::with_span(engine, partition, SpanContext::NONE)
     }
 
@@ -76,7 +77,7 @@ impl<'a> TaskCtx<'a> {
     }
 
     #[inline]
-    pub fn engine(&self) -> &'a Engine {
+    pub(crate) fn engine(&self) -> &'a Engine {
         self.engine
     }
 
@@ -126,39 +127,39 @@ impl<'a> TaskCtx<'a> {
 
     /// Record bytes read from the DFS (locality decided by the scheduler).
     #[inline]
-    pub fn add_input_bytes(&self, bytes: u64) {
+    pub(crate) fn add_input_bytes(&self, bytes: u64) {
         self.input_bytes.set(self.input_bytes.get() + bytes);
     }
 
     /// Record bytes fetched from shuffle outputs.
     #[inline]
-    pub fn add_shuffle_read(&self, bytes: u64) {
+    pub(crate) fn add_shuffle_read(&self, bytes: u64) {
         self.shuffle_read_bytes
             .set(self.shuffle_read_bytes.get() + bytes);
     }
 
     /// Record bytes written to shuffle buckets (map-side tasks).
     #[inline]
-    pub fn add_shuffle_write(&self, bytes: u64) {
+    pub(crate) fn add_shuffle_write(&self, bytes: u64) {
         self.shuffle_write_bytes
             .set(self.shuffle_write_bytes.get() + bytes);
     }
 
     /// Record one cached-block read.
     #[inline]
-    pub fn note_cache_hit(&self) {
+    pub(crate) fn note_cache_hit(&self) {
         self.cache_hits.set(self.cache_hits.get() + 1);
     }
 
     /// Record one cache lookup that missed.
     #[inline]
-    pub fn note_cache_miss(&self) {
+    pub(crate) fn note_cache_miss(&self) {
         self.cache_misses.set(self.cache_misses.get() + 1);
     }
 
     /// Record one lineage recomputation of a previously-resident block.
     #[inline]
-    pub fn note_recompute(&self) {
+    pub(crate) fn note_recompute(&self) {
         self.recomputed.set(self.recomputed.get() + 1);
     }
 
@@ -180,50 +181,50 @@ impl<'a> TaskCtx<'a> {
 
     /// Declare that running on `node` would make this task's reads local
     /// (input block replica or cached block location).
-    pub fn add_preferred(&self, node: NodeId) {
+    pub(crate) fn add_preferred(&self, node: NodeId) {
         let mut p = self.preferred.borrow_mut();
         if !p.contains(&node) {
             p.push(node);
         }
     }
 
-    pub fn add_preferred_all(&self, nodes: &[NodeId]) {
+    pub(crate) fn add_preferred_all(&self, nodes: &[NodeId]) {
         for &n in nodes {
             self.add_preferred(n);
         }
     }
 
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         self.input_bytes.get()
     }
 
-    pub fn shuffle_read_bytes(&self) -> u64 {
+    pub(crate) fn shuffle_read_bytes(&self) -> u64 {
         self.shuffle_read_bytes.get()
     }
 
-    pub fn shuffle_write_bytes(&self) -> u64 {
+    pub(crate) fn shuffle_write_bytes(&self) -> u64 {
         self.shuffle_write_bytes.get()
     }
 
-    pub fn cache_hits(&self) -> u64 {
+    pub(crate) fn cache_hits(&self) -> u64 {
         self.cache_hits.get()
     }
 
-    pub fn cache_misses(&self) -> u64 {
+    pub(crate) fn cache_misses(&self) -> u64 {
         self.cache_misses.get()
     }
 
-    pub fn recomputed(&self) -> u64 {
+    pub(crate) fn recomputed(&self) -> u64 {
         self.recomputed.get()
     }
 
     /// Measured host execution time so far, nanoseconds.
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Convert the task's counted work into a schedulable virtual task.
-    pub fn to_virtual_task(&self) -> VirtualTask {
+    pub(crate) fn to_virtual_task(&self) -> VirtualTask {
         VirtualTask {
             compute_ns: cost::compute_ns(self.work_units.get()),
             input_bytes: self.input_bytes.get(),

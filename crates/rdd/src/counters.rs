@@ -58,7 +58,7 @@ impl TaskCounters {
 
     /// Add `n` to `name`, inserting it on first sight. Panics on a name
     /// outside the metric-name grammar.
-    pub fn add<N>(&mut self, name: N, n: u64)
+    pub(crate) fn add<N>(&mut self, name: N, n: u64)
     where
         N: AsRef<str> + Into<Cow<'static, str>>,
     {

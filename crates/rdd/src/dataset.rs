@@ -78,10 +78,6 @@ impl Engine {
 }
 
 impl<T: Data> Dataset<T> {
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
     pub fn id(&self) -> OpId {
         self.op.id()
     }

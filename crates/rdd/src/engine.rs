@@ -59,7 +59,7 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    pub fn new(spec: ClusterSpec) -> Self {
+    pub(crate) fn new(spec: ClusterSpec) -> Self {
         EngineBuilder {
             spec,
             dfs_block_size: sparkscore_dfs::DEFAULT_BLOCK_SIZE,
@@ -159,7 +159,7 @@ impl EngineBuilder {
             ledger.set_source(MemCategory::DfsBlocks, move || dfs.stored_bytes());
         }
         let registry = Arc::new(Registry::new());
-        Arc::new(Engine {
+        let engine = Arc::new(Engine {
             cluster,
             dfs,
             layout,
@@ -182,7 +182,9 @@ impl EngineBuilder {
             epoch: std::time::Instant::now(),
             pool: ExecutorPool::new(host_threads),
             host_threads,
-        })
+        });
+        engine.register_live_gauges();
+        engine
     }
 }
 
@@ -240,17 +242,6 @@ impl Engine {
         self.cache.used_bytes()
     }
 
-    /// Bytes currently held as shuffle map outputs (live gauge).
-    pub fn shuffle_stored_bytes(&self) -> u64 {
-        self.shuffle.stored_bytes()
-    }
-
-    /// Map outputs held per shuffle lock shard — occupancy skew across the
-    /// sharded store (live gauge for the pool profiler).
-    pub fn shuffle_shard_occupancy(&self) -> Vec<usize> {
-        self.shuffle.shard_occupancy()
-    }
-
     /// The engine's central byte ledger: one slot per [`MemCategory`],
     /// kept current by the cache and shuffle store at their mutation
     /// sites. Register external sources (e.g. kernel scratch) here.
@@ -276,8 +267,9 @@ impl Engine {
 
     /// The engine's named-metric registry. The engine's own counters live
     /// here (the fields of [`MetricsSnapshot`], as `sparkscore_*_total`),
-    /// and so do driver-side subsystems that emit no events (e.g.
-    /// [`crate::BroadcastTileCache`]). Hand the same registry to a
+    /// so do its live gauges (cache, shuffle store, pool, memory ledger;
+    /// read at scrape time), and so do driver-side subsystems that emit no
+    /// events (e.g. [`crate::BroadcastTileCache`]). Hand the same registry to a
     /// [`crate::RegistryListener`], the job service and the ops endpoint to
     /// scrape everything in one place.
     pub fn registry(&self) -> &Arc<Registry> {
@@ -314,7 +306,7 @@ impl Engine {
     /// Monotonic nanoseconds since engine construction — the time base for
     /// span start/end stamps and the ops endpoint's uptime.
     #[inline]
-    pub fn mono_ns(&self) -> u64 {
+    pub(crate) fn mono_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -348,6 +340,82 @@ impl Engine {
         let alive = self.cluster.alive_snapshot();
         assert!(!alive.is_empty(), "no alive nodes left in the cluster");
         alive[(hash_key(&(salt_a, salt_b)) % alive.len() as u64) as usize]
+    }
+
+    /// Register the live series in the engine's registry, each read from
+    /// the store that holds it when the registry renders. A source holds a
+    /// component's `Arc` or a `Weak<Engine>`, never an `Arc<Engine>`: the
+    /// engine owns the registry, so a strong handle would keep it alive.
+    fn register_live_gauges(self: &Arc<Self>) {
+        let gauges: [(&str, &str, fn(&Engine) -> u64); 6] = [
+            (
+                "sparkscore_cache_used_bytes",
+                "Bytes resident in the block cache",
+                |e| e.cache.used_bytes(),
+            ),
+            (
+                "sparkscore_cache_budget_bytes",
+                "Block cache byte budget",
+                |e| e.cache.budget_bytes(),
+            ),
+            (
+                "sparkscore_cache_pressure_pct",
+                "Cache fill as a percentage of the budget",
+                |e| {
+                    (e.cache.used_bytes() * 100)
+                        .checked_div(e.cache.budget_bytes())
+                        .unwrap_or(0)
+                },
+            ),
+            (
+                "sparkscore_shuffle_stored_bytes",
+                "Bytes held as shuffle map outputs",
+                |e| e.shuffle.stored_bytes(),
+            ),
+            (
+                "sparkscore_shuffle_shard_occupancy_max",
+                "Map outputs in the fullest shuffle lock shard",
+                |e| e.shuffle.shard_occupancy().into_iter().max().unwrap_or(0) as u64,
+            ),
+            (
+                "sparkscore_shuffle_shards_occupied",
+                "Shuffle lock shards holding at least one map output",
+                |e| {
+                    e.shuffle
+                        .shard_occupancy()
+                        .iter()
+                        .filter(|&&n| n > 0)
+                        .count() as u64
+                },
+            ),
+        ];
+        for (name, help, read) in gauges {
+            let engine = Arc::downgrade(self);
+            self.registry.gauge_fn(name, help, move || {
+                engine.upgrade().map_or(0, |e| read(&e) as i64)
+            });
+        }
+        self.pool.register_gauges(&self.registry);
+        for category in MemCategory::ALL {
+            let ledger = Arc::clone(&self.ledger);
+            self.registry.gauge_fn(
+                &format!("sparkscore_mem_{}_used_bytes", category.name()),
+                "Bytes currently resident in this memory-ledger category",
+                move || {
+                    ledger.refresh();
+                    ledger.used(category) as i64
+                },
+            );
+            let ledger = Arc::clone(&self.ledger);
+            self.registry.gauge_fn(
+                &format!("sparkscore_mem_{}_peak_bytes", category.name()),
+                "High watermark of this memory-ledger category",
+                move || {
+                    ledger.refresh();
+                    ledger.peak(category) as i64
+                },
+            );
+        }
     }
 
     /// Thread accounting for the persistent executor pool (tests and
@@ -493,9 +561,7 @@ impl Engine {
         let run_task = |i: usize| {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let task_span = if observed {
-                    let s = stage_span.child(task_span_base + i as u64);
-                    self.pool.note_current_span(s.span);
-                    s
+                    stage_span.child(task_span_base + i as u64)
                 } else {
                     SpanContext::NONE
                 };
@@ -521,9 +587,6 @@ impl Engine {
                     ..TaskMetrics::default()
                 });
                 let sub_spans = ctx.take_spans();
-                if observed {
-                    self.pool.note_current_span(0);
-                }
                 self.metrics.tasks.inc();
                 self.on_task_complete();
                 (r, vt, m, sub_spans)

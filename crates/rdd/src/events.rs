@@ -82,7 +82,7 @@ impl SpanContext {
     }
 
     /// A child of this span.
-    pub fn child(self, span: u64) -> Self {
+    pub(crate) fn child(self, span: u64) -> Self {
         SpanContext {
             span,
             parent: self.span,
@@ -90,7 +90,7 @@ impl SpanContext {
     }
 
     /// Whether this context carries no tracing identity.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.span == 0
     }
 }
@@ -333,7 +333,7 @@ pub trait EventListener: Send + Sync {
         }
     }
 
-    /// Flush any buffered output. Called by [`EventBus::flush_all`] and
+    /// Flush any buffered output. Called by `EventBus::flush_all` and
     /// when the bus itself is dropped (engine shutdown), so listeners
     /// that buffer — like [`EventLogListener`] — never lose the tail of a
     /// run even if the program keeps the listener alive past the engine.
@@ -379,7 +379,7 @@ impl EventBus {
     }
 
     /// Dispatch an already-built event to all listeners.
-    pub fn emit(&self, event: &EngineEvent) {
+    pub(crate) fn emit(&self, event: &EngineEvent) {
         if !self.is_active() {
             return;
         }
@@ -407,7 +407,7 @@ impl EventBus {
     /// once and each listener sees the whole batch through
     /// [`EventListener::on_events`], so emission is O(1) lock
     /// acquisitions per batch rather than O(events).
-    pub fn emit_batch(&self, events: &[EngineEvent]) {
+    pub(crate) fn emit_batch(&self, events: &[EngineEvent]) {
         if events.is_empty() || !self.is_active() {
             return;
         }
@@ -417,7 +417,7 @@ impl EventBus {
     }
 
     /// Ask every listener to flush buffered output.
-    pub fn flush_all(&self) {
+    pub(crate) fn flush_all(&self) {
         for l in self.listeners.lock().iter() {
             l.on_flush();
         }
@@ -665,8 +665,8 @@ impl EventListener for RegistryListener {
             | EngineEvent::StageCompleted { .. }
             | EngineEvent::Span { .. }
             | EngineEvent::ShuffleMapRerun { .. }
-            // The live per-category gauges come from the profiler's ledger
-            // refresh; the watermark event is for logs and the recorder.
+            // The live per-category gauges read the engine's ledger at
+            // scrape time; the watermark event is for logs and the recorder.
             | EngineEvent::MemoryWatermark { .. } => {}
             EngineEvent::TaskEnd { metrics, .. } => {
                 if !metrics.counters.is_empty() {

@@ -125,7 +125,7 @@ impl MemoryLedger {
     }
 
     /// Poll every registered source into its slot (and its peak). Cheap
-    /// enough for a profiler tick; a no-op for delta-maintained slots.
+    /// enough for every scrape; a no-op for delta-maintained slots.
     pub fn refresh(&self) {
         let sources = self.sources.lock();
         for category in MemCategory::ALL {

@@ -58,7 +58,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod ops;
 pub mod pool;
-pub mod profiler;
 pub mod recorder;
 pub mod service;
 pub mod shuffle;
@@ -78,8 +77,7 @@ pub use ledger::{MemCategory, MemReading, MemoryLedger};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use ops::shuffled::Aggregator;
 pub use ops::Data;
-pub use pool::{ParticipantSnapshot, ParticipantState, PoolDiagnostics, PoolSnapshot};
-pub use profiler::{PoolProfile, PoolProfiler, ProfilerBuilder};
+pub use pool::PoolDiagnostics;
 pub use recorder::{set_thread_tenant, FlightRecorder, JobStatus};
 pub use service::{
     AdmissionQueue, JobInfo, JobService, JobServiceBuilder, JobState, QueueStats, QueueStatus,

@@ -9,10 +9,11 @@
 //!   Each is one row of the `engine_counters!` table below, which makes
 //!   it a [`Counter`] in [`crate::Engine::registry`] and a snapshot field.
 //! * [`Registry`] — a general named-metric registry (counters, gauges,
-//!   histograms) with Prometheus text exposition. The engine's counters
-//!   live in its own registry; [`crate::events::RegistryListener`] adds
-//!   the series only the event stream can give, so a long-running engine
-//!   can expose aggregate health without replaying event logs.
+//!   histograms, and gauges read at scrape time) with Prometheus text
+//!   exposition. The engine's counters and live gauges live in its own
+//!   registry; [`crate::events::RegistryListener`] adds the series only
+//!   the event stream can give, so a long-running engine can expose
+//!   aggregate health without replaying event logs.
 //!
 //! All counters are relaxed atomics — they are statistics, not
 //! synchronization.
@@ -119,7 +120,7 @@ pub struct Counter {
 
 impl Counter {
     #[inline]
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
@@ -140,16 +141,16 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    pub fn set(&self, v: i64) {
+    pub(crate) fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn add(&self, d: i64) {
+    pub(crate) fn add(&self, d: i64) {
         self.value.fetch_add(d, Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -169,7 +170,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Default bounds for nanosecond durations: 1 µs … 100 s, decades.
-    pub fn duration_ns_bounds() -> Vec<u64> {
+    pub(crate) fn duration_ns_bounds() -> Vec<u64> {
         (3..12).map(|p| 10u64.pow(p)).collect()
     }
 
@@ -187,14 +188,14 @@ impl Histogram {
         }
     }
 
-    pub fn observe(&self, v: u64) {
+    pub(crate) fn observe(&self, v: u64) {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -230,28 +231,54 @@ fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
+    /// A gauge whose value is read from its source at render time.
+    GaugeFn(Arc<dyn Fn() -> i64 + Send + Sync>),
     Histogram(Arc<Histogram>),
 }
 
 impl Metric {
+    /// The exposition's `# TYPE`.
     fn type_str(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
+            Metric::Gauge(_) | Metric::GaugeFn(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
+
+    /// What a clashing registration is told the name already holds.
+    fn kind(&self) -> &'static str {
+        match self {
+            Metric::GaugeFn(_) => "scrape-time gauge",
+            m => m.type_str(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Metric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.kind())
+    }
+}
+
+fn assert_valid_name(name: &str) {
+    assert!(
+        valid_metric_name(name),
+        "invalid metric name {name:?}: must match [a-zA-Z_:][a-zA-Z0-9_:]*"
+    );
 }
 
 /// A named-metric registry with Prometheus text exposition.
 ///
 /// Metric handles are `Arc`s: the instrumented code path holds the handle
 /// and updates it lock-free; the registry only takes its lock on
-/// registration and rendering. Names render in lexicographic order, so
+/// registration and rendering. A value that already lives in some store
+/// is registered as a source instead ([`Registry::gauge_fn`]) and read
+/// when the registry renders. Names render in lexicographic order, so
 /// [`Registry::render_prometheus`] is deterministic for a fixed state.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -270,20 +297,13 @@ impl Registry {
         make: impl FnOnce() -> Metric,
         pick: impl Fn(&Metric) -> Option<Arc<T>>,
     ) -> Arc<T> {
-        assert!(
-            valid_metric_name(name),
-            "invalid metric name {name:?}: must match [a-zA-Z_:][a-zA-Z0-9_:]*"
-        );
+        assert_valid_name(name);
         let mut metrics = self.metrics.write();
         let (_, metric) = metrics
             .entry(name.to_string())
             .or_insert_with(|| (help.to_string(), make()));
-        pick(metric).unwrap_or_else(|| {
-            panic!(
-                "metric {name:?} already registered as a {}",
-                metric.type_str()
-            )
-        })
+        pick(metric)
+            .unwrap_or_else(|| panic!("metric {name:?} already registered as a {}", metric.kind()))
     }
 
     /// Get or create a counter. Panics if `name` exists with another type.
@@ -300,7 +320,7 @@ impl Registry {
     }
 
     /// Get or create a gauge. Panics if `name` exists with another type.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
         self.get_or_insert(
             name,
             help,
@@ -315,7 +335,7 @@ impl Registry {
     /// Get or create a histogram with the given bucket upper bounds.
     /// Panics if `name` exists with another type. If it already exists as
     /// a histogram, the existing bounds win.
-    pub fn histogram(&self, name: &str, help: &str, bounds: Vec<u64>) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str, help: &str, bounds: Vec<u64>) -> Arc<Histogram> {
         self.get_or_insert(
             name,
             help,
@@ -325,6 +345,29 @@ impl Registry {
                 _ => None,
             },
         )
+    }
+
+    /// Register a gauge whose value is `source()`, called each time the
+    /// registry renders: Prometheus' collector model, and the registry's
+    /// counterpart of [`crate::MemoryLedger::set_source`]. Registering the
+    /// name again replaces the source. Panics if `name` exists as another
+    /// kind of metric.
+    pub fn gauge_fn(
+        &self,
+        name: &str,
+        help: &str,
+        source: impl Fn() -> i64 + Send + Sync + 'static,
+    ) {
+        assert_valid_name(name);
+        let mut metrics = self.metrics.write();
+        if let Some((_, m)) = metrics
+            .get(name)
+            .filter(|(_, m)| !matches!(m, Metric::GaugeFn(_)))
+        {
+            panic!("metric {name:?} already registered as a {}", m.kind());
+        }
+        let source = Metric::GaugeFn(Arc::new(source));
+        metrics.insert(name.to_string(), (help.to_string(), source));
     }
 
     pub fn len(&self) -> usize {
@@ -337,11 +380,17 @@ impl Registry {
 
     /// Render every metric in the Prometheus text exposition format
     /// (`# HELP` / `# TYPE` headers, cumulative histogram buckets with an
-    /// `+Inf` bound, `_sum` and `_count` series).
+    /// `+Inf` bound, `_sum` and `_count` series). Sources are called after
+    /// the registry lock is released, so a source may use the registry.
     pub fn render_prometheus(&self) -> String {
-        let metrics = self.metrics.read();
+        let metrics: Vec<(String, (String, Metric))> = self
+            .metrics
+            .read()
+            .iter()
+            .map(|(name, entry)| (name.clone(), entry.clone()))
+            .collect();
         let mut out = String::new();
-        for (name, (help, metric)) in metrics.iter() {
+        for (name, (help, metric)) in &metrics {
             if !help.is_empty() {
                 let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
             }
@@ -352,6 +401,9 @@ impl Registry {
                 }
                 Metric::Gauge(g) => {
                     let _ = writeln!(out, "{name} {}", g.get());
+                }
+                Metric::GaugeFn(source) => {
+                    let _ = writeln!(out, "{name} {}", source());
                 }
                 Metric::Histogram(h) => {
                     let mut cumulative = 0u64;
@@ -444,6 +496,50 @@ mod tests {
     fn registry_rejects_type_confusion() {
         let reg = Registry::new();
         reg.counter("x", "");
+        reg.gauge("x", "");
+    }
+
+    #[test]
+    fn gauge_source_is_read_at_render_and_replaced_on_reregistration() {
+        let reg = Arc::new(Registry::new());
+        let value = Arc::new(AtomicI64::new(7));
+        let v = Arc::clone(&value);
+        reg.gauge_fn("live_bytes", "read at scrape", move || {
+            v.load(Ordering::Relaxed)
+        });
+        assert!(reg.render_prometheus().contains("live_bytes 7"));
+        value.store(9, Ordering::Relaxed);
+        let text = reg.render_prometheus();
+        assert!(text.contains("# TYPE live_bytes gauge"), "{text}");
+        assert!(text.contains("live_bytes 9"), "the current value: {text}");
+
+        reg.gauge_fn("live_bytes", "replaced", || -3);
+        let text = reg.render_prometheus();
+        assert!(text.contains("live_bytes -3"), "{text}");
+        assert_eq!(reg.len(), 1);
+
+        // A source may use the registry: it runs outside the lock.
+        let weak = Arc::downgrade(&reg);
+        reg.gauge_fn("metric_count", "", move || {
+            weak.upgrade()
+                .map_or(0, |r| r.counter("seen_total", "").get() as i64)
+        });
+        assert!(reg.render_prometheus().contains("metric_count 0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as a gauge")]
+    fn gauge_source_clashing_with_a_push_gauge_panics() {
+        let reg = Registry::new();
+        reg.gauge("x", "");
+        reg.gauge_fn("x", "", || 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as a scrape-time gauge")]
+    fn push_gauge_clashing_with_a_gauge_source_panics() {
+        let reg = Registry::new();
+        reg.gauge_fn("x", "", || 1);
         reg.gauge("x", "");
     }
 

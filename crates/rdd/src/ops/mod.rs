@@ -2,7 +2,7 @@
 //!
 //! Each operator implements [`Op`]: given a partition index and a task
 //! context, produce the partition's records. Narrow operators recursively
-//! pull their parent's partition through [`materialize`], which is where
+//! pull their parent's partition through `materialize`, which is where
 //! block-cache hits short-circuit lineage; wide operators read shuffle
 //! buckets written by a registered map stage.
 //!
@@ -116,7 +116,11 @@ pub(crate) fn lineage_string(target: &dyn AnyOp, cache: &CacheManager) -> String
 /// (recording the cache-local node as a locality preference); a miss
 /// computes the partition, stores it, and counts a *recomputation* if the
 /// block had been resident before (i.e. it was evicted or lost).
-pub fn materialize<T: Data>(op: &Arc<dyn Op<T>>, part: usize, ctx: &TaskCtx<'_>) -> Arc<Vec<T>> {
+pub(crate) fn materialize<T: Data>(
+    op: &Arc<dyn Op<T>>,
+    part: usize,
+    ctx: &TaskCtx<'_>,
+) -> Arc<Vec<T>> {
     let engine = ctx.engine();
     let id = op.id();
     if !engine.cache.is_marked(id) {

@@ -8,7 +8,7 @@
 //! supplies the function, and with it the work it charges. The by-value
 //! ones (`map`, `filter`, `flat_map`) move records out of a parent
 //! partition this task holds the only reference to — an uncached parent's,
-//! which [`materialize`] built for this call alone — and clone record by
+//! which `materialize` built for this call alone — and clone record by
 //! record only when the block cache holds it too.
 
 use std::sync::Arc;

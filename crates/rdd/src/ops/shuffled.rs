@@ -55,7 +55,7 @@ impl<V, C> Clone for Aggregator<V, C> {
 
 impl<V: Data> Aggregator<V, V> {
     /// Fold values per key with a binary function (`reduce_by_key`).
-    pub fn reducing(f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Self {
+    pub(crate) fn reducing(f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Self {
         let f = Arc::new(f);
         let f2 = Arc::clone(&f);
         Aggregator {

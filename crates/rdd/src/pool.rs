@@ -11,70 +11,20 @@
 //! one-task stage, and any stage on a pool with no workers. [`TaskSlots`]
 //! holds one write-once result per task index.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
-thread_local! {
-    /// This thread's participant index in the pool it belongs to
-    /// (`usize::MAX` when the thread is not a pool participant). Workers
-    /// set it once at startup; a driver is participant 0 while it holds
-    /// the stage slot, `usize::MAX` while it runs a stage without it, and
-    /// gets its previous index back when the stage ends.
-    static PARTICIPANT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
+use crate::metrics::Registry;
 
-/// What a pool participant is doing right now. Written with relaxed
-/// stores on the participant's own transitions and sampled by the pool
-/// profiler — an instantaneous, advisory view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParticipantState {
-    /// Waiting for work (workers park on the condvar; the driver is
-    /// between stages or waiting out stragglers).
-    #[default]
-    Parked,
-    /// Executing claimed tasks.
-    Running,
-    /// Scanning other participants' ranges for work to steal.
-    Stealing,
-}
-
+// What a pool participant is doing right now, one relaxed store on each
+// of its own transitions: an instantaneous, advisory view that the
+// `sparkscore_pool_participants_*` gauges count at scrape time.
 const STATE_PARKED: u8 = 0;
 const STATE_RUNNING: u8 = 1;
 const STATE_STEALING: u8 = 2;
-
-impl ParticipantState {
-    fn from_u8(v: u8) -> Self {
-        match v {
-            STATE_RUNNING => ParticipantState::Running,
-            STATE_STEALING => ParticipantState::Stealing,
-            _ => ParticipantState::Parked,
-        }
-    }
-}
-
-/// One participant's instant in a [`PoolSnapshot`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParticipantSnapshot {
-    pub state: ParticipantState,
-    /// Span id of the task the participant is running (0 = none).
-    pub current_span: u64,
-    /// Tasks still unclaimed in this participant's own range.
-    pub queue_depth: usize,
-}
-
-/// An instantaneous view of the pool, taken by
-/// [`PoolDiagnostics::snapshot`].
-#[derive(Debug, Clone)]
-pub struct PoolSnapshot {
-    /// Participant 0 is the driver holding the stage slot; the rest are
-    /// pool workers. Drivers running without the slot do not appear.
-    pub participants: Vec<ParticipantSnapshot>,
-    /// Whether a multi-task stage is currently published.
-    pub stage_active: bool,
-}
 
 /// Write-once, lock-free result slots, one per task index.
 ///
@@ -101,7 +51,7 @@ unsafe impl<T: Send> Sync for TaskSlots<T> {}
 unsafe impl<T: Send> Send for TaskSlots<T> {}
 
 impl<T> TaskSlots<T> {
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         TaskSlots {
             slots: (0..n)
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
@@ -114,7 +64,7 @@ impl<T> TaskSlots<T> {
     /// # Safety
     /// `i` is in bounds, written at most once, never concurrently.
     #[inline]
-    pub unsafe fn write(&self, i: usize, value: T) {
+    pub(crate) unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.slots.len());
         (*self.slots[i].get()).write(value);
     }
@@ -124,7 +74,7 @@ impl<T> TaskSlots<T> {
     /// # Safety
     /// Every index was written exactly once and those writes
     /// happen-before this call.
-    pub unsafe fn into_vec(self) -> Vec<T> {
+    pub(crate) unsafe fn into_vec(self) -> Vec<T> {
         self.slots
             .into_vec()
             .into_iter()
@@ -244,10 +194,8 @@ struct PoolShared {
     done_cv: Condvar,
     threads_alive: AtomicUsize,
     threads_spawned: AtomicUsize,
-    /// Per-participant activity (`STATE_*`), sampled by the profiler.
+    /// Per-participant activity (`STATE_*`).
     participant_state: Box<[AtomicU8]>,
-    /// Span id of the task each participant is running (0 = none).
-    participant_span: Box<[AtomicU64]>,
 }
 
 impl PoolShared {
@@ -256,6 +204,31 @@ impl PoolShared {
     /// state is never left inconsistent.
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn participants_in(&self, state: u8) -> usize {
+        self.participant_state
+            .iter()
+            .filter(|s| s.load(Ordering::Relaxed) == state)
+            .count()
+    }
+
+    /// Tasks not yet claimed in the published stage (0 between stages).
+    fn queue_depth(&self) -> usize {
+        let st = self.lock();
+        // SAFETY: `job` is only Some while the publishing `run` frame is
+        // alive, and the driver must take this same lock to retire it —
+        // holding the lock keeps the pointer valid for the read.
+        st.job.map_or(0, |h| {
+            unsafe { &*h.0 }
+                .ranges
+                .iter()
+                .map(|range| {
+                    let (lo, hi) = unpack(range.0.load(Ordering::Acquire));
+                    hi.saturating_sub(lo)
+                })
+                .sum()
+        })
     }
 }
 
@@ -278,43 +251,6 @@ impl PoolDiagnostics {
     pub fn threads_alive(&self) -> usize {
         self.shared.threads_alive.load(Ordering::Acquire)
     }
-
-    /// Instantaneous pool view: per-participant state, current span, and
-    /// unclaimed queue depth, plus active-stage progress. Safe to call
-    /// from any thread at any time (the pool profiler's sampling hook).
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let n = self.shared.participant_state.len();
-        let mut depths = vec![0usize; n];
-        let st = self.shared.lock();
-        let stage_active = match st.job {
-            // SAFETY: `job` is only Some while the publishing `run` frame
-            // is alive, and the driver must take this same lock to retire
-            // it — holding the lock keeps the pointer valid for the read.
-            Some(h) => {
-                let job = unsafe { &*h.0 };
-                for (d, range) in depths.iter_mut().zip(job.ranges.iter()) {
-                    let (lo, hi) = unpack(range.0.load(Ordering::Acquire));
-                    *d = hi.saturating_sub(lo);
-                }
-                true
-            }
-            None => false,
-        };
-        drop(st);
-        let participants = (0..n)
-            .map(|i| ParticipantSnapshot {
-                state: ParticipantState::from_u8(
-                    self.shared.participant_state[i].load(Ordering::Relaxed),
-                ),
-                current_span: self.shared.participant_span[i].load(Ordering::Relaxed),
-                queue_depth: depths[i],
-            })
-            .collect();
-        PoolSnapshot {
-            participants,
-            stage_active,
-        }
-    }
 }
 
 /// The persistent executor pool. See the module docs for the protocol.
@@ -332,7 +268,7 @@ pub(crate) struct ExecutorPool {
 impl ExecutorPool {
     /// Build a pool with `host_threads` total execution slots: the calling
     /// driver thread plus `host_threads - 1` parked workers.
-    pub fn new(host_threads: usize) -> Self {
+    pub(crate) fn new(host_threads: usize) -> Self {
         let host_threads = host_threads.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -348,7 +284,6 @@ impl ExecutorPool {
             participant_state: (0..host_threads)
                 .map(|_| AtomicU8::new(STATE_PARKED))
                 .collect(),
-            participant_span: (0..host_threads).map(|_| AtomicU64::new(0)).collect(),
         });
         let workers = (1..host_threads)
             .map(|w| {
@@ -369,20 +304,42 @@ impl ExecutorPool {
         }
     }
 
-    pub fn diagnostics(&self) -> PoolDiagnostics {
+    pub(crate) fn diagnostics(&self) -> PoolDiagnostics {
         PoolDiagnostics {
             shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Record the span id of the task the calling participant is running
-    /// (0 = between tasks). No-op on threads that are not participants.
-    #[inline]
-    pub(crate) fn note_current_span(&self, span: u64) {
-        let idx = PARTICIPANT.with(|p| p.get());
-        if let Some(slot) = self.shared.participant_span.get(idx) {
-            slot.store(span, Ordering::Relaxed);
+    /// Register the pool's gauges in `registry`, each counted from the
+    /// participants' states or the published stage's ranges when the
+    /// registry renders.
+    pub(crate) fn register_gauges(&self, registry: &Registry) {
+        for (state, name, help) in [
+            (
+                STATE_RUNNING,
+                "sparkscore_pool_participants_running",
+                "Pool participants executing tasks at the last sample",
+            ),
+            (
+                STATE_STEALING,
+                "sparkscore_pool_participants_stealing",
+                "Pool participants scanning for work at the last sample",
+            ),
+            (
+                STATE_PARKED,
+                "sparkscore_pool_participants_parked",
+                "Pool participants idle at the last sample",
+            ),
+        ] {
+            let shared = Arc::clone(&self.shared);
+            registry.gauge_fn(name, help, move || shared.participants_in(state) as i64);
         }
+        let shared = Arc::clone(&self.shared);
+        registry.gauge_fn(
+            "sparkscore_pool_queue_depth",
+            "Unclaimed tasks across all participant ranges at the last sample",
+            move || shared.queue_depth() as i64,
+        );
     }
 
     /// Run `n` tasks, calling `run_task(i)` exactly once for each
@@ -392,24 +349,22 @@ impl ExecutorPool {
     /// A caller holding the stage slot publishes a stage of two or more
     /// tasks and runs its share as participant 0. Every other stage runs
     /// inline on the caller, in index order — as no participant when
-    /// another stage holds the slot, so the profiler does not see it.
-    pub fn run(&self, n: usize, run_task: &(dyn Fn(usize) + Sync)) {
+    /// another stage holds the slot, so the participant gauges do not
+    /// count it.
+    pub(crate) fn run(&self, n: usize, run_task: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
         }
-        let outer = PARTICIPANT.with(Cell::get);
         let slot = match self.submit.try_lock() {
             Ok(guard) => Some(guard),
             // The slot guards no data, so a poisoned one is a free one.
             Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
             Err(TryLockError::WouldBlock) => None,
         };
-        let me = if slot.is_some() { 0 } else { usize::MAX };
-        PARTICIPANT.with(|p| p.set(me));
         if slot.is_some() && n > 1 && self.participants > 1 {
             self.run_published(n, run_task);
         } else {
-            let state = self.shared.participant_state.get(me);
+            let state = slot.as_ref().map(|_| &self.shared.participant_state[0]);
             if let Some(s) = state {
                 s.store(STATE_RUNNING, Ordering::Relaxed);
             }
@@ -420,7 +375,6 @@ impl ExecutorPool {
                 s.store(STATE_PARKED, Ordering::Relaxed);
             }
         }
-        PARTICIPANT.with(|p| p.set(outer));
     }
 
     /// Publish a stage to the workers and run it as participant 0. The
@@ -489,8 +443,8 @@ fn split_ranges(n: usize, participants: usize) -> Box<[TaskRange]> {
 
 /// Drain the stage from participant `me`'s viewpoint: claim chunks from
 /// the own range, then steal from the others until nothing is left.
-/// Publishes the participant's running/stealing/parked transitions for
-/// the profiler as it goes (relaxed stores, once per claim, not per task).
+/// Publishes the participant's running/stealing/parked transitions as it
+/// goes (relaxed stores, once per claim, not per task).
 fn execute_stage(job: &StageJob, me: usize, shared: &PoolShared) {
     let parts = job.ranges.len();
     let mut ran = 0usize;
@@ -510,7 +464,6 @@ fn execute_stage(job: &StageJob, me: usize, shared: &PoolShared) {
 }
 
 fn worker_loop(shared: &PoolShared, me: usize) {
-    PARTICIPANT.with(|p| p.set(me));
     let mut seen_epoch = 0u64;
     loop {
         let handle = {
@@ -601,29 +554,24 @@ mod tests {
     }
 
     #[test]
-    fn nested_stage_runs_inline_and_hands_back_the_participant_index() {
+    fn nested_stage_runs_inline_on_the_calling_thread() {
         let pool = ExecutorPool::new(2);
         // Both tasks meet here, so the driver and the worker run one each.
         let meet = std::sync::Barrier::new(2);
-        let seen = Mutex::new(Vec::new());
+        let threads = Mutex::new(Vec::new());
         pool.run(2, &|_| {
             meet.wait();
-            let me = PARTICIPANT.with(Cell::get);
+            let me = std::thread::current().id();
             let inner = Mutex::new(Vec::new());
-            pool.run(3, &|_| {
-                inner.lock().unwrap().push(PARTICIPANT.with(Cell::get))
+            pool.run(3, &|i| {
+                inner.lock().unwrap().push((i, std::thread::current().id()))
             });
-            assert_eq!(*inner.lock().unwrap(), [usize::MAX; 3], "the slot is taken");
-            seen.lock().unwrap().push((me, PARTICIPANT.with(Cell::get)));
+            // The slot is taken, so the nested stage ran here, in order.
+            assert_eq!(*inner.lock().unwrap(), [(0, me), (1, me), (2, me)]);
+            threads.lock().unwrap().push(me);
         });
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, [(0, 0), (1, 1)]);
-        assert_eq!(
-            PARTICIPANT.with(Cell::get),
-            usize::MAX,
-            "the caller's index is restored"
-        );
+        let threads = threads.into_inner().unwrap();
+        assert_ne!(threads[0], threads[1], "the outer stage used both threads");
     }
 
     #[test]

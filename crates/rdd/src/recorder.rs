@@ -43,7 +43,7 @@ pub fn set_thread_tenant(tenant: Option<&str>) {
 }
 
 /// The current thread's tenant tag, if any.
-pub fn current_thread_tenant() -> Option<String> {
+fn current_thread_tenant() -> Option<String> {
     TENANT_TAG.with(|t| t.borrow().clone())
 }
 
@@ -219,7 +219,7 @@ impl FlightRecorder {
     }
 
     /// Total events currently retained across all rings (the recorder's
-    /// memory backlog, exposed as a gauge by the profiler).
+    /// memory backlog, read by the ops endpoint's backlog gauge).
     pub fn backlog_events(&self) -> usize {
         let st = self.state.lock();
         st.jobs.iter().map(|j| j.ring.len()).sum::<usize>() + st.global.len()

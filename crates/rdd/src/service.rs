@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
-use crate::metrics::{Counter, Gauge, Registry};
+use crate::metrics::{Counter, Registry};
 use crate::recorder::set_thread_tenant;
 
 /// Pass advance for a weight-1 tenant; a tenant of weight `w` advances
@@ -210,23 +210,27 @@ impl AdmissionQueue {
 
     /// Admit one job for `tenant`, or say exactly why not.
     pub fn submit(&mut self, tenant: &str) -> Result<u64, RejectReason> {
-        let capacity = self.capacity;
-        let global_pass = self.global_pass;
-        let Some(t) = self.tenants.get_mut(tenant) else {
-            self.stats.rejected += 1;
-            return Err(RejectReason::UnknownTenant);
+        let refusal = match self.tenants.get(tenant) {
+            None => Some(RejectReason::UnknownTenant),
+            Some(_) if self.queued_total >= self.capacity => Some(RejectReason::QueueFull {
+                capacity: self.capacity,
+            }),
+            Some(t) if t.queue.len() >= t.config.max_queued => {
+                Some(RejectReason::TenantQueueFull {
+                    limit: t.config.max_queued,
+                })
+            }
+            Some(_) => None,
         };
-        if self.queued_total >= capacity {
-            t.stats.rejected += 1;
-            self.stats.rejected += 1;
-            return Err(RejectReason::QueueFull { capacity });
+        if let Some(reason) = refusal {
+            self.reject(tenant);
+            return Err(reason);
         }
-        if t.queue.len() >= t.config.max_queued {
-            let limit = t.config.max_queued;
-            t.stats.rejected += 1;
-            self.stats.rejected += 1;
-            return Err(RejectReason::TenantQueueFull { limit });
-        }
+        let global_pass = self.global_pass;
+        let t = self
+            .tenants
+            .get_mut(tenant)
+            .expect("admitted tenant exists");
         // A tenant re-entering after idling joins at the scheduler's
         // current virtual time instead of with banked credit.
         if t.queue.is_empty() && t.running == 0 {
@@ -239,6 +243,15 @@ impl AdmissionQueue {
         self.stats.submitted += 1;
         self.queued_total += 1;
         Ok(job)
+    }
+
+    /// Count one refused submission: globally, and for `tenant` when it
+    /// is registered.
+    fn reject(&mut self, tenant: &str) {
+        self.stats.rejected += 1;
+        if let Some(t) = self.tenants.get_mut(tenant) {
+            t.stats.rejected += 1;
+        }
     }
 
     /// Dispatch the next job: among tenants with queued work and spare
@@ -311,7 +324,7 @@ impl AdmissionQueue {
         self.running_total
     }
 
-    pub fn stats(&self) -> QueueStats {
+    fn stats(&self) -> QueueStats {
         self.stats
     }
 
@@ -448,18 +461,10 @@ struct ServiceMetrics {
     failed: Arc<Counter>,
     cancelled: Arc<Counter>,
     timed_out: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    running_jobs: Arc<Gauge>,
 }
 
 impl ServiceMetrics {
-    fn new(registry: &Registry, tenants: usize) -> Self {
-        registry
-            .gauge(
-                "sparkscore_service_tenants",
-                "Tenants registered with the job service",
-            )
-            .set(tenants as i64);
+    fn new(registry: &Registry) -> Self {
         ServiceMetrics {
             submitted: registry.counter(
                 "sparkscore_service_submitted_total",
@@ -485,20 +490,38 @@ impl ServiceMetrics {
                 "sparkscore_service_timed_out_total",
                 "Queued service jobs expired at their wall-clock deadline",
             ),
-            queue_depth: registry.gauge(
-                "sparkscore_service_queue_depth",
-                "Jobs currently queued service-wide",
-            ),
-            running_jobs: registry.gauge(
-                "sparkscore_service_running_jobs",
-                "Service jobs currently running",
-            ),
         }
     }
+}
 
-    fn sync(&self, queue: &AdmissionQueue) {
-        self.queue_depth.set(queue.queued_total() as i64);
-        self.running_jobs.set(queue.running_total() as i64);
+/// Register the service's gauges in `registry`, each read from the
+/// admission queue when the registry renders. They hold a `Weak` handle:
+/// the service holds the engine, which may own the registry.
+fn register_gauges(shared: &Arc<Shared>, registry: &Registry) {
+    let gauges: [(&str, &str, fn(&AdmissionQueue) -> usize); 3] = [
+        (
+            "sparkscore_service_queue_depth",
+            "Jobs currently queued service-wide",
+            AdmissionQueue::queued_total,
+        ),
+        (
+            "sparkscore_service_running_jobs",
+            "Service jobs currently running",
+            AdmissionQueue::running_total,
+        ),
+        (
+            "sparkscore_service_tenants",
+            "Tenants registered with the job service",
+            |q| q.tenants.len(),
+        ),
+    ];
+    for (name, help, read) in gauges {
+        let shared = Arc::downgrade(shared);
+        registry.gauge_fn(name, help, move || {
+            shared.upgrade().map_or(0, |s| {
+                read(&s.state.lock().expect("service lock").queue) as i64
+            })
+        });
     }
 }
 
@@ -608,10 +631,7 @@ impl JobServiceBuilder {
         for (name, cfg) in &self.tenants {
             queue.register_tenant(name, *cfg);
         }
-        let metrics = self
-            .registry
-            .as_ref()
-            .map(|r| ServiceMetrics::new(r, self.tenants.len()));
+        let metrics = self.registry.as_ref().map(|r| ServiceMetrics::new(r));
         let shared = Arc::new(Shared {
             engine: self.engine,
             state: Mutex::new(ServiceState {
@@ -629,6 +649,9 @@ impl JobServiceBuilder {
             done: Condvar::new(),
             metrics,
         });
+        if let Some(registry) = &self.registry {
+            register_gauges(&shared, registry);
+        }
         let workers = (0..self.config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -687,11 +710,6 @@ fn expire_deadlines(shared: &Shared, st: &mut ServiceState) -> bool {
             any = true;
         }
     }
-    if any {
-        if let Some(m) = &shared.metrics {
-            m.sync(&st.queue);
-        }
-    }
     any
 }
 
@@ -721,9 +739,6 @@ fn worker_loop(shared: &Shared) {
                         let payload = st.payloads.remove(&job).expect("picked job has a payload");
                         if let Some(rec) = st.jobs.get_mut(&job) {
                             rec.state = JobState::Running;
-                        }
-                        if let Some(m) = &shared.metrics {
-                            m.sync(&st.queue);
                         }
                         break (tenant, job, payload);
                     }
@@ -769,7 +784,6 @@ fn worker_loop(shared: &Shared) {
             } else {
                 m.completed.inc();
             }
-            m.sync(&st.queue);
         }
         drop(st);
         // A completion can free per-tenant running quota, or satisfy a
@@ -837,6 +851,7 @@ impl JobService {
         let deadline = deadline.map(|d| Instant::now() + d);
         let mut st = self.shared.state.lock().expect("service lock");
         if st.shutdown.is_some() {
+            st.queue.reject(tenant);
             if let Some(m) = &self.shared.metrics {
                 m.rejected.inc();
             }
@@ -859,7 +874,6 @@ impl JobService {
                 }
                 if let Some(m) = &self.shared.metrics {
                     m.submitted.inc();
-                    m.sync(&st.queue);
                 }
                 drop(st);
                 self.shared.work.notify_all();
@@ -892,7 +906,6 @@ impl JobService {
         st.finish_job(job, JobState::Cancelled, None);
         if let Some(m) = &self.shared.metrics {
             m.cancelled.inc();
-            m.sync(&st.queue);
         }
         drop(st);
         self.shared.done.notify_all();
@@ -953,9 +966,6 @@ impl JobService {
                             m.cancelled.inc();
                         }
                     }
-                }
-                if let Some(m) = &self.shared.metrics {
-                    m.sync(&st.queue);
                 }
             }
         }
@@ -1181,5 +1191,40 @@ mod tests {
         q.finish("a", false);
         assert_eq!(q.stats().cancelled, 1);
         assert!(q.conserved());
+    }
+
+    #[test]
+    fn refusals_after_shutdown_reach_the_queue_stats_and_the_registry() {
+        let registry = Arc::new(Registry::new());
+        let engine = Engine::builder(sparkscore_cluster::ClusterSpec::test_small(2))
+            .host_threads(1)
+            .build();
+        let quota = TenantConfig {
+            max_queued: 4,
+            max_running: 1,
+            weight: 1,
+        };
+        let service = JobService::builder(engine)
+            .tenant("a", quota)
+            .registry(Arc::clone(&registry))
+            .build();
+        let job = service.submit("a", |_| Ok(())).unwrap();
+        assert_eq!(service.wait(job), Some(JobState::Completed));
+        service.shutdown(ShutdownMode::Drain);
+        for tenant in ["a", "nobody"] {
+            assert_eq!(
+                service.submit(tenant, |_| Ok(())),
+                Err(RejectReason::ShuttingDown)
+            );
+        }
+        let rejected = service.queue_status().stats.rejected;
+        assert_eq!(rejected, 2);
+        let text = registry.render_prometheus();
+        assert!(
+            text.contains(&format!("sparkscore_service_rejected_total {rejected}\n")),
+            "{text}"
+        );
+        assert_eq!(service.tenants()[0].stats.rejected, 1, "tenant a's count");
+        assert!(service.shared.state.lock().unwrap().queue.conserved());
     }
 }

@@ -38,7 +38,7 @@ pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Deterministic 64-bit hash of a key.
 #[inline]
-pub fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
+pub(crate) fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     h.finish()
@@ -57,7 +57,7 @@ impl HashPartitioner {
     }
 
     #[inline]
-    pub fn num_partitions(&self) -> usize {
+    pub(crate) fn num_partitions(&self) -> usize {
         self.parts
     }
 
@@ -68,7 +68,7 @@ impl HashPartitioner {
 
     /// The partition of a key whose [`hash_key`] is already known.
     #[inline]
-    pub fn partition_of_hash(&self, hash: u64) -> usize {
+    pub(crate) fn partition_of_hash(&self, hash: u64) -> usize {
         (hash % self.parts as u64) as usize
     }
 }
@@ -136,7 +136,7 @@ type OutputShard = Mutex<HashMap<(ShuffleId, usize), MapOutput>>;
 /// outputs — the hot, per-task read/write state — are sharded across
 /// [`SHUFFLE_SHARDS`] independent locks keyed by `hash(shuffle,
 /// map_part)`, and reducers fetch all of a partition's buckets with one
-/// pass over the shards ([`ShuffleManager::get_buckets`]) instead of one
+/// pass over the shards (`ShuffleManager::get_buckets`) instead of one
 /// global-lock round-trip per map partition.
 #[derive(Default)]
 pub struct ShuffleManager {
@@ -155,12 +155,13 @@ fn shard_index(sid: ShuffleId, map_part: usize) -> usize {
 }
 
 impl ShuffleManager {
-    pub fn new() -> Self {
+    #[cfg(test)]
+    fn new() -> Self {
         Self::default()
     }
 
     /// Manager mirroring its residency into a shared engine ledger.
-    pub fn with_ledger(ledger: Arc<MemoryLedger>) -> Self {
+    pub(crate) fn with_ledger(ledger: Arc<MemoryLedger>) -> Self {
         ShuffleManager {
             ledger,
             ..Self::default()
@@ -185,13 +186,13 @@ impl ShuffleManager {
         self.ledger.sub(MemCategory::ShuffleStore, bytes);
     }
 
-    pub fn register(&self, sid: ShuffleId, stage: ShuffleStage) {
+    pub(crate) fn register(&self, sid: ShuffleId, stage: ShuffleStage) {
         self.stages.write().insert(sid, Arc::new(stage));
     }
 
     /// Drop the stage and all its outputs (called when the shuffle's
     /// operator is dropped — Spark's `ContextCleaner` equivalent).
-    pub fn unregister(&self, sid: ShuffleId) {
+    pub(crate) fn unregister(&self, sid: ShuffleId) {
         self.stages.write().remove(&sid);
         let mut freed = 0;
         for shard in &self.shards {
@@ -214,7 +215,7 @@ impl ShuffleManager {
             .map(|s| (s.num_map_parts, s.num_reduce_parts))
     }
 
-    pub fn map_task_runner(&self, sid: ShuffleId) -> Option<MapTaskRunner> {
+    pub(crate) fn map_task_runner(&self, sid: ShuffleId) -> Option<MapTaskRunner> {
         self.stages
             .read()
             .get(&sid)
@@ -224,7 +225,7 @@ impl ShuffleManager {
     /// Everything the scheduler needs to materialize `sid`, in one
     /// snapshot: one stage-registry read plus one pass over the output
     /// shards.
-    pub fn stage_info(&self, sid: ShuffleId) -> Option<ShuffleStageInfo> {
+    pub(crate) fn stage_info(&self, sid: ShuffleId) -> Option<ShuffleStageInfo> {
         let (num_map_parts, num_reduce_parts, runner) = {
             let stages = self.stages.read();
             let stage = stages.get(&sid)?;
@@ -278,7 +279,7 @@ impl ShuffleManager {
     /// Store one map task's buckets (one per reduce partition). Returns
     /// the bucket bytes now resident for `(sid, map_part)`, so the caller
     /// can emit a byte-accurate event.
-    pub fn put_map_output(
+    pub(crate) fn put_map_output(
         &self,
         sid: ShuffleId,
         map_part: usize,
@@ -302,7 +303,7 @@ impl ShuffleManager {
     /// shards instead of one lock round-trip per map partition. A `None`
     /// entry means that map output is missing (lost or not yet produced)
     /// and the caller must recover it.
-    pub fn get_buckets(
+    pub(crate) fn get_buckets(
         &self,
         sid: ShuffleId,
         reduce_part: usize,
@@ -326,7 +327,7 @@ impl ShuffleManager {
     }
 
     /// Drop every map output resident on `node`. Returns how many.
-    pub fn drop_node(&self, node: NodeId) -> usize {
+    pub(crate) fn drop_node(&self, node: NodeId) -> usize {
         let mut dropped = 0;
         let mut freed = 0;
         for shard in &self.shards {
@@ -347,7 +348,7 @@ impl ShuffleManager {
     /// Drop one arbitrary map output (fault injection). Deterministic
     /// choice: the smallest `(sid, map_part)` key. Returns the dropped
     /// output's identity, if any output existed.
-    pub fn drop_one(&self) -> Option<(ShuffleId, usize)> {
+    pub(crate) fn drop_one(&self) -> Option<(ShuffleId, usize)> {
         loop {
             let victim = self
                 .shards
@@ -367,8 +368,8 @@ impl ShuffleManager {
     }
 
     /// Total bytes held across all buckets — an O(1) read of the running
-    /// counter, safe to call from hot paths and profiler ticks.
-    pub fn stored_bytes(&self) -> u64 {
+    /// counter, safe to call from hot paths and scrapes.
+    pub(crate) fn stored_bytes(&self) -> u64 {
         self.total_bytes.load(Ordering::Relaxed)
     }
 
@@ -383,13 +384,13 @@ impl ShuffleManager {
     }
 
     /// Number of registered stages (diagnostics / leak tests).
-    pub fn num_registered(&self) -> usize {
+    pub(crate) fn num_registered(&self) -> usize {
         self.stages.read().len()
     }
 
-    /// Map outputs held per lock shard ([`SHUFFLE_SHARDS`] entries) — the
-    /// profiler's view of how evenly the shuffle store is loaded.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
+    /// Map outputs held per lock shard ([`SHUFFLE_SHARDS`] entries) — how
+    /// evenly the shuffle store is loaded, for the shard gauges.
+    pub(crate) fn shard_occupancy(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.lock().len()).collect()
     }
 }

@@ -25,7 +25,7 @@ pub fn score_test_pvalue(score: f64, variance: f64) -> f64 {
 /// Survival function of the noncentral chi-square distribution with `k`
 /// degrees of freedom and noncentrality `delta`, via the Poisson-mixture
 /// series `P(X > x) = Σ_j pois(j; δ/2) · Q_{k+2j}(x)`.
-pub fn chi2_noncentral_sf(x: f64, k: f64, delta: f64) -> f64 {
+fn chi2_noncentral_sf(x: f64, k: f64, delta: f64) -> f64 {
     assert!(k > 0.0, "degrees of freedom must be positive");
     assert!(delta >= 0.0, "noncentrality must be non-negative");
     if x <= 0.0 {

@@ -38,7 +38,7 @@ impl Matrix {
 
     /// A design matrix: a leading all-ones intercept column followed by
     /// the given covariate columns.
-    pub fn design(n: usize, covariates: &[Vec<f64>]) -> Self {
+    pub(crate) fn design(n: usize, covariates: &[Vec<f64>]) -> Self {
         let mut cols = Vec::with_capacity(covariates.len() + 1);
         cols.push(vec![1.0; n]);
         for c in covariates {
@@ -49,17 +49,17 @@ impl Matrix {
     }
 
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    fn get(&self, r: usize, c: usize) -> f64 {
         self.data[c * self.rows + r]
     }
 
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[c * self.rows + r] = v;
     }
 
     #[inline]
-    pub fn column(&self, c: usize) -> &[f64] {
+    fn column(&self, c: usize) -> &[f64] {
         &self.data[c * self.rows..(c + 1) * self.rows]
     }
 
@@ -136,7 +136,7 @@ impl std::error::Error for LinalgError {}
 
 impl Cholesky {
     /// Factor a symmetric positive-definite matrix.
-    pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
+    pub(crate) fn factor(a: &Matrix) -> Result<Self, LinalgError> {
         assert_eq!(a.rows, a.cols, "Cholesky needs a square matrix");
         let p = a.rows;
         let mut l = Matrix::zeros(p, p);

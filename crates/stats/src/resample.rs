@@ -174,7 +174,8 @@ pub struct AdaptiveResult {
 
 impl AdaptiveResult {
     /// Add-one empirical p-values, each over its set's own replicates.
-    pub fn pvalues(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn pvalues(&self) -> Vec<f64> {
         self.counts_ge
             .iter()
             .zip(&self.replicates_used)

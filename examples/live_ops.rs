@@ -1,6 +1,6 @@
 //! live_ops — the full live observability plane on a continuously running
-//! engine: flight recorder, live gauges, pool profiler, and the line-based
-//! ops endpoint.
+//! engine: flight recorder, live gauges read at scrape time, and the
+//! line-based ops endpoint.
 //!
 //! Run with: `cargo run --release -p sparkscore-core --example live_ops -- [seconds]`
 //!
@@ -24,7 +24,7 @@ use sparkscore_cluster::ClusterSpec;
 use sparkscore_core::{AnalysisOptions, SparkScoreContext};
 use sparkscore_data::{GwasDataset, SyntheticConfig};
 use sparkscore_obs::OpsServer;
-use sparkscore_rdd::{Engine, EventListener, FlightRecorder, PoolProfiler, RegistryListener};
+use sparkscore_rdd::{Engine, EventListener, FlightRecorder, RegistryListener};
 
 fn main() {
     let secs: u64 = std::env::args()
@@ -32,9 +32,10 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
 
-    // The three live data sources: the engine's registry (its own counters,
-    // plus the series a registry listener derives from the event bus), the
-    // always-on flight recorder, and the sampling pool profiler.
+    // The live data sources: the engine's registry (its own counters and
+    // the gauges it reads from its cache, shuffle store, pool and memory
+    // ledger at scrape time, plus the series a registry listener derives
+    // from the event bus), the always-on flight recorder, and the ledger.
     let recorder = Arc::new(FlightRecorder::new());
     let engine = Engine::builder(ClusterSpec::test_small(4))
         .listener(Arc::clone(&recorder) as Arc<dyn EventListener>)
@@ -45,17 +46,9 @@ fn main() {
         .register(Arc::new(RegistryListener::with_registry(Arc::clone(
             &registry,
         ))));
-    let profiler = Arc::new(
-        PoolProfiler::builder(&engine)
-            .interval(Duration::from_millis(5))
-            .registry(Arc::clone(&registry))
-            .recorder(Arc::clone(&recorder))
-            .start(),
-    );
     let server = OpsServer::builder()
         .registry(registry)
         .recorder(recorder)
-        .profiler(Arc::clone(&profiler))
         .memory(Arc::clone(engine.memory_ledger()))
         .start()
         .expect("bind ops endpoint");
@@ -90,8 +83,6 @@ fn main() {
         );
     }
 
-    println!("\nran {rounds} scoring round(s); final pool profile:");
-    print!("{}", profiler.report());
-    profiler.stop();
+    println!("\nran {rounds} scoring round(s)");
     server.stop();
 }

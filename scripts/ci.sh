@@ -76,7 +76,7 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators =="
+echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators, live gauges read at scrape =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started
 # hand-threading a counter again.
@@ -100,6 +100,14 @@ fi
 # of that graph coming back.
 if grep -rnwE 'MetaRegistry|OpMeta|DepMeta|register_op' crates/rdd/src; then
     echo "crates/rdd/src keeps a second copy of the operator graph (see matches above)" >&2
+    exit 1
+fi
+# A live gauge is read from the store that holds it when the registry renders
+# (`Registry::gauge_fn`). A sampling thread that copies values into the
+# registry on a timer, or a pool snapshot and per-task span slots to feed one,
+# is a second, staler copy coming back.
+if grep -rnwE 'PoolProfiler|ProfilerBuilder|PoolSnapshot|note_current_span|participant_span' crates examples; then
+    echo "a sampling profiler is back beside the scrape-time gauges (see matches above)" >&2
     exit 1
 fi
 # Virtual time has one definition, counted work at the fixed rates of
@@ -184,6 +192,10 @@ grep -q '^# TYPE sparkscore_' <<< "$metrics" \
     || { echo "ops smoke: metrics scrape missing sparkscore_ gauges" >&2; kill "$ops_pid"; exit 1; }
 grep -q '^sparkscore_mem_block_cache_used_bytes ' <<< "$metrics" \
     || { echo "ops smoke: metrics scrape missing sparkscore_mem_ gauges" >&2; kill "$ops_pid"; exit 1; }
+grep -q '^sparkscore_pool_participants_running ' <<< "$metrics" \
+    || { echo "ops smoke: metrics scrape missing the pool gauges" >&2; kill "$ops_pid"; exit 1; }
+grep -q '^sparkscore_recorder_backlog_events ' <<< "$metrics" \
+    || { echo "ops smoke: metrics scrape missing the recorder backlog gauge" >&2; kill "$ops_pid"; exit 1; }
 memory="$(scrape memory)"
 for category in block_cache shuffle_store dfs_blocks scratch total; do
     grep -q "^$category " <<< "$memory" \
@@ -233,6 +245,8 @@ grep -q '^sparkscore_service_submitted_total ' <<< "$svc_metrics" \
     || { echo "service smoke: metrics scrape missing service counters" >&2; kill "$svc_pid"; exit 1; }
 grep -q '^sparkscore_gemm_tile_hits_total ' <<< "$svc_metrics" \
     || { echo "service smoke: metrics scrape missing tile-cache counters" >&2; kill "$svc_pid"; exit 1; }
+grep -q '^sparkscore_mem_block_cache_used_bytes ' <<< "$svc_metrics" \
+    || { echo "service smoke: metrics scrape missing the engine's live gauges" >&2; kill "$svc_pid"; exit 1; }
 svc_dump="$events_dir/job_service_trace.jsonl"
 svc_scrape trace > "$svc_dump"
 [ -s "$svc_dump" ] || { echo "service smoke: empty trace dump" >&2; kill "$svc_pid"; exit 1; }
