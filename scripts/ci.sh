@@ -28,7 +28,7 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== the resampling kernel stays unfused and 512-bit: disassembly of the release sparkscore-stats tests =="
+echo "== the resampling kernel and the multiplier draw stay unfused, 512-bit and libm-free: disassembly of the release sparkscore-stats tests =="
 # The kernel's contract is a multiply and an add, two roundings (DESIGN.md
 # §3d). Rust's `avx512f` implies `fma`, so inside perturb_rows_avx512 only the
 # source keeps the two apart: a `mul_add` there would change bits on AVX-512
@@ -50,6 +50,31 @@ if grep -E 'vfn?m(add|sub)' <<< "$kernel_asm"; then
 fi
 if ! grep -qE 'perturb_rows_avx512>: .*vmulpd.*zmm' <<< "$kernel_asm"; then
     echo "perturb_rows_avx512 holds no 512-bit vmulpd: its tiles fell back to narrower vectors" >&2
+    exit 1
+fi
+# The multiplier draw's arms (fill_multipliers_{plain,avx2,avx512} in
+# crates/stats/src/dist.rs) share the same contract and one more: Z's bits
+# may not follow the host's libm, so no arm calls sin, cos, sincos or log.
+draw_asm="$(objdump -d --no-show-raw-insn -C "$stats_bin" \
+    | awk '/^[0-9a-f]+ <.*fill_multipliers_(plain|avx2|avx512)>:$/ { name = $0; next }
+           /^$/ { name = "" }
+           name != "" { print name, $0 }')"
+for arm in plain avx2 avx512; do
+    grep -q "fill_multipliers_$arm>:" <<< "$draw_asm" \
+        || { echo "no fill_multipliers_$arm symbol in $stats_bin" >&2; exit 1; }
+done
+if grep -E 'vfn?m(add|sub)' <<< "$draw_asm"; then
+    echo "a fill_multipliers_* arm fuses a multiply-add (see matches above)" >&2
+    exit 1
+fi
+if ! grep -qE 'fill_multipliers_avx512>: .*vmulpd.*zmm' <<< "$draw_asm"; then
+    echo "fill_multipliers_avx512 holds no 512-bit vmulpd: its lanes fell back to narrower vectors" >&2
+    exit 1
+fi
+# A libm call shows as a direct `call <sin@plt>` or, more often, as the
+# function's GOT entry loaded into a register for a `call *%reg`.
+if grep -E '[<:](sin|cos|sincos|log)(@|>)' <<< "$draw_asm"; then
+    echo "a fill_multipliers_* arm calls libm (see matches above)" >&2
     exit 1
 fi
 
