@@ -17,6 +17,7 @@
 //!   (`Ũ_j = Σ_i Z_i U_ij`), the cache-friendly scheme whose speedups
 //!   Figs 2–5 of the paper measure.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -584,13 +585,54 @@ impl SparkScoreContext {
     /// caller-held [`SparkScoreContext::u_dataset`]): inner sums
     /// (optionally with Monte Carlo multipliers, one per patient), weights
     /// join, ω²U², per-set aggregation.
-    pub(crate) fn set_scores(
+    fn set_scores(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
         mc_multipliers: Option<Broadcast<Vec<f64>>>,
     ) -> Vec<SetScore> {
-        let inner = inner_sums(u, self.num_patients(), mc_multipliers);
+        let sums = self.set_sums(u, mc_multipliers, None);
+        self.set_ids
+            .iter()
+            .map(|id| SetScore {
+                set: *id,
+                score: self.finish(sums.get(id).copied().unwrap_or(0.0)),
+            })
+            .collect()
+    }
+
+    /// The observed score of one set: [`SparkScoreContext::set_scores`]'
+    /// plan with `U` and the weights cut to the rows the full pass keys to
+    /// `set`, so the job moves and sums `O(|set|)` rows, not the cohort.
+    /// `None` when `set` is not one of this context's sets.
+    pub(crate) fn set_score(&self, u: &Dataset<(u64, Vec<f64>)>, set: u64) -> Option<f64> {
+        self.set_ids.binary_search(&set).ok()?;
+        let sums = self.set_sums(u, None, Some(set));
+        Some(self.finish(sums.get(&set).copied().unwrap_or(0.0)))
+    }
+
+    /// Raw per-set sums (`Σ ω²U²` under SKAT, `Σ ωU` under burden), of
+    /// every set or only of `only`. The cut is a `filter` on the same
+    /// `snp → set` lookup the reduce keys by, so overlapping sets keep
+    /// exactly the terms the full pass gives them.
+    fn set_sums(
+        &self,
+        u: &Dataset<(u64, Vec<f64>)>,
+        mc_multipliers: Option<Broadcast<Vec<f64>>>,
+        only: Option<u64>,
+    ) -> HashMap<u64, f64> {
         let lookup = self.snp_to_set.clone();
+        let of_only = only.map(|set| {
+            let lookup = lookup.clone();
+            move |snp: u64| lookup.value().get(snp as usize) == Some(&set)
+        });
+        let u = match &of_only {
+            None => u.clone(),
+            Some(keep) => {
+                let keep = keep.clone();
+                u.filter(move |(snp, _)| keep(*snp))
+            }
+        };
+        let inner = inner_sums(&u, self.num_patients(), mc_multipliers);
         let combine = self.options.combine;
         // SKAT sums ω²U² per set; burden sums ωU per set and squares the
         // total.
@@ -600,32 +642,33 @@ impl SparkScoreContext {
         };
         let per_snp_term = match &self.weights_bc {
             // Paper-faithful: shuffle join against the weights RDD.
-            None => inner
-                .join(&self.weights_rdd, self.options.reduce_partitions)
-                .map(move |(snp, (u_stat, w))| (snp, weigh(u_stat, w))),
+            None => {
+                let weights = match of_only {
+                    None => self.weights_rdd.clone(),
+                    Some(keep) => self.weights_rdd.filter(move |(snp, _)| keep(*snp)),
+                };
+                inner
+                    .join(&weights, self.options.reduce_partitions)
+                    .map(move |(snp, (u_stat, w))| (snp, weigh(u_stat, w)))
+            }
             // Ablation: look the weight up in a broadcast table map-side.
             Some(table) => {
                 let table = table.clone();
                 inner.map(move |(snp, u_stat)| (snp, weigh(u_stat, table.value()[snp as usize])))
             }
         };
-        let per_set = per_snp_term
+        per_snp_term
             .map(move |(snp, term)| (lookup.value()[snp as usize], term))
-            .reduce_by_key(self.options.reduce_partitions, |a, b| a + b);
-        let scores = per_set.collect_as_map();
-        self.set_ids
-            .iter()
-            .map(|&id| {
-                let raw = scores.get(&id).copied().unwrap_or(0.0);
-                SetScore {
-                    set: id,
-                    score: match combine {
-                        CombineMethod::Skat => raw,
-                        CombineMethod::Burden => raw * raw,
-                    },
-                }
-            })
-            .collect()
+            .reduce_by_key(self.options.reduce_partitions, |a, b| a + b)
+            .collect_as_map()
+    }
+
+    /// A set's score from its raw sum: burden squares it.
+    fn finish(&self, raw: f64) -> f64 {
+        match self.options.combine {
+            CombineMethod::Skat => raw,
+            CombineMethod::Burden => raw * raw,
+        }
     }
 
     /// The sorted set ids every result row order follows.
@@ -1164,6 +1207,114 @@ mod tests {
             assert_eq!(a.set, b.set);
             assert!((a.score - b.score).abs() <= 1e-9 * (1.0 + b.score.abs()));
         }
+    }
+
+    /// Every set's single-set score agrees with the full pass's entry to
+    /// 1e-15 relative, and an unknown set has none. The cut join may fold
+    /// a set's terms in another order; a burden score is the square of
+    /// its sum, which doubles that rounding, so burden compares the sums.
+    fn assert_set_scores_match_observed(ctx: &SparkScoreContext) {
+        let u = ctx.u_dataset();
+        u.cache();
+        let full = ctx.observed().scores;
+        let sum_of = |score: f64| match ctx.options.combine {
+            CombineMethod::Skat => score,
+            CombineMethod::Burden => score.sqrt(),
+        };
+        for s in &full {
+            let one = ctx.set_score(&u, s.set).expect("a known set scores");
+            let (a, b) = (sum_of(one), sum_of(s.score));
+            assert!(
+                (a - b).abs() <= 1e-15 * b.abs(),
+                "set {}: {one} vs {}",
+                s.set,
+                s.score
+            );
+        }
+        assert_eq!(ctx.set_score(&u, u64::MAX), None);
+        u.unpersist();
+    }
+
+    #[test]
+    fn set_score_matches_the_full_pass_across_models_methods_and_cuts() {
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let context = |partitions, options| {
+            let engine = Engine::builder(ClusterSpec::test_small(3))
+                .host_threads(2)
+                .build();
+            SparkScoreContext::from_memory(engine, &ds, partitions, options)
+        };
+        for partitions in [1, 3, 4, 7] {
+            for combine in [CombineMethod::Skat, CombineMethod::Burden] {
+                for weights_strategy in [WeightsStrategy::Join, WeightsStrategy::Broadcast] {
+                    let options = AnalysisOptions {
+                        combine,
+                        weights_strategy,
+                        ..AnalysisOptions::default()
+                    };
+                    assert_set_scores_match_observed(&context(partitions, options));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_score_of_a_quantitative_trait_with_overlapping_sets() {
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        // Set 1 also lists set 0's first member; the lookup keys that SNP
+        // to one of the two, and the single-set cut must follow it.
+        let mut overlapping = ds.sets.clone();
+        let shared = overlapping[0].members[0];
+        overlapping[1].members.push(shared);
+        for sets in [&ds.sets, &overlapping] {
+            let engine = Engine::builder(ClusterSpec::test_small(3))
+                .host_threads(2)
+                .build();
+            let rows = ds.genotypes.iter().map(|r| (r.id, r.dosages.clone()));
+            let gm = engine.parallelize(rows.collect(), 3);
+            let weights = ds.weights.iter().enumerate().map(|(j, &w)| (j as u64, w));
+            let weights_rdd = engine.parallelize(weights.collect(), 2);
+            let trait_values = (0..ds.phenotypes.len()).map(|i| (i % 7) as f64);
+            let phenotype = Phenotype::Quantitative(trait_values.collect());
+            let options = AnalysisOptions::default();
+            let ctx =
+                SparkScoreContext::from_parts(engine, phenotype, gm, weights_rdd, sets, options);
+            assert_set_scores_match_observed(&ctx);
+        }
+    }
+
+    #[test]
+    fn a_set_query_keeps_the_full_pass_shape_at_a_fraction_of_its_shuffle() {
+        let engine = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(2)
+            .build();
+        let config = SyntheticConfig {
+            snps: 2000,
+            snp_sets: 200,
+            ..SyntheticConfig::small(17)
+        };
+        let ds = GwasDataset::generate(&config);
+        let ctx = SparkScoreContext::from_memory(engine, &ds, 4, AnalysisOptions::default());
+        let u = ctx.u_dataset();
+        u.cache();
+        let delta = |run: &dyn Fn()| {
+            let before = ctx.engine.metrics_snapshot();
+            run();
+            ctx.engine.metrics_snapshot().delta_since(&before)
+        };
+        delta(&|| drop(ctx.set_scores(&u, None)));
+        let full = delta(&|| drop(ctx.set_scores(&u, None)));
+        let one = delta(&|| assert!(ctx.set_score(&u, ctx.set_ids[3]).is_some()));
+        assert_eq!((one.jobs, one.stages), (1, 4));
+        assert_eq!((full.jobs, full.stages), (1, 4));
+        assert_eq!(one.tasks, full.tasks);
+        assert_eq!(one.cache_hits, full.cache_hits);
+        assert!(
+            one.shuffle_bytes_written * 20 < full.shuffle_bytes_written,
+            "{} of {} shuffle bytes",
+            one.shuffle_bytes_written,
+            full.shuffle_bytes_written
+        );
     }
 
     use sparkscore_stats::resample::{monte_carlo_adaptive, monte_carlo_blocked};

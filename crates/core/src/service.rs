@@ -163,7 +163,10 @@ impl AnalysisService {
         let cohort = self.cohort(cohort)?;
         let tenant_name = tenant.to_string();
         self.submit(tenant, move |slot| {
-            let score = observed_set_score(&cohort, set)?;
+            let score = cohort
+                .ctx
+                .set_score(&cohort.u, set)
+                .ok_or_else(|| unknown_set(&cohort, set))?;
             *slot.lock() = Some(QueryResult {
                 tenant: tenant_name,
                 cohort: cohort.name.clone(),
@@ -227,7 +230,7 @@ impl AnalysisService {
         let tenant_name = tenant.to_string();
         self.submit(tenant, move |slot| {
             if cohort.ctx.set_ids().binary_search(&set).is_err() {
-                return Err(format!("set {set} not in cohort {:?}", cohort.name));
+                return Err(unknown_set(&cohort, set));
             }
             let run = cohort.ctx.monte_carlo_grid(&cohort.u, &opts);
             *slot.lock() = Some(QueryResult {
@@ -252,15 +255,8 @@ impl AnalysisService {
     }
 }
 
-/// The observed score of one set over the cohort's shared `U`.
-fn observed_set_score(cohort: &Cohort, set: u64) -> Result<f64, String> {
-    cohort
-        .ctx
-        .set_scores(&cohort.u, None)
-        .iter()
-        .find(|s| s.set == set)
-        .map(|s| s.score)
-        .ok_or_else(|| format!("set {set} not in cohort {:?}", cohort.name))
+fn unknown_set(cohort: &Cohort, set: u64) -> String {
+    format!("set {set} not in cohort {:?}", cohort.name)
 }
 
 #[cfg(test)]
@@ -338,8 +334,15 @@ mod tests {
             svc.submit_set_query("a", "nope", 0).unwrap_err(),
             QueryError::UnknownCohort
         );
+        let engine = Arc::clone(svc.job_service().engine());
+        let jobs_before = engine.metrics_snapshot().jobs;
         let job = svc.submit_set_query("a", "main", 999_999).unwrap();
         assert!(svc.wait_result(job).is_none(), "unknown set fails the job");
+        assert_eq!(
+            engine.metrics_snapshot().jobs,
+            jobs_before,
+            "an unknown set fails before any engine job"
+        );
         assert_eq!(
             svc.job_service().job_state(job),
             Some(sparkscore_rdd::JobState::Failed)

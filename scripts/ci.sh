@@ -78,22 +78,24 @@ if grep -E '[<:](sin|cos|sincos|log)(@|>)' <<< "$draw_asm"; then
     exit 1
 fi
 
-echo "== events, pool and concurrent_grid test binaries 50x: concurrent emitters, concurrent drivers =="
+echo "== events, pool and concurrent_grid test binaries 50x, service_e2e 10x: concurrent emitters, concurrent drivers, seeded replay =="
 # One run of a race-prone test proves little; a loop over the whole binary
 # catches an ordering race that fails a few runs in a hundred.
 loop_test_binary() {
-    local package="$1" name="$2" bin
+    local package="$1" name="$2" runs="$3" bin
     bin="$(cargo test -q -p "$package" --test "$name" --no-run --message-format=json \
         | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
     [ -x "$bin" ] || { echo "$name test binary not found" >&2; exit 1; }
-    for run in $(seq 1 50); do
+    for run in $(seq 1 "$runs"); do
         "$bin" -q > /dev/null 2>&1 \
-            || { echo "$name test binary failed on run $run of 50" >&2; exit 1; }
+            || { echo "$name test binary failed on run $run of $runs" >&2; exit 1; }
     done
 }
-loop_test_binary sparkscore-rdd events
-loop_test_binary sparkscore-rdd pool
-loop_test_binary integration-tests concurrent_grid
+loop_test_binary sparkscore-rdd events 50
+loop_test_binary sparkscore-rdd pool 50
+loop_test_binary integration-tests concurrent_grid 50
+# One run takes about 8 s, so fewer runs.
+loop_test_binary integration-tests service_e2e 10
 
 echo "== cargo fmt --check =="
 cargo fmt --check

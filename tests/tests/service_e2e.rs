@@ -150,7 +150,8 @@ fn run_service_schedule(seed: u64, log_name: &str) -> (Vec<u64>, String, String)
 
 /// Render the trace report as JSON with the wall-clock-dependent fields
 /// zeroed: kernel wall splits and span totals are host-time measurements
-/// and legitimately vary run to run; everything else must not.
+/// and legitimately vary run to run; everything else must not. The span
+/// rows are ordered by their wall totals, so they are re-sorted by label.
 fn canonical_report(trace: &ExecutionTrace) -> String {
     use serde_json::Value;
 
@@ -170,11 +171,12 @@ fn canonical_report(trace: &ExecutionTrace) -> String {
         }
     }
     if let Some(Value::Array(spans)) = field_mut(&mut v, "spans") {
-        for s in spans {
+        for s in spans.iter_mut() {
             if let Some(f) = field_mut(s, "total_ns") {
                 *f = Value::from(0u64);
             }
         }
+        spans.sort_by_cached_key(|s| s.get("label").and_then(Value::as_str).map(str::to_owned));
     }
     v.to_string()
 }
