@@ -245,8 +245,7 @@ impl AnalysisService {
     }
 
     /// Block until `job` is terminal and take its result. `None` if the
-    /// job failed, was cancelled, or was not submitted through this
-    /// façade.
+    /// job failed or was not submitted through this façade.
     pub fn wait_result(&self, job: u64) -> Option<QueryResult> {
         self.service.wait(job)?;
         let slot = self.results.lock().slots.remove(&job)?;

@@ -241,7 +241,7 @@ fn queue_table(service: &JobService) -> String {
     let status = service.queue_status();
     let mut out = format!(
         "queue {}/{} queued, {} running{}{}\n\
-         flow: submitted {} rejected {} dispatched {} completed {} failed {} cancelled {}\n",
+         flow: submitted {} rejected {} dispatched {} completed {} failed {}\n",
         status.queued,
         status.capacity,
         status.running,
@@ -256,7 +256,6 @@ fn queue_table(service: &JobService) -> String {
         status.stats.dispatched,
         status.stats.completed,
         status.stats.failed,
-        status.stats.cancelled,
     );
     for job in service.jobs() {
         out.push_str(&format!(
@@ -277,11 +276,11 @@ fn tenants_table(service: &JobService) -> String {
         return "no tenants registered\n".to_string();
     }
     let mut out = String::from(
-        "tenant            w  queued/max  running/max  submitted  rejected  completed  failed  cancelled\n",
+        "tenant            w  queued/max  running/max  submitted  rejected  completed  failed\n",
     );
     for t in tenants {
         out.push_str(&format!(
-            "{:<16} {:>2}  {:>5}/{:<5} {:>6}/{:<5} {:>9} {:>9} {:>10} {:>7} {:>10}\n",
+            "{:<16} {:>2}  {:>5}/{:<5} {:>6}/{:<5} {:>9} {:>9} {:>10} {:>7}\n",
             t.name,
             t.weight,
             t.queued,
@@ -292,7 +291,6 @@ fn tenants_table(service: &JobService) -> String {
             t.stats.rejected,
             t.stats.completed,
             t.stats.failed,
-            t.stats.cancelled,
         ));
     }
     out

@@ -9,7 +9,7 @@
 //!   Each is one row of the `engine_counters!` table below, which makes
 //!   it a [`Counter`] in [`crate::Engine::registry`] and a snapshot field.
 //! * [`Registry`] — a general named-metric registry (counters, gauges,
-//!   histograms, and gauges read at scrape time) with Prometheus text
+//!   histograms, and counters and gauges read at scrape time) with Prometheus text
 //!   exposition. The engine's counters and live gauges live in its own
 //!   registry; [`crate::events::RegistryListener`] adds the series only
 //!   the event stream can give, so a long-running engine can expose
@@ -235,6 +235,8 @@ fn escape_help(help: &str) -> String {
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
+    /// A counter whose value is read from its source at render time.
+    CounterFn(Arc<dyn Fn() -> u64 + Send + Sync>),
     /// A gauge whose value is read from its source at render time.
     GaugeFn(Arc<dyn Fn() -> i64 + Send + Sync>),
     Histogram(Arc<Histogram>),
@@ -244,7 +246,7 @@ impl Metric {
     /// The exposition's `# TYPE`.
     fn type_str(&self) -> &'static str {
         match self {
-            Metric::Counter(_) => "counter",
+            Metric::Counter(_) | Metric::CounterFn(_) => "counter",
             Metric::Gauge(_) | Metric::GaugeFn(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
@@ -253,6 +255,7 @@ impl Metric {
     /// What a clashing registration is told the name already holds.
     fn kind(&self) -> &'static str {
         match self {
+            Metric::CounterFn(_) => "scrape-time counter",
             Metric::GaugeFn(_) => "scrape-time gauge",
             m => m.type_str(),
         }
@@ -277,8 +280,8 @@ fn assert_valid_name(name: &str) {
 /// Metric handles are `Arc`s: the instrumented code path holds the handle
 /// and updates it lock-free; the registry only takes its lock on
 /// registration and rendering. A value that already lives in some store
-/// is registered as a source instead ([`Registry::gauge_fn`]) and read
-/// when the registry renders. Names render in lexicographic order, so
+/// is registered as a source instead ([`Registry::gauge_fn`],
+/// [`Registry::counter_fn`]) and read when the registry renders. Names render in lexicographic order, so
 /// [`Registry::render_prometheus`] is deterministic for a fixed state.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -358,15 +361,31 @@ impl Registry {
         help: &str,
         source: impl Fn() -> i64 + Send + Sync + 'static,
     ) {
+        self.set_source(name, help, Metric::GaugeFn(Arc::new(source)));
+    }
+
+    /// [`Registry::gauge_fn`]'s counter twin: a monotonic count that
+    /// already lives in some store, read when the registry renders.
+    pub(crate) fn counter_fn(
+        &self,
+        name: &str,
+        help: &str,
+        source: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        self.set_source(name, help, Metric::CounterFn(Arc::new(source)));
+    }
+
+    /// Insert a scrape-time source, replacing one of the same kind. Panics
+    /// if `name` exists as another kind of metric.
+    fn set_source(&self, name: &str, help: &str, source: Metric) {
         assert_valid_name(name);
         let mut metrics = self.metrics.write();
         if let Some((_, m)) = metrics
             .get(name)
-            .filter(|(_, m)| !matches!(m, Metric::GaugeFn(_)))
+            .filter(|(_, m)| std::mem::discriminant(m) != std::mem::discriminant(&source))
         {
             panic!("metric {name:?} already registered as a {}", m.kind());
         }
-        let source = Metric::GaugeFn(Arc::new(source));
         metrics.insert(name.to_string(), (help.to_string(), source));
     }
 
@@ -401,6 +420,9 @@ impl Registry {
                 }
                 Metric::Gauge(g) => {
                     let _ = writeln!(out, "{name} {}", g.get());
+                }
+                Metric::CounterFn(source) => {
+                    let _ = writeln!(out, "{name} {}", source());
                 }
                 Metric::GaugeFn(source) => {
                     let _ = writeln!(out, "{name} {}", source());
@@ -518,6 +540,18 @@ mod tests {
         assert!(text.contains("live_bytes -3"), "{text}");
         assert_eq!(reg.len(), 1);
 
+        // The counter twin: read at render, typed a counter, replaced too.
+        let v = Arc::clone(&value);
+        reg.counter_fn("served_total", "", move || v.load(Ordering::Relaxed) as u64);
+        let text = reg.render_prometheus();
+        assert!(
+            text.contains("# TYPE served_total counter\nserved_total 9\n"),
+            "{text}"
+        );
+        reg.counter_fn("served_total", "", || 11);
+        assert!(reg.render_prometheus().contains("served_total 11"));
+        assert_eq!(reg.len(), 2);
+
         // A source may use the registry: it runs outside the lock.
         let weak = Arc::downgrade(&reg);
         reg.gauge_fn("metric_count", "", move || {
@@ -527,9 +561,27 @@ mod tests {
         assert!(reg.render_prometheus().contains("metric_count 0"));
     }
 
+    const COUNTER: fn(&Registry) = |r| drop(r.counter("x", ""));
+    const COUNTER_FN: fn(&Registry) = |r| r.counter_fn("x", "", || 1);
+    const GAUGE_FN: fn(&Registry) = |r| r.gauge_fn("x", "", || 1);
+
+    /// Register `first`, then `second` under the same name: the second
+    /// panics, naming the kind the name holds.
+    fn assert_clash(first: fn(&Registry), second: fn(&Registry), held: &str) {
+        let reg = Registry::new();
+        first(&reg);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| second(&reg)))
+            .expect_err("a clashing registration panics");
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        let expected = format!("already registered as a {held}");
+        // Not echoing `message`: the caller's `should_panic` reads this text.
+        assert!(message.contains(&expected), "the clash names a {held}");
+    }
+
     #[test]
     #[should_panic(expected = "already registered as a gauge")]
     fn gauge_source_clashing_with_a_push_gauge_panics() {
+        assert_clash(COUNTER, COUNTER_FN, "counter");
         let reg = Registry::new();
         reg.gauge("x", "");
         reg.gauge_fn("x", "", || 1);
@@ -538,6 +590,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "already registered as a scrape-time gauge")]
     fn push_gauge_clashing_with_a_gauge_source_panics() {
+        assert_clash(COUNTER_FN, COUNTER, "scrape-time counter");
+        assert_clash(COUNTER_FN, GAUGE_FN, "scrape-time counter");
         let reg = Registry::new();
         reg.gauge_fn("x", "", || 1);
         reg.gauge("x", "");

@@ -26,16 +26,16 @@
 //! Observability: each worker tags its thread with the running job's
 //! tenant (see [`crate::recorder::set_thread_tenant`]) so the flight
 //! recorder attributes engine jobs to tenants, and an optional
-//! [`Registry`] gets `sparkscore_service_*` counters and gauges.
+//! [`Registry`] gets `sparkscore_service_*` counters and gauges, read from
+//! the admission queue when the registry renders.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
-use crate::metrics::{Counter, Registry};
+use crate::metrics::Registry;
 use crate::recorder::set_thread_tenant;
 
 /// Pass advance for a weight-1 tenant; a tenant of weight `w` advances
@@ -95,27 +95,19 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// Lifecycle of one service job. `Completed`, `Failed`, `Cancelled`, and
-/// `TimedOut` are terminal.
+/// Lifecycle of one service job: every admitted job is dispatched, and
+/// `Completed` and `Failed` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     Queued,
     Running,
     Completed,
     Failed,
-    Cancelled,
-    /// Expired at its wall-clock queue deadline before a worker picked it
-    /// (see [`JobService::submit_with_deadline`]). Running jobs are never
-    /// killed — a deadline bounds time *to dispatch*, not execution.
-    TimedOut,
 }
 
 impl JobState {
     fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Completed | JobState::Failed | JobState::Cancelled | JobState::TimedOut
-        )
+        matches!(self, JobState::Completed | JobState::Failed)
     }
 
     pub fn name(self) -> &'static str {
@@ -124,8 +116,6 @@ impl JobState {
             JobState::Running => "running",
             JobState::Completed => "completed",
             JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-            JobState::TimedOut => "timed_out",
         }
     }
 }
@@ -145,8 +135,6 @@ pub struct QueueStats {
     pub completed: u64,
     /// Dispatched jobs that finished in error (or panicked).
     pub failed: u64,
-    /// Queued jobs removed before dispatch.
-    pub cancelled: u64,
 }
 
 #[derive(Debug)]
@@ -194,8 +182,13 @@ impl AdmissionQueue {
     }
 
     /// Register (or reconfigure) a tenant. Reconfiguring keeps its queue
-    /// and counters.
+    /// and counters. `max_running` is clamped to ≥ 1: a tenant that may run
+    /// nothing would hold its admitted jobs, and a drain, forever.
     pub fn register_tenant(&mut self, name: &str, config: TenantConfig) {
+        let config = TenantConfig {
+            max_running: config.max_running.max(1),
+            ..config
+        };
         self.tenants
             .entry(name.to_string())
             .and_modify(|t| t.config = config)
@@ -296,22 +289,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Remove a still-queued job. `false` if it is not queued for
-    /// `tenant` (already dispatched, cancelled, or never admitted).
-    pub fn cancel(&mut self, tenant: &str, job: u64) -> bool {
-        let Some(t) = self.tenants.get_mut(tenant) else {
-            return false;
-        };
-        let Some(i) = t.queue.iter().position(|&j| j == job) else {
-            return false;
-        };
-        t.queue.remove(i);
-        t.stats.cancelled += 1;
-        self.stats.cancelled += 1;
-        self.queued_total -= 1;
-        true
-    }
-
     fn capacity(&self) -> usize {
         self.capacity
     }
@@ -354,12 +331,12 @@ impl AdmissionQueue {
     }
 
     /// The accounting invariant: globally and per tenant,
-    /// `submitted = queued + dispatched + cancelled` and
+    /// `submitted = queued + dispatched` and
     /// `dispatched = running + completed + failed` — no job is ever lost
     /// or double-counted across any interleaving.
     pub fn conserved(&self) -> bool {
         let conserves = |s: &QueueStats, queued: usize, running: usize| {
-            s.submitted == queued as u64 + s.dispatched + s.cancelled
+            s.submitted == queued as u64 + s.dispatched
                 && s.dispatched == running as u64 + s.completed + s.failed
         };
         if !conserves(&self.stats, self.queued_total, self.running_total) {
@@ -416,8 +393,6 @@ pub struct JobInfo {
 pub enum ShutdownMode {
     /// Run everything already admitted, then stop.
     Drain,
-    /// Cancel queued jobs; only jobs already running finish.
-    Abort,
 }
 
 /// Service tunables beyond the per-tenant quotas.
@@ -454,74 +429,64 @@ struct JobRecord {
     error: Option<String>,
 }
 
-struct ServiceMetrics {
-    submitted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    completed: Arc<Counter>,
-    failed: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    timed_out: Arc<Counter>,
-}
-
-impl ServiceMetrics {
-    fn new(registry: &Registry) -> Self {
-        ServiceMetrics {
-            submitted: registry.counter(
-                "sparkscore_service_submitted_total",
-                "Jobs admitted to the service queue",
-            ),
-            rejected: registry.counter(
-                "sparkscore_service_rejected_total",
-                "Submissions refused by admission control",
-            ),
-            completed: registry.counter(
-                "sparkscore_service_completed_total",
-                "Service jobs finished successfully",
-            ),
-            failed: registry.counter(
-                "sparkscore_service_failed_total",
-                "Service jobs finished in error",
-            ),
-            cancelled: registry.counter(
-                "sparkscore_service_cancelled_total",
-                "Queued service jobs cancelled before dispatch",
-            ),
-            timed_out: registry.counter(
-                "sparkscore_service_timed_out_total",
-                "Queued service jobs expired at their wall-clock deadline",
-            ),
+/// Register the service's series in `registry`, each read from the
+/// admission queue when the registry renders: its four flow counters and
+/// three gauges. They hold a `Weak` handle: the service holds the engine,
+/// which may own the registry.
+fn register_series(shared: &Arc<Shared>, registry: &Registry) {
+    let source = |read: fn(&AdmissionQueue) -> u64| {
+        let shared = Arc::downgrade(shared);
+        move || {
+            shared
+                .upgrade()
+                .map_or(0, |s| read(&s.state.lock().expect("service lock").queue))
         }
+    };
+    let counters: [(&str, &str, fn(&AdmissionQueue) -> u64); 4] = [
+        (
+            "sparkscore_service_submitted_total",
+            "Jobs admitted to the service queue",
+            |q| q.stats.submitted,
+        ),
+        (
+            "sparkscore_service_rejected_total",
+            "Submissions refused by admission control",
+            |q| q.stats.rejected,
+        ),
+        (
+            "sparkscore_service_completed_total",
+            "Service jobs finished successfully",
+            |q| q.stats.completed,
+        ),
+        (
+            "sparkscore_service_failed_total",
+            "Service jobs finished in error",
+            |q| q.stats.failed,
+        ),
+    ];
+    for (name, help, read) in counters {
+        registry.counter_fn(name, help, source(read));
     }
-}
-
-/// Register the service's gauges in `registry`, each read from the
-/// admission queue when the registry renders. They hold a `Weak` handle:
-/// the service holds the engine, which may own the registry.
-fn register_gauges(shared: &Arc<Shared>, registry: &Registry) {
-    let gauges: [(&str, &str, fn(&AdmissionQueue) -> usize); 3] = [
+    let gauges: [(&str, &str, fn(&AdmissionQueue) -> u64); 3] = [
         (
             "sparkscore_service_queue_depth",
             "Jobs currently queued service-wide",
-            AdmissionQueue::queued_total,
+            |q| q.queued_total as u64,
         ),
         (
             "sparkscore_service_running_jobs",
             "Service jobs currently running",
-            AdmissionQueue::running_total,
+            |q| q.running_total as u64,
         ),
         (
             "sparkscore_service_tenants",
             "Tenants registered with the job service",
-            |q| q.tenants.len(),
+            |q| q.tenants.len() as u64,
         ),
     ];
     for (name, help, read) in gauges {
-        let shared = Arc::downgrade(shared);
-        registry.gauge_fn(name, help, move || {
-            shared.upgrade().map_or(0, |s| {
-                read(&s.state.lock().expect("service lock").queue) as i64
-            })
-        });
+        let value = source(read);
+        registry.gauge_fn(name, help, move || value() as i64);
     }
 }
 
@@ -529,40 +494,30 @@ struct ServiceState {
     queue: AdmissionQueue,
     jobs: BTreeMap<u64, JobRecord>,
     payloads: BTreeMap<u64, Payload>,
-    /// Wall-clock dispatch deadlines of still-queued jobs; a worker
-    /// expires entries whose instant has passed before its next pick.
-    deadlines: BTreeMap<u64, Instant>,
     paused: bool,
-    shutdown: Option<ShutdownMode>,
+    /// Set by [`JobService::shutdown`]: refuse submissions, and stop each
+    /// worker once nothing is queued.
+    shutting_down: bool,
     /// Ids of dispatched jobs in the order they reached a terminal
     /// state — with one worker this is the deterministic replay record.
-    completion_order: Vec<u64>,
+    /// Every terminal job was dispatched, so this is also the terminal
+    /// history: past `terminal_history`, the oldest record is pruned.
+    completion_order: VecDeque<u64>,
     terminal_history: usize,
-    terminal_count: usize,
 }
 
 impl ServiceState {
-    /// Move `job` to a terminal state and prune old terminal records past
-    /// the history bound.
+    /// Move the dispatched `job` to its terminal state and prune the
+    /// oldest terminal record past the history bound.
     fn finish_job(&mut self, job: u64, state: JobState, error: Option<String>) {
         if let Some(rec) = self.jobs.get_mut(&job) {
             rec.state = state;
             rec.error = error;
         }
-        self.terminal_count += 1;
-        if self.terminal_count > self.terminal_history {
-            let victim = self
-                .jobs
-                .iter()
-                .find(|(_, r)| r.state.is_terminal())
-                .map(|(&id, _)| id);
-            if let Some(id) = victim {
-                self.jobs.remove(&id);
-                self.terminal_count -= 1;
-            }
-            if self.completion_order.len() > self.terminal_history {
-                let excess = self.completion_order.len() - self.terminal_history;
-                self.completion_order.drain(..excess);
+        self.completion_order.push_back(job);
+        if self.completion_order.len() > self.terminal_history {
+            if let Some(oldest) = self.completion_order.pop_front() {
+                self.jobs.remove(&oldest);
             }
         }
     }
@@ -576,7 +531,6 @@ struct Shared {
     work: Condvar,
     /// Signalled on every terminal transition.
     done: Condvar,
-    metrics: Option<ServiceMetrics>,
 }
 
 /// Configures and starts a [`JobService`].
@@ -631,26 +585,22 @@ impl JobServiceBuilder {
         for (name, cfg) in &self.tenants {
             queue.register_tenant(name, *cfg);
         }
-        let metrics = self.registry.as_ref().map(|r| ServiceMetrics::new(r));
         let shared = Arc::new(Shared {
             engine: self.engine,
             state: Mutex::new(ServiceState {
                 queue,
                 jobs: BTreeMap::new(),
                 payloads: BTreeMap::new(),
-                deadlines: BTreeMap::new(),
                 paused: self.start_paused,
-                shutdown: None,
-                completion_order: Vec::new(),
+                shutting_down: false,
+                completion_order: VecDeque::new(),
                 terminal_history: self.config.terminal_history,
-                terminal_count: 0,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
-            metrics,
         });
         if let Some(registry) = &self.registry {
-            register_gauges(&shared, registry);
+            register_series(&shared, registry);
         }
         let workers = (0..self.config.workers.max(1))
             .map(|i| {
@@ -674,68 +624,17 @@ pub struct JobService {
     workers: Mutex<Option<Vec<JoinHandle<()>>>>,
 }
 
-/// Expire still-queued jobs whose wall-clock deadline has passed:
-/// admission-queue bookkeeping via `cancel` (conservation holds), a
-/// typed [`JobState::TimedOut`] terminal record, and the service metric.
-/// Returns whether anything expired (waiters need a `done` signal).
-fn expire_deadlines(shared: &Shared, st: &mut ServiceState) -> bool {
-    let now = Instant::now();
-    let expired: Vec<u64> = st
-        .deadlines
-        .iter()
-        .filter(|(_, &d)| d <= now)
-        .map(|(&j, _)| j)
-        .collect();
-    let mut any = false;
-    for job in expired {
-        st.deadlines.remove(&job);
-        let Some(tenant) = st
-            .jobs
-            .get(&job)
-            .filter(|r| r.state == JobState::Queued)
-            .map(|r| r.tenant.clone())
-        else {
-            continue;
-        };
-        if st.queue.cancel(&tenant, job) {
-            st.payloads.remove(&job);
-            st.finish_job(
-                job,
-                JobState::TimedOut,
-                Some("queue deadline exceeded".to_string()),
-            );
-            if let Some(m) = &shared.metrics {
-                m.timed_out.inc();
-            }
-            any = true;
-        }
-    }
-    any
-}
-
 fn worker_loop(shared: &Shared) {
     loop {
         let (tenant, job, payload) = {
             let mut st = shared.state.lock().expect("service lock");
             loop {
-                // Deadlines expire on wall time regardless of pause or
-                // drain state — a paused service still times jobs out.
-                if expire_deadlines(shared, &mut st) {
-                    shared.done.notify_all();
-                }
-                if let Some(mode) = st.shutdown {
-                    let done = match mode {
-                        ShutdownMode::Abort => true,
-                        ShutdownMode::Drain => st.queue.queued_total() == 0,
-                    };
-                    if done {
-                        return;
-                    }
-                    // Drain with queued work: keep dispatching below.
+                // A drain stops once nothing is left to dispatch.
+                if st.shutting_down && st.queue.queued_total() == 0 {
+                    return;
                 }
                 if !st.paused {
                     if let Some((tenant, job)) = st.queue.pick() {
-                        st.deadlines.remove(&job);
                         let payload = st.payloads.remove(&job).expect("picked job has a payload");
                         if let Some(rec) = st.jobs.get_mut(&job) {
                             rec.state = JobState::Running;
@@ -743,19 +642,7 @@ fn worker_loop(shared: &Shared) {
                         break (tenant, job, payload);
                     }
                 }
-                // Sleep until woken — or until the earliest pending
-                // deadline, so expiry needs no external nudge.
-                match st.deadlines.values().min().copied() {
-                    Some(earliest) => {
-                        let timeout = earliest.saturating_duration_since(Instant::now());
-                        let (guard, _) = shared
-                            .work
-                            .wait_timeout(st, timeout.max(Duration::from_micros(50)))
-                            .expect("service lock");
-                        st = guard;
-                    }
-                    None => st = shared.work.wait(st).expect("service lock"),
-                }
+                st = shared.work.wait(st).expect("service lock");
             }
         };
         // Tag the thread so every engine event this job emits (the event
@@ -764,27 +651,14 @@ fn worker_loop(shared: &Shared) {
         set_thread_tenant(Some(&tenant));
         let outcome = catch_unwind(AssertUnwindSafe(|| payload(&shared.engine)));
         set_thread_tenant(None);
-        let (failed, error) = match outcome {
-            Ok(Ok(())) => (false, None),
-            Ok(Err(msg)) => (true, Some(msg)),
-            Err(panic) => (true, Some(panic_message(&*panic))),
+        let (state, error) = match outcome {
+            Ok(Ok(())) => (JobState::Completed, None),
+            Ok(Err(msg)) => (JobState::Failed, Some(msg)),
+            Err(panic) => (JobState::Failed, Some(panic_message(&*panic))),
         };
         let mut st = shared.state.lock().expect("service lock");
-        st.queue.finish(&tenant, failed);
-        let state = if failed {
-            JobState::Failed
-        } else {
-            JobState::Completed
-        };
+        st.queue.finish(&tenant, state == JobState::Failed);
         st.finish_job(job, state, error);
-        st.completion_order.push(job);
-        if let Some(m) = &shared.metrics {
-            if failed {
-                m.failed.inc();
-            } else {
-                m.completed.inc();
-            }
-        }
         drop(st);
         // A completion can free per-tenant running quota, or satisfy a
         // drain: wake both sides.
@@ -825,91 +699,24 @@ impl JobService {
         tenant: &str,
         payload: impl FnOnce(&Arc<Engine>) -> JobResult + Send + 'static,
     ) -> Result<u64, RejectReason> {
-        self.submit_inner(tenant, None, Box::new(payload))
-    }
-
-    /// Submit one job that must be *dispatched* within `deadline` of
-    /// submission: if no worker picks it up in time (backlog, pause, or
-    /// drain), it expires into the terminal [`JobState::TimedOut`] instead
-    /// of running stale. A job already running when the instant passes is
-    /// unaffected — deadlines bound queue latency, not execution time.
-    pub fn submit_with_deadline(
-        &self,
-        tenant: &str,
-        deadline: Duration,
-        payload: impl FnOnce(&Arc<Engine>) -> JobResult + Send + 'static,
-    ) -> Result<u64, RejectReason> {
-        self.submit_inner(tenant, Some(deadline), Box::new(payload))
-    }
-
-    fn submit_inner(
-        &self,
-        tenant: &str,
-        deadline: Option<Duration>,
-        payload: Payload,
-    ) -> Result<u64, RejectReason> {
-        let deadline = deadline.map(|d| Instant::now() + d);
         let mut st = self.shared.state.lock().expect("service lock");
-        if st.shutdown.is_some() {
+        if st.shutting_down {
             st.queue.reject(tenant);
-            if let Some(m) = &self.shared.metrics {
-                m.rejected.inc();
-            }
             return Err(RejectReason::ShuttingDown);
         }
-        let outcome = st.queue.submit(tenant);
-        match &outcome {
-            Ok(job) => {
-                st.jobs.insert(
-                    *job,
-                    JobRecord {
-                        tenant: tenant.to_string(),
-                        state: JobState::Queued,
-                        error: None,
-                    },
-                );
-                st.payloads.insert(*job, payload);
-                if let Some(d) = deadline {
-                    st.deadlines.insert(*job, d);
-                }
-                if let Some(m) = &self.shared.metrics {
-                    m.submitted.inc();
-                }
-                drop(st);
-                self.shared.work.notify_all();
-            }
-            Err(_) => {
-                if let Some(m) = &self.shared.metrics {
-                    m.rejected.inc();
-                }
-            }
-        }
-        outcome
-    }
-
-    /// Cancel a still-queued job. `false` once it is running or terminal.
-    pub fn cancel(&self, job: u64) -> bool {
-        let mut st = self.shared.state.lock().expect("service lock");
-        let Some(tenant) = st
-            .jobs
-            .get(&job)
-            .filter(|r| r.state == JobState::Queued)
-            .map(|r| r.tenant.clone())
-        else {
-            return false;
-        };
-        if !st.queue.cancel(&tenant, job) {
-            return false;
-        }
-        st.payloads.remove(&job);
-        st.deadlines.remove(&job);
-        st.finish_job(job, JobState::Cancelled, None);
-        if let Some(m) = &self.shared.metrics {
-            m.cancelled.inc();
-        }
+        let job = st.queue.submit(tenant)?;
+        st.jobs.insert(
+            job,
+            JobRecord {
+                tenant: tenant.to_string(),
+                state: JobState::Queued,
+                error: None,
+            },
+        );
+        st.payloads.insert(job, Box::new(payload));
         drop(st);
-        self.shared.done.notify_all();
-        true
+        self.shared.work.notify_all();
+        Ok(job)
     }
 
     /// Resume dispatching.
@@ -940,37 +747,16 @@ impl JobService {
         }
     }
 
-    /// Stop the service: refuse new submissions, handle queued jobs per
-    /// `mode`, and join every worker. Idempotent (later calls keep the
-    /// first mode).
-    pub fn shutdown(&self, mode: ShutdownMode) {
+    /// Stop the service: refuse new submissions, run every job already
+    /// admitted ([`ShutdownMode::Drain`], the one mode), and join every
+    /// worker. Idempotent.
+    pub fn shutdown(&self, _mode: ShutdownMode) {
         {
             let mut st = self.shared.state.lock().expect("service lock");
-            if st.shutdown.is_none() {
-                st.shutdown = Some(mode);
-            }
+            st.shutting_down = true;
             st.paused = false;
-            if st.shutdown == Some(ShutdownMode::Abort) {
-                let queued: Vec<(String, u64)> = st
-                    .jobs
-                    .iter()
-                    .filter(|(_, r)| r.state == JobState::Queued)
-                    .map(|(&id, r)| (r.tenant.clone(), id))
-                    .collect();
-                for (tenant, job) in queued {
-                    if st.queue.cancel(&tenant, job) {
-                        st.payloads.remove(&job);
-                        st.deadlines.remove(&job);
-                        st.finish_job(job, JobState::Cancelled, None);
-                        if let Some(m) = &self.shared.metrics {
-                            m.cancelled.inc();
-                        }
-                    }
-                }
-            }
         }
         self.shared.work.notify_all();
-        self.shared.done.notify_all();
         let handles = self.workers.lock().expect("worker handles").take();
         if let Some(handles) = handles {
             for h in handles {
@@ -1002,14 +788,10 @@ impl JobService {
     }
 
     /// Dispatched job ids in terminal order — the deterministic replay
-    /// record under a single worker.
+    /// record under a single worker — for the retained terminal history.
     pub fn completion_order(&self) -> Vec<u64> {
-        self.shared
-            .state
-            .lock()
-            .expect("service lock")
-            .completion_order
-            .clone()
+        let st = self.shared.state.lock().expect("service lock");
+        st.completion_order.iter().copied().collect()
     }
 
     /// Service-wide status snapshot.
@@ -1020,7 +802,7 @@ impl JobService {
             queued: st.queue.queued_total(),
             running: st.queue.running_total(),
             paused: st.paused,
-            shutting_down: st.shutdown.is_some(),
+            shutting_down: st.shutting_down,
             stats: st.queue.stats(),
         }
     }
@@ -1175,22 +957,6 @@ mod tests {
             max_consecutive <= 2,
             "late joiner monopolized the queue: {max_consecutive} consecutive picks"
         );
-    }
-
-    #[test]
-    fn cancel_removes_only_queued_jobs() {
-        let cfg = TenantConfig::default();
-        let mut q = queue_with(&[("a", cfg)], 16);
-        let j0 = q.submit("a").unwrap();
-        let j1 = q.submit("a").unwrap();
-        assert!(q.cancel("a", j1));
-        assert!(!q.cancel("a", j1), "already cancelled");
-        let (_, picked) = q.pick().unwrap();
-        assert_eq!(picked, j0);
-        assert!(!q.cancel("a", j0), "running jobs cannot be cancelled");
-        q.finish("a", false);
-        assert_eq!(q.stats().cancelled, 1);
-        assert!(q.conserved());
     }
 
     #[test]

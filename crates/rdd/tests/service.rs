@@ -115,31 +115,67 @@ fn completion_interleaving_is_weight_proportional() {
 
 #[test]
 fn drain_shutdown_finishes_queued_jobs_abort_cancels_them() {
-    for (mode, queued_end) in [
-        (ShutdownMode::Drain, JobState::Completed),
-        (ShutdownMode::Abort, JobState::Cancelled),
-    ] {
-        let service = JobService::builder(engine())
-            .workers(1)
-            .start_paused()
-            .tenant("a", quota(1))
-            .build();
-        let jobs: Vec<u64> = (0..8)
-            .map(|_| service.submit("a", |_| Ok(())).unwrap())
-            .collect();
-        service.shutdown(mode);
-        for &job in &jobs {
-            assert_eq!(service.job_state(job), Some(queued_end), "{mode:?}");
-        }
-        let status = service.queue_status();
-        assert_eq!(status.queued, 0);
-        assert_eq!(status.running, 0);
-        assert!(status.shutting_down);
-        assert_eq!(
-            service.submit("a", |_| Ok(())),
-            Err(RejectReason::ShuttingDown)
-        );
+    let service = JobService::builder(engine())
+        .workers(1)
+        .start_paused()
+        .tenant("a", quota(1))
+        .build();
+    let jobs: Vec<u64> = (0..8)
+        .map(|_| service.submit("a", |_| Ok(())).unwrap())
+        .collect();
+    service.shutdown(ShutdownMode::Drain);
+    for &job in &jobs {
+        assert_eq!(service.job_state(job), Some(JobState::Completed));
     }
+    let status = service.queue_status();
+    assert_eq!(status.queued, 0);
+    assert_eq!(status.running, 0);
+    assert!(status.shutting_down);
+    assert_eq!(
+        service.submit("a", |_| Ok(())),
+        Err(RejectReason::ShuttingDown)
+    );
+}
+
+/// A tenant configured to run nothing runs one job at a time.
+const NO_RUNNING: TenantConfig = TenantConfig {
+    max_queued: 4,
+    max_running: 0,
+    weight: 1,
+};
+
+#[test]
+fn a_tenant_allowed_no_running_jobs_still_has_its_job_picked() {
+    let mut q = AdmissionQueue::new(16);
+    q.register_tenant("a", NO_RUNNING);
+    let first = q.submit("a").unwrap();
+    let second = q.submit("a").unwrap();
+    assert_eq!(q.pick(), Some(("a".to_string(), first)));
+    assert_eq!(q.pick(), None, "one job runs at a time");
+    q.finish("a", false);
+    assert_eq!(q.pick(), Some(("a".to_string(), second)));
+}
+
+#[test]
+fn drain_shutdown_runs_the_job_of_a_tenant_allowed_no_running_jobs() {
+    let service = JobService::builder(engine())
+        .workers(1)
+        .tenant("a", NO_RUNNING)
+        .build();
+    let job = service.submit("a", |_| Ok(())).unwrap();
+    // Shut down on a helper thread, so a service that never dispatches
+    // the job fails this test instead of hanging it.
+    let (sent, finished) = std::sync::mpsc::channel();
+    let handle = Arc::clone(&service);
+    let helper = std::thread::spawn(move || {
+        handle.shutdown(ShutdownMode::Drain);
+        let _ = sent.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("shutdown(Drain) returns");
+    helper.join().expect("shutdown thread");
+    assert_eq!(service.job_state(job), Some(JobState::Completed));
 }
 
 #[test]
@@ -179,9 +215,9 @@ fn registry_exports_service_flow_counters() {
     let j0 = service.submit("a", |_| Ok(())).unwrap();
     let j1 = service.submit("a", |_| Ok(())).unwrap();
     assert!(service.submit("a", |_| Ok(())).is_err(), "queue full");
-    assert!(service.cancel(j1));
     service.resume();
     assert_eq!(service.wait(j0), Some(JobState::Completed));
+    assert_eq!(service.wait(j1), Some(JobState::Completed));
     let text = registry.render_prometheus();
     assert!(
         text.contains("sparkscore_service_submitted_total 2"),
@@ -192,115 +228,33 @@ fn registry_exports_service_flow_counters() {
         "{text}"
     );
     assert!(
-        text.contains("sparkscore_service_completed_total 1"),
-        "{text}"
-    );
-    assert!(
-        text.contains("sparkscore_service_cancelled_total 1"),
+        text.contains("sparkscore_service_completed_total 2"),
         "{text}"
     );
     assert!(text.contains("sparkscore_service_queue_depth 0"), "{text}");
     assert!(text.contains("sparkscore_service_running_jobs 0"), "{text}");
     assert!(text.contains("sparkscore_service_tenants 1"), "{text}");
-    service.shutdown(ShutdownMode::Drain);
-}
 
-#[test]
-fn zero_deadline_times_out_deterministically_while_paused() {
-    // Deterministic protocol: with dispatch paused, a zero deadline has
-    // already passed at submission, so the worker must expire the job —
-    // typed terminal state, no execution — while an undeadlined job from
-    // the same batch still runs to completion after resume.
-    let registry = Arc::new(Registry::new());
-    let service = JobService::builder(engine())
-        .workers(1)
-        .start_paused()
-        .tenant("a", quota(1))
-        .registry(Arc::clone(&registry))
-        .build();
-    let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let ran_flag = Arc::clone(&ran);
-    let doomed = service
-        .submit_with_deadline("a", std::time::Duration::ZERO, move |_| {
-            ran_flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            Ok(())
-        })
-        .unwrap();
-    let survivor = service.submit("a", |_| Ok(())).unwrap();
-    assert_eq!(service.wait(doomed), Some(JobState::TimedOut));
-    assert!(
-        !ran.load(std::sync::atomic::Ordering::SeqCst),
-        "a timed-out payload must never run"
-    );
+    // The counters are the queue's own books, read at scrape.
     assert_eq!(
-        service.job_error(doomed).as_deref(),
-        Some("queue deadline exceeded")
+        service.submit("nobody", |_| Ok(())),
+        Err(RejectReason::UnknownTenant)
     );
-    service.resume();
-    assert_eq!(service.wait(survivor), Some(JobState::Completed));
-    let stats = service.queue_status().stats;
-    assert_eq!(stats.cancelled, 1, "timeout uses cancel bookkeeping");
-    assert_eq!(stats.completed, 1);
+    let failing = service.submit("a", |_| Err("deliberate".into())).unwrap();
+    assert_eq!(service.wait(failing), Some(JobState::Failed));
     let text = registry.render_prometheus();
-    assert!(
-        text.contains("sparkscore_service_timed_out_total 1"),
-        "{text}"
-    );
-    service.shutdown(ShutdownMode::Drain);
-}
-
-#[test]
-fn generous_deadline_does_not_time_out() {
-    let service = JobService::builder(engine())
-        .workers(1)
-        .tenant("a", quota(1))
-        .build();
-    let job = service
-        .submit_with_deadline("a", std::time::Duration::from_secs(300), |_| Ok(()))
-        .unwrap();
-    assert_eq!(service.wait(job), Some(JobState::Completed));
-    assert_eq!(service.queue_status().stats.cancelled, 0);
-    service.shutdown(ShutdownMode::Drain);
-}
-
-#[test]
-fn deadline_expires_while_blocked_behind_a_running_job() {
-    // max_running 1: a long job holds the tenant's running quota while a
-    // short-deadline job waits in the queue, never pickable. The idle
-    // worker must wake itself at the deadline (no external submit/resume
-    // nudge) and expire the queued job.
-    let service = JobService::builder(engine())
-        .workers(2)
-        .tenant("a", quota(1))
-        .build();
-    let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-    let gate_job = Arc::clone(&gate);
-    let blocker = service
-        .submit("a", move |_| {
-            let (lock, cv) = &*gate_job;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            Ok(())
-        })
-        .unwrap();
-    // Wait until the blocker is actually running so the deadline job is
-    // genuinely queued behind it.
-    while service.job_state(blocker) != Some(JobState::Running) {
-        std::thread::yield_now();
+    let stats = service.queue_status().stats;
+    for (series, value) in [
+        ("submitted", stats.submitted),
+        ("rejected", stats.rejected),
+        ("completed", stats.completed),
+        ("failed", stats.failed),
+    ] {
+        let series = format!("sparkscore_service_{series}_total");
+        assert!(text.contains(&format!("# TYPE {series} counter")), "{text}");
+        assert!(text.contains(&format!("\n{series} {value}\n")), "{text}");
     }
-    let doomed = service
-        .submit_with_deadline("a", std::time::Duration::from_millis(20), |_| Ok(()))
-        .unwrap();
-    assert_eq!(service.wait(doomed), Some(JobState::TimedOut));
-    assert_eq!(service.job_state(blocker), Some(JobState::Running));
-    {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-    }
-    assert_eq!(service.wait(blocker), Some(JobState::Completed));
+    assert_eq!((stats.rejected, stats.failed), (2, 1));
     service.shutdown(ShutdownMode::Drain);
 }
 
@@ -405,12 +359,12 @@ const PROP_TENANTS: [&str; 3] = ["a", "b", "c"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary submit/pick/finish/cancel interleavings preserve the
+    /// Arbitrary submit/pick/finish interleavings preserve the
     /// accounting invariant, FIFO order within every tenant, and the
     /// per-tenant running quota.
     #[test]
     fn prop_interleavings_conserve_accounting(
-        ops in proptest::collection::vec((0u8..4, 0usize..3, 0usize..4), 1..120),
+        ops in proptest::collection::vec((0u8..3, 0usize..3, 0usize..4), 1..120),
         capacity in 1usize..12,
         max_queued in 1usize..6,
         max_running in 1usize..3,
@@ -459,23 +413,12 @@ proptest! {
                         None => prop_assert!(!eligible, "eligible tenant starved by pick"),
                     }
                 }
-                2 => {
+                _ => {
                     // Finish a running job of some tenant, if any.
                     if model_running[tenant_idx] > 0 {
                         q.finish(tenant, pick_idx % 2 == 0);
                         model_running[tenant_idx] -= 1;
                     }
-                }
-                _ => {
-                    // Cancel an arbitrary queued job of the tenant.
-                    if let Some(&job) = model_queue[tenant_idx]
-                        .get(pick_idx.min(model_queue[tenant_idx].len().saturating_sub(1)))
-                    {
-                        prop_assert!(q.cancel(tenant, job));
-                        model_queue[tenant_idx].retain(|&j| j != job);
-                    }
-                    // Cancelling something never queued must be a no-op.
-                    prop_assert!(!q.cancel(tenant, u64::MAX));
                 }
             }
             prop_assert!(q.conserved(), "conservation broken after op {:?}", kind);

@@ -103,7 +103,7 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators, live gauges read at scrape =="
+echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators, live gauges and service counters read at scrape =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started
 # hand-threading a counter again.
@@ -135,6 +135,15 @@ fi
 # is a second, staler copy coming back.
 if grep -rnwE 'PoolProfiler|ProfilerBuilder|PoolSnapshot|note_current_span|participant_span' crates examples; then
     echo "a sampling profiler is back beside the scrape-time gauges (see matches above)" >&2
+    exit 1
+fi
+# The job service's flow counts live in its admission queue (`QueueStats`) and
+# are read from it when the registry renders (`Registry::counter_fn`). A metric
+# the service pushes is a second set of books coming back; a queue deadline
+# brings back the worker's timed wait, which a replayed schedule cannot replay.
+if grep -nE '\.(counter|gauge)\(|\b(ServiceMetrics|submit_with_deadline|wait_timeout)\b' \
+    crates/rdd/src/service.rs; then
+    echo "the job service pushes a metric or waits on a clock (see matches above)" >&2
     exit 1
 fi
 # Virtual time has one definition, counted work at the fixed rates of
@@ -270,6 +279,8 @@ done
 svc_metrics="$(svc_scrape metrics)"
 grep -q '^sparkscore_service_submitted_total ' <<< "$svc_metrics" \
     || { echo "service smoke: metrics scrape missing service counters" >&2; kill "$svc_pid"; exit 1; }
+grep -q '^# TYPE sparkscore_service_submitted_total counter$' <<< "$svc_metrics" \
+    || { echo "service smoke: service counters not typed counter" >&2; kill "$svc_pid"; exit 1; }
 grep -q '^sparkscore_gemm_tile_hits_total ' <<< "$svc_metrics" \
     || { echo "service smoke: metrics scrape missing tile-cache counters" >&2; kill "$svc_pid"; exit 1; }
 grep -q '^sparkscore_mem_block_cache_used_bytes ' <<< "$svc_metrics" \
