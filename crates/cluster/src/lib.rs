@@ -35,7 +35,7 @@ pub mod vtime;
 
 pub use fault::{FaultEvent, FaultPlan};
 pub use instance::{InstanceType, M3_2XLARGE};
-pub use pricing::{estimate_cost, on_demand_hourly_usd, CostEstimate};
+pub use pricing::{estimate_cost, CostEstimate};
 pub use resource::{ContainerRequest, ExecutorLayout, ResourceError, ResourceManager};
 pub use topology::{Cluster, ClusterSpec, Node, NodeId};
 pub use vtime::{ScheduledTask, VirtualClock, VirtualScheduler, VirtualTask};

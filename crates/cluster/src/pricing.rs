@@ -13,7 +13,7 @@ use crate::topology::ClusterSpec;
 
 /// On-demand hourly price (USD) for an instance type, 2016 us-east-1
 /// rates contemporaneous with the paper.
-pub fn on_demand_hourly_usd(instance: &InstanceType) -> f64 {
+fn on_demand_hourly_usd(instance: &InstanceType) -> f64 {
     match instance.name {
         "m3.2xlarge" => 0.532,
         // Anything else is priced by compute capacity relative to

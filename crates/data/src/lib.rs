@@ -10,15 +10,9 @@
 pub mod config;
 pub mod io;
 pub mod packed;
-pub mod regions;
 pub mod synth;
-pub mod vcf;
 
 pub use config::{SyntheticConfig, WeightScheme};
 pub use io::{write_dataset_to_dfs, DatasetPaths};
 pub use packed::GenotypeBlock;
-pub use regions::{snp_sets_from_genes, GeneRegion, SnpLocus};
 pub use synth::{GwasDataset, SnpRow};
-pub use vcf::{
-    parse_vcf, to_analysis_inputs, write_vcf, write_vcf_block, VcfData, VcfError, VcfRecord,
-};

@@ -194,7 +194,8 @@ impl GenotypeBlock {
     }
 
     #[inline]
-    pub(crate) fn num_patients(&self) -> usize {
+    #[cfg(test)]
+    fn num_patients(&self) -> usize {
         self.num_patients
     }
 
@@ -255,8 +256,9 @@ impl GenotypeBlock {
 
     /// Visit every `(snp_id, unpacked dosages)` row through one
     /// caller-provided buffer of length `num_patients` — no allocation
-    /// per row, for export and round-trip paths.
-    pub(crate) fn for_each_row(&self, buf: &mut [u8], mut f: impl FnMut(u64, &[u8])) {
+    /// per row; the round-trip tests read a block back with it.
+    #[cfg(test)]
+    fn for_each_row(&self, buf: &mut [u8], mut f: impl FnMut(u64, &[u8])) {
         assert_eq!(buf.len(), self.num_patients, "row buffer length mismatch");
         for c in 0..self.num_snps() {
             self.unpack_into(c, buf);

@@ -140,7 +140,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Per-stage skew diagnostics, in stage-submission order. Stages that
 /// completed no tasks are skipped.
-pub fn stage_skew(trace: &ExecutionTrace) -> Vec<StageSkew> {
+pub(crate) fn stage_skew(trace: &ExecutionTrace) -> Vec<StageSkew> {
     trace
         .stages
         .iter()

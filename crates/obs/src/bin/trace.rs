@@ -4,19 +4,14 @@
 //! trace report        <log.jsonl>   full digest: totals, critical paths, skew, cache ROI
 //! trace report --json <log.jsonl>   the same digest as deterministic JSON
 //! trace critical-path <log.jsonl>   per-job critical path only
-//! trace memory        <log.jsonl>   memory timeline: per-op residency, churn, headroom
-//! trace memory --json <log.jsonl>   the same timeline as deterministic JSON
-//! trace dot           <log.jsonl>   Graphviz DOT of the job/stage DAG
 //! trace diff          <a.jsonl> <b.jsonl>   compare two runs
 //! ```
 //!
 //! Output goes to stdout; parse/IO errors to stderr with a non-zero exit.
 
-use sparkscore_obs::{
-    critical_path_report, diff_report, report, report_json, to_dot, ExecutionTrace, MemoryTimeline,
-};
+use sparkscore_obs::{critical_path_report, diff_report, report, report_json, ExecutionTrace};
 
-const USAGE: &str = "usage: trace <report|critical-path|memory|dot> [--json] <log.jsonl>\n       trace diff <a.jsonl> <b.jsonl>";
+const USAGE: &str = "usage: trace report [--json] <log.jsonl>\n       trace critical-path <log.jsonl>\n       trace diff <a.jsonl> <b.jsonl>";
 
 fn load(path: &str) -> ExecutionTrace {
     let text = match std::fs::read_to_string(path) {
@@ -35,23 +30,6 @@ fn load(path: &str) -> ExecutionTrace {
     }
 }
 
-fn load_memory(path: &str) -> MemoryTimeline {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("trace: cannot read {path}: {err}");
-            std::process::exit(1);
-        }
-    };
-    match MemoryTimeline::parse(&text) {
-        Ok(timeline) => timeline,
-        Err(err) => {
-            eprintln!("trace: cannot parse {path}: {err}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
@@ -62,13 +40,6 @@ fn main() {
             json
         }
         ["critical-path", path] => critical_path_report(&load(path)),
-        ["memory", path] => load_memory(path).report(),
-        ["memory", "--json", path] | ["memory", path, "--json"] => {
-            let mut json = load_memory(path).to_json().to_string();
-            json.push('\n');
-            json
-        }
-        ["dot", path] => to_dot(&load(path)),
         ["diff", a, b] => diff_report(a, &load(a), b, &load(b)),
         _ => {
             eprintln!("{USAGE}");

@@ -1,10 +1,11 @@
 //! Text rendering: the `trace report` digest, the standalone
-//! critical-path view, the per-stage table, and the two-log `trace diff`.
+//! critical-path view, the per-stage table, the two-log `trace diff`,
+//! and the one-line peak-memory digest of a live ledger.
 //!
 //! All output is built from deterministic iteration orders and fixed
 //! float formatting, so a fixed input log renders byte-identical text.
 
-use sparkscore_rdd::{StageKind, TaskMetrics};
+use sparkscore_rdd::{MemReading, StageKind, TaskMetrics};
 
 use crate::analyze::{cache_roi, critical_paths, stage_skew, CacheRoi, CriticalPath};
 use crate::trace::ExecutionTrace;
@@ -24,7 +25,7 @@ pub fn fmt_ns(ns: u64) -> String {
 }
 
 /// Human-compact byte count.
-pub fn fmt_bytes(bytes: u64) -> String {
+fn fmt_bytes(bytes: u64) -> String {
     const KIB: f64 = 1024.0;
     let b = bytes as f64;
     if b >= KIB * KIB * KIB {
@@ -36,6 +37,21 @@ pub fn fmt_bytes(bytes: u64) -> String {
     } else {
         format!("{bytes}B")
     }
+}
+
+/// One-line peak-memory digest of a live ledger snapshot
+/// (`Engine::memory_snapshot`) — what the examples print on exit.
+pub fn live_digest(readings: &[MemReading]) -> String {
+    let parts: Vec<String> = readings
+        .iter()
+        .map(|r| format!("{} {}", r.category.name(), fmt_bytes(r.peak)))
+        .collect();
+    let total: u64 = readings.iter().map(|r| r.peak).sum();
+    format!(
+        "peak memory: {} (total {})",
+        parts.join(", "),
+        fmt_bytes(total)
+    )
 }
 
 fn kind_str(kind: Option<StageKind>) -> &'static str {
@@ -480,6 +496,20 @@ mod tests {
 
     fn trace() -> ExecutionTrace {
         ExecutionTrace::from_events(&sample_stream())
+    }
+
+    #[test]
+    fn live_digest_names_every_category() {
+        use sparkscore_rdd::{MemCategory, MemoryLedger};
+        let ledger = MemoryLedger::new();
+        ledger.add(MemCategory::BlockCache, 2_048);
+        ledger.add(MemCategory::ShuffleStore, 512);
+        let line = live_digest(&ledger.snapshot());
+        assert!(line.contains("block_cache 2.0KiB"), "{line}");
+        assert!(line.contains("shuffle_store 512B"), "{line}");
+        assert!(line.contains("dfs_blocks 0B"), "{line}");
+        assert!(line.contains("scratch 0B"), "{line}");
+        assert!(line.ends_with("(total 2.5KiB)"), "{line}");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! or directly from a captured event stream
 //! ([`ExecutionTrace::from_events`], e.g. a
 //! `sparkscore_rdd::MemoryEventListener` snapshot). Analyses over the
-//! trace live in [`crate::analyze`]; rendering in [`crate::report`] and
-//! [`crate::dot`].
+//! trace live in [`crate::analyze`]; rendering in [`mod@crate::report`].
 
 use std::collections::HashMap;
 
@@ -121,34 +120,6 @@ pub struct TraceJob {
     pub mono_end_ns: Option<u64>,
 }
 
-/// One per-stage memory sample (a `MemoryWatermark` event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemWatermark {
-    pub stage: u64,
-    pub block_cache_bytes: u64,
-    pub shuffle_store_bytes: u64,
-    pub dfs_blocks_bytes: u64,
-    pub scratch_bytes: u64,
-    pub cache_budget_bytes: u64,
-    pub mono_ns: u64,
-}
-
-impl MemWatermark {
-    /// Total bytes resident across all ledger categories at this sample.
-    pub(crate) fn total_bytes(&self) -> u64 {
-        self.block_cache_bytes
-            + self.shuffle_store_bytes
-            + self.dfs_blocks_bytes
-            + self.scratch_bytes
-    }
-
-    /// Cache budget minus cache residency (how much room was left).
-    pub(crate) fn cache_headroom_bytes(&self) -> u64 {
-        self.cache_budget_bytes
-            .saturating_sub(self.block_cache_bytes)
-    }
-}
-
 /// A full engine run reassembled from its event stream.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionTrace {
@@ -160,17 +131,6 @@ pub struct ExecutionTrace {
     pub evictions_pressure: u64,
     /// Cache evictions from faults/unpersist.
     pub evictions_other: u64,
-    /// Blocks admitted to / rejected by the cache, with exact bytes.
-    pub cache_admissions: u64,
-    pub cache_admitted_bytes: u64,
-    pub cache_rejections: u64,
-    pub cache_rejected_bytes: u64,
-    /// Bytes that left the cache (pressure, faults, and unpersist).
-    pub cache_evicted_bytes: u64,
-    /// Bytes written into the shuffle store by map tasks.
-    pub shuffle_stored_bytes: u64,
-    /// Per-stage memory samples, in event order.
-    pub memory_watermarks: Vec<MemWatermark>,
     /// Lost shuffle map outputs recomputed inline from lineage.
     pub shuffle_map_reruns: u64,
     /// Faults the injector actually applied.
@@ -297,44 +257,19 @@ impl ExecutionTrace {
                 start_ns: *start_ns,
                 end_ns: *end_ns,
             }),
-            EngineEvent::CacheEvicted {
-                pressure, bytes, ..
-            } => {
+            EngineEvent::CacheEvicted { pressure, .. } => {
                 if *pressure {
                     self.evictions_pressure += 1;
                 } else {
                     self.evictions_other += 1;
                 }
-                self.cache_evicted_bytes += bytes;
             }
-            EngineEvent::CacheAdmitted { bytes, .. } => {
-                self.cache_admissions += 1;
-                self.cache_admitted_bytes += bytes;
-            }
-            EngineEvent::CacheRejected { bytes, .. } => {
-                self.cache_rejections += 1;
-                self.cache_rejected_bytes += bytes;
-            }
-            EngineEvent::ShuffleBytesStored { bytes, .. } => {
-                self.shuffle_stored_bytes += bytes;
-            }
-            EngineEvent::MemoryWatermark {
-                stage,
-                block_cache_bytes,
-                shuffle_store_bytes,
-                dfs_blocks_bytes,
-                scratch_bytes,
-                cache_budget_bytes,
-                mono_ns,
-            } => self.memory_watermarks.push(MemWatermark {
-                stage: *stage,
-                block_cache_bytes: *block_cache_bytes,
-                shuffle_store_bytes: *shuffle_store_bytes,
-                dfs_blocks_bytes: *dfs_blocks_bytes,
-                scratch_bytes: *scratch_bytes,
-                cache_budget_bytes: *cache_budget_bytes,
-                mono_ns: *mono_ns,
-            }),
+            // Byte residency is read live, from the memory ledger's gauges
+            // and the ops endpoint's `memory` table, not from the log.
+            EngineEvent::CacheAdmitted { .. }
+            | EngineEvent::CacheRejected { .. }
+            | EngineEvent::ShuffleBytesStored { .. }
+            | EngineEvent::MemoryWatermark { .. } => {}
             EngineEvent::ShuffleMapRerun { .. } => self.shuffle_map_reruns += 1,
             EngineEvent::FaultInjected { fault } => self.faults.push(*fault),
         }
@@ -690,20 +625,6 @@ mod tests {
         assert_eq!(trace.evictions_pressure, 1);
         assert_eq!(trace.shuffle_map_reruns, 1);
         assert_eq!(trace.faults.len(), 1);
-
-        // Memory-plane aggregates.
-        assert_eq!(trace.cache_admissions, 1);
-        assert_eq!(trace.cache_admitted_bytes, 2_048);
-        assert_eq!(trace.cache_rejections, 1);
-        assert_eq!(trace.cache_rejected_bytes, 1 << 30);
-        assert_eq!(trace.cache_evicted_bytes, 512);
-        assert_eq!(trace.shuffle_stored_bytes, 20);
-        assert_eq!(trace.memory_watermarks.len(), 2);
-        assert_eq!(trace.memory_watermarks[0].total_bytes(), 6_164);
-        assert_eq!(
-            trace.memory_watermarks[1].cache_headroom_bytes(),
-            (1 << 20) - 1_536
-        );
 
         let s0 = trace.stage(0).unwrap();
         assert_eq!(s0.kind, Some(StageKind::ShuffleMap));

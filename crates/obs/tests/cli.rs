@@ -1,7 +1,7 @@
 //! End-to-end tests of the `trace` binary: every subcommand against a
 //! real JSONL log produced by the engine, plus the determinism acceptance
-//! check — byte-identical `report` and `dot` output across two
-//! invocations on the same log — and the error paths.
+//! check — byte-identical `report` and `critical-path` output across
+//! two invocations on the same log — and the error paths.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -52,7 +52,7 @@ fn subcommands_run_and_output_is_deterministic() {
     let log = write_sample_log("determinism");
     let log = log.to_str().unwrap();
 
-    for sub in ["report", "critical-path", "dot"] {
+    for sub in ["report", "critical-path"] {
         let first = run(&[sub, log]);
         assert!(first.status.success(), "{sub} failed: {first:?}");
         let second = run(&[sub, log]);
@@ -69,10 +69,6 @@ fn subcommands_run_and_output_is_deterministic() {
     assert!(report.contains("cache ROI: hits="), "{report}");
     // The keyed job ran a ShuffleMap stage before its Result stage.
     assert!(report.contains("[ShuffleMap] -> "), "{report}");
-
-    let dot = stdout(&run(&["dot", log]));
-    assert!(dot.starts_with("digraph trace {"), "{dot}");
-    assert!(dot.contains("cluster_job_0"), "{dot}");
 }
 
 #[test]

@@ -47,7 +47,6 @@ pub mod asymptotic;
 pub mod bitkern;
 pub mod covariates;
 pub mod dist;
-pub mod exact;
 pub mod linalg;
 pub mod pvalue;
 pub mod qc;

@@ -1,1 +1,3 @@
 //! Shared helpers for integration tests.
+
+pub mod exact;

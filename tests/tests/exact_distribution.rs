@@ -6,10 +6,10 @@
 
 use std::sync::Arc;
 
+use integration_tests::exact::exact_permutation_pvalues;
 use sparkscore_cluster::ClusterSpec;
 use sparkscore_core::{AnalysisOptions, Phenotype, SparkScoreContext};
 use sparkscore_rdd::Engine;
-use sparkscore_stats::exact::exact_permutation_pvalues;
 use sparkscore_stats::score::GaussianScore;
 use sparkscore_stats::skat::SnpSet;
 
