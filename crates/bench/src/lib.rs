@@ -138,7 +138,7 @@ pub struct Observability {
     log: Arc<EventLogListener>,
 }
 
-/// Attach an event log (`<events_dir>/<name>.jsonl`, see [`events_dir`])
+/// Attach an event log (`<events_dir>/<name>.jsonl`, see `events_dir`)
 /// to `engine`.
 pub fn observe(engine: &Arc<Engine>, name: &str) -> Observability {
     let log_path = events_dir().join(format!("{name}.jsonl"));

@@ -17,6 +17,7 @@
 //!   (`Ũ_j = Σ_i Z_i U_ij`), the cache-friendly scheme whose speedups
 //!   Figs 2–5 of the paper measure.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -94,6 +95,16 @@ pub enum CombineMethod {
     /// Weighted burden: `S_k = (Σ_{j∈I_k} ω_j U_j)²` — powerful when
     /// member effects share a direction, weak when they cancel.
     Burden,
+}
+
+impl CombineMethod {
+    /// A SNP's term in its set's raw sum (burden squares the total).
+    fn term(self, w: f64, u_stat: f64) -> f64 {
+        match self {
+            CombineMethod::Skat => w * w * u_stat * u_stat,
+            CombineMethod::Burden => w * u_stat,
+        }
+    }
 }
 
 /// How SNP weights reach the per-SNP scores.
@@ -205,19 +216,11 @@ pub struct SparkScoreContext {
     /// shared across every grid run on this context: a repeated same-seed
     /// query neither draws nor ships a tile it finds here.
     mc_tile_cache: BroadcastTileCache<(u64, u64, u64)>,
-    /// What every grid run over this cohort needs and no query changes;
-    /// filled by the first run (see [`SparkScoreContext::grid_invariants`]).
-    grid_invariants: OnceLock<GridInvariants>,
+    /// Memo of [`SparkScoreContext::weights`] under the join.
+    weight_table: OnceLock<Vec<f64>>,
+    /// Memo of [`SparkScoreContext::grid_scores`].
+    grid_scores: OnceLock<Vec<f64>>,
     options: AnalysisOptions,
-}
-
-/// Cohort-wide inputs of the resampling grid's driver-side reduction,
-/// dense by SNP id.
-struct GridInvariants {
-    /// SNP weights `ω_j`.
-    weights: Vec<f64>,
-    /// Observed per-SNP scores `U_j = Σ_i U_ij`.
-    scores: Vec<f64>,
 }
 
 /// Patient ranges each missing multiplier tile is cut into for the pooled
@@ -251,20 +254,20 @@ fn draw_tiles(engine: &Engine, seed: u64, n: usize, tiles: &[ReplicateTile]) -> 
     drawn
 }
 
-/// `c.iter().sum()` of every row, four rows at a time. One row's sum is a
-/// chain of dependent additions that waits out the adder's latency at
+/// `c.iter().sum()` of every row, owned or borrowed, four rows at a time.
+/// One row's sum is a chain of dependent additions that waits out the adder's latency at
 /// every step; four rows' chains interleaved keep it busy. Each chain
 /// still folds its own row left to right from the value `Iterator::sum`
 /// starts from, so every sum has the bits the per-row call gives. Rows of
 /// unequal length within a quad, and the last `rows % 4`, are summed one
 /// by one.
-fn row_sums(rows: &[(u64, Vec<f64>)]) -> Vec<f64> {
-    let per_row = |(_, c): &(u64, Vec<f64>)| c.iter().sum::<f64>();
+fn row_sums<R: Borrow<(u64, Vec<f64>)>>(rows: &[R]) -> Vec<f64> {
+    let per_row = |row: &R| row.borrow().1.iter().sum::<f64>();
     let zero: f64 = std::iter::empty::<f64>().sum();
     let mut sums = Vec::with_capacity(rows.len());
     let mut quads = rows.chunks_exact(4);
     for quad in quads.by_ref() {
-        let [a, b, c, d] = [&quad[0].1, &quad[1].1, &quad[2].1, &quad[3].1];
+        let [a, b, c, d] = [0, 1, 2, 3].map(|r| &quad[r].borrow().1);
         if [b.len(), c.len(), d.len()] == [a.len(); 3] {
             let mut s = [zero; 4];
             for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
@@ -500,7 +503,8 @@ impl SparkScoreContext {
             sets: sets_sorted,
             max_snp,
             mc_tile_cache,
-            grid_invariants: OnceLock::new(),
+            weight_table: OnceLock::new(),
+            grid_scores: OnceLock::new(),
             options,
         }
     }
@@ -590,7 +594,7 @@ impl SparkScoreContext {
         u: &Dataset<(u64, Vec<f64>)>,
         mc_multipliers: Option<Broadcast<Vec<f64>>>,
     ) -> Vec<SetScore> {
-        let sums = self.set_sums(u, mc_multipliers, None);
+        let sums = self.set_sums(u, mc_multipliers);
         self.set_ids
             .iter()
             .map(|id| SetScore {
@@ -600,61 +604,63 @@ impl SparkScoreContext {
             .collect()
     }
 
-    /// The observed score of one set: [`SparkScoreContext::set_scores`]'
-    /// plan with `U` and the weights cut to the rows the full pass keys to
-    /// `set`, so the job moves and sums `O(|set|)` rows, not the cohort.
-    /// `None` when `set` is not one of this context's sets.
+    /// The observed score of one set, as one map stage over `u` and a
+    /// fold on the driver: each task reads its rows in place and returns
+    /// `(snp, U_j)` for those the `snp → set` lookup gives to `set` (the
+    /// full pass's reduce key, so overlapping sets keep exactly its terms);
+    /// the driver folds the set's statistic over them in member order with
+    /// the dense weight table. No join, no shuffle; an unknown `set` is
+    /// `None` before any job.
     pub(crate) fn set_score(&self, u: &Dataset<(u64, Vec<f64>)>, set: u64) -> Option<f64> {
-        self.set_ids.binary_search(&set).ok()?;
-        let sums = self.set_sums(u, None, Some(set));
-        Some(self.finish(sums.get(&set).copied().unwrap_or(0.0)))
+        let members = &self.sets[self.set_ids.binary_search(&set).ok()?].members;
+        let weights = self.weights();
+        let lookup = self.snp_to_set.clone();
+        let arith_cost = self.num_patients() as f64 * JVM_UNITS_ARITH_PER_PATIENT;
+        let kept_sums = u.map_partitions_ctx(move |ctx, _, rows| {
+            let keyed = lookup.value();
+            let kept: Vec<_> = rows
+                .iter()
+                .filter(|(snp, _)| keyed.get(*snp as usize) == Some(&set))
+                .collect();
+            // What the `filter` and `inner_sums` it stands for charged.
+            ctx.add_work(rows.len(), 0.5);
+            ctx.add_work(kept.len(), arith_cost);
+            let snps = kept.iter().map(|(snp, _)| *snp);
+            snps.zip(row_sums(&kept)).collect()
+        });
+        let sums: HashMap<u64, f64> = kept_sums.collect().into_iter().collect();
+        // A member keyed to another set is that set's term. A keyed member
+        // without a row scores 0, as in the grid's dense table, so a
+        // disjoint set folds the grid's terms in the grid's order.
+        let keyed = self.snp_to_set.value();
+        let terms = members.iter().filter(|&&j| keyed[j] == set).map(|&j| {
+            let u_stat = sums.get(&(j as u64)).copied().unwrap_or(0.0);
+            self.options.combine.term(weights[j], u_stat)
+        });
+        Some(self.finish(terms.sum()))
     }
 
-    /// Raw per-set sums (`Σ ω²U²` under SKAT, `Σ ωU` under burden), of
-    /// every set or only of `only`. The cut is a `filter` on the same
-    /// `snp → set` lookup the reduce keys by, so overlapping sets keep
-    /// exactly the terms the full pass gives them.
+    /// Raw per-set sums (`Σ ω²U²` under SKAT, `Σ ωU` under burden) of
+    /// every set: Algorithm 1's inner sums, weights and per-set reduce.
     fn set_sums(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
         mc_multipliers: Option<Broadcast<Vec<f64>>>,
-        only: Option<u64>,
     ) -> HashMap<u64, f64> {
         let lookup = self.snp_to_set.clone();
-        let of_only = only.map(|set| {
-            let lookup = lookup.clone();
-            move |snp: u64| lookup.value().get(snp as usize) == Some(&set)
-        });
-        let u = match &of_only {
-            None => u.clone(),
-            Some(keep) => {
-                let keep = keep.clone();
-                u.filter(move |(snp, _)| keep(*snp))
-            }
-        };
-        let inner = inner_sums(&u, self.num_patients(), mc_multipliers);
+        let inner = inner_sums(u, self.num_patients(), mc_multipliers);
         let combine = self.options.combine;
-        // SKAT sums ω²U² per set; burden sums ωU per set and squares the
-        // total.
-        let weigh = move |u_stat: f64, w: f64| match combine {
-            CombineMethod::Skat => w * w * u_stat * u_stat,
-            CombineMethod::Burden => w * u_stat,
-        };
         let per_snp_term = match &self.weights_bc {
             // Paper-faithful: shuffle join against the weights RDD.
-            None => {
-                let weights = match of_only {
-                    None => self.weights_rdd.clone(),
-                    Some(keep) => self.weights_rdd.filter(move |(snp, _)| keep(*snp)),
-                };
-                inner
-                    .join(&weights, self.options.reduce_partitions)
-                    .map(move |(snp, (u_stat, w))| (snp, weigh(u_stat, w)))
-            }
+            None => inner
+                .join(&self.weights_rdd, self.options.reduce_partitions)
+                .map(move |(snp, (u_stat, w))| (snp, combine.term(w, u_stat))),
             // Ablation: look the weight up in a broadcast table map-side.
             Some(table) => {
                 let table = table.clone();
-                inner.map(move |(snp, u_stat)| (snp, weigh(u_stat, table.value()[snp as usize])))
+                inner.map(move |(snp, u_stat)| {
+                    (snp, combine.term(table.value()[snp as usize], u_stat))
+                })
             }
         };
         per_snp_term
@@ -767,28 +773,37 @@ impl SparkScoreContext {
         }
     }
 
-    /// The grid's cohort invariants, computed on first use from `u` (two
-    /// engine jobs: a weights collect and one scan of `U`) and shared by
-    /// every later run on this context — any set filter, seed or budget.
-    /// Lazy so that building a context, or registering it as a service
-    /// cohort, stays free of engine work. Concurrent first callers block
-    /// on the one fill. `u` must be this context's own
+    /// The dense `snp id → weight` table of the driver-side folds (the
+    /// grid's and [`SparkScoreContext::set_score`]'s): the broadcast table
+    /// under [`WeightsStrategy::Broadcast`]; under the join, gathered by
+    /// the first caller (one collect job) and kept for every later one.
+    fn weights(&self) -> &[f64] {
+        match &self.weights_bc {
+            Some(table) => table.value(),
+            None => self
+                .weight_table
+                .get_or_init(|| dense_weights(&self.weights_rdd, self.max_snp)),
+        }
+    }
+
+    /// The observed per-SNP scores, dense by SNP id, computed on first use
+    /// from `u` (one scan of `U`) and shared by every later grid run on
+    /// this context — any set filter, seed or budget. Lazy so that
+    /// building a context, or registering it as a service cohort, stays
+    /// free of engine work. Concurrent first callers block on the one
+    /// fill. `u` must be this context's own
     /// [`SparkScoreContext::u_dataset`]; every such handle carries the
     /// same rows, so which one fills the memo does not matter.
-    fn grid_invariants(&self, u: &Dataset<(u64, Vec<f64>)>) -> &GridInvariants {
-        self.grid_invariants.get_or_init(|| {
-            let weights = match &self.weights_bc {
-                Some(table) => table.value().clone(),
-                None => dense_weights(&self.weights_rdd, self.max_snp),
-            };
-            // Per-SNP sums scattered into a dense table by id; sets are
-            // combined from it on the driver with the same statistic
-            // functions (and summation order) as the oracle.
+    fn grid_scores(&self, u: &Dataset<(u64, Vec<f64>)>) -> &[f64] {
+        self.grid_scores.get_or_init(|| {
+            // Scattered by id; sets are combined from it on the driver
+            // with the same statistic functions (and summation order) as
+            // the oracle.
             let mut scores = vec![0.0f64; self.max_snp];
             for (snp, s) in inner_sums(u, self.num_patients(), None).collect() {
                 scores[snp as usize] = s;
             }
-            GridInvariants { weights, scores }
+            scores
         })
     }
 
@@ -827,8 +842,9 @@ impl SparkScoreContext {
     /// per job.
     ///
     /// The weight table and the per-SNP observed scores are cohort
-    /// invariants, computed by the first run on this context and reused
-    /// by all later ones; only that first run pays their two jobs.
+    /// invariants, computed by the first run on this context (or, for the
+    /// table, the first set query) and reused by all later ones; only the
+    /// run that fills them pays their jobs.
     pub fn monte_carlo_grid(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
@@ -847,7 +863,8 @@ impl SparkScoreContext {
 
         let n = self.num_patients();
         let max_snp = self.max_snp;
-        let GridInvariants { weights, scores } = self.grid_invariants(u);
+        let weights = self.weights();
+        let scores = self.grid_scores(u);
         let combine = self.options.combine;
         let stat = |scores: &[f64], set: &SnpSet| match combine {
             CombineMethod::Skat => skat_statistic(scores, weights, set),
@@ -1209,50 +1226,84 @@ mod tests {
         }
     }
 
-    /// Every set's single-set score agrees with the full pass's entry to
-    /// 1e-15 relative, and an unknown set has none. The cut join may fold
-    /// a set's terms in another order; a burden score is the square of
-    /// its sum, which doubles that rounding, so burden compares the sums.
-    fn assert_set_scores_match_observed(ctx: &SparkScoreContext) {
+    /// Every set's query score is, bit for bit, a sequential fold over its
+    /// keyed members: `U_j` as `model.contributions(g).iter().sum()`, the
+    /// term weighed, the terms summed in member order. The full pass sums
+    /// the same terms in shuffle order; summing `m` terms in any order
+    /// lands within `(m−1)·u·Σ|tᵢ|` of the exact sum, `u = ε/2` (Jeannerod
+    /// and Rump, SIAM J. Matrix Anal. Appl. 2013), so the two lie within
+    /// twice that. An unknown set has no score.
+    fn assert_set_scores_match_observed(ctx: &SparkScoreContext, ds: &GwasDataset) {
         let u = ctx.u_dataset();
         u.cache();
-        let full = ctx.observed().scores;
-        let sum_of = |score: f64| match ctx.options.combine {
-            CombineMethod::Skat => score,
-            CombineMethod::Burden => score.sqrt(),
-        };
-        for s in &full {
-            let one = ctx.set_score(&u, s.set).expect("a known set scores");
-            let (a, b) = (sum_of(one), sum_of(s.score));
+        let full = ctx.set_sums(&u, None);
+        let keyed = ctx.snp_to_set.value();
+        for set in &ctx.sets {
+            let terms: Vec<f64> = set
+                .members
+                .iter()
+                .filter(|&&j| keyed[j] == set.id)
+                .map(|&j| {
+                    let g = &ds.genotypes[j].dosages;
+                    let u_j: f64 = ctx.model.contributions(g).iter().sum();
+                    ctx.options.combine.term(ds.weights[j], u_j)
+                })
+                .collect();
+            let raw: f64 = terms.iter().sum();
+            let one = ctx.set_score(&u, set.id).expect("a known set scores");
+            assert_eq!(one.to_bits(), ctx.finish(raw).to_bits(), "set {}", set.id);
+            let m = terms.len().saturating_sub(1) as f64;
+            let reorder =
+                2.0 * m * (f64::EPSILON / 2.0) * terms.iter().map(|t| t.abs()).sum::<f64>();
+            // A set whose every member keys to another has no reduce key.
+            let pass = full.get(&set.id).copied().unwrap_or(0.0);
             assert!(
-                (a - b).abs() <= 1e-15 * b.abs(),
-                "set {}: {one} vs {}",
-                s.set,
-                s.score
+                (pass - raw).abs() <= reorder,
+                "set {}: full pass {pass} vs {raw} beyond {reorder}",
+                set.id
             );
         }
         assert_eq!(ctx.set_score(&u, u64::MAX), None);
         u.unpersist();
     }
 
+    /// The reference above depends on the model and the method alone, so
+    /// this also pins one set of bits for each across partition counts,
+    /// host threads and weight strategies.
     #[test]
     fn set_score_matches_the_full_pass_across_models_methods_and_cuts() {
         let ds = GwasDataset::generate(&SyntheticConfig::small(17));
-        let context = |partitions, options| {
+        let context = |phenotype: &Phenotype, partitions, threads, options| {
             let engine = Engine::builder(ClusterSpec::test_small(3))
-                .host_threads(2)
+                .host_threads(threads)
                 .build();
-            SparkScoreContext::from_memory(engine, &ds, partitions, options)
+            let rows = ds.genotypes.iter().map(|r| (r.id, r.dosages.clone()));
+            let gm = engine.parallelize(rows.collect(), partitions);
+            let weights = ds.weights.iter().enumerate().map(|(j, &w)| (j as u64, w));
+            let weights_rdd = engine.parallelize(weights.collect(), partitions.min(4));
+            let phenotype = phenotype.clone();
+            SparkScoreContext::from_parts(engine, phenotype, gm, weights_rdd, &ds.sets, options)
         };
-        for partitions in [1, 3, 4, 7] {
-            for combine in [CombineMethod::Skat, CombineMethod::Burden] {
-                for weights_strategy in [WeightsStrategy::Join, WeightsStrategy::Broadcast] {
-                    let options = AnalysisOptions {
-                        combine,
-                        weights_strategy,
-                        ..AnalysisOptions::default()
-                    };
-                    assert_set_scores_match_observed(&context(partitions, options));
+        let trait_values = (0..ds.phenotypes.len()).map(|i| (i % 7) as f64);
+        let phenotypes = [
+            Phenotype::Survival(ds.phenotypes.clone()),
+            Phenotype::Quantitative(trait_values.collect()),
+        ];
+        for phenotype in &phenotypes {
+            for partitions in [1, 3, 4, 7] {
+                for threads in [1, 2] {
+                    for combine in [CombineMethod::Skat, CombineMethod::Burden] {
+                        for weights_strategy in [WeightsStrategy::Join, WeightsStrategy::Broadcast]
+                        {
+                            let options = AnalysisOptions {
+                                combine,
+                                weights_strategy,
+                                ..AnalysisOptions::default()
+                            };
+                            let ctx = context(phenotype, partitions, threads, options);
+                            assert_set_scores_match_observed(&ctx, &ds);
+                        }
+                    }
                 }
             }
         }
@@ -1279,12 +1330,12 @@ mod tests {
             let options = AnalysisOptions::default();
             let ctx =
                 SparkScoreContext::from_parts(engine, phenotype, gm, weights_rdd, sets, options);
-            assert_set_scores_match_observed(&ctx);
+            assert_set_scores_match_observed(&ctx, &ds);
         }
     }
 
     #[test]
-    fn a_set_query_keeps_the_full_pass_shape_at_a_fraction_of_its_shuffle() {
+    fn a_set_query_is_one_map_stage_over_the_cached_u() {
         let engine = Engine::builder(ClusterSpec::test_small(3))
             .host_threads(2)
             .build();
@@ -1297,24 +1348,20 @@ mod tests {
         let ctx = SparkScoreContext::from_memory(engine, &ds, 4, AnalysisOptions::default());
         let u = ctx.u_dataset();
         u.cache();
-        let delta = |run: &dyn Fn()| {
+        let delta = |set: u64| {
             let before = ctx.engine.metrics_snapshot();
-            run();
+            assert!(ctx.set_score(&u, set).is_some());
             ctx.engine.metrics_snapshot().delta_since(&before)
         };
-        delta(&|| drop(ctx.set_scores(&u, None)));
-        let full = delta(&|| drop(ctx.set_scores(&u, None)));
-        let one = delta(&|| assert!(ctx.set_score(&u, ctx.set_ids[3]).is_some()));
-        assert_eq!((one.jobs, one.stages), (1, 4));
-        assert_eq!((full.jobs, full.stages), (1, 4));
-        assert_eq!(one.tasks, full.tasks);
-        assert_eq!(one.cache_hits, full.cache_hits);
-        assert!(
-            one.shuffle_bytes_written * 20 < full.shuffle_bytes_written,
-            "{} of {} shuffle bytes",
-            one.shuffle_bytes_written,
-            full.shuffle_bytes_written
-        );
+        let first = delta(ctx.set_ids[3]);
+        assert_eq!(first.jobs, 2, "the weight table, then the query");
+        assert_eq!(first.shuffle_bytes_written, 0);
+        for &set in &ctx.set_ids[..8] {
+            let one = delta(set);
+            assert_eq!((one.jobs, one.stages, one.tasks), (1, 1, 4), "set {set}");
+            assert_eq!((one.cache_hits, one.cache_misses), (4, 0), "set {set}");
+            assert_eq!(one.shuffle_bytes_written, 0, "set {set}");
+        }
     }
 
     use sparkscore_stats::resample::{monte_carlo_adaptive, monte_carlo_blocked};

@@ -304,6 +304,43 @@ mod tests {
     }
 
     #[test]
+    fn observed_and_mc_queries_report_one_score_for_a_disjoint_set() {
+        let (svc, ds) = small_service();
+        let mut members: Vec<usize> = ds.sets.iter().flat_map(|s| s.members.clone()).collect();
+        let listed = members.len();
+        members.sort_unstable();
+        members.dedup();
+        assert_eq!(members.len(), listed, "the synthetic sets are disjoint");
+        for set in ds.sets.iter().map(|s| s.id) {
+            let observed = svc.submit_set_query("a", "main", set).unwrap();
+            let mc = svc.submit_mc_query("b", "main", set, 4, 1).unwrap();
+            let observed = svc.wait_result(observed).expect("observed answer");
+            let mc = svc.wait_result(mc).expect("mc answer");
+            assert_eq!(observed.score.to_bits(), mc.score.to_bits(), "set {set}");
+        }
+        svc.job_service()
+            .shutdown(sparkscore_rdd::ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn an_mc_query_after_a_set_query_pays_only_its_score_scan() {
+        let (svc, _) = small_service();
+        let engine = Arc::clone(svc.job_service().engine());
+        let job = svc.submit_set_query("a", "main", 2).unwrap();
+        svc.wait_result(job).expect("observed answer");
+        let jobs_before = engine.metrics_snapshot().jobs;
+        let job = svc.submit_mc_query("a", "main", 2, 64, 3).unwrap();
+        svc.wait_result(job).expect("mc answer");
+        assert_eq!(
+            engine.metrics_snapshot().jobs - jobs_before,
+            2,
+            "the per-SNP score scan, then one grid round: the weight table is the set query's"
+        );
+        svc.job_service()
+            .shutdown(sparkscore_rdd::ShutdownMode::Drain);
+    }
+
+    #[test]
     fn queries_share_one_cached_u_materialization() {
         let (svc, _) = small_service();
         let engine = Arc::clone(svc.job_service().engine());

@@ -75,7 +75,7 @@ impl GenotypeBlock {
     /// A line written the way `format_genotype_line` writes it is packed
     /// straight from its bytes (`push_canonical_line`). Every other line —
     /// and every line that arm turns down — takes `parse_genotype_line`
-    /// and [`GenotypeBlock::push_row`], which stay the definition of the
+    /// and `GenotypeBlock::push_row`, which stay the definition of the
     /// format.
     pub fn from_text(
         num_patients: usize,

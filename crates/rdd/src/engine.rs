@@ -4,7 +4,7 @@
 //! cache and the shuffle manager, and runs jobs submitted by dataset
 //! actions:
 //!
-//! 1. [`Engine::run_job`] walks the target operator's graph for the
+//! 1. `Engine::run_job` walks the target operator's graph for the
 //!    shuffles its lineage needs (pruned at fully-cached ops — the
 //!    mechanism behind Algorithm 3's cached `U` RDD),
 //! 2. materializes each missing shuffle map stage in dependency order,

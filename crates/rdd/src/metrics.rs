@@ -281,7 +281,7 @@ fn assert_valid_name(name: &str) {
 /// and updates it lock-free; the registry only takes its lock on
 /// registration and rendering. A value that already lives in some store
 /// is registered as a source instead ([`Registry::gauge_fn`],
-/// [`Registry::counter_fn`]) and read when the registry renders. Names render in lexicographic order, so
+/// `Registry::counter_fn`) and read when the registry renders. Names render in lexicographic order, so
 /// [`Registry::render_prometheus`] is deterministic for a fixed state.
 #[derive(Debug, Default)]
 pub struct Registry {

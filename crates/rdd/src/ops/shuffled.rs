@@ -10,7 +10,7 @@
 //!
 //! A record's key is hashed once, on the map side: the hash picks the
 //! reducer, keys the map-side table, and travels in the bucket to key the
-//! reduce-side table ([`KeyTable`]). No record gets a heap allocation of
+//! reduce-side table (`KeyTable`). No record gets a heap allocation of
 //! its own: a partition only this task holds is moved, not cloned, and a
 //! co-group side is bucketed flat, a key's values back to back.
 //!

@@ -1,14 +1,14 @@
 //! Persistent work-stealing executor pool and lock-free task result slots
 //! (DESIGN.md §3c).
 //!
-//! [`ExecutorPool`] keeps `host_threads - 1` workers for the engine's
+//! `ExecutorPool` keeps `host_threads - 1` workers for the engine's
 //! lifetime (joined on drop) and serves one published stage at a time:
 //! each participant claims chunks from the front of its own index range
 //! and steals halves from the back of the others'. The stage slot is only
 //! ever `try_lock`ed. A driver that finds it taken — a second service
 //! worker, or a task launching a nested job — runs its whole stage itself,
 //! in index order, instead of queueing behind the holder; so does a
-//! one-task stage, and any stage on a pool with no workers. [`TaskSlots`]
+//! one-task stage, and any stage on a pool with no workers. `TaskSlots`
 //! holds one write-once result per task index.
 
 use std::cell::UnsafeCell;

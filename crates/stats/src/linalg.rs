@@ -249,7 +249,7 @@ pub(crate) fn perturb_scores_blocked(
     perturb_rows_blocked(&rows, num_patients, z_tile, k, out);
 }
 
-/// [`perturb_scores_blocked`] over a gather of independent `U` rows instead
+/// `perturb_scores_blocked` over a gather of independent `U` rows instead
 /// of one contiguous matrix — the shape each partition of the distributed
 /// resampling GEMM holds (`(snp, contribution-row)` records, so the rows a
 /// task sees are contiguous per SNP but scattered between SNPs). Same

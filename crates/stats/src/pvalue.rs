@@ -5,7 +5,7 @@
 //! set `k` is the fraction of replicates with `S̃_k ≥ S_k`. We use the
 //! add-one (Davison–Hinkley) estimator `(#{S̃ ≥ S} + 1)/(B + 1)`, which is
 //! never exactly zero and is valid as a p-value. The Westfall–Young
-//! max-statistic procedure (the paper's reference [40]) gives family-wise
+//! max-statistic procedure (the paper's reference \[40\]) gives family-wise
 //! error control across the K sets from the same replicates.
 
 /// Add-one empirical p-value from the count of replicates at least as
@@ -76,7 +76,7 @@ pub fn westfall_young_adjusted(observed: &[f64], replicates: &[Vec<f64>]) -> Vec
 ///
 /// `min_replicates` floors every decision so the asymptotic interval is
 /// not trusted on a handful of draws. The guarantee reported alongside an
-/// adaptive p-value is [`StoppingRule::ci_half_width`] at stop time: with
+/// adaptive p-value is `StoppingRule::ci_half_width` at stop time: with
 /// confidence `~Φ(z)` the true resampling p-value lies within that band.
 /// The fixed-B path remains the statistical oracle; tests bound the
 /// adaptive-vs-oracle disagreement by the two runs' combined widths.

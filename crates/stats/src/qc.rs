@@ -1,6 +1,6 @@
 //! Genotype quality control.
 //!
-//! Real GWAS pipelines (the paper's references [3], [10], [12]) filter
+//! Real GWAS pipelines (the paper's references \[3\], \[10\], \[12\]) filter
 //! variants before inference: minor-allele frequency, completeness, and
 //! Hardy–Weinberg equilibrium. These utilities operate on both the byte
 //! dosage-vector representation ([`check_snp`]) and directly on 2-bit

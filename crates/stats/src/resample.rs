@@ -114,7 +114,7 @@ pub fn monte_carlo<M: ScoreModel>(
 
 /// Blocked Algorithm 3: replicates are processed in tiles of `tile`
 /// multiplier vectors against the flat contribution matrix
-/// ([`perturb_scores_blocked`]), so `U` is streamed from memory once per
+/// (`perturb_scores_blocked`), so `U` is streamed from memory once per
 /// `tile` replicates instead of once per replicate. The multipliers,
 /// per-replicate perturbed scores, SKAT statistics, and exceedance counts
 /// are all bitwise identical to the per-iteration path.

@@ -11,7 +11,7 @@
 //!
 //! The helpers are not reentrant per element type: a kernel may hold at
 //! most one `f64` and one `u8` scratch slice at a time (nesting
-//! [`with_f64`] inside [`with_f64`] panics on the `RefCell` borrow).
+//! `with_f64` inside `with_f64` panics on the `RefCell` borrow).
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -106,6 +106,16 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
+echo "== rustdoc -D warnings: every sparkscore-* crate's docs link only what they may =="
+# Public docs that link a private item, or a bracketed citation rustdoc reads
+# as a link, render as broken links. The vendored crates are not ours to fix,
+# so each workspace crate is documented on its own, without dependencies.
+for manifest in crates/*/Cargo.toml; do
+    crate="$(sed -n 's/^name = "\(sparkscore-[a-z]*\)"$/\1/p' "$manifest")"
+    [ -n "$crate" ] || { echo "no sparkscore-* package name in $manifest" >&2; exit 1; }
+    RUSTDOCFLAGS='-D warnings' cargo doc --no-deps -q -p "$crate"
+done
+
 echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators, live gauges and service counters read at scrape =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started

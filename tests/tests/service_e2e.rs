@@ -357,22 +357,32 @@ fn two_workers_answer_bit_equal_to_one_worker() {
 /// recovery it forces must be visible in the JSONL event log.
 #[test]
 fn node_loss_mid_schedule_recovers_and_matches_the_no_fault_oracle() {
-    // Oracle: the observed pass on an identical, fault-free engine.
+    // Oracle: the same set queries on an identical, fault-free engine.
     let oracle_engine = Engine::builder(ClusterSpec::test_small(3))
         .host_threads(4)
         .build();
+    let oracle_service = JobService::builder(Arc::clone(&oracle_engine))
+        .workers(1)
+        .tenant("o", TenantConfig::default())
+        .build();
+    let oracle_analysis = AnalysisService::new(Arc::clone(&oracle_service));
     let oracle_ctx = SparkScoreContext::from_memory(
         oracle_engine,
         &cohort_dataset(),
         PARTITIONS,
         AnalysisOptions::default(),
     );
-    let oracle: std::collections::BTreeMap<u64, f64> = oracle_ctx
-        .observed()
-        .scores
-        .iter()
-        .map(|s| (s.set, s.score))
+    oracle_analysis.register_cohort("cohort", oracle_ctx);
+    let oracle: std::collections::BTreeMap<u64, f64> = (0..10u64)
+        .map(|set| {
+            let job = oracle_analysis
+                .submit_set_query("o", "cohort", set)
+                .expect("an idle service admits the query");
+            let answer = oracle_analysis.wait_result(job).expect("oracle answer");
+            (set, answer.score)
+        })
         .collect();
+    oracle_service.shutdown(ShutdownMode::Drain);
 
     let path = log_path("fault_injection");
     let log = Arc::new(EventLogListener::to_file(&path).expect("temp dir writable"));
