@@ -417,9 +417,9 @@ mod tests {
         let (engine, server) = live_engine();
         let text = send(server.local_addr(), "metrics");
         for name in [
-            "sparkscore_cache_used_bytes",
+            "sparkscore_mem_block_cache_used_bytes",
             "sparkscore_cache_pressure_pct",
-            "sparkscore_shuffle_stored_bytes",
+            "sparkscore_mem_shuffle_store_used_bytes",
             "sparkscore_shuffle_shard_occupancy_max",
             "sparkscore_shuffle_shards_occupied",
             "sparkscore_pool_participants_running",
@@ -436,6 +436,16 @@ mod tests {
             sample(&text, &format!("sparkscore_mem_{}_used_bytes", c.name()));
             sample(&text, &format!("sparkscore_mem_{}_peak_bytes", c.name()));
         }
+        // Resident bytes are the ledger's series only: no second copy.
+        for gone in [
+            "sparkscore_cache_used_bytes",
+            "sparkscore_shuffle_stored_bytes",
+        ] {
+            assert!(
+                !text.lines().any(|l| l.starts_with(&format!("{gone} "))),
+                "{gone} duplicates a sparkscore_mem_* gauge"
+            );
+        }
         server.stop();
     }
 
@@ -448,13 +458,12 @@ mod tests {
             .cache();
         assert_eq!(cached.count(), 10_000);
         let text = send(server.local_addr(), "metrics");
-        let used = sample(&text, "sparkscore_cache_used_bytes");
+        let used = sample(&text, "sparkscore_mem_block_cache_used_bytes");
         assert!(used > 0, "cached blocks must show up in the gauge");
-        assert_eq!(used, engine.cache_used_bytes() as i64);
         assert_eq!(
-            sample(&text, "sparkscore_mem_block_cache_used_bytes"),
             used,
-            "ledger gauge mirrors the cache gauge"
+            engine.cache_used_bytes() as i64,
+            "the ledger gauge reads what the cache holds"
         );
         sample(&text, "sparkscore_mem_shuffle_store_peak_bytes");
         sample(&text, "sparkscore_pool_participants_parked");

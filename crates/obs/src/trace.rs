@@ -264,18 +264,12 @@ impl ExecutionTrace {
                     self.evictions_other += 1;
                 }
             }
-            // Byte residency is read live, from the memory ledger's gauges
-            // and the ops endpoint's `memory` table, not from the log.
-            EngineEvent::CacheAdmitted { .. }
-            | EngineEvent::CacheRejected { .. }
-            | EngineEvent::ShuffleBytesStored { .. }
-            | EngineEvent::MemoryWatermark { .. } => {}
             EngineEvent::ShuffleMapRerun { .. } => self.shuffle_map_reruns += 1,
             EngineEvent::FaultInjected { fault } => self.faults.push(*fault),
         }
     }
 
-    pub(crate) fn stage(&self, stage: u64) -> Option<&TraceStage> {
+    fn stage(&self, stage: u64) -> Option<&TraceStage> {
         self.stages.iter().find(|s| s.stage == stage)
     }
 
@@ -514,7 +508,6 @@ mod tests {
                 op: 4,
                 partition: 0,
                 pressure: true,
-                bytes: 512,
             },
             EngineEvent::ShuffleMapRerun {
                 shuffle: 0,
@@ -573,41 +566,6 @@ mod tests {
                 local_reads: 0,
                 span: SpanContext::NONE,
                 mono_ns: 0,
-            },
-            // Memory-plane tail: admissions, a rejection, shuffle store
-            // bytes, and two per-stage watermark samples.
-            EngineEvent::CacheAdmitted {
-                op: 4,
-                partition: 0,
-                bytes: 2_048,
-            },
-            EngineEvent::CacheRejected {
-                op: 9,
-                partition: 1,
-                bytes: 1 << 30,
-            },
-            EngineEvent::ShuffleBytesStored {
-                shuffle: 0,
-                map_part: 1,
-                bytes: 20,
-            },
-            EngineEvent::MemoryWatermark {
-                stage: 0,
-                block_cache_bytes: 2_048,
-                shuffle_store_bytes: 20,
-                dfs_blocks_bytes: 4_096,
-                scratch_bytes: 0,
-                cache_budget_bytes: 1 << 20,
-                mono_ns: 1_900,
-            },
-            EngineEvent::MemoryWatermark {
-                stage: 1,
-                block_cache_bytes: 1_536,
-                shuffle_store_bytes: 20,
-                dfs_blocks_bytes: 4_096,
-                scratch_bytes: 256,
-                cache_budget_bytes: 1 << 20,
-                mono_ns: 2_900,
             },
         ]
     }

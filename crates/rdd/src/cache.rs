@@ -47,26 +47,6 @@ struct CacheInner {
     clock: u64,
 }
 
-/// Outcome of a `put`, for the engine's metrics and event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PutOutcome {
-    pub stored: bool,
-    /// Exact byte footprint of the offered block, whether it was stored
-    /// or rejected as oversized.
-    pub bytes: u64,
-    /// Blocks evicted under budget pressure to make room, identified with
-    /// their exact bytes so the engine can emit a byte-accurate
-    /// `CacheEvicted` event per victim.
-    pub evicted: Vec<(OpId, usize, u64)>,
-}
-
-impl PutOutcome {
-    /// Number of blocks evicted by this put.
-    pub(crate) fn evicted_blocks(&self) -> u64 {
-        self.evicted.len() as u64
-    }
-}
-
 /// LRU block cache with a byte budget. Every byte entering or leaving the
 /// cache is mirrored to the shared [`MemoryLedger`] under
 /// [`MemCategory::BlockCache`], at the mutation site, while the cache lock
@@ -107,8 +87,8 @@ impl CacheManager {
     }
 
     /// Stop caching an op and drop its blocks (Spark `unpersist`).
-    /// Returns each dropped block's partition and exact bytes.
-    pub(crate) fn unmark(&self, op: OpId) -> Vec<(usize, u64)> {
+    /// Returns each dropped block's partition.
+    pub(crate) fn unmark(&self, op: OpId) -> Vec<usize> {
         let mut g = self.inner.lock();
         g.marked.remove(&op);
         let keys: Vec<_> = g
@@ -122,7 +102,7 @@ impl CacheManager {
             if let Some(e) = g.entries.remove(k) {
                 g.used_bytes -= e.bytes;
                 self.ledger.sub(MemCategory::BlockCache, e.bytes);
-                dropped.push((k.1, e.bytes));
+                dropped.push(k.1);
             }
         }
         dropped
@@ -155,22 +135,19 @@ impl CacheManager {
     }
 
     /// Store a block on `node`. Oversized blocks (bigger than the whole
-    /// budget) are not stored, like Spark's MEMORY_ONLY behaviour.
+    /// budget) are not stored, like Spark's MEMORY_ONLY behaviour. Returns
+    /// the blocks evicted under budget pressure to make room.
     pub(crate) fn put<T: EstimateSize + Send + Sync + 'static>(
         &self,
         op: OpId,
         part: usize,
         data: Arc<Vec<T>>,
         node: NodeId,
-    ) -> PutOutcome {
+    ) -> Vec<(OpId, usize)> {
         let bytes = slice_bytes(&data) as u64;
         let mut g = self.inner.lock();
         if bytes > self.budget_bytes {
-            return PutOutcome {
-                stored: false,
-                bytes,
-                evicted: Vec::new(),
-            };
+            return Vec::new();
         }
         let mut evicted = Vec::new();
         while g.used_bytes + bytes > self.budget_bytes {
@@ -185,7 +162,7 @@ impl CacheManager {
                     if let Some(e) = g.entries.remove(&k) {
                         g.used_bytes -= e.bytes;
                         self.ledger.sub(MemCategory::BlockCache, e.bytes);
-                        evicted.push((k.0, k.1, e.bytes));
+                        evicted.push(k);
                     }
                 }
                 None => break,
@@ -208,16 +185,12 @@ impl CacheManager {
         g.used_bytes += bytes;
         self.ledger.add(MemCategory::BlockCache, bytes);
         g.ever_present.insert((op, part));
-        PutOutcome {
-            stored: true,
-            bytes,
-            evicted,
-        }
+        evicted
     }
 
     /// Drop all blocks living on a dead node. Returns each lost block's
-    /// identity and exact bytes.
-    pub(crate) fn drop_node(&self, node: NodeId) -> Vec<(OpId, usize, u64)> {
+    /// identity.
+    pub(crate) fn drop_node(&self, node: NodeId) -> Vec<(OpId, usize)> {
         let mut g = self.inner.lock();
         let keys: Vec<_> = g
             .entries
@@ -230,29 +203,26 @@ impl CacheManager {
             if let Some(e) = g.entries.remove(k) {
                 g.used_bytes -= e.bytes;
                 self.ledger.sub(MemCategory::BlockCache, e.bytes);
-                dropped.push((k.0, k.1, e.bytes));
+                dropped.push(*k);
             }
         }
         dropped
     }
 
     /// Drop the single least-recently-used block (fault injection).
-    /// Returns the dropped block's identity and bytes, if any block was
-    /// resident.
-    pub(crate) fn drop_lru_one(&self) -> Option<(OpId, usize, u64)> {
+    /// Returns the dropped block's identity, if any block was resident.
+    pub(crate) fn drop_lru_one(&self) -> Option<(OpId, usize)> {
         let mut g = self.inner.lock();
         let victim = g
             .entries
             .iter()
             .min_by_key(|(_, e)| e.last_used)
             .map(|(k, _)| *k)?;
-        let mut bytes = 0;
         if let Some(e) = g.entries.remove(&victim) {
             g.used_bytes -= e.bytes;
             self.ledger.sub(MemCategory::BlockCache, e.bytes);
-            bytes = e.bytes;
         }
-        Some((victim.0, victim.1, bytes))
+        Some(victim)
     }
 
     /// How many partitions of `op` are currently resident.
@@ -296,8 +266,7 @@ mod tests {
         c.mark(op);
         assert!(c.is_marked(op));
         assert!(c.get::<u64>(op, 0).is_none());
-        let out = c.put(op, 0, block(10), N0);
-        assert!(out.stored);
+        assert!(c.put(op, 0, block(10), N0).is_empty());
         let got = c.get::<u64>(op, 0).unwrap();
         assert_eq!(got.data.len(), 10);
         assert_eq!(got.node, N0);
@@ -319,15 +288,9 @@ mod tests {
         c.put(OpId(1), 1, block(100), N0);
         // Touch partition 0 so partition 1 is the LRU victim.
         assert!(c.get::<u64>(OpId(1), 0).is_some());
-        let out = c.put(OpId(1), 2, block(100), N0);
-        assert!(out.stored);
-        assert_eq!(out.bytes, one);
-        assert_eq!(
-            out.evicted,
-            vec![(OpId(1), 1, one)],
-            "victim is identified with its exact bytes"
-        );
-        assert_eq!(out.evicted_blocks(), 1);
+        let evicted = c.put(OpId(1), 2, block(100), N0);
+        assert_eq!(evicted, vec![(OpId(1), 1)], "the LRU block is the victim");
+        assert_eq!(c.used_bytes(), 2 * one);
         assert!(c.get::<u64>(OpId(1), 0).is_some(), "recently used survives");
         assert!(c.get::<u64>(OpId(1), 1).is_none(), "LRU evicted");
         assert!(c.get::<u64>(OpId(1), 2).is_some());
@@ -336,9 +299,8 @@ mod tests {
     #[test]
     fn oversized_block_not_stored() {
         let c = CacheManager::new(64);
-        let out = c.put(OpId(1), 0, block(1000), N0);
-        assert!(!out.stored);
-        assert_eq!(out.bytes, slice_bytes(&vec![0u64; 1000]) as u64);
+        assert!(c.put(OpId(1), 0, block(1000), N0).is_empty());
+        assert!(c.get::<u64>(OpId(1), 0).is_none());
         assert_eq!(c.used_bytes(), 0);
     }
 
@@ -346,9 +308,8 @@ mod tests {
     fn ever_present_tracks_recompute_eligibility() {
         let c = CacheManager::new(1 << 20);
         assert!(!c.was_ever_present(OpId(1), 0));
-        let one = slice_bytes(&[0u64; 1]) as u64;
         c.put(OpId(1), 0, block(1), N0);
-        assert_eq!(c.drop_lru_one(), Some((OpId(1), 0, one)));
+        assert_eq!(c.drop_lru_one(), Some((OpId(1), 0)));
         assert!(c.was_ever_present(OpId(1), 0));
         assert!(c.get::<u64>(OpId(1), 0).is_none());
         assert_eq!(c.drop_lru_one(), None, "cache is empty now");
@@ -370,10 +331,9 @@ mod tests {
         c.mark(OpId(1));
         c.put(OpId(1), 0, block(5), N0);
         c.put(OpId(1), 1, block(5), N0);
-        let five = slice_bytes(&[0u64; 5]) as u64;
         let mut dropped = c.unmark(OpId(1));
         dropped.sort_unstable();
-        assert_eq!(dropped, vec![(0, five), (1, five)]);
+        assert_eq!(dropped, vec![0, 1]);
         assert!(!c.is_marked(OpId(1)));
         assert_eq!(c.used_bytes(), 0);
     }

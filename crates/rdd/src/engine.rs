@@ -59,7 +59,7 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    pub(crate) fn new(spec: ClusterSpec) -> Self {
+    fn new(spec: ClusterSpec) -> Self {
         EngineBuilder {
             spec,
             dfs_block_size: sparkscore_dfs::DEFAULT_BLOCK_SIZE,
@@ -237,7 +237,8 @@ impl Engine {
         self.cache.budget_bytes()
     }
 
-    /// Bytes currently resident in the block cache (live gauge).
+    /// Bytes currently resident in the block cache, by the cache's own
+    /// count (the ledger's `block_cache` slot mirrors it).
     pub fn cache_used_bytes(&self) -> u64 {
         self.cache.used_bytes()
     }
@@ -320,11 +321,11 @@ impl Engine {
     /// atomic RMW per stage instead of one per task — task `i` takes
     /// `base + i` with no cross-thread contention.
     #[inline]
-    pub(crate) fn new_span_range(&self, n: u64) -> u64 {
+    fn new_span_range(&self, n: u64) -> u64 {
         self.next_span.fetch_add(n, Ordering::Relaxed)
     }
 
-    pub(crate) fn new_op_id(&self) -> OpId {
+    fn new_op_id(&self) -> OpId {
         OpId(self.next_op.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -347,12 +348,7 @@ impl Engine {
     /// component's `Arc` or a `Weak<Engine>`, never an `Arc<Engine>`: the
     /// engine owns the registry, so a strong handle would keep it alive.
     fn register_live_gauges(self: &Arc<Self>) {
-        let gauges: [(&str, &str, fn(&Engine) -> u64); 6] = [
-            (
-                "sparkscore_cache_used_bytes",
-                "Bytes resident in the block cache",
-                |e| e.cache.used_bytes(),
-            ),
+        let gauges: [(&str, &str, fn(&Engine) -> u64); 4] = [
             (
                 "sparkscore_cache_budget_bytes",
                 "Block cache byte budget",
@@ -366,11 +362,6 @@ impl Engine {
                         .checked_div(e.cache.budget_bytes())
                         .unwrap_or(0)
                 },
-            ),
-            (
-                "sparkscore_shuffle_stored_bytes",
-                "Bytes held as shuffle map outputs",
-                |e| e.shuffle.stored_bytes(),
             ),
             (
                 "sparkscore_shuffle_shard_occupancy_max",
@@ -480,7 +471,7 @@ impl Engine {
     /// Untagged convenience over [`Engine::run_stage_tagged`] for stages
     /// run outside a job (tests and ad-hoc internal work).
     #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn run_stage<R, F>(&self, parts: &[usize], f: F) -> Vec<R>
+    fn run_stage<R, F>(&self, parts: &[usize], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &TaskCtx<'_>) -> R + Sync,
@@ -491,7 +482,7 @@ impl Engine {
     /// [`Engine::run_stage`] with event attribution: the owning job (if
     /// any), whether this is a result or shuffle-map stage, and the span
     /// the stage runs under (the job span, or `NONE` for internal work).
-    pub(crate) fn run_stage_tagged<R, F>(
+    fn run_stage_tagged<R, F>(
         &self,
         parts: &[usize],
         job: Option<u64>,
@@ -660,11 +651,6 @@ impl Engine {
                     });
                 }
             }
-            // One memory pulse per non-empty stage, sampled after the
-            // stage's puts and evictions have settled, rides in the same
-            // batch (empty stages keep their exact Submitted/Completed
-            // pair).
-            batch.push(self.memory_watermark_event(stage));
             batch.push(EngineEvent::StageCompleted {
                 job,
                 stage,
@@ -683,12 +669,7 @@ impl Engine {
     /// and say whether a stage ran. One `stage_info` snapshot replaces the
     /// previous three separate shuffle-manager lock round-trips (shape,
     /// runner, missing parts).
-    pub(crate) fn ensure_shuffle(
-        &self,
-        sid: ShuffleId,
-        job: Option<u64>,
-        parent_span: SpanContext,
-    ) -> bool {
+    fn ensure_shuffle(&self, sid: ShuffleId, job: Option<u64>, parent_span: SpanContext) -> bool {
         let Some(info) = self.shuffle.stage_info(sid) else {
             return false;
         };
@@ -733,15 +714,14 @@ impl Engine {
     }
 
     /// Drop `op`'s cache mark and blocks (Spark's `unpersist`). This is the
-    /// third way bytes leave the cache, so each block leaves through the
-    /// same byte-accurate eviction event the other paths emit.
+    /// third way blocks leave the cache, so each leaves through the same
+    /// eviction event the other paths emit.
     pub(crate) fn unpersist(&self, op: OpId) {
-        for (partition, bytes) in self.cache.unmark(op) {
+        for partition in self.cache.unmark(op) {
             self.events.emit_with(|| EngineEvent::CacheEvicted {
                 op: op.0,
                 partition,
                 pressure: false,
-                bytes,
             });
         }
     }
@@ -794,21 +774,6 @@ impl Engine {
         out
     }
 
-    /// Sample the ledger into a per-stage watermark event. Polled sources
-    /// are refreshed first so DFS/scratch residency is current.
-    fn memory_watermark_event(&self, stage: u64) -> EngineEvent {
-        self.ledger.refresh();
-        EngineEvent::MemoryWatermark {
-            stage,
-            block_cache_bytes: self.ledger.used(MemCategory::BlockCache),
-            shuffle_store_bytes: self.ledger.used(MemCategory::ShuffleStore),
-            dfs_blocks_bytes: self.ledger.used(MemCategory::DfsBlocks),
-            scratch_bytes: self.ledger.used(MemCategory::Scratch),
-            cache_budget_bytes: self.cache.budget_bytes(),
-            mono_ns: self.mono_ns(),
-        }
-    }
-
     fn on_task_complete(&self) {
         let plan = Arc::clone(&self.fault_plan.read());
         for event in plan.on_task_complete() {
@@ -829,21 +794,19 @@ impl Engine {
                             node: u64::from(node.0),
                         },
                     });
-                    // Each cached block lost with the node leaves the byte
-                    // economy through an explicit eviction event, so event
-                    // replay reaches the same ledger state.
-                    for (op, partition, bytes) in lost_blocks {
+                    // Each cached block lost with the node leaves through
+                    // an explicit eviction event.
+                    for (op, partition) in lost_blocks {
                         self.events.emit_with(|| EngineEvent::CacheEvicted {
                             op: op.0,
                             partition,
                             pressure: false,
-                            bytes,
                         });
                     }
                 }
             }
             FaultEvent::DropCachedBlock => {
-                if let Some((op, partition, bytes)) = self.cache.drop_lru_one() {
+                if let Some((op, partition)) = self.cache.drop_lru_one() {
                     self.events.emit_with(|| EngineEvent::FaultInjected {
                         fault: FaultDetail::DropCachedBlock {
                             op: op.0,
@@ -854,7 +817,6 @@ impl Engine {
                         op: op.0,
                         partition,
                         pressure: false,
-                        bytes,
                     });
                 }
             }

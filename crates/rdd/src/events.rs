@@ -10,6 +10,10 @@
 //! [`crate::engine::EngineBuilder`] or on a live engine via
 //! [`crate::Engine::events`].
 //!
+//! No event carries resident bytes: memory is counted once, in the
+//! engine's [`crate::MemoryLedger`], and read from it
+//! ([`crate::Engine::memory_snapshot`], the `sparkscore_mem_*` gauges).
+//!
 //! Emission is lock-cheap: with no listeners registered the engine pays a
 //! single relaxed atomic load per site and never constructs the event, so
 //! an unobserved engine runs at full speed.
@@ -263,46 +267,13 @@ wire_enum! {
             /// Monotonic engine time at interval end.
             end_ns: u64,
         },
-        /// A block was admitted to the cache with this exact byte footprint.
-        CacheAdmitted {
-            op: u64,
-            partition: usize,
-            bytes: u64,
-        },
-        /// A block was offered to the cache but not stored (larger than the
-        /// whole budget); the bytes that failed to become resident.
-        CacheRejected {
-            op: u64,
-            partition: usize,
-            bytes: u64,
-        },
         /// A cached block left the cache: LRU pressure (`pressure: true`) or
-        /// a fault/unpersist path (`pressure: false`). `bytes` is the block's
-        /// exact resident footprint.
+        /// a fault/unpersist path (`pressure: false`). Resident bytes are
+        /// read from the memory ledger, not from events.
         CacheEvicted {
             op: u64,
             partition: usize,
             pressure: bool,
-            bytes: u64,
-        },
-        /// One map task's output landed in the shuffle store: the total
-        /// bucket bytes now resident for `(shuffle, map_part)`.
-        ShuffleBytesStored {
-            shuffle: u64,
-            map_part: usize,
-            bytes: u64,
-        },
-        /// Per-category resident bytes sampled at a stage boundary — the
-        /// memory plane's periodic pulse, one sample per non-empty stage.
-        MemoryWatermark {
-            stage: u64,
-            block_cache_bytes: u64,
-            shuffle_store_bytes: u64,
-            dfs_blocks_bytes: u64,
-            scratch_bytes: u64,
-            /// The cache's configured byte budget (headroom denominator).
-            cache_budget_bytes: u64,
-            mono_ns: u64,
         },
         /// A lost shuffle map output was recomputed inline by a reducer.
         ShuffleMapRerun {
@@ -497,15 +468,24 @@ impl Drop for EventLogListener {
 }
 
 /// Parse a JSONL event log produced by [`EventLogListener`] back into
-/// typed events (blank lines are skipped).
+/// typed events (blank lines are skipped). The error names the 1-based
+/// line of the first record it rejects, e.g. `line 7: unknown Event
+/// "TaskStart"` for a kind this version no longer writes.
 pub fn parse_event_log(text: &str) -> Result<Vec<EngineEvent>, serde_json::Error> {
     text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            EngineEvent::from_json(
-                &serde_json::from_str_value(l).map_err(serde_json::Error::Parse)?,
-            )
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty())
+        .map(|(line, l)| {
+            serde_json::from_str_value(l)
+                .map_err(serde_json::Error::Parse)
+                .and_then(|v| EngineEvent::from_json(&v))
+                .map_err(|e| {
+                    // `raise` writes the prefix again: keep one.
+                    let why = e.to_string();
+                    let why = why.strip_prefix("deserialization error: ").unwrap_or(&why);
+                    raise(format!("line {line}: {why}"))
+                })
         })
         .collect()
 }
@@ -529,14 +509,6 @@ impl MemoryEventListener {
     pub fn take(&self) -> Vec<EngineEvent> {
         std::mem::take(&mut self.events.lock())
     }
-
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
 }
 
 impl EventListener for MemoryEventListener {
@@ -550,9 +522,9 @@ impl EventListener for MemoryEventListener {
 }
 
 /// Feeds a live [`Registry`] from the event stream with what only events
-/// can give: completed jobs, the in-flight and clock gauges, the eviction
-/// split, cache and shuffle byte flows, faults, task-runtime histograms and
-/// the tasks' named counters. The engine's own counters (jobs, stages,
+/// can give: completed jobs, the in-flight and clock gauges, the cache
+/// blocks dropped by faults or unpersist, faults, task-runtime histograms
+/// and the tasks' named counters. The engine's own counters (jobs, stages,
 /// tasks, input, shuffle and cache totals) already live in
 /// [`crate::Engine::registry`]: build the listener on that registry with
 /// [`RegistryListener::with_registry`] to scrape both in one place.
@@ -563,12 +535,7 @@ impl EventListener for MemoryEventListener {
 pub struct RegistryListener {
     registry: Arc<Registry>,
     jobs_completed: Arc<Counter>,
-    cache_evictions_pressure: Arc<Counter>,
     cache_evictions_other: Arc<Counter>,
-    cache_admitted_bytes: Arc<Counter>,
-    cache_rejected_bytes: Arc<Counter>,
-    cache_evicted_bytes: Arc<Counter>,
-    shuffle_stored_bytes: Arc<Counter>,
     /// `sparkscore_<name>_total` per task-counter name, created on first
     /// sight (the engine does not know the names in advance).
     task_counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -592,29 +559,9 @@ impl RegistryListener {
         let bounds = Histogram::duration_ns_bounds();
         RegistryListener {
             jobs_completed: c("sparkscore_jobs_completed_total", "Jobs finished"),
-            cache_evictions_pressure: c(
-                "sparkscore_cache_evictions_pressure_total",
-                "Cached blocks evicted under LRU pressure",
-            ),
             cache_evictions_other: c(
                 "sparkscore_cache_evictions_other_total",
                 "Cached blocks dropped by faults or unpersist",
-            ),
-            cache_admitted_bytes: c(
-                "sparkscore_cache_admitted_bytes_total",
-                "Bytes admitted to the block cache",
-            ),
-            cache_rejected_bytes: c(
-                "sparkscore_cache_rejected_bytes_total",
-                "Bytes offered to the block cache but too large to store",
-            ),
-            cache_evicted_bytes: c(
-                "sparkscore_cache_evicted_bytes_total",
-                "Bytes evicted or dropped from the block cache",
-            ),
-            shuffle_stored_bytes: c(
-                "sparkscore_shuffle_stored_bytes_total",
-                "Map-output bytes stored into the shuffle store",
             ),
             task_counters: Mutex::default(),
             faults_injected: c("sparkscore_faults_injected_total", "Fault plan firings"),
@@ -664,10 +611,7 @@ impl EventListener for RegistryListener {
             EngineEvent::StageSubmitted { .. }
             | EngineEvent::StageCompleted { .. }
             | EngineEvent::Span { .. }
-            | EngineEvent::ShuffleMapRerun { .. }
-            // The live per-category gauges read the engine's ledger at
-            // scrape time; the watermark event is for logs and the recorder.
-            | EngineEvent::MemoryWatermark { .. } => {}
+            | EngineEvent::ShuffleMapRerun { .. } => {}
             EngineEvent::TaskEnd { metrics, .. } => {
                 if !metrics.counters.is_empty() {
                     let mut known = self.task_counters.lock();
@@ -685,19 +629,13 @@ impl EventListener for RegistryListener {
                 self.task_virtual_ns.observe(metrics.virtual_runtime_ns());
                 self.task_wall_ns.observe(metrics.wall_ns);
             }
-            EngineEvent::CacheAdmitted { bytes, .. } => self.cache_admitted_bytes.add(*bytes),
-            EngineEvent::CacheRejected { bytes, .. } => self.cache_rejected_bytes.add(*bytes),
-            EngineEvent::CacheEvicted {
-                pressure, bytes, ..
-            } => {
-                if *pressure {
-                    self.cache_evictions_pressure.inc();
-                } else {
+            // Pressure evictions are the engine's own
+            // `sparkscore_cache_evictions_total`.
+            EngineEvent::CacheEvicted { pressure, .. } => {
+                if !*pressure {
                     self.cache_evictions_other.inc();
                 }
-                self.cache_evicted_bytes.add(*bytes);
             }
-            EngineEvent::ShuffleBytesStored { bytes, .. } => self.shuffle_stored_bytes.add(*bytes),
             EngineEvent::FaultInjected { .. } => self.faults_injected.inc(),
         }
     }
@@ -769,35 +707,15 @@ mod tests {
                 span: SpanContext::NONE,
                 mono_ns: 1_200,
             },
-            EngineEvent::CacheAdmitted {
-                op: 7,
-                partition: 3,
-                bytes: 4_096,
-            },
-            EngineEvent::CacheRejected {
-                op: 8,
-                partition: 0,
-                bytes: 1 << 30,
-            },
             EngineEvent::CacheEvicted {
                 op: 7,
                 partition: 3,
                 pressure: true,
-                bytes: 4_096,
             },
-            EngineEvent::ShuffleBytesStored {
-                shuffle: 5,
-                map_part: 1,
-                bytes: 2_048,
-            },
-            EngineEvent::MemoryWatermark {
-                stage: 1,
-                block_cache_bytes: 4_096,
-                shuffle_store_bytes: 2_048,
-                dfs_blocks_bytes: 8_192,
-                scratch_bytes: 512,
-                cache_budget_bytes: 1 << 20,
-                mono_ns: 1_050,
+            EngineEvent::CacheEvicted {
+                op: 7,
+                partition: 4,
+                pressure: false,
             },
             EngineEvent::ShuffleMapRerun {
                 shuffle: 5,
@@ -895,7 +813,7 @@ mod tests {
         bus.register(Arc::clone(&mem) as Arc<dyn EventListener>);
         assert!(bus.is_active());
         bus.emit_with(rerun);
-        assert_eq!(mem.len(), 1);
+        assert_eq!(mem.snapshot().len(), 1);
         bus.clear();
         assert!(!bus.is_active());
     }
@@ -972,19 +890,7 @@ mod tests {
         assert!(text.contains("sparkscore_running_jobs 0"), "{text}");
         assert!(text.contains("sparkscore_cells_total 640"), "{text}");
         assert!(
-            text.contains("sparkscore_cache_evictions_pressure_total 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("sparkscore_cache_admitted_bytes_total 4096"),
-            "{text}"
-        );
-        assert!(
-            text.contains("sparkscore_cache_evicted_bytes_total 4096"),
-            "{text}"
-        );
-        assert!(
-            text.contains("sparkscore_shuffle_stored_bytes_total 2048"),
+            text.contains("sparkscore_cache_evictions_other_total 1"),
             "{text}"
         );
         assert!(

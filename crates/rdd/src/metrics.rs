@@ -389,12 +389,9 @@ impl Registry {
         metrics.insert(name.to_string(), (help.to_string(), source));
     }
 
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.metrics.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.metrics.read().is_empty()
     }
 
     /// Render every metric in the Prometheus text exposition format

@@ -137,33 +137,15 @@ pub(crate) fn materialize<T: Data>(
     }
     let data = ctx.time_span("cache:recompute", || Arc::new(op.compute(part, ctx)));
     let node = engine.node_for_block(id.0, part as u64);
-    let outcome = engine.cache.put(id, part, Arc::clone(&data), node);
-    engine.metrics.cache_evictions.add(outcome.evicted_blocks());
-    for &(victim_op, victim_part, victim_bytes) in &outcome.evicted {
+    let evicted = engine.cache.put(id, part, Arc::clone(&data), node);
+    engine.metrics.cache_evictions.add(evicted.len() as u64);
+    for (victim_op, victim_part) in evicted {
         engine
             .events()
             .emit_with(|| crate::events::EngineEvent::CacheEvicted {
                 op: victim_op.0,
                 partition: victim_part,
                 pressure: true,
-                bytes: victim_bytes,
-            });
-    }
-    if outcome.stored {
-        engine
-            .events()
-            .emit_with(|| crate::events::EngineEvent::CacheAdmitted {
-                op: id.0,
-                partition: part,
-                bytes: outcome.bytes,
-            });
-    } else {
-        engine
-            .events()
-            .emit_with(|| crate::events::EngineEvent::CacheRejected {
-                op: id.0,
-                partition: part,
-                bytes: outcome.bytes,
             });
     }
     data

@@ -193,16 +193,9 @@ fn register_shuffle_map<K, V, T, B>(
                     }
                 })
                 .collect();
-            let stored = engine
+            engine
                 .shuffle
                 .put_map_output(sid, map_part, buckets.clone(), node);
-            engine
-                .events()
-                .emit_with(|| crate::events::EngineEvent::ShuffleBytesStored {
-                    shuffle: sid.0,
-                    map_part,
-                    bytes: stored,
-                });
             buckets
         })
     });

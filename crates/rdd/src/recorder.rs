@@ -255,15 +255,13 @@ impl FlightRecorder {
                 st.current_job = Some(*job);
                 self.ring_for(st, *job).ring.push(event.clone());
             }
-            EngineEvent::TaskEnd { stage, .. } | EngineEvent::MemoryWatermark { stage, .. } => {
-                match st.stage_job.get(stage).copied() {
-                    Some(job) => {
-                        st.current_job = Some(job);
-                        self.ring_for(st, job).ring.push(event.clone());
-                    }
-                    None => st.global.push(event.clone()),
+            EngineEvent::TaskEnd { stage, .. } => match st.stage_job.get(stage).copied() {
+                Some(job) => {
+                    st.current_job = Some(job);
+                    self.ring_for(st, job).ring.push(event.clone());
                 }
-            }
+                None => st.global.push(event.clone()),
+            },
             EngineEvent::Span { .. } => match st.current_job {
                 Some(job) => self.ring_for(st, job).ring.push(event.clone()),
                 None => st.global.push(event.clone()),
@@ -502,7 +500,6 @@ mod tests {
             op: 1,
             partition: 0,
             pressure: true,
-            bytes: 64,
         });
         assert!(rec.jobs().is_empty());
         assert_eq!(rec.backlog_events(), 1);

@@ -15,7 +15,6 @@ use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -142,10 +141,9 @@ type OutputShard = Mutex<HashMap<(ShuffleId, usize), MapOutput>>;
 pub struct ShuffleManager {
     stages: RwLock<HashMap<ShuffleId, Arc<ShuffleStage>>>,
     shards: [OutputShard; SHUFFLE_SHARDS],
-    /// Running total of bucket bytes across all shards, maintained by
-    /// O(1) deltas at every write/cleanup site — `stored_bytes` reads this
-    /// instead of scanning 16 shards.
-    total_bytes: AtomicU64,
+    /// Resident bucket bytes are counted here only, under
+    /// [`MemCategory::ShuffleStore`], by O(1) deltas at every write and
+    /// cleanup site.
     ledger: Arc<MemoryLedger>,
 }
 
@@ -168,22 +166,18 @@ impl ShuffleManager {
         }
     }
 
-    /// Bytes became resident: bump the running counter and the ledger.
+    /// Bytes became resident.
     fn credit(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
+        if bytes > 0 {
+            self.ledger.add(MemCategory::ShuffleStore, bytes);
         }
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.ledger.add(MemCategory::ShuffleStore, bytes);
     }
 
-    /// Bytes left the store: both mirrors go down by the same delta.
+    /// Bytes left the store.
     fn debit(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
+        if bytes > 0 {
+            self.ledger.sub(MemCategory::ShuffleStore, bytes);
         }
-        self.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        self.ledger.sub(MemCategory::ShuffleStore, bytes);
     }
 
     pub(crate) fn register(&self, sid: ShuffleId, stage: ShuffleStage) {
@@ -276,16 +270,14 @@ impl ShuffleManager {
         }
     }
 
-    /// Store one map task's buckets (one per reduce partition). Returns
-    /// the bucket bytes now resident for `(sid, map_part)`, so the caller
-    /// can emit a byte-accurate event.
+    /// Store one map task's buckets (one per reduce partition).
     pub(crate) fn put_map_output(
         &self,
         sid: ShuffleId,
         map_part: usize,
         buckets: Vec<Bucket>,
         node: NodeId,
-    ) -> u64 {
+    ) {
         let output = MapOutput { buckets, node };
         let bytes = output.bytes();
         let replaced = self.shards[shard_index(sid, map_part)]
@@ -295,7 +287,6 @@ impl ShuffleManager {
             self.debit(old.bytes());
         }
         self.credit(bytes);
-        bytes
     }
 
     /// Batch fetch for a reducer: the `reduce_part` bucket of every map
@@ -367,14 +358,15 @@ impl ShuffleManager {
         }
     }
 
-    /// Total bytes held across all buckets — an O(1) read of the running
-    /// counter, safe to call from hot paths and scrapes.
-    pub(crate) fn stored_bytes(&self) -> u64 {
-        self.total_bytes.load(Ordering::Relaxed)
+    /// Total bytes held across all buckets: the ledger's shuffle-store
+    /// slot.
+    #[cfg(test)]
+    fn stored_bytes(&self) -> u64 {
+        self.ledger.used(MemCategory::ShuffleStore)
     }
 
-    /// The old full-scan total, kept as the ground truth the running
-    /// counter is cross-checked against in tests.
+    /// The full-scan total, the ground truth the ledger's deltas are
+    /// cross-checked against in tests.
     #[cfg(test)]
     fn stored_bytes_scan(&self) -> u64 {
         self.shards
@@ -407,13 +399,13 @@ mod tests {
         }
     }
 
-    /// The running counter must agree with the ground-truth shard scan
-    /// after every mutation.
+    /// The ledger's shuffle-store slot must agree with the ground-truth
+    /// shard scan after every mutation.
     fn check_counter(m: &ShuffleManager) {
-        debug_assert_eq!(
+        assert_eq!(
             m.stored_bytes(),
             m.stored_bytes_scan(),
-            "running byte counter diverged from the shard scan"
+            "the ledger's shuffle bytes diverged from the shard scan"
         );
     }
 
@@ -521,8 +513,7 @@ mod tests {
         let m = ShuffleManager::new();
         let sid = ShuffleId(1);
         m.register(sid, stage(1, 2));
-        let stored = m.put_map_output(sid, 0, vec![bucket(vec![1, 2]), bucket(vec![3])], NodeId(0));
-        assert_eq!(stored, 12);
+        m.put_map_output(sid, 0, vec![bucket(vec![1, 2]), bucket(vec![3])], NodeId(0));
         assert_eq!(m.stored_bytes(), 12);
         check_counter(&m);
         assert_eq!(m.shard_occupancy().len(), SHUFFLE_SHARDS);
@@ -548,7 +539,8 @@ mod tests {
         m.register(sid, stage(2, 1));
         m.put_map_output(sid, 0, vec![bucket(vec![1, 2])], NodeId(0));
         m.put_map_output(sid, 1, vec![bucket(vec![3])], NodeId(0));
-        assert_eq!(ledger.used(MemCategory::ShuffleStore), m.stored_bytes());
+        assert_eq!(ledger.used(MemCategory::ShuffleStore), 12);
+        check_counter(&m);
         assert_eq!(ledger.peak(MemCategory::ShuffleStore), 12);
         m.unregister(sid);
         assert_eq!(ledger.used(MemCategory::ShuffleStore), 0);

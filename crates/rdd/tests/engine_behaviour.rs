@@ -329,7 +329,13 @@ fn node_death_mid_job_recovers_from_lineage() {
 
 #[test]
 fn lost_shuffle_output_is_rerun_inline() {
-    let e = engine(2);
+    // One host thread runs the reducers in partition order, so the map
+    // output dropped when the second finishes is missing when the third
+    // fetches. On several threads every reducer could fetch before the
+    // drop, and no re-run was forced.
+    let e = Engine::builder(ClusterSpec::test_small(2))
+        .host_threads(1)
+        .build();
     let pairs: Vec<(u64, u64)> = (0..300).map(|x| (x % 11, 1)).collect();
     let counted = e.parallelize(pairs, 6).reduce_by_key(4, |a, b| a + b);
     let first = counted.collect_as_map();

@@ -505,39 +505,13 @@ fn every_event_variant() -> Vec<EngineEvent> {
         },
         EngineEvent::CacheEvicted {
             op: 1,
-            partition: 2,
+            partition: usize::MAX >> 1,
             pressure: true,
-            bytes: u64::MAX,
         },
         EngineEvent::CacheEvicted {
             op: u64::MAX,
             partition: 0,
             pressure: false,
-            bytes: 0,
-        },
-        EngineEvent::CacheAdmitted {
-            op: 5,
-            partition: usize::MAX >> 1,
-            bytes: u64::MAX,
-        },
-        EngineEvent::CacheRejected {
-            op: u64::MAX,
-            partition: 0,
-            bytes: 1 << 40,
-        },
-        EngineEvent::ShuffleBytesStored {
-            shuffle: u64::MAX,
-            map_part: 3,
-            bytes: u64::MAX - 1,
-        },
-        EngineEvent::MemoryWatermark {
-            stage: u64::MAX,
-            block_cache_bytes: 1,
-            shuffle_store_bytes: 2,
-            dfs_blocks_bytes: 3,
-            scratch_bytes: 4,
-            cache_budget_bytes: u64::MAX,
-            mono_ns: 5,
         },
         EngineEvent::ShuffleMapRerun {
             shuffle: u64::MAX,
@@ -576,10 +550,6 @@ fn every_event_variant_round_trips_through_jsonl() {
         "Span",
         "TaskEnd",
         "CacheEvicted",
-        "CacheAdmitted",
-        "CacheRejected",
-        "ShuffleBytesStored",
-        "MemoryWatermark",
         "ShuffleMapRerun",
         "FaultInjected",
     ]
@@ -624,11 +594,7 @@ fn wire_format_is_pinned_key_for_key() {
             r#""span":27,"parent_span":9,"mono_start_ns":28,"mono_end_ns":29}}"#,
         ),
         r#"{"Event":"Span","span":30,"parent_span":27,"label":"kernel:perturb","start_ns":31,"end_ns":32}"#,
-        r#"{"Event":"CacheAdmitted","op":33,"partition":34,"bytes":35}"#,
-        r#"{"Event":"CacheRejected","op":36,"partition":37,"bytes":38}"#,
-        r#"{"Event":"CacheEvicted","op":39,"partition":40,"pressure":false,"bytes":41}"#,
-        r#"{"Event":"ShuffleBytesStored","shuffle":42,"map_part":43,"bytes":44}"#,
-        r#"{"Event":"MemoryWatermark","stage":45,"block_cache_bytes":46,"shuffle_store_bytes":47,"dfs_blocks_bytes":48,"scratch_bytes":49,"cache_budget_bytes":50,"mono_ns":51}"#,
+        r#"{"Event":"CacheEvicted","op":39,"partition":40,"pressure":false}"#,
         r#"{"Event":"ShuffleMapRerun","shuffle":52,"map_part":53}"#,
         r#"{"Event":"FaultInjected","fault":{"kind":"KillNode","node":54}}"#,
         r#"{"Event":"FaultInjected","fault":{"kind":"DropCachedBlock","op":55,"partition":56}}"#,
@@ -706,7 +672,7 @@ fn parse_event_log_rejects_malformed_lines() {
         format!("{{\"Event\":\"JobStart\",\"virtual_now_ns\":0,{tail}"), // missing field
         format!("{{\"Event\":\"JobStart\",\"job\":-1,\"virtual_now_ns\":0,{tail}"), // negative u64
         r#"{"Event":"JobStart","job":1,"virtual_now_ns":0}"#.to_string(), // no span/mono: no legacy defaults
-        r#"{"Event":"CacheEvicted","op":7,"partition":3,"pressure":true}"#.to_string(), // no bytes
+        r#"{"Event":"CacheEvicted","op":7,"partition":3}"#.to_string(), // no pressure
         r#"{"Event":"TaskStart","stage":1,"partition":2}"#.to_string(), // removed variant
         format!("{{\"Event\":\"StageSubmitted\",\"job\":null,\"stage\":0,\"kind\":\"Sideways\",\"num_tasks\":1,{tail}"), // bad kind
         format!("{{\"Event\":\"StageSubmitted\",\"stage\":0,\"kind\":\"Result\",\"num_tasks\":1,{tail}"), // optional job absent, not null
@@ -723,29 +689,36 @@ fn parse_event_log_rejects_malformed_lines() {
     ];
     for bad in &bad_lines {
         // A malformed line poisons the parse even when surrounded by
-        // valid events — truncated or corrupt logs fail loudly.
+        // valid events — truncated or corrupt logs fail loudly, and say
+        // on which line.
         let log = format!("{good}\n{bad}\n{good}\n");
+        let err = parse_event_log(&log).expect_err(bad).to_string();
         assert!(
-            parse_event_log(&log).is_err(),
-            "line {bad:?} should fail to parse"
+            err.starts_with("deserialization error: line 2: "),
+            "line {bad:?} gave {err:?}"
         );
     }
+    // Line numbers are the file's: blank lines count. A kind this
+    // version no longer writes is named, so a `trace` run on a log from
+    // another version says where it stops and why.
+    let removed = r#"{"Event":"TaskStart","stage":1,"partition":2}"#;
+    let log = format!("{good}\n\n{good}\n  \n{good}\n{good}\n{removed}\n{good}");
+    assert_eq!(
+        parse_event_log(&log).unwrap_err().to_string(),
+        r#"deserialization error: line 7: unknown Event "TaskStart""#
+    );
 }
 
 /// Satellite invariant: across pool-worker puts, pressure evictions, and
 /// unpersists, the memory ledger's `used` equals the cache's own byte
 /// count (itself the sum of resident block sizes) at every quiescent
-/// point — the delta accounting never drifts from the real residency —
-/// and every dataset's admitted bytes leave through eviction events,
-/// whether it was unpersisted or dropped.
+/// point — the delta accounting never drifts from the real residency.
 #[test]
 fn ledger_matches_residency_through_concurrent_churn() {
     use sparkscore_rdd::MemCategory;
-    let mem = Arc::new(MemoryEventListener::new());
     let engine = Engine::builder(ClusterSpec::test_small(3))
         .host_threads(4)
         .cache_budget_bytes(64 * 1024) // small budget: force eviction churn
-        .listener(Arc::clone(&mem) as Arc<dyn EventListener>)
         .build();
     let ledger = Arc::clone(engine.memory_ledger());
     let mut datasets = Vec::new();
@@ -772,142 +745,16 @@ fn ledger_matches_residency_through_concurrent_churn() {
         "per-op residency must sum to the ledger total"
     );
     assert!(ledger.peak(MemCategory::BlockCache) >= ledger.used(MemCategory::BlockCache));
-    let ids: Vec<u64> = datasets.iter().map(|d| d.id().0).collect();
-    let last_resident = engine.cache_resident_bytes(datasets[3].id());
-    assert!(last_resident > 0, "the last round must still hold blocks");
+    assert!(
+        engine.cache_resident_bytes(datasets[3].id()) > 0,
+        "the last round must still hold blocks"
+    );
     // Unpersist half explicitly, drop the rest: both paths must settle to 0.
     datasets[0].unpersist();
     datasets[1].unpersist();
     drop(datasets);
     assert_eq!(ledger.used(MemCategory::BlockCache), 0);
     assert_eq!(engine.cache_used_bytes(), 0);
-    // Per dataset, the event log's admissions minus evictions balance; a
-    // dropped dataset's blocks leave as unpersist's do.
-    let events = mem.snapshot();
-    let (mut balance, mut released) = (vec![0i128; ids.len()], vec![0u64; ids.len()]);
-    for e in &events {
-        match *e {
-            EngineEvent::CacheAdmitted { op, bytes, .. } => {
-                balance[ids.iter().position(|&id| id == op).unwrap()] += i128::from(bytes);
-            }
-            EngineEvent::CacheEvicted {
-                op,
-                bytes,
-                pressure,
-                ..
-            } => {
-                let i = ids.iter().position(|&id| id == op).unwrap();
-                balance[i] -= i128::from(bytes);
-                if !pressure {
-                    released[i] += bytes;
-                }
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(balance, vec![0; ids.len()], "every dataset's bytes balance");
-    assert_eq!(
-        released[3], last_resident,
-        "dropping releases what was resident"
-    );
-}
-
-/// Satellite invariant: replaying the event log's byte deltas
-/// (admitted − evicted, shuffle stores) reproduces the live ledger state.
-#[test]
-fn event_log_byte_deltas_replay_to_ledger_state() {
-    use sparkscore_rdd::MemCategory;
-    let (engine, mem) = observed_engine();
-    let cached = engine
-        .parallelize((0u64..2_000).collect::<Vec<_>>(), 4)
-        .map(|x| x * 7)
-        .cache();
-    assert_eq!(cached.count(), 2_000);
-    let pairs: Vec<(u64, u64)> = (0..300).map(|i| (i % 16, i)).collect();
-    let summed = engine.parallelize(pairs, 4).reduce_by_key(4, |a, b| a + b);
-    assert_eq!(summed.collect().len(), 16);
-
-    let replay = |events: &[EngineEvent]| {
-        let mut cache: i128 = 0;
-        let mut shuffle: u64 = 0;
-        for e in events {
-            match e {
-                EngineEvent::CacheAdmitted { bytes, .. } => cache += i128::from(*bytes),
-                EngineEvent::CacheEvicted { bytes, .. } => cache -= i128::from(*bytes),
-                EngineEvent::ShuffleBytesStored { bytes, .. } => shuffle += *bytes,
-                _ => {}
-            }
-        }
-        (cache, shuffle)
-    };
-    let (cache_bytes, shuffle_bytes) = replay(&mem.snapshot());
-    let ledger = engine.memory_ledger();
-    assert!(
-        cache_bytes > 0,
-        "the cached dataset must have been admitted"
-    );
-    assert!(shuffle_bytes > 0, "the shuffle must have stored bytes");
-    assert_eq!(
-        u64::try_from(cache_bytes).unwrap(),
-        ledger.used(MemCategory::BlockCache),
-        "cache byte deltas replay to live residency"
-    );
-    assert_eq!(
-        shuffle_bytes,
-        ledger.used(MemCategory::ShuffleStore),
-        "shuffle byte deltas replay to live store occupancy"
-    );
-    // Dropping the datasets emits the matching negative deltas: the
-    // replayed cache residency returns to exactly zero.
-    drop(cached);
-    drop(summed);
-    let (cache_after, _) = replay(&mem.snapshot());
-    assert_eq!(cache_after, 0, "unpersist deltas balance the admissions");
-    assert_eq!(ledger.used(MemCategory::BlockCache), 0);
-    assert_eq!(ledger.used(MemCategory::ShuffleStore), 0);
-}
-
-/// Every observed non-empty stage carries one MemoryWatermark sample, and
-/// its per-category values are plausible against the live ledger peaks.
-#[test]
-fn memory_watermarks_ride_stage_batches() {
-    use sparkscore_rdd::MemCategory;
-    let (engine, mem) = observed_engine();
-    run_shuffle_job(&engine);
-    let events = mem.snapshot();
-    let stages = events
-        .iter()
-        .filter(|e| matches!(e, EngineEvent::StageCompleted { .. }))
-        .count();
-    let marks: Vec<&EngineEvent> = events
-        .iter()
-        .filter(|e| matches!(e, EngineEvent::MemoryWatermark { .. }))
-        .collect();
-    assert_eq!(
-        marks.len(),
-        stages,
-        "one watermark per observed stage: {events:?}"
-    );
-    for (i, e) in events.iter().enumerate() {
-        if matches!(e, EngineEvent::MemoryWatermark { .. }) {
-            assert!(
-                matches!(events[i + 1], EngineEvent::StageCompleted { .. }),
-                "watermark at {i} must immediately precede its StageCompleted"
-            );
-        }
-    }
-    let ledger = engine.memory_ledger();
-    for m in marks {
-        if let EngineEvent::MemoryWatermark {
-            shuffle_store_bytes,
-            cache_budget_bytes,
-            ..
-        } = m
-        {
-            assert!(*shuffle_store_bytes <= ledger.peak(MemCategory::ShuffleStore));
-            assert_eq!(*cache_budget_bytes, engine.cache_budget_bytes());
-        }
-    }
 }
 
 #[test]
@@ -931,8 +778,8 @@ fn unobserved_engine_emits_nothing_and_stays_correct() {
 
 /// Concurrent emitters are serialized across the whole listener loop, so
 /// two listeners on one bus record the same event order whatever the
-/// thread interleaving — map tasks on several pool threads emit
-/// `ShuffleBytesStored` exactly like this.
+/// thread interleaving — tasks on several pool threads emit
+/// `CacheEvicted` under LRU pressure exactly like this.
 #[test]
 fn concurrent_emitters_give_every_listener_the_same_order() {
     let bus = EventBus::new();
@@ -945,15 +792,15 @@ fn concurrent_emitters_give_every_listener_the_same_order() {
     // All four emitters start together, so their emissions overlap.
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|s| {
-        for shuffle in 0..4u64 {
+        for op in 0..4u64 {
             let (bus, start) = (&bus, &start);
             s.spawn(move || {
                 start.wait();
-                for map_part in 0..2_000 {
-                    bus.emit_with(|| EngineEvent::ShuffleBytesStored {
-                        shuffle,
-                        map_part,
-                        bytes: 8,
+                for partition in 0..2_000 {
+                    bus.emit_with(|| EngineEvent::CacheEvicted {
+                        op,
+                        partition,
+                        pressure: true,
                     });
                 }
             });

@@ -14,7 +14,7 @@ echo "== orphan scan: every pub fn another file names, or listed with who needs 
 # line fails too.
 ./scripts/orphan_scan.sh
 
-echo "== doc truth: the paths, examples, binaries and trace subcommands the docs name exist =="
+echo "== doc truth: the paths, examples, binaries, trace subcommands and metric names the docs name exist =="
 ./scripts/doc_truth.sh
 
 echo "== cargo build --release =="
@@ -116,7 +116,7 @@ for manifest in crates/*/Cargo.toml; do
     RUSTDOCFLAGS='-D warnings' cargo doc --no-deps -q -p "$crate"
 done
 
-echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators, live gauges and service counters read at scrape =="
+echo "== one definition site: application counters in crates/core, task cost in cluster::cost, task tallies in TaskCtx, lineage on the operators, live gauges and service counters read at scrape, resident bytes in the ledger =="
 # A task counter is defined once, by the application (crates/core). If one of
 # its names shows up in the engine or the trace analyzer, someone has started
 # hand-threading a counter again.
@@ -165,6 +165,15 @@ fi
 # (One-letter brackets so that a grep for these names does not find this line.)
 if grep -rnE 'cpu_[s]lowdown|task_[c]ompute_ns|[c]riterion::' crates tests; then
     echo "measured host time or a criterion harness is back on the virtual axis (see matches above)" >&2
+    exit 1
+fi
+# Resident bytes are counted once, in the memory ledger
+# (crates/rdd/src/ledger.rs), and read from it. An event that carries bytes or
+# samples the ledger, or a running byte total kept beside it in the shuffle
+# store, is a second set of memory books coming back.
+if grep -rnwE 'Cache[A]dmitted|Cache[R]ejected|ShuffleBytes[S]tored|Memory[W]atermark' crates tests examples \
+    || grep -nw 'total_[b]ytes' crates/rdd/src/shuffle.rs; then
+    echo "a second set of memory books is back beside the ledger (see matches above)" >&2
     exit 1
 fi
 

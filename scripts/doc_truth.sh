@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Doc truth: what README.md, DESIGN.md and EXPERIMENTS.md tell a reader to
-# open or run exists.
+# open, run or scrape exists.
 #
 # * every backticked repo path (`crates/…`, `examples/…`, `scripts/…`,
 #   `tests/…`, `results/…`; `*` and `<name>` match any name) names a file
@@ -8,7 +8,11 @@
 # * every `--example NAME` is an `[[example]]` in some Cargo.toml;
 # * every `--bin NAME` is a file in some crate's src/bin/;
 # * every `trace SUB` (backticked, or after `--bin trace --`) is a
-#   subcommand in the usage text of crates/obs/src/bin/trace.rs.
+#   subcommand in the usage text of crates/obs/src/bin/trace.rs;
+# * every backticked metric series `sparkscore_NAME` is a string literal
+#   under crates/*/src (a `<…>` template such as
+#   `sparkscore_mem_<category>_used_bytes` is skipped, and so is a crate
+#   name such as `sparkscore_rdd`).
 #
 # Run from anywhere:  ./scripts/doc_truth.sh
 
@@ -55,5 +59,14 @@ missing="$(grep -ohE '`trace [a-z][a-z-]*|--bin trace -- [a-z][a-z-]*' "${docs[@
     | sed -E 's/^(`trace|--bin trace --) //' | sort -u | comm -23 - <(echo "$subcommands"))"
 [ -z "$missing" ] || fail "docs name trace subcommands the CLI does not have" <<< "$missing"
 
-[ "$status" -eq 0 ] && echo "doc truth: paths, examples, binaries and trace subcommands all exist"
+crates="$(find crates -mindepth 1 -maxdepth 1 -type d -printf 'sparkscore_%f\n' | sort)"
+missing="$(grep -ohE '`sparkscore_[a-z0-9_]+`' "${docs[@]}" | tr -d '`' | sort -u \
+    | comm -23 - <(echo "$crates") \
+    | while read -r name; do
+        grep -rqF "\"$name\"" crates/*/src || echo "$name"
+    done
+)"
+[ -z "$missing" ] || fail "docs name metric series no crates/*/src string literal defines" <<< "$missing"
+
+[ "$status" -eq 0 ] && echo "doc truth: paths, examples, binaries, trace subcommands and metric names all exist"
 exit "$status"
