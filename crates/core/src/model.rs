@@ -118,9 +118,11 @@ impl ScoreModel for Model {
 
 impl EstimateSize for Model {
     fn estimate_bytes(&self) -> usize {
-        // Phenotype pairs plus precomputed per-patient terms: ≈ 40 B per
-        // patient for Cox (Survival + order + rank_end), more for the
-        // adjusted model (design matrix columns), 8 B otherwise.
+        // Phenotype pairs plus precomputed per-patient terms: 40 B per
+        // patient for Cox, exactly its tables (a 16 B `Survival`, `u32`
+        // order and risk-set bound, `f64` risk-set size, `u64` event
+        // mask), more for the adjusted model (design matrix columns), 8 B
+        // otherwise.
         let per_patient = match self {
             Model::Cox(_) => 40,
             Model::AdjustedGaussian(_) => 64,

@@ -115,42 +115,70 @@ pub fn score_and_variance(contribs: &[f64]) -> (f64, f64) {
 /// patients by descending time once per analysis and answers each SNP in
 /// O(n) via prefix sums over the sorted order (`a_ij` is a risk-set sum —
 /// a prefix of the descending order; ties share the same prefix bound).
+/// The per-patient tables are built once, in [`CoxScore::new`] and
+/// [`CoxScore::permuted`], in the shapes the vectorized kernel reads:
+/// 16 + 4 + 4 + 8 + 8 = 40 B per patient.
 #[derive(Debug, Clone)]
 pub struct CoxScore {
     phenotypes: Vec<Survival>,
-    /// Patient indices sorted by time descending (ties by index).
-    order: Vec<usize>,
+    /// Patient indices sorted by time descending (ties by index); every
+    /// entry is `< n`.
+    order: Vec<u32>,
     /// Per patient: `b_i` = |{l : Y_l ≥ Y_i}|, which is also the length of
-    /// the descending-order prefix covering the risk set.
-    rank_end: Vec<usize>,
+    /// the descending-order prefix covering the risk set; `1 ≤ b_i ≤ n`.
+    rank_end: Vec<u32>,
+    /// Per patient: `b_i` as the divisor, `rank_end[i] as f64`.
+    risk_size: Vec<f64>,
+    /// Per patient: `u64::MAX` for an event, `0` for a censored patient —
+    /// the bits of the contribution that survive.
+    event_mask: Vec<u64>,
+}
+
+/// The largest cohort [`CoxScore`] accepts: every index and risk-set
+/// bound fits a `u32`, and so does every dosage prefix sum (at most `2n`).
+const COX_MAX_PATIENTS: usize = (u32::MAX / 2) as usize;
+
+fn event_mask(phenotypes: &[Survival]) -> Vec<u64> {
+    phenotypes
+        .iter()
+        .map(|p| if p.event { u64::MAX } else { 0 })
+        .collect()
 }
 
 impl CoxScore {
     pub fn new(phenotypes: &[Survival]) -> Self {
         assert!(!phenotypes.is_empty(), "need at least one patient");
         let n = phenotypes.len();
-        let mut order: Vec<usize> = (0..n).collect();
+        assert!(
+            n <= COX_MAX_PATIENTS,
+            "{n} patients: the Cox tables index with u32"
+        );
+        let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&a, &b| {
-            phenotypes[b]
+            phenotypes[b as usize]
                 .time
-                .partial_cmp(&phenotypes[a].time)
+                .partial_cmp(&phenotypes[a as usize].time)
                 .expect("survival times must not be NaN")
                 .then(a.cmp(&b))
         });
         // Descending times; rank_end[i] = #\{l: Y_l >= Y_i\} = index one past
         // the last sorted position whose time >= Y_i.
-        let sorted_times: Vec<f64> = order.iter().map(|&i| phenotypes[i].time).collect();
-        let mut rank_end = vec![0usize; n];
-        for i in 0..n {
-            let t = phenotypes[i].time;
-            // partition_point: first k where sorted_times[k] < t.
-            rank_end[i] = sorted_times.partition_point(|&y| y >= t);
-            debug_assert!(rank_end[i] >= 1);
-        }
+        let sorted_times: Vec<f64> = order.iter().map(|&i| phenotypes[i as usize].time).collect();
+        let rank_end: Vec<u32> = phenotypes
+            .iter()
+            .map(|p| {
+                // partition_point: first k where sorted_times[k] < Y_i.
+                let end = sorted_times.partition_point(|&y| y >= p.time);
+                debug_assert!(end >= 1);
+                end as u32
+            })
+            .collect();
         CoxScore {
             phenotypes: phenotypes.to_vec(),
             order,
+            risk_size: rank_end.iter().map(|&b| f64::from(b)).collect(),
             rank_end,
+            event_mask: event_mask(phenotypes),
         }
     }
 
@@ -162,25 +190,126 @@ impl CoxScore {
     /// model's descending order is the existing order relabeled through the
     /// inverse permutation, and `b_i` for new patient `i` is the old `b` of
     /// the patient whose phenotype it received. No re-sort per replicate.
-    /// (Patients tied on time may appear in a different relative order than
-    /// a fresh sort would produce; `rank_end` always lands on a tie-group
-    /// boundary, so every risk set sums the same values — contributions
-    /// agree with a freshly built model up to FP summation order.)
+    /// Patients tied on time may appear in a different relative order than
+    /// a fresh sort would produce, but `rank_end` always lands on a
+    /// tie-group boundary, so every risk set sums the same dosages. That
+    /// sum is of small integers, exact in any order, so the contributions
+    /// equal those of [`CoxScore::new`] on the shuffled phenotypes bit for
+    /// bit, ties included.
     pub fn permuted(&self, perm: &[usize]) -> CoxScore {
         let n = self.phenotypes.len();
         assert_eq!(perm.len(), n);
         let shuffled: Vec<Survival> = perm.iter().map(|&p| self.phenotypes[p]).collect();
-        let mut inv_perm = vec![0usize; n];
+        let mut inv_perm = vec![0u32; n];
         for (i, &p) in perm.iter().enumerate() {
-            inv_perm[p] = i;
+            inv_perm[p] = i as u32;
         }
-        let order: Vec<usize> = self.order.iter().map(|&o| inv_perm[o]).collect();
-        let rank_end: Vec<usize> = (0..n).map(|i| self.rank_end[perm[i]]).collect();
+        let order: Vec<u32> = self.order.iter().map(|&o| inv_perm[o as usize]).collect();
         CoxScore {
+            event_mask: event_mask(&shuffled),
             phenotypes: shuffled,
             order,
-            rank_end,
+            rank_end: perm.iter().map(|&p| self.rank_end[p]).collect(),
+            risk_size: perm.iter().map(|&p| self.risk_size[p]).collect(),
         }
+    }
+}
+
+/// The Cox kernel compiled for the running CPU: the AVX-512 arm, the AVX2
+/// arm or the baseline body, widest first.
+fn cox_contributions(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `cox_contributions_avx512` requires only that the
+            // running CPU supports AVX-512F, which the detection on the
+            // line above just reported.
+            return unsafe { cox_contributions_avx512(model, g, prefix, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `cox_contributions_avx2` requires only that the
+            // running CPU supports AVX2, which the detection on the line
+            // above just reported.
+            return unsafe { cox_contributions_avx2(model, g, prefix, out) };
+        }
+    }
+    cox_contributions_body(model, g, prefix, out);
+}
+
+/// [`cox_contributions_body`] compiled with 512-bit vectors: an 8-lane
+/// gather and divide. `scripts/ci.sh` disassembles the release build and
+/// fails unless this arm holds a `zmm` `vdivpd` and a `zmm` gather.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn cox_contributions_avx512(
+    model: &CoxScore,
+    g: &[u8],
+    prefix: &mut [f64],
+    out: &mut [f64],
+) {
+    cox_contributions_body(model, g, prefix, out);
+}
+
+/// [`cox_contributions_body`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn cox_contributions_avx2(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [f64]) {
+    cox_contributions_body(model, g, prefix, out);
+}
+
+/// The kernel proper. Bitwise contract, the same in every arm: the prefix
+/// is a running `u32` sum of dosages stored as `f64` — every partial sum is
+/// an integer below 2³², so it equals the sequential `f64` sum exactly —
+/// and each patient's contribution is the one subtract of one divide,
+/// `G_i − prefix[b_i] / b_i`, with its bits masked to `+0.0` for a
+/// censored patient. No branch and no bounds check in the output loop, so
+/// it compiles to a gather and a vector divide.
+#[inline(always)]
+fn cox_contributions_body(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [f64]) {
+    let n = model.phenotypes.len();
+    assert_eq!(g.len(), n, "genotype vector length mismatch");
+    assert_eq!(out.len(), n, "output vector length mismatch");
+    assert_eq!(prefix.len(), n + 1, "prefix length");
+    let CoxScore {
+        order,
+        rank_end,
+        risk_size,
+        event_mask,
+        ..
+    } = model;
+    debug_assert!(order.iter().all(|&k| (k as usize) < n));
+    debug_assert!(rank_end.iter().all(|&b| b >= 1 && b as usize <= n));
+    let mut acc = 0u32;
+    for (p, &k) in prefix[1..].iter_mut().zip(order) {
+        // SAFETY: every `order[k] < n`: `CoxScore::new` fills it with
+        // `0..n`, and `CoxScore::permuted` with entries of an `n`-long
+        // inverse permutation, each a patient index; `g.len() == n` was
+        // asserted above.
+        acc += u32::from(unsafe { *g.get_unchecked(k as usize) });
+        *p = f64::from(acc);
+    }
+    for ((((o, &gi), &end), &b), &mask) in out
+        .iter_mut()
+        .zip(g)
+        .zip(rank_end)
+        .zip(risk_size)
+        .zip(event_mask)
+    {
+        // SAFETY: every `rank_end[i]` is a risk-set size, `1 ≤ b_i ≤ n`
+        // (a partition point of the `n` sorted times in `CoxScore::new`,
+        // carried through a permutation by `CoxScore::permuted`), and
+        // `prefix.len() == n + 1` was asserted above.
+        let a = unsafe { *prefix.get_unchecked(end as usize) };
+        let v = f64::from(gi) - a / b;
+        *o = f64::from_bits(v.to_bits() & mask);
     }
 }
 
@@ -191,26 +320,11 @@ impl ScoreModel for CoxScore {
 
     fn contributions_into(&self, g: &[u8], out: &mut [f64]) {
         let n = self.phenotypes.len();
-        assert_eq!(g.len(), n, "genotype vector length mismatch");
-        assert_eq!(out.len(), n, "output vector length mismatch");
         debug_assert_dosages(g);
         // prefix[k] = sum of genotypes of the k patients with largest times,
         // built in thread-local scratch (reused across tasks on a worker).
         scratch::with_f64(n + 1, |prefix| {
-            let mut acc = 0.0f64;
-            for (p, &idx) in prefix[1..].iter_mut().zip(&self.order) {
-                acc += f64::from(g[idx]);
-                *p = acc;
-            }
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = if self.phenotypes[i].event {
-                    let b = self.rank_end[i] as f64;
-                    let a = prefix[self.rank_end[i]];
-                    f64::from(g[i]) - a / b
-                } else {
-                    0.0
-                };
-            }
+            cox_contributions(self, g, prefix, out);
         });
     }
 }
@@ -361,6 +475,112 @@ mod tests {
             .collect()
     }
 
+    /// The two-loop `f64` kernel the vectorized arms replaced, kept as
+    /// their bitwise oracle: its own sort of the phenotypes, an `f64`
+    /// prefix chain, then a branch per patient and a scalar divide.
+    fn cox_two_loop(phenotypes: &[Survival], g: &[u8]) -> Vec<f64> {
+        let n = phenotypes.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            phenotypes[b]
+                .time
+                .partial_cmp(&phenotypes[a].time)
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        let sorted_times: Vec<f64> = order.iter().map(|&i| phenotypes[i].time).collect();
+        let mut prefix = vec![0.0f64; n + 1];
+        let mut acc = 0.0f64;
+        for (p, &idx) in prefix[1..].iter_mut().zip(&order) {
+            acc += f64::from(g[idx]);
+            *p = acc;
+        }
+        phenotypes
+            .iter()
+            .zip(g)
+            .map(|(ph, &gi)| {
+                if ph.event {
+                    let end = sorted_times.partition_point(|&y| y >= ph.time);
+                    f64::from(gi) - prefix[end] / end as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    /// Every compilation of the Cox kernel the running CPU can execute,
+    /// each called directly on a NaN-filled prefix and output, plus the
+    /// dispatched `contributions`: `(arm, output)` pairs.
+    fn cox_arms(model: &CoxScore, g: &[u8]) -> Vec<(&'static str, Vec<f64>)> {
+        let n = g.len();
+        let run = |arm: &dyn Fn(&mut [f64], &mut [f64])| {
+            let mut prefix = vec![f64::NAN; n + 1];
+            let mut out = vec![f64::NAN; n];
+            arm(&mut prefix, &mut out);
+            out
+        };
+        let mut arms = vec![
+            ("dispatched", model.contributions(g)),
+            ("plain", run(&|p, o| cox_contributions_body(model, g, p, o))),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU reported AVX2 on the line above.
+                let avx2 = run(&|p, o| unsafe { cox_contributions_avx2(model, g, p, o) });
+                arms.push(("avx2", avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU reported AVX-512F on the line above.
+                let avx512 = run(&|p, o| unsafe { cox_contributions_avx512(model, g, p, o) });
+                arms.push(("avx512", avx512));
+            }
+        }
+        arms
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (at, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: patient {at} is {g:e}, want {w:e}"
+            );
+        }
+    }
+
+    /// Every arm against the oracle, on `phenotypes` and `g`.
+    fn assert_every_cox_arm_is_the_oracle(phenotypes: &[Survival], g: &[u8]) {
+        let want = cox_two_loop(phenotypes, g);
+        let model = CoxScore::new(phenotypes);
+        for (arm, out) in cox_arms(&model, g) {
+            assert_same_bits(&out, &want, &format!("{arm} at n = {}", g.len()));
+        }
+    }
+
+    /// A seeded cohort of `n` patients: times on a grid of `distinct_times`
+    /// values (so ties are common when it is small), events with
+    /// probability `event_per_4 / 4`, dosages 0/1/2.
+    fn cox_cohort(
+        n: usize,
+        distinct_times: u32,
+        event_per_4: u32,
+        seed: u64,
+    ) -> (Vec<Survival>, Vec<u8>) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ph = (0..n)
+            .map(|_| Survival {
+                time: f64::from(rng.gen_range(0..distinct_times)) / 8.0,
+                event: rng.gen_range(0u32..4) < event_per_4,
+            })
+            .collect();
+        let g = (0..n).map(|_| rng.gen_range(0u8..3)).collect();
+        (ph, g)
+    }
+
     fn close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-10, "{a} vs {b}");
     }
@@ -388,10 +608,14 @@ mod tests {
 
     #[test]
     fn cox_censored_patients_contribute_zero() {
-        let ph = vec![Survival::censored_at(2.0), Survival::event_at(1.0)];
-        let c = CoxScore::new(&ph).contributions(&[2, 1]);
-        close(c[0], 0.0);
-        assert!(c[1].abs() > 0.0 || c[1] == 0.0);
+        // Patient 0 is censored with dosage 0 under a risk set averaging
+        // 1: its masked contribution is +0.0 in every arm, not the -0.0
+        // of `v * 0.0`.
+        let ph = vec![Survival::censored_at(1.0), Survival::event_at(2.0)];
+        let model = CoxScore::new(&ph);
+        for (arm, out) in cox_arms(&model, &[0, 2]) {
+            assert_eq!(out[0].to_bits(), 0.0f64.to_bits(), "{arm}");
+        }
     }
 
     #[test]
@@ -438,6 +662,50 @@ mod tests {
         let same = model.permuted(&[0, 1, 2]);
         let g = vec![1u8, 2, 0];
         close_vecs(&model.contributions(&g), &same.contributions(&g));
+    }
+
+    #[test]
+    fn every_cox_arm_is_the_oracle_at_the_benchmark_sizes() {
+        for (n, distinct_times) in [(1000usize, 50u32), (1000, 100_000), (2000, 200)] {
+            for event_per_4 in [0, 2, 3, 4] {
+                let (ph, g) = cox_cohort(n, distinct_times, event_per_4, n as u64);
+                assert_every_cox_arm_is_the_oracle(&ph, &g);
+            }
+        }
+    }
+
+    #[test]
+    fn cox_tables_hold_40_bytes_per_patient() {
+        // The per-patient footprint `Model::estimate_bytes` charges.
+        let (ph, _) = cox_cohort(100, 10, 2, 1);
+        let m = CoxScore::new(&ph);
+        let bytes = std::mem::size_of_val(m.phenotypes.as_slice())
+            + std::mem::size_of_val(m.order.as_slice())
+            + std::mem::size_of_val(m.rank_end.as_slice())
+            + std::mem::size_of_val(m.risk_size.as_slice())
+            + std::mem::size_of_val(m.event_mask.as_slice());
+        assert_eq!(bytes, 40 * 100);
+    }
+
+    #[test]
+    fn cox_permuted_is_the_fresh_model_bit_for_bit_on_ties() {
+        // Four tie groups, so the relabeled order differs from a fresh
+        // sort inside every group; the integer prefix makes it invisible.
+        let (ph, g) = cox_cohort(64, 4, 3, 7);
+        let model = CoxScore::new(&ph);
+        let perm: Vec<usize> = (0..64).map(|i| (i * 37 + 11) % 64).collect();
+        let shuffled: Vec<Survival> = perm.iter().map(|&p| ph[p]).collect();
+        let fast = model.permuted(&perm);
+        let fresh = CoxScore::new(&shuffled);
+        assert_ne!(
+            fast.order, fresh.order,
+            "the cohort must exercise tie order"
+        );
+        assert_same_bits(
+            &fast.contributions(&g),
+            &fresh.contributions(&g),
+            "permuted",
+        );
     }
 
     #[test]
@@ -566,6 +834,21 @@ mod tests {
             }
         }
 
+        /// Every compilation of the Cox kernel reproduces the two-loop
+        /// oracle bit for bit: n from 1 to 70 crosses every arm's vector
+        /// tail (4 lanes in AVX2, 8 in AVX-512), coarse times force ties,
+        /// and whole cohorts may be censored or all events.
+        #[test]
+        fn prop_every_cox_arm_is_the_oracle_bit_for_bit(
+            n in 1usize..=70,
+            distinct_times in 1u32..40,
+            event_per_4 in 0u32..=4,
+            seed in any::<u64>(),
+        ) {
+            let (ph, g) = cox_cohort(n, distinct_times, event_per_4, seed);
+            assert_every_cox_arm_is_the_oracle(&ph, &g);
+        }
+
         /// Scores are equivariant under patient relabeling: permuting both
         /// phenotypes and genotypes the same way permutes contributions.
         #[test]
@@ -663,7 +946,7 @@ mod tests {
         }
 
         /// The O(n) `permuted` agrees with rebuilding from the shuffled
-        /// phenotypes (up to FP summation order within time ties).
+        /// phenotypes bit for bit, time ties included.
         #[test]
         fn prop_cox_permuted_equals_fresh_sort(
             raw in proptest::collection::vec((0u8..20, any::<bool>(), 0u8..3), 2..40),
@@ -684,11 +967,7 @@ mod tests {
             let shuffled: Vec<Survival> = perm.iter().map(|&p| ph[p]).collect();
             let fresh = CoxScore::new(&shuffled);
             prop_assert_eq!(&fast.rank_end, &fresh.rank_end);
-            let a = fast.contributions(&g);
-            let b = fresh.contributions(&g);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-            }
+            assert_same_bits(&fast.contributions(&g), &fresh.contributions(&g), "permuted");
         }
 
         /// Gaussian residual centering makes constant genotypes score zero.

@@ -31,7 +31,7 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== the resampling kernel and the multiplier draw stay unfused, 512-bit and libm-free: disassembly of the release sparkscore-stats tests =="
+echo "== the resampling kernel and the multiplier draw stay unfused, 512-bit and libm-free, the Cox kernel gathers and divides in zmm: disassembly of the release sparkscore-stats tests =="
 # The kernel's contract is a multiply and an add, two roundings (DESIGN.md
 # §3d). Rust's `avx512f` implies `fma`, so inside perturb_rows_avx512 only the
 # source keeps the two apart: a `mul_add` there would change bits on AVX-512
@@ -42,10 +42,15 @@ command -v objdump > /dev/null \
 stats_bin="$(cargo test --release -q -p sparkscore-stats --lib --no-run --message-format=json \
     | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
 [ -x "$stats_bin" ] || { echo "sparkscore-stats release test binary not found" >&2; exit 1; }
-kernel_asm="$(objdump -d --no-show-raw-insn -C "$stats_bin" \
-    | awk '/^[0-9a-f]+ <.*perturb_rows_[a-z0-9]+>:$/ { name = $0; next }
+stats_asm="$(objdump -d --no-show-raw-insn -C "$stats_bin")"
+# The instructions of every function whose name matches the pattern, each
+# line led by the function's header.
+functions_asm() {
+    awk -v pattern="^[0-9a-f]+ <.*$1>:\$" '$0 ~ pattern { name = $0; next }
            /^$/ { name = "" }
-           name != "" { print name, $0 }')"
+           name != "" { print name, $0 }' <<< "$stats_asm"
+}
+kernel_asm="$(functions_asm 'perturb_rows_[a-z0-9]+')"
 [ -n "$kernel_asm" ] || { echo "no perturb_rows_* symbol in $stats_bin" >&2; exit 1; }
 if grep -E 'vfn?m(add|sub)' <<< "$kernel_asm"; then
     echo "a perturb_rows_* arm fuses a multiply-add (see matches above)" >&2
@@ -58,10 +63,7 @@ fi
 # The multiplier draw's arms (fill_multipliers_{plain,avx2,avx512} in
 # crates/stats/src/dist.rs) share the same contract and one more: Z's bits
 # may not follow the host's libm, so no arm calls sin, cos, sincos or log.
-draw_asm="$(objdump -d --no-show-raw-insn -C "$stats_bin" \
-    | awk '/^[0-9a-f]+ <.*fill_multipliers_(plain|avx2|avx512)>:$/ { name = $0; next }
-           /^$/ { name = "" }
-           name != "" { print name, $0 }')"
+draw_asm="$(functions_asm 'fill_multipliers_(plain|avx2|avx512)')"
 for arm in plain avx2 avx512; do
     grep -q "fill_multipliers_$arm>:" <<< "$draw_asm" \
         || { echo "no fill_multipliers_$arm symbol in $stats_bin" >&2; exit 1; }
@@ -78,6 +80,21 @@ fi
 # function's GOT entry loaded into a register for a `call *%reg`.
 if grep -E '[<:](sin|cos|sincos|log)(@|>)' <<< "$draw_asm"; then
     echo "a fill_multipliers_* arm calls libm (see matches above)" >&2
+    exit 1
+fi
+# The Cox kernel's AVX-512 arm (cox_contributions_avx512 in
+# crates/stats/src/score.rs) is one gather, one divide and one mask per
+# patient. A bounds check or a branch left in its output loop keeps the loop
+# scalar (`vdivsd`): every test still passes and the arm runs no faster than
+# the plain body.
+cox_asm="$(functions_asm 'cox_contributions_avx512')"
+[ -n "$cox_asm" ] || { echo "no cox_contributions_avx512 symbol in $stats_bin" >&2; exit 1; }
+if ! grep -qE 'vdivpd.*zmm' <<< "$cox_asm"; then
+    echo "cox_contributions_avx512 holds no 512-bit vdivpd: its output loop fell back to scalar divides" >&2
+    exit 1
+fi
+if ! grep -qE 'vgather[dq]pd.*zmm' <<< "$cox_asm"; then
+    echo "cox_contributions_avx512 holds no 512-bit gather: its risk-set reads fell back to scalar loads" >&2
     exit 1
 fi
 
