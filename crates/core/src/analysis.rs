@@ -301,7 +301,7 @@ fn inner_sums(
         let sums: Vec<f64> = match &mc_multipliers {
             None => row_sums(rows),
             // The grid's kernel at tile width 1: its chain per row is the
-            // replicate's fold, four rows advancing together.
+            // replicate's fold, a register tile of rows advancing together.
             Some(z) => {
                 let urows: Vec<&[f64]> = rows.iter().map(|(_, c)| c.as_slice()).collect();
                 let mut sums = vec![0.0f64; urows.len()];

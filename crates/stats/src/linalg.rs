@@ -209,12 +209,13 @@ pub(crate) fn residualize(x: &Matrix, chol: &Cholesky, y: &[f64]) -> Vec<f64> {
 const PERTURB_Z_TILE: usize = 4096;
 
 /// Rows of `U` a full register tile advances together in the plain and
-/// AVX2 arms. `4 × 8` doubles is eight 256-bit accumulators, leaving AVX2's
-/// other eight registers for the `Z` operands and the broadcast `U` value;
-/// narrower replicate strips keep all four rows, so even `k = 1` has four
-/// independent add chains in flight. The AVX-512 arm's tiles are twice as
-/// tall and twice as wide: `8 × 16` is sixteen of its 32 `zmm` registers.
-const PERTURB_MR: usize = 4;
+/// AVX2 arms. `6 × 8` doubles is twelve 256-bit accumulators, leaving
+/// AVX2's other four registers for the `Z` operands and the broadcast `U`
+/// value: twelve independent multiply-add chains cover the two FMA ports'
+/// latency, where the `4 × 8` tile of the unfused kernel had eight.
+/// The AVX-512 arm's tiles are `12 × 16`: twenty-four of its 32 `zmm`
+/// registers.
+const PERTURB_MR: usize = 6;
 
 /// Blocked Monte Carlo multiplier kernel — the GEMM-shaped core of
 /// Algorithm 3. Computes `out[j·k + kk] = Σ_i U[j·n + i] · Z[i·k + kk]`:
@@ -228,14 +229,11 @@ const PERTURB_MR: usize = 4;
 /// * `out` — replicate-major `num_snps × k` output.
 ///
 /// Bitwise contract: for each `(j, kk)` the accumulation is a single chain
-/// of `acc += u·z` from `0.0` in patient order, a multiply rounded and then
-/// an add rounded — the fold the per-iteration path's
-/// `iter().map(|(u, z)| u * z).sum()` performs (which starts from `-0.0`,
-/// so the two differ in the sign of a zero whose every product was `-0.0`
-/// and in nothing else) — so results are bit-identical to running the
-/// replicates one at a time. Register and
-/// patient tiling only choose *which* chains advance together, never the
-/// order within a chain, and no multiply-add is ever fused.
+/// `acc = u.mul_add(z, acc)` from `+0.0` in patient order — IEEE 754
+/// `fusedMultiplyAdd`, one rounding per step — so results are
+/// bit-identical to running the replicates one at a time with that fold.
+/// Register and patient tiling only choose *which* chains advance
+/// together, never the order within a chain.
 pub(crate) fn perturb_scores_blocked(
     contribs: &[f64],
     num_snps: usize,
@@ -253,15 +251,17 @@ pub(crate) fn perturb_scores_blocked(
 /// of one contiguous matrix — the shape each partition of the distributed
 /// resampling GEMM holds (`(snp, contribution-row)` records, so the rows a
 /// task sees are contiguous per SNP but scattered between SNPs). Same
-/// bitwise contract: each `(j, kk)` accumulator is one `acc += u·z` chain
-/// in patient order, so a grid of these cells reproduces the single-task
+/// bitwise contract: each `(j, kk)` accumulator is one `u.mul_add(z, acc)`
+/// chain in patient order, so a grid of these cells reproduces the single-task
 /// kernel bit for bit.
 ///
 /// One register-blocked body (`perturb_rows_body`) compiled three times:
-/// for the build's baseline target, and on x86-64 once with AVX2 and once
-/// with AVX-512 enabled, the widest the running CPU reports taken. All
-/// three execute the same IEEE operations in the same order per chain, so
-/// which one runs is invisible in the result.
+/// for the build's baseline target, and on x86-64 once with AVX2 + FMA and
+/// once with AVX-512 enabled, the widest the running CPU reports taken. A
+/// fused multiply-add is correctly rounded whether it is one instruction
+/// or, in a baseline x86-64 build, a libm `fma` call, so all three execute
+/// the same IEEE operations in the same order per chain and which one runs
+/// is invisible in the result.
 pub fn perturb_rows_blocked(
     rows: &[&[f64]],
     num_patients: usize,
@@ -283,21 +283,22 @@ pub fn perturb_rows_blocked(
             // just reported (a cached atomic load after the first call).
             return unsafe { perturb_rows_avx512(rows, num_patients, z_tile, k, out) };
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             // SAFETY: `perturb_rows_avx2` requires only that the running CPU
-            // supports AVX2, which the detection on the line above just
-            // reported (a cached atomic load after the first call).
+            // supports AVX2 and FMA, which the detection on the line above
+            // just reported (cached atomic loads after the first call).
             return unsafe { perturb_rows_avx2(rows, num_patients, z_tile, k, out) };
         }
     }
     perturb_rows_body::<PERTURB_MR, false>(rows, num_patients, z_tile, k, out);
 }
 
-/// [`perturb_rows_body`] compiled with 512-bit vectors, on `8 × 16` tiles
-/// led by a 16-wide replicate strip. Rust's `avx512f` implies `fma`, so
-/// here only the source keeps multiply and add apart (Rust contracts no
-/// `a * b + c`); `scripts/ci.sh` disassembles the release build and fails
-/// if any `perturb_rows_*` arm holds a fused multiply-add.
+/// [`perturb_rows_body`] compiled with 512-bit vectors, on `12 × 16` tiles
+/// led by a 16-wide replicate strip. Rust's `avx512f` implies `fma`, so each
+/// `mul_add` of the tile is one `zmm` `vfmadd…pd`; `scripts/ci.sh`
+/// disassembles the release build and fails if this arm holds none, or
+/// still holds a `vmulpd` (a multiply the contract no longer rounds alone).
 ///
 /// # Safety
 ///
@@ -311,19 +312,20 @@ unsafe fn perturb_rows_avx512(
     k: usize,
     out: &mut [f64],
 ) {
-    perturb_rows_body::<8, true>(rows, num_patients, z_tile, k, out);
+    perturb_rows_body::<12, true>(rows, num_patients, z_tile, k, out);
 }
 
-/// [`perturb_rows_body`] compiled with 256-bit vectors. AVX2 only: with
-/// `fma` enabled as well nothing in the source would fuse (Rust contracts
-/// no `a * b + c`), but leaving it off makes a fused multiply-add — one
-/// rounding where the contract has two — impossible to emit.
+/// [`perturb_rows_body`] compiled with 256-bit vectors and FMA: each
+/// `mul_add` of the tile is one `ymm` `vfmadd…pd`. Without `fma` enabled
+/// the same source would still give the contract's bits, through a libm
+/// `fma` call per step, so `scripts/ci.sh` fails if this arm holds no
+/// `vfmadd…pd`.
 ///
 /// # Safety
 ///
-/// The running CPU must support AVX2.
+/// The running CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn perturb_rows_avx2(
     rows: &[&[f64]],
     num_patients: usize,
@@ -336,10 +338,11 @@ unsafe fn perturb_rows_avx2(
 
 /// The kernel proper; the caller has checked every dimension. Patient tiles
 /// outermost (so the tile's `Z` block is read from L1 by every row block),
-/// then blocks of `MR` rows, one block of four if at least four rows are
-/// left, then single leftover rows. `WIDE` leads each block's replicate
-/// strips with a 16-wide one: the cascade is 16 → 8 → 4 → 2 → 1 instead of
-/// 8 → 4 → 2 → 1.
+/// then blocks of `MR` rows, under `WIDE` one block of eight if at least
+/// eight rows are left, one block of four if at least four are, then the
+/// last `rows mod 4` (under `WIDE` one block of two or three, otherwise one
+/// row at a time). `WIDE` also leads each block's replicate strips with a
+/// 16-wide one: the cascade is 16 → 8 → 4 → 2 → 1 instead of 8 → 4 → 2 → 1.
 #[inline(always)]
 fn perturb_rows_body<const MR: usize, const WIDE: bool>(
     rows: &[&[f64]],
@@ -350,8 +353,10 @@ fn perturb_rows_body<const MR: usize, const WIDE: bool>(
 ) {
     out.fill(0.0);
     let (blocks, rest) = rows.split_at(rows.len() - rows.len() % MR);
+    let (octs, rest) = rest.split_at(if WIDE { rest.len() - rest.len() % 8 } else { 0 });
     let (quads, singles) = rest.split_at(rest.len() - rest.len() % 4);
     let (out_blocks, out_rest) = out.split_at_mut(blocks.len() * k);
+    let (out_octs, out_rest) = out_rest.split_at_mut(octs.len() * k);
     let (out_quads, out_singles) = out_rest.split_at_mut(quads.len() * k);
     let patient_tile = (PERTURB_Z_TILE / k).max(1);
     for i0 in (0..num_patients).step_by(patient_tile) {
@@ -364,21 +369,39 @@ fn perturb_rows_body<const MR: usize, const WIDE: bool>(
             let u: [&[f64]; MR] = std::array::from_fn(|r| &block[r][patients.clone()]);
             perturb_block::<MR, WIDE>(u, z, k, acc);
         }
+        for (oct, acc) in octs.chunks_exact(8).zip(out_octs.chunks_exact_mut(8 * k)) {
+            let u: [&[f64]; 8] = std::array::from_fn(|r| &oct[r][patients.clone()]);
+            perturb_block::<8, WIDE>(u, z, k, acc);
+        }
         for (quad, acc) in quads.chunks_exact(4).zip(out_quads.chunks_exact_mut(4 * k)) {
             let u: [&[f64]; 4] = std::array::from_fn(|r| &quad[r][patients.clone()]);
             perturb_block::<4, WIDE>(u, z, k, acc);
         }
-        // A leftover row has no neighbour to share `Z` loads with, so it
-        // takes strips four times as wide as a `4 × 8` tile: the same 32
-        // accumulator doubles.
-        for (row, acc) in singles.iter().zip(out_singles.chunks_exact_mut(k)) {
-            let u = [&row[patients.clone()]];
-            let c0 = perturb_strips::<1, 32>(u, z, k, 0, acc);
-            let c0 = perturb_strips::<1, 16>(u, z, k, c0, acc);
-            let c0 = perturb_strips::<1, 8>(u, z, k, c0, acc);
-            let c0 = perturb_strips::<1, 4>(u, z, k, c0, acc);
-            let c0 = perturb_strips::<1, 2>(u, z, k, c0, acc);
-            perturb_strips::<1, 1>(u, z, k, c0, acc);
+        match singles {
+            // Under `WIDE`, two or three leftover rows still share `Z` loads
+            // as one block of `16`-wide strips. AVX2's `8`-wide block strips
+            // would hold fewer accumulators than the single-row strips.
+            [a, b] if WIDE => {
+                let u = [*a, *b].map(|row| &row[patients.clone()]);
+                perturb_block::<2, WIDE>(u, z, k, out_singles);
+            }
+            [a, b, c] if WIDE => {
+                let u = [*a, *b, *c].map(|row| &row[patients.clone()]);
+                perturb_block::<3, WIDE>(u, z, k, out_singles);
+            }
+            // A row with no neighbour to share `Z` loads with takes strips
+            // four times as wide as a `4 × 8` tile: 32 accumulator doubles.
+            _ => {
+                for (row, acc) in singles.iter().zip(out_singles.chunks_exact_mut(k)) {
+                    let u = [&row[patients.clone()]];
+                    let c0 = perturb_strips::<1, 32>(u, z, k, 0, acc);
+                    let c0 = perturb_strips::<1, 16>(u, z, k, c0, acc);
+                    let c0 = perturb_strips::<1, 8>(u, z, k, c0, acc);
+                    let c0 = perturb_strips::<1, 4>(u, z, k, c0, acc);
+                    let c0 = perturb_strips::<1, 2>(u, z, k, c0, acc);
+                    perturb_strips::<1, 1>(u, z, k, c0, acc);
+                }
+            }
         }
     }
 }
@@ -434,10 +457,11 @@ fn perturb_tile<const MR: usize, const NR: usize>(
     c0: usize,
     out: &mut [f64],
 ) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for (a, o) in acc.iter_mut().zip(out.chunks_exact(k)) {
-        a.copy_from_slice(&o[c0..c0 + NR]);
-    }
+    // Constant-count loops over `r`, so they unroll: bounded by
+    // `out.chunks_exact(k)`, a `12 × 16` tile's copy loops stayed rolled
+    // and its accumulators lived on the stack.
+    let mut acc: [[f64; NR]; MR] =
+        std::array::from_fn(|r| out[r * k + c0..][..NR].try_into().expect("NR accumulators"));
     for (i, z_row) in z.chunks_exact(k).enumerate() {
         let z_row: &[f64; NR] = z_row[c0..c0 + NR]
             .try_into()
@@ -445,12 +469,12 @@ fn perturb_tile<const MR: usize, const NR: usize>(
         for (a, u_row) in acc.iter_mut().zip(&u) {
             let ui = u_row[i];
             for (a, &zk) in a.iter_mut().zip(z_row) {
-                *a += ui * zk;
+                *a = ui.mul_add(zk, *a);
             }
         }
     }
-    for (a, o) in acc.iter().zip(out.chunks_exact_mut(k)) {
-        o[c0..c0 + NR].copy_from_slice(a);
+    for (r, a) in acc.iter().enumerate() {
+        out[r * k + c0..][..NR].copy_from_slice(a);
     }
 }
 
@@ -533,18 +557,6 @@ mod tests {
         assert_eq!(d.column(1), &[5.0, 6.0, 7.0]);
     }
 
-    /// Per-replicate reference for the blocked kernel: the exact fold the
-    /// per-iteration resampling path performs.
-    fn perturb_naive(u: &[f64], m: usize, n: usize, z: &[f64], k: usize) -> Vec<f64> {
-        let mut out = vec![0.0; m * k];
-        for j in 0..m {
-            for kk in 0..k {
-                out[j * k + kk] = (0..n).map(|i| u[j * n + i] * z[i * k + kk]).sum();
-            }
-        }
-        out
-    }
-
     #[test]
     fn perturb_blocked_is_bitwise_identical_to_naive() {
         // Sizes straddle the patient tile (256) to exercise the tile seam;
@@ -559,7 +571,8 @@ mod tests {
             let z: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.71).cos()).collect();
             let mut out = vec![f64::NAN; m * k];
             perturb_scores_blocked(&u, m, n, &z, k, &mut out);
-            assert_eq!(out, perturb_naive(&u, m, n, &z, k), "m={m} n={n} k={k}");
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+            assert_eq!(out, perturb_fold(&rows, n, &z, k), "m={m} n={n} k={k}");
         }
     }
 
@@ -570,15 +583,13 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// The contract's fold written out — one `acc += u·z` chain per
-    /// `(j, kk)` from `0.0` in patient order — for inputs with signed
-    /// zeros, where `perturb_naive`'s `Iterator::sum` (which starts from
-    /// `-0.0`) answers `-0.0` for a chain whose every product is `-0.0`.
+    /// The contract written out, one replicate at a time: one
+    /// `u.mul_add(z, acc)` chain per `(j, kk)` from `+0.0` in patient order.
     fn perturb_fold(rows: &[&[f64]], n: usize, z: &[f64], k: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(rows.len() * k);
         for row in rows {
             for kk in 0..k {
-                out.push((0..n).fold(0.0, |acc, i| acc + row[i] * z[i * k + kk]));
+                out.push((0..n).fold(0.0, |acc, i| row[i].mul_add(z[i * k + kk], acc)));
             }
         }
         out
@@ -599,39 +610,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn perturb_chains_start_from_positive_zero() {
-        // Every product is -0.0: the fold from 0.0 answers +0.0 at every
-        // strip width and row remainder (`Iterator::sum` would say -0.0).
-        for (m, k) in [(1usize, 1usize), (4, 1), (5, 7), (6, 40)] {
-            let n = 3;
-            let u = vec![-0.0f64; m * n];
-            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
-            let mut out = vec![f64::NAN; m * k];
-            perturb_rows_blocked(&rows, n, &vec![1.0; n * k], k, &mut out);
-            assert_same_bits(&out, &vec![0.0; m * k], "all products -0.0");
-        }
-    }
-
-    /// Every vector compilation of the kernel the running CPU can execute,
-    /// each called directly: `(arm, output)` pairs.
-    fn vector_arms(
-        rows: &[&[f64]],
-        n: usize,
-        z: &[f64],
-        k: usize,
-    ) -> Vec<(&'static str, Vec<f64>)> {
-        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-        let mut arms = Vec::new();
+    /// Every way the kernel runs on this CPU, each called directly:
+    /// `(arm, output)` pairs for the dispatched entry point, the plain body
+    /// and every vector compilation the CPU can execute.
+    fn every_arm(rows: &[&[f64]], n: usize, z: &[f64], k: usize) -> Vec<(&'static str, Vec<f64>)> {
+        let run = |arm: &dyn Fn(&mut [f64])| {
+            let mut out = vec![f64::NAN; rows.len() * k];
+            arm(&mut out);
+            out
+        };
+        let mut arms = vec![
+            (
+                "dispatched",
+                run(&|out| perturb_rows_blocked(rows, n, z, k, out)),
+            ),
+            (
+                "plain",
+                run(&|out| perturb_rows_body::<PERTURB_MR, false>(rows, n, z, k, out)),
+            ),
+        ];
         #[cfg(target_arch = "x86_64")]
         {
-            let run = |arm: &dyn Fn(&mut [f64])| {
-                let mut out = vec![f64::NAN; rows.len() * k];
-                arm(&mut out);
-                out
-            };
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU reported AVX2 on the line above.
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                // SAFETY: the CPU reported AVX2 and FMA on the lines above.
                 let avx2 = run(&|out| unsafe { perturb_rows_avx2(rows, n, z, k, out) });
                 arms.push(("avx2", avx2));
             }
@@ -645,6 +648,69 @@ mod tests {
     }
 
     #[test]
+    fn perturb_chains_start_from_positive_zero() {
+        // Every product is -0.0: each step is `-0.0 + acc` exactly, and the
+        // chain starts from +0.0, so every arm answers +0.0 at every strip
+        // width and row remainder (a chain from -0.0 would say -0.0).
+        for (m, k) in [(1usize, 1usize), (3, 17), (4, 1), (5, 7), (6, 40), (14, 33)] {
+            let n = 3;
+            let u = vec![-0.0f64; m * n];
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+            let z = vec![1.0; n * k];
+            let want = vec![0.0; m * k];
+            assert_same_bits(&perturb_fold(&rows, n, &z, k), &want, "fold");
+            for (arm, out) in every_arm(&rows, n, &z, k) {
+                assert_same_bits(&out, &want, &format!("{arm}, all products -0.0, {m} x {k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn perturb_underflowing_products_keep_their_sign() {
+        // `1e-200 · ±1e-200` is ±1e-400 exactly, below the least subnormal.
+        // Fused, a step onto a zero accumulator rounds that exact value
+        // once, to a zero of its sign; a rounded multiply and then an add
+        // would give ±0.0 + acc, which is +0.0 from a +0.0 start. So each
+        // chain ends at the sign of its last patient's product: -0.0 where
+        // that is negative, which an unfused kernel can never answer.
+        for (m, n, k) in [
+            (1usize, 1usize, 1usize),
+            (3, 2, 7),
+            (4, 3, 1),
+            (5, 2, 7),
+            (14, 5, 40),
+        ] {
+            let u: Vec<f64> = (0..m * n)
+                .map(|v| if v % 3 == 1 { -1e-200 } else { 1e-200 })
+                .collect();
+            let z: Vec<f64> = (0..n * k)
+                .map(|v| if v % 2 == 0 { -1e-200 } else { 1e-200 })
+                .collect();
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
+            let last = &z[(n - 1) * k..];
+            let want: Vec<f64> = rows
+                .iter()
+                .flat_map(|row| {
+                    last.iter()
+                        .map(|zl| 0.0f64.copysign(row[n - 1].signum() * zl))
+                })
+                .collect();
+            assert!(
+                want.iter().any(|v| v.is_sign_negative()),
+                "{m} x {n} x {k}: a -0.0 to check"
+            );
+            assert_same_bits(&perturb_fold(&rows, n, &z, k), &want, "fold");
+            for (arm, out) in every_arm(&rows, n, &z, k) {
+                assert_same_bits(
+                    &out,
+                    &want,
+                    &format!("{arm}, underflowing products, {m} x {n} x {k}"),
+                );
+            }
+        }
+    }
+
+    #[test]
     fn perturb_plain_and_dispatched_agree_at_the_benchmark_shape() {
         // One grid cell of the benchmark's `grid_*` workloads, and the
         // rows of one `svc_mc` query set (20 over 2000 patients).
@@ -652,15 +718,9 @@ mod tests {
             let u: Vec<f64> = (0..m * n).map(|v| (v as f64 * 0.37).sin()).collect();
             let z: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.71).cos()).collect();
             let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
-            let mut dispatched = vec![f64::NAN; m * k];
-            perturb_rows_blocked(&rows, n, &z, k, &mut dispatched);
-            let mut plain = vec![f64::NAN; m * k];
-            perturb_rows_body::<PERTURB_MR, false>(&rows, n, &z, k, &mut plain);
-            assert_same_bits(&dispatched, &plain, "dispatched vs plain");
-            assert!(plain.iter().all(|v| v.is_finite()));
             let want = perturb_fold(&rows, n, &z, k);
-            assert_same_bits(&plain, &want, &format!("plain at {m} x {n} x {k}"));
-            for (arm, out) in vector_arms(&rows, n, &z, k) {
+            assert!(want.iter().all(|v| v.is_finite()));
+            for (arm, out) in every_arm(&rows, n, &z, k) {
                 assert_same_bits(&out, &want, &format!("{arm} at {m} x {n} x {k}"));
             }
         }
@@ -668,14 +728,15 @@ mod tests {
 
     proptest! {
         /// Every compilation of the kernel reproduces the fold bit for bit:
-        /// every row remainder (0..=17 rows: blocks of eight, a block of
-        /// four, single rows), patient-tile seams (the tile is `4096 / k`
-        /// patients) and every strip decomposition of `k` (up to 16 + 16 +
-        /// 8), over values that include signed zeros, infinities, NaN and
-        /// subnormals at a per-case density from none to one in four.
+        /// every row remainder (0..=27 rows: blocks of twelve or six, a
+        /// block of eight, a block of four, single rows), patient-tile
+        /// seams (the tile is `4096 / k` patients) and every strip
+        /// decomposition of `k` (up to 16 + 16 + 8), over values that
+        /// include signed zeros, infinities, NaN, subnormals and products
+        /// that underflow, at a per-case density from none to one in four.
         #[test]
         fn prop_perturb_reproduces_the_fold_bit_for_bit(
-            m in 0usize..=17,
+            m in 0usize..=27,
             n in 1usize..=600,
             k in 1usize..=40,
             density in 0usize..4,
@@ -705,14 +766,7 @@ mod tests {
             let z: Vec<f64> = (0..n * k).map(&mut value).collect();
             let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
             let want = perturb_fold(&rows, n, &z, k);
-
-            let mut out = vec![f64::NAN; m * k];
-            perturb_rows_blocked(&rows, n, &z, k, &mut out);
-            assert_same_bits(&out, &want, "dispatched");
-            let mut out = vec![f64::NAN; m * k];
-            perturb_rows_body::<PERTURB_MR, false>(&rows, n, &z, k, &mut out);
-            assert_same_bits(&out, &want, "plain");
-            for (arm, out) in vector_arms(&rows, n, &z, k) {
+            for (arm, out) in every_arm(&rows, n, &z, k) {
                 assert_same_bits(&out, &want, arm);
             }
         }

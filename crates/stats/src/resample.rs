@@ -349,8 +349,9 @@ mod tests {
     use crate::score::{CoxScore, GaussianScore, Survival};
 
     /// The pre-blocking Algorithm 3 reference: one full pass over the cached
-    /// contributions per replicate. Kept as the oracle the blocked kernel is
-    /// tested against.
+    /// contributions per replicate, each perturbed score one `mul_add` chain
+    /// from `+0.0` in patient order (the kernel's contract, DESIGN §3d).
+    /// Kept as the oracle the blocked kernel is tested against.
     fn monte_carlo_per_iteration<M: ScoreModel>(
         model: &M,
         genotype_rows: &[Vec<u8>],
@@ -372,7 +373,10 @@ mod tests {
         for r in 0..num_replicates {
             let z = mc_weights(seed, r, n);
             for (j, c) in contribs.iter().enumerate() {
-                perturbed[j] = c.iter().zip(&z).map(|(u, zi)| u * zi).sum();
+                perturbed[j] = c
+                    .iter()
+                    .zip(&z)
+                    .fold(0.0, |acc, (u, zi)| u.mul_add(*zi, acc));
             }
             let replicate = skat_all(&perturbed, weights, sets);
             for (k, (&rep, &obs)) in replicate.iter().zip(&observed).enumerate() {

@@ -18,7 +18,7 @@ use sparkscore_rdd::Engine;
 use sparkscore_stats::pvalue::westfall_young_adjusted;
 use sparkscore_stats::resample::mc_weights;
 use sparkscore_stats::score::{CoxScore, ScoreModel};
-use sparkscore_stats::skat_all;
+use sparkscore_stats::{perturb_rows_blocked, skat_all};
 
 fn main() {
     let engine = Engine::builder(ClusterSpec::m3_2xlarge(6))
@@ -74,13 +74,13 @@ fn main() {
     let model = CoxScore::new(&dataset.phenotypes);
     let rows = dataset.genotype_rows();
     let contribs: Vec<Vec<f64>> = rows.iter().map(|g| model.contributions(g)).collect();
+    let contrib_rows: Vec<&[f64]> = contribs.iter().map(Vec::as_slice).collect();
+    let n = dataset.phenotypes.len();
+    let mut scores = vec![0.0; contribs.len()];
     let replicates: Vec<Vec<f64>> = (0..199)
         .map(|r| {
-            let z = mc_weights(11, r, dataset.phenotypes.len());
-            let scores: Vec<f64> = contribs
-                .iter()
-                .map(|c| c.iter().zip(&z).map(|(u, zi)| u * zi).sum())
-                .collect();
+            let z = mc_weights(11, r, n);
+            perturb_rows_blocked(&contrib_rows, n, &z, 1, &mut scores);
             skat_all(&scores, &dataset.weights, &dataset.sets)
         })
         .collect();

@@ -31,12 +31,13 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== the resampling kernel and the multiplier draw stay unfused, 512-bit and libm-free, the Cox kernel gathers and divides in zmm: disassembly of the release sparkscore-stats tests =="
-# The kernel's contract is a multiply and an add, two roundings (DESIGN.md
-# §3d). Rust's `avx512f` implies `fma`, so inside perturb_rows_avx512 only the
-# source keeps the two apart: a `mul_add` there would change bits on AVX-512
-# hosts alone. And an AVX-512 arm whose tiles fell back to 256-bit vectors
-# passes every test while running no faster than the AVX2 arm.
+echo "== the resampling kernel fuses its multiply-add in both vector arms, the multiplier draw stays unfused, 512-bit and libm-free, the Cox kernel gathers and divides in zmm: disassembly of the release sparkscore-stats tests =="
+# The kernel's contract is one fused multiply-add per step, one rounding
+# (DESIGN.md §3d). A tile that multiplies and then adds, or an AVX2 arm
+# compiled without `fma` (where `mul_add` becomes a libm call per step), gives
+# the same bits through a slower route, so every test passes; the machine code
+# is what shows it. So is an AVX-512 arm whose tiles fell back to 256-bit
+# vectors, which runs no faster than the AVX2 arm.
 command -v objdump > /dev/null \
     || { echo "objdump not found: this step needs it (binutils) to read the kernel's instructions" >&2; exit 1; }
 stats_bin="$(cargo test --release -q -p sparkscore-stats --lib --no-run --message-format=json \
@@ -52,17 +53,22 @@ functions_asm() {
 }
 kernel_asm="$(functions_asm 'perturb_rows_[a-z0-9]+')"
 [ -n "$kernel_asm" ] || { echo "no perturb_rows_* symbol in $stats_bin" >&2; exit 1; }
-if grep -E 'vfn?m(add|sub)' <<< "$kernel_asm"; then
-    echo "a perturb_rows_* arm fuses a multiply-add (see matches above)" >&2
+if ! grep -qE 'perturb_rows_avx512>: .*vfmadd[0-9]+pd.*zmm' <<< "$kernel_asm"; then
+    echo "perturb_rows_avx512 holds no 512-bit vfmadd…pd: its tiles do not fuse, or fell back to narrower vectors" >&2
     exit 1
 fi
-if ! grep -qE 'perturb_rows_avx512>: .*vmulpd.*zmm' <<< "$kernel_asm"; then
-    echo "perturb_rows_avx512 holds no 512-bit vmulpd: its tiles fell back to narrower vectors" >&2
+if ! grep -qE 'perturb_rows_avx2>: .*vfmadd[0-9]+pd.*ymm' <<< "$kernel_asm"; then
+    echo "perturb_rows_avx2 holds no 256-bit vfmadd…pd: its tiles do not fuse, or it was compiled without fma" >&2
+    exit 1
+fi
+if grep -E 'perturb_rows_avx(2|512)>: .*vmulpd' <<< "$kernel_asm"; then
+    echo "a perturb_rows_* vector arm still multiplies apart from its add (see matches above)" >&2
     exit 1
 fi
 # The multiplier draw's arms (fill_multipliers_{plain,avx2,avx512} in
-# crates/stats/src/dist.rs) share the same contract and one more: Z's bits
-# may not follow the host's libm, so no arm calls sin, cos, sincos or log.
+# crates/stats/src/dist.rs) keep the unfused contract, a multiply and an add,
+# two roundings, and one more: Z's bits may not follow the host's libm, so no
+# arm calls sin, cos, sincos or log.
 draw_asm="$(functions_asm 'fill_multipliers_(plain|avx2|avx512)')"
 for arm in plain avx2 avx512; do
     grep -q "fill_multipliers_$arm>:" <<< "$draw_asm" \

@@ -200,13 +200,13 @@ fn westfall_young_adjustment_controls_the_family() {
 
     // Build replicate matrix with the same MC scheme.
     let contribs: Vec<Vec<f64>> = rows.iter().map(|g| model.contributions(g)).collect();
+    let contrib_rows: Vec<&[f64]> = contribs.iter().map(Vec::as_slice).collect();
+    let n = ds.phenotypes.len();
+    let mut scores = vec![0.0; contribs.len()];
     let replicates: Vec<Vec<f64>> = (0..200)
         .map(|r| {
-            let z = sparkscore_stats::resample::mc_weights(1, r, ds.phenotypes.len());
-            let scores: Vec<f64> = contribs
-                .iter()
-                .map(|c| c.iter().zip(&z).map(|(u, zi)| u * zi).sum())
-                .collect();
+            let z = sparkscore_stats::resample::mc_weights(1, r, n);
+            sparkscore_stats::perturb_rows_blocked(&contrib_rows, n, &z, 1, &mut scores);
             sparkscore_stats::skat_all(&scores, &ds.weights, &ds.sets)
         })
         .collect();
