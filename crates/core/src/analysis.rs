@@ -58,10 +58,11 @@ pub const PACKED_KERNEL_ROWS: TaskCounter = TaskCounter::new("packed_kernel_rows
 /// (no allocator traffic).
 pub const SCRATCH_REUSES: TaskCounter = TaskCounter::new("scratch_reuses");
 /// Resampling row-replicate units computed (one SNP row perturbed for one
-/// replicate in the distributed GEMM).
+/// replicate in a grid task; a one-set run's driver cell runs in no task
+/// and counts only in its `McGridRun`).
 pub const REPLICATES_RUN: TaskCounter = TaskCounter::new("replicates_run");
-/// Row-replicate units skipped inside an executed tile because the owning
-/// gene set's stopping rule had already decided.
+/// Row-replicate units skipped inside an executed grid tile because the
+/// owning gene set's stopping rule had already decided.
 pub const REPLICATES_SAVED: TaskCounter = TaskCounter::new("replicates_saved");
 
 /// Per-record cost hints (in engine work units of 25 virtual ns each)
@@ -152,14 +153,12 @@ pub struct McGridOptions {
     /// Multiplier seed: replicate `r` multiplies patient `i` by
     /// `Z[r][i]` under it, on every path.
     pub seed: u64,
-    /// Replicate-tile width (one broadcast + one grid job per tile).
+    /// Replicate-tile width (one multiplier tile and one kernel call per
+    /// cell per tile).
     pub tile: usize,
     /// Sequential stopping rule; `None` runs the fixed-B statistical
     /// oracle path.
     pub stopping: Option<StoppingRule>,
-    /// Restrict the run to these set ids (e.g. one gene query); `None`
-    /// scores every set.
-    pub set_filter: Option<Vec<u64>>,
 }
 
 impl McGridOptions {
@@ -171,7 +170,6 @@ impl McGridOptions {
             seed,
             tile: MC_TILE,
             stopping: None,
-            set_filter: None,
         }
     }
 
@@ -182,7 +180,6 @@ impl McGridOptions {
             seed,
             tile: MC_TILE,
             stopping: Some(rule),
-            set_filter: None,
         }
     }
 }
@@ -252,6 +249,56 @@ fn draw_tiles(engine: &Engine, seed: u64, n: usize, tiles: &[ReplicateTile]) -> 
     });
     drop(chunks);
     drawn
+}
+
+/// One cell's answer to a round: its active rows' SNP ids and, per tile,
+/// their perturbed scores (`rows × width`, row-major).
+type Cell = (Vec<u64>, Vec<Vec<f64>>);
+
+/// One tile's perturbed scores of `urows`: `urows.len() × k` outputs.
+fn perturb_tile(urows: &[&[f64]], n: usize, k: usize, z: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0f64; urows.len() * k];
+    perturb_rows_blocked(urows, n, z, k, &mut out);
+    out
+}
+
+/// One grid job: a task per `u` partition filters its active rows (1 in
+/// the activity plane) once and perturbs them under each tile of the
+/// round, counting its work and its in-tile skips (rows marked 2).
+fn grid_round(
+    u: &Dataset<(u64, Vec<f64>)>,
+    activity: &[u8],
+    operands: &[(usize, Broadcast<Vec<f64>>)],
+    n: usize,
+) -> Vec<Cell> {
+    let round_width: usize = operands.iter().map(|(k, _)| k).sum();
+    u.grid_cells(|ctx, _part, rows| {
+        let mut ids: Vec<u64> = Vec::new();
+        let mut urows: Vec<&[f64]> = Vec::new();
+        let mut skipped = 0u64;
+        for (snp, c) in rows {
+            match activity.get(*snp as usize).copied().unwrap_or(0) {
+                1 => {
+                    ids.push(*snp);
+                    urows.push(c.as_slice());
+                }
+                2 => skipped += 1,
+                _ => {}
+            }
+        }
+        let outs = operands
+            .iter()
+            .map(|(k, z)| {
+                ctx.time_span("kernel:perturb", || perturb_tile(&urows, n, *k, z.value()))
+            })
+            .collect();
+        let row_replicates = ids.len() * round_width;
+        ctx.add_work(row_replicates, n as f64 * JVM_UNITS_ARITH_PER_PATIENT);
+        ctx.count(&KERNEL_ROWS, (row_replicates * n) as u64);
+        ctx.count(&REPLICATES_RUN, row_replicates as u64);
+        ctx.count(&REPLICATES_SAVED, skipped * round_width as u64);
+        (ids, outs)
+    })
 }
 
 /// `c.iter().sum()` of every row, owned or borrowed, four rows at a time.
@@ -677,11 +724,6 @@ impl SparkScoreContext {
         }
     }
 
-    /// The sorted set ids every result row order follows.
-    pub(crate) fn set_ids(&self) -> &[u64] {
-        &self.set_ids
-    }
-
     /// Build the `U` contributions dataset once, for explicit sharing:
     /// callers that `cache()` the returned handle and reuse it across
     /// many score passes (e.g. a multi-tenant service answering gene
@@ -850,21 +892,85 @@ impl SparkScoreContext {
         u: &Dataset<(u64, Vec<f64>)>,
         opts: &McGridOptions,
     ) -> McGridRun {
+        self.resample(u, None, opts)
+    }
+
+    /// Algorithm 3 for one set: `set`'s entry of
+    /// [`SparkScoreContext::monte_carlo_grid`] at the same options, bit
+    /// for bit, as a one-entry run. One map stage over `u` gathers the
+    /// set's member rows to the driver; every round then runs there, one
+    /// [`perturb_rows_blocked`] call per tile over all the gathered rows,
+    /// and no job runs per round or per look. The observed score comes
+    /// from the gathered rows, so the run needs neither the per-SNP score
+    /// memo nor an activity plane. `None` for an unknown set, before any
+    /// job.
+    pub(crate) fn monte_carlo_set(
+        &self,
+        u: &Dataset<(u64, Vec<f64>)>,
+        set: u64,
+        opts: &McGridOptions,
+    ) -> Option<McGridRun> {
+        let s = self.set_ids.binary_search(&set).ok()?;
+        Some(self.resample(u, Some(&self.sets[s]), opts))
+    }
+
+    /// Every row of `u` that `set` lists, copied to the driver by one map
+    /// stage at the scan's modeled cost: 0.5 units a scanned row, what the
+    /// set query's filter charges. A member keeps its row whichever set the
+    /// `snp → set` lookup gives it to: the grid's overlap rule, under
+    /// which a SNP counts in every set that lists it.
+    fn gather_rows(&self, u: &Dataset<(u64, Vec<f64>)>, set: &SnpSet) -> Vec<(u64, Vec<f64>)> {
+        let mut members: Vec<u64> = set.members.iter().map(|&m| m as u64).collect();
+        members.sort_unstable();
+        let parts = u.grid_cells(|ctx, _part, rows| {
+            ctx.add_work(rows.len(), 0.5);
+            let held = rows
+                .iter()
+                .filter(|(snp, _)| members.binary_search(snp).is_ok());
+            held.cloned().collect::<Vec<_>>()
+        });
+        parts.into_iter().flatten().collect()
+    }
+
+    /// The resampling loop of both entries. `one` is `None` for the grid
+    /// (every set, one engine task per partition of `u` per round) and the
+    /// set of a one-set run (one driver cell over its gathered rows). Tile
+    /// planning, the tile-cache lookup and pooled draw, the per-tile
+    /// reduce and the looks are this code for both, so the two share their
+    /// bits: each `(row, replicate)` chain is the same fold whichever rows
+    /// share a kernel call.
+    fn resample(
+        &self,
+        u: &Dataset<(u64, Vec<f64>)>,
+        one: Option<&SnpSet>,
+        opts: &McGridOptions,
+    ) -> McGridRun {
         assert!(opts.tile > 0, "tile width must be positive");
         let wall_start = Instant::now();
         let vt_start = self.engine.virtual_time_secs();
         let metrics_start = self.engine.metrics_snapshot();
 
-        let sets: Vec<&SnpSet> = match &opts.set_filter {
-            None => self.sets.iter().collect(),
-            Some(ids) => self.sets.iter().filter(|s| ids.contains(&s.id)).collect(),
-        };
-        assert!(!sets.is_empty(), "set filter selected no sets");
-
         let n = self.num_patients();
         let max_snp = self.max_snp;
         let weights = self.weights();
-        let scores = self.grid_scores(u);
+        let gathered = one.map(|set| self.gather_rows(u, set));
+        let set_scores: Vec<f64>;
+        let scores = match &gathered {
+            None => self.grid_scores(u),
+            Some(rows) => {
+                // `grid_scores`' per-row sums, scattered the same way.
+                let mut dense = vec![0.0f64; max_snp];
+                for ((snp, _), s) in rows.iter().zip(row_sums(rows)) {
+                    dense[*snp as usize] = s;
+                }
+                set_scores = dense;
+                &set_scores
+            }
+        };
+        let sets: Vec<&SnpSet> = match one {
+            None => self.sets.iter().collect(),
+            Some(set) => vec![set],
+        };
         let combine = self.options.combine;
         let stat = |scores: &[f64], set: &SnpSet| match combine {
             CombineMethod::Skat => skat_statistic(scores, weights, set),
@@ -889,9 +995,9 @@ impl SparkScoreContext {
         let mut decided = vec![false; sets.len()];
         let mut replicates_run = 0u64;
         let mut perturbed = vec![0.0f64; max_snp];
-        // Per-SNP activity plane: 0 out of scope, 1 active, 2 member of a
-        // decided set (skipped, counted as saved work). Rebuilt only
-        // after a look that decided a set.
+        // The grid's per-SNP activity plane: 0 out of scope, 1 active, 2
+        // member of a decided set (skipped, counted as saved work).
+        // Rebuilt only after a look that decided a set.
         let mut activity: Option<Broadcast<Vec<u8>>> = None;
         let mut tiles = 0usize;
         let mut done = 0usize;
@@ -923,54 +1029,32 @@ impl SparkScoreContext {
                 })
                 .collect();
 
-            let act = activity
-                .get_or_insert_with(|| {
-                    let mut plane = vec![0u8; max_snp];
-                    for (s, set) in sets.iter().enumerate() {
-                        let mark = if decided[s] { 2u8 } else { 1u8 };
-                        for &j in &set.members {
-                            plane[j] = mark;
-                        }
-                    }
-                    self.engine.broadcast(plane)
-                })
-                .clone();
-
-            // One grid job: a task per U partition filters its active
-            // rows once and perturbs them under each tile of the round.
             let round_width: usize = round.iter().map(|t| t.width).sum();
-            let cells: Vec<(Vec<u64>, Vec<Vec<f64>>)> = u.grid_cells(move |ctx, _part, rows| {
-                let mut ids: Vec<u64> = Vec::new();
-                let mut urows: Vec<&[f64]> = Vec::new();
-                let mut skipped = 0u64;
-                let act = act.value();
-                for (snp, c) in rows {
-                    match act.get(*snp as usize).copied().unwrap_or(0) {
-                        1 => {
-                            ids.push(*snp);
-                            urows.push(c.as_slice());
+            let cells: Vec<Cell> = match &gathered {
+                None => {
+                    let act = activity.get_or_insert_with(|| {
+                        let mut plane = vec![0u8; max_snp];
+                        for (s, set) in sets.iter().enumerate() {
+                            let mark = if decided[s] { 2u8 } else { 1u8 };
+                            for &j in &set.members {
+                                plane[j] = mark;
+                            }
                         }
-                        2 => skipped += 1,
-                        _ => {}
-                    }
+                        self.engine.broadcast(plane)
+                    });
+                    grid_round(u, act.value(), &operands, n)
                 }
-                let outs = operands
-                    .iter()
-                    .map(|(k, z)| {
-                        let mut out = vec![0.0f64; urows.len() * k];
-                        ctx.time_span("kernel:perturb", || {
-                            perturb_rows_blocked(&urows, n, z.value(), *k, &mut out);
-                        });
-                        out
-                    })
-                    .collect();
-                let row_replicates = ids.len() * round_width;
-                ctx.add_work(row_replicates, n as f64 * JVM_UNITS_ARITH_PER_PATIENT);
-                ctx.count(&KERNEL_ROWS, (row_replicates * n) as u64);
-                ctx.count(&REPLICATES_RUN, row_replicates as u64);
-                ctx.count(&REPLICATES_SAVED, skipped * round_width as u64);
-                (ids, outs)
-            });
+                // One set: the loop runs only while it is undecided, so
+                // every gathered row is active.
+                Some(rows) => {
+                    let urows: Vec<&[f64]> = rows.iter().map(|(_, c)| c.as_slice()).collect();
+                    let outs = operands
+                        .iter()
+                        .map(|(k, z)| perturb_tile(&urows, n, *k, z.value()))
+                        .collect();
+                    vec![(rows.iter().map(|(snp, _)| *snp).collect(), outs)]
+                }
+            };
 
             let active_rows: usize = cells.iter().map(|(ids, _)| ids.len()).sum();
             replicates_run += (active_rows * round_width) as u64;
@@ -1405,7 +1489,6 @@ mod tests {
                 seed: 9,
                 tile,
                 stopping: None,
-                set_filter: None,
             };
             let run = ctx.monte_carlo_grid(&u, &opts);
             let oracle = monte_carlo_blocked(&ctx.model, &rows, &weights, &sets, b, 9, tile);
@@ -1430,7 +1513,6 @@ mod tests {
             seed: 3,
             tile: 16,
             stopping: Some(rule),
-            set_filter: None,
         };
         let u = ctx.u_dataset();
         u.cache();
@@ -1445,24 +1527,78 @@ mod tests {
         assert_eq!(run.replicates_saved, oracle.replicates_saved);
     }
 
+    /// A one-set run is its set's entry of the all-sets grid, bit for bit:
+    /// score, count and replicates used, for a fixed-B and an adaptive
+    /// run, on Cox and Gaussian cohorts at 1, 3 and 8 partitions and 1 and
+    /// 2 host threads. In the overlapping cohort set 1 also lists set 0's
+    /// first member, which the `snp → set` lookup gives to set 1 alone;
+    /// the grid counts it in both, so set 0's gather must keep its row.
     #[test]
-    fn grid_set_filter_reproduces_the_full_runs_entry() {
-        let ctx = small_context();
-        let u = ctx.u_dataset();
-        u.cache();
-        let full = ctx.monte_carlo_grid(&u, &McGridOptions::fixed(40, 13));
-        let target = full.observed[3].set;
-        let one = ctx.monte_carlo_grid(
-            &u,
-            &McGridOptions {
-                set_filter: Some(vec![target]),
-                ..McGridOptions::fixed(40, 13)
+    fn a_one_set_run_is_the_full_runs_entry_across_cuts() {
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let mut overlapping = ds.sets.clone();
+        let shared = overlapping[0].members[0];
+        overlapping[1].members.push(shared);
+        let trait_values: Vec<f64> = (0..ds.phenotypes.len()).map(|i| (i % 7) as f64).collect();
+        let cohorts = [
+            (Phenotype::Survival(ds.phenotypes.clone()), &ds.sets),
+            (Phenotype::Quantitative(trait_values.clone()), &ds.sets),
+            (Phenotype::Quantitative(trait_values), &overlapping),
+        ];
+        let rule = StoppingRule::new(20, 0.2, 0.05);
+        let runs = [
+            McGridOptions::fixed(40, 13),
+            McGridOptions {
+                tile: 8,
+                ..McGridOptions::adaptive(200, 3, rule)
             },
-        );
-        u.unpersist();
-        assert_eq!(one.observed.len(), 1);
-        assert_eq!(one.observed[0], full.observed[3]);
-        assert_eq!(one.counts_ge[0], full.counts_ge[3]);
+        ];
+        for (c, (phenotype, sets)) in cohorts.iter().enumerate() {
+            for partitions in [1, 3, 8] {
+                for threads in [1, 2] {
+                    let engine = Engine::builder(ClusterSpec::test_small(3))
+                        .host_threads(threads)
+                        .build();
+                    let rows = ds.genotypes.iter().map(|r| (r.id, r.dosages.clone()));
+                    let gm = engine.parallelize(rows.collect(), partitions);
+                    let weights = ds.weights.iter().enumerate().map(|(j, &w)| (j as u64, w));
+                    let weights_rdd = engine.parallelize(weights.collect(), 2);
+                    let ctx = SparkScoreContext::from_parts(
+                        engine,
+                        phenotype.clone(),
+                        gm,
+                        weights_rdd,
+                        sets,
+                        AnalysisOptions::default(),
+                    );
+                    let u = ctx.u_dataset();
+                    u.cache();
+                    for opts in &runs {
+                        let full = ctx.monte_carlo_grid(&u, opts);
+                        for (s, entry) in full.observed.iter().enumerate() {
+                            let one = ctx.monte_carlo_set(&u, entry.set, opts).expect("known set");
+                            let cut = format!(
+                                "cohort {c}, {partitions} partitions, {threads} threads, \
+                                 set {}, stopping {}",
+                                entry.set,
+                                opts.stopping.is_some()
+                            );
+                            assert_eq!(one.observed.len(), 1, "{cut}");
+                            assert_eq!(one.observed[0].set, entry.set, "{cut}");
+                            assert_eq!(
+                                one.observed[0].score.to_bits(),
+                                entry.score.to_bits(),
+                                "{cut}"
+                            );
+                            assert_eq!(one.counts_ge, [full.counts_ge[s]], "{cut}");
+                            assert_eq!(one.replicates_used, [full.replicates_used[s]], "{cut}");
+                        }
+                    }
+                    assert!(ctx.monte_carlo_set(&u, u64::MAX, &runs[0]).is_none());
+                    u.unpersist();
+                }
+            }
+        }
     }
 
     #[test]
@@ -1722,20 +1858,13 @@ mod tests {
             first.metrics.jobs, 3,
             "weights collect + observed pass + one fused round"
         );
-        // Any later run — other seed, one set — reads the memo: no weights
-        // collect, no observed pass, just its rounds.
-        let target = first.observed[2].set;
-        let second = ctx.monte_carlo_grid(
-            &u,
-            &McGridOptions {
-                set_filter: Some(vec![target]),
-                ..McGridOptions::fixed(70, 8)
-            },
-        );
+        // Any later run — other seed, other budget — reads the memo: no
+        // weights collect, no observed pass, just its rounds.
+        let second = ctx.monte_carlo_grid(&u, &McGridOptions::fixed(90, 8));
         u.unpersist();
         assert_eq!(second.tiles, 3);
         assert_eq!(second.metrics.jobs, 1);
-        assert_eq!(second.observed[0], first.observed[2]);
+        assert_eq!(second.observed, first.observed);
         let observed = ctx.observed().scores;
         for (grid, obs) in first.observed.iter().zip(&observed) {
             assert_eq!(grid.set, obs.set);
@@ -1751,13 +1880,7 @@ mod tests {
 
     #[test]
     fn concurrent_first_queries_share_one_invariant_fill() {
-        let opts: Vec<McGridOptions> = [0u64, 5]
-            .iter()
-            .map(|&set| McGridOptions {
-                set_filter: Some(vec![set]),
-                ..McGridOptions::fixed(40, 11)
-            })
-            .collect();
+        let opts = [McGridOptions::fixed(40, 11), McGridOptions::fixed(40, 12)];
         let expected: Vec<McGridRun> = opts
             .iter()
             .map(|o| small_context().monte_carlo_distributed(o))

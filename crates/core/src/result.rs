@@ -71,8 +71,8 @@ pub struct ResamplingRun {
 }
 
 /// Result of a distributed-GEMM resampling run (Algorithm 3 over the
-/// replicate-tile × partition grid), optionally with adaptive early
-/// stopping.
+/// replicate-tile × partition grid, or for one set on the driver),
+/// optionally with adaptive early stopping.
 #[derive(Debug, Clone)]
 pub struct McGridRun {
     /// Observed statistics `S_k⁰`, sorted by set id.
@@ -84,8 +84,8 @@ pub struct McGridRun {
     pub replicates_used: Vec<usize>,
     /// Replicate budget `B`.
     pub max_replicates: usize,
-    /// Row-replicate units (one SNP row × one replicate) computed by grid
-    /// tasks.
+    /// Row-replicate units (one SNP row × one replicate) computed, by grid
+    /// tasks or by a one-set run's driver cell.
     pub replicates_run: u64,
     /// Row-replicate units the stopping rule avoided, measured against the
     /// `scope_rows × B` potential (covers both in-tile skips and tiles

@@ -12,6 +12,11 @@
 //! `SparkScoreContext::u_dataset` mints a fresh lineage (and cache key)
 //! per call, this handle sharing is the contract that makes cross-job
 //! reuse real; the trace analyzer's cache-ROI section makes it visible.
+//!
+//! A query reads only its set's rows of that `U`, in one map stage. An
+//! observed query sums them in place; a Monte-Carlo query copies them to
+//! the driver and runs every tile of multiplier replicates there, so it
+//! starts one engine job however many replicates or looks it takes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -178,11 +183,13 @@ impl AnalysisService {
         })
     }
 
-    /// Submit a Monte-Carlo query (Algorithm 3 for a single set), run as
-    /// a distributed GEMM over the cohort's shared cached `U`: the set's
-    /// member rows are perturbed tile-by-tile and the multiplier tiles
-    /// are memoized, so same-seed queries across tenants re-broadcast
-    /// nothing.
+    /// Submit a Monte-Carlo query (Algorithm 3 for a single set) over the
+    /// cohort's shared cached `U`: one map stage gathers the set's member
+    /// rows, and every tile of multiplier replicates then perturbs them on
+    /// the driver, with no further engine job. The multiplier tiles are
+    /// memoized, so same-seed queries across tenants draw and broadcast
+    /// nothing. The answer is the set's entry of the all-sets grid at the
+    /// same seed and budget, bit for bit.
     pub fn submit_mc_query(
         &self,
         tenant: &str,
@@ -191,11 +198,7 @@ impl AnalysisService {
         replicates: usize,
         seed: u64,
     ) -> Result<u64, QueryError> {
-        let opts = McGridOptions {
-            set_filter: Some(vec![set]),
-            ..McGridOptions::fixed(replicates, seed)
-        };
-        self.submit_grid_query(tenant, cohort, set, opts)
+        self.submit_resampling_query(tenant, cohort, set, McGridOptions::fixed(replicates, seed))
     }
 
     /// Submit an adaptive Monte-Carlo query: tile rounds of multiplier
@@ -212,14 +215,11 @@ impl AnalysisService {
         seed: u64,
         rule: StoppingRule,
     ) -> Result<u64, QueryError> {
-        let opts = McGridOptions {
-            set_filter: Some(vec![set]),
-            ..McGridOptions::adaptive(max_replicates, seed, rule)
-        };
-        self.submit_grid_query(tenant, cohort, set, opts)
+        let opts = McGridOptions::adaptive(max_replicates, seed, rule);
+        self.submit_resampling_query(tenant, cohort, set, opts)
     }
 
-    fn submit_grid_query(
+    fn submit_resampling_query(
         &self,
         tenant: &str,
         cohort: &str,
@@ -229,10 +229,10 @@ impl AnalysisService {
         let cohort = self.cohort(cohort)?;
         let tenant_name = tenant.to_string();
         self.submit(tenant, move |slot| {
-            if cohort.ctx.set_ids().binary_search(&set).is_err() {
-                return Err(unknown_set(&cohort, set));
-            }
-            let run = cohort.ctx.monte_carlo_grid(&cohort.u, &opts);
+            let run = cohort
+                .ctx
+                .monte_carlo_set(&cohort.u, set, &opts)
+                .ok_or_else(|| unknown_set(&cohort, set))?;
             *slot.lock() = Some(QueryResult {
                 tenant: tenant_name,
                 cohort: cohort.name.clone(),
@@ -322,20 +322,46 @@ mod tests {
             .shutdown(sparkscore_rdd::ShutdownMode::Drain);
     }
 
+    /// A warm MC query, fixed-B or adaptive, is its gather stage and
+    /// nothing else: one job of one stage, a task per partition, no
+    /// shuffle, and no broadcast once its tiles are cached, however many
+    /// looks it takes.
     #[test]
     fn an_mc_query_after_a_set_query_pays_only_its_score_scan() {
         let (svc, _) = small_service();
         let engine = Arc::clone(svc.job_service().engine());
         let job = svc.submit_set_query("a", "main", 2).unwrap();
         svc.wait_result(job).expect("observed answer");
-        let jobs_before = engine.metrics_snapshot().jobs;
-        let job = svc.submit_mc_query("a", "main", 2, 64, 3).unwrap();
-        svc.wait_result(job).expect("mc answer");
-        assert_eq!(
-            engine.metrics_snapshot().jobs - jobs_before,
-            2,
-            "the per-SNP score scan, then one grid round: the weight table is the set query's"
-        );
+        // The set whose p-value lies nearest 1/2, with the rule curtailing
+        // at it: the adaptive query runs one round to its floor of 100 (four
+        // tiles) and keeps looking, a tile at a time, past it.
+        let p_of = |set| {
+            let job = svc.submit_mc_query("a", "main", set, 512, 3).unwrap();
+            let (count, b) = svc.wait_result(job).unwrap().resample.unwrap();
+            (count + 1) as f64 / (b + 1) as f64
+        };
+        let (set, p) = (0..10)
+            .map(|set| (set, p_of(set)))
+            .min_by(|a, b| (a.1 - 0.5).abs().total_cmp(&(b.1 - 0.5).abs()))
+            .unwrap();
+        let rule = StoppingRule::new(100, p, 0.01);
+        let fixed = || svc.submit_mc_query("a", "main", set, 512, 3).unwrap();
+        let queries: [&dyn Fn() -> u64; 2] = [&fixed, &|| {
+            svc.submit_adaptive_mc_query("a", "main", set, 512, 3, rule)
+                .unwrap()
+        }];
+        // The search drew and broadcast every tile of seed 3 to 512.
+        for (q, submit) in queries.iter().enumerate() {
+            let before = engine.metrics_snapshot();
+            let answer = svc.wait_result(submit()).expect("mc answer");
+            let d = engine.metrics_snapshot().delta_since(&before);
+            assert_eq!((d.jobs, d.stages, d.tasks), (1, 1, 4), "query {q}");
+            assert_eq!((d.cache_hits, d.cache_misses), (4, 0), "query {q}");
+            assert_eq!(d.shuffle_bytes_written, 0, "query {q}");
+            assert_eq!(d.broadcasts, 0, "query {q}: every tile is a cache hit");
+            let used = answer.resample.expect("an MC answer resamples").1;
+            assert!(used > 128, "query {q} must look past its floor: {used}");
+        }
         svc.job_service()
             .shutdown(sparkscore_rdd::ShutdownMode::Drain);
     }

@@ -334,7 +334,13 @@ svc_report="$(cargo run --release -p sparkscore-obs --bin trace -- report --json
 grep -q '"cache"' <<< "$svc_report" \
     || { echo "service smoke: trace report JSON missing cache section" >&2; kill "$svc_pid"; exit 1; }
 wait "$svc_pid"
-grep -q '^answered [0-9]* of [0-9]* queries' "$svc_out" \
+svc_tally="$(grep '^answered [0-9]* of [0-9]* queries' "$svc_out")" \
     || { echo "service smoke: service did not report its query tally" >&2; exit 1; }
+# A path that fails every query, or an MC path that stops hitting the
+# multiplier-tile cache, reports zeros here.
+grep -q '^answered [1-9][0-9]* of ' <<< "$svc_tally" \
+    || { echo "service smoke: no query answered: $svc_tally" >&2; exit 1; }
+grep -q 'multiplier tiles drawn [0-9]* reused [1-9][0-9]*$' <<< "$svc_tally" \
+    || { echo "service smoke: no multiplier tile reused: $svc_tally" >&2; exit 1; }
 
 echo "CI gate passed."
