@@ -136,16 +136,34 @@ impl AnalysisService {
             .ok_or(QueryError::UnknownCohort)
     }
 
+    /// Submit a query job for `set` of `cohort`. `answer` gives the set's
+    /// score and, for a Monte-Carlo query, its resample pair; `None` if the
+    /// cohort has no such set, which fails the job.
     fn submit(
         &self,
         tenant: &str,
-        payload: impl FnOnce(ResultSlot) -> Result<(), String> + Send + 'static,
+        cohort: &str,
+        set: u64,
+        answer: impl FnOnce(&Cohort) -> Option<(f64, Option<(usize, usize)>)> + Send + 'static,
     ) -> Result<u64, QueryError> {
+        let cohort = self.cohort(cohort)?;
+        let tenant_name = tenant.to_string();
         let slot: ResultSlot = Arc::new(Mutex::new(None));
         let job_slot = Arc::clone(&slot);
         let job = self
             .service
-            .submit(tenant, move |_engine| payload(job_slot))
+            .submit(tenant, move |_engine| {
+                let (score, resample) = answer(&cohort)
+                    .ok_or_else(|| format!("set {set} not in cohort {:?}", cohort.name))?;
+                *job_slot.lock() = Some(QueryResult {
+                    tenant: tenant_name,
+                    cohort: cohort.name.clone(),
+                    set,
+                    score,
+                    resample,
+                });
+                Ok(())
+            })
             .map_err(QueryError::Rejected)?;
         let mut results = self.results.lock();
         results.slots.insert(job, slot);
@@ -165,21 +183,8 @@ impl AnalysisService {
         cohort: &str,
         set: u64,
     ) -> Result<u64, QueryError> {
-        let cohort = self.cohort(cohort)?;
-        let tenant_name = tenant.to_string();
-        self.submit(tenant, move |slot| {
-            let score = cohort
-                .ctx
-                .set_score(&cohort.u, set)
-                .ok_or_else(|| unknown_set(&cohort, set))?;
-            *slot.lock() = Some(QueryResult {
-                tenant: tenant_name,
-                cohort: cohort.name.clone(),
-                set,
-                score,
-                resample: None,
-            });
-            Ok(())
+        self.submit(tenant, cohort, set, move |c| {
+            Some((c.ctx.set_score(&c.u, set)?, None))
         })
     }
 
@@ -226,21 +231,10 @@ impl AnalysisService {
         set: u64,
         opts: McGridOptions,
     ) -> Result<u64, QueryError> {
-        let cohort = self.cohort(cohort)?;
-        let tenant_name = tenant.to_string();
-        self.submit(tenant, move |slot| {
-            let run = cohort
-                .ctx
-                .monte_carlo_set(&cohort.u, set, &opts)
-                .ok_or_else(|| unknown_set(&cohort, set))?;
-            *slot.lock() = Some(QueryResult {
-                tenant: tenant_name,
-                cohort: cohort.name.clone(),
-                set,
-                score: run.observed[0].score,
-                resample: Some((run.counts_ge[0], run.replicates_used[0])),
-            });
-            Ok(())
+        self.submit(tenant, cohort, set, move |c| {
+            let run = c.ctx.monte_carlo_set(&c.u, set, &opts)?;
+            let resample = (run.counts_ge[0], run.replicates_used[0]);
+            Some((run.observed[0].score, Some(resample)))
         })
     }
 
@@ -252,10 +246,6 @@ impl AnalysisService {
         let result = slot.lock().take();
         result
     }
-}
-
-fn unknown_set(cohort: &Cohort, set: u64) -> String {
-    format!("set {set} not in cohort {:?}", cohort.name)
 }
 
 #[cfg(test)]

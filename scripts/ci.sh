@@ -17,6 +17,22 @@ echo "== orphan scan: every pub fn another file names, or listed with who needs 
 echo "== doc truth: the paths, examples, binaries, trace subcommands and metric names the docs name exist =="
 ./scripts/doc_truth.sh
 
+echo "== module boundary: the paper's algorithms name no query-path type, the query path shuffles nothing =="
+# crates/core/src/analysis/paper.rs holds Algorithms 1-3, whose job, stage and
+# shuffle structure is what the paper's experiments measure; query.rs holds the
+# gene-query path, whose contract is its bits against the sequential oracles.
+# A tile, grid or query-index name in the first, or a shuffle in the second,
+# is one program leaking into the other.
+if grep -nwE 'QueryIndex|BroadcastTileCache|plan_tiles|ReplicateTile|McGridOptions|McGridRun|grid_cells' \
+    crates/core/src/analysis/paper.rs; then
+    echo "the paper's algorithms name a query-path type (see matches above)" >&2
+    exit 1
+fi
+if grep -nE '\.(join|reduce_by_key|combine_by_key)\b' crates/core/src/analysis/query.rs; then
+    echo "the query path calls a shuffle operator (see matches above)" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -12,7 +12,10 @@
 # * every backticked metric series `sparkscore_NAME` is a string literal
 #   under crates/*/src (a `<…>` template such as
 #   `sparkscore_mem_<category>_used_bytes` is skipped, and so is a crate
-#   name such as `sparkscore_rdd`).
+#   name such as `sparkscore_rdd`);
+# * every backticked Rust path `a::b…` ends in a word some file under
+#   crates/*/src has, so a renamed or deleted item cannot live on in the
+#   docs under its old name.
 #
 # Run from anywhere:  ./scripts/doc_truth.sh
 
@@ -68,5 +71,13 @@ missing="$(grep -ohE '`sparkscore_[a-z0-9_]+`' "${docs[@]}" | tr -d '`' | sort -
 )"
 [ -z "$missing" ] || fail "docs name metric series no crates/*/src string literal defines" <<< "$missing"
 
-[ "$status" -eq 0 ] && echo "doc truth: paths, examples, binaries, trace subcommands and metric names all exist"
+missing="$(grep -ohE '`[^`]*::[^`]*`' "${docs[@]}" \
+    | grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' | sort -u \
+    | while read -r path; do
+        grep -rqw -- "${path##*::}" crates/*/src || echo "$path"
+    done
+)"
+[ -z "$missing" ] || fail "docs name Rust paths whose last segment no crates/*/src file has" <<< "$missing"
+
+[ "$status" -eq 0 ] && echo "doc truth: paths, examples, binaries, trace subcommands, metric names and Rust paths all exist"
 exit "$status"
