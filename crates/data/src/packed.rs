@@ -127,8 +127,8 @@ impl GenotypeBlock {
     /// proves nothing by itself (a short line followed by another can put
     /// one there), but then some separator before it is a newline and not
     /// a space, which [`scan_dosages`] reports. A line `keep` turns away
-    /// is scanned all the same: a malformed line is an error whether or
-    /// not its SNP is wanted.
+    /// is checked all the same, without being written: a malformed line
+    /// is an error whether or not its SNP is wanted.
     fn push_canonical_line(&mut self, text: &[u8], keep: impl Fn(u64) -> bool) -> Option<usize> {
         // 19 digits cannot overflow a u64; a twentieth fails the
         // separator check below.
@@ -148,12 +148,13 @@ impl GenotypeBlock {
         let body = &text[digits..end];
         if keep(id) {
             let start = self.data.len();
-            if !scan_dosages(body, |byte| self.data.push(byte)) {
+            self.data.resize(start + self.stride, 0);
+            if !scan_dosages(body, &mut self.data[start..]) {
                 self.data.truncate(start);
                 return None;
             }
             self.ids.push(id);
-        } else if !scan_dosages(body, |_| {}) {
+        } else if !dosages_are_canonical(body) {
             return None;
         }
         Some((end + 1).min(text.len()))
@@ -168,24 +169,16 @@ impl GenotypeBlock {
             self.num_patients,
             "genotype vector length mismatch"
         );
-        assert!(
-            dosages.iter().all(|&d| d <= MISSING_DOSAGE),
-            "dosage out of range: 2-bit packing holds 0/1/2 and the missing code {MISSING_DOSAGE}"
-        );
+        let start = self.data.len();
+        self.data.resize(start + self.stride, 0);
+        if !pack_codes(dosages, &mut self.data[start..]) {
+            // Leave the block as it was: one column per id.
+            self.data.truncate(start);
+            panic!(
+                "dosage out of range: 2-bit packing holds 0/1/2 and the missing code {MISSING_DOSAGE}"
+            );
+        }
         self.ids.push(id);
-        let mut chunks = dosages.chunks_exact(4);
-        for quad in chunks.by_ref() {
-            self.data
-                .push(quad[0] | quad[1] << 2 | quad[2] << 4 | quad[3] << 6);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut byte = 0u8;
-            for (i, &d) in rest.iter().enumerate() {
-                byte |= d << (2 * i);
-            }
-            self.data.push(byte);
-        }
     }
 
     #[inline]
@@ -235,23 +228,7 @@ impl GenotypeBlock {
             self.num_patients,
             "output vector length mismatch"
         );
-        let column = &self.data[col * self.stride..(col + 1) * self.stride];
-        let mut quads = out.chunks_exact_mut(4);
-        let mut bytes = column.iter();
-        for quad in quads.by_ref() {
-            let b = *bytes.next().expect("stride covers all full quads");
-            quad[0] = b & 0b11;
-            quad[1] = (b >> 2) & 0b11;
-            quad[2] = (b >> 4) & 0b11;
-            quad[3] = b >> 6;
-        }
-        let rest = quads.into_remainder();
-        if !rest.is_empty() {
-            let b = *bytes.next().expect("stride covers the remainder");
-            for (i, o) in rest.iter_mut().enumerate() {
-                *o = (b >> (2 * i)) & 0b11;
-            }
-        }
+        unpack_codes(self.column(col), out);
     }
 
     /// Visit every `(snp_id, unpacked dosages)` row through one
@@ -267,42 +244,258 @@ impl GenotypeBlock {
     }
 }
 
+// Each genotype codec below is one safe body, written as loops over sized
+// slices so that LLVM vectorizes it (no intrinsics), and compiled three
+// times, as the Cox and perturbation kernels in `sparkscore-stats` are: the
+// entry point runs the AVX-512 arm, the AVX2 arm or the plain body, the
+// widest the running CPU supports. `scripts/ci.sh` disassembles both
+// vector arms of each.
+
 /// Check that `body` is a run of (one space, one of `0 1 2`) pairs and
-/// hand `emit` the bytes [`GenotypeBlock::push_row`] would pack from those
-/// dosages, in order. Returns whether the run was well formed; when it was
-/// not, what `emit` received is to be discarded.
+/// write into `out` (`body.len() / 8` bytes, rounded up) the bytes
+/// [`GenotypeBlock::push_row`] would pack from those dosages. Returns
+/// whether the run was well formed; when it was not, `out` holds garbage.
+fn scan_dosages(body: &[u8], out: &mut [u8]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            // SAFETY: `scan_dosages_avx512` requires only that the running
+            // CPU supports AVX-512F and AVX-512BW, which the detection above
+            // just reported.
+            return unsafe { scan_dosages_avx512(body, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `scan_dosages_avx2` requires only that the running CPU
+            // supports AVX2, which the detection on the line above just
+            // reported.
+            return unsafe { scan_dosages_avx2(body, out) };
+        }
+    }
+    scan_dosages_body(body, out)
+}
+
+/// [`scan_dosages_body`] compiled with 512-bit vectors.
 ///
+/// # Safety
+///
+/// The running CPU must support AVX-512F and AVX-512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn scan_dosages_avx512(body: &[u8], out: &mut [u8]) -> bool {
+    scan_dosages_body(body, out)
+}
+
+/// [`scan_dosages_body`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scan_dosages_avx2(body: &[u8], out: &mut [u8]) -> bool {
+    scan_dosages_body(body, out)
+}
+
 /// Eight text bytes — four pairs — are one little-endian word (whatever
 /// the host's byte order, `from_le_bytes` puts the first text byte lowest).
 /// XOR with the pattern `" 0 0 0 0"` leaves 0 in every separator lane and
 /// the dosage in every digit lane; any other bit, or a digit lane holding
-/// 3, is a violation, OR-ed into one flag that is tested once. With the
-/// lanes clean the four dosages sit at bits 8, 24, 40 and 56, and three
-/// shifts gather them into one byte, first patient lowest.
-fn scan_dosages(body: &[u8], mut emit: impl FnMut(u8)) -> bool {
+/// 3, is a violation, OR-ed into one flag that is tested once, after the
+/// loop. With the lanes clean the four dosages sit at bits 8, 24, 40 and
+/// 56, and three shifts gather them into one byte, first patient lowest.
+/// One word in, one byte out, no branch: the loop runs eight words (or
+/// four) to a vector.
+#[inline(always)]
+fn scan_dosages_body(body: &[u8], out: &mut [u8]) -> bool {
     const SPACE_ZERO: u64 = 0x3020_3020_3020_3020;
     const DOSAGE_BITS: u64 = 0x0300_0300_0300_0300;
     const DOSAGE_LOW_BIT: u64 = 0x0100_0100_0100_0100;
+    debug_assert_eq!(out.len(), body.len().div_ceil(8));
     let mut bad = 0u64;
     let mut words = body.chunks_exact(8);
-    for word in words.by_ref() {
+    let mut bytes = out.iter_mut();
+    for (word, byte) in words.by_ref().zip(bytes.by_ref()) {
         let x = u64::from_le_bytes(word.try_into().expect("chunks of eight")) ^ SPACE_ZERO;
         bad |= (x & !DOSAGE_BITS) | (x & (x >> 1) & DOSAGE_LOW_BIT);
         let d = x >> 8;
-        emit((d | d >> 14 | d >> 28 | d >> 42) as u8);
+        *byte = (d | d >> 14 | d >> 28 | d >> 42) as u8;
     }
     // The last `num_patients % 4` pairs share one byte.
     let rest = words.remainder();
-    if !rest.is_empty() {
+    if let Some(last) = bytes.next() {
         let mut byte = 0u8;
         for (i, pair) in rest.chunks_exact(2).enumerate() {
             let d = pair[1] ^ b'0';
             bad |= u64::from(pair[0] ^ b' ') | u64::from(d > 2);
             byte |= (d & 0b11) << (2 * i);
         }
-        emit(byte);
+        *last = byte;
     }
     bad == 0
+}
+
+/// Whether `body` is what [`scan_dosages`] accepts, checked a piece at a
+/// time into a stack buffer: for a line nobody wants, nothing is written
+/// to the block and nothing is allocated. Every piece but the last is a
+/// whole number of words, so each piece's tail is the body's tail.
+fn dosages_are_canonical(body: &[u8]) -> bool {
+    let mut sink = [0u8; 64];
+    body.chunks(8 * sink.len())
+        .all(|piece| scan_dosages(piece, &mut sink[..piece.len().div_ceil(8)]))
+}
+
+/// Unpack a packed column into one code per byte: `out[i]` is patient
+/// `i`'s 2-bit code, and the padding slots of the last byte are not read.
+/// `column` is `out.len() / 4` bytes, rounded up.
+fn unpack_codes(column: &[u8], out: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            // SAFETY: `unpack_codes_avx512` requires only that the running
+            // CPU supports AVX-512F and AVX-512BW, which the detection above
+            // just reported.
+            return unsafe { unpack_codes_avx512(column, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `unpack_codes_avx2` requires only that the running CPU
+            // supports AVX2, which the detection on the line above just
+            // reported.
+            return unsafe { unpack_codes_avx2(column, out) };
+        }
+    }
+    unpack_codes_body(column, out);
+}
+
+/// [`unpack_codes_body`] compiled with 512-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F and AVX-512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn unpack_codes_avx512(column: &[u8], out: &mut [u8]) {
+    unpack_codes_body(column, out);
+}
+
+/// [`unpack_codes_body`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_codes_avx2(column: &[u8], out: &mut [u8]) {
+    unpack_codes_body(column, out);
+}
+
+/// One packed byte becomes four code bytes by two shift-and-mask steps:
+/// the two nibbles to bits 0 and 16, then each nibble's two codes to
+/// bytes 0 and 1 of its half.
+#[inline(always)]
+fn spread_codes(byte: u8) -> [u8; 4] {
+    let v = u32::from(byte);
+    let v = (v | v << 12) & 0x000F_000F;
+    ((v | v << 6) & 0x0303_0303).to_le_bytes()
+}
+
+#[inline(always)]
+fn unpack_codes_body(column: &[u8], out: &mut [u8]) {
+    debug_assert_eq!(column.len(), out.len().div_ceil(4));
+    let mut quads = out.chunks_exact_mut(4);
+    for (quad, &byte) in quads.by_ref().zip(column) {
+        quad.copy_from_slice(&spread_codes(byte));
+    }
+    let rest = quads.into_remainder();
+    if !rest.is_empty() {
+        let last = column[column.len() - 1];
+        rest.copy_from_slice(&spread_codes(last)[..rest.len()]);
+    }
+}
+
+/// Pack one code per byte into `out` (`codes.len() / 4` bytes, rounded
+/// up), first patient lowest, the padding slots of the last byte 0.
+/// Returns whether every code was at most [`MISSING_DOSAGE`]; when one was
+/// not, `out` holds garbage.
+fn pack_codes(codes: &[u8], out: &mut [u8]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            // SAFETY: `pack_codes_avx512` requires only that the running CPU
+            // supports AVX-512F and AVX-512BW, which the detection above just
+            // reported.
+            return unsafe { pack_codes_avx512(codes, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `pack_codes_avx2` requires only that the running CPU
+            // supports AVX2, which the detection on the line above just
+            // reported.
+            return unsafe { pack_codes_avx2(codes, out) };
+        }
+    }
+    pack_codes_body(codes, out)
+}
+
+/// [`pack_codes_body`] compiled with 512-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F and AVX-512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn pack_codes_avx512(codes: &[u8], out: &mut [u8]) -> bool {
+    pack_codes_body(codes, out)
+}
+
+/// [`pack_codes_body`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pack_codes_avx2(codes: &[u8], out: &mut [u8]) -> bool {
+    pack_codes_body(codes, out)
+}
+
+/// Eight code bytes, one little-endian word, become two packed bytes by
+/// three shift-and-mask steps — `spread_codes` run backwards, twice as
+/// wide: byte pairs to nibbles, nibble pairs to bytes, then the two bytes
+/// side by side. Any bit above a code's two is a range violation, OR-ed
+/// into one flag.
+#[inline(always)]
+fn pack_codes_body(codes: &[u8], out: &mut [u8]) -> bool {
+    #[inline(always)]
+    fn gather(x: u64) -> [u8; 2] {
+        let x = (x | x >> 6) & 0x000F_000F_000F_000F;
+        let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
+        ((x | x >> 24) as u16).to_le_bytes()
+    }
+    debug_assert_eq!(out.len(), codes.len().div_ceil(4));
+    let mut high = 0u64;
+    let mut words = codes.chunks_exact(8);
+    for (word, pair) in words.by_ref().zip(out.chunks_exact_mut(2)) {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        high |= x;
+        pair.copy_from_slice(&gather(x));
+    }
+    // The last `codes.len() % 8` codes fill one or two bytes.
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        let x = u64::from_le_bytes(word);
+        high |= x;
+        let tail = rest.len().div_ceil(4);
+        let last = out.len() - tail;
+        out[last..].copy_from_slice(&gather(x)[..tail]);
+    }
+    high & 0xFCFC_FCFC_FCFC_FCFC == 0
 }
 
 impl EstimateSize for GenotypeBlock {
@@ -382,6 +575,17 @@ mod tests {
     #[should_panic(expected = "dosage out of range")]
     fn rejects_unpackable_dosage() {
         GenotypeBlock::from_rows(2, &[(0, vec![0, 4])]);
+    }
+
+    #[test]
+    fn a_refused_row_leaves_the_block_as_it_was() {
+        let mut block = GenotypeBlock::from_rows(9, &[(1, vec![2; 9])]);
+        let before = block.clone();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            block.push_row(2, &[0, 1, 2, 3, 0, 1, 2, 5, 0])
+        }));
+        assert!(refused.is_err());
+        assert_eq!(block, before);
     }
 
     #[test]
@@ -521,6 +725,271 @@ mod tests {
                 assert!(r.is_err(), "n={n} have={have} fused={fused}");
             }
             assert_from_text_matches(n, block.as_bytes(), |_| false);
+        }
+    }
+
+    // ---- every compilation of each codec against the scalar code it replaced ----
+
+    /// The byte-at-a-time scan the vector codec replaced, kept as its
+    /// oracle: the same lane arithmetic, one word and one `push` at a time.
+    fn scan_oracle(body: &[u8]) -> (bool, Vec<u8>) {
+        const SPACE_ZERO: u64 = 0x3020_3020_3020_3020;
+        const DOSAGE_BITS: u64 = 0x0300_0300_0300_0300;
+        const DOSAGE_LOW_BIT: u64 = 0x0100_0100_0100_0100;
+        let mut packed = Vec::new();
+        let mut bad = 0u64;
+        let mut words = body.chunks_exact(8);
+        for word in words.by_ref() {
+            let x = u64::from_le_bytes(word.try_into().expect("chunks of eight")) ^ SPACE_ZERO;
+            bad |= (x & !DOSAGE_BITS) | (x & (x >> 1) & DOSAGE_LOW_BIT);
+            let d = x >> 8;
+            packed.push((d | d >> 14 | d >> 28 | d >> 42) as u8);
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut byte = 0u8;
+            for (i, pair) in rest.chunks_exact(2).enumerate() {
+                let d = pair[1] ^ b'0';
+                bad |= u64::from(pair[0] ^ b' ') | u64::from(d > 2);
+                byte |= (d & 0b11) << (2 * i);
+            }
+            packed.push(byte);
+        }
+        (bad == 0, packed)
+    }
+
+    /// The byte-at-a-time unpack the vector codec replaced.
+    fn unpack_oracle(column: &[u8], n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n];
+        let mut quads = out.chunks_exact_mut(4);
+        let mut bytes = column.iter();
+        for quad in quads.by_ref() {
+            let b = *bytes.next().expect("stride covers all full quads");
+            quad[0] = b & 0b11;
+            quad[1] = (b >> 2) & 0b11;
+            quad[2] = (b >> 4) & 0b11;
+            quad[3] = b >> 6;
+        }
+        let rest = quads.into_remainder();
+        if !rest.is_empty() {
+            let b = *bytes.next().expect("stride covers the remainder");
+            for (i, o) in rest.iter_mut().enumerate() {
+                *o = (b >> (2 * i)) & 0b11;
+            }
+        }
+        out
+    }
+
+    /// The quad-at-a-time pack the vector codec replaced, its range check
+    /// first: `None` where `push_row` panics.
+    fn pack_oracle(codes: &[u8]) -> Option<Vec<u8>> {
+        if codes.iter().any(|&d| d > MISSING_DOSAGE) {
+            return None;
+        }
+        let mut data = Vec::new();
+        let mut chunks = codes.chunks_exact(4);
+        for quad in chunks.by_ref() {
+            data.push(quad[0] | quad[1] << 2 | quad[2] << 4 | quad[3] << 6);
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut byte = 0u8;
+            for (i, &d) in rest.iter().enumerate() {
+                byte |= d << (2 * i);
+            }
+            data.push(byte);
+        }
+        Some(data)
+    }
+
+    /// `n` codes below `bound` from a seeded stream.
+    fn seeded_codes(n: usize, bound: u64, mut state: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) % bound) as u8
+            })
+            .collect()
+    }
+
+    /// `" d d … d"`: the body of a canonical line holding `dosages`.
+    fn body_of(dosages: &[u8]) -> Vec<u8> {
+        dosages.iter().flat_map(|&d| [b' ', b'0' + d]).collect()
+    }
+
+    /// The vector arms of one codec, `[avx2, avx512]`, each named and kept
+    /// only if this CPU runs it.
+    #[cfg(target_arch = "x86_64")]
+    fn vector_arms<F>(arms: [F; 2]) -> impl Iterator<Item = (&'static str, F)> {
+        let runs = [
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw"),
+        ];
+        ["avx2", "avx512"]
+            .into_iter()
+            .zip(arms)
+            .zip(runs)
+            .filter_map(|(arm, runs)| runs.then_some(arm))
+    }
+
+    type ScanArm = unsafe fn(&[u8], &mut [u8]) -> bool;
+    type UnpackArm = unsafe fn(&[u8], &mut [u8]);
+    type PackArm = unsafe fn(&[u8], &mut [u8]) -> bool;
+
+    /// Every compilation of the scan this CPU runs, the dispatched entry
+    /// point first.
+    fn scan_dosages_arms() -> Vec<(&'static str, ScanArm)> {
+        let mut arms: Vec<(&'static str, ScanArm)> =
+            vec![("dispatched", scan_dosages), ("plain", scan_dosages_body)];
+        #[cfg(target_arch = "x86_64")]
+        arms.extend(vector_arms([scan_dosages_avx2, scan_dosages_avx512]));
+        arms
+    }
+
+    /// Every compilation of the unpack this CPU runs.
+    fn unpack_codes_arms() -> Vec<(&'static str, UnpackArm)> {
+        let mut arms: Vec<(&'static str, UnpackArm)> =
+            vec![("dispatched", unpack_codes), ("plain", unpack_codes_body)];
+        #[cfg(target_arch = "x86_64")]
+        arms.extend(vector_arms([unpack_codes_avx2, unpack_codes_avx512]));
+        arms
+    }
+
+    /// Every compilation of the pack this CPU runs.
+    fn pack_codes_arms() -> Vec<(&'static str, PackArm)> {
+        let mut arms: Vec<(&'static str, PackArm)> =
+            vec![("dispatched", pack_codes), ("plain", pack_codes_body)];
+        #[cfg(target_arch = "x86_64")]
+        arms.extend(vector_arms([pack_codes_avx2, pack_codes_avx512]));
+        arms
+    }
+
+    /// `(arm, accepted, bytes written)` for every compilation of the scan
+    /// this CPU runs, each into an output filled with `0xAA`.
+    fn every_scan_arm(body: &[u8]) -> Vec<(&'static str, bool, Vec<u8>)> {
+        scan_dosages_arms()
+            .into_iter()
+            .map(|(arm, scan)| {
+                let mut out = vec![0xAA; body.len().div_ceil(8)];
+                // SAFETY: `scan_dosages_arms` lists only the arms this CPU
+                // runs.
+                let accepted = unsafe { scan(body, &mut out) };
+                (arm, accepted, out)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_scan_arm_packs_what_the_byte_scan_packed() {
+        // 0..=200 pairs: every tail length, across the 8-, 32- and 64-byte
+        // seams of the vector bodies.
+        for n in 0..=200usize {
+            let body = body_of(&seeded_codes(n, 3, n as u64));
+            let (accepted, want) = scan_oracle(&body);
+            assert!(accepted, "n = {n}");
+            for (arm, accepted, got) in every_scan_arm(&body) {
+                assert!(accepted, "{arm} refuses a canonical body, n = {n}");
+                assert_eq!(got, want, "{arm}, n = {n}");
+            }
+            assert!(dosages_are_canonical(&body), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn every_scan_arm_refuses_a_fault_at_every_byte() {
+        // Every byte of the first 64-byte chunks and of the tails: a 3 (or
+        // another non-dosage) in a digit lane; a digit, a tab or a newline
+        // (the glue case) in a separator lane; a non-ASCII byte anywhere.
+        for n in [1usize, 4, 5, 31, 32, 33, 100, 131] {
+            let good = body_of(&seeded_codes(n, 3, 7 * n as u64));
+            for at in 0..good.len() {
+                let lane: &[u8] = if at % 2 == 1 { b"349 \n" } else { b"012\t\n" };
+                for &byte in lane.iter().chain(&[0x80, 0xC3, 0xFF]) {
+                    let mut body = good.clone();
+                    body[at] = byte;
+                    let shown = format!("byte {byte:#04x} at {at} of {n} pairs");
+                    assert!(!scan_oracle(&body).0, "the oracle accepts {shown}");
+                    for (arm, accepted, _) in every_scan_arm(&body) {
+                        assert!(!accepted, "{arm} accepts {shown}");
+                    }
+                    assert!(!dosages_are_canonical(&body), "{shown}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_unwanted_line_check_is_the_scan_across_its_pieces() {
+        // Pieces are 512 text bytes (256 pairs): a 3 in the digit lanes on
+        // both sides of the seam and in the last, partial piece.
+        for n in [255usize, 256, 257, 600] {
+            let good = body_of(&seeded_codes(n, 3, n as u64));
+            assert!(dosages_are_canonical(&good), "n = {n}");
+            for at in [1, 509, 511, 513, 515, 2 * n - 1]
+                .into_iter()
+                .filter(|&at| at < 2 * n)
+            {
+                let mut body = good.clone();
+                body[at] = b'3';
+                assert!(!dosages_are_canonical(&body), "a 3 at {at} of {n} pairs");
+            }
+        }
+    }
+
+    #[test]
+    fn every_unpack_arm_is_the_byte_unpack() {
+        for n in 0..=200usize {
+            let codes = seeded_codes(n, 4, n as u64);
+            let mut column = pack_oracle(&codes).expect("codes of at most 3");
+            // Dirty padding slots must not reach the output.
+            if n % 4 != 0 {
+                *column.last_mut().expect("a partial byte") |= 0xFF << (2 * (n % 4));
+            }
+            let want = unpack_oracle(&column, n);
+            assert_eq!(want, codes, "n = {n}");
+            for (arm, unpack) in unpack_codes_arms() {
+                let mut out = vec![0xAA; n];
+                // SAFETY: `unpack_codes_arms` lists only the arms this CPU
+                // runs.
+                unsafe { unpack(&column, &mut out) };
+                assert_eq!(out, want, "{arm}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_pack_arm_is_the_quad_pack() {
+        for n in 0..=200usize {
+            let codes = seeded_codes(n, 4, n as u64);
+            let want = pack_oracle(&codes).expect("codes of at most 3");
+            for (arm, pack) in pack_codes_arms() {
+                // Filled with ones, so an unwritten byte or padding slot
+                // shows.
+                let mut out = vec![0xFF; n.div_ceil(4)];
+                // SAFETY: `pack_codes_arms` lists only the arms this CPU runs.
+                let accepted = unsafe { pack(&codes, &mut out) };
+                assert!(accepted, "{arm} refuses codes of at most 3, n = {n}");
+                assert_eq!(out, want, "{arm}, n = {n}");
+            }
+        }
+        for n in [1usize, 7, 8, 9, 64, 100] {
+            let good = seeded_codes(n, 4, n as u64);
+            for at in 0..n {
+                for byte in [4u8, 0x80, 0xFF] {
+                    let mut codes = good.clone();
+                    codes[at] = byte;
+                    assert!(pack_oracle(&codes).is_none());
+                    for (arm, pack) in pack_codes_arms() {
+                        let mut out = vec![0u8; n.div_ceil(4)];
+                        // SAFETY: as above.
+                        let accepted = unsafe { pack(&codes, &mut out) };
+                        assert!(!accepted, "{arm} packs {byte} at {at} of {n}");
+                    }
+                }
+            }
         }
     }
 

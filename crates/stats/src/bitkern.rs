@@ -186,17 +186,17 @@ pub fn dot_dosage(packed: &[u8], x: &[f64]) -> f64 {
 /// Centered-residual contributions `out[i] = r_i (g_i − ḡ)` straight
 /// from the packed column — the packed-direct twin of the byte kernel
 /// behind the Gaussian/binomial `contributions_into` (whose per-patient
-/// contribution is affine in dosage, so a 4-entry table indexed by the
-/// 2-bit code replaces the unpack).
+/// contribution is affine in dosage, so the 2-bit code itself, converted,
+/// replaces the unpacked dosage).
 ///
 /// When the column has no missing calls this is bitwise identical to the
 /// byte path: the dosage sum is the same u64 popcount total, the mean the
-/// same division, and `table[g] = f64::from(g) − ḡ` the same subtraction
-/// the byte kernel performs inline. Missing calls (which the byte kernel
-/// rejects) are handled here: the mean is taken over called genotypes
-/// and a sparse fixup pass over the missing mask zeroes those patients'
-/// contributions (a missing call carries no information), so fully typed
-/// columns pay nothing for the branch.
+/// same division, and `f64::from(code) − ḡ` the same subtraction the byte
+/// kernel performs inline. Missing calls (which the byte kernel rejects)
+/// are handled here: the mean is taken over called genotypes and a sparse
+/// fixup pass over the missing mask zeroes those patients' contributions
+/// (a missing call carries no information), so fully typed columns pay
+/// nothing for the branch.
 pub(crate) fn residual_contributions_packed(residuals: &[f64], packed: &[u8], out: &mut [f64]) {
     let n = residuals.len();
     assert_eq!(out.len(), n, "output vector length mismatch");
@@ -208,10 +208,69 @@ pub(crate) fn residual_contributions_packed(residuals: &[f64], packed: &[u8], ou
         return;
     }
     let g_mean = counts.dosage_sum() as f64 / counts.non_missing() as f64;
-    // table[code] = f64::from(code) − ḡ, bit-for-bit what the byte kernel
-    // computes inline; the missing slot is a placeholder the fixup pass
-    // overwrites.
-    let table = [0.0 - g_mean, 1.0 - g_mean, 2.0 - g_mean, f64::NAN];
+    affine_pass(residuals, packed, g_mean, out);
+    if counts.missing > 0 {
+        for_each_word(packed, n, |base, w| {
+            let (lo, hi) = split(w);
+            for_each_slot(lo & hi, base, |i| out[i] = 0.0);
+        });
+    }
+}
+
+/// `out[i] = r_i·(f64::from(code_i) − ḡ)` for every patient, the missing
+/// code 3 included (the fixup pass zeroes those), in the compilation for
+/// the running CPU: the AVX-512 or the AVX2 arm of [`affine_tiles`], or,
+/// with neither, [`affine_table`], which the tile body compiled plain does
+/// not beat.
+fn affine_pass(residuals: &[f64], packed: &[u8], g_mean: f64, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            // SAFETY: `affine_pass_avx512` requires only that the running
+            // CPU supports AVX-512F and AVX-512BW, which the detection above
+            // just reported.
+            return unsafe { affine_pass_avx512(residuals, packed, g_mean, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `affine_pass_avx2` requires only that the running CPU
+            // supports AVX2, which the detection on the line above just
+            // reported.
+            return unsafe { affine_pass_avx2(residuals, packed, g_mean, out) };
+        }
+    }
+    affine_table(residuals, packed, g_mean, out);
+}
+
+/// [`affine_tiles`] compiled with 512-bit vectors. `scripts/ci.sh`
+/// disassembles the release build and fails unless its multiply is
+/// 512-bit.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F and AVX-512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn affine_pass_avx512(residuals: &[f64], packed: &[u8], g_mean: f64, out: &mut [f64]) {
+    affine_tiles(residuals, packed, g_mean, out);
+}
+
+/// [`affine_tiles`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn affine_pass_avx2(residuals: &[f64], packed: &[u8], g_mean: f64, out: &mut [f64]) {
+    affine_tiles(residuals, packed, g_mean, out);
+}
+
+/// The plain pass: a 4-entry table, `table[code] = f64::from(code) − ḡ`,
+/// four patients per packed byte.
+fn affine_table(residuals: &[f64], packed: &[u8], g_mean: f64, out: &mut [f64]) {
+    let table = [0.0 - g_mean, 1.0 - g_mean, 2.0 - g_mean, 3.0 - g_mean];
     let mut quads = out.chunks_exact_mut(4);
     let mut r_quads = residuals.chunks_exact(4);
     let mut bytes = packed.iter();
@@ -231,11 +290,36 @@ pub(crate) fn residual_contributions_packed(residuals: &[f64], packed: &[u8], ou
             *o = ri * table[((b >> (2 * i)) & 0b11) as usize];
         }
     }
-    if counts.missing > 0 {
-        for_each_word(packed, n, |base, w| {
-            let (lo, hi) = split(w);
-            for_each_slot(lo & hi, base, |i| out[i] = 0.0);
-        });
+}
+
+/// Patients per tile of the vector pass: their packed bytes unpack into
+/// a stack buffer of this many codes, which the multiply then reads.
+#[cfg(target_arch = "x86_64")]
+const AFFINE_TILE: usize = 256;
+
+/// The vector arms' body. A tile's codes are unpacked first, by two
+/// shift-and-mask steps per byte (the spread `sparkscore_data::packed`'s
+/// unpack uses), padding slots included (they are never read); then each
+/// patient is one convert, one subtract and one multiply with no table
+/// lookup and no branch, so both loops compile to vector instructions.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn affine_tiles(residuals: &[f64], packed: &[u8], g_mean: f64, out: &mut [f64]) {
+    let mut codes = [0u8; AFFINE_TILE];
+    let tiles = out
+        .chunks_mut(AFFINE_TILE)
+        .zip(residuals.chunks(AFFINE_TILE))
+        .zip(packed.chunks(AFFINE_TILE / 4));
+    for ((out, residuals), bytes) in tiles {
+        let codes = &mut codes[..4 * bytes.len()];
+        for (quad, &byte) in codes.chunks_exact_mut(4).zip(bytes) {
+            let v = u32::from(byte);
+            let v = (v | v << 12) & 0x000F_000F;
+            quad.copy_from_slice(&((v | v << 6) & 0x0303_0303).to_le_bytes());
+        }
+        for ((o, &r), &code) in out.iter_mut().zip(residuals).zip(codes.iter()) {
+            *o = r * (f64::from(code) - g_mean);
+        }
     }
 }
 
@@ -310,6 +394,81 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Every way the affine pass runs on this CPU, each called directly on
+    /// a NaN-filled output: `(arm, output)` pairs for the dispatched entry
+    /// point, the tile body compiled plain and every vector compilation the
+    /// CPU can execute.
+    fn every_arm(residuals: &[f64], packed: &[u8], g_mean: f64) -> Vec<(&'static str, Vec<f64>)> {
+        let run = |arm: &dyn Fn(&mut [f64])| {
+            let mut out = vec![f64::NAN; residuals.len()];
+            arm(&mut out);
+            out
+        };
+        let mut arms = vec![(
+            "dispatched",
+            run(&|out| affine_pass(residuals, packed, g_mean, out)),
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            arms.push((
+                "tiles",
+                run(&|out| affine_tiles(residuals, packed, g_mean, out)),
+            ));
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU reported AVX2 on the line above.
+                let avx2 = run(&|out| unsafe { affine_pass_avx2(residuals, packed, g_mean, out) });
+                arms.push(("avx2", avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+            {
+                // SAFETY: the CPU reported AVX-512F and AVX-512BW above.
+                let avx512 =
+                    run(&|out| unsafe { affine_pass_avx512(residuals, packed, g_mean, out) });
+                arms.push(("avx512", avx512));
+            }
+        }
+        arms
+    }
+
+    #[test]
+    fn every_affine_arm_is_the_table_pass() {
+        // 0..=200 patients cross the 8-, 32- and 64-byte seams and every
+        // tail length; missing calls at a rate of one in four, a fully
+        // missing column, and dirty padding slots in the last byte.
+        let mut state = 3u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for n in 0..=200usize {
+            let residuals: Vec<f64> = (0..n).map(|_| next() as f64 / 1e9 - 1.0).collect();
+            let typed: Vec<u8> = (0..n).map(|_| (next() % 3) as u8).collect();
+            let missing: Vec<u8> = (0..n).map(|_| (next() % 4) as u8).collect();
+            for g in [typed, missing, vec![3; n]] {
+                let mut packed = pack(&g);
+                if n % 4 != 0 {
+                    *packed.last_mut().expect("a partial byte") |= 0xFF << (2 * (n % 4));
+                }
+                let counts = count_codes(&packed, n);
+                let g_mean = match counts.non_missing() {
+                    0 => 1.0 / 3.0,
+                    called => counts.dosage_sum() as f64 / called as f64,
+                };
+                let mut want = vec![f64::NAN; n];
+                affine_table(&residuals, &packed, g_mean, &mut want);
+                for (arm, got) in every_arm(&residuals, &packed, g_mean) {
+                    assert_eq!(got.len(), n);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{arm}, patient {i} of {n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== the resampling kernel fuses its multiply-add in both vector arms, the multiplier draw stays unfused, 512-bit and libm-free, the Cox kernel gathers and divides in zmm: disassembly of the release sparkscore-stats tests =="
+echo "== the resampling kernel fuses its multiply-add in both vector arms, the multiplier draw stays unfused, 512-bit and libm-free, the Cox kernel gathers and divides in zmm, every genotype codec arm is vector code: disassembly of the release sparkscore-stats and sparkscore-data tests =="
 # The kernel's contract is one fused multiply-add per step, one rounding
 # (DESIGN.md §3d). A tile that multiplies and then adds, or an AVX2 arm
 # compiled without `fma` (where `mul_add` becomes a libm call per step), gives
@@ -60,14 +60,14 @@ stats_bin="$(cargo test --release -q -p sparkscore-stats --lib --no-run --messag
     | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
 [ -x "$stats_bin" ] || { echo "sparkscore-stats release test binary not found" >&2; exit 1; }
 stats_asm="$(objdump -d --no-show-raw-insn -C "$stats_bin")"
-# The instructions of every function whose name matches the pattern, each
-# line led by the function's header.
+# The instructions of every function of the disassembly on stdin whose name
+# matches the pattern, each line led by the function's header.
 functions_asm() {
     awk -v pattern="^[0-9a-f]+ <.*$1>:\$" '$0 ~ pattern { name = $0; next }
            /^$/ { name = "" }
-           name != "" { print name, $0 }' <<< "$stats_asm"
+           name != "" { print name, $0 }'
 }
-kernel_asm="$(functions_asm 'perturb_rows_[a-z0-9]+')"
+kernel_asm="$(functions_asm 'perturb_rows_[a-z0-9]+' <<< "$stats_asm")"
 [ -n "$kernel_asm" ] || { echo "no perturb_rows_* symbol in $stats_bin" >&2; exit 1; }
 if ! grep -qE 'perturb_rows_avx512>: .*vfmadd[0-9]+pd.*zmm' <<< "$kernel_asm"; then
     echo "perturb_rows_avx512 holds no 512-bit vfmadd…pd: its tiles do not fuse, or fell back to narrower vectors" >&2
@@ -85,7 +85,7 @@ fi
 # crates/stats/src/dist.rs) keep the unfused contract, a multiply and an add,
 # two roundings, and one more: Z's bits may not follow the host's libm, so no
 # arm calls sin, cos, sincos or log.
-draw_asm="$(functions_asm 'fill_multipliers_(plain|avx2|avx512)')"
+draw_asm="$(functions_asm 'fill_multipliers_(plain|avx2|avx512)' <<< "$stats_asm")"
 for arm in plain avx2 avx512; do
     grep -q "fill_multipliers_$arm>:" <<< "$draw_asm" \
         || { echo "no fill_multipliers_$arm symbol in $stats_bin" >&2; exit 1; }
@@ -109,7 +109,7 @@ fi
 # patient. A bounds check or a branch left in its output loop keeps the loop
 # scalar (`vdivsd`): every test still passes and the arm runs no faster than
 # the plain body.
-cox_asm="$(functions_asm 'cox_contributions_avx512')"
+cox_asm="$(functions_asm 'cox_contributions_avx512' <<< "$stats_asm")"
 [ -n "$cox_asm" ] || { echo "no cox_contributions_avx512 symbol in $stats_bin" >&2; exit 1; }
 if ! grep -qE 'vdivpd.*zmm' <<< "$cox_asm"; then
     echo "cox_contributions_avx512 holds no 512-bit vdivpd: its output loop fell back to scalar divides" >&2
@@ -119,6 +119,41 @@ if ! grep -qE 'vgather[dq]pd.*zmm' <<< "$cox_asm"; then
     echo "cox_contributions_avx512 holds no 512-bit gather: its risk-set reads fell back to scalar loads" >&2
     exit 1
 fi
+# The genotype codecs (DESIGN.md §3d, §3f) are each one safe body compiled
+# plain, as an `_avx2` arm and as an `_avx512` arm: the text scan, the 2-bit
+# unpack and pack in crates/data/src/packed.rs, and the affine pass in
+# crates/stats/src/bitkern.rs. An arm whose loop stopped vectorizing (a
+# push, a closure or a bounds check in it), or one that lost its
+# `#[target_feature]`, writes the same bytes and bits, so every test passes;
+# only its machine code shows it. A `ymm`/`zmm` register anywhere in an arm
+# proves nothing (zeroing a stack buffer uses one), so each arm must hold an
+# instruction only its loop makes, on `ymm` in the `_avx2` arm and `zmm` in
+# the `_avx512` arm: a vector shift in the three byte codecs (the lane
+# arithmetic and the shift-and-mask steps), a convert to doubles and a
+# multiply in the affine pass.
+data_bin="$(cargo test --release -q -p sparkscore-data --lib --no-run --message-format=json \
+    | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)"
+[ -x "$data_bin" ] || { echo "sparkscore-data release test binary not found" >&2; exit 1; }
+data_asm="$(objdump -d --no-show-raw-insn -C "$data_bin")"
+# check_codec_arms DISASSEMBLY CODEC INSTRUCTION...: each arm of CODEC holds
+# every INSTRUCTION (a regex) on its register.
+check_codec_arms() {
+    local asm="$1" codec="$2" arm register body instruction
+    shift 2
+    for arm in avx2:ymm avx512:zmm; do
+        register="${arm#*:}" arm="${codec}_${arm%:*}"
+        body="$(functions_asm "::$arm" <<< "$asm")"
+        [ -n "$body" ] || { echo "no $arm symbol in the release test binary" >&2; exit 1; }
+        for instruction in "$@"; do
+            grep -qE "::$arm>: .*$instruction .*$register" <<< "$body" \
+                || { echo "$arm holds no $register $instruction: its loop is not vector code" >&2; exit 1; }
+        done
+    done
+}
+check_codec_arms "$data_asm" scan_dosages 'vps(rl|ll)[wdq]'
+check_codec_arms "$data_asm" unpack_codes 'vps(rl|ll)[wdq]'
+check_codec_arms "$data_asm" pack_codes 'vps(rl|ll)[wdq]'
+check_codec_arms "$stats_asm" affine_pass 'vcvt[a-z0-9]*2pd' 'vmulpd'
 
 echo "== events, pool and concurrent_grid test binaries 50x, service_e2e 10x: concurrent emitters, concurrent drivers, seeded replay =="
 # One run of a race-prone test proves little; a loop over the whole binary

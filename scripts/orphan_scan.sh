@@ -4,7 +4,8 @@
 # listed one that is no longer an orphan (drop the stale line).
 #
 # * Functions: every `pub fn` whose name appears in no other `.rs` file under
-#   crates/, benchmark/, tests/ and examples/. Delete it, or make it private
+#   crates/, benchmark/, tests/ and examples/, not counting a test module in
+#   its own `tests.rs` under a crate's src/. Delete it, or make it private
 #   so rustc's dead-code lint guards it. Listed by name.
 # * Modules: every `pub mod NAME;` in a crates/*/src/lib.rs none of whose
 #   top-level `pub`/`pub(crate)` item names appears in another `.rs` file
@@ -42,10 +43,14 @@ idents() {
         }' "${files[@]}" | sort -u
 }
 
-# Function rule: a `pub fn` name seen in exactly one file is an orphan.
+# Function rule: a `pub fn` name seen in exactly one file is an orphan. A
+# crate's test module kept in its own file under src/ (`tests.rs`) is not a
+# caller: it sits beside the code like an inline `mod tests`, which counts
+# as the defining file.
 fn_orphans="$(
     grep -ohE '\bpub fn [A-Za-z_][A-Za-z0-9_]*' "${files[@]}" | sed 's/^pub fn //' | sort -u \
         | awk 'NR == FNR { name[$1] = 1; next }
+               $1 ~ /^crates\/[^\/]+\/src\/(.*\/)?tests\.rs$/ { next }
                ($2 in name) { seen[$2]++ }
                END { for (n in seen) if (seen[n] == 1) print n }' \
             - <(idents 0)
