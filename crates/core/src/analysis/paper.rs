@@ -17,16 +17,11 @@ use super::*;
 use crate::result::{ObservedResult, ResamplingRun, SetScore, SnpResult};
 
 impl SparkScoreContext {
-    /// Algorithm 1 steps 8–12 on a `U` RDD (this context's own, or a
-    /// caller-held [`SparkScoreContext::u_dataset`]): inner sums
-    /// (optionally with Monte Carlo multipliers, one per patient), weights
-    /// join, ω²U², per-set aggregation.
-    fn set_scores(
-        &self,
-        u: &Dataset<(u64, Vec<f64>)>,
-        mc_multipliers: Option<Broadcast<Vec<f64>>>,
-    ) -> Vec<SetScore> {
-        let sums = self.set_sums(u, mc_multipliers);
+    /// Algorithm 1 steps 9–12 on per-SNP inner sums (from `score_sums`,
+    /// or from `inner_sums` over a cached `U`, optionally with Monte Carlo
+    /// multipliers): weights join, ω²U², per-set aggregation.
+    fn set_scores(&self, inner: &Dataset<(u64, f64)>) -> Vec<SetScore> {
+        let sums = self.set_sums(inner);
         self.sets
             .iter()
             .map(|s| SetScore {
@@ -37,14 +32,10 @@ impl SparkScoreContext {
     }
 
     /// Raw per-set sums (`Σ ω²U²` under SKAT, `Σ ωU` under burden) of
-    /// every set: Algorithm 1's inner sums, weights and per-set reduce.
-    pub(super) fn set_sums(
-        &self,
-        u: &Dataset<(u64, Vec<f64>)>,
-        mc_multipliers: Option<Broadcast<Vec<f64>>>,
-    ) -> HashMap<u64, f64> {
+    /// every set from its members' inner sums: Algorithm 1's weights and
+    /// per-set reduce.
+    pub(super) fn set_sums(&self, inner: &Dataset<(u64, f64)>) -> HashMap<u64, f64> {
         let lookup = self.snp_to_set.clone();
-        let inner = inner_sums(u, self.num_patients(), mc_multipliers);
         let combine = self.options.combine;
         let per_snp_term = match &self.weights_bc {
             // Paper-faithful: shuffle join against the weights RDD.
@@ -91,7 +82,7 @@ impl SparkScoreContext {
     /// **Algorithm 1**: observed SKAT statistics `S_k⁰` for every set.
     pub fn observed(&self) -> ObservedResult {
         let (scores, wall, virtual_secs, metrics) =
-            self.measured(|| self.set_scores(&self.u_dataset(), None));
+            self.measured(|| self.set_scores(&self.score_sums(self.model.clone())));
         ObservedResult {
             scores,
             wall,
@@ -110,12 +101,12 @@ impl SparkScoreContext {
             if use_cache {
                 u.cache(); // Algorithm 3 step 2: "Cache RDD U".
             }
-            let observed = self.set_scores(&u, None);
             let n = self.num_patients();
+            let observed = self.set_scores(&inner_sums(&u, n, None));
             let mut counts = vec![0usize; observed.len()];
             for r in 0..num_replicates {
                 let z = self.engine.broadcast(mc_weights(seed, r, n));
-                let replicate = self.set_scores(&u, Some(z));
+                let replicate = self.set_scores(&inner_sums(&u, n, Some(z)));
                 for (count, (rep, obs)) in counts.iter_mut().zip(replicate.iter().zip(&observed)) {
                     if rep.score >= obs.score {
                         *count += 1;
@@ -141,15 +132,15 @@ impl SparkScoreContext {
     /// phenotype shufflings, each re-running the full score pipeline.
     pub fn permutation(&self, num_replicates: usize, seed: u64) -> ResamplingRun {
         let ((observed, counts_ge), wall, virtual_secs, metrics) = self.measured(|| {
-            let observed = self.set_scores(&self.u_dataset(), None);
+            let observed = self.set_scores(&self.score_sums(self.model.clone()));
             let n = self.num_patients();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut counts = vec![0usize; observed.len()];
             for _ in 0..num_replicates {
                 let perm = random_permutation(&mut rng, n);
-                // "Recalculate step 6 to 12 of Algorithm 1" — a fresh U RDD
-                // whose lineage re-reads and re-scores the genotype matrix.
-                let replicate = self.set_scores(&self.u_rdd(self.model.permuted(&perm)), None);
+                // "Recalculate step 6 to 12 of Algorithm 1" — a fresh
+                // lineage that re-reads and re-scores the genotype matrix.
+                let replicate = self.set_scores(&self.score_sums(self.model.permuted(&perm)));
                 for (count, (rep, obs)) in counts.iter_mut().zip(replicate.iter().zip(&observed)) {
                     if rep.score >= obs.score {
                         *count += 1;

@@ -233,15 +233,15 @@ impl SparkScoreContext {
         let keyed = self.snp_to_set.value();
         let arith_cost = self.num_patients() as f64 * JVM_UNITS_ARITH_PER_PATIENT;
         let kept_sums = u.grid_cells(|ctx, _part, rows| {
-            let kept: Vec<_> = rows
+            let (snps, kept): (Vec<u64>, Vec<&[f64]>) = rows
                 .iter()
                 .filter(|(snp, _)| keyed.get(*snp as usize) == Some(&set))
-                .collect();
+                .map(|(snp, c)| (*snp, c.as_slice()))
+                .unzip();
             // What the `filter` and `inner_sums` it stands for charged.
             ctx.add_work(rows.len(), 0.5);
             ctx.add_work(kept.len(), arith_cost);
-            let snps = kept.iter().map(|(snp, _)| *snp);
-            snps.zip(row_sums(&kept)).collect::<Vec<_>>()
+            snps.into_iter().zip(row_sums(&kept)).collect::<Vec<_>>()
         });
         let sums: HashMap<u64, f64> = kept_sums.into_iter().flatten().collect();
         // A member keyed to another set is that set's term. A keyed member
@@ -354,7 +354,8 @@ impl SparkScoreContext {
                 None => Cow::Borrowed(self.index.scores(self, u)),
                 Some(rows) => {
                     let snps = rows.iter().map(|(snp, _)| *snp);
-                    Cow::Owned(dense_by_id(snps.zip(row_sums(rows)), self.max_snp))
+                    let urows: Vec<&[f64]> = rows.iter().map(|(_, c)| c.as_slice()).collect();
+                    Cow::Owned(dense_by_id(snps.zip(row_sums(&urows)), self.max_snp))
                 }
             };
             let sets: Vec<&SnpSet> = match one {

@@ -109,7 +109,8 @@ fn row_sums_have_the_bits_of_the_per_row_sum() {
                         .iter()
                         .map(|(_, c)| c.iter().sum::<f64>().to_bits())
                         .collect();
-                    let got: Vec<u64> = row_sums(&rows).iter().map(|s| s.to_bits()).collect();
+                    let slices: Vec<&[f64]> = rows.iter().map(|(_, c)| c.as_slice()).collect();
+                    let got: Vec<u64> = row_sums(&slices).iter().map(|s| s.to_bits()).collect();
                     assert_eq!(got, want, "count={count} ragged={ragged} at={at}");
                 }
             }
@@ -261,6 +262,111 @@ fn permutation_run_reports_structure() {
     assert!(ps.iter().all(|&p| p > 0.0 && p <= 1.0));
 }
 
+/// The fused pass of Algorithms 1 and 2 is the cached path's two
+/// operators, bit for bit and unit for unit: the same per-SNP sums in the
+/// same order, the same virtual time and the same kernel counters, for
+/// every model kind and a permuted one. The genotype matrix is cut by hand
+/// into blocks of 13, 0, `FUSED_ROWS`, 1 and 21 columns and the rest, so
+/// that blocks end mid-chunk, a block and (at 8 partitions) a whole
+/// partition are empty, and 1, 3 and 8 partitions put several blocks in a
+/// task.
+#[test]
+fn score_sums_are_the_inner_sums_of_u_bit_for_bit() {
+    use sparkscore_stats::score::Survival;
+    let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+    let n = ds.phenotypes.len();
+    let union = set_union(&ds.sets);
+    let rows: Vec<(u64, Vec<u8>)> = ds
+        .genotypes
+        .iter()
+        .filter(|r| union.binary_search(&r.id).is_ok())
+        .map(|r| (r.id, r.dosages.clone()))
+        .collect();
+    let mut blocks = Vec::new();
+    let mut rest = rows.as_slice();
+    for width in [13, 0, FUSED_ROWS, 1, 21, rows.len()] {
+        let (head, tail) = rest.split_at(width.min(rest.len()));
+        blocks.push(GenotypeBlock::from_rows(n, head));
+        rest = tail;
+    }
+    let values: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 * 0.5).collect();
+    let phenotypes = [
+        // Eleven distinct times: every risk set is a tie group.
+        Phenotype::Survival(
+            (0..n)
+                .map(|i| Survival {
+                    time: (i % 11) as f64,
+                    event: i % 4 != 0,
+                })
+                .collect(),
+        ),
+        Phenotype::Quantitative(values.clone()),
+        Phenotype::CaseControl((0..n).map(|i| i % 3 == 0).collect()),
+        Phenotype::QuantitativeAdjusted {
+            values,
+            covariates: vec![(0..n).map(|i| (i % 5) as f64).collect()],
+        },
+    ];
+    let perm: Vec<usize> = (0..n).rev().collect();
+    // One pass on a fresh one-thread engine, so that the virtual clock
+    // starts from the same reading and every task runs on this thread,
+    // whose scratch a first two-operator pass has warmed.
+    let pass = |phenotype: &Phenotype, partitions, permuted: bool, fused: bool| {
+        let listener = Arc::new(MemoryEventListener::new());
+        let engine = Engine::builder(ClusterSpec::test_small(3))
+            .host_threads(1)
+            .listener(Arc::clone(&listener) as Arc<dyn EventListener>)
+            .build();
+        let gm = engine.parallelize(rows.clone(), partitions);
+        let weights = ds.weights.iter().enumerate().map(|(j, &w)| (j as u64, w));
+        let weights_rdd = engine.parallelize(weights.collect(), 2);
+        let phenotype = phenotype.clone();
+        let options = AnalysisOptions::default();
+        let mut ctx =
+            SparkScoreContext::from_parts(engine, phenotype, gm, weights_rdd, &ds.sets, options);
+        ctx.fgm = ctx.engine.parallelize(blocks.clone(), partitions);
+        let model = match permuted {
+            false => ctx.model.clone(),
+            true => ctx.model.permuted(&perm),
+        };
+        let two_ops = || inner_sums(&ctx.u_rdd(model.clone()), n, None);
+        two_ops().collect();
+        let counters = || {
+            let trace = trace_of(&listener);
+            [KERNEL_ROWS, PACKED_KERNEL_ROWS, SCRATCH_REUSES].map(|c| trace.counter_total(c.name()))
+        };
+        let before = counters();
+        let sums = match fused {
+            true => ctx.score_sums(model.clone()),
+            false => two_ops(),
+        };
+        let bits: Vec<(u64, u64)> = sums
+            .collect()
+            .iter()
+            .map(|&(snp, s)| (snp, s.to_bits()))
+            .collect();
+        let moved: Vec<u64> = counters().iter().zip(before).map(|(a, b)| a - b).collect();
+        (bits, ctx.engine.virtual_time_secs().to_bits(), moved)
+    };
+    for phenotype in &phenotypes {
+        for partitions in [1, 3, 8] {
+            // Permutation is no null under covariates: the adjusted
+            // model has no permuted form.
+            let adjusted = matches!(phenotype, Phenotype::QuantitativeAdjusted { .. });
+            for permuted in [false, true].into_iter().filter(|&p| !(p && adjusted)) {
+                let fused = pass(phenotype, partitions, permuted, true);
+                assert_eq!(fused.0.len(), rows.len());
+                assert_eq!(
+                    fused,
+                    pass(phenotype, partitions, permuted, false),
+                    "{:?} at {partitions} partitions, permuted: {permuted}",
+                    std::mem::discriminant(&Model::fit(phenotype)),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn broadcast_weights_match_join_weights() {
     let engine = Engine::builder(ClusterSpec::test_small(2))
@@ -383,7 +489,7 @@ fn pipeline_lineage_is_pinned() {
 fn assert_set_scores_match_observed(ctx: &SparkScoreContext, ds: &GwasDataset) {
     let u = ctx.u_dataset();
     u.cache();
-    let full = ctx.set_sums(&u, None);
+    let full = ctx.set_sums(&inner_sums(&u, ctx.num_patients(), None));
     let keyed = ctx.snp_to_set.value();
     for set in &ctx.sets {
         let terms: Vec<f64> = set

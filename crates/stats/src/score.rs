@@ -127,8 +127,9 @@ pub struct CoxScore {
     /// Per patient: `b_i` = |{l : Y_l ≥ Y_i}|, which is also the length of
     /// the descending-order prefix covering the risk set; `1 ≤ b_i ≤ n`.
     rank_end: Vec<u32>,
-    /// Per patient: `b_i` as the divisor, `rank_end[i] as f64`.
-    risk_size: Vec<f64>,
+    /// Per patient: `RN(1 / b_i)`, the reciprocal the kernel's quotient
+    /// is corrected from.
+    inv_risk: Vec<f64>,
     /// Per patient: `u64::MAX` for an event, `0` for a censored patient —
     /// the bits of the contribution that survive.
     event_mask: Vec<u64>,
@@ -176,7 +177,7 @@ impl CoxScore {
         CoxScore {
             phenotypes: phenotypes.to_vec(),
             order,
-            risk_size: rank_end.iter().map(|&b| f64::from(b)).collect(),
+            inv_risk: rank_end.iter().map(|&b| 1.0 / f64::from(b)).collect(),
             rank_end,
             event_mask: event_mask(phenotypes),
         }
@@ -210,7 +211,7 @@ impl CoxScore {
             phenotypes: shuffled,
             order,
             rank_end: perm.iter().map(|&p| self.rank_end[p]).collect(),
-            risk_size: perm.iter().map(|&p| self.risk_size[p]).collect(),
+            inv_risk: perm.iter().map(|&p| self.inv_risk[p]).collect(),
         }
     }
 }
@@ -226,10 +227,11 @@ fn cox_contributions(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [
             // line above just reported.
             return unsafe { cox_contributions_avx512(model, g, prefix, out) };
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             // SAFETY: `cox_contributions_avx2` requires only that the
-            // running CPU supports AVX2, which the detection on the line
-            // above just reported.
+            // running CPU supports AVX2 and FMA, which the detection on
+            // the line above just reported.
             return unsafe { cox_contributions_avx2(model, g, prefix, out) };
         }
     }
@@ -237,8 +239,9 @@ fn cox_contributions(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [
 }
 
 /// [`cox_contributions_body`] compiled with 512-bit vectors: an 8-lane
-/// gather and divide. `scripts/ci.sh` disassembles the release build and
-/// fails unless this arm holds a `zmm` `vdivpd` and a `zmm` gather.
+/// gather and fused multiply-adds. `scripts/ci.sh` disassembles the release
+/// build and fails unless this arm holds a `zmm` FMA and a `zmm` gather, and
+/// no `vdivpd`.
 ///
 /// # Safety
 ///
@@ -254,13 +257,15 @@ unsafe fn cox_contributions_avx512(
     cox_contributions_body(model, g, prefix, out);
 }
 
-/// [`cox_contributions_body`] compiled with 256-bit vectors.
+/// [`cox_contributions_body`] compiled with 256-bit vectors. Without `fma`
+/// each `mul_add` would be a call, so `scripts/ci.sh` fails unless this arm
+/// holds a `ymm` FMA and no call to `fma`.
 ///
 /// # Safety
 ///
-/// The running CPU must support AVX2.
+/// The running CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn cox_contributions_avx2(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [f64]) {
     cox_contributions_body(model, g, prefix, out);
 }
@@ -268,10 +273,11 @@ unsafe fn cox_contributions_avx2(model: &CoxScore, g: &[u8], prefix: &mut [f64],
 /// The kernel proper. Bitwise contract, the same in every arm: the prefix
 /// is a running `u32` sum of dosages stored as `f64` — every partial sum is
 /// an integer below 2³², so it equals the sequential `f64` sum exactly —
-/// and each patient's contribution is the one subtract of one divide,
-/// `G_i − prefix[b_i] / b_i`, with its bits masked to `+0.0` for a
-/// censored patient. No branch and no bounds check in the output loop, so
-/// it compiles to a gather and a vector divide.
+/// and each patient's contribution is `G_i − prefix[b_i] / b_i`, the
+/// quotient's bits taken from the stored reciprocal without a divide
+/// ([`corrected_quotient`]), masked to `+0.0` for a censored patient. No
+/// branch and no bounds check in the output loop, so it compiles to a
+/// gather and vector FMAs.
 #[inline(always)]
 fn cox_contributions_body(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &mut [f64]) {
     let n = model.phenotypes.len();
@@ -281,7 +287,7 @@ fn cox_contributions_body(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &
     let CoxScore {
         order,
         rank_end,
-        risk_size,
+        inv_risk,
         event_mask,
         ..
     } = model;
@@ -296,11 +302,11 @@ fn cox_contributions_body(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &
         acc += u32::from(unsafe { *g.get_unchecked(k as usize) });
         *p = f64::from(acc);
     }
-    for ((((o, &gi), &end), &b), &mask) in out
+    for ((((o, &gi), &end), &y), &mask) in out
         .iter_mut()
         .zip(g)
         .zip(rank_end)
-        .zip(risk_size)
+        .zip(inv_risk)
         .zip(event_mask)
     {
         // SAFETY: every `rank_end[i]` is a risk-set size, `1 ≤ b_i ≤ n`
@@ -308,9 +314,24 @@ fn cox_contributions_body(model: &CoxScore, g: &[u8], prefix: &mut [f64], out: &
         // carried through a permutation by `CoxScore::permuted`), and
         // `prefix.len() == n + 1` was asserted above.
         let a = unsafe { *prefix.get_unchecked(end as usize) };
-        let v = f64::from(gi) - a / b;
+        let v = f64::from(gi) - corrected_quotient(a, f64::from(end), y);
         *o = f64::from_bits(v.to_bits() & mask);
     }
+}
+
+/// `RN(a / b)` from `y = RN(1 / b)` without a divide: `q₀ = RN(a·y)`, then
+/// one correction from the remainder `a − q₀·b`, which the first fused
+/// multiply-add computes exactly. For the kernel's operands, integers with
+/// `0 ≤ a ≤ 2b` and `1 ≤ b ≤ COX_MAX_PATIENTS`, `a / b` lies far enough
+/// from every rounding midpoint that the corrected `q` is the quotient's
+/// bits (Markstein, IBM J. Res. Dev. 34(1), 1990; Muller et al.,
+/// *Handbook of Floating-Point Arithmetic*, §4.7). `mul_add` is one
+/// instruction only where the arm enables `fma`; elsewhere it is a call
+/// to the `fma` routine, with the same bits.
+#[inline(always)]
+fn corrected_quotient(a: f64, b: f64, y: f64) -> f64 {
+    let q0 = a * y;
+    (-q0).mul_add(b, a).mul_add(y, q0)
 }
 
 impl ScoreModel for CoxScore {
@@ -526,8 +547,10 @@ mod tests {
         ];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU reported AVX2 on the line above.
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                // SAFETY: the CPU reported AVX2 and FMA on the line above.
                 let avx2 = run(&|p, o| unsafe { cox_contributions_avx2(model, g, p, o) });
                 arms.push(("avx2", avx2));
             }
@@ -674,6 +697,25 @@ mod tests {
         }
     }
 
+    /// Whether the kernel's quotient of `a` by `b` has the bits of `a / b`.
+    fn quotient_is_exact(a: u64, b: u64) -> bool {
+        let (a, b) = (a as f64, b as f64);
+        corrected_quotient(a, b, 1.0 / b).to_bits() == (a / b).to_bits()
+    }
+
+    #[test]
+    fn corrected_quotient_is_the_divide_for_every_small_risk_set() {
+        // Every dosage sum `a ≤ 2n` over every risk-set size `b ≤ n`:
+        // 32,004,000 pairs, of which `a · (1 / b)` alone gets 8,075,008
+        // wrong.
+        let n = 4000u64;
+        for b in 1..=n {
+            for a in 0..=2 * n {
+                assert!(quotient_is_exact(a, b), "{a} / {b}");
+            }
+        }
+    }
+
     #[test]
     fn cox_tables_hold_40_bytes_per_patient() {
         // The per-patient footprint `Model::estimate_bytes` charges.
@@ -682,7 +724,7 @@ mod tests {
         let bytes = std::mem::size_of_val(m.phenotypes.as_slice())
             + std::mem::size_of_val(m.order.as_slice())
             + std::mem::size_of_val(m.rank_end.as_slice())
-            + std::mem::size_of_val(m.risk_size.as_slice())
+            + std::mem::size_of_val(m.inv_risk.as_slice())
             + std::mem::size_of_val(m.event_mask.as_slice());
         assert_eq!(bytes, 40 * 100);
     }
@@ -968,6 +1010,17 @@ mod tests {
             let fresh = CoxScore::new(&shuffled);
             prop_assert_eq!(&fast.rank_end, &fresh.rank_end);
             assert_same_bits(&fast.contributions(&g), &fresh.contributions(&g), "permuted");
+        }
+
+        /// The corrected quotient is the divide over the whole range the
+        /// Cox tables admit: `1 ≤ b ≤ COX_MAX_PATIENTS`, `0 ≤ a ≤ 2b`.
+        #[test]
+        fn prop_corrected_quotient_is_the_divide(
+            b in 1u64..=COX_MAX_PATIENTS as u64,
+            a_seed in any::<u64>(),
+        ) {
+            let a = a_seed % (2 * b + 1);
+            prop_assert!(quotient_is_exact(a, b), "{} / {}", a, b);
         }
 
         /// Gaussian residual centering makes constant genotypes score zero.

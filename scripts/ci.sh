@@ -47,7 +47,7 @@ echo "== cargo test --release: the bitwise identities on the code that ships =="
 # operators' order contract in sparkscore-rdd.
 cargo test --release -q -p sparkscore-stats -p sparkscore-core -p sparkscore-data -p sparkscore-rdd
 
-echo "== the resampling kernel fuses its multiply-add in both vector arms, the multiplier draw stays unfused, 512-bit and libm-free, the Cox kernel gathers and divides in zmm, every genotype codec arm is vector code: disassembly of the release sparkscore-stats and sparkscore-data tests =="
+echo "== the resampling kernel fuses its multiply-add in both vector arms, the multiplier draw stays unfused, 512-bit and libm-free, the Cox kernel gathers and fuses in zmm and ymm and never divides, every genotype codec arm is vector code: disassembly of the release sparkscore-stats and sparkscore-data tests =="
 # The kernel's contract is one fused multiply-add per step, one rounding
 # (DESIGN.md §3d). A tile that multiplies and then adds, or an AVX2 arm
 # compiled without `fma` (where `mul_add` becomes a libm call per step), gives
@@ -104,19 +104,46 @@ if grep -E '[<:](sin|cos|sincos|log)(@|>)' <<< "$draw_asm"; then
     echo "a fill_multipliers_* arm calls libm (see matches above)" >&2
     exit 1
 fi
-# The Cox kernel's AVX-512 arm (cox_contributions_avx512 in
-# crates/stats/src/score.rs) is one gather, one divide and one mask per
-# patient. A bounds check or a branch left in its output loop keeps the loop
-# scalar (`vdivsd`): every test still passes and the arm runs no faster than
-# the plain body.
-cox_asm="$(functions_asm 'cox_contributions_avx512' <<< "$stats_asm")"
-[ -n "$cox_asm" ] || { echo "no cox_contributions_avx512 symbol in $stats_bin" >&2; exit 1; }
-if ! grep -qE 'vdivpd.*zmm' <<< "$cox_asm"; then
-    echo "cox_contributions_avx512 holds no 512-bit vdivpd: its output loop fell back to scalar divides" >&2
+# The Cox kernel's vector arms (cox_contributions_{avx512,avx2} in
+# crates/stats/src/score.rs) take each patient's quotient from a stored
+# reciprocal and two fused multiply-adds: one gather and no divide. A
+# restored `a / b` gives the same bits at the divider's pace; a bounds
+# check or a branch left in the output loop keeps it scalar; an AVX2 arm
+# compiled without `fma` makes each `mul_add` a libm call. Every test still
+# passes in all three cases; the machine code shows them.
+cox_asm="$(functions_asm 'cox_contributions_avx(2|512)' <<< "$stats_asm")"
+for arm in avx2 avx512; do
+    grep -q "cox_contributions_$arm>:" <<< "$cox_asm" \
+        || { echo "no cox_contributions_$arm symbol in $stats_bin" >&2; exit 1; }
+done
+if ! grep -qE 'cox_contributions_avx512>: .*vfn?madd[0-9]+pd.*zmm' <<< "$cox_asm"; then
+    echo "cox_contributions_avx512 holds no 512-bit vfmadd/vfnmadd: its quotient fell back to scalar or unfused code" >&2
     exit 1
 fi
-if ! grep -qE 'vgather[dq]pd.*zmm' <<< "$cox_asm"; then
+if ! grep -qE 'cox_contributions_avx512>: .*vgather[dq]pd.*zmm' <<< "$cox_asm"; then
     echo "cox_contributions_avx512 holds no 512-bit gather: its risk-set reads fell back to scalar loads" >&2
+    exit 1
+fi
+if grep -E 'cox_contributions_avx512>: .*vdiv[ps][ds]' <<< "$cox_asm"; then
+    echo "cox_contributions_avx512 divides (see matches above): its quotient must come from the reciprocal" >&2
+    exit 1
+fi
+if ! grep -qE 'cox_contributions_avx2>: .*vfn?madd[0-9]+pd.*ymm' <<< "$cox_asm"; then
+    echo "cox_contributions_avx2 holds no 256-bit vfmadd/vfnmadd: its quotient does not fuse, or it was compiled without fma" >&2
+    exit 1
+fi
+# Without `fma`, `mul_add` calls the `fma` routine linked in from
+# compiler_builtins: directly, or through a GOT slot that objdump names only
+# by its address. The slot's relocation holds the routine's address.
+fma_addr="$(sed -n 's/^0*\([0-9a-f]*\) <fma>:$/\1/p' <<< "$stats_asm")"
+fma_refs="<fma>"
+if [ -n "$fma_addr" ]; then
+    fma_refs+=$'\n'"$(objdump -R "$stats_bin" | awk -v addr="$fma_addr" '
+        { target = $3; sub(/^\*ABS\*\+0x0*/, "", target) }
+        target == addr { slot = $1; sub(/^0*/, "", slot); print "# " slot " <" }')"
+fi
+if grep 'cox_contributions_avx2>:' <<< "$cox_asm" | grep -F "$fma_refs"; then
+    echo "cox_contributions_avx2 calls fma (see matches above): it was compiled without fma" >&2
     exit 1
 fi
 # The genotype codecs (DESIGN.md §3d, §3f) are each one safe body compiled
